@@ -38,6 +38,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
             raise DomainError(f"unknown weight kind {self.kind!r}; choices: {WEIGHT_KINDS}")
+        if not math.isfinite(self.alpha_w):
+            raise DomainError(f"weight exponent alpha_w must be finite, got {self.alpha_w}")
         if self.kind == "table":
             pts = tuple((float(t), float(wv)) for t, wv in self.table)
             object.__setattr__(self, "table", pts)
@@ -153,8 +155,8 @@ def bloch_norm_classical(f: PowerSeries, grid: DiskGrid | None = None) -> BlochE
 def bloch_norm_weighted(f: PowerSeries, mu: float, w: WeightSpec,
                         grid: DiskGrid | None = None) -> BlochEstimate:
     """Grid supremum of |f'(z)| (1 - |z|)^mu / w(1 - |z|)."""
-    if mu <= 0:
-        raise DomainError(f"exponent mu must be positive, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise DomainError(f"exponent mu must be positive and finite, got {mu}")
     grid = grid or default_bloch_grid()
 
     def factor(r):

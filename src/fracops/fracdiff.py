@@ -3,36 +3,46 @@
 Implements the coefficientwise action of the operator T^{beta,tau,gamma}
 on truncated power series, its normalized companion Theta (multiplier
 sequence Phi), the Fox-Wright/Hadamard representation of Theta, and
-closed-form images for the stock input functions. All Gamma ratios are
-evaluated as exponentials of log-Gamma differences.
+closed-form images for the stock input functions.
 
-Throughout, expressions of the form 1 - beta + tau are evaluated as
-1 + (tau - beta), so that tau == beta cancels exactly in floating point
-and the operator degenerates to multiplication by z^gamma with exactly
-unchanged coefficients.
+Every coefficient of an operator image comes from one vectorized kernel,
+log_gamma_ratio: R(m) = log Gamma(X_m) - log Gamma(X_m - beta + tau) with
+X_m = (m + beta - 1)/(gamma + 1) + 1, evaluated over a whole index array
+at once. The monomial image is (gamma+1)^{beta-tau} Gamma(tau)/Gamma(beta)
+exp(R(m)), the Theta multiplier is Phi(k) = exp(R(k) - R(1)), and the
+univalence criteria in geometry read the same R. Only the Fox-Wright
+Hadamard route to Theta keeps its own Gamma arithmetic, so that the two
+Theta routes stay independent.
+
+At tau == beta the operator degenerates to multiplication by z^gamma with
+exactly unchanged coefficients, in floating point too: the kernel builds
+its two Gamma arguments as c + beta and c + tau from one c, and
+expressions of the form 1 - beta + tau are evaluated as 1 + (tau - beta).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import loggamma
 
 from .errors import DomainError, PoleHitError
 from .series import PowerSeries
 from .special import (
+    POLE_GUARD,
     EvalOutcome,
     EvalStatus,
     FoxWrightSpec,
     MAX_TERMS_DEFAULT,
-    SeriesMonitor,
+    _sum_terms,
     beta_fn,
     fox_wright_coefficient,
     fox_wright_eval,
     log_gamma,
-    pochhammer,
 )
 
 
@@ -65,8 +75,10 @@ class OperatorParams:
             raise DomainError(
                 f"parameter window violated: beta - tau < 1 (beta - tau = {self.beta - self.tau})"
             )
-        if self.gamma < 0.0:
-            raise DomainError(f"parameter window violated: gamma >= 0 (gamma = {self.gamma})")
+        if not 0.0 <= self.gamma < math.inf:
+            raise DomainError(
+                f"parameter window violated: gamma >= 0 and finite (gamma = {self.gamma})"
+            )
 
     @property
     def diff(self) -> float:
@@ -98,13 +110,29 @@ class MonomialImage:
         return self.coefficient * complex(z) ** self.exponent
 
 
-def _x_argument(p: OperatorParams, upsilon: float) -> float:
-    """The recurring Gamma argument X = (upsilon + beta - 1)/(gamma + 1) + 1.
+def log_gamma_ratio(p: OperatorParams, m):
+    """The coefficient kernel R(m) = log Gamma(X_m) - log Gamma(X_m - beta + tau).
 
-    Written as ((upsilon - 1) + beta)/(gamma + 1) + 1 so upsilon = 1 gives
-    exactly beta/(gamma+1) + 1.
+    X_m = (m + beta - 1)/(gamma + 1) + 1. m may be a scalar or an array of
+    indices; the result has the same shape. Both arguments are formed as
+    c + beta and c + tau from c = (m + gamma (1 - beta))/(gamma + 1) >= 0,
+    a sum of non-negative terms: no cancellation, even where
+    X_m - beta + tau is as small as tau, and at tau = beta the two
+    arguments coincide, so R is exactly 0.
+
+    Raises PoleHitError naming the smallest argument if it lies below
+    POLE_GUARD.
     """
-    return ((upsilon - 1.0) + p.beta) / (p.gamma + 1.0) + 1.0
+    c = (np.asarray(m, dtype=np.float64) + p.gamma * (1.0 - p.beta)) / (p.gamma + 1.0)
+    x, x_low = c + p.beta, c + p.tau
+    if x_low.size and np.min(x_low) < POLE_GUARD:
+        raise PoleHitError(float(np.min(x_low)))
+    return loggamma(x) - loggamma(x_low)
+
+
+def _front_times_exp(p: OperatorParams, s):
+    """(gamma+1)^{beta-tau} Gamma(tau)/Gamma(beta) * exp(s), s scalar or array."""
+    return (p.gamma + 1.0) ** (-p.diff) * np.exp(s + (log_gamma(p.tau) - log_gamma(p.beta)))
 
 
 def monomial_transform(p: OperatorParams, upsilon: float) -> MonomialImage:
@@ -112,15 +140,14 @@ def monomial_transform(p: OperatorParams, upsilon: float) -> MonomialImage:
 
     Returns coefficient (gamma+1)^{beta-tau} Gamma(X) Gamma(tau) /
     (Gamma(X - beta + tau) Gamma(beta)) with X = (upsilon+beta-1)/(gamma+1) + 1,
-    and exponent (1 - beta + tau) * gamma + upsilon. Negative upsilon is
-    rejected; non-integer upsilon >= 0 is allowed (the formula extends).
+    and exponent (1 - beta + tau) * gamma + upsilon. Negative or non-finite
+    upsilon is rejected; non-integer upsilon >= 0 is allowed (the formula
+    extends).
     """
     upsilon = float(upsilon)
-    if upsilon < 0:
-        raise DomainError(f"monomial power must be >= 0, got {upsilon}")
-    x = _x_argument(p, upsilon)
-    s = (log_gamma(x) - log_gamma(x + p.diff)) + (log_gamma(p.tau) - log_gamma(p.beta))
-    coeff = (p.gamma + 1.0) ** (-p.diff) * math.exp(s)
+    if not 0.0 <= upsilon < math.inf:
+        raise DomainError(f"monomial power must be finite and >= 0, got {upsilon}")
+    coeff = float(_front_times_exp(p, log_gamma_ratio(p, upsilon)))
     return MonomialImage(coefficient=coeff, exponent=p.shift + upsilon)
 
 
@@ -155,9 +182,7 @@ def apply_operator(p: OperatorParams, f: PowerSeries) -> OperatorImage:
     prefactor z^shift is represented once and the scaled coefficients
     stay inside the PowerSeries algebra.
     """
-    coeffs = np.empty_like(f.coeffs)
-    for u in range(f.coeffs.size):
-        coeffs[u] = f.coeffs[u] * monomial_transform(p, u).coefficient
+    coeffs = f.coeffs * _front_times_exp(p, log_gamma_ratio(p, np.arange(f.coeffs.size)))
     return OperatorImage(prefactor_power=p.shift, series=PowerSeries(coeffs))
 
 
@@ -167,33 +192,23 @@ def apply_operator(p: OperatorParams, f: PowerSeries) -> OperatorImage:
 
 
 def theta_front_constant(p: OperatorParams) -> float:
-    """Gamma(beta/(gamma+1) + 1 - beta + tau) / Gamma(beta/(gamma+1) + 1).
+    """Gamma(beta/(gamma+1) + 1 - beta + tau) / Gamma(beta/(gamma+1) + 1) = exp(-R(1)).
 
     This is Phi(1)'s normalizer; multiplying the raw Gamma-ratio sequence
     by it pins the kappa = 1 multiplier at exactly 1.
     """
-    b1 = p.beta / (p.gamma + 1.0) + 1.0
-    return math.exp(log_gamma(b1 + p.diff) - log_gamma(b1))
-
-
-def gamma_shift_ratio(p: OperatorParams, m: float) -> float:
-    """Gamma(X_m) / Gamma(X_m - beta + tau) with X_m = (m+beta-1)/(gamma+1) + 1."""
-    x = _x_argument(p, m)
-    return math.exp(log_gamma(x) - log_gamma(x + p.diff))
+    return math.exp(-log_gamma_ratio(p, 1.0))
 
 
 def phi_multiplier(p: OperatorParams, kappa: int) -> float:
-    """Normalized multiplier Phi(kappa), kappa >= 1; Phi(1) == 1.0 exactly.
+    """Normalized multiplier Phi(kappa) = exp(R(kappa) - R(1)), kappa >= 1.
 
-    Computed as a single exponentiated sum of four log-Gammas so the
-    kappa = 1 and tau = beta cancellations are exact in floating point.
+    Phi(1) == 1.0 exactly, and so is every Phi(kappa) at tau = beta.
     """
     if kappa < 1 or kappa != int(kappa):
         raise DomainError(f"multiplier index must be an integer >= 1, got {kappa!r}")
-    b1 = p.beta / (p.gamma + 1.0) + 1.0
-    x = _x_argument(p, kappa)
-    s = (log_gamma(b1 + p.diff) - log_gamma(b1)) + (log_gamma(x) - log_gamma(x + p.diff))
-    return math.exp(s)
+    r = log_gamma_ratio(p, [1.0, kappa])
+    return math.exp(r[1] - r[0])
 
 
 def theta_multiplier_apply(p: OperatorParams, f: PowerSeries) -> PowerSeries:
@@ -206,8 +221,9 @@ def theta_multiplier_apply(p: OperatorParams, f: PowerSeries) -> PowerSeries:
         raise DomainError("Theta needs a series with zero constant term")
     coeffs = f.coeffs.copy()
     coeffs[0] = 0.0
-    for k in range(1, coeffs.size):
-        coeffs[k] = coeffs[k] * phi_multiplier(p, k)
+    r = log_gamma_ratio(p, np.arange(1, coeffs.size))
+    if r.size:
+        coeffs[1:] *= np.exp(r - r[0])
     return PowerSeries(coeffs)
 
 
@@ -235,7 +251,7 @@ def theta_fox_wright_spec(p: OperatorParams):
         upper=((1.0, 1.0), (b1, 1.0 / g1)),
         lower=((b1 + p.diff, 1.0 / g1),),
     )
-    return theta_front_constant(p), spec
+    return math.exp(log_gamma(b1 + p.diff) - log_gamma(b1)), spec
 
 
 def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
@@ -259,41 +275,36 @@ def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
 # ---------------------------------------------------------------------------
 
 
-def sum_coefficient_series(coeff_fn, z, max_terms: int = MAX_TERMS_DEFAULT) -> EvalOutcome:
-    """Sum sum_k coeff_fn(k) z^k with the shared convergence monitor.
+def sum_coefficient_series(coefficients, z, max_terms: int = MAX_TERMS_DEFAULT) -> EvalOutcome:
+    """Sum sum_k g_k z^k over an iterable of coefficients g_0, g_1, ...
 
-    Same status semantics as fox_wright_eval, for kernels given by a
-    plain coefficient callable instead of a Fox-Wright parameter block.
+    Same status semantics as fox_wright_eval, for kernels given as a plain
+    coefficient sequence instead of a Fox-Wright parameter block.
     """
     z = complex(z)
-    try:
-        c0 = complex(coeff_fn(0))
-    except PoleHitError:
-        return EvalOutcome(complex("nan"), EvalStatus.POLE_HIT, 0, math.inf)
-    if z == 0:
-        return EvalOutcome(c0, EvalStatus.CONVERGED, 1, 0.0)
-    total = c0
-    monitor = SeriesMonitor()
-    monitor.update(abs(c0))
-    zk = 1.0 + 0.0j
-    for kappa in range(1, max_terms):
-        zk *= z
-        try:
-            term = complex(coeff_fn(kappa)) * zk
-        except PoleHitError:
-            return EvalOutcome(total, EvalStatus.POLE_HIT, kappa, math.inf)
-        abs_term = abs(term)
-        total += term
-        monitor.update(abs_term)
-        if monitor.diverged:
-            return EvalOutcome(total, EvalStatus.DIVERGENT, kappa + 1, math.inf)
-        if abs_term == 0.0:
-            return EvalOutcome(total, EvalStatus.CONVERGED, kappa + 1, 0.0)
-        tail = monitor.tail_bound()
-        if tail is not None and tail <= 1e-16 * max(1.0, abs(total)):
-            return EvalOutcome(total, EvalStatus.CONVERGED, kappa + 1, tail)
-    tail = monitor.tail_bound()
-    return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE, max_terms, math.inf if tail is None else tail)
+
+    def terms():
+        zk = 1.0 + 0.0j
+        for g in coefficients:
+            yield complex(g) * zk
+            if z == 0:
+                return
+            zk *= z
+
+    return _sum_terms(terms(), max_terms)
+
+
+def _hypergeometric_coefficients(upper, lower):
+    """h_k = prod (a)_k / (prod (b)_k k!) by the ratio recurrence, k = 0, 1, ...
+
+    Stepping h_{k+1} = h_k prod(a + k) / (prod(b + k) (k + 1)) keeps every
+    intermediate near the size of h_k, where separate Pochhammer products
+    and k! overflow float64 after about a hundred terms.
+    """
+    h = 1.0
+    for k in itertools.count():
+        yield h
+        h *= math.prod(a + k for a in upper) / (math.prod(b + k for b in lower) * (k + 1.0))
 
 
 @dataclass
@@ -302,8 +313,8 @@ class ClosedFormImage:
 
     For the Koebe-type and z*exp(z) inputs the inner sum is an exact
     Fox-Wright series (fox_wright is set); for the confluent and
-    Lerch-type inputs it is a Beta-factor coefficient series exposed
-    through term_coefficient.
+    Lerch-type inputs it is a Beta-factor coefficient series, and
+    coefficients() returns a fresh iterator over g(0), g(1), ...
     """
 
     kind: str
@@ -311,17 +322,15 @@ class ClosedFormImage:
     constant: float
     power: float
     fox_wright: FoxWrightSpec | None = None
-    term_coefficient: object = None
-    max_terms: int = field(default=MAX_TERMS_DEFAULT, repr=False)
+    coefficients: object = None
 
-    def inner_sum(self, z, max_terms: int | None = None) -> EvalOutcome:
-        budget = self.max_terms if max_terms is None else max_terms
+    def inner_sum(self, z, max_terms: int = MAX_TERMS_DEFAULT) -> EvalOutcome:
         if self.fox_wright is not None:
-            return fox_wright_eval(self.fox_wright, z, budget)
-        return sum_coefficient_series(self.term_coefficient, z, budget)
+            return fox_wright_eval(self.fox_wright, z, max_terms)
+        return sum_coefficient_series(self.coefficients(), z, max_terms)
 
-    def evaluate(self, z, max_terms: int | None = None) -> complex:
-        """Value at z; raises ConvergenceError-free, trusts CONVERGED only."""
+    def evaluate(self, z, max_terms: int = MAX_TERMS_DEFAULT) -> complex:
+        """Value at z; raises DomainError unless the inner sum is CONVERGED."""
         z = complex(z)
         out = self.inner_sum(z, max_terms)
         if out.status is not EvalStatus.CONVERGED:
@@ -355,12 +364,19 @@ def closed_form_spec(p: OperatorParams, kind: str, alpha: float | None = None,
     g1 = p.gamma + 1.0
     b1 = p.beta / g1 + 1.0
     power = p.shift + 1.0
-    log_front = log_gamma(p.tau) - log_gamma(p.beta) - p.diff * math.log(g1)
+
+    def beta_factor_coefficients(upper, lower, s=0.0, a=1.0):
+        """g(k) = h_k / (k + a)^s * B(x_k, 1 - beta + tau) * (x_k - beta + tau), x_k = b1 + k/g1."""
+        def coefficients():
+            for k, h in enumerate(_hypergeometric_coefficients(upper, lower)):
+                x = b1 + k / g1
+                yield h / (k + a) ** s * beta_fn(x, 1.0 + p.diff) * (x + p.diff)
+        return coefficients
 
     if kind == "koebe":
         if alpha is None or alpha < 1:
             raise DomainError("koebe closed form needs alpha >= 1")
-        constant = math.exp(log_front - log_gamma(float(alpha)))
+        constant = float(_front_times_exp(p, -log_gamma(float(alpha))))
         spec = FoxWrightSpec(
             upper=((float(alpha), 1.0), (b1, 1.0 / g1)),
             lower=((b1 + p.diff, 1.0 / g1),),
@@ -368,27 +384,17 @@ def closed_form_spec(p: OperatorParams, kind: str, alpha: float | None = None,
         return ClosedFormImage("koebe", {"alpha": float(alpha)}, constant, power, fox_wright=spec)
 
     if kind == "exp_times_z":
-        constant = math.exp(log_front)
+        constant = float(_front_times_exp(p, 0.0))
         spec = FoxWrightSpec(upper=((b1, 1.0 / g1),), lower=((b1 + p.diff, 1.0 / g1),))
         return ClosedFormImage("exp_times_z", {}, constant, power, fox_wright=spec)
 
     if kind == "kummer":
         if alpha is None or lam is None:
             raise DomainError("kummer closed form needs alpha and lam")
-        constant = math.exp(log_front - log_gamma(1.0 + p.diff))
-
-        def term(kappa, _alpha=float(alpha), _lam=float(lam)):
-            x = b1 + kappa / g1
-            return (
-                pochhammer(_alpha, kappa)
-                / (pochhammer(_lam, kappa) * math.factorial(kappa))
-                * beta_fn(x, 1.0 + p.diff)
-                * (x + p.diff)
-            )
-
+        constant = float(_front_times_exp(p, -log_gamma(1.0 + p.diff)))
         return ClosedFormImage(
             "kummer", {"alpha": float(alpha), "lam": float(lam)}, constant, power,
-            term_coefficient=term,
+            coefficients=beta_factor_coefficients((float(alpha),), (float(lam),)),
         )
 
     if kind == "hurwitz_lerch":
@@ -398,22 +404,14 @@ def closed_form_spec(p: OperatorParams, kind: str, alpha: float | None = None,
             raise DomainError("hurwitz_lerch shift parameter a must be positive")
         if s <= 0:
             raise DomainError("hurwitz_lerch exponent s must be positive")
-        constant = math.exp(log_front - log_gamma(1.0 + p.diff))
-
-        def term(kappa, _alpha=float(alpha), _lam=float(lam), _rho=float(rho),
-                 _s=float(s), _a=float(a)):
-            x = b1 + kappa / g1
-            return (
-                pochhammer(_alpha, kappa) * pochhammer(_lam, kappa)
-                / (pochhammer(_rho, kappa) * math.factorial(kappa) * (kappa + _a) ** _s)
-                * beta_fn(x, 1.0 + p.diff)
-                * (x + p.diff)
-            )
-
+        constant = float(_front_times_exp(p, -log_gamma(1.0 + p.diff)))
         return ClosedFormImage(
             "hurwitz_lerch",
             {"alpha": float(alpha), "lam": float(lam), "rho": float(rho), "s": float(s), "a": float(a)},
-            constant, power, term_coefficient=term,
+            constant, power,
+            coefficients=beta_factor_coefficients(
+                (float(alpha), float(lam)), (float(rho),), float(s), float(a)
+            ),
         )
 
     raise DomainError(

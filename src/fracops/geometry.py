@@ -9,17 +9,20 @@ of forcing a verdict.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .fracdiff import OperatorParams, gamma_shift_ratio, theta_front_constant
+from .fracdiff import OperatorParams, log_gamma_ratio, theta_front_constant
 from .series import PowerSeries
-from .special import EvalStatus, SeriesMonitor
+from .special import EvalStatus, _sum_terms
 
 _ZERO_GUARD = 1e-14
+# Criterion terms are computed this many at a time, as the summation pulls them.
+_CRITERION_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -214,8 +217,8 @@ class CriterionReport:
         }
 
 
-def criterion_term(p: OperatorParams, mode: str, kappa: int) -> float:
-    """k-th rearranged proof term of the criterion sum (k >= 0).
+def criterion_term(p: OperatorParams, mode: str, kappa):
+    """k-th rearranged proof term of the criterion sum (k >= 0; scalar or array).
 
     With R(m) = Gamma((m+beta-1)/(gamma+1) + 1) / Gamma(... - beta + tau):
     the single-sum form contributes (k+1) R(k+1); the two-sum form adds
@@ -225,9 +228,10 @@ def criterion_term(p: OperatorParams, mode: str, kappa: int) -> float:
     """
     if mode not in CRITERION_MODES:
         raise DomainError(f"unknown criterion mode {mode!r}; choices: {CRITERION_MODES}")
-    t = (kappa + 1.0) * gamma_shift_ratio(p, kappa + 1.0)
+    k1 = np.asarray(kappa, dtype=np.float64) + 1.0
+    t = k1 * np.exp(log_gamma_ratio(p, k1))
     if mode == "theorem5_S":
-        t += (kappa + 1.0) * (kappa + 2.0) * gamma_shift_ratio(p, kappa + 2.0)
+        t = t + k1 * (k1 + 1.0) * np.exp(log_gamma_ratio(p, k1 + 1.0))
     return t
 
 
@@ -242,40 +246,34 @@ def criterion_threshold(p: OperatorParams) -> float:
 def univalence_criterion(p: OperatorParams, mode: str, max_terms: int = 512) -> CriterionReport:
     """Sum the criterion series at z = 1 and report against the threshold.
 
-    Terms are fed through the shared divergence monitor so sustained
-    growth is detected and reported instead of producing a bogus verdict.
+    Terms are fed through the shared summation driver so sustained growth
+    is detected and reported instead of producing a bogus verdict. They
+    are computed in blocks of _CRITERION_BLOCK as the driver pulls them,
+    so a large max_terms costs nothing once the sum has stopped.
     """
-    if max_terms < 1:
-        raise DomainError("max_terms must be at least 1")
     threshold = criterion_threshold(p)
-    monitor = SeriesMonitor()
-    partial_sums = []
-    total = 0.0
-    status = EvalStatus.SLOW_CONVERGENCE
-    tail = math.inf
-    for kappa in range(max_terms):
-        t = criterion_term(p, mode, kappa)
-        total += t
-        partial_sums.append(total)
-        monitor.update(abs(t))
-        if monitor.diverged:
-            status = EvalStatus.DIVERGENT
-            break
-        bound = monitor.tail_bound()
-        if bound is not None and bound <= 1e-16 * max(1.0, total):
-            status = EvalStatus.CONVERGED
-            tail = bound
-            break
-    if status is EvalStatus.CONVERGED:
-        verdict = VERDICT_SATISFIED if total + tail < threshold else VERDICT_VIOLATED
+    blocks = []
+
+    def terms():
+        for start in itertools.count(0, _CRITERION_BLOCK):
+            stop = min(start + _CRITERION_BLOCK, max_terms)
+            blocks.append(criterion_term(p, mode, np.arange(start, stop)))
+            yield from blocks[-1].tolist()
+
+    out = _sum_terms(terms(), max_terms)
+    partial_sums = np.cumsum(np.concatenate(blocks))[: out.terms_used].tolist()
+    if out.status is EvalStatus.CONVERGED:
+        tail = out.tail_bound
+        verdict = VERDICT_SATISFIED if out.value + tail < threshold else VERDICT_VIOLATED
     else:
+        tail = math.inf
         verdict = VERDICT_INCONCLUSIVE
     return CriterionReport(
         mode=mode,
         params=p,
         partial_sums=partial_sums,
         rhs_threshold=threshold,
-        series_status=status,
+        series_status=out.status,
         verdict=verdict,
         tail_bound=tail,
     )

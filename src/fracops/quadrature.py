@@ -20,14 +20,20 @@ Internally I(z) is pushed through one more substitution u = w^{1/(gamma+1)}:
 which keeps the integrand factor q^{alpha'} smooth uniformly in gamma
 (the plain w-form converges slowly for non-integer gamma because
 f(z w^{1/(gamma+1)}) has a branch point at w = 0). The Jacobi weight pair
-actually used is therefore (alpha', beta + gamma - 1).
+actually used is therefore (alpha', beta + gamma - 1); it is derived from
+the parameters on every call, so QuadratureConfig carries only the node
+count, the derivative scheme and the doubling tolerance.
+
+Gauss-Jacobi nodes are cached per (exponent pair, node count) in a
+bounded LRU cache of NODE_CACHE_SIZE entries.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,30 +47,26 @@ from .special import log_gamma
 SMALL_Z_CUTOFF = 1e-6
 _SCHEMES = ("analytic_under_integral", "complex_step")
 
-_node_cache: dict = {}
-_node_cache_lock = threading.Lock()
+# Bound on cached node sets. A fresh-seed run_suites() adds about 100 keys,
+# plus 20 fixture-suite keys that every call reuses.
+NODE_CACHE_SIZE = 256
 
 
+@functools.lru_cache(maxsize=NODE_CACHE_SIZE)
 def jacobi_nodes(a: float, b: float, n: int):
-    """Cached Gauss-Jacobi nodes/weights for weight (1-x)^a (1+x)^b on [-1, 1]."""
-    key = (round(float(a), 15), round(float(b), 15), int(n))
-    with _node_cache_lock:
-        hit = _node_cache.get(key)
-    if hit is not None:
-        return hit
+    """Cached Gauss-Jacobi nodes/weights for weight (1-x)^a (1+x)^b on [-1, 1].
+
+    Every caller shares the returned arrays, so they are read-only.
+    """
     x, w = roots_jacobi(int(n), float(a), float(b))
-    with _node_cache_lock:
-        _node_cache[key] = (x, w)
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Quadrature settings for the integral route.
-
-    jacobi_exponents holds the kernel endpoint exponents
-    (alpha' = tau - beta, beta' = (beta-1)/(gamma+1)); both must lie in
-    (-1, 0] for the kernel to be integrable in the admissible window.
 
     tolerance gates the node-doubling self-check |result(2n) - result(n)|.
     The 1e-8 default matches the accuracy the route is asked to certify;
@@ -75,58 +77,18 @@ class QuadratureConfig:
     """
 
     node_count: int = 64
-    jacobi_exponents: tuple = (0.0, 0.0)
     derivative_scheme: str = "analytic_under_integral"
     tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.node_count < 8:
             raise DomainError(f"node_count must be >= 8, got {self.node_count}")
-        a, b = self.jacobi_exponents
-        for name, val in (("alpha'", a), ("beta'", b)):
-            if not -1.0 < val <= 0.0:
-                raise DomainError(f"jacobi exponent {name} = {val} outside (-1, 0]")
         if self.derivative_scheme not in _SCHEMES:
             raise DomainError(
                 f"unknown derivative scheme {self.derivative_scheme!r}; choices: {_SCHEMES}"
             )
         if not self.tolerance > 0:
             raise DomainError("tolerance must be positive")
-
-    @classmethod
-    def for_params(cls, p: OperatorParams, node_count: int = 64,
-                   derivative_scheme: str = "analytic_under_integral",
-                   tolerance: float = 1e-8) -> "QuadratureConfig":
-        return cls(
-            node_count=node_count,
-            jacobi_exponents=p.jacobi_exponents,
-            derivative_scheme=derivative_scheme,
-            tolerance=tolerance,
-        )
-
-
-def branch_kernel(z, w: float, p: OperatorParams):
-    """Kernel factor (1-w)^{tau-beta} along the substitution ray.
-
-    The integration path runs from 0 to z through the real parameter
-    w in (0, 1); on that ray the base 1 - w is positive, so the branch
-    convention (logarithm real) makes the factor real and positive.
-    z participates only through the ray parametrization and does not
-    change the value.
-    """
-    if not 0.0 < w < 1.0:
-        raise DomainError(f"ray parameter must lie in (0, 1), got {w}")
-    return math.exp(p.diff * math.log1p(-w))
-
-
-def _check_config(p: OperatorParams, cfg: QuadratureConfig) -> None:
-    a, b = cfg.jacobi_exponents
-    pa, pb = p.jacobi_exponents
-    if abs(a - pa) > 1e-12 or abs(b - pb) > 1e-12:
-        raise DomainError(
-            f"config jacobi_exponents {cfg.jacobi_exponents} disagree with "
-            f"parameters (expected {p.jacobi_exponents})"
-        )
 
 
 def inner_integral(p: OperatorParams, f: PowerSeries, z, cfg: QuadratureConfig,
@@ -139,7 +101,6 @@ def inner_integral(p: OperatorParams, f: PowerSeries, z, cfg: QuadratureConfig,
     integrand factor w^{1/(gamma+1)} f'(z w^{1/(gamma+1)}), as needed for
     differentiating under the integral sign.
     """
-    _check_config(p, cfg)
     g1 = p.gamma + 1.0
     a = p.diff                      # alpha' = tau - beta
     b_sub = p.beta + p.gamma - 1.0  # exponent after the u-substitution
@@ -204,8 +165,7 @@ def oracle_eval(p: OperatorParams, f: PowerSeries, z, cfg: QuadratureConfig | No
     series term (the outer z-powers amplify roundoff there).
     """
     if cfg is None:
-        cfg = QuadratureConfig.for_params(p)
-    _check_config(p, cfg)
+        cfg = QuadratureConfig()
     z = complex(z)
     if z == 0:
         raise DomainError("the integral route is undefined at z = 0")
@@ -220,13 +180,7 @@ def oracle_eval(p: OperatorParams, f: PowerSeries, z, cfg: QuadratureConfig | No
         return complex(f.coeffs[m]) * monomial_transform(p, m).evaluate(z)
 
     r1 = _eval_once(p, f, z, cfg)
-    cfg2 = QuadratureConfig(
-        node_count=2 * cfg.node_count,
-        jacobi_exponents=cfg.jacobi_exponents,
-        derivative_scheme=cfg.derivative_scheme,
-        tolerance=cfg.tolerance,
-    )
-    r2 = _eval_once(p, f, z, cfg2)
+    r2 = _eval_once(p, f, z, dataclasses.replace(cfg, node_count=2 * cfg.node_count))
     if abs(r2 - r1) > cfg.tolerance:
         raise ConvergenceError(
             f"node doubling {cfg.node_count} -> {2 * cfg.node_count} moved the result "

@@ -1,16 +1,20 @@
-"""Gamma-family special functions and Fox-Wright series evaluation.
+"""Gamma-family special functions and series summation.
 
 Everything downstream (the fractional operator, its closed forms, the
 univalence criteria) reduces to ratios of Gamma functions, so this module
-centralises the log-Gamma plumbing: pole guards, Pochhammer symbols, the
-Beta function, and a term-by-term Fox-Wright evaluator with explicit
-convergence/divergence reporting instead of silent nonsense.
+centralises the log-Gamma plumbing: pole guards, Pochhammer symbols and
+the Beta function. It also owns the one series-summation driver,
+_sum_terms, which pulls terms from an iterator through a SeriesMonitor
+and reports an explicit status (converged, slow, divergent, pole hit)
+instead of silent nonsense. fox_wright_eval here, and the closed-form and
+criterion sums in fracdiff and geometry, are thin callers of it.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -242,6 +246,52 @@ class SeriesMonitor:
         return self.prev_abs * r / (1.0 - r)
 
 
+def _sum_terms(terms, max_terms: int) -> EvalOutcome:
+    """Sum at most max_terms terms pulled from the iterator `terms`.
+
+    Stops with status
+      POLE_HIT at the index whose term raised PoleHitError (value is the
+        sum so far, NaN if no term was summed);
+      DIVERGENT on a non-finite term (not added) or when the monitor sees
+        sustained growth (term added);
+      CONVERGED when a term past index 0 is exactly zero, when the
+        geometric tail bound drops below roundoff, or when the iterator
+        ends (an exact finite sum, tail 0);
+      SLOW_CONVERGENCE when the budget runs out first.
+    Terms are only pulled as needed, so an iterator may be infinite.
+    """
+    if max_terms < 1:
+        raise DomainError("max_terms must be at least 1")
+    total = 0.0
+    monitor = SeriesMonitor()
+    for k in range(max_terms):
+        try:
+            term = next(terms)
+        except StopIteration:
+            return EvalOutcome(total, EvalStatus.CONVERGED, k, 0.0)
+        except PoleHitError:
+            return EvalOutcome(total if k else complex("nan"), EvalStatus.POLE_HIT, k, math.inf)
+        if not cmath.isfinite(term):
+            return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
+        abs_term = abs(term)
+        total += term
+        monitor.update(abs_term)
+        if monitor.diverged:
+            return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
+        if k and abs_term == 0.0:
+            return EvalOutcome(total, EvalStatus.CONVERGED, k + 1, 0.0)
+        tail = monitor.tail_bound()
+        if tail is not None and tail <= _STOP_RTOL * max(1.0, abs(total)):
+            return EvalOutcome(total, EvalStatus.CONVERGED, k + 1, tail)
+    tail = monitor.tail_bound()
+    return EvalOutcome(
+        total,
+        EvalStatus.SLOW_CONVERGENCE,
+        max_terms,
+        math.inf if tail is None else tail,
+    )
+
+
 def fox_wright_eval(spec: FoxWrightSpec, z, max_terms: int = MAX_TERMS_DEFAULT) -> EvalOutcome:
     """Sum the Fox-Wright series at z with explicit convergence reporting.
 
@@ -252,45 +302,14 @@ def fox_wright_eval(spec: FoxWrightSpec, z, max_terms: int = MAX_TERMS_DEFAULT) 
     the partial sum accumulated so far.
     """
     z = complex(z)
-    if max_terms < 1:
-        raise DomainError("max_terms must be at least 1")
 
-    try:
-        c0 = complex(fox_wright_coefficient(spec, 0))
-    except PoleHitError:
-        return EvalOutcome(complex("nan"), EvalStatus.POLE_HIT, 0, math.inf)
-    if z == 0:
-        return EvalOutcome(c0, EvalStatus.CONVERGED, 1, 0.0)
+    def terms():
+        yield complex(fox_wright_coefficient(spec, 0))
+        if z == 0:
+            return
+        log_z = cmath.log(z)
+        for kappa in itertools.count(1):
+            log_term = complex(_log_coefficient(spec, kappa)) + kappa * log_z
+            yield cmath.exp(log_term) if log_term.real <= _LOG_OVERFLOW else complex(math.inf)
 
-    total = c0
-    monitor = SeriesMonitor()
-    monitor.update(abs(c0))
-    log_z = cmath.log(z)
-
-    for kappa in range(1, max_terms):
-        try:
-            s = _log_coefficient(spec, kappa)
-        except PoleHitError:
-            return EvalOutcome(total, EvalStatus.POLE_HIT, kappa, math.inf)
-        log_term = complex(s) + kappa * log_z
-        if log_term.real > _LOG_OVERFLOW:
-            return EvalOutcome(total, EvalStatus.DIVERGENT, kappa + 1, math.inf)
-        term = cmath.exp(log_term)
-        abs_term = abs(term)
-        total += term
-        monitor.update(abs_term)
-        if monitor.diverged:
-            return EvalOutcome(total, EvalStatus.DIVERGENT, kappa + 1, math.inf)
-        if abs_term == 0.0:
-            return EvalOutcome(total, EvalStatus.CONVERGED, kappa + 1, 0.0)
-        tail = monitor.tail_bound()
-        if tail is not None and tail <= _STOP_RTOL * max(1.0, abs(total)):
-            return EvalOutcome(total, EvalStatus.CONVERGED, kappa + 1, tail)
-
-    tail = monitor.tail_bound()
-    return EvalOutcome(
-        total,
-        EvalStatus.SLOW_CONVERGENCE,
-        max_terms,
-        math.inf if tail is None else tail,
-    )
+    return _sum_terms(terms(), max_terms)

@@ -116,7 +116,7 @@ def suite_oracle_closed_form(seed: int = 0, draws: int = 50) -> SuiteResult:
         p = draw_params(rng)
         upsilon = int(rng.integers(0, 7))
         z = _draw_z(rng)
-        cfg = QuadratureConfig.for_params(p)
+        cfg = QuadratureConfig()
         f = monomial_series(upsilon, max(upsilon, 1))
         ref = monomial_transform(p, float(upsilon)).evaluate(z)
         try:
@@ -366,8 +366,8 @@ def suite_fixtures(seed: int = 0, fixtures_path=None) -> SuiteResult:
         except (KeyError, TypeError, ValueError, FracopsError) as exc:
             failures.append(f"{label}: malformed entry ({exc})")
             continue
-        cfg = QuadratureConfig.for_params(p, node_count=n)
-        cfg2 = QuadratureConfig.for_params(p, node_count=2 * n)
+        cfg = QuadratureConfig(node_count=n)
+        cfg2 = QuadratureConfig(node_count=2 * n)
         try:
             r1 = _eval_once(p, f, z, cfg)
             r2 = _eval_once(p, f, z, cfg2)

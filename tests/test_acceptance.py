@@ -159,7 +159,7 @@ def test_criterion_10_quadrature_internals():
     for beta, tau, gamma in [(0.65, 0.3, 0.0), (0.65, 0.3, 1.7),
                              (0.9, 0.85, 2.5), (0.3, 0.1, 3.0)]:
         p = OperatorParams(beta, tau, gamma)
-        cfg = QuadratureConfig.for_params(p)
+        cfg = QuadratureConfig()
         got = inner_integral(p, PowerSeries([1.0]), 0.37, cfg)
         want = beta_fn((beta - 1.0) / (gamma + 1.0) + 1.0, 1.0 - beta + tau)
         worst = max(worst, abs(got - want))

@@ -210,3 +210,23 @@ def test_bloch_refine_flag(capsys):
                     "--refine", "1")
     assert fine["norm_estimate"] >= base["norm_estimate"]
     assert len(fine["grid"]["radii"]) > len(base["grid"]["radii"])
+
+
+# ---------------------------------------------------------------------------
+# non-finite numeric flags
+
+
+@pytest.mark.parametrize("argv", [
+    ("transform", "--beta", "0.5", "--tau", "0.5", "--gamma", "nan", "--monomial", "1"),
+    ("transform", "--beta", "0.5", "--tau", "0.5", "--gamma", "inf", "--monomial", "1"),
+    ("transform", "--beta", "0.5", "--tau", "0.5", "--monomial", "nan"),
+    ("transform", "--beta", "0.5", "--tau", "0.5", "--monomial", "inf"),
+    ("criteria", "--theorem", "5", "--beta", "0.5", "--tau", "0.5", "--gamma", "nan"),
+    ("bloch", "--f", "koebe", "--alpha", "2", "--mu", "nan"),
+    ("bloch", "--f", "koebe", "--alpha", "2", "--mu", "1", "--w", "power", "--alpha-w", "nan"),
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_flags_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and err.startswith("fracops: error:")

@@ -195,6 +195,16 @@ def test_criterion_reports_divergence_never_satisfied():
             assert rep.partial_sums[-1] > rep.rhs_threshold  # sums blow through it
 
 
+def test_criterion_budget_only_bounds_the_terms_read():
+    """Terms are computed as the sum pulls them: a huge budget changes nothing once it stops."""
+    p = OperatorParams(0.7, 0.4, 0.0)
+    for mode in CRITERION_MODES:
+        small = univalence_criterion(p, mode, max_terms=512).to_json_dict()
+        assert univalence_criterion(p, mode, max_terms=10_000_000).to_json_dict() == small
+        terms = [criterion_term(p, mode, k) for k in range(len(small["partial_sums"]))]
+        assert_allclose(small["partial_sums"], np.cumsum(terms), rtol=1e-14)
+
+
 def test_criterion_report_serializes():
     rep = univalence_criterion(OperatorParams(0.5, 0.5, 0.0), "theorem5_S")
     doc = rep.to_json_dict()

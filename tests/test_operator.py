@@ -1,5 +1,6 @@
 """The fractional operator, its normalized companion, and closed forms."""
 
+import cmath
 import math
 
 import numpy as np
@@ -19,8 +20,19 @@ from fracops.fracdiff import (
     theta_multiplier_apply,
     theta_normalize,
 )
-from fracops.series import PowerSeries, exp_times_z_series, koebe_series, kummer_series
+from fracops.series import (
+    PowerSeries,
+    exp_times_z_series,
+    koebe_series,
+    kummer_series,
+    load_series_fixture,
+)
 from fracops.special import EvalStatus, fox_wright_coefficient, log_gamma
+from fracops.verify import SERIES_FIXTURE_NAMES, fixture_dir
+
+mpmath = pytest.importorskip("mpmath")
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +129,61 @@ def test_operator_image_evaluate():
     )
     assert_allclose(image.evaluate(z), direct, rtol=1e-13)
     assert image.evaluate(0.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the Gamma-ratio kernel at the corners of the window
+
+# (beta, tau): smallest beta, tau/beta -> 0, beta - tau = 0.999, tau = beta.
+_CORNERS = [(1e-3, 1e-8), (1e-3, 1e-3), (1.0, 1e-8), (1.0, 1e-3), (1.0, 1.0)]
+_CORNER_INDICES = (0, 1, 2, 7, 64, 1000, 8192)
+
+
+def _lgamma_rtol(*args):
+    """Relative error of exp(+-lgamma sums) in float64: each lgamma is off by ~eps |lgamma|."""
+    return 8.0 * EPS * (4.0 + sum(abs(math.lgamma(float(a))) for a in args))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 50.0])
+@pytest.mark.parametrize("beta,tau", _CORNERS)
+def test_kernel_matches_mpmath_at_window_corners(beta, tau, gamma):
+    """Monomial coefficients C(m) and multipliers Phi(k) up to index 8192, against 50 digits."""
+    p = OperatorParams(beta, tau, gamma)
+    n = _CORNER_INDICES[-1]
+    c = apply_operator(p, PowerSeries(np.ones(n + 1))).series.coeffs.real
+    phi = theta_normalize(p, PowerSeries(np.r_[0.0, np.ones(n)])).coeffs.real
+    with mpmath.workdps(50):
+        b, t, g1 = mpmath.mpf(beta), mpmath.mpf(tau), mpmath.mpf(gamma) + 1
+
+        def ratio(m):
+            x = (m + b - 1) / g1 + 1
+            return mpmath.exp(mpmath.loggamma(x) - mpmath.loggamma(x + t - b)), x
+
+        r1, b1 = ratio(1)
+        for m in _CORNER_INDICES:
+            r, x = ratio(m)
+            want = g1 ** (b - t) * r * mpmath.gamma(t) / mpmath.gamma(b)
+            tol = _lgamma_rtol(x, x + t - b, t, b)
+            assert abs(c[m] - float(want)) <= tol * float(want), (m, c[m], want)
+            if m >= 1:
+                tol = _lgamma_rtol(x, x + t - b, b1, b1 + t - b)
+                assert abs(phi[m] - float(r / r1)) <= tol * float(r / r1), (m, phi[m])
+
+
+def test_tau_equals_beta_is_bit_exact_on_packaged_fixtures():
+    for name in SERIES_FIXTURE_NAMES:
+        f = load_series_fixture(fixture_dir() / name)
+        for beta, gamma in [(1e-3, 50.0), (0.45, 1.7), (1.0, 0.0)]:
+            p = OperatorParams(beta, beta, gamma)
+            assert np.array_equal(apply_operator(p, f).series.coeffs, f.coeffs), name
+            assert np.array_equal(theta_normalize(p, f).coeffs, f.coeffs), name
+
+
+@pytest.mark.parametrize("beta,tau", _CORNERS + [(0.7, 0.4)])
+def test_phi_one_is_exact_at_order_8192(beta, tau):
+    f = PowerSeries(np.r_[0.0, 1.0, np.full(8191, 0.5)])
+    for gamma in (0.0, 1.3, 50.0):
+        assert theta_normalize(OperatorParams(beta, tau, gamma), f).coeffs[1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +310,29 @@ def test_closed_form_tau_equals_beta_recovers_input():
     f = kummer_series(1.2, 0.8, 60)
     for z in (0.3, -0.4):
         assert_allclose(form.evaluate(z), z**p.gamma * f.evaluate(z), rtol=1e-12)
+
+
+def test_hurwitz_lerch_closed_form_near_the_unit_circle():
+    """|z| = 0.9 and 0.95 need ~1000 terms; the coefficients must not overflow on the way."""
+    p = OperatorParams(0.65, 0.3, 1.4)
+    kw = {"alpha": 1.2, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0}
+    form = closed_form_spec(p, "hurwitz_lerch", **kw)
+    points = (0.9, 0.9 * cmath.exp(2.1j), 0.95, -0.95, 0.95 * cmath.exp(-1.0j))
+    with mpmath.workdps(50):
+        b, t, g1 = mpmath.mpf(p.beta), mpmath.mpf(p.tau), mpmath.mpf(p.gamma) + 1
+        front = g1 ** (b - t) * mpmath.gamma(t) / mpmath.gamma(b)
+        image = []  # coefficient of z^(shift + k + 1) in the image of the input series
+        h = mpmath.mpf(1)
+        for k in range(1500):  # 0.95^1500 < 1e-33
+            x = (k + b) / g1 + 1
+            c = h / (k + kw["a"]) ** kw["s"]
+            image.append(c * front * mpmath.exp(mpmath.loggamma(x) - mpmath.loggamma(x + t - b)))
+            h *= (kw["alpha"] + k) * (kw["lam"] + k) / ((kw["rho"] + k) * (k + 1))
+        for z in points:
+            zm = mpmath.mpc(z)
+            want = complex(mpmath.power(zm, p.shift + 1) * mpmath.polyval(image[::-1], zm))
+            got = form.evaluate(z)
+            assert abs(got - want) <= 1e-12 * abs(want), (z, got, want)
 
 
 def test_closed_form_exp_series_agreement():

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from fracops.errors import ConvergenceError, DomainError
 from fracops.fracdiff import OperatorParams, apply_operator, monomial_transform
 from fracops.quadrature import (
+    NODE_CACHE_SIZE,
     QuadratureConfig,
-    branch_kernel,
     inner_integral,
     jacobi_nodes,
     oracle_eval,
@@ -31,24 +31,9 @@ def test_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(node_count=4)
     with pytest.raises(DomainError):
-        QuadratureConfig(jacobi_exponents=(0.5, 0.0))  # must be in (-1, 0]
-    with pytest.raises(DomainError):
         QuadratureConfig(derivative_scheme="magic")
     with pytest.raises(DomainError):
         QuadratureConfig(tolerance=0.0)
-
-
-def test_config_for_params_copies_exponents():
-    p = _params()
-    cfg = QuadratureConfig.for_params(p)
-    assert cfg.jacobi_exponents == p.jacobi_exponents
-    assert cfg.node_count == 64
-
-
-def test_config_exponent_mismatch_detected():
-    cfg = QuadratureConfig.for_params(_params(0.65, 0.3, 1.7))
-    with pytest.raises(DomainError):
-        oracle_eval(_params(0.8, 0.3, 1.7), PowerSeries([0, 1.0]), 0.3, cfg)
 
 
 def test_jacobi_nodes_cached_and_sane():
@@ -59,15 +44,16 @@ def test_jacobi_nodes_cached_and_sane():
     assert np.all(w1 > 0.0)
 
 
-def test_branch_kernel_domain():
-    p = _params()
-    with pytest.raises(DomainError):
-        branch_kernel(0.3, 0.0, p)
-    with pytest.raises(DomainError):
-        branch_kernel(0.3, 1.0, p)
-    # at tau = beta the kernel is exactly 1 for every ray parameter
-    q = OperatorParams(0.5, 0.5, 1.0)
-    assert branch_kernel(0.2 + 0.1j, 0.77, q) == 1.0
+def test_jacobi_node_cache_is_bounded():
+    """300 distinct keys leave at most NODE_CACHE_SIZE entries; hits still share arrays."""
+    for i in range(300):
+        jacobi_nodes(-0.5 + i * 1e-3, 0.25, 8)
+    assert jacobi_nodes.cache_info().currsize <= NODE_CACHE_SIZE == 256
+    x1, w1 = jacobi_nodes(-0.2, 0.1, 16)
+    x2, w2 = jacobi_nodes(-0.2, 0.1, 16)
+    assert x1 is x2 and w1 is w2
+    with pytest.raises(ValueError):
+        x1[0] = 0.0  # shared cache entries are read-only
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +64,7 @@ def test_branch_kernel_domain():
 def test_constant_input_reproduces_beta_function(beta, tau, gamma):
     """With f == 1 the weighted integral is an exact Beta value."""
     p = OperatorParams(beta, tau, gamma)
-    cfg = QuadratureConfig.for_params(p)
+    cfg = QuadratureConfig()
     got = inner_integral(p, PowerSeries([1.0]), 0.3, cfg)
     want = beta_fn((beta - 1.0) / (gamma + 1.0) + 1.0, 1.0 - beta + tau)
     assert abs(got - want) <= 1e-12 * abs(want)
@@ -86,7 +72,7 @@ def test_constant_input_reproduces_beta_function(beta, tau, gamma):
 
 def test_inner_integral_with_derivative_pair():
     p = _params()
-    cfg = QuadratureConfig.for_params(p)
+    cfg = QuadratureConfig()
     f = koebe_series(1.0, 80)
     val, dval = inner_integral(p, f, 0.25, cfg, with_derivative=True)
     assert_allclose(val, inner_integral(p, f, 0.25, cfg), rtol=1e-15)
@@ -126,7 +112,7 @@ def test_oracle_matches_series_image():
 
 def test_oracle_complex_step_scheme_agrees():
     p = _params(0.6, 0.35, 2.2)
-    cfg = QuadratureConfig.for_params(p, derivative_scheme="complex_step")
+    cfg = QuadratureConfig(derivative_scheme="complex_step")
     f = koebe_series(1.0, 120)
     ref = oracle_eval(p, f, 0.31)
     got = oracle_eval(p, f, 0.31, cfg)
@@ -165,7 +151,7 @@ def test_oracle_small_z_leading_term():
 
 def test_oracle_node_doubling_guard_raises():
     p = OperatorParams(0.15, 0.1, 2.3)
-    cfg = QuadratureConfig.for_params(p, node_count=8, tolerance=1e-30)
+    cfg = QuadratureConfig(node_count=8, tolerance=1e-30)
     with pytest.raises(ConvergenceError) as err:
         oracle_eval(p, koebe_series(1.0, 200), -0.62, cfg)
     assert "node doubling" in str(err.value)

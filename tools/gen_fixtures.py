@@ -14,25 +14,10 @@ import pathlib
 
 from fracops.fracdiff import OperatorParams
 from fracops.quadrature import QuadratureConfig, oracle_eval
-from fracops.series import (
-    exp_times_z_series,
-    identity_series,
-    koebe_series,
-    kummer_series,
-    make_builtin,
-    monomial_series,
-    save_series_fixture,
-)
+from fracops.series import make_builtin, save_series_fixture
+from fracops.verify import GOLDEN_FIXTURE_NAME, SERIES_FIXTURE_RECIPES, _rebuild_golden_input
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "fracops" / "fixtures"
-
-SERIES_FIXTURES = {
-    "series_identity.json": identity_series(16),
-    "series_koebe_alpha1.json": koebe_series(1.0, 64),
-    "series_koebe_alpha2.json": koebe_series(2.0, 64),
-    "series_exp_times_z.json": exp_times_z_series(32),
-    "series_kummer.json": kummer_series(1.3, 0.9, 48),
-}
 
 GOLDEN_GAMMAS = (0.0, 1.0, 1.7, 2.5, 3.0)
 GOLDEN_BETA_TAU = ((0.65, 0.30), (0.9, 0.85))
@@ -43,25 +28,19 @@ GOLDEN_INPUTS = (
 NODE_COUNT = 64
 
 
-def build_input(spec):
-    if spec["kind"] == "monomial":
-        return monomial_series(spec["power"], spec["order"])
-    return make_builtin(spec["kind"], spec["order"], **spec.get("params", {}))
-
-
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
-    for name, ps in SERIES_FIXTURES.items():
-        save_series_fixture(ps, OUT / name)
+    for name, (kind, order, params) in SERIES_FIXTURE_RECIPES.items():
+        save_series_fixture(make_builtin(kind, order, **params), OUT / name)
         print("wrote", name)
 
     entries = []
     for gamma in GOLDEN_GAMMAS:
         for beta, tau in GOLDEN_BETA_TAU:
             p = OperatorParams(beta, tau, gamma)
-            cfg = QuadratureConfig.for_params(p, node_count=NODE_COUNT)
+            cfg = QuadratureConfig(node_count=NODE_COUNT)
             for spec in GOLDEN_INPUTS:
-                f = build_input(spec)
+                f = _rebuild_golden_input(spec)
                 z = complex(*spec["z"])
                 val = oracle_eval(p, f, z, cfg)
                 entry = {
@@ -73,10 +52,10 @@ def main():
                 }
                 entries.append(entry)
     doc = {"entries": entries}
-    with open(OUT / "quad_goldens.json", "w") as fh:
+    with open(OUT / GOLDEN_FIXTURE_NAME, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    print(f"wrote quad_goldens.json ({len(entries)} entries)")
+    print(f"wrote {GOLDEN_FIXTURE_NAME} ({len(entries)} entries)")
 
 
 if __name__ == "__main__":
