@@ -61,7 +61,7 @@ from .bloch import (
     bloch_norm_weighted,
     boundedness_equivalence_check,
     compactness_decay_check,
-    little_bloch_decay,
+    grid_values,
 )
 from .verify import run_suites
 

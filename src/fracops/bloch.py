@@ -3,8 +3,9 @@
 Norms here are grid infima of the true suprema: a truncated series is
 evaluated on a fixed polar grid and the maximum of |f'(z)| (1-|z|)^mu / w(1-|z|)
 (or classically (1-|z|^2)|f'(z)|) is reported together with the argmax
-point. Comparisons between functions are made on matched grids so the
-systematic under-estimation cancels.
+point. grid_values gives that quantity at every grid point; the norms are
+its maximum and the per-radius trace its row maxima. Comparisons between
+functions are made on matched grids so the systematic under-estimation cancels.
 """
 
 from __future__ import annotations
@@ -115,19 +116,21 @@ class BlochEstimate:
         }
 
 
-def _sup_over_grid(f: PowerSeries, grid: DiskGrid, radial_factor) -> tuple:
-    """(max value, argmax point) of |f'(z)| * radial_factor(r) over the grid."""
-    fp = f.derivative()
-    best = -math.inf
-    best_z = complex(grid.radii[0])
-    for r in grid.radii:
-        z = grid.ring(r)
-        vals = np.abs(fp.evaluate(z)) * radial_factor(r)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            best_z = complex(z[j])
-    return best, best_z
+def _radial_factor(mu: float | None, w: WeightSpec | None):
+    """r -> 1 - r^2 when mu is None, else r -> (1 - r)^mu / w(1 - r) (w None: w = 1)."""
+    if mu is None:
+        return lambda r: 1.0 - r * r
+    if not 0.0 < mu < math.inf:
+        raise DomainError(f"exponent mu must be positive and finite, got {mu}")
+    w = WeightSpec() if w is None else w
+    return lambda r: (1.0 - r) ** mu / w.evaluate(1.0 - r)
+
+
+def grid_values(f: PowerSeries, grid: DiskGrid, mu: float | None = None,
+                w: WeightSpec | None = None) -> np.ndarray:
+    """|f'(z)| times _radial_factor(mu, w) at every grid point, shape (radii, angles)."""
+    factor = _radial_factor(mu, w)
+    return np.abs(grid.evaluate(f.derivative())) * factor(np.array(grid.radii))[:, None]
 
 
 def _tail_heuristic(f: PowerSeries, r: float) -> float:
@@ -143,44 +146,30 @@ def _tail_heuristic(f: PowerSeries, r: float) -> float:
     return c * ((n + 1) * r**n * (1.0 - r) + r ** (n + 1)) / (1.0 - r) ** 2
 
 
+def _grid_sup(f: PowerSeries, grid: DiskGrid | None, mu: float | None,
+              w: WeightSpec | None) -> BlochEstimate:
+    grid = grid or default_bloch_grid()
+    vals = grid_values(f, grid, mu, w)
+    # first ring, then first angle, among ties
+    i, j = np.unravel_index(np.argmax(vals), vals.shape)
+    best, point = float(vals[i, j]), complex(grid.points(i, i + 1)[0, j])
+    if not math.isfinite(best):  # argmax stops at the first nan
+        raise DomainError(f"|f'| overflows float64 at grid point {point}")
+    r_max = grid.radii[-1]
+    warn = _tail_heuristic(f, r_max) * _radial_factor(mu, w)(r_max) > 1e-8 * max(best, 1e-300)
+    return BlochEstimate(best, point, grid,
+                         mu=1.0 if mu is None else float(mu), truncation_warning=bool(warn))
+
+
 def bloch_norm_classical(f: PowerSeries, grid: DiskGrid | None = None) -> BlochEstimate:
     """Grid supremum of (1 - |z|^2) |f'(z)|."""
-    grid = grid or default_bloch_grid()
-    best, best_z = _sup_over_grid(f, grid, lambda r: 1.0 - r * r)
-    r_max = grid.radii[-1]
-    warn = _tail_heuristic(f, r_max) * (1.0 - r_max * r_max) > 1e-8 * max(best, 1e-300)
-    return BlochEstimate(best, best_z, grid, mu=1.0, truncation_warning=bool(warn))
+    return _grid_sup(f, grid, None, None)
 
 
 def bloch_norm_weighted(f: PowerSeries, mu: float, w: WeightSpec,
                         grid: DiskGrid | None = None) -> BlochEstimate:
     """Grid supremum of |f'(z)| (1 - |z|)^mu / w(1 - |z|)."""
-    if not 0.0 < mu < math.inf:
-        raise DomainError(f"exponent mu must be positive and finite, got {mu}")
-    grid = grid or default_bloch_grid()
-
-    def factor(r):
-        t = 1.0 - r
-        return t**mu / w.evaluate(t)
-
-    best, best_z = _sup_over_grid(f, grid, factor)
-    r_max = grid.radii[-1]
-    warn = _tail_heuristic(f, r_max) * factor(r_max) > 1e-8 * max(best, 1e-300)
-    return BlochEstimate(best, best_z, grid, mu=float(mu), truncation_warning=bool(warn))
-
-
-def little_bloch_decay(f: PowerSeries, radii, angles_per_radius: int = 128) -> list:
-    """Max over angle of (1 - r^2) |f'| for each radius, in the given order."""
-    fp = f.derivative()
-    out = []
-    for r in radii:
-        r = float(r)
-        if not 0.0 < r < 1.0:
-            raise DomainError("radii must lie in (0, 1)")
-        theta = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
-        z = r * np.exp(1j * theta)
-        out.append(float(np.max(np.abs(fp.evaluate(z)))) * (1.0 - r * r))
-    return out
+    return _grid_sup(f, grid, mu, w)
 
 
 @dataclass

@@ -10,7 +10,7 @@ Four subcommands cover the library surface:
               compactness decay witness
 
 Exit codes are a stable contract: 0 on success, 1 when a verification or
-numerical routine fails, 2 on usage or parameter-window errors.  JSON is
+numerical routine fails, 2 on usage, parameter-window or file errors.  JSON is
 the canonical output (keys sorted, so identical configs give byte-identical
 documents); CSV is available where a per-term or per-radius trace is the
 useful artifact.  The FRACOPS_FIXTURES environment variable points the
@@ -78,7 +78,10 @@ def _weight_from_args(args) -> bloch_mod.WeightSpec:
     if kind == "table":
         if args.table_file is None:
             raise DomainError("--w table requires --table-file with t,w rows")
-        data = np.loadtxt(args.table_file, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(args.table_file, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"--table-file is not a CSV of numeric t,w rows: {exc}") from exc
         return bloch_mod.WeightSpec(kind="table", table=tuple(map(tuple, data)))
     return bloch_mod.WeightSpec(kind=kind)
 
@@ -129,14 +132,9 @@ def cmd_criteria(args) -> int:
     return 0
 
 
-def _bloch_radial_trace(f, grid, factor):
-    """(radius, max over ring of |f'| * factor(radius)) rows for CSV output."""
-    fp = f.derivative()
-    return [(r, float(np.max(np.abs(fp.evaluate(grid.ring(r))))) * factor(r))
-            for r in grid.radii]
-
-
 def cmd_bloch(args) -> int:
+    if args.refine < 0:
+        raise DomainError(f"--refine must be >= 0, got {args.refine}")
     grid = bloch_mod.default_bloch_grid()
     for _ in range(args.refine):
         grid = grid.refine()
@@ -168,18 +166,16 @@ def cmd_bloch(args) -> int:
         return 0
 
     f = _series_from_args(args)
+    w = None if args.mu is None else _weight_from_args(args)
+    if args.format == "csv":
+        trace = bloch_mod.grid_values(f, grid, args.mu, w).max(axis=1).tolist()
+        _emit(_csv(zip(grid.radii, trace), header=("radius", "max_value")), args.output)
+        return 0
     if args.mu is None:
         estimate = bloch_mod.bloch_norm_classical(f, grid)
-        factor = lambda r: 1.0 - r * r  # noqa: E731 - one-liner mirrors the norm
     else:
-        w = _weight_from_args(args)
         estimate = bloch_mod.bloch_norm_weighted(f, args.mu, w, grid)
-        factor = lambda r: (1.0 - r) ** args.mu / w.evaluate(1.0 - r)  # noqa: E731
-    if args.format == "csv":
-        _emit(_csv(_bloch_radial_trace(f, grid, factor), header=("radius", "max_value")),
-              args.output)
-    else:
-        _emit(_canonical_json(estimate.to_json_dict()), args.output)
+    _emit(_canonical_json(estimate.to_json_dict()), args.output)
     return 0
 
 
@@ -193,9 +189,9 @@ def _add_param_flags(sub, required=True):
     sub.add_argument("--gamma", type=float, default=0.0, help="index gamma >= 0 (default 0)")
 
 
-def _add_series_flags(sub):
+def _add_series_flags(sub, flag="--builtin"):
     src = sub.add_mutually_exclusive_group()
-    src.add_argument("--builtin", choices=sorted(BUILTIN_SERIES), dest="builtin",
+    src.add_argument(flag, choices=sorted(BUILTIN_SERIES), dest="builtin",
                      help="stock series by name")
     src.add_argument("--series", metavar="PATH", help="series fixture JSON file")
     sub.add_argument("--order", type=int, default=32, help="truncation order for builtins")
@@ -245,22 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_criteria)
 
     b = sub.add_parser("bloch", help="Bloch-norm estimates and compactness decay witness")
-    b.add_argument("--f", dest="builtin", choices=sorted(BUILTIN_SERIES),
-                   help="stock series to measure")
-    b.add_argument("--series", metavar="PATH", help="series fixture JSON file")
-    b.add_argument("--order", type=int, default=32)
-    b.add_argument("--alpha", type=float, default=None)
-    b.add_argument("--lam", type=float, default=None)
-    b.add_argument("--rho", type=float, default=None)
-    b.add_argument("--s", type=float, default=None)
-    b.add_argument("--a", type=float, default=None)
+    _add_series_flags(b, flag="--f")
     b.add_argument("--mu", type=float, default=None,
                    help="weighted-norm exponent; omit for the classical (1-r^2) norm")
     b.add_argument("--w", choices=sorted(_WEIGHT_CHOICES), default="one",
                    help="weight: one, power (needs --alpha-w), log, table (needs --table-file)")
     b.add_argument("--alpha-w", type=float, default=0.0, dest="alpha_w")
     b.add_argument("--table-file", default=None, help="CSV of t,w(t) rows for --w table")
-    b.add_argument("--refine", type=int, default=0, help="halve the grid spacing this many times")
+    b.add_argument("--refine", type=int, default=0,
+                   help="halve the grid spacing this many times (0 to 4)")
     b.add_argument("--compactness", action="store_true",
                    help="norms of the normalized operator on z^n/n for n = 2..nmax")
     b.add_argument("--nmax", type=int, default=64, help="largest family index for --compactness")
@@ -284,7 +273,7 @@ def main(argv=None) -> int:
         parser.error("bloch needs one of --f, --series, --compactness")
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"fracops: error: {exc}", file=sys.stderr)
         return 2
     except FracopsError as exc:

@@ -141,13 +141,16 @@ def monomial_transform(p: OperatorParams, upsilon: float) -> MonomialImage:
     Returns coefficient (gamma+1)^{beta-tau} Gamma(X) Gamma(tau) /
     (Gamma(X - beta + tau) Gamma(beta)) with X = (upsilon+beta-1)/(gamma+1) + 1,
     and exponent (1 - beta + tau) * gamma + upsilon. Negative or non-finite
-    upsilon is rejected; non-integer upsilon >= 0 is allowed (the formula
-    extends).
+    upsilon, or one whose coefficient is not finite in float64, is
+    rejected; non-integer upsilon >= 0 is allowed (the formula extends).
     """
     upsilon = float(upsilon)
     if not 0.0 <= upsilon < math.inf:
         raise DomainError(f"monomial power must be finite and >= 0, got {upsilon}")
-    coeff = float(_front_times_exp(p, log_gamma_ratio(p, upsilon)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected below
+        coeff = float(_front_times_exp(p, log_gamma_ratio(p, upsilon)))
+    if not math.isfinite(coeff):
+        raise DomainError(f"monomial power {upsilon} gives a non-finite coefficient")
     return MonomialImage(coefficient=coeff, exponent=p.shift + upsilon)
 
 
@@ -242,8 +245,10 @@ def theta_fox_wright_spec(p: OperatorParams):
 
     Theta f = constant * [z 2Psi1(z)] (x) f(z), where (x) is the
     coefficientwise product: the z^kappa kernel coefficient times the
-    constant reproduces Phi(kappa), with the kappa = 1 coefficient
-    normalizing to exactly 1.
+    constant reproduces Phi(kappa). The kappa = 1 coefficient is 1 in
+    exact arithmetic, but the float64 product exp(a) * exp(-a) comes out
+    1 +- 1 ulp for many parameters; theta_normalize, not this route, pins
+    Phi(1) at exactly 1.0.
     """
     g1 = p.gamma + 1.0
     b1 = p.beta / g1 + 1.0

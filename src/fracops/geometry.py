@@ -2,7 +2,9 @@
 
 Starlikeness/convexity of order lambda are checked on a polar grid of the
 unit disk; these are necessary-condition screens ("no violation found on
-the grid"), never proofs. The univalence criterion sums the explicit
+the grid"), never proofs. DiskGrid.evaluate, the one grid evaluator, returns
+a (radii x angles) array that the screens and Bloch norms reduce; a grid
+holds at most MAX_GRID_POINTS points. The univalence criterion sums the explicit
 rearranged proof terms at z = 1 and reports divergence honestly instead
 of forcing a verdict.
 """
@@ -21,6 +23,10 @@ from .series import PowerSeries
 from .special import EvalStatus, _sum_terms
 
 _ZERO_GUARD = 1e-14
+#: Largest number of sample points (radii x angles) a DiskGrid may hold.
+MAX_GRID_POINTS = 2**22
+# DiskGrid.evaluate runs Horner over blocks of whole rings of about this many points.
+_BLOCK_POINTS = 2**14
 # Criterion terms are computed this many at a time, as the summation pulls them.
 _CRITERION_BLOCK = 64
 
@@ -43,6 +49,9 @@ class DiskGrid:
             raise DomainError("grid radii must be strictly increasing")
         if self.angles_per_radius < 1:
             raise DomainError("angles_per_radius must be positive")
+        if len(radii) * self.angles_per_radius > MAX_GRID_POINTS:
+            raise DomainError(f"grid of {len(radii)} radii x {self.angles_per_radius} "
+                              f"angles exceeds {MAX_GRID_POINTS} points")
 
     @classmethod
     def default(cls) -> "DiskGrid":
@@ -62,10 +71,18 @@ class DiskGrid:
         radii.append(self.radii[-1])
         return DiskGrid(radii=tuple(radii), angles_per_radius=2 * self.angles_per_radius)
 
-    def ring(self, r: float) -> np.ndarray:
-        """Sample points on the circle of radius r."""
+    def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Sample points of the rings radii[start:stop], one row per ring, angle 0 first."""
         theta = 2.0 * np.pi * np.arange(self.angles_per_radius) / self.angles_per_radius
-        return r * np.exp(1j * theta)
+        return np.array(self.radii[start:stop])[:, None] * np.exp(1j * theta)
+
+    def evaluate(self, f: PowerSeries) -> np.ndarray:
+        """f at every sample point, shaped like points(); Horner runs per block of rings."""
+        out = np.empty((len(self.radii), self.angles_per_radius), dtype=np.complex128)
+        rows = max(1, _BLOCK_POINTS // self.angles_per_radius)
+        for i in range(0, len(self.radii), rows):
+            out[i:i + rows] = f.evaluate(self.points(i, i + rows))
+        return out
 
     def to_json_dict(self) -> dict:
         return {"radii": list(self.radii), "angles_per_radius": self.angles_per_radius}
@@ -99,18 +116,33 @@ class ScreenResult:
         return doc
 
 
-def _order_screen(lam: float, grid: DiskGrid, quantity) -> ScreenResult:
+def _order_screen(lam: float, grid: DiskGrid | None, shift: float, num: PowerSeries,
+                  den: PowerSeries, vanishes: str) -> ScreenResult:
+    """Screen Re(shift + z num(z) / den(z)) > lam over the grid.
+
+    The first ring in ascending radius that violates the screen or has a
+    denominator below _ZERO_GUARD decides: the latter raises DomainError,
+    the former returns its worst point (argmin, first angle among ties).
+    """
     if not 0.0 <= lam < 1.0:
         raise DomainError(f"order lambda must lie in [0, 1), got {lam}")
-    checked = 0
-    for r in grid.radii:  # ascending: the witness radius is the smallest violating one
-        z = grid.ring(r)
-        vals = quantity(z)
-        checked += z.size
-        if not np.all(vals > lam):
-            j = int(np.argmin(vals))  # worst point; argmin takes the first (smallest angle) tie
-            return ScreenResult(False, lam, checked, complex(z[j]), float(vals[j]))
-    return ScreenResult(True, lam, checked)
+    grid = grid or DiskGrid.default()
+    z = grid.points()
+    d = grid.evaluate(den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.real(z * grid.evaluate(num) / d)
+    if shift:  # adding 0.0 would turn a -0.0 witness value into 0.0
+        vals = vals + shift
+    vanishing = np.any(np.abs(d) < _ZERO_GUARD, axis=1)
+    failing = vanishing | ~np.all(vals > lam, axis=1)
+    if not failing.any():
+        return ScreenResult(True, lam, z.size)
+    i = int(np.argmax(failing))
+    if vanishing[i]:
+        j = int(np.argmin(np.abs(d[i])))
+        raise DomainError(f"{vanishes} vanishes at grid point {z[i, j]}; quotient undefined")
+    j = int(np.argmin(vals[i]))
+    return ScreenResult(False, lam, (i + 1) * z.shape[1], complex(z[i, j]), float(vals[i, j]))
 
 
 def starlike_order(f: PowerSeries, lam: float, grid: DiskGrid | None = None) -> ScreenResult:
@@ -119,33 +151,13 @@ def starlike_order(f: PowerSeries, lam: float, grid: DiskGrid | None = None) -> 
     Raises DomainError if f vanishes at a sample point (every grid point
     is away from 0, where class-A functions legitimately vanish).
     """
-    grid = grid or DiskGrid.default()
-    fp = f.derivative()
-
-    def quantity(z):
-        fz = f.evaluate(z)
-        if np.any(np.abs(fz) < _ZERO_GUARD):
-            j = int(np.argmin(np.abs(fz)))
-            raise DomainError(f"series vanishes at grid point {z[j]}; quotient undefined")
-        return np.real(z * fp.evaluate(z) / fz)
-
-    return _order_screen(lam, grid, quantity)
+    return _order_screen(lam, grid, 0.0, f.derivative(), f, "series")
 
 
 def convex_order(f: PowerSeries, lam: float, grid: DiskGrid | None = None) -> ScreenResult:
     """Screen Re(1 + z f''(z) / f'(z)) > lam over the grid."""
-    grid = grid or DiskGrid.default()
     fp = f.derivative()
-    fpp = fp.derivative()
-
-    def quantity(z):
-        fpz = fp.evaluate(z)
-        if np.any(np.abs(fpz) < _ZERO_GUARD):
-            j = int(np.argmin(np.abs(fpz)))
-            raise DomainError(f"derivative vanishes at grid point {z[j]}; quotient undefined")
-        return np.real(1.0 + z * fpp.evaluate(z) / fpz)
-
-    return _order_screen(lam, grid, quantity)
+    return _order_screen(lam, grid, 1.0, fp.derivative(), fp, "derivative")
 
 
 @dataclass

@@ -126,7 +126,7 @@ def load_series_fixture(path) -> PowerSeries:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DomainError(f"series fixture is not valid JSON: {exc}") from exc
     return PowerSeries.from_fixture_dict(doc)
 

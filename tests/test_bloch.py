@@ -14,7 +14,7 @@ from fracops.bloch import (
     boundedness_equivalence_check,
     compactness_decay_check,
     default_bloch_grid,
-    little_bloch_decay,
+    grid_values,
 )
 from fracops.errors import DomainError
 from fracops.fracdiff import OperatorParams, phi_multiplier
@@ -114,6 +114,14 @@ def test_truncation_warning_for_slowly_decaying_tail():
     assert not bloch_norm_classical(identity_series(8)).truncation_warning
 
 
+def test_norm_rejects_overflow_on_the_grid():
+    """|f'| overflows float64 on the outer rings: a typed error, not a partial maximum."""
+    c = np.full(500, 1e305 + 0j)
+    c[0] = 0.0
+    with pytest.warns(RuntimeWarning), pytest.raises(DomainError, match="overflows"):
+        bloch_norm_classical(PowerSeries(c))
+
+
 def test_estimate_serializes():
     est = bloch_norm_classical(identity_series(4))
     doc = est.to_json_dict()
@@ -122,7 +130,8 @@ def test_estimate_serializes():
 
 
 def test_little_bloch_decay_vanishes_at_boundary():
-    vals = little_bloch_decay(monomial_series(3), [0.2, 0.5, 0.9, 0.99])
+    grid = DiskGrid(radii=(0.2, 0.5, 0.9, 0.99), angles_per_radius=128)
+    vals = grid_values(monomial_series(3), grid).max(axis=1)
     assert vals[-1] < vals[1]
     assert_allclose(vals[1], 3.0 * 0.25 * 0.75, rtol=1e-12)  # 3 r^2 (1 - r^2)
 

@@ -212,8 +212,15 @@ def test_bloch_refine_flag(capsys):
     assert len(fine["grid"]["radii"]) > len(base["grid"]["radii"])
 
 
+def test_bloch_series_flags_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bloch", "--f", "koebe", "--alpha", "2", "--series", "x.json"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
-# non-finite numeric flags
+# non-finite or out-of-range numeric flags and unusable files
 
 
 @pytest.mark.parametrize("argv", [
@@ -224,8 +231,23 @@ def test_bloch_refine_flag(capsys):
     ("criteria", "--theorem", "5", "--beta", "0.5", "--tau", "0.5", "--gamma", "nan"),
     ("bloch", "--f", "koebe", "--alpha", "2", "--mu", "nan"),
     ("bloch", "--f", "koebe", "--alpha", "2", "--mu", "1", "--w", "power", "--alpha-w", "nan"),
+    ("bloch", "--f", "identity", "--refine", "-1"),
+    ("bloch", "--f", "identity", "--refine", "5"),  # past MAX_GRID_POINTS
+    ("transform", "--beta", "0.5", "--tau", "0.5", "--monomial", "1e308"),
+    ("transform", "--beta", "0.5", "--tau", "0.5", "--series", "/nonexistent.json"),
+    ("transform", "--beta", "0.5", "--tau", "0.5", "--series", "{tmp}"),
+    ("transform", "--beta", "0.5", "--tau", "0.5", "--monomial", "1", "--output",
+     "/nonexistent/dir/x"),
+    ("bloch", "--series", "/nonexistent.json"),
+    ("bloch", "--series", "{tmp}/latin1.json"),
+    ("bloch", "--f", "identity", "--mu", "1", "--w", "table", "--table-file",
+     "/nonexistent.csv"),
+    ("bloch", "--f", "identity", "--mu", "1", "--w", "table", "--table-file", "{tmp}/w.csv"),
 ], ids=lambda argv: " ".join(argv))
-def test_non_finite_flags_exit_2(capsys, argv):
+def test_non_finite_flags_exit_2(capsys, tmp_path, argv):
+    (tmp_path / "w.csv").write_text("t,w\nsmall,large\n")
+    (tmp_path / "latin1.json").write_bytes(b'{"coeffs": "\xe9"}')
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

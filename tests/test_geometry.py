@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fracops.bloch import default_bloch_grid
 from fracops.errors import DomainError
 from fracops.fracdiff import OperatorParams
 from fracops.geometry import (
     CRITERION_MODES,
+    MAX_GRID_POINTS,
+    _BLOCK_POINTS,
     DiskGrid,
     bieberbach_screen,
     convex_order,
@@ -56,10 +59,37 @@ def test_refine_keeps_old_radii_and_doubles_angles():
 
 def test_ring_points():
     g = DiskGrid(radii=(0.5,), angles_per_radius=8)
-    z = g.ring(0.5)
+    z = g.points()[0]
     assert z.shape == (8,)
     assert_allclose(np.abs(z), 0.5, rtol=1e-15)
     assert z[0] == 0.5 + 0.0j  # angle zero first
+
+
+def test_grid_point_limit():
+    radii = tuple(k / 1000 for k in range(1, 1000))  # 999 radii
+    DiskGrid(radii=radii, angles_per_radius=MAX_GRID_POINTS // 999)
+    with pytest.raises(DomainError, match="exceeds"):
+        DiskGrid(radii=radii, angles_per_radius=MAX_GRID_POINTS // 999 + 1)
+    g = default_bloch_grid()
+    for _ in range(4):
+        g = g.refine()
+    assert (len(g.radii), g.angles_per_radius) == (1521, 2048)
+    with pytest.raises(DomainError, match="exceeds"):
+        g.refine()
+
+
+def test_evaluate_matches_ring_by_ring_horner():
+    """Blocked evaluation is bit-for-bit the per-ring Horner it replaced."""
+    g = default_bloch_grid().refine()
+    assert len(g.radii) * g.angles_per_radius > 2 * _BLOCK_POINTS  # several blocks
+    f = koebe_series(2.0, 2500)
+    vals = g.evaluate(f)
+    assert vals.shape == (len(g.radii), g.angles_per_radius)
+    theta = 2.0 * np.pi * np.arange(g.angles_per_radius) / g.angles_per_radius
+    for i, r in enumerate(g.radii):
+        ring = r * np.exp(1j * theta)
+        assert np.array_equal(g.points()[i], ring)
+        assert np.array_equal(vals[i], f.evaluate(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +143,15 @@ def test_identity_passes_both_screens():
     f = identity_series(4)
     assert starlike_order(f, 0.0).passed
     assert convex_order(f, 0.0).passed
+
+
+def test_screen_stops_at_first_violating_ring_before_a_later_zero():
+    """f = z^2 - z/2 vanishes at the grid point 0.5, but Re(z f'/f) already
+    fails on the 0.3 ring, so the screen reports that witness."""
+    res = starlike_order(PowerSeries([0.0, -0.5, 1.0]), 0.0)
+    assert not res.passed
+    assert res.witness == 0.3 + 0j
+    assert res.points_checked == 768  # three rings of 256 angles
 
 
 def test_screen_rejects_vanishing_derivative():
