@@ -1,8 +1,8 @@
 """fracops: a three-parameter fractional differential operator on power series.
 
-Public surface: special-function primitives (log_gamma, pochhammer,
-beta_fn, Fox-Wright evaluation), truncated power series with stock
-inputs, the operator and its normalized companion with closed forms, an
+Public surface: special-function primitives (log_gamma, beta_fn,
+Fox-Wright evaluation with parameter-derived convergence), truncated
+power series with stock inputs, the operator and its normalized companion with closed forms, an
 independent Gauss-Jacobi quadrature route, geometric function theory
 screens, and weighted Bloch-norm estimation.
 """
@@ -13,10 +13,8 @@ from .special import (
     EvalStatus,
     FoxWrightSpec,
     beta_fn,
-    fox_wright_coefficient,
     fox_wright_eval,
     log_gamma,
-    pochhammer,
 )
 from .series import (
     PowerSeries,

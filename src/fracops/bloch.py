@@ -21,6 +21,9 @@ from .geometry import DiskGrid
 from .series import PowerSeries, monomial_series
 
 WEIGHT_KINDS = ("constant_one", "power", "log_weight", "table")
+#: Largest family index compactness_decay_check accepts. Every member is
+#: evaluated on the whole grid, so the work grows like family_index_max^2.
+MAX_FAMILY_INDEX = 1024
 
 
 @dataclass(frozen=True)
@@ -211,9 +214,11 @@ def compactness_decay_check(p: OperatorParams, family_index_max: int, mu: float,
     must send it to 0 in norm, so the returned sequence should decay past
     a burn-in index. Note the grid supremum of r^{n-1}(1-r)^mu itself
     decays only like n^{-mu}, which bounds how fast this witness can fall.
+    family_index_max runs from 2 to MAX_FAMILY_INDEX.
     """
-    if family_index_max < 2:
-        raise DomainError("family_index_max must be at least 2")
+    if not 2 <= family_index_max <= MAX_FAMILY_INDEX:
+        raise DomainError(f"family_index_max must lie in [2, {MAX_FAMILY_INDEX}], "
+                          f"got {family_index_max}")
     grid = grid or default_bloch_grid()
     out = []
     for n in range(2, family_index_max + 1):

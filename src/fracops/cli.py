@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="halve the grid spacing this many times (0 to 4)")
     b.add_argument("--compactness", action="store_true",
                    help="norms of the normalized operator on z^n/n for n = 2..nmax")
-    b.add_argument("--nmax", type=int, default=64, help="largest family index for --compactness")
+    b.add_argument("--nmax", type=int, default=64,
+                   help=f"largest family index for --compactness, 2 to {bloch_mod.MAX_FAMILY_INDEX}")
     _add_param_flags(b, required=False)
     b.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv emits a per-radius (or per-n) trace")

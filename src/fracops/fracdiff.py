@@ -40,7 +40,6 @@ from .special import (
     MAX_TERMS_DEFAULT,
     _sum_terms,
     beta_fn,
-    fox_wright_coefficient,
     fox_wright_eval,
     log_gamma,
 )
@@ -51,7 +50,9 @@ class OperatorParams:
     """Validated parameter triple (beta, tau, gamma).
 
     The admissible window is 0 < beta <= 1, 0 < tau <= 1,
-    0 <= beta - tau < 1 and gamma >= 0; construction fails with a
+    0 <= beta - tau < 1 and gamma >= 0, narrowed to tau >= POLE_GUARD
+    (1e-9): the front factor Gamma(tau) has its pole at 0, and log_gamma
+    refuses arguments within the guard. Construction fails with a
     DomainError naming the violated inequality.
     """
 
@@ -65,8 +66,9 @@ class OperatorParams:
         object.__setattr__(self, "gamma", float(self.gamma))
         if not 0.0 < self.beta <= 1.0:
             raise DomainError(f"parameter window violated: 0 < beta <= 1 (beta = {self.beta})")
-        if not 0.0 < self.tau <= 1.0:
-            raise DomainError(f"parameter window violated: 0 < tau <= 1 (tau = {self.tau})")
+        if not POLE_GUARD <= self.tau <= 1.0:
+            raise DomainError(f"parameter window violated: 0 < tau <= 1 and "
+                              f"tau >= POLE_GUARD = {POLE_GUARD} (tau = {self.tau})")
         if self.beta - self.tau < 0.0:
             raise DomainError(
                 f"parameter window violated: 0 <= beta - tau (beta - tau = {self.beta - self.tau})"
@@ -263,15 +265,15 @@ def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
     """Theta image computed through the Fox-Wright Hadamard kernel.
 
     Independent route used to cross-check theta_normalize: coefficient
-    kappa of the image is constant * kernel(kappa-1) * a_kappa.
+    kappa of the image is constant * kernel(kappa-1) * a_kappa, with the
+    kernel read from spec.log_coefficients, not from log_gamma_ratio.
     """
     if abs(f.coeffs[0]) > 1e-12:
         raise DomainError("Theta needs a series with zero constant term")
     constant, spec = theta_fox_wright_spec(p)
     coeffs = f.coeffs.copy()
     coeffs[0] = 0.0
-    for k in range(1, coeffs.size):
-        coeffs[k] = coeffs[k] * constant * fox_wright_coefficient(spec, k - 1)
+    coeffs[1:] = coeffs[1:] * constant * np.exp(spec.log_coefficients(np.arange(coeffs.size - 1)))
     return PowerSeries(coeffs)
 
 

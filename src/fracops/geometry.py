@@ -121,8 +121,9 @@ def _order_screen(lam: float, grid: DiskGrid | None, shift: float, num: PowerSer
     """Screen Re(shift + z num(z) / den(z)) > lam over the grid.
 
     The first ring in ascending radius that violates the screen or has a
-    denominator below _ZERO_GUARD decides: the latter raises DomainError,
-    the former returns its worst point (argmin, first angle among ties).
+    denominator below _ZERO_GUARD decides: the latter, or a non-finite
+    quotient on that ring, raises DomainError; otherwise the worst point
+    is returned (argmin, first angle among ties).
     """
     if not 0.0 <= lam < 1.0:
         raise DomainError(f"order lambda must lie in [0, 1), got {lam}")
@@ -141,6 +142,8 @@ def _order_screen(lam: float, grid: DiskGrid | None, shift: float, num: PowerSer
     if vanishing[i]:
         j = int(np.argmin(np.abs(d[i])))
         raise DomainError(f"{vanishes} vanishes at grid point {z[i, j]}; quotient undefined")
+    if not np.all(np.isfinite(vals[i])):  # float64 overflow; argmin would stop at a nan
+        raise DomainError(f"screened quotient is not finite on the ring of radius {grid.radii[i]}")
     j = int(np.argmin(vals[i]))
     return ScreenResult(False, lam, (i + 1) * z.shape[1], complex(z[i, j]), float(vals[i, j]))
 

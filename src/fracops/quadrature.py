@@ -22,7 +22,8 @@ which keeps the integrand factor q^{alpha'} smooth uniformly in gamma
 f(z w^{1/(gamma+1)}) has a branch point at w = 0). The Jacobi weight pair
 actually used is therefore (alpha', beta + gamma - 1); it is derived from
 the parameters on every call, so QuadratureConfig carries only the node
-count, the derivative scheme and the doubling tolerance.
+count and the doubling tolerance. The outer derivative is taken under the
+integral sign, from the companion integral of f'.
 
 Gauss-Jacobi nodes are cached per (exponent pair, node count) in a
 bounded LRU cache of NODE_CACHE_SIZE entries.
@@ -45,7 +46,6 @@ from .series import PowerSeries
 from .special import log_gamma
 
 SMALL_Z_CUTOFF = 1e-6
-_SCHEMES = ("analytic_under_integral", "complex_step")
 
 # Bound on cached node sets. A fresh-seed run_suites() adds about 100 keys,
 # plus 20 fixture-suite keys that every call reuses.
@@ -77,16 +77,11 @@ class QuadratureConfig:
     """
 
     node_count: int = 64
-    derivative_scheme: str = "analytic_under_integral"
     tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.node_count < 8:
             raise DomainError(f"node_count must be >= 8, got {self.node_count}")
-        if self.derivative_scheme not in _SCHEMES:
-            raise DomainError(
-                f"unknown derivative scheme {self.derivative_scheme!r}; choices: {_SCHEMES}"
-            )
         if not self.tolerance > 0:
             raise DomainError("tolerance must be positive")
 
@@ -128,30 +123,14 @@ def _front_constant(p: OperatorParams) -> float:
     return (p.gamma + 1.0) ** (-p.diff) * math.exp(s)
 
 
-def _g_value(p: OperatorParams, f: PowerSeries, z: complex, cfg: QuadratureConfig) -> complex:
-    big_p = p.gamma + p.beta + (p.gamma + 1.0) * p.diff
-    j0 = inner_integral(p, f, z, cfg)
-    return cmath.exp(big_p * cmath.log(z)) / (p.gamma + 1.0) * j0
-
-
 def _eval_once(p: OperatorParams, f: PowerSeries, z: complex, cfg: QuadratureConfig) -> complex:
     g1 = p.gamma + 1.0
     big_p = p.gamma + p.beta + g1 * p.diff
-    if cfg.derivative_scheme == "analytic_under_integral":
-        j0, j1 = inner_integral(p, f, z, cfg, with_derivative=True)
-        g_prime = (
-            big_p * cmath.exp((big_p - 1.0) * cmath.log(z)) * j0
-            + cmath.exp(big_p * cmath.log(z)) * j1
-        ) / g1
-    else:
-        # Central difference along the radial direction. The integrand is
-        # analytic in z, so a modest step gives ~h^2 accuracy without the
-        # cancellation trouble a one-sided step would have.
-        h = 1e-6 * abs(z)
-        e = z / abs(z)
-        g_plus = _g_value(p, f, z + h * e, cfg)
-        g_minus = _g_value(p, f, z - h * e, cfg)
-        g_prime = (g_plus - g_minus) / (2.0 * h * e)
+    j0, j1 = inner_integral(p, f, z, cfg, with_derivative=True)
+    g_prime = (
+        big_p * cmath.exp((big_p - 1.0) * cmath.log(z)) * j0
+        + cmath.exp(big_p * cmath.log(z)) * j1
+    ) / g1
     return _front_constant(p) * cmath.exp((1.0 - p.tau) * cmath.log(z)) * g_prime
 
 

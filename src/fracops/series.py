@@ -46,9 +46,10 @@ class PowerSeries:
     def evaluate(self, z):
         """Horner evaluation at a complex scalar or ndarray of points."""
         z = np.asarray(z, dtype=np.complex128)
-        out = np.zeros_like(z)
+        out = np.zeros_like(z)[()]  # a numpy scalar for scalar z, where in-place ops rebind
         for c in self.coeffs[::-1]:
-            out = out * z + c
+            out *= z
+            out += c
         if out.ndim == 0:
             return complex(out)
         return out
@@ -58,20 +59,6 @@ class PowerSeries:
             return PowerSeries(np.zeros(1))
         k = np.arange(1, self.coeffs.size)
         return PowerSeries(self.coeffs[1:] * k)
-
-    def with_order(self, order: int) -> "PowerSeries":
-        """Truncate or zero-pad to the requested order."""
-        if order < 0:
-            raise DomainError("order must be nonnegative")
-        out = np.zeros(order + 1, dtype=np.complex128)
-        n = min(order + 1, self.coeffs.size)
-        out[:n] = self.coeffs[:n]
-        return PowerSeries(out)
-
-    def hadamard(self, other: "PowerSeries") -> "PowerSeries":
-        """Coefficientwise (convolution-algebra) product."""
-        n = min(self.coeffs.size, other.coeffs.size)
-        return PowerSeries(self.coeffs[:n] * other.coeffs[:n])
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         """c_0 = 0 and c_1 = 1 within tol (class-A normalization)."""
@@ -85,9 +72,6 @@ class PowerSeries:
         out[: self.coeffs.size] += self.coeffs
         out[: other.coeffs.size] += other.coeffs
         return PowerSeries(out)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "PowerSeries":
         return PowerSeries(self.coeffs * complex(scalar))

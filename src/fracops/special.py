@@ -2,19 +2,22 @@
 
 Everything downstream (the fractional operator, its closed forms, the
 univalence criteria) reduces to ratios of Gamma functions, so this module
-centralises the log-Gamma plumbing: pole guards, Pochhammer symbols and
-the Beta function. It also owns the one series-summation driver,
-_sum_terms, which pulls terms from an iterator through a SeriesMonitor
-and reports an explicit status (converged, slow, divergent, pole hit)
-instead of silent nonsense. fox_wright_eval here, and the closed-form and
-criterion sums in fracdiff and geometry, are thin callers of it.
+centralises the log-Gamma plumbing: the pole guard, the Beta function and
+Fox-Wright parameter blocks, whose radius of convergence is read from
+Delta = 1 + sum B - sum A: infinite for Delta > 0, zero for Delta < 0 and
+prod B^B / prod A^A at Delta = 0 (Wright 1935; Kilbas, Saigo & Trujillo
+2002). The one series-summation driver, _sum_terms, behind fox_wright_eval
+and the closed-form and criterion sums, reports an explicit status
+(converged, slow, divergent, pole hit) instead of silent nonsense; given
+|z| over the radius it never calls a sum inside its disk divergent, and
+calls one that cancels past float64 resolution slow, not converged.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,16 +30,22 @@ from .errors import DomainError, PoleHitError
 # is treated as sitting on a pole.
 POLE_GUARD = 1e-9
 
-# Term-monitor knobs: a geometric tail bound is trusted once this many
-# consecutive term ratios sit below 1; divergence is declared after this
-# many consecutive non-decreasing term magnitudes (ignoring the first few
-# indices, where transients are common).
+# Summation knobs: a geometric tail bound is trusted once this many
+# consecutive term ratios sit below 1; without a known radius, divergence
+# is declared after this many consecutive non-decreasing term magnitudes.
 RATIO_WINDOW = 5
 DIVERGENCE_RUN = 20
-DIVERGENCE_MIN_INDEX = 10
 MAX_TERMS_DEFAULT = 10000
-_LOG_OVERFLOW = 700.0  # log scale beyond which exp() overflows float64
 _STOP_RTOL = 1e-16
+# Inside the radius a sum with sum |t_k| above this multiple of |total| has
+# cancelled (roundoff eps * sum |t_k| > 1e-10 |total|): not reported converged.
+_MAX_CANCELLATION = 4.5e5
+# |Delta| below this counts as Delta = 0 (rounding in the weight sums).
+_DELTA_TOL = 1e-12
+# fox_wright_eval computes terms in blocks that double from the first size
+# to the last, so short sums stay cheap and long ones make few numpy calls.
+_FIRST_BLOCK = 32
+_LAST_BLOCK = 1024
 
 
 def is_near_pole(z, guard: float = POLE_GUARD) -> bool:
@@ -53,20 +62,29 @@ def log_gamma(z):
 
     Parameters
     ----------
-    z : float or complex
+    z : float, complex or ndarray of real floats
         Argument; must stay at least ``POLE_GUARD`` away from every
         non-positive integer.
 
     Returns
     -------
-    float or complex
-        ``log Gamma(z)``; real for positive real input, complex otherwise.
+    float, complex or ndarray
+        ``log Gamma(z)``; real for positive real input, complex otherwise
+        (for an array, complex as soon as one argument is not positive).
 
     Raises
     ------
     PoleHitError
-        If z is within the guard distance of a pole.
+        If z, or an element of the array, is within the guard distance of a pole.
     """
+    if isinstance(z, np.ndarray):
+        if np.min(z, initial=np.inf) > 0.0:
+            return sc.loggamma(z)
+        n = np.rint(z)
+        near = (n <= 0.0) & (np.abs(z - n) < POLE_GUARD)
+        if near.any():
+            raise PoleHitError(float(z.flat[np.argmax(near)]))
+        return np.where(z > 0.0, sc.loggamma(z), sc.loggamma(z.astype(np.complex128)))
     if is_near_pole(z):
         raise PoleHitError(z)
     if not isinstance(z, complex):
@@ -77,29 +95,6 @@ def log_gamma(z):
     return complex(sc.loggamma(z))
 
 
-def pochhammer(rho, kappa: int):
-    """Rising factorial (rho)_kappa = Gamma(rho + kappa) / Gamma(rho).
-
-    Uses the direct product for small kappa, or whenever rho sits left of
-    the positive real axis (the product is exact there, while the log-Gamma
-    ratio would need branch bookkeeping); switches to a log-Gamma ratio for
-    long products over positive arguments.
-
-    pochhammer(rho, 0) == 1 for every rho, including Gamma poles.
-    """
-    if kappa != int(kappa) or kappa < 0:
-        raise DomainError(f"pochhammer order must be a nonnegative integer, got {kappa!r}")
-    kappa = int(kappa)
-    if kappa == 0:
-        return rho * 0 + 1.0
-    if kappa <= 64 or complex(rho).real <= 0.0 or is_near_pole(rho):
-        out = rho * 0 + 1.0
-        for j in range(kappa):
-            out = out * (rho + j)
-        return out
-    return np.exp(log_gamma(rho + kappa) - log_gamma(rho))
-
-
 def beta_fn(u, v):
     """Euler Beta function B(u, v) = Gamma(u) Gamma(v) / Gamma(u + v).
 
@@ -107,13 +102,10 @@ def beta_fn(u, v):
     Gamma pole the reciprocal Gamma vanishes and 0.0 is returned; a pole
     in u or v itself raises PoleHitError.
     """
-    if is_near_pole(u):
-        raise PoleHitError(u)
-    if is_near_pole(v):
-        raise PoleHitError(v)
+    s = log_gamma(u) + log_gamma(v)  # raises at a pole of u or v
     if is_near_pole(u + v):
         return 0.0
-    s = log_gamma(u) + log_gamma(v) - log_gamma(u + v)
+    s -= log_gamma(u + v)
     if isinstance(s, complex):
         out = cmath.exp(s)
         return out.real if out.imag == 0.0 else out
@@ -145,37 +137,34 @@ class FoxWrightSpec:
 
     @property
     def delta(self) -> float:
-        """1 + sum(B_j) - sum(A_j); positive means entire, zero means unit radius."""
+        """1 + sum(B_j) - sum(A_j); positive means entire, zero means a finite radius."""
         return 1.0 + sum(wb for _, wb in self.lower) - sum(wa for _, wa in self.upper)
+
+    @property
+    def radius(self) -> float:
+        """Radius of convergence: inf for Delta > 0, 0 for Delta < 0, else prod B^B / prod A^A."""
+        d = self.delta
+        if abs(d) > _DELTA_TOL:
+            return math.inf if d > 0 else 0.0
+        return math.prod(wb**wb for _, wb in self.lower) / math.prod(wa**wa for _, wa in self.upper)
+
+    def log_coefficients(self, kappa) -> np.ndarray:
+        """log of the z^kappa coefficients over an array of indices kappa >= 0.
+
+        Real while every Gamma argument is positive; otherwise complex, on
+        the principal branch of log_gamma. Raises PoleHitError naming the
+        first argument within POLE_GUARD of a Gamma pole.
+        """
+        k = np.atleast_1d(np.asarray(kappa, dtype=np.float64))
+        s = -sc.loggamma(k + 1.0)
+        for a, wa in self.upper:
+            s = s + log_gamma(a + k * wa)
+        for b, wb in self.lower:
+            s = s - log_gamma(b + k * wb)
+        return s
 
     def to_json_dict(self) -> dict:
         return {"upper": [list(p) for p in self.upper], "lower": [list(p) for p in self.lower]}
-
-
-def _log_coefficient(spec: FoxWrightSpec, kappa: int):
-    """log of the z^kappa coefficient; raises PoleHitError on any pole."""
-    s = -math.lgamma(kappa + 1)
-    for a, wa in spec.upper:
-        s = s + log_gamma(a + kappa * wa)
-    for b, wb in spec.lower:
-        s = s - log_gamma(b + kappa * wb)
-    return s
-
-
-def fox_wright_coefficient(spec: FoxWrightSpec, kappa: int):
-    """Coefficient of z^kappa in the Fox-Wright series for `spec`.
-
-    Computed as exp of a log-Gamma sum so large kappa does not overflow
-    intermediate Gammas. Raises PoleHitError if any Gamma argument (upper
-    or lower) sits within the guard distance of a pole.
-    """
-    if kappa != int(kappa) or kappa < 0:
-        raise DomainError(f"series index must be a nonnegative integer, got {kappa!r}")
-    s = _log_coefficient(spec, int(kappa))
-    if isinstance(s, complex):
-        out = cmath.exp(s)
-        return out.real if out.imag == 0.0 else out
-    return math.exp(s) if s < _LOG_OVERFLOW else math.inf
 
 
 class EvalStatus(enum.Enum):
@@ -200,70 +189,35 @@ class EvalOutcome:
     tail_bound: float = 0.0
 
 
-class SeriesMonitor:
-    """Watches successive term magnitudes of a series being summed.
-
-    Convergence: once RATIO_WINDOW consecutive ratios |t_k|/|t_{k-1}| all
-    sit below 1, the tail is bounded by |t_k| r/(1-r) with r the largest
-    ratio in the window (geometric comparison).
-
-    Divergence: DIVERGENCE_RUN consecutive non-decreasing magnitudes past
-    index DIVERGENCE_MIN_INDEX, or any term magnitude near float64
-    overflow.
-    """
-
-    def __init__(self):
-        self.index = -1
-        self.prev_abs = None
-        self.ratios = []
-        self.nondecreasing_run = 0
-        self.diverged = False
-
-    def update(self, abs_term: float) -> None:
-        self.index += 1
-        if self.prev_abs is not None and self.prev_abs > 0.0:
-            ratio = abs_term / self.prev_abs
-            self.ratios.append(ratio)
-            if len(self.ratios) > RATIO_WINDOW:
-                self.ratios.pop(0)
-            if abs_term >= self.prev_abs and abs_term > 0.0:
-                self.nondecreasing_run += 1
-            else:
-                self.nondecreasing_run = 0
-        if self.index >= DIVERGENCE_MIN_INDEX and self.nondecreasing_run >= DIVERGENCE_RUN:
-            self.diverged = True
-        if abs_term > 1e290:
-            self.diverged = True
-        self.prev_abs = abs_term
-
-    def tail_bound(self):
-        """Geometric tail bound, or None while no bound is trustworthy."""
-        if len(self.ratios) < RATIO_WINDOW or self.prev_abs is None:
-            return None
-        r = max(self.ratios)
-        if r >= 1.0:
-            return None
-        return self.prev_abs * r / (1.0 - r)
-
-
-def _sum_terms(terms, max_terms: int) -> EvalOutcome:
+def _sum_terms(terms, max_terms: int, limit: float | None = None) -> EvalOutcome:
     """Sum at most max_terms terms pulled from the iterator `terms`.
 
-    Stops with status
+    limit is |z| over the radius of convergence when the caller knows it.
+    Once RATIO_WINDOW consecutive ratios |t_k|/|t_{k-1}| are known, let r
+    be the largest of them, raised to limit when limit < 1; if r < 1 the
+    tail is bounded by |t_k| r / (1 - r) (geometric comparison). Stops with
+    status
+      DIVERGENT before any term when limit > 1 (value 0, tail inf);
       POLE_HIT at the index whose term raised PoleHitError (value is the
         sum so far, NaN if no term was summed);
-      DIVERGENT on a non-finite term (not added) or when the monitor sees
-        sustained growth (term added);
-      CONVERGED when a term past index 0 is exactly zero, when the
-        geometric tail bound drops below roundoff, or when the iterator
+      DIVERGENT on a non-finite term (not added), on a term magnitude near
+        float64 overflow, or, unless limit < 1, after DIVERGENCE_RUN
+        consecutive non-decreasing magnitudes (term added);
+      CONVERGED when a term past index 0 is exactly zero or the tail bound
+        drops below roundoff (tail 0 or the bound), or when the iterator
         ends (an exact finite sum, tail 0);
-      SLOW_CONVERGENCE when the budget runs out first.
+      SLOW_CONVERGENCE when the budget runs out first, or, if limit < 1,
+        at a CONVERGED stop where sum |t_k| > _MAX_CANCELLATION * |total|.
     Terms are only pulled as needed, so an iterator may be infinite.
     """
     if max_terms < 1:
         raise DomainError("max_terms must be at least 1")
-    total = 0.0
-    monitor = SeriesMonitor()
+    if limit is not None and limit > 1.0:
+        return EvalOutcome(0.0, EvalStatus.DIVERGENT, 0, math.inf)
+    inside = limit is not None and limit < 1.0
+    floor = limit if inside else 0.0
+    ratios = collections.deque(maxlen=RATIO_WINDOW)
+    total, mass, prev, run, tail = 0.0, 0.0, 0.0, 0, math.inf
     for k in range(max_terms):
         try:
             term = next(terms)
@@ -273,43 +227,57 @@ def _sum_terms(terms, max_terms: int) -> EvalOutcome:
             return EvalOutcome(total if k else complex("nan"), EvalStatus.POLE_HIT, k, math.inf)
         if not cmath.isfinite(term):
             return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
-        abs_term = abs(term)
+        size = abs(term)
         total += term
-        monitor.update(abs_term)
-        if monitor.diverged:
+        mass += size
+        if prev > 0.0:
+            ratios.append(size / prev)
+            run = run + 1 if size >= prev else 0
+        if size > 1e290 or (run >= DIVERGENCE_RUN and not inside):
             return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
-        if k and abs_term == 0.0:
-            return EvalOutcome(total, EvalStatus.CONVERGED, k + 1, 0.0)
-        tail = monitor.tail_bound()
-        if tail is not None and tail <= _STOP_RTOL * max(1.0, abs(total)):
-            return EvalOutcome(total, EvalStatus.CONVERGED, k + 1, tail)
-    tail = monitor.tail_bound()
-    return EvalOutcome(
-        total,
-        EvalStatus.SLOW_CONVERGENCE,
-        max_terms,
-        math.inf if tail is None else tail,
-    )
+        prev = size
+        if k and size == 0.0:
+            tail = 0.0
+        elif len(ratios) == RATIO_WINDOW:
+            r = max(floor, *ratios)
+            tail = size * r / (1.0 - r) if r < 1.0 else math.inf
+        if tail <= _STOP_RTOL * max(1.0, abs(total)):
+            lost = inside and mass > _MAX_CANCELLATION * abs(total)
+            return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE if lost else EvalStatus.CONVERGED,
+                               k + 1, tail)
+    return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE, max_terms, tail)
 
 
 def fox_wright_eval(spec: FoxWrightSpec, z, max_terms: int = MAX_TERMS_DEFAULT) -> EvalOutcome:
     """Sum the Fox-Wright series at z with explicit convergence reporting.
 
     Returns an EvalOutcome whose status is CONVERGED (geometric tail bound
-    below roundoff), DIVERGENT (sustained term growth or overflow),
-    SLOW_CONVERGENCE (term budget exhausted first), or POLE_HIT (a Gamma
-    argument of some term sat on a pole). The value field always carries
-    the partial sum accumulated so far.
+    below roundoff), DIVERGENT (|z| beyond spec.radius, overflow, or, on
+    the circle |z| = radius, sustained term growth), SLOW_CONVERGENCE (term
+    budget exhausted first, or, inside the radius, terms that cancel past
+    float64 resolution), or POLE_HIT (a Gamma argument of some term sat
+    on a pole). The value field always carries the partial sum accumulated
+    so far. Terms are computed in blocks as the driver pulls them.
     """
     z = complex(z)
+    log_z = cmath.log(z) if z else 0j
+
+    def block(k):
+        log_t = spec.log_coefficients(k) + k * log_z
+        with np.errstate(over="ignore", invalid="ignore"):  # the driver stops at an overflow
+            return np.exp(log_t).tolist()
 
     def terms():
-        yield complex(fox_wright_coefficient(spec, 0))
-        if z == 0:
-            return
-        log_z = cmath.log(z)
-        for kappa in itertools.count(1):
-            log_term = complex(_log_coefficient(spec, kappa)) + kappa * log_z
-            yield cmath.exp(log_term) if log_term.real <= _LOG_OVERFLOW else complex(math.inf)
+        start, size, stop = 0, _FIRST_BLOCK, max_terms if z else 1
+        while start < stop:
+            k = np.arange(start, min(start + size, stop), dtype=np.float64)
+            try:
+                yield from block(k)
+            except PoleHitError:  # the terms before the pole, then the pole itself
+                for kappa in k:
+                    yield from block(np.array([kappa]))
+            start, size = start + k.size, min(2 * size, _LAST_BLOCK)
 
-    return _sum_terms(terms(), max_terms)
+    radius = spec.radius
+    limit = abs(z) / radius if radius > 0.0 else (math.inf if z else 0.0)
+    return _sum_terms(terms(), max_terms, limit)

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fracops.bloch import (
+    MAX_FAMILY_INDEX,
     BlochEstimate,
     WeightSpec,
     bloch_norm_classical,
@@ -181,4 +182,11 @@ def test_compactness_scales_with_multiplier_for_general_params():
 def test_compactness_requires_at_least_two():
     with pytest.raises(DomainError):
         compactness_decay_check(OperatorParams(0.5, 0.5, 0.0), 1, 1.0,
+                                WeightSpec("constant_one"))
+
+
+def test_compactness_family_index_is_capped():
+    assert MAX_FAMILY_INDEX == 1024
+    with pytest.raises(DomainError, match="1024"):
+        compactness_decay_check(OperatorParams(0.5, 0.5, 0.0), MAX_FAMILY_INDEX + 1, 1.0,
                                 WeightSpec("constant_one"))

@@ -243,6 +243,8 @@ def test_bloch_series_flags_are_exclusive(capsys):
     ("bloch", "--f", "identity", "--mu", "1", "--w", "table", "--table-file",
      "/nonexistent.csv"),
     ("bloch", "--f", "identity", "--mu", "1", "--w", "table", "--table-file", "{tmp}/w.csv"),
+    ("transform", "--beta", "1", "--tau", "1e-10", "--monomial", "1"),  # tau below POLE_GUARD
+    ("bloch", "--compactness", "--beta", "0.5", "--tau", "0.5", "--nmax", "100000000"),
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_flags_exit_2(capsys, tmp_path, argv):
     (tmp_path / "w.csv").write_text("t,w\nsmall,large\n")

@@ -162,6 +162,14 @@ def test_screen_rejects_vanishing_derivative():
         convex_order(f, 0.0)
 
 
+def test_screen_rejects_non_finite_quotient():
+    """Horner overflows float64 on the deciding ring: a typed error, not a nan witness."""
+    c = np.full(500, 1e305 + 0j)
+    c[0] = 0.0
+    with pytest.warns(RuntimeWarning), pytest.raises(DomainError, match="not finite"):
+        starlike_order(PowerSeries(c), 0.0)
+
+
 def test_screen_lambda_window():
     f = identity_series(2)
     with pytest.raises(DomainError):

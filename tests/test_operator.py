@@ -27,7 +27,7 @@ from fracops.series import (
     kummer_series,
     load_series_fixture,
 )
-from fracops.special import EvalStatus, fox_wright_coefficient, log_gamma
+from fracops.special import EvalStatus, log_gamma
 from fracops.verify import SERIES_FIXTURE_NAMES, fixture_dir
 
 mpmath = pytest.importorskip("mpmath")
@@ -45,6 +45,7 @@ EPS = float(np.finfo(np.float64).eps)
         (0.0, 0.5, 0.0, "0 < beta <= 1"),
         (1.5, 0.5, 0.0, "0 < beta <= 1"),
         (0.5, 0.0, 0.0, "0 < tau <= 1"),
+        (1.0, 1e-10, 0.0, "tau >= POLE_GUARD = 1e-09"),
         (0.2, 0.9, 0.0, "0 <= beta - tau"),
         (0.5, 0.5, -1.0, "gamma >= 0"),
     ],
@@ -254,7 +255,7 @@ def test_theta_kernel_spec_shape():
     # (constant * kernel at kappa-1) is Phi(kappa)
     for k in (1, 2, 7):
         assert_allclose(
-            constant * fox_wright_coefficient(spec, k - 1),
+            constant * np.exp(spec.log_coefficients(k - 1)),
             phi_multiplier(p, k),
             rtol=1e-13,
         )
@@ -301,6 +302,9 @@ def test_closed_form_inner_sum_reports_status():
         # truncating the budget to almost nothing must fail loudly, not
         # return the partial sum
         form.evaluate(0.9, max_terms=3)
+    with pytest.raises(DomainError, match="SlowConvergence"):
+        # the terms rise to ~1e11 and cancel: float64 cannot resolve the sum
+        form.evaluate(-30.0)
 
 
 def test_closed_form_tau_equals_beta_recovers_input():
@@ -333,6 +337,55 @@ def test_hurwitz_lerch_closed_form_near_the_unit_circle():
             want = complex(mpmath.power(zm, p.shift + 1) * mpmath.polyval(image[::-1], zm))
             got = form.evaluate(z)
             assert abs(got - want) <= 1e-12 * abs(want), (z, got, want)
+
+
+@pytest.fixture(scope="module")
+def koebe_image_coefficients():
+    """30-digit coefficients of the Koebe images at (0.65, 0.3, 1.4), by alpha.
+
+    Coefficient k multiplies z^(shift + k + 1): (alpha)_k / k! times the
+    operator's Gamma ratio at m = k + 1, summed directly with no Fox-Wright
+    arithmetic.
+    """
+    p = OperatorParams(0.65, 0.3, 1.4)
+    out = {}
+    with mpmath.workdps(30):
+        b, t, g1 = mpmath.mpf(p.beta), mpmath.mpf(p.tau), mpmath.mpf(p.gamma) + 1
+        front = g1 ** (b - t) * mpmath.gamma(t) / mpmath.gamma(b)
+        for alpha, n in ((2.0, 2500), (1.0, 9000)):  # 2500^2 0.95^2500, 0.99^9000 < 1e-36
+            h, image = mpmath.mpf(1), []
+            for k in range(n):
+                x = (k + b) / g1 + 1
+                ratio = mpmath.exp(mpmath.loggamma(x) - mpmath.loggamma(x + t - b))
+                image.append(h * front * ratio)
+                h *= (alpha + k) / (k + 1)
+            out[alpha] = image
+    return p, out
+
+
+@pytest.mark.parametrize("alpha,r,angle,tol", [
+    (2.0, 0.95, 0.3, 1e-12),
+    (2.0, 0.95, 2.0, 1e-10),
+    (2.0, 0.95, -2.5, 1e-10),
+    (1.0, 0.99, 0.3, 1e-10),
+    (1.0, 0.99, 2.0, 1e-10),
+    (1.0, 0.99, -2.5, 1e-10),
+])
+def test_koebe_closed_form_near_the_unit_circle(koebe_image_coefficients, alpha, r, angle, tol):
+    """The Koebe sums rise for hundreds of terms before they fall; inside radius 1 they converge.
+
+    Near angles +-2 the terms cancel (sum |t_k| / |f| is 3800-5000 for
+    alpha = 2, against 65 at angle 0.3), so 1e-12 holds only at angle 0.3.
+    """
+    p, images = koebe_image_coefficients
+    form = closed_form_spec(p, "koebe", alpha=alpha)
+    z = r * cmath.exp(1j * angle)
+    assert form.inner_sum(z).status is EvalStatus.CONVERGED
+    with mpmath.workdps(30):
+        zm = mpmath.mpc(z)
+        want = complex(mpmath.power(zm, p.shift + 1) * mpmath.polyval(images[alpha][::-1], zm))
+    got = form.evaluate(z)
+    assert abs(got - want) <= tol * abs(want), (got, want)
 
 
 def test_closed_form_exp_series_agreement():

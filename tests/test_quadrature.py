@@ -31,8 +31,6 @@ def test_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(node_count=4)
     with pytest.raises(DomainError):
-        QuadratureConfig(derivative_scheme="magic")
-    with pytest.raises(DomainError):
         QuadratureConfig(tolerance=0.0)
 
 
@@ -108,15 +106,6 @@ def test_oracle_matches_series_image():
     image = apply_operator(p, f)
     for z in (0.3, -0.42, 0.2 - 0.35j):
         assert_allclose(oracle_eval(p, f, z), image.evaluate(z), rtol=1e-9)
-
-
-def test_oracle_complex_step_scheme_agrees():
-    p = _params(0.6, 0.35, 2.2)
-    cfg = QuadratureConfig(derivative_scheme="complex_step")
-    f = koebe_series(1.0, 120)
-    ref = oracle_eval(p, f, 0.31)
-    got = oracle_eval(p, f, 0.31, cfg)
-    assert_allclose(got, ref, rtol=1e-8)
 
 
 def test_oracle_identity_reduction_points():

@@ -10,13 +10,11 @@ from fracops.errors import DomainError, PoleHitError
 from fracops.special import (
     EvalStatus,
     FoxWrightSpec,
-    SeriesMonitor,
+    _sum_terms,
     beta_fn,
-    fox_wright_coefficient,
     fox_wright_eval,
     is_near_pole,
     log_gamma,
-    pochhammer,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -68,44 +66,7 @@ def test_pole_guard_radius():
 
 
 # ---------------------------------------------------------------------------
-# pochhammer / beta
-
-
-def test_pochhammer_zero_order_is_one():
-    assert pochhammer(0.3, 0) == 1.0
-    assert pochhammer(-5.0, 0) == 1.0  # even on a pole
-    assert pochhammer(2.0 + 1.0j, 0) == 1.0 + 0.0j
-
-
-def test_pochhammer_recurrence_complex_grid():
-    """(rho)_{k+1} = (rho)_k (rho + k) across the complex plane."""
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        rho = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
-        k = int(rng.integers(0, 12))
-        lhs = pochhammer(rho, k + 1)
-        rhs = pochhammer(rho, k) * (rho + k)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-
-def test_pochhammer_negative_integer_terminates():
-    assert pochhammer(-3.0, 4) == 0.0
-    assert pochhammer(-3.0, 3) == -6.0  # (-3)(-2)(-1)
-
-
-def test_pochhammer_long_product_uses_gamma_ratio():
-    # kappa > 64 exercises the log-Gamma branch; compare with scipy's poch
-    import scipy.special as sc
-
-    got = pochhammer(2.5, 100)
-    assert_allclose(float(got), sc.poch(2.5, 100), rtol=1e-12)
-
-
-def test_pochhammer_rejects_bad_order():
-    with pytest.raises(DomainError):
-        pochhammer(1.0, -1)
-    with pytest.raises(DomainError):
-        pochhammer(1.0, 1.5)
+# beta
 
 
 def test_beta_symmetry_and_value():
@@ -145,13 +106,54 @@ def test_spec_delta():
 def test_coefficient_zero_index():
     spec = FoxWrightSpec(upper=((2.0, 1.0),), lower=((3.0, 1.0),))
     # Gamma(2)/Gamma(3)/0! = 1/2
-    assert_allclose(fox_wright_coefficient(spec, 0), 0.5, rtol=1e-15)
+    assert_allclose(np.exp(spec.log_coefficients([0])), [0.5], rtol=1e-15)
 
 
 def test_coefficient_pole_raises():
     spec = FoxWrightSpec(upper=((-3.0, 1.0),), lower=())
     with pytest.raises(PoleHitError):
-        fox_wright_coefficient(spec, 1)
+        spec.log_coefficients(np.arange(4))
+    with pytest.raises(PoleHitError):
+        spec.log_coefficients(3)  # a scalar index on the pole
+
+
+def test_log_coefficients_match_mpmath_on_both_branches():
+    """Positive arguments give real logs; a negative one the principal complex branch."""
+    mpmath.mp.dps = 30
+    spec = FoxWrightSpec(upper=((1.7, 0.8), (-2.3, 0.5)), lower=((0.4, 1.3),))
+    k = np.arange(0, 40, 3)
+    got = spec.log_coefficients(k)
+    for kappa, s in zip(k.tolist(), got):
+        c = (mpmath.gamma(1.7 + 0.8 * kappa) * mpmath.gamma(-2.3 + 0.5 * kappa)
+             / (mpmath.gamma(0.4 + 1.3 * kappa) * mpmath.factorial(kappa)))
+        assert abs(complex(np.exp(s)) - complex(c)) <= 1e-12 * abs(complex(c))
+    assert FoxWrightSpec(upper=((1.7, 0.8),), lower=()).log_coefficients(k).dtype == np.float64
+
+
+def _zero_delta_spec(rng, n_upper, n_lower):
+    """Seeded spec with non-unit weights and Delta = 0: the upper weights share 1 + sum B."""
+    lower = [(rng.uniform(0.5, 3.0), rng.uniform(0.2, 1.5)) for _ in range(n_lower)]
+    share = rng.uniform(0.2, 1.0, size=n_upper)
+    weights = share / share.sum() * (1.0 + sum(w for _, w in lower))
+    upper = tuple((rng.uniform(0.3, 3.0), w) for w in weights)
+    return FoxWrightSpec(upper=upper, lower=tuple(lower))
+
+
+def test_radius_from_delta():
+    assert FoxWrightSpec(upper=(), lower=()).radius == math.inf  # exp: Delta = 1
+    assert FoxWrightSpec(upper=((1.0, 1.0), (1.0, 1.0)), lower=()).radius == 0.0  # Delta = -1
+    spec = FoxWrightSpec(upper=((1.0, 2.0),), lower=((1.0, 1.0),))  # Delta = 0
+    assert_allclose(spec.radius, 1.0 / 4.0, rtol=1e-15)
+
+
+def test_radius_matches_coefficient_ratio_at_large_index():
+    """c_{k+1}/c_k -> 1/radius for Delta = 0 specs with non-unit weights."""
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        spec = _zero_delta_spec(rng, int(rng.integers(2, 4)), int(rng.integers(1, 3)))
+        assert spec.radius not in (0.0, math.inf)
+        log_c = spec.log_coefficients([1e6, 1e6 + 1])
+        assert_allclose(math.exp(log_c[0] - log_c[1]), spec.radius, rtol=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +200,18 @@ def test_eval_pole_in_lower_row():
     assert out.terms_used == 0
 
 
+def test_eval_pole_inside_a_block_keeps_the_earlier_terms():
+    # -4.3 + 0.1 k reaches the pole -4 at kappa = 3: terms 0, 1, 2 are summed
+    spec = FoxWrightSpec(upper=((-4.3, 0.1),), lower=())
+    z = 0.4 + 0.1j
+    out = fox_wright_eval(spec, z)
+    assert out.status is EvalStatus.POLE_HIT
+    assert out.terms_used == 3
+    zm = mpmath.mpc(z)
+    want = sum(mpmath.gamma(-4.3 + 0.1 * k) / mpmath.factorial(k) * zm**k for k in range(3))
+    assert_allclose(out.value, complex(want), rtol=1e-13)
+
+
 def test_eval_budget_exhaustion_reports_slow():
     spec = FoxWrightSpec(upper=((1.0, 1.0),), lower=())
     out = fox_wright_eval(spec, 0.99, max_terms=20)
@@ -218,12 +232,70 @@ def test_eval_complex_argument_against_mpmath():
 
 
 def test_monitor_tail_bound_needs_full_window():
-    m = SeriesMonitor()
-    m.update(1.0)
-    m.update(0.5)
-    assert m.tail_bound() is None  # only one ratio seen
-    for t in (0.25, 0.125, 0.0625, 0.03125):
-        m.update(t)
-    tb = m.tail_bound()
-    assert tb is not None
-    assert_allclose(tb, 0.03125 * 0.5 / 0.5, rtol=1e-15)
+    terms = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
+    out = _sum_terms(iter(terms), max_terms=2)
+    assert out.tail_bound == math.inf  # only one ratio seen
+    out = _sum_terms(iter(terms), max_terms=6)
+    assert out.status is EvalStatus.SLOW_CONVERGENCE
+    assert_allclose(out.tail_bound, 0.03125 * 0.5 / 0.5, rtol=1e-15)
+
+
+def test_sum_terms_tail_ratio_is_at_least_the_limit():
+    """Inside the radius the tail ratio is max(window ratio, |z|/radius)."""
+    terms = [0.5**k for k in range(6)]
+    out = _sum_terms(iter(terms), max_terms=6, limit=0.9)
+    assert_allclose(out.tail_bound, 0.03125 * 0.9 / 0.1, rtol=1e-14)
+    below = _sum_terms(iter(terms), max_terms=6, limit=0.25)  # window ratio 0.5 is larger
+    assert_allclose(below.tail_bound, 0.03125 * 0.5 / 0.5, rtol=1e-15)
+
+
+def test_sum_terms_inside_the_radius_flags_cancellation():
+    """Inside the radius a cancelled sum is not CONVERGED; without a limit the old rules hold."""
+    terms = [1e12, -1e12] + [0.5**k for k in range(60)]
+    out = _sum_terms(iter(terms), max_terms=100, limit=0.5)
+    assert out.status is EvalStatus.SLOW_CONVERGENCE
+    assert out.tail_bound <= 1e-16 * abs(out.value)
+    assert _sum_terms(iter(terms), max_terms=100).status is EvalStatus.CONVERGED
+
+
+def test_entire_series_rising_terms_converge_unless_they_cancel():
+    """exp at z = 30 rises for 30 terms and converges; at z = -30 the terms cancel to e^-30."""
+    spec = FoxWrightSpec(upper=(), lower=())
+    out = fox_wright_eval(spec, 30.0)
+    assert out.status is EvalStatus.CONVERGED
+    assert_allclose(out.value, math.exp(30.0), rtol=1e-14)
+    out = fox_wright_eval(spec, -30.0)
+    assert out.status is EvalStatus.SLOW_CONVERGENCE
+    assert abs(out.value - math.exp(-30.0)) > 1e-10 * math.exp(-30.0)  # what float64 could not resolve
+
+
+def test_zero_delta_unit_weights_converge_near_the_circle():
+    """Delta = 0 with unit weights is a (q+1)F_q: Converged at 0.9 <= |z| < 0.99, against mpmath."""
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        q = int(rng.integers(1, 3))
+        upper = [rng.uniform(0.3, 2.0) for _ in range(q + 1)]  # terms rise where sum a > 1 + sum b
+        lower = [rng.uniform(0.8, 2.5) for _ in range(q)]
+        spec = FoxWrightSpec(upper=tuple((a, 1.0) for a in upper),
+                             lower=tuple((b, 1.0) for b in lower))
+        assert spec.radius == 1.0
+        z = rng.uniform(0.9, 0.99) * complex(np.exp(1j * rng.uniform(-math.pi, math.pi)))
+        out = fox_wright_eval(spec, z)
+        assert out.status is EvalStatus.CONVERGED, (upper, lower, z)
+        delta = (mpmath.fprod(mpmath.gamma(b) for b in lower)
+                 / mpmath.fprod(mpmath.gamma(a) for a in upper))
+        want = complex(mpmath.hyper(upper, lower, mpmath.mpc(z.real, z.imag)) / delta)
+        assert abs(out.value - want) <= 1e-10 * abs(want), (upper, lower, z)
+
+
+@pytest.mark.parametrize("spec,z", [
+    (FoxWrightSpec(upper=((1.0, 1.0), (0.5, 1.0)), lower=((1.5, 1.0),)), 1.01),  # |z| > radius 1
+    (FoxWrightSpec(upper=((1.0, 2.0),), lower=((1.0, 1.0),)), 0.3j),  # |z| > radius 1/4
+    (FoxWrightSpec(upper=((1.0, 1.0), (1.0, 0.5)), lower=()), 1e-3),  # Delta < 0
+])
+def test_outside_the_radius_is_divergent_before_summing(spec, z):
+    out = fox_wright_eval(spec, z)
+    assert out.status is EvalStatus.DIVERGENT
+    assert out.tail_bound == math.inf and out.terms_used == 0
+
