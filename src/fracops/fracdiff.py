@@ -3,7 +3,9 @@
 Implements the coefficientwise action of the operator T^{beta,tau,gamma}
 on truncated power series, its normalized companion Theta (multiplier
 sequence Phi), the Fox-Wright/Hadamard representation of Theta, and
-closed-form images for the stock input functions.
+closed-form images for the stock input functions. Every closed form is a
+Fox-Wright block summed by the one driver in special; the Lerch-type input
+adds a factor (k + a)^-s to its coefficients.
 
 Every coefficient of an operator image comes from one vectorized kernel,
 log_gamma_ratio: R(m) = log Gamma(X_m) - log Gamma(X_m - beta + tau) with
@@ -23,7 +25,6 @@ expressions of the form 1 - beta + tau are evaluated as 1 + (tau - beta).
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,9 +39,8 @@ from .special import (
     EvalStatus,
     FoxWrightSpec,
     MAX_TERMS_DEFAULT,
-    _sum_terms,
-    beta_fn,
-    fox_wright_eval,
+    _sum_log_series,
+    is_near_pole,
     log_gamma,
 )
 
@@ -282,59 +282,28 @@ def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
 # ---------------------------------------------------------------------------
 
 
-def sum_coefficient_series(coefficients, z, max_terms: int = MAX_TERMS_DEFAULT) -> EvalOutcome:
-    """Sum sum_k g_k z^k over an iterable of coefficients g_0, g_1, ...
-
-    Same status semantics as fox_wright_eval, for kernels given as a plain
-    coefficient sequence instead of a Fox-Wright parameter block.
-    """
-    z = complex(z)
-
-    def terms():
-        zk = 1.0 + 0.0j
-        for g in coefficients:
-            yield complex(g) * zk
-            if z == 0:
-                return
-            zk *= z
-
-    return _sum_terms(terms(), max_terms)
-
-
-def _hypergeometric_coefficients(upper, lower):
-    """h_k = prod (a)_k / (prod (b)_k k!) by the ratio recurrence, k = 0, 1, ...
-
-    Stepping h_{k+1} = h_k prod(a + k) / (prod(b + k) (k + 1)) keeps every
-    intermediate near the size of h_k, where separate Pochhammer products
-    and k! overflow float64 after about a hundred terms.
-    """
-    h = 1.0
-    for k in itertools.count():
-        yield h
-        h *= math.prod(a + k for a in upper) / (math.prod(b + k for b in lower) * (k + 1.0))
-
-
 @dataclass
 class ClosedFormImage:
-    """Closed-form operator image constant * z^power * sum_k g(k) z^k.
+    """Closed-form operator image constant * z^power * sum_k c_k (k + a)^-s z^k.
 
-    For the Koebe-type and z*exp(z) inputs the inner sum is an exact
-    Fox-Wright series (fox_wright is set); for the confluent and
-    Lerch-type inputs it is a Beta-factor coefficient series, and
-    coefficients() returns a fresh iterator over g(0), g(1), ...
+    Every stock input gives a Fox-Wright block fox_wright whose coefficients
+    are the c_k, so one summation path serves all four kinds. Only the
+    Lerch-type input carries a factor (k + a)^-s outside the block; the
+    other kinds have s = 0 and a = 1.
     """
 
     kind: str
     params: dict
     constant: float
     power: float
-    fox_wright: FoxWrightSpec | None = None
-    coefficients: object = None
+    fox_wright: FoxWrightSpec
+    s: float = 0.0
+    a: float = 1.0
 
     def inner_sum(self, z, max_terms: int = MAX_TERMS_DEFAULT) -> EvalOutcome:
-        if self.fox_wright is not None:
-            return fox_wright_eval(self.fox_wright, z, max_terms)
-        return sum_coefficient_series(self.coefficients(), z, max_terms)
+        spec, s, a = self.fox_wright, self.s, self.a
+        return _sum_log_series(lambda k: spec.log_coefficients(k) - s * np.log(k + a),
+                               spec.radius, z, max_terms)
 
     def evaluate(self, z, max_terms: int = MAX_TERMS_DEFAULT) -> complex:
         """Value at z; raises DomainError unless the inner sum is CONVERGED."""
@@ -355,7 +324,7 @@ class ClosedFormImage:
             "params": dict(self.params),
             "constant": self.constant,
             "power": self.power,
-            "fox_wright": None if self.fox_wright is None else self.fox_wright.to_json_dict(),
+            "fox_wright": self.fox_wright.to_json_dict(),
         }
 
 
@@ -366,60 +335,59 @@ def closed_form_spec(p: OperatorParams, kind: str, alpha: float | None = None,
 
     Supported kinds: 'koebe' (needs alpha >= 1), 'exp_times_z',
     'kummer' (alpha, lam), 'hurwitz_lerch' (alpha, lam, rho, s, a with
-    rho and a off the Gamma poles, a > 0, s > 0).
+    a > 0, s > 0). Each input is z sum_k (upper)_k / ((lower)_k k!) z^k,
+    times (k + a)^-s for the Lerch type: upper is (alpha) or (alpha, lam),
+    lower is (lam) or (rho). The operator scales coefficient k by
+    Gamma(1 + tau - beta) B(x_k, 1 + tau - beta) (x_k + tau - beta)
+    = Gamma(1 + tau - beta) Gamma(x_k) / Gamma(x_k + tau - beta), with
+    x_k = b1 + k/g1, so the image is the block [(upper, 1), (b1, 1/g1);
+    (lower, 1), (b1 + tau - beta, 1/g1)] with constant
+    front * prod Gamma(lower) / prod Gamma(upper). A parameter on a Gamma
+    pole raises DomainError: in lower it is a pole of the input, in upper
+    it makes the input a polynomial, whose image apply_operator gives
+    exactly.
     """
     g1 = p.gamma + 1.0
     b1 = p.beta / g1 + 1.0
-    power = p.shift + 1.0
 
-    def beta_factor_coefficients(upper, lower, s=0.0, a=1.0):
-        """g(k) = h_k / (k + a)^s * B(x_k, 1 - beta + tau) * (x_k - beta + tau), x_k = b1 + k/g1."""
-        def coefficients():
-            for k, h in enumerate(_hypergeometric_coefficients(upper, lower)):
-                x = b1 + k / g1
-                yield h / (k + a) ** s * beta_fn(x, 1.0 + p.diff) * (x + p.diff)
-        return coefficients
+    def image(params, upper, lower, s=0.0, a=1.0):
+        for x in upper:
+            if is_near_pole(x):
+                raise DomainError(f"{kind} parameter {x} on a Gamma pole makes the input a "
+                                  f"polynomial; apply_operator gives its image exactly")
+        for x in lower:
+            if is_near_pole(x):
+                raise DomainError(f"{kind} denominator parameter {x} sits on a Gamma pole")
+        log_ratio = sum(log_gamma(x) for x in lower) - sum(log_gamma(x) for x in upper)
+        constant = float(np.real(_front_times_exp(p, log_ratio)))
+        spec = FoxWrightSpec(
+            upper=tuple((x, 1.0) for x in upper) + ((b1, 1.0 / g1),),
+            lower=tuple((x, 1.0) for x in lower) + ((b1 + p.diff, 1.0 / g1),),
+        )
+        return ClosedFormImage(kind, params, constant, p.shift + 1.0, spec, s, a)
 
     if kind == "koebe":
         if alpha is None or alpha < 1:
             raise DomainError("koebe closed form needs alpha >= 1")
-        constant = float(_front_times_exp(p, -log_gamma(float(alpha))))
-        spec = FoxWrightSpec(
-            upper=((float(alpha), 1.0), (b1, 1.0 / g1)),
-            lower=((b1 + p.diff, 1.0 / g1),),
-        )
-        return ClosedFormImage("koebe", {"alpha": float(alpha)}, constant, power, fox_wright=spec)
+        return image({"alpha": float(alpha)}, (float(alpha),), ())
 
     if kind == "exp_times_z":
-        constant = float(_front_times_exp(p, 0.0))
-        spec = FoxWrightSpec(upper=((b1, 1.0 / g1),), lower=((b1 + p.diff, 1.0 / g1),))
-        return ClosedFormImage("exp_times_z", {}, constant, power, fox_wright=spec)
+        return image({}, (), ())
 
     if kind == "kummer":
         if alpha is None or lam is None:
             raise DomainError("kummer closed form needs alpha and lam")
-        constant = float(_front_times_exp(p, -log_gamma(1.0 + p.diff)))
-        return ClosedFormImage(
-            "kummer", {"alpha": float(alpha), "lam": float(lam)}, constant, power,
-            coefficients=beta_factor_coefficients((float(alpha),), (float(lam),)),
-        )
+        return image({"alpha": float(alpha), "lam": float(lam)}, (float(alpha),), (float(lam),))
 
     if kind == "hurwitz_lerch":
         if None in (alpha, lam, rho, s, a):
             raise DomainError("hurwitz_lerch closed form needs alpha, lam, rho, s, a")
-        if a <= 0:
-            raise DomainError("hurwitz_lerch shift parameter a must be positive")
-        if s <= 0:
-            raise DomainError("hurwitz_lerch exponent s must be positive")
-        constant = float(_front_times_exp(p, -log_gamma(1.0 + p.diff)))
-        return ClosedFormImage(
-            "hurwitz_lerch",
-            {"alpha": float(alpha), "lam": float(lam), "rho": float(rho), "s": float(s), "a": float(a)},
-            constant, power,
-            coefficients=beta_factor_coefficients(
-                (float(alpha), float(lam)), (float(rho),), float(s), float(a)
-            ),
-        )
+        if not 0.0 < a < math.inf:
+            raise DomainError("hurwitz_lerch shift parameter a must be positive and finite")
+        if not 0.0 < s < math.inf:
+            raise DomainError("hurwitz_lerch exponent s must be positive and finite")
+        params = {"alpha": float(alpha), "lam": float(lam), "rho": float(rho), "s": float(s), "a": float(a)}
+        return image(params, (float(alpha), float(lam)), (float(rho),), float(s), float(a))
 
     raise DomainError(
         f"unknown closed form kind {kind!r}; choices: koebe, exp_times_z, kummer, hurwitz_lerch"

@@ -11,7 +11,6 @@ of forcing a verdict.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,8 +26,6 @@ _ZERO_GUARD = 1e-14
 MAX_GRID_POINTS = 2**22
 # DiskGrid.evaluate runs Horner over blocks of whole rings of about this many points.
 _BLOCK_POINTS = 2**14
-# Criterion terms are computed this many at a time, as the summation pulls them.
-_CRITERION_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -262,21 +259,14 @@ def univalence_criterion(p: OperatorParams, mode: str, max_terms: int = 512) -> 
     """Sum the criterion series at z = 1 and report against the threshold.
 
     Terms are fed through the shared summation driver so sustained growth
-    is detected and reported instead of producing a bogus verdict. They
-    are computed in blocks of _CRITERION_BLOCK as the driver pulls them,
-    so a large max_terms costs nothing once the sum has stopped.
+    is detected and reported instead of producing a bogus verdict. The
+    driver asks for them in index blocks as it goes, so a large max_terms
+    costs nothing once the sum has stopped. They grow like a power of k,
+    so the radius is 1 and z = 1 sits on the circle.
     """
     threshold = criterion_threshold(p)
-    blocks = []
-
-    def terms():
-        for start in itertools.count(0, _CRITERION_BLOCK):
-            stop = min(start + _CRITERION_BLOCK, max_terms)
-            blocks.append(criterion_term(p, mode, np.arange(start, stop)))
-            yield from blocks[-1].tolist()
-
-    out = _sum_terms(terms(), max_terms)
-    partial_sums = np.cumsum(np.concatenate(blocks))[: out.terms_used].tolist()
+    out = _sum_terms(lambda k: criterion_term(p, mode, k), max_terms, limit=1.0)
+    partial_sums = np.cumsum(criterion_term(p, mode, np.arange(out.terms_used))).tolist()
     if out.status is EvalStatus.CONVERGED:
         tail = out.tail_bound
         verdict = VERDICT_SATISFIED if out.value + tail < threshold else VERDICT_VIOLATED

@@ -6,11 +6,13 @@ centralises the log-Gamma plumbing: the pole guard, the Beta function and
 Fox-Wright parameter blocks, whose radius of convergence is read from
 Delta = 1 + sum B - sum A: infinite for Delta > 0, zero for Delta < 0 and
 prod B^B / prod A^A at Delta = 0 (Wright 1935; Kilbas, Saigo & Trujillo
-2002). The one series-summation driver, _sum_terms, behind fox_wright_eval
-and the closed-form and criterion sums, reports an explicit status
-(converged, slow, divergent, pole hit) instead of silent nonsense; given
-|z| over the radius it never calls a sum inside its disk divergent, and
-calls one that cancels past float64 resolution slow, not converged.
+2002). The one series-summation driver, _sum_terms, sums every series in
+the package: fox_wright_eval, the closed forms and the criterion sums. It
+pulls index blocks itself, asks its caller for the terms at those indices,
+and needs |z| over the radius. It reports an explicit status (converged,
+slow, divergent, pole hit) instead of silent nonsense; it never calls a sum
+inside its disk divergent, and calls one that cancels past float64
+resolution slow, not converged.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from .errors import DomainError, PoleHitError
 POLE_GUARD = 1e-9
 
 # Summation knobs: a geometric tail bound is trusted once this many
-# consecutive term ratios sit below 1; without a known radius, divergence
-# is declared after this many consecutive non-decreasing term magnitudes.
+# consecutive term ratios sit below 1; on the circle of convergence,
+# divergence is declared after this many consecutive non-decreasing term
+# magnitudes.
 RATIO_WINDOW = 5
 DIVERGENCE_RUN = 20
 MAX_TERMS_DEFAULT = 10000
@@ -42,15 +45,19 @@ _STOP_RTOL = 1e-16
 _MAX_CANCELLATION = 4.5e5
 # |Delta| below this counts as Delta = 0 (rounding in the weight sums).
 _DELTA_TOL = 1e-12
-# fox_wright_eval computes terms in blocks that double from the first size
-# to the last, so short sums stay cheap and long ones make few numpy calls.
+# Lengths of the index blocks _sum_terms asks for: they double from first to last.
 _FIRST_BLOCK = 32
 _LAST_BLOCK = 1024
 
 
 def is_near_pole(z, guard: float = POLE_GUARD) -> bool:
-    """True if z lies within `guard` of a Gamma pole (0, -1, -2, ...)."""
+    """True if z lies within `guard` of a Gamma pole (0, -1, -2, ...).
+
+    Raises DomainError for a non-finite z, which is no Gamma argument.
+    """
     x = complex(z)
+    if not cmath.isfinite(x):
+        raise DomainError(f"Gamma argument must be finite, got {z}")
     n = round(x.real)
     if n > 0:
         return False
@@ -76,6 +83,8 @@ def log_gamma(z):
     ------
     PoleHitError
         If z, or an element of the array, is within the guard distance of a pole.
+    DomainError
+        If a scalar z is not finite.
     """
     if isinstance(z, np.ndarray):
         if np.min(z, initial=np.inf) > 0.0:
@@ -100,7 +109,7 @@ def beta_fn(u, v):
 
     Evaluated as exp of log-Gamma differences. When u + v lands on a
     Gamma pole the reciprocal Gamma vanishes and 0.0 is returned; a pole
-    in u or v itself raises PoleHitError.
+    in u or v itself raises PoleHitError, a non-finite u or v DomainError.
     """
     s = log_gamma(u) + log_gamma(v)  # raises at a pole of u or v
     if is_near_pole(u + v):
@@ -116,8 +125,9 @@ def beta_fn(u, v):
 class FoxWrightSpec:
     """Parameter block of a Fox-Wright series pPsi_q.
 
-    upper holds the (a_j, A_j) pairs and lower the (b_j, B_j) pairs; all
-    weights A_j, B_j must be strictly positive. The term at index kappa is
+    upper holds the (a_j, A_j) pairs and lower the (b_j, B_j) pairs; every
+    parameter must be finite and every weight A_j, B_j finite and strictly
+    positive. The term at index kappa is
 
         prod Gamma(a_j + kappa A_j) / (prod Gamma(b_j + kappa B_j) * kappa!) * z^kappa.
     """
@@ -128,12 +138,10 @@ class FoxWrightSpec:
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple((float(a), float(wa)) for a, wa in self.upper))
         object.__setattr__(self, "lower", tuple((float(b), float(wb)) for b, wb in self.lower))
-        for _, wa in self.upper:
-            if wa <= 0:
-                raise DomainError(f"upper weight must be positive, got {wa}")
-        for _, wb in self.lower:
-            if wb <= 0:
-                raise DomainError(f"lower weight must be positive, got {wb}")
+        for a, w in self.upper + self.lower:
+            if not (math.isfinite(a) and 0.0 < w < math.inf):
+                raise DomainError(f"Fox-Wright pair ({a}, {w}) needs a finite parameter "
+                                  f"and a finite positive weight")
 
     @property
     def delta(self) -> float:
@@ -189,63 +197,105 @@ class EvalOutcome:
     tail_bound: float = 0.0
 
 
-def _sum_terms(terms, max_terms: int, limit: float | None = None) -> EvalOutcome:
-    """Sum at most max_terms terms pulled from the iterator `terms`.
+def _pull(block, kappa) -> tuple:
+    """(terms at the indices kappa as a list, True if a Gamma pole cut them short)."""
+    try:
+        return block(kappa).tolist(), False
+    except PoleHitError:  # redo one index at a time: the terms before the pole, then stop
+        terms = []
+        for i in range(kappa.size):
+            try:
+                terms += block(kappa[i:i + 1]).tolist()
+            except PoleHitError:
+                return terms, True
+        return terms, False
 
-    limit is |z| over the radius of convergence when the caller knows it.
-    Once RATIO_WINDOW consecutive ratios |t_k|/|t_{k-1}| are known, let r
-    be the largest of them, raised to limit when limit < 1; if r < 1 the
-    tail is bounded by |t_k| r / (1 - r) (geometric comparison). Stops with
-    status
+
+def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
+    """Sum the terms of a series at the indices 0, 1, ..., at most max_terms of them.
+
+    The driver pulls the indices itself, as float64 arrays whose length
+    doubles from _FIRST_BLOCK to _LAST_BLOCK, so short sums stay cheap and
+    long ones make few numpy calls. block(kappa) returns the terms at the
+    indices kappa as an ndarray; a shorter array ends the series there (an
+    exact finite sum). A block that raises PoleHitError is redone one index
+    at a time, so the terms before the pole are summed first.
+
+    limit is |z| over the radius of convergence. Once RATIO_WINDOW
+    consecutive ratios |t_k|/|t_{k-1}| are known, let r be the largest of
+    them, raised to limit when limit < 1; if r < 1 the tail is bounded by
+    |t_k| r / (1 - r) (geometric comparison). Stops with status
       DIVERGENT before any term when limit > 1 (value 0, tail inf);
       POLE_HIT at the index whose term raised PoleHitError (value is the
         sum so far, NaN if no term was summed);
       DIVERGENT on a non-finite term (not added), on a term magnitude near
-        float64 overflow, or, unless limit < 1, after DIVERGENCE_RUN
-        consecutive non-decreasing magnitudes (term added);
+        float64 overflow, or, on the circle (limit == 1), after
+        DIVERGENCE_RUN consecutive non-decreasing magnitudes (term added);
       CONVERGED when a term past index 0 is exactly zero or the tail bound
-        drops below roundoff (tail 0 or the bound), or when the iterator
-        ends (an exact finite sum, tail 0);
+        drops below roundoff (tail 0 or the bound), or when the series ends
+        (an exact finite sum, tail 0);
       SLOW_CONVERGENCE when the budget runs out first, or, if limit < 1,
         at a CONVERGED stop where sum |t_k| > _MAX_CANCELLATION * |total|.
-    Terms are only pulled as needed, so an iterator may be infinite.
     """
     if max_terms < 1:
         raise DomainError("max_terms must be at least 1")
-    if limit is not None and limit > 1.0:
+    if limit > 1.0:
         return EvalOutcome(0.0, EvalStatus.DIVERGENT, 0, math.inf)
-    inside = limit is not None and limit < 1.0
+    inside = limit < 1.0
     floor = limit if inside else 0.0
     ratios = collections.deque(maxlen=RATIO_WINDOW)
     total, mass, prev, run, tail = 0.0, 0.0, 0.0, 0, math.inf
-    for k in range(max_terms):
-        try:
-            term = next(terms)
-        except StopIteration:
-            return EvalOutcome(total, EvalStatus.CONVERGED, k, 0.0)
-        except PoleHitError:
+    k, width = 0, _FIRST_BLOCK
+    while k < max_terms:
+        kappa = np.arange(k, min(k + width, max_terms), dtype=np.float64)
+        width = min(2 * width, _LAST_BLOCK)
+        terms, pole = _pull(block, kappa)
+        for term in terms:
+            if not cmath.isfinite(term):
+                return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
+            size = abs(term)
+            total += term
+            mass += size
+            if prev > 0.0:
+                ratios.append(size / prev)
+                run = run + 1 if size >= prev else 0
+            if size > 1e290 or (run >= DIVERGENCE_RUN and not inside):
+                return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
+            prev = size
+            if k and size == 0.0:
+                tail = 0.0
+            elif len(ratios) == RATIO_WINDOW:
+                r = max(floor, *ratios)
+                tail = size * r / (1.0 - r) if r < 1.0 else math.inf
+            k += 1
+            if tail <= _STOP_RTOL * max(1.0, abs(total)):
+                lost = inside and mass > _MAX_CANCELLATION * abs(total)
+                return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE if lost else EvalStatus.CONVERGED,
+                                   k, tail)
+        if pole:
             return EvalOutcome(total if k else complex("nan"), EvalStatus.POLE_HIT, k, math.inf)
-        if not cmath.isfinite(term):
-            return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
-        size = abs(term)
-        total += term
-        mass += size
-        if prev > 0.0:
-            ratios.append(size / prev)
-            run = run + 1 if size >= prev else 0
-        if size > 1e290 or (run >= DIVERGENCE_RUN and not inside):
-            return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
-        prev = size
-        if k and size == 0.0:
-            tail = 0.0
-        elif len(ratios) == RATIO_WINDOW:
-            r = max(floor, *ratios)
-            tail = size * r / (1.0 - r) if r < 1.0 else math.inf
-        if tail <= _STOP_RTOL * max(1.0, abs(total)):
-            lost = inside and mass > _MAX_CANCELLATION * abs(total)
-            return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE if lost else EvalStatus.CONVERGED,
-                               k + 1, tail)
+        if len(terms) < kappa.size:
+            return EvalOutcome(total, EvalStatus.CONVERGED, k, 0.0)
     return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE, max_terms, tail)
+
+
+def _sum_log_series(log_coefficients, radius: float, z, max_terms: int) -> EvalOutcome:
+    """Sum exp(log c_k + k log z) over k >= 0 through _sum_terms.
+
+    log_coefficients maps an array of indices to log c_k (real, or complex
+    on any branch); radius is the series' radius of convergence. At z = 0
+    the sum is the exact one-term sum c_0.
+    """
+    z = complex(z)
+    log_z = cmath.log(z) if z else 0j
+
+    def block(k):
+        k = k if z else k[:1]
+        with np.errstate(over="ignore", invalid="ignore"):  # the driver stops at an overflow
+            return np.exp(log_coefficients(k) + k * log_z)
+
+    limit = abs(z) / radius if radius > 0.0 else (math.inf if z else 0.0)
+    return _sum_terms(block, max_terms, limit)
 
 
 def fox_wright_eval(spec: FoxWrightSpec, z, max_terms: int = MAX_TERMS_DEFAULT) -> EvalOutcome:
@@ -257,27 +307,6 @@ def fox_wright_eval(spec: FoxWrightSpec, z, max_terms: int = MAX_TERMS_DEFAULT) 
     budget exhausted first, or, inside the radius, terms that cancel past
     float64 resolution), or POLE_HIT (a Gamma argument of some term sat
     on a pole). The value field always carries the partial sum accumulated
-    so far. Terms are computed in blocks as the driver pulls them.
+    so far.
     """
-    z = complex(z)
-    log_z = cmath.log(z) if z else 0j
-
-    def block(k):
-        log_t = spec.log_coefficients(k) + k * log_z
-        with np.errstate(over="ignore", invalid="ignore"):  # the driver stops at an overflow
-            return np.exp(log_t).tolist()
-
-    def terms():
-        start, size, stop = 0, _FIRST_BLOCK, max_terms if z else 1
-        while start < stop:
-            k = np.arange(start, min(start + size, stop), dtype=np.float64)
-            try:
-                yield from block(k)
-            except PoleHitError:  # the terms before the pole, then the pole itself
-                for kappa in k:
-                    yield from block(np.array([kappa]))
-            start, size = start + k.size, min(2 * size, _LAST_BLOCK)
-
-    radius = spec.radius
-    limit = abs(z) / radius if radius > 0.0 else (math.inf if z else 0.0)
-    return _sum_terms(terms(), max_terms, limit)
+    return _sum_log_series(spec.log_coefficients, spec.radius, z, max_terms)

@@ -245,6 +245,14 @@ def test_bloch_series_flags_are_exclusive(capsys):
     ("bloch", "--f", "identity", "--mu", "1", "--w", "table", "--table-file", "{tmp}/w.csv"),
     ("transform", "--beta", "1", "--tau", "1e-10", "--monomial", "1"),  # tau below POLE_GUARD
     ("bloch", "--compactness", "--beta", "0.5", "--tau", "0.5", "--nmax", "100000000"),
+    ("transform", "--beta", ".5", "--tau", ".4", "--builtin", "kummer", "--alpha", "1", "--lam", "nan",
+     "--order", "8"),
+    ("transform", "--beta", ".5", "--tau", ".4", "--builtin", "kummer", "--alpha", "1", "--lam", "inf",
+     "--order", "8"),
+    ("transform", "--beta", ".5", "--tau", ".4", "--builtin", "hurwitz_lerch", "--alpha", "1", "--lam", "1",
+     "--rho", "nan", "--s", "1", "--a", "1", "--order", "8"),
+    ("transform", "--beta", ".5", "--tau", ".4", "--builtin", "hurwitz_lerch", "--alpha", "1", "--lam", "1",
+     "--rho", "inf", "--s", "1", "--a", "1", "--order", "8"),
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_flags_exit_2(capsys, tmp_path, argv):
     (tmp_path / "w.csv").write_text("t,w\nsmall,large\n")

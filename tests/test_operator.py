@@ -26,6 +26,7 @@ from fracops.series import (
     koebe_series,
     kummer_series,
     load_series_fixture,
+    make_builtin,
 )
 from fracops.special import EvalStatus, log_gamma
 from fracops.verify import SERIES_FIXTURE_NAMES, fixture_dir
@@ -277,6 +278,34 @@ def test_closed_form_requires_known_kind_and_params():
         closed_form_spec(p, "hurwitz_lerch", alpha=1.0, lam=1.0, rho=1.0, s=1.0, a=0.0)
 
 
+@pytest.mark.parametrize("kind,kw,match", [
+    ("kummer", {"alpha": 1.3, "lam": -2.0}, "denominator"),
+    ("hurwitz_lerch", {"alpha": 1.2, "lam": 0.8, "rho": -1.0, "s": 1.1, "a": 1.0}, "denominator"),
+    ("kummer", {"alpha": -2.0, "lam": 0.9}, "apply_operator"),  # a polynomial input
+    ("hurwitz_lerch", {"alpha": 0.0, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0}, "apply_operator"),
+    ("hurwitz_lerch", {"alpha": 1.2, "lam": -3.0, "rho": 1.5, "s": 1.1, "a": 1.0}, "apply_operator"),
+    ("koebe", {"alpha": math.nan}, "finite"),
+    ("kummer", {"alpha": 1.3, "lam": math.inf}, "finite"),
+])
+def test_closed_form_rejects_pole_and_non_finite_parameters(kind, kw, match):
+    with pytest.raises(DomainError, match=match):
+        closed_form_spec(OperatorParams(0.65, 0.3, 1.4), kind, **kw)
+
+
+@pytest.mark.parametrize("kind,kw", [
+    ("kummer", {"alpha": -2.5, "lam": 0.7}),
+    ("hurwitz_lerch", {"alpha": -2.5, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0}),
+])
+def test_closed_form_negative_non_integer_alpha(kind, kw):
+    """Gamma(alpha) < 0 and the first Gamma arguments are negative: the constant stays a real float."""
+    p = OperatorParams(0.65, 0.3, 1.4)
+    form = closed_form_spec(p, kind, **kw)
+    assert isinstance(form.constant, float)
+    image = apply_operator(p, make_builtin(kind, 200, **kw))
+    for z in (0.4 + 0.2j, -0.5):
+        assert_allclose(form.evaluate(z), image.evaluate(z), rtol=1e-12)
+
+
 def test_closed_form_koebe_matches_termwise_image():
     p = OperatorParams(0.7, 0.45, 1.3)
     form = closed_form_spec(p, "koebe", alpha=2.0)
@@ -316,6 +345,29 @@ def test_closed_form_tau_equals_beta_recovers_input():
         assert_allclose(form.evaluate(z), z**p.gamma * f.evaluate(z), rtol=1e-12)
 
 
+def mp_image(p, upper, lower, n, s=0.0, a=1.0):
+    """Coefficients k < n of z^(shift + k + 1) in the image of z sum_k (upper)_k / ((lower)_k k!) (k + a)^-s z^k.
+
+    Each is the input coefficient times the operator's Gamma ratio at
+    m = k + 1, at the working precision of mpmath and with no Fox-Wright
+    arithmetic.
+    """
+    b, t, g1 = mpmath.mpf(p.beta), mpmath.mpf(p.tau), mpmath.mpf(p.gamma) + 1
+    front = g1 ** (b - t) * mpmath.gamma(t) / mpmath.gamma(b)
+    h, image = mpmath.mpf(1), []
+    for k in range(n):
+        x = (k + b) / g1 + 1
+        ratio = mpmath.exp(mpmath.loggamma(x) - mpmath.loggamma(x + t - b))
+        image.append(h / mpmath.mpf(k + a) ** s * front * ratio)
+        h *= mpmath.fprod(u + k for u in upper) / (mpmath.fprod(v + k for v in lower) * (k + 1))
+    return image
+
+
+def mp_image_value(p, image, z) -> complex:
+    zm = mpmath.mpc(z)
+    return complex(mpmath.power(zm, p.shift + 1) * mpmath.polyval(image[::-1], zm))
+
+
 def test_hurwitz_lerch_closed_form_near_the_unit_circle():
     """|z| = 0.9 and 0.95 need ~1000 terms; the coefficients must not overflow on the way."""
     p = OperatorParams(0.65, 0.3, 1.4)
@@ -323,44 +375,35 @@ def test_hurwitz_lerch_closed_form_near_the_unit_circle():
     form = closed_form_spec(p, "hurwitz_lerch", **kw)
     points = (0.9, 0.9 * cmath.exp(2.1j), 0.95, -0.95, 0.95 * cmath.exp(-1.0j))
     with mpmath.workdps(50):
-        b, t, g1 = mpmath.mpf(p.beta), mpmath.mpf(p.tau), mpmath.mpf(p.gamma) + 1
-        front = g1 ** (b - t) * mpmath.gamma(t) / mpmath.gamma(b)
-        image = []  # coefficient of z^(shift + k + 1) in the image of the input series
-        h = mpmath.mpf(1)
-        for k in range(1500):  # 0.95^1500 < 1e-33
-            x = (k + b) / g1 + 1
-            c = h / (k + kw["a"]) ** kw["s"]
-            image.append(c * front * mpmath.exp(mpmath.loggamma(x) - mpmath.loggamma(x + t - b)))
-            h *= (kw["alpha"] + k) * (kw["lam"] + k) / ((kw["rho"] + k) * (k + 1))
+        image = mp_image(p, (1.2, 0.8), (1.5,), 1500, s=1.1, a=1.0)  # 0.95^1500 < 1e-33
         for z in points:
-            zm = mpmath.mpc(z)
-            want = complex(mpmath.power(zm, p.shift + 1) * mpmath.polyval(image[::-1], zm))
+            want = mp_image_value(p, image, z)
             got = form.evaluate(z)
             assert abs(got - want) <= 1e-12 * abs(want), (z, got, want)
 
 
+def test_closed_forms_converge_where_terms_rise_before_they_fall():
+    """Lerch at |z| = 0.9 (radius 1) and the entire Kummer at z = 20 converge; at z = -10 Kummer cancels."""
+    p = OperatorParams(0.65, 0.3, 1.4)
+    lerch = closed_form_spec(p, "hurwitz_lerch", alpha=3.0, lam=2.0, rho=1.0, s=0.5, a=1.0)
+    kummer = closed_form_spec(p, "kummer", alpha=3.0, lam=0.5)
+    with mpmath.workdps(30):
+        cases = ((lerch, mp_image(p, (3, 2), (1,), 1000, s=0.5), 0.9),  # 0.9^1000 1000^2.5 < 1e-38
+                 (kummer, mp_image(p, (3,), (0.5,), 150), 20.0))  # 20^150 / 150! < 1e-67
+        for form, image, z in cases:
+            assert form.inner_sum(z).status is EvalStatus.CONVERGED
+            want = mp_image_value(p, image, z)
+            assert abs(form.evaluate(z) - want) <= 1e-12 * abs(want), (form.kind, z)
+    assert kummer.inner_sum(-10.0).status is not EvalStatus.CONVERGED  # cancels past float64
+
+
 @pytest.fixture(scope="module")
 def koebe_image_coefficients():
-    """30-digit coefficients of the Koebe images at (0.65, 0.3, 1.4), by alpha.
-
-    Coefficient k multiplies z^(shift + k + 1): (alpha)_k / k! times the
-    operator's Gamma ratio at m = k + 1, summed directly with no Fox-Wright
-    arithmetic.
-    """
+    """30-digit coefficients of the Koebe images at (0.65, 0.3, 1.4), by alpha: (alpha)_k / k! inputs."""
     p = OperatorParams(0.65, 0.3, 1.4)
-    out = {}
     with mpmath.workdps(30):
-        b, t, g1 = mpmath.mpf(p.beta), mpmath.mpf(p.tau), mpmath.mpf(p.gamma) + 1
-        front = g1 ** (b - t) * mpmath.gamma(t) / mpmath.gamma(b)
-        for alpha, n in ((2.0, 2500), (1.0, 9000)):  # 2500^2 0.95^2500, 0.99^9000 < 1e-36
-            h, image = mpmath.mpf(1), []
-            for k in range(n):
-                x = (k + b) / g1 + 1
-                ratio = mpmath.exp(mpmath.loggamma(x) - mpmath.loggamma(x + t - b))
-                image.append(h * front * ratio)
-                h *= (alpha + k) / (k + 1)
-            out[alpha] = image
-    return p, out
+        # 2500^2 0.95^2500, 0.99^9000 < 1e-36
+        return p, {alpha: mp_image(p, (alpha,), (), n) for alpha, n in ((2.0, 2500), (1.0, 9000))}
 
 
 @pytest.mark.parametrize("alpha,r,angle,tol", [

@@ -59,6 +59,17 @@ def test_log_gamma_pole_guard(z):
         log_gamma(z)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: log_gamma(math.nan),
+    lambda: log_gamma(-math.inf),
+    lambda: beta_fn(math.nan, 1.0),
+    lambda: is_near_pole(complex(1.0, math.inf)),
+], ids=["log_gamma nan", "log_gamma -inf", "beta_fn nan", "is_near_pole inf"])
+def test_non_finite_gamma_argument_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="finite"):
+        call()
+
+
 def test_pole_guard_radius():
     assert is_near_pole(-4.0 + 1e-10j)
     assert not is_near_pole(-4.0 + 1e-8j)
@@ -96,6 +107,11 @@ def test_spec_rejects_nonpositive_weights():
         FoxWrightSpec(upper=((1.0, 0.0),), lower=())
     with pytest.raises(DomainError):
         FoxWrightSpec(upper=(), lower=((1.0, -2.0),))
+    for pair in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(DomainError):
+            FoxWrightSpec(upper=(pair,), lower=())
+        with pytest.raises(DomainError):
+            FoxWrightSpec(upper=(), lower=(pair,))
 
 
 def test_spec_delta():
@@ -195,9 +211,10 @@ def test_eval_divergent_series_flagged():
 def test_eval_pole_in_lower_row():
     # b + k B hits -2 + k: pole already at kappa = 0
     spec = FoxWrightSpec(upper=((1.0, 1.0),), lower=((-2.0, 1.0),))
-    out = fox_wright_eval(spec, 0.3)
-    assert out.status is EvalStatus.POLE_HIT
-    assert out.terms_used == 0
+    for z in (0.3, 0.0):  # z = 0 is a one-term sum, and that term is on the pole
+        out = fox_wright_eval(spec, z)
+        assert out.status is EvalStatus.POLE_HIT
+        assert out.terms_used == 0
 
 
 def test_eval_pole_inside_a_block_keeps_the_earlier_terms():
@@ -231,11 +248,16 @@ def test_eval_complex_argument_against_mpmath():
     assert_allclose(out.value, want, rtol=1e-13)
 
 
+def listed(terms):
+    """A block function over a fixed list of terms: the series ends where the list does."""
+    return lambda k: np.asarray(terms[int(k[0]):int(k[-1]) + 1])
+
+
 def test_monitor_tail_bound_needs_full_window():
     terms = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
-    out = _sum_terms(iter(terms), max_terms=2)
+    out = _sum_terms(listed(terms), max_terms=2, limit=1.0)
     assert out.tail_bound == math.inf  # only one ratio seen
-    out = _sum_terms(iter(terms), max_terms=6)
+    out = _sum_terms(listed(terms), max_terms=6, limit=1.0)
     assert out.status is EvalStatus.SLOW_CONVERGENCE
     assert_allclose(out.tail_bound, 0.03125 * 0.5 / 0.5, rtol=1e-15)
 
@@ -243,19 +265,19 @@ def test_monitor_tail_bound_needs_full_window():
 def test_sum_terms_tail_ratio_is_at_least_the_limit():
     """Inside the radius the tail ratio is max(window ratio, |z|/radius)."""
     terms = [0.5**k for k in range(6)]
-    out = _sum_terms(iter(terms), max_terms=6, limit=0.9)
+    out = _sum_terms(listed(terms), max_terms=6, limit=0.9)
     assert_allclose(out.tail_bound, 0.03125 * 0.9 / 0.1, rtol=1e-14)
-    below = _sum_terms(iter(terms), max_terms=6, limit=0.25)  # window ratio 0.5 is larger
+    below = _sum_terms(listed(terms), max_terms=6, limit=0.25)  # window ratio 0.5 is larger
     assert_allclose(below.tail_bound, 0.03125 * 0.5 / 0.5, rtol=1e-15)
 
 
 def test_sum_terms_inside_the_radius_flags_cancellation():
-    """Inside the radius a cancelled sum is not CONVERGED; without a limit the old rules hold."""
+    """Inside the radius a cancelled sum is not CONVERGED; on the circle the old rules hold."""
     terms = [1e12, -1e12] + [0.5**k for k in range(60)]
-    out = _sum_terms(iter(terms), max_terms=100, limit=0.5)
+    out = _sum_terms(listed(terms), max_terms=100, limit=0.5)
     assert out.status is EvalStatus.SLOW_CONVERGENCE
     assert out.tail_bound <= 1e-16 * abs(out.value)
-    assert _sum_terms(iter(terms), max_terms=100).status is EvalStatus.CONVERGED
+    assert _sum_terms(listed(terms), max_terms=100, limit=1.0).status is EvalStatus.CONVERGED
 
 
 def test_entire_series_rising_terms_converge_unless_they_cancel():
