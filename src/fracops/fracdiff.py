@@ -39,7 +39,7 @@ from .special import (
     EvalStatus,
     FoxWrightSpec,
     MAX_TERMS_DEFAULT,
-    _sum_log_series,
+    _sum_terms,
     is_near_pole,
     log_gamma,
 )
@@ -284,12 +284,12 @@ def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
 
 @dataclass
 class ClosedFormImage:
-    """Closed-form operator image constant * z^power * sum_k c_k (k + a)^-s z^k.
+    """Closed-form operator image constant * z^power * sum_k (c_k / c_0) (k + a)^-s z^k.
 
-    Every stock input gives a Fox-Wright block fox_wright whose coefficients
-    are the c_k, so one summation path serves all four kinds. Only the
-    Lerch-type input carries a factor (k + a)^-s outside the block; the
-    other kinds have s = 0 and a = 1.
+    c_k are the coefficients of the Fox-Wright block fox_wright: unit-weight
+    rows from the stock input, then the operator's Gamma pair (b1, 1/g1),
+    (b1 + tau - beta, 1/g1). constant is the image coefficient of z^power.
+    Only the Lerch-type input has s and a in params; the others sum with s = 0.
     """
 
     kind: str
@@ -297,13 +297,33 @@ class ClosedFormImage:
     constant: float
     power: float
     fox_wright: FoxWrightSpec
-    s: float = 0.0
-    a: float = 1.0
 
     def inner_sum(self, z, max_terms: int = MAX_TERMS_DEFAULT) -> EvalOutcome:
-        spec, s, a = self.fox_wright, self.s, self.a
-        return _sum_log_series(lambda k: spec.log_coefficients(k) - s * np.log(k + a),
-                               spec.radius, z, max_terms)
+        """Sum the normalized series at z through the one summation driver.
+
+        The unit-weight rows advance by their ratio recurrence, z in each
+        step, so no log-Gamma of size k log k and no Gamma of a stock
+        parameter enters; the Gamma pair is one log-Gamma difference.
+        """
+        (*upper, (b, w)), (*lower, (b_low, _)) = self.fox_wright.upper, self.fox_wright.lower
+        s, a = self.params.get("s", 0.0), self.params.get("a", 1.0)
+        z = complex(z)
+        pair_0 = loggamma(b) - loggamma(b_low)
+
+        def block(k):
+            k = k if z else k[:1]  # z = 0: the exact one-term sum
+            j = np.arange(k[-1])
+            with np.errstate(over="ignore", invalid="ignore"):  # the driver stops at an overflow
+                step = z / (j + 1.0)
+                for x, _ in upper:
+                    step *= x + j
+                for x, _ in lower:
+                    step /= x + j
+                h = np.cumprod(np.concatenate(([1.0], step)))[k.astype(np.intp)]
+                pair = loggamma(b + k * w) - loggamma(b_low + k * w) - pair_0
+                return h * np.exp(pair - s * np.log(k + a))
+
+        return _sum_terms(block, max_terms, abs(z) / self.fox_wright.radius)
 
     def evaluate(self, z, max_terms: int = MAX_TERMS_DEFAULT) -> complex:
         """Value at z; raises DomainError unless the inner sum is CONVERGED."""
@@ -314,8 +334,8 @@ class ClosedFormImage:
                 f"closed-form series for {self.kind!r} did not converge at z={z} "
                 f"(status {out.status.value})"
             )
-        if z == 0:
-            return 0.0j if self.power > 0 else complex(self.constant * out.value)
+        if z == 0:  # power = shift + 1 >= 1
+            return 0j
         return self.constant * cmath.exp(self.power * cmath.log(z)) * out.value
 
     def to_json_dict(self) -> dict:
@@ -341,30 +361,23 @@ def closed_form_spec(p: OperatorParams, kind: str, alpha: float | None = None,
     Gamma(1 + tau - beta) B(x_k, 1 + tau - beta) (x_k + tau - beta)
     = Gamma(1 + tau - beta) Gamma(x_k) / Gamma(x_k + tau - beta), with
     x_k = b1 + k/g1, so the image is the block [(upper, 1), (b1, 1/g1);
-    (lower, 1), (b1 + tau - beta, 1/g1)] with constant
-    front * prod Gamma(lower) / prod Gamma(upper). A parameter on a Gamma
-    pole raises DomainError: in lower it is a pole of the input, in upper
-    it makes the input a polynomial, whose image apply_operator gives
-    exactly.
+    (lower, 1), (b1 + tau - beta, 1/g1)] normalized to its k = 0 term,
+    times the image coefficient of z. An upper parameter at a non-positive
+    integer makes the input a polynomial, which the sum ends exactly; a
+    lower one on a Gamma pole raises DomainError.
     """
     g1 = p.gamma + 1.0
     b1 = p.beta / g1 + 1.0
 
-    def image(params, upper, lower, s=0.0, a=1.0):
-        for x in upper:
-            if is_near_pole(x):
-                raise DomainError(f"{kind} parameter {x} on a Gamma pole makes the input a "
-                                  f"polynomial; apply_operator gives its image exactly")
+    def image(params, upper, lower):
         for x in lower:
             if is_near_pole(x):
                 raise DomainError(f"{kind} denominator parameter {x} sits on a Gamma pole")
-        log_ratio = sum(log_gamma(x) for x in lower) - sum(log_gamma(x) for x in upper)
-        constant = float(np.real(_front_times_exp(p, log_ratio)))
         spec = FoxWrightSpec(
             upper=tuple((x, 1.0) for x in upper) + ((b1, 1.0 / g1),),
             lower=tuple((x, 1.0) for x in lower) + ((b1 + p.diff, 1.0 / g1),),
         )
-        return ClosedFormImage(kind, params, constant, p.shift + 1.0, spec, s, a)
+        return ClosedFormImage(kind, params, monomial_transform(p, 1.0).coefficient, p.shift + 1.0, spec)
 
     if kind == "koebe":
         if alpha is None or alpha < 1:
@@ -382,12 +395,10 @@ def closed_form_spec(p: OperatorParams, kind: str, alpha: float | None = None,
     if kind == "hurwitz_lerch":
         if None in (alpha, lam, rho, s, a):
             raise DomainError("hurwitz_lerch closed form needs alpha, lam, rho, s, a")
-        if not 0.0 < a < math.inf:
-            raise DomainError("hurwitz_lerch shift parameter a must be positive and finite")
-        if not 0.0 < s < math.inf:
-            raise DomainError("hurwitz_lerch exponent s must be positive and finite")
+        if not (0.0 < a < math.inf and 0.0 < s < math.inf):
+            raise DomainError("hurwitz_lerch needs a finite shift a > 0 and exponent s > 0")
         params = {"alpha": float(alpha), "lam": float(lam), "rho": float(rho), "s": float(s), "a": float(a)}
-        return image(params, (float(alpha), float(lam)), (float(rho),), float(s), float(a))
+        return image(params, (float(alpha), float(lam)), (float(rho),))
 
     raise DomainError(
         f"unknown closed form kind {kind!r}; choices: koebe, exp_times_z, kummer, hurwitz_lerch"

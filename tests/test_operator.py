@@ -281,9 +281,6 @@ def test_closed_form_requires_known_kind_and_params():
 @pytest.mark.parametrize("kind,kw,match", [
     ("kummer", {"alpha": 1.3, "lam": -2.0}, "denominator"),
     ("hurwitz_lerch", {"alpha": 1.2, "lam": 0.8, "rho": -1.0, "s": 1.1, "a": 1.0}, "denominator"),
-    ("kummer", {"alpha": -2.0, "lam": 0.9}, "apply_operator"),  # a polynomial input
-    ("hurwitz_lerch", {"alpha": 0.0, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0}, "apply_operator"),
-    ("hurwitz_lerch", {"alpha": 1.2, "lam": -3.0, "rho": 1.5, "s": 1.1, "a": 1.0}, "apply_operator"),
     ("koebe", {"alpha": math.nan}, "finite"),
     ("kummer", {"alpha": 1.3, "lam": math.inf}, "finite"),
 ])
@@ -297,13 +294,45 @@ def test_closed_form_rejects_pole_and_non_finite_parameters(kind, kw, match):
     ("hurwitz_lerch", {"alpha": -2.5, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0}),
 ])
 def test_closed_form_negative_non_integer_alpha(kind, kw):
-    """Gamma(alpha) < 0 and the first Gamma arguments are negative: the constant stays a real float."""
+    """The first factors alpha + j of the ratio recurrence are negative; the constant stays a real float."""
     p = OperatorParams(0.65, 0.3, 1.4)
     form = closed_form_spec(p, kind, **kw)
     assert isinstance(form.constant, float)
     image = apply_operator(p, make_builtin(kind, 200, **kw))
     for z in (0.4 + 0.2j, -0.5):
         assert_allclose(form.evaluate(z), image.evaluate(z), rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind,kw,terms", [
+    ("kummer", {"alpha": -2.0, "lam": 0.9}, 4),
+    ("hurwitz_lerch", {"alpha": 0.0, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0}, 2),
+    ("hurwitz_lerch", {"alpha": 1.2, "lam": -3.0, "rho": 1.5, "s": 1.1, "a": 1.0}, 5),
+])
+def test_closed_form_polynomial_inputs(kind, kw, terms):
+    """An upper parameter at a non-positive integer ends the input, and the sum at its first zero term."""
+    p = OperatorParams(0.65, 0.3, 1.4)
+    form = closed_form_spec(p, kind, **kw)
+    z = 0.7 + 0.3j
+    out = form.inner_sum(z)
+    assert out.status is EvalStatus.CONVERGED and out.terms_used == terms
+    assert_allclose(form.evaluate(z), apply_operator(p, make_builtin(kind, 10, **kw)).evaluate(z), rtol=1e-13)
+
+
+@pytest.mark.parametrize("kind,kw,z", [
+    ("kummer", {"alpha": 1.3, "lam": 200.0}, 0.5),
+    ("kummer", {"alpha": 200.0, "lam": 1.3}, 0.05),
+    ("kummer", {"alpha": 200.0, "lam": 200.0}, -0.8 + 0.5j),
+    ("koebe", {"alpha": 200.0}, 0.001),
+    ("hurwitz_lerch", {"alpha": 1.2, "lam": 0.8, "rho": 200.0, "s": 1.1, "a": 1.0}, 0.9),
+    ("hurwitz_lerch", {"alpha": 200.0, "lam": 0.8, "rho": 200.0, "s": 1.1, "a": 1.0}, -0.5),
+])
+def test_closed_form_parameters_past_the_gamma_overflow(kind, kw, z):
+    """Gamma(200) overflows float64; the closed form never forms Gamma of a stock parameter."""
+    p = OperatorParams(0.65, 0.3, 1.4)
+    form = closed_form_spec(p, kind, **kw)
+    assert form.inner_sum(z).status is EvalStatus.CONVERGED
+    image = apply_operator(p, make_builtin(kind, 400, **kw))
+    assert_allclose(form.evaluate(z), image.evaluate(z), rtol=1e-13)
 
 
 def test_closed_form_koebe_matches_termwise_image():
