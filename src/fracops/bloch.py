@@ -3,7 +3,8 @@
 Norms here are grid infima of the true suprema: a truncated series is
 evaluated on a fixed polar grid and the maximum of |f'(z)| (1-|z|)^mu / w(1-|z|)
 (or classically (1-|z|^2)|f'(z)|) is reported together with the argmax
-point. grid_values gives that quantity at every grid point; the norms are
+point. grid_values gives that quantity at every grid point, from
+DiskGrid.evaluate's one inverse DFT per ring; the norms are
 its maximum and the per-radius trace its row maxima. Comparisons between
 functions are made on matched grids so the systematic under-estimation cancels.
 """
@@ -21,8 +22,9 @@ from .geometry import DiskGrid
 from .series import PowerSeries, monomial_series
 
 WEIGHT_KINDS = ("constant_one", "power", "log_weight", "table")
-#: Largest family index compactness_decay_check accepts. Every member is
-#: evaluated on the whole grid, so the work grows like family_index_max^2.
+#: Largest family index compactness_decay_check accepts. Member n is
+#: evaluated on the whole grid at O(n + M log M) per ring of M angles, so the
+#: work grows like family_index_max * (family_index_max + M log M) per ring.
 MAX_FAMILY_INDEX = 1024
 
 
@@ -158,6 +160,8 @@ def _grid_sup(f: PowerSeries, grid: DiskGrid | None, mu: float | None,
     best, point = float(vals[i, j]), complex(grid.points(i, i + 1)[0, j])
     if not math.isfinite(best):  # argmax stops at the first nan
         raise DomainError(f"|f'| overflows float64 at grid point {point}")
+    if best == 0.0 and np.any(f.derivative().coeffs):
+        raise DomainError(f"the weighted |f'| underflows float64 on the whole grid (mu = {mu})")
     r_max = grid.radii[-1]
     warn = _tail_heuristic(f, r_max) * _radial_factor(mu, w)(r_max) > 1e-8 * max(best, 1e-300)
     return BlochEstimate(best, point, grid,

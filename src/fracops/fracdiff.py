@@ -143,8 +143,8 @@ def monomial_transform(p: OperatorParams, upsilon: float) -> MonomialImage:
     Returns coefficient (gamma+1)^{beta-tau} Gamma(X) Gamma(tau) /
     (Gamma(X - beta + tau) Gamma(beta)) with X = (upsilon+beta-1)/(gamma+1) + 1,
     and exponent (1 - beta + tau) * gamma + upsilon. Negative or non-finite
-    upsilon, or one whose coefficient is not finite in float64, is
-    rejected; non-integer upsilon >= 0 is allowed (the formula extends).
+    upsilon, or one whose coefficient or exponent is not finite in float64,
+    is rejected; non-integer upsilon >= 0 is allowed (the formula extends).
     """
     upsilon = float(upsilon)
     if not 0.0 <= upsilon < math.inf:
@@ -153,7 +153,10 @@ def monomial_transform(p: OperatorParams, upsilon: float) -> MonomialImage:
         coeff = float(_front_times_exp(p, log_gamma_ratio(p, upsilon)))
     if not math.isfinite(coeff):
         raise DomainError(f"monomial power {upsilon} gives a non-finite coefficient")
-    return MonomialImage(coefficient=coeff, exponent=p.shift + upsilon)
+    exponent = p.shift + upsilon
+    if not math.isfinite(exponent):
+        raise DomainError(f"monomial power {upsilon} plus the shift {p.shift} overflows float64")
+    return MonomialImage(coefficient=coeff, exponent=exponent)
 
 
 @dataclass

@@ -148,10 +148,11 @@ def koebe_series(alpha: float, order: int) -> PowerSeries:
         raise DomainError("koebe exponent alpha must be positive")
     c = np.zeros(order + 1, dtype=np.complex128)
     c[1] = 1.0
-    for k in range(1, order):
-        # c*(alpha+k-1)/k regrouped so the integer cases stay exact:
-        # alpha=2 adds c*1/k = k/k = 1, alpha=1 adds 0, at any order.
-        c[k + 1] = c[k] + c[k] * (alpha - 1.0) / k
+    with np.errstate(over="ignore", invalid="ignore"):  # PowerSeries rejects a non-finite c_k
+        for k in range(1, order):
+            # c*(alpha+k-1)/k regrouped so the integer cases stay exact:
+            # alpha=2 adds c*1/k = k/k = 1, alpha=1 adds 0, at any order.
+            c[k + 1] = c[k] + c[k] * (alpha - 1.0) / k
     return PowerSeries(c)
 
 
@@ -174,8 +175,9 @@ def kummer_series(alpha: float, lam: float, order: int) -> PowerSeries:
         raise DomainError(f"kummer denominator parameter {lam} sits on a Gamma pole")
     c = np.zeros(order + 1, dtype=np.complex128)
     c[1] = 1.0
-    for k in range(1, order):
-        c[k + 1] = c[k] * (alpha + k - 1.0) / ((lam + k - 1.0) * k)
+    with np.errstate(over="ignore", invalid="ignore"):  # PowerSeries rejects a non-finite c_k
+        for k in range(1, order):
+            c[k + 1] = c[k] * (alpha + k - 1.0) / ((lam + k - 1.0) * k)
     return PowerSeries(c)
 
 
@@ -191,12 +193,14 @@ def hurwitz_lerch_series(alpha: float, lam: float, rho: float, s: float, a: floa
         raise DomainError(f"denominator parameter {rho} sits on a Gamma pole")
     if a <= 0:
         raise DomainError("shift parameter a must be positive")
+    a, s = np.float64(a), np.float64(s)  # numpy powers overflow to inf, not OverflowError
     c = np.zeros(order + 1, dtype=np.complex128)
-    c[1] = a ** (-s)
-    for k in range(1, order):
-        ratio = (alpha + k - 1.0) * (lam + k - 1.0) / ((rho + k - 1.0) * k)
-        ratio *= ((k - 1.0 + a) / (k + a)) ** s
-        c[k + 1] = c[k] * ratio
+    with np.errstate(over="ignore", invalid="ignore"):  # PowerSeries rejects a non-finite c_k
+        c[1] = a ** (-s)
+        for k in range(1, order):
+            ratio = (alpha + k - 1.0) * (lam + k - 1.0) / ((rho + k - 1.0) * k)
+            ratio *= ((k - 1.0 + a) / (k + a)) ** s
+            c[k + 1] = c[k] * ratio
     return PowerSeries(c)
 
 

@@ -405,7 +405,15 @@ _DRAWABLE = {"oracle_closed_form", "identity_law", "reduction_law",
 
 
 def run_suites(names=None, seed: int = 0, draws: int | None = None) -> list:
-    """Run the requested suites (all by default) and return their results."""
+    """Run the requested suites (all by default) and return their results.
+
+    seed must be >= 0 (numpy seeds no generator from a negative integer),
+    and draws, if given, >= 1: a randomized suite with no draws checks nothing.
+    """
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if draws is not None and draws < 1:
+        raise DomainError(f"draws must be >= 1, got {draws}")
     chosen = list(SUITES) if not names else list(names)
     results = []
     for name in chosen:

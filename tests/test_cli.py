@@ -253,6 +253,14 @@ def test_bloch_series_flags_are_exclusive(capsys):
      "--rho", "nan", "--s", "1", "--a", "1", "--order", "8"),
     ("transform", "--beta", ".5", "--tau", ".4", "--builtin", "hurwitz_lerch", "--alpha", "1", "--lam", "1",
      "--rho", "inf", "--s", "1", "--a", "1", "--order", "8"),
+    ("transform", "--beta", ".5", "--tau", ".4", "--builtin", "hurwitz_lerch", "--alpha", "1", "--lam", "1",
+     "--rho", "1", "--s", "1e308", "--a", "0.5", "--order", "8"),  # a^-s overflows
+    ("transform", "--beta", ".5", "--tau", ".4", "--builtin", "koebe", "--alpha", "1e308", "--order", "8"),
+    ("transform", "--beta", ".25", "--tau", ".25", "--gamma", "1e308", "--monomial", "1e308"),
+    ("verify", "--seed", "-1", "--suite", "reduction_law"),
+    ("verify", "--draws", "0", "--suite", "reduction_law"),
+    ("bloch", "--compactness", "--beta", ".5", "--tau", ".4", "--mu", "1e308", "--nmax", "4"),
+    ("bloch", "--f", "koebe", "--alpha", "2", "--mu", "1e308"),  # (1 - r)^mu underflows
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_flags_exit_2(capsys, tmp_path, argv):
     (tmp_path / "w.csv").write_text("t,w\nsmall,large\n")

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from fracops.bloch import default_bloch_grid
 from fracops.errors import DomainError
-from fracops.fracdiff import OperatorParams
+from fracops.fracdiff import OperatorParams, theta_normalize
 from fracops.geometry import (
     CRITERION_MODES,
     MAX_GRID_POINTS,
@@ -22,7 +22,7 @@ from fracops.geometry import (
     starlike_order,
     univalence_criterion,
 )
-from fracops.series import PowerSeries, identity_series, koebe_series
+from fracops.series import PowerSeries, identity_series, koebe_series, monomial_series
 from fracops.special import EvalStatus
 
 
@@ -78,18 +78,60 @@ def test_grid_point_limit():
         g.refine()
 
 
-def test_evaluate_matches_ring_by_ring_horner():
-    """Blocked evaluation is bit-for-bit the per-ring Horner it replaced."""
+def _sample_angles(m):
+    """Both ends, the quarters and the angles around pi: every angle index for m <= 8."""
+    return sorted({j % m for j in (0, 1, m // 4, m // 2 - 1, m // 2, m // 2 + 1, 3 * m // 4, m - 1)})
+
+
+# Bound C on |evaluate - exact| in units of eps * sum_k |c_k| r^k. The worst case
+# measured for the inputs and radii below, over every angle for M <= 128 and the
+# sampled ones for M = 2048, is 61: M = 7, r = 0.999, angle 0, Theta(Koebe)',
+# where the fold runs Horner over 358 rows of positive terms.
+_EVAL_ERROR_UNITS = 128
+
+
+def test_evaluate_matches_mpmath_within_the_coefficient_sum_bound():
+    """The folded DFT is accurate to a small multiple of eps * sum_k |c_k| r^k.
+
+    A grid of several blocks comes back in points() order. The reference is
+    30-digit mpmath at the exact grid points r e^{2 pi i j/M}; for the Koebe
+    input and z^64/64 it is the closed form of the truncation.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n = 2500
+    koebe = koebe_series(2.0, n)
     g = default_bloch_grid().refine()
     assert len(g.radii) * g.angles_per_radius > 2 * _BLOCK_POINTS  # several blocks
-    f = koebe_series(2.0, 2500)
-    vals = g.evaluate(f)
+    vals = g.evaluate(koebe)
     assert vals.shape == (len(g.radii), g.angles_per_radius)
+    assert np.all(np.isfinite(vals))
     theta = 2.0 * np.pi * np.arange(g.angles_per_radius) / g.angles_per_radius
     for i, r in enumerate(g.radii):
-        ring = r * np.exp(1j * theta)
-        assert np.array_equal(g.points()[i], ring)
-        assert np.array_equal(vals[i], f.evaluate(ring))
+        assert np.array_equal(g.points()[i], r * np.exp(1j * theta))
+
+    rng = np.random.default_rng(7)
+    p = OperatorParams(0.5606394622302311, 0.5353442707612333, 0.4324788381589012)
+    cases = (
+        # sum_{k<=n} k z^k
+        (koebe, lambda z: z * (1 - (n + 1) * z**n + n * z ** (n + 1)) / (1 - z) ** 2),
+        (theta_normalize(p, koebe).derivative(), None),
+        (PowerSeries(rng.normal(size=301) + 1j * rng.normal(size=301)), None),
+        ((1.0 / 64) * monomial_series(64), lambda z: z**64 / 64),
+    )
+    eps = np.finfo(np.float64).eps
+    with mpmath.workdps(30):
+        for f, exact in cases:
+            if exact is None:
+                coeffs = [mpmath.mpc(complex(c)) for c in f.coeffs[::-1]]
+                exact = lambda z, coeffs=coeffs: mpmath.polyval(coeffs, z)  # noqa: E731
+            for m in (1, 7, 128, 2048):
+                g = DiskGrid((0.05, 0.5, 0.99, 0.999), m)
+                vals = g.evaluate(f)
+                for i, r in enumerate(g.radii):
+                    bound = _EVAL_ERROR_UNITS * eps * np.sum(np.abs(f.coeffs) * r ** np.arange(f.coeffs.size))
+                    for j in _sample_angles(m):
+                        want = exact(mpmath.mpf(r) * mpmath.expjpi(mpmath.mpf(2 * j) / m))
+                        assert abs(vals[i, j] - complex(want)) <= bound, (f.order, m, r, j)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +169,33 @@ def test_starlike_order_witness_on_smallest_failing_radius():
     assert not res.passed
     assert_allclose(res.witness, -0.3 + 0.0j, atol=1e-12)
     assert_allclose(res.witness_value, 0.7 / 1.3, rtol=1e-9)
+
+
+def test_failing_screen_reports_its_witness_from_horner():
+    """The grid decides the ring; the witness value is Horner's minimum on it.
+
+    Near lam the screened quotient is ill-conditioned, and at z = -0.99 the
+    folded DFT is about 30 times less accurate than Horner, so its value
+    would miss the 40-digit reference by far more than 2e-9.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    p = OperatorParams(0.5606394622302311, 0.5353442707612333, 0.4324788381589012)
+    f = theta_normalize(p, koebe_series(2.0, 2500))
+    res = starlike_order(f, 0.0)
+    assert not res.passed
+    g = DiskGrid.default()
+    assert res.points_checked == len(g.radii) * g.angles_per_radius  # the 0.99 ring decides
+    assert_allclose(res.witness, -0.99 + 0.0j, atol=1e-12)
+    ring = g.points()[-1]
+    fp = f.derivative()
+    horner = np.real(ring * fp.evaluate(ring) / f.evaluate(ring))
+    assert res.witness_value == horner.min()
+    assert res.witness == ring[np.argmin(horner)]
+    with mpmath.workdps(40):
+        z = mpmath.mpc(res.witness)
+        want = mpmath.re(z * mpmath.polyval([mpmath.mpc(complex(c)) for c in fp.coeffs[::-1]], z)
+                         / mpmath.polyval([mpmath.mpc(complex(c)) for c in f.coeffs[::-1]], z))
+    assert abs(res.witness_value - float(want)) <= 2e-9 * abs(float(want))
 
 
 def test_starlike_half_plane_map_witness():

@@ -3,11 +3,22 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+import scipy.special as sc
 
-from fracops.fracdiff import OperatorParams, apply_operator, closed_form_spec
+from fracops.fracdiff import (
+    OperatorParams,
+    apply_operator,
+    closed_form_spec,
+    monomial_transform,
+    phi_multiplier,
+    theta_hadamard,
+    theta_normalize,
+)
 from fracops.series import make_builtin
-from fracops.special import POLE_GUARD
+from fracops.special import POLE_GUARD, log_gamma
+from fracops.verify import random_normalized_series
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -51,3 +62,81 @@ def test_closed_forms_match_the_termwise_image(kind, kw, order, params, r, angle
     got = closed_form_spec(p, kind, **kw).evaluate(z)
     want = apply_operator(p, make_builtin(kind, order, **kw)).evaluate(z)
     assert abs(got - want) <= 1e-10 * abs(want) + 1e-300, (got, want)
+
+
+# The laws below are the seeded suites' checks (verify.suite_identity_law,
+# suite_reduction_law, suite_theta_equivalence) at the same tolerances, over
+# the whole window instead of draw_params' narrower box.
+_LAW_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@_LAW_SETTINGS
+@given(beta=st.floats(POLE_GUARD, 1.0), gamma=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
+@example(beta=1e-9, gamma=0.0, seed=0)
+@example(beta=1.0, gamma=50.0, seed=1)
+def test_identity_law_is_bit_exact(beta, gamma, seed):
+    """tau = beta: both Gamma arguments coincide, so every coefficient passes through unchanged."""
+    p = OperatorParams(beta, beta, gamma)
+    f = random_normalized_series(np.random.default_rng(seed), 12)
+    assert np.array_equal(apply_operator(p, f).series.coeffs, f.coeffs)
+    assert np.array_equal(theta_normalize(p, f).coeffs, f.coeffs)
+
+
+@_LAW_SETTINGS
+@given(params=window_params(), upsilon=st.floats(0.0, 6.0))
+@example(params=(1.0, 1e-9, 0.0), upsilon=0.0)
+@example(params=(1.0, 1e-9, 0.0), upsilon=6.0)
+@example(params=(1e-9, 1e-9, 0.0), upsilon=3.0)
+def test_gamma_zero_reduces_to_the_two_parameter_ratio(params, upsilon):
+    """gamma = 0: the coefficient is Gamma(u+beta) Gamma(tau) / (Gamma(u+tau) Gamma(beta)) to 1e-12."""
+    p = OperatorParams(params[0], params[1], 0.0)
+    got = monomial_transform(p, upsilon)
+    want = math.exp(log_gamma(upsilon + p.beta) + log_gamma(p.tau)
+                    - log_gamma(upsilon + p.tau) - log_gamma(p.beta))
+    assert abs(got.coefficient - want) <= 1e-12 * abs(want), (got.coefficient, want)
+    assert got.exponent == upsilon
+
+
+@_LAW_SETTINGS
+@given(params=window_params())
+def test_phi_of_one_is_exactly_one(params):
+    p = OperatorParams(*params)
+    assert phi_multiplier(p, 1) == 1.0
+    f = random_normalized_series(np.random.default_rng(0), 4)
+    assert theta_normalize(p, f).coeffs[1] == 1.0
+
+
+def _log_gamma_conditioning(p, kappa):
+    """Relative error of Phi(kappa) carried by its four log-Gamma values.
+
+    Phi(kappa) = exp(R(kappa) - R(1)) with R(m) = log Gamma(x_m) - log Gamma(x_m - beta + tau):
+    one ulp on each value x and on its argument moves the exponent by
+    eps (|log Gamma(x)| + |x psi(x)|).
+    """
+    c = (np.array([1.0, *kappa]) + p.gamma * (1.0 - p.beta)) / (p.gamma + 1.0)
+    x = np.stack([c + p.beta, c + p.tau])
+    per_value = np.sum(np.abs(sc.loggamma(x)) + np.abs(x * sc.digamma(x)), axis=0)
+    return np.finfo(np.float64).eps * (per_value[1:] + per_value[0])
+
+
+@_LAW_SETTINGS
+@given(params=window_params(), seed=st.integers(0, 2**32 - 1))
+@example(params=(1.0, 1e-9, 0.0), seed=0)
+@example(params=(1.0, 1e-9, 50.0), seed=1)
+@example(params=(1.0, 1.0, 50.0), seed=2)
+@example(params=(1e-9, 1e-9, 0.0), seed=3)
+@example(params=(1e-9, 1e-9, 50.0), seed=4)
+@example(params=(0.5, 1e-9, 25.0), seed=5)
+def test_theta_routes_agree(params, seed):
+    """The multiplier and Fox-Wright Hadamard routes to Theta agree coefficientwise.
+
+    The bound is the theta_equivalence suite's 1e-12 (relative to max(1, |c|)),
+    or twice the log-Gamma conditioning of Phi(kappa) where that is wider.
+    """
+    p = OperatorParams(*params)
+    f = random_normalized_series(np.random.default_rng(seed), 64)
+    t1, t2 = theta_normalize(p, f).coeffs, theta_hadamard(p, f).coeffs
+    dev = np.abs(t1 - t2) / np.maximum(1.0, np.abs(t1))
+    bound = np.maximum(1e-12, 2.0 * _log_gamma_conditioning(p, np.arange(1.0, t1.size)))
+    assert np.all(dev[1:] <= bound), (float(np.max(dev[1:] / bound)), params)
+    assert dev[0] == 0.0
