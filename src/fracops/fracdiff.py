@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from .errors import DomainError, PoleHitError
-from .series import PowerSeries
+from .series import STOCK_INPUTS, PowerSeries, stock_rows
 from .special import (
     POLE_GUARD,
     EvalOutcome,
@@ -40,7 +40,6 @@ from .special import (
     FoxWrightSpec,
     MAX_TERMS_DEFAULT,
     _sum_terms,
-    is_near_pole,
     log_gamma,
 )
 
@@ -292,7 +291,7 @@ class ClosedFormImage:
     c_k are the coefficients of the Fox-Wright block fox_wright: unit-weight
     rows from the stock input, then the operator's Gamma pair (b1, 1/g1),
     (b1 + tau - beta, 1/g1). constant is the image coefficient of z^power.
-    Only the Lerch-type input has s and a in params; the others sum with s = 0.
+    s and a are the stock input's, read from series.stock_rows(kind, **params).
     """
 
     kind: str
@@ -309,7 +308,7 @@ class ClosedFormImage:
         parameter enters; the Gamma pair is one log-Gamma difference.
         """
         (*upper, (b, w)), (*lower, (b_low, _)) = self.fox_wright.upper, self.fox_wright.lower
-        s, a = self.params.get("s", 0.0), self.params.get("a", 1.0)
+        _, _, s, a = stock_rows(self.kind, **self.params)
         z = complex(z)
         pair_0 = loggamma(b) - loggamma(b_low)
 
@@ -351,58 +350,27 @@ class ClosedFormImage:
         }
 
 
-def closed_form_spec(p: OperatorParams, kind: str, alpha: float | None = None,
-                     lam: float | None = None, rho: float | None = None,
-                     s: float | None = None, a: float | None = None) -> ClosedFormImage:
+def closed_form_spec(p: OperatorParams, kind: str, **params) -> ClosedFormImage:
     """Closed-form image of a stock input under the operator.
 
-    Supported kinds: 'koebe' (needs alpha >= 1), 'exp_times_z',
-    'kummer' (alpha, lam), 'hurwitz_lerch' (alpha, lam, rho, s, a with
-    a > 0, s > 0). Each input is z sum_k (upper)_k / ((lower)_k k!) z^k,
-    times (k + a)^-s for the Lerch type: upper is (alpha) or (alpha, lam),
-    lower is (lam) or (rho). The operator scales coefficient k by
+    kind and params are those of series.stock_series and are checked by the
+    same series.stock_rows. Each input is
+    z sum_k prod (upper)_k / (prod (lower)_k k!) (k + a)^-s z^k. The
+    operator scales coefficient k by
     Gamma(1 + tau - beta) B(x_k, 1 + tau - beta) (x_k + tau - beta)
     = Gamma(1 + tau - beta) Gamma(x_k) / Gamma(x_k + tau - beta), with
     x_k = b1 + k/g1, so the image is the block [(upper, 1), (b1, 1/g1);
     (lower, 1), (b1 + tau - beta, 1/g1)] normalized to its k = 0 term,
     times the image coefficient of z. An upper parameter at a non-positive
-    integer makes the input a polynomial, which the sum ends exactly; a
-    lower one on a Gamma pole raises DomainError.
+    integer makes the input a polynomial, which the sum ends exactly.
     """
+    upper, lower, _, _ = stock_rows(kind, **params)
     g1 = p.gamma + 1.0
     b1 = p.beta / g1 + 1.0
-
-    def image(params, upper, lower):
-        for x in lower:
-            if is_near_pole(x):
-                raise DomainError(f"{kind} denominator parameter {x} sits on a Gamma pole")
-        spec = FoxWrightSpec(
-            upper=tuple((x, 1.0) for x in upper) + ((b1, 1.0 / g1),),
-            lower=tuple((x, 1.0) for x in lower) + ((b1 + p.diff, 1.0 / g1),),
-        )
-        return ClosedFormImage(kind, params, monomial_transform(p, 1.0).coefficient, p.shift + 1.0, spec)
-
-    if kind == "koebe":
-        if alpha is None or alpha < 1:
-            raise DomainError("koebe closed form needs alpha >= 1")
-        return image({"alpha": float(alpha)}, (float(alpha),), ())
-
-    if kind == "exp_times_z":
-        return image({}, (), ())
-
-    if kind == "kummer":
-        if alpha is None or lam is None:
-            raise DomainError("kummer closed form needs alpha and lam")
-        return image({"alpha": float(alpha), "lam": float(lam)}, (float(alpha),), (float(lam),))
-
-    if kind == "hurwitz_lerch":
-        if None in (alpha, lam, rho, s, a):
-            raise DomainError("hurwitz_lerch closed form needs alpha, lam, rho, s, a")
-        if not (0.0 < a < math.inf and 0.0 < s < math.inf):
-            raise DomainError("hurwitz_lerch needs a finite shift a > 0 and exponent s > 0")
-        params = {"alpha": float(alpha), "lam": float(lam), "rho": float(rho), "s": float(s), "a": float(a)}
-        return image(params, (float(alpha), float(lam)), (float(rho),))
-
-    raise DomainError(
-        f"unknown closed form kind {kind!r}; choices: koebe, exp_times_z, kummer, hurwitz_lerch"
+    spec = FoxWrightSpec(
+        upper=tuple((x, 1.0) for x in upper) + ((b1, 1.0 / g1),),
+        lower=tuple((x, 1.0) for x in lower) + ((b1 + p.diff, 1.0 / g1),),
     )
+    names, _ = STOCK_INPUTS[kind]
+    return ClosedFormImage(kind, {name: float(params[name]) for name in names},
+                           monomial_transform(p, 1.0).coefficient, p.shift + 1.0, spec)

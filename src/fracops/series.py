@@ -1,15 +1,18 @@
 """Truncated power series with complex coefficients, plus stock test functions.
 
 A PowerSeries stores the coefficients c_0..c_N of a polynomial truncation
-and evaluates by Horner's scheme on scalars or arrays. The stock series
-(identity, Koebe-type powers, z*exp(z), confluent and Lerch-type
-hypergeometric inputs) are generated by coefficient recurrences so small
-integer cases come out exact in float64.
+and evaluates by Horner's scheme on scalars or arrays. Every stock input
+(Koebe-type powers, z*exp(z), confluent and Lerch-type hypergeometric
+inputs) is declared once in STOCK_INPUTS as hypergeometric rows, which
+both stock_series and the closed forms in fracdiff read; stock_series
+builds the truncation by one real ratio recurrence, so small integer
+cases come out exact in float64.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +119,12 @@ def load_series_fixture(path) -> PowerSeries:
 
 
 # ---------------------------------------------------------------------------
-# Stock series (coefficient recurrences keep small cases exact)
+# Stock series: one table of hypergeometric rows, one coefficient recurrence
 # ---------------------------------------------------------------------------
+
+#: Largest truncation order make_builtin and stock_series accept; an order-N
+#: series holds N + 1 complex128 coefficients (16 MiB at the cap).
+MAX_ORDER = 2**20
 
 
 def monomial_series(power: int, order: int | None = None) -> PowerSeries:
@@ -136,93 +143,102 @@ def identity_series(order: int = 1) -> PowerSeries:
     return monomial_series(1, max(order, 1))
 
 
-def koebe_series(alpha: float, order: int) -> PowerSeries:
-    """z / (1-z)^alpha truncated: c_k = (alpha)_{k-1} / (k-1)!.
-
-    alpha = 2 gives the classical extremal function with c_k = k exactly;
-    alpha = 1 gives the half-plane map z/(1-z) with all coefficients 1.
-    """
-    if order < 1:
-        raise DomainError("order must be at least 1")
-    if alpha <= 0:
-        raise DomainError("koebe exponent alpha must be positive")
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[1] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # PowerSeries rejects a non-finite c_k
-        for k in range(1, order):
-            # c*(alpha+k-1)/k regrouped so the integer cases stay exact:
-            # alpha=2 adds c*1/k = k/k = 1, alpha=1 adds 0, at any order.
-            c[k + 1] = c[k] + c[k] * (alpha - 1.0) / k
-    return PowerSeries(c)
+def _positive(what: str, x: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"{what} must be positive, got {x}")
+    return x
 
 
-def exp_times_z_series(order: int) -> PowerSeries:
-    """z * exp(z) truncated: c_k = 1 / (k-1)!."""
-    if order < 1:
-        raise DomainError("order must be at least 1")
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[1] = 1.0
-    for k in range(1, order):
-        c[k + 1] = c[k] / k
-    return PowerSeries(c)
-
-
-def kummer_series(alpha: float, lam: float, order: int) -> PowerSeries:
-    """z * 1F1(alpha; lam; z) truncated: c_k = (alpha)_{k-1} / ((lam)_{k-1} (k-1)!)."""
-    if order < 1:
-        raise DomainError("order must be at least 1")
-    if is_near_pole(lam):
-        raise DomainError(f"kummer denominator parameter {lam} sits on a Gamma pole")
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[1] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # PowerSeries rejects a non-finite c_k
-        for k in range(1, order):
-            c[k + 1] = c[k] * (alpha + k - 1.0) / ((lam + k - 1.0) * k)
-    return PowerSeries(c)
-
-
-def hurwitz_lerch_series(alpha: float, lam: float, rho: float, s: float, a: float, order: int) -> PowerSeries:
-    """Lerch-type input z * sum_k (alpha)_k (lam)_k / ((rho)_k k! (k+a)^s) z^k.
-
-    Stored so that c_{k+1} = (alpha)_k (lam)_k / ((rho)_k k! (k+a)^s); note
-    c_1 = a^{-s}, so this input is normalized only when a = 1.
-    """
-    if order < 1:
-        raise DomainError("order must be at least 1")
-    if is_near_pole(rho):
-        raise DomainError(f"denominator parameter {rho} sits on a Gamma pole")
-    if a <= 0:
-        raise DomainError("shift parameter a must be positive")
-    a, s = np.float64(a), np.float64(s)  # numpy powers overflow to inf, not OverflowError
-    c = np.zeros(order + 1, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):  # PowerSeries rejects a non-finite c_k
-        c[1] = a ** (-s)
-        for k in range(1, order):
-            ratio = (alpha + k - 1.0) * (lam + k - 1.0) / ((rho + k - 1.0) * k)
-            ratio *= ((k - 1.0 + a) / (k + a)) ** s
-            c[k + 1] = c[k] * ratio
-    return PowerSeries(c)
-
-
-#: CLI-facing registry: name -> (factory, required parameter names)
-BUILTIN_SERIES = {
-    "identity": (identity_series, ()),
-    "koebe": (koebe_series, ("alpha",)),
-    "exp_times_z": (exp_times_z_series, ()),
-    "kummer": (kummer_series, ("alpha", "lam")),
-    "hurwitz_lerch": (hurwitz_lerch_series, ("alpha", "lam", "rho", "s", "a")),
+#: Every stock input is z * sum_k prod (upper)_k / (prod (lower)_k k!) (k + a)^-s z^k.
+#: name -> (parameter names, parameters -> (upper, lower, s, a)).
+STOCK_INPUTS = {
+    "koebe": (("alpha",),
+              lambda alpha: ((_positive("koebe exponent alpha", alpha),), (), 0.0, 1.0)),
+    "exp_times_z": ((), lambda: ((), (), 0.0, 1.0)),
+    "kummer": (("alpha", "lam"), lambda alpha, lam: ((alpha,), (lam,), 0.0, 1.0)),
+    "hurwitz_lerch": (("alpha", "lam", "rho", "s", "a"),
+                      lambda alpha, lam, rho, s, a: ((alpha, lam), (rho,), s,
+                                                     _positive("hurwitz_lerch shift a", a))),
 }
 
 
-def make_builtin(kind: str, order: int, **params) -> PowerSeries:
-    """Construct a stock series by registry name (CLI entry point)."""
-    if kind not in BUILTIN_SERIES:
-        raise DomainError(f"unknown builtin series {kind!r}; choices: {sorted(BUILTIN_SERIES)}")
-    factory, required = BUILTIN_SERIES[kind]
-    missing = [name for name in required if params.get(name) is None]
+def stock_rows(kind: str, **params) -> tuple:
+    """(upper, lower, s, a) of a stock input, after checking its parameters.
+
+    Names the kind does not use are ignored. A missing or non-finite
+    parameter, a lower parameter on a Gamma pole, Koebe alpha <= 0 and a
+    Lerch shift a <= 0 raise DomainError.
+    """
+    if kind not in STOCK_INPUTS:
+        raise DomainError(f"unknown stock input {kind!r}; choices: {sorted(STOCK_INPUTS)}")
+    names, rows = STOCK_INPUTS[kind]
+    missing = [name for name in names if params.get(name) is None]
     if missing:
-        raise DomainError(f"builtin {kind!r} needs parameters: {', '.join(missing)}")
-    kwargs = {name: params[name] for name in required}
-    if kind == "identity":
-        return factory(max(order, 1))
-    return factory(order=order, **kwargs)
+        raise DomainError(f"stock input {kind!r} needs parameters: {', '.join(missing)}")
+    values = [float(params[name]) for name in names]
+    for name, x in zip(names, values):
+        if not math.isfinite(x):
+            raise DomainError(f"{kind} parameter {name} must be finite, got {x}")
+    upper, lower, s, a = rows(*values)
+    for x in lower:
+        if is_near_pole(x):
+            raise DomainError(f"{kind} denominator parameter {x} sits on a Gamma pole")
+    return upper, lower, s, a
+
+
+def stock_series(kind: str, order: int, **params) -> PowerSeries:
+    """A stock input truncated at z^order, by its ratio recurrence.
+
+    c_1 = a^-s and c_{k+1} = c_k * prod (u + k - 1) (k - 1 + a)^s /
+    (prod (l + k - 1) k (k + a)^s), in real float64 with the multiplication
+    first, so small integer cases stay exact: Koebe alpha = 2 gives c_k = k
+    and alpha = 1 gives c_k = 1 at any order.
+    """
+    upper, lower, s, a = stock_rows(kind, **params)
+    if not 1 <= order <= MAX_ORDER:
+        raise DomainError(f"order must lie in [1, {MAX_ORDER}], got {order}")
+    k = np.arange(1.0, order)
+    with np.errstate(over="ignore", invalid="ignore"):  # PowerSeries rejects a non-finite c_k
+        num = ((k - 1.0 + a) / (k + a)) ** s
+        for u in upper:
+            num *= u + (k - 1.0)
+        den = k.copy()
+        for low in lower:
+            den *= low + (k - 1.0)
+        c = [float(np.float64(a) ** -s)]
+    for n, d in zip(num.tolist(), den.tolist()):
+        c.append(c[-1] * n / d)
+    return PowerSeries([0.0] + c)
+
+
+def koebe_series(alpha: float, order: int) -> PowerSeries:
+    """z / (1-z)^alpha: c_k = (alpha)_{k-1} / (k-1)!; alpha = 2 is the Koebe function."""
+    return stock_series("koebe", order, alpha=alpha)
+
+
+def exp_times_z_series(order: int) -> PowerSeries:
+    """z * exp(z): c_k = 1 / (k-1)!."""
+    return stock_series("exp_times_z", order)
+
+
+def kummer_series(alpha: float, lam: float, order: int) -> PowerSeries:
+    """z * 1F1(alpha; lam; z): c_k = (alpha)_{k-1} / ((lam)_{k-1} (k-1)!)."""
+    return stock_series("kummer", order, alpha=alpha, lam=lam)
+
+
+def hurwitz_lerch_series(alpha: float, lam: float, rho: float, s: float, a: float, order: int) -> PowerSeries:
+    """z * sum_k (alpha)_k (lam)_k / ((rho)_k k! (k+a)^s) z^k; c_1 = a^-s, normalized only at a = 1."""
+    return stock_series("hurwitz_lerch", order, alpha=alpha, lam=lam, rho=rho, s=s, a=a)
+
+
+#: Series names the CLI offers: the identity and every stock input.
+BUILTIN_SERIES = ("identity",) + tuple(STOCK_INPUTS)
+
+
+def make_builtin(kind: str, order: int, **params) -> PowerSeries:
+    """Construct a builtin series by name (CLI entry point)."""
+    if kind != "identity":
+        return stock_series(kind, order, **params)
+    if order > MAX_ORDER:
+        raise DomainError(f"order must be at most {MAX_ORDER}, got {order}")
+    return identity_series(order)

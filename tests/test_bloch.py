@@ -18,7 +18,7 @@ from fracops.bloch import (
     grid_values,
 )
 from fracops.errors import DomainError
-from fracops.fracdiff import OperatorParams, phi_multiplier
+from fracops.fracdiff import OperatorParams, phi_multiplier, theta_multiplier_apply
 from fracops.geometry import DiskGrid
 from fracops.series import PowerSeries, identity_series, koebe_series, monomial_series
 
@@ -177,6 +177,23 @@ def test_compactness_scales_with_multiplier_for_general_params():
                                    WeightSpec("constant_one"))
     for n, (got, want) in enumerate(zip(norms, base), start=2):
         assert_allclose(got / phi_multiplier(p, n), want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("w,mu", [
+    (WeightSpec("constant_one"), 1.0),
+    (WeightSpec("power", alpha_w=0.5), 2.5),
+    (WeightSpec("log_weight"), 0.3),
+    (WeightSpec("table", table=((0.01, 2.0), (0.5, 1.0), (1.0, 3.0))), 1.7),
+])
+def test_compactness_matches_the_grid_norm_of_each_member(w, mu):
+    """Phi(n) max_r r^(n-1) factor(r) is the grid norm of Theta(z^n/n), member by member."""
+    p = OperatorParams(0.8, 0.35, 2.2)
+    grid = default_bloch_grid().refine()
+    norms = compactness_decay_check(p, 24, mu, w, grid)
+    for n, got in enumerate(norms, start=2):
+        f_n = (1.0 / n) * monomial_series(n)
+        want = bloch_norm_weighted(theta_multiplier_apply(p, f_n), mu, w, grid).norm_estimate
+        assert_allclose(got, want, rtol=1e-13)
 
 
 def test_compactness_requires_at_least_two():

@@ -21,6 +21,7 @@ from fracops.fracdiff import (
     theta_normalize,
 )
 from fracops.series import (
+    STOCK_INPUTS,
     PowerSeries,
     exp_times_z_series,
     koebe_series,
@@ -271,11 +272,38 @@ def test_closed_form_requires_known_kind_and_params():
     with pytest.raises(DomainError):
         closed_form_spec(p, "mystery")
     with pytest.raises(DomainError):
-        closed_form_spec(p, "koebe", alpha=0.5)  # needs alpha >= 1
+        closed_form_spec(p, "koebe", alpha=0.0)  # needs alpha > 0
     with pytest.raises(DomainError):
         closed_form_spec(p, "kummer", alpha=1.0)  # lam missing
     with pytest.raises(DomainError):
         closed_form_spec(p, "hurwitz_lerch", alpha=1.0, lam=1.0, rho=1.0, s=1.0, a=0.0)
+
+
+_GOOD_STOCK_PARAMS = {"alpha": 1.2, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0}
+# values outside the stock table's rules beyond "present and finite"
+_BAD_STOCK_VALUES = {
+    "koebe": {"alpha": (0.0, -1.5)},
+    "kummer": {"lam": (0.0, -2.0)},
+    "hurwitz_lerch": {"rho": (-1.0,), "a": (0.0, -0.5)},
+}
+
+
+@pytest.mark.parametrize("kind", STOCK_INPUTS)
+def test_series_and_closed_form_reject_the_same_stock_parameters(kind):
+    """make_builtin and closed_form_spec read one table, so they refuse the same inputs."""
+    p = OperatorParams(0.65, 0.3, 1.4)
+    names, _ = STOCK_INPUTS[kind]
+    good = {name: _GOOD_STOCK_PARAMS[name] for name in names}
+    bad = [{k: v for k, v in good.items() if k != name} for name in names]  # one missing
+    bad += [{**good, name: x} for name in names for x in (math.nan, math.inf, -math.inf)]
+    bad += [{**good, name: x} for name, xs in _BAD_STOCK_VALUES.get(kind, {}).items() for x in xs]
+    assert make_builtin(kind, 8, **good).order == 8
+    closed_form_spec(p, kind, **good)
+    for kw in bad:
+        with pytest.raises(DomainError):
+            make_builtin(kind, 8, **kw)
+        with pytest.raises(DomainError):
+            closed_form_spec(p, kind, **kw)
 
 
 @pytest.mark.parametrize("kind,kw,match", [

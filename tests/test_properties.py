@@ -35,33 +35,41 @@ def window_params(draw):
     return beta, tau, draw(st.floats(0.0, 50.0))
 
 
-# (kind, stock parameters, truncation order of the termwise image at |z| <= 0.5)
+# (kind, a point u of the unit cube -> stock parameters, truncation order of
+# the termwise image at |z| <= 0.5); alpha runs over (0, 3] and the Lerch s
+# over [-2, 2], including Koebe alpha < 1 and Lerch s <= 0.
 _STOCK = (
-    ("koebe", {"alpha": 2.0}, 120),
-    ("exp_times_z", {}, 60),
-    ("kummer", {"alpha": 1.3, "lam": 0.9}, 60),
-    ("hurwitz_lerch", {"alpha": 1.2, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0}, 120),
+    ("koebe", lambda u: {"alpha": 3.0 * (1.0 - u[0])}, 120),
+    ("exp_times_z", lambda u: {}, 60),
+    ("kummer", lambda u: {"alpha": 6.0 * u[0] - 3.0, "lam": 0.1 + 2.9 * u[1]}, 60),
+    ("hurwitz_lerch", lambda u: {"alpha": 3.0 * (1.0 - u[0]), "lam": 3.0 * (1.0 - u[1]),
+                                 "rho": 0.5 + 2.5 * u[2], "s": 4.0 * u[3] - 2.0,
+                                 "a": 0.5 + 1.5 * u[4]}, 120),
 )
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+_LOW, _HIGH = (0.0,) * 5, (0.999,) * 5
 
 
-@pytest.mark.parametrize("kind,kw,order", _STOCK, ids=[case[0] for case in _STOCK])
+@pytest.mark.parametrize("kind,stock,order", _STOCK, ids=[case[0] for case in _STOCK])
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(params=window_params(), r=st.floats(0.0, 0.5), angle=st.floats(-math.pi, math.pi))
-@example(params=(1.0, 1e-9, 0.0), r=0.5, angle=0.0)  # beta - tau at its largest
-@example(params=(1.0, 1e-9, 50.0), r=0.5, angle=2.1)
-@example(params=(1.0, 1.0, 0.0), r=0.5, angle=math.pi)  # tau = beta = 1
-@example(params=(1.0, 1.0, 50.0), r=0.5, angle=-2.5)
-@example(params=(1e-9, 1e-9, 0.0), r=0.5, angle=1.0)  # the smallest beta and tau
-@example(params=(1e-9, 1e-9, 50.0), r=0.5, angle=-1.0)
-@example(params=(0.5, 1e-9, 25.0), r=0.5, angle=math.pi)
-@example(params=(1.0, 0.5, 50.0), r=0.5, angle=0.3)
-def test_closed_forms_match_the_termwise_image(kind, kw, order, params, r, angle):
+@given(params=window_params(), r=st.floats(0.0, 0.5), angle=st.floats(-math.pi, math.pi),
+       u=st.tuples(*[_UNIT] * 5))
+@example(params=(1.0, 1e-9, 0.0), r=0.5, angle=0.0, u=_LOW)  # beta - tau at its largest
+@example(params=(1.0, 1e-9, 50.0), r=0.5, angle=2.1, u=_HIGH)
+@example(params=(1.0, 1.0, 0.0), r=0.5, angle=math.pi, u=_LOW)  # tau = beta = 1
+@example(params=(1.0, 1.0, 50.0), r=0.5, angle=-2.5, u=_HIGH)
+@example(params=(1e-9, 1e-9, 0.0), r=0.5, angle=1.0, u=_LOW)  # the smallest beta and tau
+@example(params=(1e-9, 1e-9, 50.0), r=0.5, angle=-1.0, u=_HIGH)
+@example(params=(0.5, 1e-9, 25.0), r=0.5, angle=math.pi, u=_LOW)
+@example(params=(1.0, 0.5, 50.0), r=0.5, angle=0.3, u=_HIGH)
+def test_closed_forms_match_the_termwise_image(kind, stock, order, params, r, angle, u):
     """Each closed form agrees with apply_operator on its truncated stock input to 1e-10."""
     p = OperatorParams(*params)
+    kw = stock(u)
     z = r * cmath.exp(1j * angle)
     got = closed_form_spec(p, kind, **kw).evaluate(z)
     want = apply_operator(p, make_builtin(kind, order, **kw)).evaluate(z)
-    assert abs(got - want) <= 1e-10 * abs(want) + 1e-300, (got, want)
+    assert abs(got - want) <= 1e-10 * abs(want) + 1e-300, (kw, got, want)
 
 
 # The laws below are the seeded suites' checks (verify.suite_identity_law,

@@ -107,9 +107,10 @@ def test_fixture_order_mismatch_rejected(tmp_path):
 
 
 def test_koebe_alpha2_coefficients_are_exact_integers():
-    ps = koebe_series(2.0, 40)
-    assert_allclose(ps.coeffs[1:].real, np.arange(1, 41), rtol=0)
-    assert np.all(ps.coeffs[1:].imag == 0.0)
+    for order in (40, 8192):
+        ps = koebe_series(2.0, order)
+        assert_allclose(ps.coeffs[1:].real, np.arange(1, order + 1), rtol=0)
+        assert np.all(ps.coeffs[1:].imag == 0.0)
 
 
 def test_koebe_alpha1_all_ones():
