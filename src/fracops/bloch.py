@@ -187,13 +187,6 @@ class EquivalenceReport:
     norm_theta_f: BlochEstimate
     ratio: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "norm_f": self.norm_f.to_json_dict(),
-            "norm_theta_f": self.norm_theta_f.to_json_dict(),
-            "ratio": self.ratio,
-        }
-
 
 def boundedness_equivalence_check(p: OperatorParams, f: PowerSeries, mu: float,
                                   w: WeightSpec, grid: DiskGrid | None = None) -> EquivalenceReport:

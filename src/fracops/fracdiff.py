@@ -12,9 +12,10 @@ log_gamma_ratio: R(m) = log Gamma(X_m) - log Gamma(X_m - beta + tau) with
 X_m = (m + beta - 1)/(gamma + 1) + 1, evaluated over a whole index array
 at once. The monomial image is (gamma+1)^{beta-tau} Gamma(tau)/Gamma(beta)
 exp(R(m)), the Theta multiplier is Phi(k) = exp(R(k) - R(1)), and the
-univalence criteria in geometry read the same R. Only the Fox-Wright
-Hadamard route to Theta keeps its own Gamma arithmetic, so that the two
-Theta routes stay independent.
+univalence criteria in geometry read the same R. The Hadamard route to
+Theta and the closed forms read Theta's kernel rows from
+theta_fox_wright_spec and keep their own Gamma arithmetic, so the two
+Theta routes, and the closed forms and the kernel, stay independent.
 
 At tau == beta the operator degenerates to multiplication by z^gamma with
 exactly unchanged coefficients, in floating point too: the kernel builds
@@ -260,7 +261,8 @@ def theta_fox_wright_spec(p: OperatorParams):
         upper=((1.0, 1.0), (b1, 1.0 / g1)),
         lower=((b1 + p.diff, 1.0 / g1),),
     )
-    return math.exp(log_gamma(b1 + p.diff) - log_gamma(b1)), spec
+    # not log_gamma: b1 + tau - beta rounds below POLE_GUARD at (1, POLE_GUARD, gamma >= 1e16)
+    return math.exp(loggamma(b1 + p.diff) - loggamma(b1)), spec
 
 
 def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
@@ -340,36 +342,27 @@ class ClosedFormImage:
             return 0j
         return self.constant * cmath.exp(self.power * cmath.log(z)) * out.value
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": dict(self.params),
-            "constant": self.constant,
-            "power": self.power,
-            "fox_wright": self.fox_wright.to_json_dict(),
-        }
-
 
 def closed_form_spec(p: OperatorParams, kind: str, **params) -> ClosedFormImage:
     """Closed-form image of a stock input under the operator.
 
-    kind and params are those of series.stock_series and are checked by the
-    same series.stock_rows. Each input is
+    kind and params are those of series.make_builtin and are checked by
+    the same series.stock_rows. Each input is
     z sum_k prod (upper)_k / (prod (lower)_k k!) (k + a)^-s z^k. The
     operator scales coefficient k by
     Gamma(1 + tau - beta) B(x_k, 1 + tau - beta) (x_k + tau - beta)
     = Gamma(1 + tau - beta) Gamma(x_k) / Gamma(x_k + tau - beta), with
     x_k = b1 + k/g1, so the image is the block [(upper, 1), (b1, 1/g1);
-    (lower, 1), (b1 + tau - beta, 1/g1)] normalized to its k = 0 term,
-    times the image coefficient of z. An upper parameter at a non-positive
-    integer makes the input a polynomial, which the sum ends exactly.
+    (lower, 1), (b1 + tau - beta, 1/g1)], the Gamma pair read from
+    theta_fox_wright_spec, normalized to its k = 0 term, times the image
+    coefficient of z. An upper parameter at a non-positive integer makes
+    the input a polynomial, which the sum ends exactly.
     """
     upper, lower, _, _ = stock_rows(kind, **params)
-    g1 = p.gamma + 1.0
-    b1 = p.beta / g1 + 1.0
+    _, kernel = theta_fox_wright_spec(p)
     spec = FoxWrightSpec(
-        upper=tuple((x, 1.0) for x in upper) + ((b1, 1.0 / g1),),
-        lower=tuple((x, 1.0) for x in lower) + ((b1 + p.diff, 1.0 / g1),),
+        upper=tuple((x, 1.0) for x in upper) + kernel.upper[1:],
+        lower=tuple((x, 1.0) for x in lower) + kernel.lower,
     )
     names, _ = STOCK_INPUTS[kind]
     return ClosedFormImage(kind, {name: float(params[name]) for name in names},

@@ -126,17 +126,6 @@ class ScreenResult:
     witness: complex | None = None
     witness_value: float | None = None
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "passed": self.passed,
-            "lambda": self.lam,
-            "points_checked": self.points_checked,
-        }
-        if self.witness is not None:
-            doc["witness"] = [self.witness.real, self.witness.imag]
-            doc["witness_value"] = self.witness_value
-        return doc
-
 
 def _order_screen(lam: float, grid: DiskGrid | None, shift: float, num: PowerSeries,
                   den: PowerSeries, vanishes: str) -> ScreenResult:
@@ -201,13 +190,6 @@ class BoundScreenResult:
     passed: bool
     mode: str
     first_violation_index: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "mode": self.mode,
-            "first_violation_index": self.first_violation_index,
-        }
 
 
 def bieberbach_screen(f: PowerSeries, mode: str) -> BoundScreenResult:

@@ -4,9 +4,9 @@ A PowerSeries stores the coefficients c_0..c_N of a polynomial truncation
 and evaluates by Horner's scheme on scalars or arrays. Every stock input
 (Koebe-type powers, z*exp(z), confluent and Lerch-type hypergeometric
 inputs) is declared once in STOCK_INPUTS as hypergeometric rows, which
-both stock_series and the closed forms in fracdiff read; stock_series
-builds the truncation by one real ratio recurrence, so small integer
-cases come out exact in float64.
+both make_builtin and the closed forms in fracdiff read; make_builtin
+builds every builtin truncation, a stock input by one real ratio
+recurrence, so small integer cases come out exact in float64.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import DomainError
 from .special import is_near_pole
+
+# |c_0| and |c_1 - 1| at most this count as class-A normalized.
+_NORMALIZED_TOL = 1e-12
 
 
 @dataclass
@@ -43,9 +46,6 @@ class PowerSeries:
     def order(self) -> int:
         return self.coeffs.size - 1
 
-    def __call__(self, z):
-        return self.evaluate(z)
-
     def evaluate(self, z):
         """Horner evaluation at a complex scalar or ndarray of points."""
         z = np.asarray(z, dtype=np.complex128)
@@ -63,11 +63,11 @@ class PowerSeries:
         k = np.arange(1, self.coeffs.size)
         return PowerSeries(self.coeffs[1:] * k)
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        """c_0 = 0 and c_1 = 1 within tol (class-A normalization)."""
+    def is_normalized(self) -> bool:
+        """c_0 = 0 and c_1 = 1 within 1e-12 (class-A normalization)."""
         if self.coeffs.size < 2:
             return False
-        return abs(self.coeffs[0]) <= tol and abs(self.coeffs[1] - 1.0) <= tol
+        return abs(self.coeffs[0]) <= _NORMALIZED_TOL and abs(self.coeffs[1] - 1.0) <= _NORMALIZED_TOL
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = max(self.coeffs.size, other.coeffs.size)
@@ -122,8 +122,8 @@ def load_series_fixture(path) -> PowerSeries:
 # Stock series: one table of hypergeometric rows, one coefficient recurrence
 # ---------------------------------------------------------------------------
 
-#: Largest truncation order make_builtin and stock_series accept; an order-N
-#: series holds N + 1 complex128 coefficients (16 MiB at the cap).
+#: Largest truncation order make_builtin accepts; an order-N series holds
+#: N + 1 complex128 coefficients (16 MiB at the cap).
 MAX_ORDER = 2**20
 
 
@@ -186,17 +186,25 @@ def stock_rows(kind: str, **params) -> tuple:
     return upper, lower, s, a
 
 
-def stock_series(kind: str, order: int, **params) -> PowerSeries:
-    """A stock input truncated at z^order, by its ratio recurrence.
+#: Series names the CLI offers: the identity and every stock input.
+BUILTIN_SERIES = ("identity",) + tuple(STOCK_INPUTS)
 
-    c_1 = a^-s and c_{k+1} = c_k * prod (u + k - 1) (k - 1 + a)^s /
-    (prod (l + k - 1) k (k + a)^s), in real float64 with the multiplication
-    first, so small integer cases stay exact: Koebe alpha = 2 gives c_k = k
-    and alpha = 1 gives c_k = 1 at any order.
+
+def make_builtin(kind: str, order: int, **params) -> PowerSeries:
+    """A builtin series truncated at z^order: the identity z or a stock input.
+
+    The order must lie in [1, MAX_ORDER] for every kind. A stock input is
+    built by its ratio recurrence c_1 = a^-s and c_{k+1} = c_k *
+    prod (u + k - 1) (k - 1 + a)^s / (prod (l + k - 1) k (k + a)^s), in real
+    float64 with the multiplication first, so small integer cases stay
+    exact: Koebe alpha = 2 gives c_k = k and alpha = 1 gives c_k = 1 at any
+    order. Its parameters are checked by stock_rows.
     """
-    upper, lower, s, a = stock_rows(kind, **params)
     if not 1 <= order <= MAX_ORDER:
         raise DomainError(f"order must lie in [1, {MAX_ORDER}], got {order}")
+    if kind == "identity":
+        return identity_series(order)
+    upper, lower, s, a = stock_rows(kind, **params)
     k = np.arange(1.0, order)
     with np.errstate(over="ignore", invalid="ignore"):  # PowerSeries rejects a non-finite c_k
         num = ((k - 1.0 + a) / (k + a)) ** s
@@ -213,32 +221,19 @@ def stock_series(kind: str, order: int, **params) -> PowerSeries:
 
 def koebe_series(alpha: float, order: int) -> PowerSeries:
     """z / (1-z)^alpha: c_k = (alpha)_{k-1} / (k-1)!; alpha = 2 is the Koebe function."""
-    return stock_series("koebe", order, alpha=alpha)
+    return make_builtin("koebe", order, alpha=alpha)
 
 
 def exp_times_z_series(order: int) -> PowerSeries:
     """z * exp(z): c_k = 1 / (k-1)!."""
-    return stock_series("exp_times_z", order)
+    return make_builtin("exp_times_z", order)
 
 
 def kummer_series(alpha: float, lam: float, order: int) -> PowerSeries:
     """z * 1F1(alpha; lam; z): c_k = (alpha)_{k-1} / ((lam)_{k-1} (k-1)!)."""
-    return stock_series("kummer", order, alpha=alpha, lam=lam)
+    return make_builtin("kummer", order, alpha=alpha, lam=lam)
 
 
 def hurwitz_lerch_series(alpha: float, lam: float, rho: float, s: float, a: float, order: int) -> PowerSeries:
     """z * sum_k (alpha)_k (lam)_k / ((rho)_k k! (k+a)^s) z^k; c_1 = a^-s, normalized only at a = 1."""
-    return stock_series("hurwitz_lerch", order, alpha=alpha, lam=lam, rho=rho, s=s, a=a)
-
-
-#: Series names the CLI offers: the identity and every stock input.
-BUILTIN_SERIES = ("identity",) + tuple(STOCK_INPUTS)
-
-
-def make_builtin(kind: str, order: int, **params) -> PowerSeries:
-    """Construct a builtin series by name (CLI entry point)."""
-    if kind != "identity":
-        return stock_series(kind, order, **params)
-    if order > MAX_ORDER:
-        raise DomainError(f"order must be at most {MAX_ORDER}, got {order}")
-    return identity_series(order)
+    return make_builtin("hurwitz_lerch", order, alpha=alpha, lam=lam, rho=rho, s=s, a=a)

@@ -87,7 +87,7 @@ def log_gamma(z):
         If a scalar z is not finite.
     """
     if isinstance(z, np.ndarray):
-        if np.min(z, initial=np.inf) > 0.0:
+        if np.min(z, initial=np.inf) >= POLE_GUARD:
             return sc.loggamma(z)
         n = np.rint(z)
         near = (n <= 0.0) & (np.abs(z - n) < POLE_GUARD)
@@ -170,9 +170,6 @@ class FoxWrightSpec:
         for b, wb in self.lower:
             s = s - log_gamma(b + k * wb)
         return s
-
-    def to_json_dict(self) -> dict:
-        return {"upper": [list(p) for p in self.upper], "lower": [list(p) for p in self.lower]}
 
 
 class EvalStatus(enum.Enum):
@@ -279,25 +276,6 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
     return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE, max_terms, tail)
 
 
-def _sum_log_series(log_coefficients, radius: float, z, max_terms: int) -> EvalOutcome:
-    """Sum exp(log c_k + k log z) over k >= 0 through _sum_terms.
-
-    log_coefficients maps an array of indices to log c_k (real, or complex
-    on any branch); radius is the series' radius of convergence. At z = 0
-    the sum is the exact one-term sum c_0.
-    """
-    z = complex(z)
-    log_z = cmath.log(z) if z else 0j
-
-    def block(k):
-        k = k if z else k[:1]
-        with np.errstate(over="ignore", invalid="ignore"):  # the driver stops at an overflow
-            return np.exp(log_coefficients(k) + k * log_z)
-
-    limit = abs(z) / radius if radius > 0.0 else (math.inf if z else 0.0)
-    return _sum_terms(block, max_terms, limit)
-
-
 def fox_wright_eval(spec: FoxWrightSpec, z, max_terms: int = MAX_TERMS_DEFAULT) -> EvalOutcome:
     """Sum the Fox-Wright series at z with explicit convergence reporting.
 
@@ -307,6 +285,16 @@ def fox_wright_eval(spec: FoxWrightSpec, z, max_terms: int = MAX_TERMS_DEFAULT) 
     budget exhausted first, or, inside the radius, terms that cancel past
     float64 resolution), or POLE_HIT (a Gamma argument of some term sat
     on a pole). The value field always carries the partial sum accumulated
-    so far.
+    so far. At z = 0 the sum is the exact one-term sum, the kappa = 0 term.
     """
-    return _sum_log_series(spec.log_coefficients, spec.radius, z, max_terms)
+    z = complex(z)
+    log_z = cmath.log(z) if z else 0j
+
+    def block(k):
+        k = k if z else k[:1]
+        with np.errstate(over="ignore", invalid="ignore"):  # the driver stops at an overflow
+            return np.exp(spec.log_coefficients(k) + k * log_z)
+
+    radius = spec.radius
+    limit = abs(z) / radius if radius > 0.0 else (math.inf if z else 0.0)
+    return _sum_terms(block, max_terms, limit)

@@ -131,7 +131,7 @@ def suite_oracle_closed_form(seed: int = 0, draws: int = 50) -> SuiteResult:
     return _result("oracle_closed_form", tol, worst, draws, failures)
 
 
-def suite_identity_law(seed: int = 0, draws: int = 200, fixtures: bool = True) -> SuiteResult:
+def suite_identity_law(seed: int = 0, draws: int = 200) -> SuiteResult:
     """tau = beta leaves coefficients unchanged through both operator routes."""
     tol = 1e-12
     rng = np.random.default_rng(seed)
@@ -154,14 +154,13 @@ def suite_identity_law(seed: int = 0, draws: int = 200, fixtures: bool = True) -
         p = draw_params(rng, tau_equals_beta=True)
         check(p, random_normalized_series(rng, 12), f"draw {i}")
         checks += 1
-    if fixtures:
-        fdir = fixture_dir()
-        for name in SERIES_FIXTURE_NAMES:
-            f = load_series_fixture(fdir / name)
-            for _ in range(3):
-                p = draw_params(rng, tau_equals_beta=True)
-                check(p, f, name)
-                checks += 1
+    fdir = fixture_dir()
+    for name in SERIES_FIXTURE_NAMES:
+        f = load_series_fixture(fdir / name)
+        for _ in range(3):
+            p = draw_params(rng, tau_equals_beta=True)
+            check(p, f, name)
+            checks += 1
     return _result("identity_law", tol, worst, checks, failures)
 
 
@@ -314,8 +313,8 @@ def _rebuild_golden_input(doc: dict) -> PowerSeries:
     return make_builtin(doc["kind"], doc["order"], **doc.get("params", {}))
 
 
-def suite_fixtures(seed: int = 0, fixtures_path=None) -> SuiteResult:
-    """Regression over packaged fixtures: series load checks and quadrature goldens.
+def suite_fixtures(seed: int = 0) -> SuiteResult:
+    """Regression over the fixtures in fixture_dir(): series load checks and quadrature goldens.
 
     For each golden entry the integral route is re-run at the stored node
     count: the value must match to 1e-9, node doubling must move it by at
@@ -323,7 +322,7 @@ def suite_fixtures(seed: int = 0, fixtures_path=None) -> SuiteResult:
     function to 1e-12. Failures name the fixture file.
     """
     tol = 1e-9
-    fdir = pathlib.Path(fixtures_path) if fixtures_path else fixture_dir()
+    fdir = fixture_dir()
     worst, failures, checks = 0.0, [], 0
 
     for name, (kind, order, kw) in SERIES_FIXTURE_RECIPES.items():

@@ -262,6 +262,8 @@ def test_bloch_series_flags_are_exclusive(capsys):
     ("bloch", "--compactness", "--beta", ".5", "--tau", ".4", "--mu", "1e308", "--nmax", "4"),
     ("bloch", "--f", "koebe", "--alpha", "2", "--mu", "1e308"),  # (1 - r)^mu underflows
     ("transform", "--beta", "0.5", "--tau", "0.4", "--builtin", "identity", "--order", "1000000000"),
+    ("transform", "--beta", "0.5", "--tau", "0.4", "--builtin", "identity", "--order", "0"),
+    ("transform", "--beta", "0.5", "--tau", "0.4", "--builtin", "identity", "--order", "-3"),
     ("transform", "--beta", "0.5", "--tau", "0.4", "--builtin", "koebe", "--alpha", "2",
      "--order", "1000000000"),  # above series.MAX_ORDER
 ], ids=lambda argv: " ".join(argv))

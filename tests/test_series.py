@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 from fracops.bloch import default_bloch_grid
 from fracops.errors import DomainError
 from fracops.series import (
+    BUILTIN_SERIES,
+    MAX_ORDER,
     PowerSeries,
     exp_times_z_series,
     hurwitz_lerch_series,
@@ -180,3 +182,14 @@ def test_make_builtin_dispatch_and_errors():
         make_builtin("koebe", 6)  # alpha missing
     with pytest.raises(DomainError):
         make_builtin("nope", 6)
+
+
+_VALID_PARAMS = {"alpha": 1.5, "lam": 0.9, "rho": 1.5, "s": 1.1, "a": 1.0}
+
+
+@pytest.mark.parametrize("kind", BUILTIN_SERIES)
+def test_make_builtin_checks_the_order_of_every_kind(kind):
+    assert make_builtin(kind, 3, **_VALID_PARAMS).order == 3
+    for order in (0, MAX_ORDER + 1):
+        with pytest.raises(DomainError, match="order must lie in"):
+            make_builtin(kind, order, **_VALID_PARAMS)

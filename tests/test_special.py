@@ -59,6 +59,16 @@ def test_log_gamma_pole_guard(z):
         log_gamma(z)
 
 
+@pytest.mark.parametrize("x", [1e-10, -1e-10])
+def test_pole_guard_holds_on_both_sides_of_zero_for_scalars_and_arrays(x):
+    with pytest.raises(PoleHitError):
+        log_gamma(x)
+    with pytest.raises(PoleHitError):
+        log_gamma(np.array([x, 2.0]))
+    out = fox_wright_eval(FoxWrightSpec(upper=((x, 1.0),), lower=()), 0.3)
+    assert out.status is EvalStatus.POLE_HIT
+
+
 @pytest.mark.parametrize("call", [
     lambda: log_gamma(math.nan),
     lambda: log_gamma(-math.inf),

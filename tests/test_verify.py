@@ -64,14 +64,15 @@ def test_fixture_dir_env_override(tmp_path, monkeypatch):
     assert fixture_dir().name == "fixtures"
 
 
-def test_missing_fixture_directory_fails_with_names(tmp_path):
-    res = suite_fixtures(fixtures_path=tmp_path)
+def test_missing_fixture_directory_fails_with_names(tmp_path, monkeypatch):
+    monkeypatch.setenv("FRACOPS_FIXTURES", str(tmp_path))
+    res = suite_fixtures()
     assert not res.passed
     assert any("series_identity.json" in f for f in res.failures)
     assert any("quad_goldens.json" in f for f in res.failures)
 
 
-def test_tampered_value_is_caught(tmp_path):
+def test_tampered_value_is_caught(tmp_path, monkeypatch):
     """Flipping one golden value must fail the suite, naming the entry."""
     src = fixture_dir()
     for name in src.iterdir():
@@ -79,7 +80,8 @@ def test_tampered_value_is_caught(tmp_path):
     doc = json.loads((tmp_path / "quad_goldens.json").read_text())
     doc["entries"][0]["value"][0] += 1e-3
     (tmp_path / "quad_goldens.json").write_text(json.dumps(doc))
-    res = suite_fixtures(fixtures_path=tmp_path)
+    monkeypatch.setenv("FRACOPS_FIXTURES", str(tmp_path))
+    res = suite_fixtures()
     assert not res.passed
     assert any("quad_goldens.json[0]" in f and "stored value" in f for f in res.failures)
 
