@@ -12,15 +12,23 @@ log_gamma_ratio: R(m) = log Gamma(X_m) - log Gamma(X_m - beta + tau) with
 X_m = (m + beta - 1)/(gamma + 1) + 1, evaluated over a whole index array
 at once. The monomial image is (gamma+1)^{beta-tau} Gamma(tau)/Gamma(beta)
 exp(R(m)), the Theta multiplier is Phi(k) = exp(R(k) - R(1)), and the
-univalence criteria in geometry read the same R. The Hadamard route to
-Theta and the closed forms read Theta's kernel rows from
-theta_fox_wright_spec and keep their own Gamma arithmetic, so the two
-Theta routes, and the closed forms and the kernel, stay independent.
+univalence criteria in geometry read the same R. The kernel needs NumPy
+alone: from c = X_m - beta = 16 up it sums the asymptotic expansion of a
+ratio of Gamma functions (Tricomi & Erdelyi 1951; Fields 1966) from
+hard-coded Bernoulli numbers, and below it takes math.gamma per element;
+the front factor Gamma(tau)/Gamma(beta) is two math.lgamma calls. So
+transform, criteria and bloch never import SciPy.
+
+The Hadamard route to Theta and the closed forms read Theta's kernel rows
+from theta_fox_wright_spec and keep their own Gamma arithmetic on
+scipy.special.loggamma, imported inside the functions that use it, so the
+two Theta routes, and the closed forms and the kernel, stay independent.
 
 At tau == beta the operator degenerates to multiplication by z^gamma with
-exactly unchanged coefficients, in floating point too: the kernel builds
-its two Gamma arguments as c + beta and c + tau from one c, and
-expressions of the form 1 - beta + tau are evaluated as 1 + (tau - beta).
+exactly unchanged coefficients, in floating point too: both forms of the
+kernel give R == 0 exactly there (the expansion's coefficients are odd in
+beta - tau, and math.gamma sees c + beta == c + tau), and expressions of
+the form 1 - beta + tau are evaluated as 1 + (tau - beta).
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import DomainError, PoleHitError
 from .series import STOCK_INPUTS, PowerSeries, stock_rows
@@ -43,6 +50,22 @@ from .special import (
     _sum_terms,
     log_gamma,
 )
+
+# At c >= _SWITCH the kernel sums _RATIO_TERMS terms of the Gamma-ratio expansion
+# in w^-2, where the first term left out is below 1e-18 of R; a call of at most
+# _FEW_INDICES indices runs on plain floats while every c lies below _SWITCH.
+_SWITCH = 16.0
+_RATIO_TERMS = 6
+_FEW_INDICES = 32
+# Bernoulli numbers B_0, B_2, ..., B_12.
+_BERNOULLI_EVEN = (1.0, 1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0)
+_SIGMA_POWERS = np.arange(_RATIO_TERMS + 1.0)
+# Row j maps (sigma^{2i+1})_{i=0..N} to the w^-2j coefficient -2 B_{2j+1}(1/2 + sigma) / (2j (2j+1)),
+# as B_m(1/2 + sigma) = sum_k C(m, k) B_k(1/2) sigma^{m-k} with B_k(1/2) = (2^{1-k} - 1) B_k.
+_BERNOULLI_ROWS = np.array([[-2.0 / (2 * j * (2 * j + 1)) * math.comb(2 * j + 1, 2 * j - 2 * i)
+                             * (2.0 ** (1 - 2 * j + 2 * i) - 1.0) * _BERNOULLI_EVEN[j - i] if i <= j else 0.0
+                             for i in range(_RATIO_TERMS + 1)]
+                            for j in range(1, _RATIO_TERMS + 1)])
 
 
 @dataclass(frozen=True)
@@ -116,25 +139,70 @@ def log_gamma_ratio(p: OperatorParams, m):
     """The coefficient kernel R(m) = log Gamma(X_m) - log Gamma(X_m - beta + tau).
 
     X_m = (m + beta - 1)/(gamma + 1) + 1. m may be a scalar or an array of
-    indices; the result has the same shape. Both arguments are formed as
-    c + beta and c + tau from c = (m + gamma (1 - beta))/(gamma + 1) >= 0,
-    a sum of non-negative terms: no cancellation, even where
-    X_m - beta + tau is as small as tau, and at tau = beta the two
-    arguments coincide, so R is exactly 0.
-
-    Raises PoleHitError naming the smallest argument if it lies below
-    POLE_GUARD.
+    indices; the result is an array of the same shape. With
+    c = (m + gamma (1 - beta))/(gamma + 1) >= 0, a = beta and b = tau,
+    R = log Gamma(c + a) - log Gamma(c + b), evaluated per element the same
+    way whatever the call's size:
+    - for c >= _SWITCH (16), from the expansion of a ratio of Gamma
+      functions (Tricomi & Erdelyi 1951; Fields 1966), centred at
+      w = c + (a + b - 1)/2 so that only even powers of 1/w appear:
+        R = (a - b) log w - sum_{j=1..6} 2 B_{2j+1}(1/2 + sigma) / (2j (2j+1) w^{2j}),
+      sigma = (a - b)/2, B_n the Bernoulli polynomials. The coefficients
+      come from hard-coded Bernoulli numbers by one small matrix-vector
+      product. No argument of size c log c is formed, so R stays within a
+      few ulps of max(1, |R|) up to any index;
+    - below _SWITCH, as log(Gamma(c + a)/Gamma(c + b)) from math.gamma,
+      within about 40 ulps of max(1, |R|): c + a and c + b are rounded.
+    NumPy and the math module are the only dependencies: no SciPy.
+    At tau = beta both forms give R == 0 exactly, so tau = beta leaves
+    coefficients bit-identical and Phi(1) = exp(R(1) - R(1)) == 1.0.
+    Raises PoleHitError naming the smallest argument c + tau if it lies
+    below POLE_GUARD.
     """
-    c = (np.asarray(m, dtype=np.float64) + p.gamma * (1.0 - p.beta)) / (p.gamma + 1.0)
-    x, x_low = c + p.beta, c + p.tau
-    if x_low.size and np.min(x_low) < POLE_GUARD:
-        raise PoleHitError(float(np.min(x_low)))
-    return loggamma(x) - loggamma(x_low)
+    m = np.asarray(m, dtype=np.float64)
+    a, b, s, g1 = p.beta, p.tau, p.gamma * (1.0 - p.beta), p.gamma + 1.0
+    if m.size <= _FEW_INDICES:
+        # plain floats: cheaper than numpy calls on the many tiny arrays of the verify suites
+        ks = m.ravel().tolist()
+        low = (min(ks, default=0.0) + s) / g1 + b  # c grows with m
+        if low < POLE_GUARD:
+            raise PoleHitError(low)
+        if (max(ks, default=0.0) + s) / g1 < _SWITCH:
+            return np.array(_ratio_below_switch([(k + s) / g1 for k in ks], a, b)).reshape(m.shape)
+    c = (m.ravel() + s) / g1
+    low = float(np.min(c)) + b
+    if low < POLE_GUARD:
+        raise PoleHitError(low)
+    r = _ratio_expansion(np.maximum(c, _SWITCH), a, b)  # the elements below are redone next
+    below = np.flatnonzero(c < _SWITCH)
+    if below.size:
+        r[below] = _ratio_below_switch(c[below].tolist(), a, b)
+    return r.reshape(m.shape)
+
+
+def _ratio_below_switch(cs: list, a: float, b: float) -> list:
+    """log(Gamma(c + a)/Gamma(c + b)) for each c < _SWITCH: both Gammas stay below 2.1e13."""
+    return [math.log(math.gamma(c + a) / math.gamma(c + b)) for c in cs]
+
+
+def _ratio_expansion(c: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The expansion of log Gamma(c + a) - log Gamma(c + b) over an array c >= _SWITCH."""
+    sigma = 0.5 * (a - b)
+    # odd in sigma, so every coefficient is exactly 0 at a = b
+    coeffs = (_BERNOULLI_ROWS @ (sigma * (sigma * sigma) ** _SIGMA_POWERS)).tolist()
+    w = c + 0.5 * (a + b - 1.0)
+    u = 1.0 / (w * w)
+    r = coeffs[-1] * u
+    for x in reversed(coeffs[:-1]):
+        r += x
+        r *= u
+    r += (a - b) * np.log(w)
+    return r
 
 
 def _front_times_exp(p: OperatorParams, s):
     """(gamma+1)^{beta-tau} Gamma(tau)/Gamma(beta) * exp(s), s scalar or array."""
-    return (p.gamma + 1.0) ** (-p.diff) * np.exp(s + (log_gamma(p.tau) - log_gamma(p.beta)))
+    return (p.gamma + 1.0) ** (-p.diff) * np.exp(s + (math.lgamma(p.tau) - math.lgamma(p.beta)))
 
 
 def monomial_transform(p: OperatorParams, upsilon: float) -> MonomialImage:
@@ -253,16 +321,17 @@ def theta_fox_wright_spec(p: OperatorParams):
     constant reproduces Phi(kappa). The kappa = 1 coefficient is 1 in
     exact arithmetic, but the float64 product exp(a) * exp(-a) comes out
     1 +- 1 ulp for many parameters; theta_normalize, not this route, pins
-    Phi(1) at exactly 1.0.
+    Phi(1) at exactly 1.0. The Gamma rows b1 = c1 + beta and
+    b1 + tau - beta = c1 + tau are formed from the kernel's c1 = c(1), never
+    from a rounded tau - beta, so the lower row stays >= tau >= POLE_GUARD
+    and coincides with the upper one at tau = beta. The constant is
+    computed by special.log_gamma (SciPy), not by the kernel.
     """
     g1 = p.gamma + 1.0
-    b1 = p.beta / g1 + 1.0
-    spec = FoxWrightSpec(
-        upper=((1.0, 1.0), (b1, 1.0 / g1)),
-        lower=((b1 + p.diff, 1.0 / g1),),
-    )
-    # not log_gamma: b1 + tau - beta rounds below POLE_GUARD at (1, POLE_GUARD, gamma >= 1e16)
-    return math.exp(loggamma(b1 + p.diff) - loggamma(b1)), spec
+    c1 = (1.0 + p.gamma * (1.0 - p.beta)) / g1  # the kernel's c at m = 1
+    b1, b1_low = c1 + p.beta, c1 + p.tau
+    spec = FoxWrightSpec(upper=((1.0, 1.0), (b1, 1.0 / g1)), lower=((b1_low, 1.0 / g1),))
+    return math.exp(log_gamma(b1_low) - log_gamma(b1)), spec
 
 
 def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
@@ -311,6 +380,8 @@ class ClosedFormImage:
         """
         (*upper, (b, w)), (*lower, (b_low, _)) = self.fox_wright.upper, self.fox_wright.lower
         _, _, s, a = stock_rows(self.kind, **self.params)
+        from scipy.special import loggamma
+
         z = complex(z)
         pair_0 = loggamma(b) - loggamma(b_low)
 

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import ConvergenceError, DomainError
 from .fracdiff import OperatorParams, monomial_transform
@@ -50,6 +49,16 @@ SMALL_Z_CUTOFF = 1e-6
 # Bound on cached node sets. A fresh-seed run_suites() adds about 100 keys,
 # plus 20 fixture-suite keys that every call reuses.
 NODE_CACHE_SIZE = 256
+
+
+def roots_jacobi(n: int, a: float, b: float):
+    """scipy.special.roots_jacobi, imported on the first call so that only the oracle loads SciPy.
+
+    Each jacobi_nodes cache miss is one call here.
+    """
+    import scipy.special as sc
+
+    return sc.roots_jacobi(n, a, b)
 
 
 @functools.lru_cache(maxsize=NODE_CACHE_SIZE)

@@ -13,6 +13,11 @@ and needs |z| over the radius. It reports an explicit status (converged,
 slow, divergent, pole hit) instead of silent nonsense; it never calls a sum
 inside its disk divergent, and calls one that cancels past float64
 resolution slow, not converged.
+
+log_gamma and FoxWrightSpec.log_coefficients use scipy.special.loggamma
+and import it inside the function: importing fracops loads NumPy alone,
+and only the routes that reach these functions (verify, the quadrature
+oracle, Fox-Wright sums, the closed forms, the Hadamard route) load SciPy.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sc
 
 from .errors import DomainError, PoleHitError
 
@@ -86,6 +90,8 @@ def log_gamma(z):
     DomainError
         If a scalar z is not finite.
     """
+    import scipy.special as sc
+
     if isinstance(z, np.ndarray):
         if np.min(z, initial=np.inf) >= POLE_GUARD:
             return sc.loggamma(z)
@@ -163,8 +169,10 @@ class FoxWrightSpec:
         the principal branch of log_gamma. Raises PoleHitError naming the
         first argument within POLE_GUARD of a Gamma pole.
         """
+        from scipy.special import loggamma
+
         k = np.atleast_1d(np.asarray(kappa, dtype=np.float64))
-        s = -sc.loggamma(k + 1.0)
+        s = -loggamma(k + 1.0)
         for a, wa in self.upper:
             s = s + log_gamma(a + k * wa)
         for b, wb in self.lower:

@@ -43,6 +43,13 @@ def test_transform_builtin_tau_equals_beta_returns_input(capsys):
     assert np.array_equal(got, want.coeffs)
 
 
+def test_transform_monomial_1e308_at_tau_equals_beta(capsys):
+    """At tau = beta every monomial is unchanged, however large its power."""
+    doc = run_json(capsys, "transform", "--beta", "0.5", "--tau", "0.5", "--monomial", "1e308")
+    assert doc["coefficient"] == 1.0
+    assert doc["exponent"] == 1e308
+
+
 def test_transform_window_violation_exits_2(capsys):
     code, out, err = run_cli(capsys, "transform", "--beta", "0.2", "--tau", "0.9",
                              "--gamma", "0", "--monomial", "1")
@@ -233,7 +240,6 @@ def test_bloch_series_flags_are_exclusive(capsys):
     ("bloch", "--f", "koebe", "--alpha", "2", "--mu", "1", "--w", "power", "--alpha-w", "nan"),
     ("bloch", "--f", "identity", "--refine", "-1"),
     ("bloch", "--f", "identity", "--refine", "5"),  # past MAX_GRID_POINTS
-    ("transform", "--beta", "0.5", "--tau", "0.5", "--monomial", "1e308"),
     ("transform", "--beta", "0.5", "--tau", "0.5", "--series", "/nonexistent.json"),
     ("transform", "--beta", "0.5", "--tau", "0.5", "--series", "{tmp}"),
     ("transform", "--beta", "0.5", "--tau", "0.5", "--monomial", "1", "--output",

@@ -12,6 +12,7 @@ from fracops.fracdiff import (
     OperatorParams,
     apply_operator,
     closed_form_spec,
+    log_gamma_ratio,
     monomial_transform,
     phi_multiplier,
     theta_fox_wright_spec,
@@ -21,6 +22,7 @@ from fracops.fracdiff import (
     theta_normalize,
 )
 from fracops.series import (
+    MAX_ORDER,
     STOCK_INPUTS,
     PowerSeries,
     exp_times_z_series,
@@ -173,6 +175,27 @@ def test_kernel_matches_mpmath_at_window_corners(beta, tau, gamma):
                 assert abs(phi[m] - float(r / r1)) <= tol * float(r / r1), (m, phi[m])
 
 
+@pytest.mark.parametrize("gamma", [0.0, 50.0])
+@pytest.mark.parametrize("beta,tau", _CORNERS)
+def test_kernel_error_is_flat_up_to_max_order(beta, tau, gamma):
+    """R(m) within 64 eps max(1, |R|) of 50 digits at every index where c < 17, and up to MAX_ORDER.
+
+    The bound does not grow with m: no Gamma argument of size c log c enters
+    R. Each index also gets the same bits from a call of its own.
+    """
+    p = OperatorParams(beta, tau, gamma)
+    g1 = gamma + 1.0
+    m = np.unique(np.r_[np.arange(17.0 * g1), np.round(np.geomspace(17.0 * g1, MAX_ORDER, 60))])
+    r = log_gamma_ratio(p, m)
+    with mpmath.workdps(50):
+        b, t, g = mpmath.mpf(beta), mpmath.mpf(tau), mpmath.mpf(gamma)
+        for k, got in zip(m, r):
+            c = (mpmath.mpf(k) + g * (1 - b)) / (g + 1)
+            want = float(mpmath.loggamma(c + b) - mpmath.loggamma(c + t))
+            assert abs(got - want) <= 64 * EPS * max(1.0, abs(want)), (k, got, want)
+    assert all(log_gamma_ratio(p, k) == got for k, got in zip(m[::9], r[::9]))
+
+
 def test_tau_equals_beta_is_bit_exact_on_packaged_fixtures():
     for name in SERIES_FIXTURE_NAMES:
         f = load_series_fixture(fixture_dir() / name)
@@ -248,6 +271,14 @@ def test_theta_hadamard_matches_multiplier_route():
         a = theta_normalize(p, f)
         b = theta_hadamard(p, f)
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e3, 1e20])
+def test_theta_hadamard_at_the_smallest_tau(gamma):
+    """At tau = POLE_GUARD the Hadamard route's lower Gamma row stays >= tau, for any gamma."""
+    p = OperatorParams(1.0, 1e-9, gamma)
+    f = koebe_series(1.0, 8)
+    assert_allclose(theta_hadamard(p, f).coeffs, theta_normalize(p, f).coeffs, rtol=1e-12)
 
 
 def test_theta_kernel_spec_shape():

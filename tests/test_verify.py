@@ -1,6 +1,8 @@
 """Self-check suite runner plumbing: registry, seeding, fixture override."""
 
 import json
+import pathlib
+import runpy
 
 import pytest
 
@@ -62,6 +64,16 @@ def test_fixture_dir_env_override(tmp_path, monkeypatch):
     assert fixture_dir() == tmp_path
     monkeypatch.delenv("FRACOPS_FIXTURES")
     assert fixture_dir().name == "fixtures"
+
+
+def test_generator_rewrites_the_packaged_fixtures_byte_for_byte(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    runpy.run_path(str(root / "tools" / "gen_fixtures.py"))["main"](tmp_path)
+    packaged = root / "src" / "fracops" / "fixtures"
+    names = sorted(p.name for p in packaged.glob("*.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (packaged / name).read_bytes(), name
 
 
 def test_missing_fixture_directory_fails_with_names(tmp_path, monkeypatch):

@@ -6,11 +6,14 @@ quadrature goldens pin integral-route values (node-doubled) over a gamma
 ladder where the Gauss-Jacobi rule is well inside its fast-convergence
 regime. Run from the repository root:
 
-    python3 tools/gen_fixtures.py
+    python3 tools/gen_fixtures.py [OUTPUT_DIR]
+
+OUTPUT_DIR defaults to src/fracops/fixtures/.
 """
 
 import json
 import pathlib
+import sys
 
 from fracops.fracdiff import OperatorParams
 from fracops.quadrature import QuadratureConfig, oracle_eval
@@ -28,10 +31,11 @@ GOLDEN_INPUTS = (
 NODE_COUNT = 64
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def main(out=OUT):
+    out = pathlib.Path(out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, (kind, order, params) in SERIES_FIXTURE_RECIPES.items():
-        save_series_fixture(make_builtin(kind, order, **params), OUT / name)
+        save_series_fixture(make_builtin(kind, order, **params), out / name)
         print("wrote", name)
 
     entries = []
@@ -52,11 +56,11 @@ def main():
                 }
                 entries.append(entry)
     doc = {"entries": entries}
-    with open(OUT / GOLDEN_FIXTURE_NAME, "w") as fh:
+    with open(out / GOLDEN_FIXTURE_NAME, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
     print(f"wrote {GOLDEN_FIXTURE_NAME} ({len(entries)} entries)")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])
