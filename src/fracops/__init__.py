@@ -42,7 +42,7 @@ from .fracdiff import (
     theta_multiplier_apply,
     theta_normalize,
 )
-from .quadrature import QuadratureConfig, inner_integral, oracle_eval
+from .quadrature import inner_integral, oracle_eval
 from .geometry import (
     CriterionReport,
     DiskGrid,

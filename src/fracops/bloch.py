@@ -189,13 +189,13 @@ class EquivalenceReport:
 
 
 def boundedness_equivalence_check(p: OperatorParams, f: PowerSeries, mu: float,
-                                  w: WeightSpec, grid: DiskGrid | None = None) -> EquivalenceReport:
+                                  w: WeightSpec) -> EquivalenceReport:
     """Desk-scale witness that f and Theta f have comparable weighted norms.
 
-    Both norms are taken on the same grid; finiteness of both at matched
-    scale is the check — no operator-norm claim is made.
+    Both norms are taken on the same grid, default_bloch_grid(); finiteness
+    of both at matched scale is the check — no operator-norm claim is made.
     """
-    grid = grid or default_bloch_grid()
+    grid = default_bloch_grid()
     nf = bloch_norm_weighted(f, mu, w, grid)
     ntf = bloch_norm_weighted(theta_multiplier_apply(p, f), mu, w, grid)
     if nf.norm_estimate == 0.0:

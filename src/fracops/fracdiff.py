@@ -371,12 +371,13 @@ class ClosedFormImage:
     power: float
     fox_wright: FoxWrightSpec
 
-    def inner_sum(self, z, max_terms: int = MAX_TERMS_DEFAULT) -> EvalOutcome:
+    def inner_sum(self, z) -> EvalOutcome:
         """Sum the normalized series at z through the one summation driver.
 
-        The unit-weight rows advance by their ratio recurrence, z in each
-        step, so no log-Gamma of size k log k and no Gamma of a stock
-        parameter enters; the Gamma pair is one log-Gamma difference.
+        At most MAX_TERMS_DEFAULT terms are summed. The unit-weight rows
+        advance by their ratio recurrence, z in each step, so no log-Gamma
+        of size k log k and no Gamma of a stock parameter enters; the Gamma
+        pair is one log-Gamma difference.
         """
         (*upper, (b, w)), (*lower, (b_low, _)) = self.fox_wright.upper, self.fox_wright.lower
         _, _, s, a = stock_rows(self.kind, **self.params)
@@ -398,12 +399,12 @@ class ClosedFormImage:
                 pair = loggamma(b + k * w) - loggamma(b_low + k * w) - pair_0
                 return h * np.exp(pair - s * np.log(k + a))
 
-        return _sum_terms(block, max_terms, abs(z) / self.fox_wright.radius)
+        return _sum_terms(block, MAX_TERMS_DEFAULT, abs(z) / self.fox_wright.radius)
 
-    def evaluate(self, z, max_terms: int = MAX_TERMS_DEFAULT) -> complex:
+    def evaluate(self, z) -> complex:
         """Value at z; raises DomainError unless the inner sum is CONVERGED."""
         z = complex(z)
-        out = self.inner_sum(z, max_terms)
+        out = self.inner_sum(z)
         if out.status is not EvalStatus.CONVERGED:
             raise DomainError(
                 f"closed-form series for {self.kind!r} did not converge at z={z} "

@@ -127,9 +127,9 @@ class ScreenResult:
     witness_value: float | None = None
 
 
-def _order_screen(lam: float, grid: DiskGrid | None, shift: float, num: PowerSeries,
-                  den: PowerSeries, vanishes: str) -> ScreenResult:
-    """Screen Re(shift + z num(z) / den(z)) > lam over the grid.
+def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
+                  vanishes: str) -> ScreenResult:
+    """Screen Re(shift + z num(z) / den(z)) > lam over DiskGrid.default().
 
     The grid values decide: the first ring in ascending radius that
     violates the screen or has a denominator below _ZERO_GUARD. The
@@ -139,7 +139,7 @@ def _order_screen(lam: float, grid: DiskGrid | None, shift: float, num: PowerSer
     """
     if not 0.0 <= lam < 1.0:
         raise DomainError(f"order lambda must lie in [0, 1), got {lam}")
-    grid = grid or DiskGrid.default()
+    grid = DiskGrid.default()
     z = grid.points()
     d = grid.evaluate(den)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -168,19 +168,19 @@ def _order_screen(lam: float, grid: DiskGrid | None, shift: float, num: PowerSer
     return ScreenResult(False, lam, (i + 1) * z.shape[1], complex(ring[j]), float(ring_vals[j]))
 
 
-def starlike_order(f: PowerSeries, lam: float, grid: DiskGrid | None = None) -> ScreenResult:
-    """Screen Re(z f'(z) / f(z)) > lam over the grid.
+def starlike_order(f: PowerSeries, lam: float) -> ScreenResult:
+    """Screen Re(z f'(z) / f(z)) > lam over DiskGrid.default().
 
     Raises DomainError if f vanishes at a sample point (every grid point
     is away from 0, where class-A functions legitimately vanish).
     """
-    return _order_screen(lam, grid, 0.0, f.derivative(), f, "series")
+    return _order_screen(lam, 0.0, f.derivative(), f, "series")
 
 
-def convex_order(f: PowerSeries, lam: float, grid: DiskGrid | None = None) -> ScreenResult:
-    """Screen Re(1 + z f''(z) / f'(z)) > lam over the grid."""
+def convex_order(f: PowerSeries, lam: float) -> ScreenResult:
+    """Screen Re(1 + z f''(z) / f'(z)) > lam over DiskGrid.default()."""
     fp = f.derivative()
-    return _order_screen(lam, grid, 1.0, fp.derivative(), fp, "derivative")
+    return _order_screen(lam, 1.0, fp.derivative(), fp, "derivative")
 
 
 @dataclass

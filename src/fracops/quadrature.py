@@ -21,8 +21,7 @@ which keeps the integrand factor q^{alpha'} smooth uniformly in gamma
 (the plain w-form converges slowly for non-integer gamma because
 f(z w^{1/(gamma+1)}) has a branch point at w = 0). The Jacobi weight pair
 actually used is therefore (alpha', beta + gamma - 1); it is derived from
-the parameters on every call, so QuadratureConfig carries only the node
-count and the doubling tolerance. The outer derivative is taken under the
+the parameters on every call. The outer derivative is taken under the
 integral sign, from the companion integral of f'.
 
 Gauss-Jacobi nodes are cached per (exponent pair, node count) in a
@@ -32,10 +31,8 @@ bounded LRU cache of NODE_CACHE_SIZE entries.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +42,18 @@ from .series import PowerSeries
 from .special import log_gamma
 
 SMALL_Z_CUTOFF = 1e-6
+
+# oracle_eval evaluates at NODE_COUNT and 2 * NODE_COUNT nodes and raises if the
+# two results differ by more than TOLERANCE. 1e-8 is the accuracy the route is
+# asked to certify; in rough corners (gamma slightly off an integer leaves an
+# unmatched algebraic endpoint correction) the 64-node doubling residual can
+# reach a few 1e-9 even though the doubled value itself is much closer to the
+# truth than that.
+NODE_COUNT = 64
+TOLERANCE = 1e-8
+# Node counts inner_integral accepts.
+MIN_NODES = 8
+MAX_NODES = 4096
 
 # Bound on cached node sets. A fresh-seed run_suites() adds about 100 keys,
 # plus 20 fixture-suite keys that every call reuses.
@@ -73,42 +82,23 @@ def jacobi_nodes(a: float, b: float, n: int):
     return x, w
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Quadrature settings for the integral route.
-
-    tolerance gates the node-doubling self-check |result(2n) - result(n)|.
-    The 1e-8 default matches the accuracy the route is asked to certify;
-    in rough corners (gamma slightly off an integer leaves an unmatched
-    algebraic endpoint correction) the 64-node doubling residual can
-    reach a few 1e-9 even though the doubled value itself is much closer
-    to the truth than that.
-    """
-
-    node_count: int = 64
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.node_count < 8:
-            raise DomainError(f"node_count must be >= 8, got {self.node_count}")
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
-
-
-def inner_integral(p: OperatorParams, f: PowerSeries, z, cfg: QuadratureConfig,
+def inner_integral(p: OperatorParams, f: PowerSeries, z, node_count: int,
                    with_derivative: bool = False):
-    """int_0^1 w^{beta'} (1-w)^{alpha'} f(z w^{1/(gamma+1)}) dw by Gauss-Jacobi.
+    """int_0^1 w^{beta'} (1-w)^{alpha'} f(z w^{1/(gamma+1)}) dw by Gauss-Jacobi on node_count nodes.
 
-    With f identically 1 this is beta_fn(beta' + 1, alpha' + 1) exactly
-    (the Beta-function reduction behind the monomial closed form). When
+    A node_count outside [MIN_NODES, MAX_NODES] raises DomainError. With f
+    identically 1 this is beta_fn(beta' + 1, alpha' + 1) exactly (the
+    Beta-function reduction behind the monomial closed form). When
     with_derivative is set, also returns the companion integral with
     integrand factor w^{1/(gamma+1)} f'(z w^{1/(gamma+1)}), as needed for
     differentiating under the integral sign.
     """
+    if not MIN_NODES <= node_count <= MAX_NODES:
+        raise DomainError(f"node_count must lie in [{MIN_NODES}, {MAX_NODES}], got {node_count}")
     g1 = p.gamma + 1.0
     a = p.diff                      # alpha' = tau - beta
     b_sub = p.beta + p.gamma - 1.0  # exponent after the u-substitution
-    x, wts = jacobi_nodes(a, b_sub, cfg.node_count)
+    x, wts = jacobi_nodes(a, b_sub, node_count)
     u = (x + 1.0) / 2.0
     scale = 0.5 ** (a + b_sub + 1.0) * g1
     log_u = np.log(u)
@@ -132,10 +122,10 @@ def _front_constant(p: OperatorParams) -> float:
     return (p.gamma + 1.0) ** (-p.diff) * math.exp(s)
 
 
-def _eval_once(p: OperatorParams, f: PowerSeries, z: complex, cfg: QuadratureConfig) -> complex:
+def _eval_once(p: OperatorParams, f: PowerSeries, z: complex, node_count: int) -> complex:
     g1 = p.gamma + 1.0
     big_p = p.gamma + p.beta + g1 * p.diff
-    j0, j1 = inner_integral(p, f, z, cfg, with_derivative=True)
+    j0, j1 = inner_integral(p, f, z, node_count, with_derivative=True)
     g_prime = (
         big_p * cmath.exp((big_p - 1.0) * cmath.log(z)) * j0
         + cmath.exp(big_p * cmath.log(z)) * j1
@@ -143,17 +133,15 @@ def _eval_once(p: OperatorParams, f: PowerSeries, z: complex, cfg: QuadratureCon
     return _front_constant(p) * cmath.exp((1.0 - p.tau) * cmath.log(z)) * g_prime
 
 
-def oracle_eval(p: OperatorParams, f: PowerSeries, z, cfg: QuadratureConfig | None = None) -> complex:
+def oracle_eval(p: OperatorParams, f: PowerSeries, z) -> complex:
     """Operator value at z straight from the integral definition.
 
-    Evaluates at cfg.node_count and at twice that; if the two results
-    differ by more than cfg.tolerance a ConvergenceError is raised,
+    Evaluates at NODE_COUNT and at twice that; if the two results
+    differ by more than TOLERANCE a ConvergenceError is raised,
     otherwise the doubled-node value is returned. For |z| below
     SMALL_Z_CUTOFF the quadrature is skipped in favour of the leading
     series term (the outer z-powers amplify roundoff there).
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
     z = complex(z)
     if z == 0:
         raise DomainError("the integral route is undefined at z = 0")
@@ -167,12 +155,12 @@ def oracle_eval(p: OperatorParams, f: PowerSeries, z, cfg: QuadratureConfig | No
         m = int(nz[0])
         return complex(f.coeffs[m]) * monomial_transform(p, m).evaluate(z)
 
-    r1 = _eval_once(p, f, z, cfg)
-    r2 = _eval_once(p, f, z, dataclasses.replace(cfg, node_count=2 * cfg.node_count))
-    if abs(r2 - r1) > cfg.tolerance:
+    r1 = _eval_once(p, f, z, NODE_COUNT)
+    r2 = _eval_once(p, f, z, 2 * NODE_COUNT)
+    if abs(r2 - r1) > TOLERANCE:
         raise ConvergenceError(
-            f"node doubling {cfg.node_count} -> {2 * cfg.node_count} moved the result "
-            f"by {abs(r2 - r1):.3e} (> tolerance {cfg.tolerance:.1e})",
+            f"node doubling {NODE_COUNT} -> {2 * NODE_COUNT} moved the result "
+            f"by {abs(r2 - r1):.3e} (> tolerance {TOLERANCE:.1e})",
             last=r2,
             previous=r1,
         )

@@ -28,8 +28,7 @@ _NORMALIZED_TOL = 1e-12
 class PowerSeries:
     """Polynomial truncation sum_{k=0}^{N} c_k z^k.
 
-    coeffs holds c_0..c_N as complex128; treat instances as immutable
-    (arithmetic returns new objects).
+    coeffs holds c_0..c_N as complex128; treat instances as immutable.
     """
 
     coeffs: np.ndarray
@@ -68,18 +67,6 @@ class PowerSeries:
         if self.coeffs.size < 2:
             return False
         return abs(self.coeffs[0]) <= _NORMALIZED_TOL and abs(self.coeffs[1] - 1.0) <= _NORMALIZED_TOL
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = max(self.coeffs.size, other.coeffs.size)
-        out = np.zeros(n, dtype=np.complex128)
-        out[: self.coeffs.size] += self.coeffs
-        out[: other.coeffs.size] += other.coeffs
-        return PowerSeries(out)
-
-    def __mul__(self, scalar) -> "PowerSeries":
-        return PowerSeries(self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
 
     def to_fixture_dict(self) -> dict:
         return {
@@ -128,18 +115,20 @@ MAX_ORDER = 2**20
 
 
 def monomial_series(power: int, order: int | None = None) -> PowerSeries:
-    """z**power as a truncated series."""
+    """z**power as a truncated series of order at most MAX_ORDER."""
     if power < 0 or power != int(power):
         raise DomainError("monomial power must be a nonnegative integer")
     n = int(power) if order is None else int(order)
     if n < power:
         raise DomainError("order too small to hold the monomial")
+    if n > MAX_ORDER:
+        raise DomainError(f"order must be at most {MAX_ORDER}, got {n}")
     c = np.zeros(n + 1, dtype=np.complex128)
     c[int(power)] = 1.0
     return PowerSeries(c)
 
 
-def identity_series(order: int = 1) -> PowerSeries:
+def identity_series(order: int) -> PowerSeries:
     return monomial_series(1, max(order, 1))
 
 

@@ -54,8 +54,8 @@ _FIRST_BLOCK = 32
 _LAST_BLOCK = 1024
 
 
-def is_near_pole(z, guard: float = POLE_GUARD) -> bool:
-    """True if z lies within `guard` of a Gamma pole (0, -1, -2, ...).
+def is_near_pole(z) -> bool:
+    """True if z lies within POLE_GUARD of a Gamma pole (0, -1, -2, ...).
 
     Raises DomainError for a non-finite z, which is no Gamma argument.
     """
@@ -65,7 +65,7 @@ def is_near_pole(z, guard: float = POLE_GUARD) -> bool:
     n = round(x.real)
     if n > 0:
         return False
-    return math.hypot(x.real - n, x.imag) < guard
+    return math.hypot(x.real - n, x.imag) < POLE_GUARD
 
 
 def log_gamma(z):
@@ -284,14 +284,14 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
     return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE, max_terms, tail)
 
 
-def fox_wright_eval(spec: FoxWrightSpec, z, max_terms: int = MAX_TERMS_DEFAULT) -> EvalOutcome:
+def fox_wright_eval(spec: FoxWrightSpec, z) -> EvalOutcome:
     """Sum the Fox-Wright series at z with explicit convergence reporting.
 
     Returns an EvalOutcome whose status is CONVERGED (geometric tail bound
     below roundoff), DIVERGENT (|z| beyond spec.radius, overflow, or, on
-    the circle |z| = radius, sustained term growth), SLOW_CONVERGENCE (term
-    budget exhausted first, or, inside the radius, terms that cancel past
-    float64 resolution), or POLE_HIT (a Gamma argument of some term sat
+    the circle |z| = radius, sustained term growth), SLOW_CONVERGENCE (the
+    MAX_TERMS_DEFAULT term budget exhausted first, or, inside the radius,
+    terms that cancel past float64 resolution), or POLE_HIT (a Gamma argument of some term sat
     on a pole). The value field always carries the partial sum accumulated
     so far. At z = 0 the sum is the exact one-term sum, the kappa = 0 term.
     """
@@ -305,4 +305,4 @@ def fox_wright_eval(spec: FoxWrightSpec, z, max_terms: int = MAX_TERMS_DEFAULT) 
 
     radius = spec.radius
     limit = abs(z) / radius if radius > 0.0 else (math.inf if z else 0.0)
-    return _sum_terms(block, max_terms, limit)
+    return _sum_terms(block, MAX_TERMS_DEFAULT, limit)

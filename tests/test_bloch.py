@@ -191,7 +191,7 @@ def test_compactness_matches_the_grid_norm_of_each_member(w, mu):
     grid = default_bloch_grid().refine()
     norms = compactness_decay_check(p, 24, mu, w, grid)
     for n, got in enumerate(norms, start=2):
-        f_n = (1.0 / n) * monomial_series(n)
+        f_n = PowerSeries(monomial_series(n).coeffs / n)
         want = bloch_norm_weighted(theta_multiplier_apply(p, f_n), mu, w, grid).norm_estimate
         assert_allclose(got, want, rtol=1e-13)
 

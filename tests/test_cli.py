@@ -135,6 +135,21 @@ def test_verify_corrupted_fixture_exits_1_naming_it(tmp_path, capsys, monkeypatc
     assert any("series_kummer.json" in f for f in failures)
 
 
+def test_verify_bad_golden_node_count_exits_1_with_strict_json(tmp_path, capsys, monkeypatch):
+    src = fixture_dir()
+    for name in src.iterdir():
+        (tmp_path / name.name).write_text(name.read_text())
+    doc = json.loads((tmp_path / "quad_goldens.json").read_text())
+    doc["entries"][0]["node_count"] = 4
+    (tmp_path / "quad_goldens.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("FRACOPS_FIXTURES", str(tmp_path))
+    code, out, err = run_cli(capsys, "verify", "--suite", "fixtures")
+    assert code == 1 and not err
+    report = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON constant {c}"))
+    failures = report["suites"][0]["failures"]
+    assert failures and all(f.startswith("quad_goldens.json[0]: ") for f in failures)
+
+
 # ---------------------------------------------------------------------------
 # criteria
 

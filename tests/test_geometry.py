@@ -116,7 +116,7 @@ def test_evaluate_matches_mpmath_within_the_coefficient_sum_bound():
         (koebe, lambda z: z * (1 - (n + 1) * z**n + n * z ** (n + 1)) / (1 - z) ** 2),
         (theta_normalize(p, koebe).derivative(), None),
         (PowerSeries(rng.normal(size=301) + 1j * rng.normal(size=301)), None),
-        ((1.0 / 64) * monomial_series(64), lambda z: z**64 / 64),
+        (PowerSeries(monomial_series(64).coeffs / 64), lambda z: z**64 / 64),
     )
     eps = np.finfo(np.float64).eps
     with mpmath.workdps(30):

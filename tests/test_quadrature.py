@@ -1,4 +1,4 @@
-"""Independent Gauss-Jacobi route for the operator: config, kernel, oracle."""
+"""Independent Gauss-Jacobi route for the operator: node counts, kernel, oracle."""
 
 import math
 
@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fracops import quadrature
 from fracops.errors import ConvergenceError, DomainError
 from fracops.fracdiff import OperatorParams, apply_operator, monomial_transform
 from fracops.quadrature import (
+    MAX_NODES,
+    MIN_NODES,
     NODE_CACHE_SIZE,
-    QuadratureConfig,
+    NODE_COUNT,
     inner_integral,
     jacobi_nodes,
     oracle_eval,
@@ -24,14 +27,16 @@ def _params(beta=0.65, tau=0.3, gamma=1.7):
 
 
 # ---------------------------------------------------------------------------
-# config / nodes
+# node counts / nodes
 
 
-def test_config_validation():
-    with pytest.raises(DomainError):
-        QuadratureConfig(node_count=4)
-    with pytest.raises(DomainError):
-        QuadratureConfig(tolerance=0.0)
+def test_inner_integral_checks_the_node_count():
+    p, one = _params(), PowerSeries([1.0])
+    for n in (MIN_NODES - 1, MAX_NODES + 1):
+        with pytest.raises(DomainError, match="node_count"):
+            inner_integral(p, one, 0.3, n)
+    for n in (MIN_NODES, NODE_COUNT):
+        assert isinstance(inner_integral(p, one, 0.3, n), complex)
 
 
 def test_jacobi_nodes_cached_and_sane():
@@ -62,21 +67,20 @@ def test_jacobi_node_cache_is_bounded():
 def test_constant_input_reproduces_beta_function(beta, tau, gamma):
     """With f == 1 the weighted integral is an exact Beta value."""
     p = OperatorParams(beta, tau, gamma)
-    cfg = QuadratureConfig()
-    got = inner_integral(p, PowerSeries([1.0]), 0.3, cfg)
+    got = inner_integral(p, PowerSeries([1.0]), 0.3, NODE_COUNT)
     want = beta_fn((beta - 1.0) / (gamma + 1.0) + 1.0, 1.0 - beta + tau)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_inner_integral_with_derivative_pair():
     p = _params()
-    cfg = QuadratureConfig()
     f = koebe_series(1.0, 80)
-    val, dval = inner_integral(p, f, 0.25, cfg, with_derivative=True)
-    assert_allclose(val, inner_integral(p, f, 0.25, cfg), rtol=1e-15)
+    val, dval = inner_integral(p, f, 0.25, NODE_COUNT, with_derivative=True)
+    assert_allclose(val, inner_integral(p, f, 0.25, NODE_COUNT), rtol=1e-15)
     # derivative integrand u f'(zu): cross-check by a central difference in z
     h = 1e-6
-    fd = (inner_integral(p, f, 0.25 + h, cfg) - inner_integral(p, f, 0.25 - h, cfg)) / (2 * h)
+    fd = (inner_integral(p, f, 0.25 + h, NODE_COUNT)
+          - inner_integral(p, f, 0.25 - h, NODE_COUNT)) / (2 * h)
     assert_allclose(dval, fd, rtol=1e-8)
 
 
@@ -138,11 +142,12 @@ def test_oracle_small_z_leading_term():
     assert_allclose(oracle_eval(p, f, z), want, rtol=1e-9)
 
 
-def test_oracle_node_doubling_guard_raises():
+def test_oracle_node_doubling_guard_raises(monkeypatch):
+    # a tolerance no rule meets keeps the guard covered whatever the node rule
+    monkeypatch.setattr(quadrature, "TOLERANCE", 1e-30)
     p = OperatorParams(0.15, 0.1, 2.3)
-    cfg = QuadratureConfig(node_count=8, tolerance=1e-30)
     with pytest.raises(ConvergenceError) as err:
-        oracle_eval(p, koebe_series(1.0, 200), -0.62, cfg)
+        oracle_eval(p, koebe_series(1.0, 200), -0.62)
     assert "node doubling" in str(err.value)
 
 
@@ -157,6 +162,6 @@ def test_oracle_is_linear_in_f():
     f = koebe_series(1.0, 60)
     g = PowerSeries(np.linspace(0.5, -0.5, 61))
     z = 0.28 - 0.11j
-    combined = oracle_eval(p, f + 2.0 * g, z)
+    combined = oracle_eval(p, PowerSeries(f.coeffs + 2.0 * g.coeffs), z)
     split = oracle_eval(p, f, z) + 2.0 * oracle_eval(p, g, z)
     assert abs(combined - split) <= 1e-9 * max(1.0, abs(split))

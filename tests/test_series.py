@@ -1,4 +1,4 @@
-"""Truncated power series container, arithmetic, fixtures, stock inputs."""
+"""Truncated power series container, fixtures, stock inputs."""
 
 import json
 import math
@@ -68,13 +68,6 @@ def test_derivative_coefficients():
     d = ps.derivative()
     assert_allclose(d.coeffs, [1.0, 4.0, 9.0])
     assert identity_series(1).derivative().coeffs.tolist() == [1.0 + 0j]
-
-
-def test_linear_algebra_ops():
-    a = PowerSeries([1.0, 2.0])
-    b = PowerSeries([0.5, -1.0, 4.0])
-    assert_allclose((a + b).coeffs, [1.5, 1.0, 4.0])
-    assert_allclose((2.0 * a).coeffs, [2.0, 4.0])
 
 
 def test_is_normalized():
@@ -173,6 +166,9 @@ def test_monomial_series():
     ps = monomial_series(3)
     assert ps.order == 3
     assert ps.coeffs[3] == 1.0 and np.count_nonzero(ps.coeffs) == 1
+    assert monomial_series(3, MAX_ORDER).order == MAX_ORDER
+    with pytest.raises(DomainError, match="at most"):
+        monomial_series(3, MAX_ORDER + 1)  # refused before any allocation
 
 
 def test_make_builtin_dispatch_and_errors():

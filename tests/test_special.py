@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from fracops.errors import DomainError, PoleHitError
 from fracops.special import (
+    MAX_TERMS_DEFAULT,
     EvalStatus,
     FoxWrightSpec,
     _sum_terms,
@@ -31,8 +32,8 @@ def test_log_gamma_matches_mpmath_on_complex_grid():
     worst = 0.0
     for _ in range(200):
         z = complex(rng.uniform(-20, 50), rng.uniform(-50, 50))
-        if is_near_pole(z, guard=1e-3):
-            continue
+        if round(z.real) <= 0 and abs(z - round(z.real)) < 1e-3:
+            continue  # too close to a pole for a relative comparison
         got = log_gamma(z)
         want = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
@@ -240,10 +241,11 @@ def test_eval_pole_inside_a_block_keeps_the_earlier_terms():
 
 
 def test_eval_budget_exhaustion_reports_slow():
+    # 1/(1 - z) at z = 0.9999: the tail falls below roundoff only after ~3.7e5 terms
     spec = FoxWrightSpec(upper=((1.0, 1.0),), lower=())
-    out = fox_wright_eval(spec, 0.99, max_terms=20)
+    out = fox_wright_eval(spec, 0.9999)
     assert out.status is EvalStatus.SLOW_CONVERGENCE
-    assert out.terms_used == 20
+    assert out.terms_used == MAX_TERMS_DEFAULT
 
 
 def test_eval_complex_argument_against_mpmath():

@@ -7,6 +7,8 @@ import runpy
 import pytest
 
 from fracops.errors import DomainError
+from fracops.quadrature import MAX_NODES
+from fracops.series import MAX_ORDER
 from fracops.verify import (
     SUITES,
     draw_params,
@@ -85,17 +87,25 @@ def test_missing_fixture_directory_fails_with_names(tmp_path, monkeypatch):
 
 
 def test_tampered_value_is_caught(tmp_path, monkeypatch):
-    """Flipping one golden value must fail the suite, naming the entry."""
+    """A tampered golden fails the suite, naming the entry; none makes the suite raise."""
     src = fixture_dir()
     for name in src.iterdir():
         (tmp_path / name.name).write_text(name.read_text())
-    doc = json.loads((tmp_path / "quad_goldens.json").read_text())
-    doc["entries"][0]["value"][0] += 1e-3
-    (tmp_path / "quad_goldens.json").write_text(json.dumps(doc))
+    golden = tmp_path / "quad_goldens.json"
+    entries = json.loads(golden.read_text())["entries"]
+    re, im = entries[0]["value"]
     monkeypatch.setenv("FRACOPS_FIXTURES", str(tmp_path))
-    res = suite_fixtures()
-    assert not res.passed
-    assert any("quad_goldens.json[0]" in f and "stored value" in f for f in res.failures)
+    for change, message in (
+        ({"value": [re + 1e-3, im]}, "stored value"),
+        ({"node_count": 4}, "node_count"),
+        ({"node_count": MAX_NODES + 1}, "node_count"),
+        ({"input": {"kind": "monomial", "power": 3, "order": MAX_ORDER + 1}}, "malformed entry"),
+    ):
+        golden.write_text(json.dumps({"entries": [{**entries[0], **change}] + entries[1:]}))
+        res = suite_fixtures()
+        assert not res.passed
+        assert res.failures and all(f.startswith("quad_goldens.json[0]: ") for f in res.failures), change
+        assert message in res.failures[0], res.failures
 
 
 def test_suite_results_serialize():

@@ -16,7 +16,7 @@ import pathlib
 import sys
 
 from fracops.fracdiff import OperatorParams
-from fracops.quadrature import QuadratureConfig, oracle_eval
+from fracops.quadrature import NODE_COUNT, oracle_eval
 from fracops.series import make_builtin, save_series_fixture
 from fracops.verify import GOLDEN_FIXTURE_NAME, SERIES_FIXTURE_RECIPES, _rebuild_golden_input
 
@@ -28,7 +28,6 @@ GOLDEN_INPUTS = (
     {"kind": "koebe", "params": {"alpha": 1.0}, "order": 200, "z": (0.2, -0.35)},
     {"kind": "monomial", "power": 3, "order": 8, "z": (-0.4, 0.1)},
 )
-NODE_COUNT = 64
 
 
 def main(out=OUT):
@@ -42,11 +41,10 @@ def main(out=OUT):
     for gamma in GOLDEN_GAMMAS:
         for beta, tau in GOLDEN_BETA_TAU:
             p = OperatorParams(beta, tau, gamma)
-            cfg = QuadratureConfig(node_count=NODE_COUNT)
             for spec in GOLDEN_INPUTS:
                 f = _rebuild_golden_input(spec)
                 z = complex(*spec["z"])
-                val = oracle_eval(p, f, z, cfg)
+                val = oracle_eval(p, f, z)
                 entry = {
                     "params": p.to_json_dict(),
                     "input": {k: v for k, v in spec.items() if k != "z"},
