@@ -234,14 +234,20 @@ class OperatorImage:
     prefactor_power: float
     series: PowerSeries
 
-    def evaluate(self, z) -> complex:
-        z = complex(z)
+    def evaluate(self, z):
+        """The image at a complex scalar, or at each point of a 1-D array with one Horner pass."""
+        if np.ndim(z) == 0:
+            z = complex(z)
+            return self._times_prefactor(z, self.series.evaluate(z))
+        z = np.asarray(z, dtype=np.complex128)
+        return np.array([self._times_prefactor(w, s)
+                         for w, s in zip(z.tolist(), self.series.evaluate(z).tolist())])
+
+    def _times_prefactor(self, z: complex, value: complex) -> complex:
         if z == 0:
             # z^p -> 0 for p > 0; the p == 0 case degenerates to the series value.
-            if self.prefactor_power == 0.0:
-                return self.series.evaluate(z)
-            return 0.0 + 0.0j
-        return cmath.exp(self.prefactor_power * cmath.log(z)) * self.series.evaluate(z)
+            return value if self.prefactor_power == 0.0 else 0.0 + 0.0j
+        return cmath.exp(self.prefactor_power * cmath.log(z)) * value
 
     def to_json_dict(self) -> dict:
         return {

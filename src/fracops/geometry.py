@@ -6,7 +6,9 @@ the grid"), never proofs. DiskGrid.evaluate, the one grid evaluator, returns
 a (radii x angles) array that the screens and Bloch norms reduce, taking one
 inverse DFT of the coefficients folded mod the angle count per ring; a grid
 holds at most MAX_GRID_POINTS points. A failing screen reads its witness from
-Horner on the deciding ring. The univalence criterion sums the explicit
+Horner on the deciding ring, run in one pass for numerator and denominator
+and only at the angles that the grid values and the error bounds of both
+evaluators cannot rule out. The univalence criterion sums the explicit
 rearranged proof terms at z = 1 and reports divergence honestly instead
 of forcing a verdict.
 """
@@ -20,10 +22,14 @@ import numpy as np
 
 from .errors import DomainError
 from .fracdiff import OperatorParams, log_gamma_ratio, theta_front_constant
-from .series import PowerSeries
+from .series import PowerSeries, evaluate_many
 from .special import EvalStatus, _sum_terms
 
 _ZERO_GUARD = 1e-14
+_EPS = float(np.finfo(np.float64).eps)
+#: DiskGrid.evaluate is within this many eps * sum_k |c_k| r^k of f at r e^{2 pi i j/M}
+#: (61 is the worst case measured against mpmath; see the geometry tests).
+_GRID_ERROR_UNITS = 128
 #: Largest number of sample points (radii x angles) a DiskGrid may hold.
 MAX_GRID_POINTS = 2**22
 # DiskGrid.evaluate folds and transforms blocks of whole rings of about this many
@@ -127,6 +133,49 @@ class ScreenResult:
     witness_value: float | None = None
 
 
+def _ring_error(f: PowerSeries, r: float) -> float:
+    """Bound on |Horner value - grid value| of f at each sample point of the ring of radius r.
+
+    With S0 = sum_k |c_k| r^k and S1 = sum_k k |c_k| r^k, in units of eps:
+    Horner's a-priori bound, (4N + 4) S0 for complex arithmetic (Higham 2002,
+    ch. 5: each step is one complex product, within 3u, and one sum); the
+    grid's, _GRID_ERROR_UNITS S0; and 32 S1 because points() rounds
+    r e^{2 pi i j/M}, where the grid evaluates, by less than 16 eps r. inf
+    when Horner might overflow (2 sum_k |c_k| is not finite).
+    """
+    a = np.abs(f.coeffs)
+    k = np.arange(a.size)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(2.0 * a.sum()):
+            return math.inf
+        rk = r**k
+        s0, s1 = float(a @ rk), float((k * a) @ rk)
+        return _EPS * ((4 * f.order + 4 + _GRID_ERROR_UNITS) * s0 + 32 * s1)
+
+
+def _candidate_angles(r: float, shift: float, num: PowerSeries, den: PowerSeries,
+                      num_grid, den_grid, vals) -> np.ndarray:
+    """Angle indices of a ring where Horner's screened value may be the ring's smallest.
+
+    vals are the grid's screened values Re(shift + z num/den). If |Horner
+    quotient - grid quotient| <= D_j at every angle j, then an angle with
+    vals_j - D_j > min_i (vals_i + D_i) is beaten by Horner at some other
+    angle, so the first Horner argmin over the rest is the full ring's.
+    D_j carries the numerator and denominator bounds through the quotient
+    as 1/(|den_j| - E_den), plus 16 eps (|z num/den| + |shift|) for
+    rounding the quotient itself; the whole ring comes back when a bound is
+    not finite, |den_j| <= E_den, or Horner's quotient might overflow.
+    """
+    e_num, e_den = _ring_error(num, r), _ring_error(den, r)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = r * np.abs(num_grid / den_grid)
+        margin = np.abs(den_grid) - e_den
+        bound = (r * e_num + q * e_den) / margin + 16.0 * _EPS * (q + abs(shift))
+        if not (np.all(margin > 0.0) and np.all(np.isfinite(4.0 * (q + bound)))):
+            return np.arange(vals.size)
+        return np.flatnonzero(vals - bound <= np.min(vals + bound))
+
+
 def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
                   vanishes: str) -> ScreenResult:
     """Screen Re(shift + z num(z) / den(z)) > lam over DiskGrid.default().
@@ -135,15 +184,17 @@ def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
     violates the screen or has a denominator below _ZERO_GUARD. The
     latter, or a non-finite quotient on that ring, raises DomainError;
     otherwise the worst point of Horner's values on that ring is returned
-    (argmin, first angle among ties).
+    (argmin, first angle among ties). Horner runs, for num and den in one
+    pass, only at the angles whose grid value the error bounds cannot rule
+    out (_candidate_angles), which gives the full ring's argmin bit for bit.
     """
     if not 0.0 <= lam < 1.0:
         raise DomainError(f"order lambda must lie in [0, 1), got {lam}")
     grid = DiskGrid.default()
     z = grid.points()
-    d = grid.evaluate(den)
+    n, d = grid.evaluate(num), grid.evaluate(den)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.real(z * grid.evaluate(num) / d)
+        vals = np.real(z * n / d)
     if shift:  # adding 0.0 would turn a -0.0 witness value into 0.0
         vals = vals + shift
     vanishing = np.any(np.abs(d) < _ZERO_GUARD, axis=1)
@@ -157,15 +208,20 @@ def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
     # The witness value sits near lam, where the quotient is ill-conditioned: take
     # it from Horner, which is more accurate there than the folded DFT.
     ring = z[i]
+    idx = _candidate_angles(grid.radii[i], shift, num, den, n[i], d[i], vals[i])
+    # The quotient is formed over the whole ring, as on the full Horner ring:
+    # NumPy rounds a complex product on a length-1 array differently.
+    hn, hd = np.zeros_like(ring), np.ones_like(ring)
+    hn[idx], hd[idx] = evaluate_many([(num, ring[idx]), (den, ring[idx])])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ring_vals = np.real(ring * num.evaluate(ring) / den.evaluate(ring))
+        ring_vals = np.real(ring * hn / hd)[idx]
     if shift:
         ring_vals = ring_vals + shift
     if not (np.all(np.isfinite(vals[i])) and np.all(np.isfinite(ring_vals))):
         # float64 overflow; argmin would stop at a nan
         raise DomainError(f"screened quotient is not finite on the ring of radius {grid.radii[i]}")
-    j = int(np.argmin(ring_vals))
-    return ScreenResult(False, lam, (i + 1) * z.shape[1], complex(ring[j]), float(ring_vals[j]))
+    m = int(np.argmin(ring_vals))
+    return ScreenResult(False, lam, (i + 1) * z.shape[1], complex(ring[idx[m]]), float(ring_vals[m]))
 
 
 def starlike_order(f: PowerSeries, lam: float) -> ScreenResult:

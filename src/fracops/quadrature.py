@@ -22,7 +22,8 @@ which keeps the integrand factor q^{alpha'} smooth uniformly in gamma
 f(z w^{1/(gamma+1)}) has a branch point at w = 0). The Jacobi weight pair
 actually used is therefore (alpha', beta + gamma - 1); it is derived from
 the parameters on every call. The outer derivative is taken under the
-integral sign, from the companion integral of f'.
+integral sign, from the companion integral of f'. The oracle's two node
+counts share one Horner pass over f and f' at all their nodes.
 
 Gauss-Jacobi nodes are cached per (exponent pair, node count) in a
 bounded LRU cache of NODE_CACHE_SIZE entries.
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .fracdiff import OperatorParams, monomial_transform
-from .series import PowerSeries
+from .series import PowerSeries, evaluate_many
 from .special import log_gamma
 
 SMALL_Z_CUTOFF = 1e-6
@@ -82,17 +83,8 @@ def jacobi_nodes(a: float, b: float, n: int):
     return x, w
 
 
-def inner_integral(p: OperatorParams, f: PowerSeries, z, node_count: int,
-                   with_derivative: bool = False):
-    """int_0^1 w^{beta'} (1-w)^{alpha'} f(z w^{1/(gamma+1)}) dw by Gauss-Jacobi on node_count nodes.
-
-    A node_count outside [MIN_NODES, MAX_NODES] raises DomainError. With f
-    identically 1 this is beta_fn(beta' + 1, alpha' + 1) exactly (the
-    Beta-function reduction behind the monomial closed form). When
-    with_derivative is set, also returns the companion integral with
-    integrand factor w^{1/(gamma+1)} f'(z w^{1/(gamma+1)}), as needed for
-    differentiating under the integral sign.
-    """
+def _rule(p: OperatorParams, node_count: int):
+    """Nodes u in (0, 1), weights and scale of inner_integral's rule on node_count nodes."""
     if not MIN_NODES <= node_count <= MAX_NODES:
         raise DomainError(f"node_count must lie in [{MIN_NODES}, {MAX_NODES}], got {node_count}")
     g1 = p.gamma + 1.0
@@ -107,13 +99,37 @@ def inner_integral(p: OperatorParams, f: PowerSeries, z, node_count: int,
     else:
         q = np.expm1(g1 * log_u) / np.expm1(log_u)
         q_pow = q**a
-    zu = complex(z) * u
-    base = wts * q_pow
-    j0 = scale * np.sum(base * f.evaluate(zu))
-    if not with_derivative:
-        return complex(j0)
-    j1 = scale * np.sum(base * u * f.derivative().evaluate(zu))
-    return complex(j0), complex(j1)
+    return u, wts * q_pow, scale
+
+
+def _inner_integrals(p: OperatorParams, f: PowerSeries, z, node_counts, with_derivative: bool) -> list:
+    """inner_integral at each of node_counts, with one Horner pass over f (and f') at all nodes."""
+    rules = [_rule(p, n) for n in node_counts]
+    zu = [complex(z) * u for u, _, _ in rules]
+    series = (f, f.derivative()) if with_derivative else (f,)
+    vals = evaluate_many([(g, points) for g in series for points in zu])
+    out = []
+    for t, (u, base, scale) in enumerate(rules):
+        j0 = complex(scale * np.sum(base * vals[t]))
+        if with_derivative:
+            out.append((j0, complex(scale * np.sum(base * u * vals[len(rules) + t]))))
+        else:
+            out.append(j0)
+    return out
+
+
+def inner_integral(p: OperatorParams, f: PowerSeries, z, node_count: int,
+                   with_derivative: bool = False):
+    """int_0^1 w^{beta'} (1-w)^{alpha'} f(z w^{1/(gamma+1)}) dw by Gauss-Jacobi on node_count nodes.
+
+    A node_count outside [MIN_NODES, MAX_NODES] raises DomainError. With f
+    identically 1 this is beta_fn(beta' + 1, alpha' + 1) exactly (the
+    Beta-function reduction behind the monomial closed form). When
+    with_derivative is set, also returns the companion integral with
+    integrand factor w^{1/(gamma+1)} f'(z w^{1/(gamma+1)}), as needed for
+    differentiating under the integral sign.
+    """
+    return _inner_integrals(p, f, z, (node_count,), with_derivative)[0]
 
 
 def _front_constant(p: OperatorParams) -> float:
@@ -122,15 +138,27 @@ def _front_constant(p: OperatorParams) -> float:
     return (p.gamma + 1.0) ** (-p.diff) * math.exp(s)
 
 
-def _eval_once(p: OperatorParams, f: PowerSeries, z: complex, node_count: int) -> complex:
+def _eval_doubling(p: OperatorParams, f: PowerSeries, z: complex, node_count: int) -> tuple:
+    """The operator value at z on node_count and on 2 * node_count nodes.
+
+    f and f' are evaluated at the nodes of both rules in one Horner pass.
+    A node_count whose doubled run would exceed MAX_NODES raises
+    DomainError naming node_count itself.
+    """
+    if MIN_NODES <= node_count <= MAX_NODES < 2 * node_count:
+        raise DomainError(f"node_count {node_count}: its doubled run of {2 * node_count} nodes "
+                          f"would exceed MAX_NODES = {MAX_NODES}")
     g1 = p.gamma + 1.0
     big_p = p.gamma + p.beta + g1 * p.diff
-    j0, j1 = inner_integral(p, f, z, node_count, with_derivative=True)
-    g_prime = (
-        big_p * cmath.exp((big_p - 1.0) * cmath.log(z)) * j0
-        + cmath.exp(big_p * cmath.log(z)) * j1
-    ) / g1
-    return _front_constant(p) * cmath.exp((1.0 - p.tau) * cmath.log(z)) * g_prime
+    front = _front_constant(p)
+    out = []
+    for j0, j1 in _inner_integrals(p, f, z, (node_count, 2 * node_count), with_derivative=True):
+        g_prime = (
+            big_p * cmath.exp((big_p - 1.0) * cmath.log(z)) * j0
+            + cmath.exp(big_p * cmath.log(z)) * j1
+        ) / g1
+        out.append(front * cmath.exp((1.0 - p.tau) * cmath.log(z)) * g_prime)
+    return tuple(out)
 
 
 def oracle_eval(p: OperatorParams, f: PowerSeries, z) -> complex:
@@ -155,8 +183,7 @@ def oracle_eval(p: OperatorParams, f: PowerSeries, z) -> complex:
         m = int(nz[0])
         return complex(f.coeffs[m]) * monomial_transform(p, m).evaluate(z)
 
-    r1 = _eval_once(p, f, z, NODE_COUNT)
-    r2 = _eval_once(p, f, z, 2 * NODE_COUNT)
+    r1, r2 = _eval_doubling(p, f, z, NODE_COUNT)
     if abs(r2 - r1) > TOLERANCE:
         raise ConvergenceError(
             f"node doubling {NODE_COUNT} -> {2 * NODE_COUNT} moved the result "

@@ -14,6 +14,7 @@ from fracops.geometry import (
     CRITERION_MODES,
     MAX_GRID_POINTS,
     _BLOCK_POINTS,
+    _GRID_ERROR_UNITS,
     DiskGrid,
     bieberbach_screen,
     convex_order,
@@ -83,11 +84,12 @@ def _sample_angles(m):
     return sorted({j % m for j in (0, 1, m // 4, m // 2 - 1, m // 2, m // 2 + 1, 3 * m // 4, m - 1)})
 
 
-# Bound C on |evaluate - exact| in units of eps * sum_k |c_k| r^k. The worst case
-# measured for the inputs and radii below, over every angle for M <= 128 and the
-# sampled ones for M = 2048, is 61: M = 7, r = 0.999, angle 0, Theta(Koebe)',
+# Bound C on |evaluate - exact| in units of eps * sum_k |c_k| r^k, which the order
+# screens rely on to skip Horner at angles that cannot hold the witness. The worst
+# case measured for the inputs and radii below, over every angle for M <= 128 and
+# the sampled ones for M = 2048, is 61: M = 7, r = 0.999, angle 0, Theta(Koebe)',
 # where the fold runs Horner over 358 rows of positive terms.
-_EVAL_ERROR_UNITS = 128
+_EVAL_ERROR_UNITS = _GRID_ERROR_UNITS
 
 
 def test_evaluate_matches_mpmath_within_the_coefficient_sum_bound():
@@ -196,6 +198,64 @@ def test_failing_screen_reports_its_witness_from_horner():
         want = mpmath.re(z * mpmath.polyval([mpmath.mpc(complex(c)) for c in fp.coeffs[::-1]], z)
                          / mpmath.polyval([mpmath.mpc(complex(c)) for c in f.coeffs[::-1]], z))
     assert abs(res.witness_value - float(want)) <= 2e-9 * abs(float(want))
+
+
+def _full_ring_witness(f, lam, kind):
+    """The witness from Horner on every angle of the deciding ring: first argmin."""
+    num, den, shift = ((f.derivative(), f, 0.0) if kind == "starlike"
+                       else (f.derivative().derivative(), f.derivative(), 1.0))
+    g = DiskGrid.default()
+    z = g.points()
+    vals = np.real(z * g.evaluate(num) / g.evaluate(den)) + shift
+    i = int(np.argmax(~np.all(vals > lam, axis=1)))
+    h = np.real(z[i] * num.evaluate(z[i]) / den.evaluate(z[i]))
+    if shift:
+        h = h + shift
+    j = int(np.argmin(h))
+    return complex(z[i, j]), float(h[j]), (i + 1) * g.angles_per_radius, h
+
+
+def test_witness_on_a_conjugate_pair_tie_is_the_full_ring_argmin():
+    """z/(1 - z^2) has Re(z f'/f) = Re((1 + z^2)/(1 - z^2)), smallest at z = +-ir.
+
+    The coefficients are real, so angles j = 64 and M - j = 192 tie in exact
+    arithmetic; rounding alone orders them, and the screen must still pick
+    Horner's first argmin over the whole ring.
+    """
+    c = np.zeros(1201)
+    c[1::2] = 1.0
+    f = PowerSeries(c)
+    res = starlike_order(f, 0.5)
+    witness, value, checked, h = _full_ring_witness(f, 0.5, "starlike")
+    assert abs(h[64] - h[192]) <= 1e-14 and min(h[64], h[192]) == value  # a near-tie
+    assert (res.witness, res.witness_value, res.points_checked) == (witness, value, checked)
+    assert abs(abs(witness.imag) - 0.6) < 1e-12  # first ring with (1 - r^2)/(1 + r^2) <= 1/2
+
+
+def test_failing_screens_match_the_full_ring_witness():
+    """200 seeded failing screens: the witness, its value and the point count, bit for bit."""
+    rng = np.random.default_rng(2024)
+    seen = 0
+    while seen < 200:
+        order = int(rng.integers(4, 400))
+        k = np.arange(2, order + 1)
+        c = np.zeros(order + 1, dtype=np.complex128)
+        c[1] = 1.0
+        c[2:] = rng.normal(size=k.size) / k ** rng.uniform(0.5, 2.5)
+        if rng.integers(2):  # complex coefficients; real ones give conjugate-pair ties
+            c[2:] += 1j * rng.normal(size=k.size) / k ** rng.uniform(0.5, 2.5)
+        f, lam = PowerSeries(c), float(rng.uniform(0.0, 0.95))
+        kind = "starlike" if rng.integers(2) else "convex"
+        try:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                res = (starlike_order if kind == "starlike" else convex_order)(f, lam)
+                want = _full_ring_witness(f, lam, kind)[:3]
+        except DomainError:
+            continue
+        if res.passed:
+            continue
+        assert (res.witness, res.witness_value, res.points_checked) == want, (order, lam, kind)
+        seen += 1
 
 
 def test_starlike_half_plane_map_witness():

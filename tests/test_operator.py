@@ -133,6 +133,9 @@ def test_operator_image_evaluate():
         for u in range(f.order + 1)
     )
     assert_allclose(image.evaluate(z), direct, rtol=1e-13)
+    # an array of points takes one Horner pass and changes no value
+    zs = np.array([z, 0.0, 0.5j, -0.4 + 0.1j])
+    assert image.evaluate(zs).tolist() == [image.evaluate(w) for w in zs]
     assert image.evaluate(0.0) == 0.0
 
 

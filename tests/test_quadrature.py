@@ -77,6 +77,10 @@ def test_inner_integral_with_derivative_pair():
     f = koebe_series(1.0, 80)
     val, dval = inner_integral(p, f, 0.25, NODE_COUNT, with_derivative=True)
     assert_allclose(val, inner_integral(p, f, 0.25, NODE_COUNT), rtol=1e-15)
+    # both node counts from one Horner pass, bit for bit as one count at a time
+    counts = (NODE_COUNT, 2 * NODE_COUNT)
+    assert quadrature._inner_integrals(p, f, 0.25, counts, True) == [
+        inner_integral(p, f, 0.25, n, with_derivative=True) for n in counts]
     # derivative integrand u f'(zu): cross-check by a central difference in z
     h = 1e-6
     fd = (inner_integral(p, f, 0.25 + h, NODE_COUNT)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fracops.series import (
     BUILTIN_SERIES,
     MAX_ORDER,
     PowerSeries,
+    evaluate_many,
     exp_times_z_series,
     hurwitz_lerch_series,
     identity_series,
@@ -61,6 +63,66 @@ def test_in_place_horner_is_bit_equal_to_two_temporary_horner():
     for c in f.coeffs[::-1]:
         want = want * z + c
     assert np.array_equal(f.evaluate(z), want)
+
+
+def _plain_horner(f, z):
+    """The Horner loop evaluate_many must match: on a NumPy scalar for a 0-d z."""
+    out = np.zeros_like(z)[()]
+    for c in f.coeffs[::-1]:
+        out *= z
+        out += c
+    return out
+
+
+def test_evaluate_many_is_bit_equal_to_plain_horner():
+    """Mixed orders and point sets in one pass give each point its own Horner value.
+
+    Point sets of 1, 2, 3, 64 and 256 points sit at random offsets of a longer
+    array; a set of several points is checked against the loop on that set, a
+    single point against the loop on a NumPy scalar, which rounds like the
+    longer arrays (an in-place product on a length-1 array does not).
+    """
+    rng = np.random.default_rng(11)
+    line = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 1024)) * rng.uniform(0.0, 0.999, 1024)
+    for _ in range(4):
+        pairs = []
+        for size in (1, 2, 3, 64, 256, 1, 0):
+            order = int(rng.integers(1, 3001))
+            f = PowerSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+            start = int(rng.integers(0, line.size - size))
+            pairs.append((f, line[start:start + size]))
+        pairs.append((pairs[2][0], line[:5]))  # one series in two pairs
+        got = evaluate_many(pairs)
+        assert [g.shape for g in got] == [z.shape for _, z in pairs]
+        for (f, z), values in zip(pairs, got):
+            if z.size == 1:
+                assert values[0] == _plain_horner(f, np.asarray(z[0]))
+                assert f.evaluate(z[0]) == values[0] and f.evaluate(z)[0] == values[0]
+            elif z.size:
+                assert np.array_equal(values, _plain_horner(f, z))
+                assert np.array_equal(f.evaluate(z), values)
+                assert values[-1] == _plain_horner(f, np.asarray(z[-1]))
+    assert evaluate_many([]) == []
+    with pytest.raises(DomainError):
+        evaluate_many([(identity_series(2), np.zeros((2, 2)))])
+
+
+def test_evaluate_many_memory_stays_bounded():
+    """f and f' at 64 + 128 nodes, order 2^18: coefficient rows come in chunks, not a table.
+
+    A dense order x points table would hold 2^18 * 384 complex values (1.6 GB).
+    """
+    f = PowerSeries(np.full(2**18 + 1, 1.0 / 2**18))
+    fp = f.derivative()
+    z64, z128 = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 64)), 0.7 * np.exp(1j * np.linspace(0.0, 6.0, 128))
+    tracemalloc.start()
+    try:
+        got = evaluate_many([(f, z64), (f, z128), (fp, z64), (fp, z128)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert np.all(np.isfinite(got[3]))
 
 
 def test_derivative_coefficients():

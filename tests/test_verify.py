@@ -10,6 +10,7 @@ from fracops.errors import DomainError
 from fracops.quadrature import MAX_NODES
 from fracops.series import MAX_ORDER
 from fracops.verify import (
+    SERIES_FIXTURE_NAMES,
     SUITES,
     draw_params,
     fixture_dir,
@@ -106,6 +107,19 @@ def test_tampered_value_is_caught(tmp_path, monkeypatch):
         assert not res.passed
         assert res.failures and all(f.startswith("quad_goldens.json[0]: ") for f in res.failures), change
         assert message in res.failures[0], res.failures
+
+
+def test_golden_whose_doubled_run_exceeds_max_nodes_names_its_stored_count(tmp_path, monkeypatch):
+    """A stored count in (MAX_NODES / 2, MAX_NODES] fails with that count, not the doubled one."""
+    src = fixture_dir()
+    for name in SERIES_FIXTURE_NAMES:
+        (tmp_path / name).write_text((src / name).read_text())
+    entry = json.loads((src / "quad_goldens.json").read_text())["entries"][0]
+    (tmp_path / "quad_goldens.json").write_text(json.dumps({"entries": [{**entry, "node_count": 3000}]}))
+    monkeypatch.setenv("FRACOPS_FIXTURES", str(tmp_path))
+    res = suite_fixtures()
+    assert res.failures == ["quad_goldens.json[0]: node_count 3000: its doubled run of 6000 nodes "
+                            f"would exceed MAX_NODES = {MAX_NODES}"]
 
 
 def test_suite_results_serialize():
