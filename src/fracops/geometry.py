@@ -212,7 +212,7 @@ def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
     # The quotient is formed over the whole ring, as on the full Horner ring:
     # NumPy rounds a complex product on a length-1 array differently.
     hn, hd = np.zeros_like(ring), np.ones_like(ring)
-    hn[idx], hd[idx] = evaluate_many([(num, ring[idx]), (den, ring[idx])])
+    hn[idx], hd[idx] = evaluate_many([num, den], ring[idx])
     with np.errstate(divide="ignore", invalid="ignore"):
         ring_vals = np.real(ring * hn / hd)[idx]
     if shift:

@@ -2,9 +2,9 @@
 
 A PowerSeries stores the coefficients c_0..c_N of a polynomial truncation
 and evaluates by Horner's scheme on scalars or arrays; evaluate_many runs
-that scheme once for several (series, points) pairs, bit-equal to each
-series' own evaluate, so the Python loop over the coefficients is paid
-once per caller. Every stock input
+that scheme once for several series at one shared point set, bit-equal to
+each series' own evaluate, so the Python loop over the coefficients is
+paid once per caller. Every stock input
 (Koebe-type powers, z*exp(z), confluent and Lerch-type hypergeometric
 inputs) is declared once in STOCK_INPUTS as hypergeometric rows, which
 both make_builtin and the closed forms in fracdiff read; make_builtin
@@ -49,9 +49,9 @@ class PowerSeries:
         return self.coeffs.size - 1
 
     def evaluate(self, z):
-        """Horner evaluation at a complex scalar or ndarray of points: evaluate_many on one pair."""
+        """Horner evaluation at a complex scalar or ndarray of points: evaluate_many on one series."""
         z = np.asarray(z, dtype=np.complex128)
-        out = evaluate_many([(self, z.reshape(-1))])[0].reshape(z.shape)
+        out = evaluate_many([self], z.reshape(-1))[0].reshape(z.shape)
         if out.ndim == 0:
             return complex(out)
         return out
@@ -90,62 +90,49 @@ class PowerSeries:
         return cls(arr)
 
 
-#: evaluate_many builds its coefficient rows at most this many elements (64 KiB) at a time.
-_ROW_CHUNK = 2**12
+#: evaluate_many builds its coefficient rows at most this many elements (128 KiB) at a time.
+_ROW_CHUNK = 2**13
 
 
-def evaluate_many(pairs) -> list:
-    """Horner values of several series at several point sets, in one loop over the coefficients.
+def evaluate_many(series, z) -> np.ndarray:
+    """Horner values of several series at one shared 1-D point set, in one loop over the coefficients.
 
-    pairs is a sequence of (PowerSeries, 1-D points); the result holds one
-    complex128 array per pair. Every point runs plain Horner over its own
-    series, and all points share one contiguous array multiplied in place,
-    so a coefficient costs two NumPy calls whatever the number of series
-    and points. The series are aligned at their top coefficient: sorted by
-    descending order, the points whose series has reached c_k are a prefix
-    of the array, and each gets c_k of its own series from a row built at
-    most _ROW_CHUNK elements at a time, never an order x points table.
-    While one point alone is active it runs on NumPy scalars, as at a
-    scalar z: NumPy rounds an in-place complex product on a length-1 array
-    differently from a longer one. So every value is bit-equal to f's
-    Horner value at that point, however the points are grouped.
+    Returns a (len(series), z.size) complex128 array. All values share one
+    contiguous array multiplied in place, so a coefficient costs two NumPy
+    calls whatever the number of series and points. A series of lower
+    order gets zeros above its top coefficient, which Horner turns into an
+    exact 0. Each value takes its series' c_k from a row built at most
+    _ROW_CHUNK elements at a time, never an order x points table. One
+    series runs on scalar coefficients; one series at one point runs on
+    NumPy scalars, as at a scalar z: NumPy rounds an in-place complex
+    product on a length-1 array differently from a longer one. So every
+    value is bit-equal to its series' Horner value at that point.
     """
-    pairs = [(f, np.asarray(z, dtype=np.complex128)) for f, z in pairs]
-    if any(z.ndim != 1 for _, z in pairs):
-        raise DomainError("evaluate_many takes one 1-D array of points per series")
-    results = [np.zeros(0, dtype=np.complex128) for _ in pairs]
-    rank = sorted((i for i, (_, z) in enumerate(pairs) if z.size), key=lambda i: -pairs[i][0].order)
-    if not rank:
-        return results
-    series = [pairs[i][0] for i in rank]
-    sizes = [pairs[i][1].size for i in rank]
-    ends = np.cumsum(sizes)
-    z = np.concatenate([pairs[i][1] for i in rank])
-    out = np.zeros_like(z)
-    for j, f in enumerate(series):
-        # coefficients f.order down to lo are where exactly series[:j + 1] are active
-        lo = series[j + 1].order + 1 if j + 1 < len(series) else 0
-        n = int(ends[j])
-        if j == 0:  # one series active: its coefficients are scalars
-            # one point runs as a NumPy scalar times a 0-d array, as at a scalar z
-            acc, at = (out[0], z[0, ...]) if n == 1 else (out[:n], z[:n])
-            for c in f.coeffs[lo:f.order + 1][::-1]:
-                acc *= at
-                acc += c
-            out[:n] = acc
-            continue
-        acc, at, step = out[:n], z[:n], max(1, _ROW_CHUNK // n)
-        for top in range(f.order, lo - 1, -step):
-            bottom = max(lo, top - step + 1)
-            rows = np.repeat(np.stack([g.coeffs[bottom:top + 1][::-1] for g in series[:j + 1]], axis=1),
-                             sizes[:j + 1], axis=1)
-            for row in rows:
-                acc *= at
-                acc += row
-            del row, rows  # never two chunks alive at once
-    for i, start, stop in zip(rank, ends - sizes, ends):
-        results[i] = out[start:stop]
-    return results
+    z = np.asarray(z, dtype=np.complex128)
+    if z.ndim != 1:
+        raise DomainError("evaluate_many takes one 1-D array of points")
+    out = np.zeros((len(series), z.size), dtype=np.complex128)
+    if not out.size:
+        return out
+    if len(series) == 1:
+        acc, at = (out[0, 0], z[0, ...]) if z.size == 1 else (out[0], z)
+        for c in series[0].coeffs[::-1]:
+            acc *= at
+            acc += c
+        out[0] = acc
+        return out
+    acc, at = out.reshape(-1), np.tile(z, len(series))
+    step = max(1, _ROW_CHUNK // acc.size)
+    for top in range(max(f.order for f in series), -1, -step):
+        bottom = max(0, top - step + 1)
+        table = np.zeros((top - bottom + 1, len(series)), dtype=np.complex128)
+        for j, f in enumerate(series):
+            hi = min(top, f.order)
+            table[top - hi:, j] = f.coeffs[bottom:hi + 1][::-1]
+        for row in np.repeat(table, z.size, axis=1):
+            acc *= at
+            acc += row
+    return out
 
 
 def save_series_fixture(ps: PowerSeries, path) -> None:

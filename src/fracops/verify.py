@@ -10,6 +10,7 @@ naming the offending case or fixture file.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from .fracdiff import (
     theta_multiplier_apply,
     theta_normalize,
 )
-from .quadrature import _eval_doubling, inner_integral, oracle_eval
+from .quadrature import _disk_point, _eval_doubling, inner_integral, oracle_eval
 from .series import PowerSeries, load_series_fixture, make_builtin, monomial_series
 from .special import FoxWrightSpec, beta_fn, fox_wright_eval, log_gamma
 
@@ -43,6 +44,8 @@ SERIES_FIXTURE_RECIPES = {
 }
 SERIES_FIXTURE_NAMES = tuple(SERIES_FIXTURE_RECIPES)
 GOLDEN_FIXTURE_NAME = "quad_goldens.json"
+#: Largest input order a golden entry may name; the packaged goldens use 8 and 200.
+_GOLDEN_MAX_ORDER = 4096
 
 
 def fixture_dir() -> pathlib.Path:
@@ -125,7 +128,7 @@ def suite_oracle_closed_form(seed: int = 0, draws: int = 50) -> SuiteResult:
             continue
         err = abs(got - ref) / max(abs(ref), 1e-300)
         worst = max(worst, err)
-        if err > tol:
+        if not err <= tol:
             failures.append(f"draw {i}: rel err {err:.3e} at params {p}, upsilon={upsilon}, z={z}")
     return _result("oracle_closed_form", tol, worst, draws, failures)
 
@@ -146,7 +149,7 @@ def suite_identity_law(seed: int = 0, draws: int = 200) -> SuiteResult:
             if abs(f.coeffs[0]) < 1e-12 and f.coeffs.size > 1:
                 dev = max(dev, float(np.max(np.abs(theta_multiplier_apply(p, g).coeffs - g.coeffs))))
         worst = max(worst, dev)
-        if dev > tol:
+        if not dev <= tol:
             failures.append(f"{label}: coefficient deviation {dev:.3e} at {p}")
 
     for i in range(draws):
@@ -179,7 +182,7 @@ def suite_reduction_law(seed: int = 0, draws: int = 100) -> SuiteResult:
         err = abs(got.coefficient - ref) / abs(ref)
         err = max(err, abs(got.exponent - upsilon))
         worst = max(worst, err)
-        if err > tol:
+        if not err <= tol:
             failures.append(f"draw {i}: rel err {err:.3e} at {p}, upsilon={upsilon}")
     return _result("reduction_law", tol, worst, draws, failures)
 
@@ -226,7 +229,7 @@ def suite_fox_wright_reduction(seed: int = 0, draws: int = 20) -> SuiteResult:
         ref = direct_hypergeometric(upper, lower, z) / delta
         err = abs(psi.value - ref) / max(abs(ref), 1e-300)
         worst = max(worst, err)
-        if psi.status.value != "Converged" or err > tol:
+        if psi.status.value != "Converged" or not err <= tol:
             failures.append(
                 f"draw {i}: status {psi.status.value}, rel err {err:.3e} "
                 f"(upper={upper}, lower={lower}, z={z})"
@@ -273,7 +276,7 @@ def suite_closed_forms(seed: int = 0) -> SuiteResult:
                 err = abs(got - ref) / max(abs(ref), 1e-300)
                 worst = max(worst, err)
                 checks += 1
-                if err > tol:
+                if not err <= tol:
                     failures.append(f"{kind}{kw} at {p}, z={z}: rel err {err:.3e}")
         # Confluent degeneracy: alpha == lam collapses to the z*exp(z) form.
         cfk = closed_form_spec(p, "kummer", alpha=1.3, lam=1.3)
@@ -283,7 +286,7 @@ def suite_closed_forms(seed: int = 0) -> SuiteResult:
             err = abs(cfk.evaluate(z) - ref) / max(abs(ref), 1e-300)
             worst = max(worst, err)
             checks += 1
-            if err > tol:
+            if not err <= tol:
                 failures.append(f"kummer degeneracy at {p}, z={z}: rel err {err:.3e}")
     return _result("closed_forms", tol, worst, checks, failures)
 
@@ -300,12 +303,15 @@ def suite_theta_equivalence(seed: int = 0, draws: int = 20) -> SuiteResult:
         t2 = theta_hadamard(p, f)
         dev = float(np.max(np.abs(t1.coeffs - t2.coeffs) / np.maximum(1.0, np.abs(t1.coeffs))))
         worst = max(worst, dev)
-        if dev > tol:
+        if not dev <= tol:
             failures.append(f"draw {i}: coefficient deviation {dev:.3e} at {p}")
     return _result("theta_equivalence", tol, worst, draws, failures)
 
 
 def _rebuild_golden_input(doc: dict) -> PowerSeries:
+    """The input series of a golden entry; an order above _GOLDEN_MAX_ORDER raises DomainError."""
+    if doc["order"] > _GOLDEN_MAX_ORDER:
+        raise DomainError(f"input order {doc['order']} is above {_GOLDEN_MAX_ORDER}")
     if doc["kind"] == "monomial":
         return monomial_series(doc["power"], doc["order"])
     return make_builtin(doc["kind"], doc["order"], **doc.get("params", {}))
@@ -314,12 +320,13 @@ def _rebuild_golden_input(doc: dict) -> PowerSeries:
 def suite_fixtures(seed: int = 0) -> SuiteResult:
     """Regression over the fixtures in fixture_dir(): series load checks and quadrature goldens.
 
-    For each golden entry the integral route is re-run at the stored node
-    count: the value must match to 1e-9, node doubling must move it by at
-    most 1e-9, and the f == 1 inner integral must reproduce the Beta
-    function to 1e-12. Failures name the fixture file; an entry whose node
-    count or doubled count lies outside [MIN_NODES, MAX_NODES], or whose
-    input is out of range, fails with its index instead of raising.
+    For each golden entry the integral route is re-run: the value must
+    match to 1e-9, node doubling must move it by at most 1e-9, and the
+    f == 1 inner integral must reproduce the Beta function to 1e-12.
+    Failures name the fixture file; an entry with a non-finite z or
+    value, an input order above _GOLDEN_MAX_ORDER or any other input out
+    of range, or a z outside the punctured unit disk, fails with its
+    index instead of raising.
     """
     tol = 1e-9
     fdir = fixture_dir()
@@ -337,7 +344,7 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
                 raise DomainError(f"order {ps.order} != expected {expected.order}")
             dev = float(np.max(np.abs(ps.coeffs - expected.coeffs)))
             worst = max(worst, dev)
-            if dev > 1e-15:
+            if not dev <= 1e-15:
                 raise DomainError(f"coefficients drift from the {kind} recipe by {dev:.3e}")
         except (OSError, FracopsError) as exc:
             failures.append(f"fixture {path.name}: {exc}")
@@ -361,14 +368,15 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
             f = _rebuild_golden_input(entry["input"])
             z = complex(entry["z"][0], entry["z"][1])
             stored = complex(entry["value"][0], entry["value"][1])
-            n = int(entry["node_count"])
+            if not (cmath.isfinite(z) and cmath.isfinite(stored)):
+                raise ValueError("z and value must be finite")
         except (KeyError, TypeError, ValueError, FracopsError) as exc:
             failures.append(f"{label}: malformed entry ({exc})")
             continue
         a_p, b_p = p.jacobi_exponents
         try:
-            r1, r2 = _eval_doubling(p, f, z, n)
-            err_beta = abs(inner_integral(p, one, z, n) - beta_fn(b_p + 1.0, a_p + 1.0))
+            r1, r2 = _eval_doubling(p, f, _disk_point(z))
+            err_beta = abs(inner_integral(p, one, z) - beta_fn(b_p + 1.0, a_p + 1.0))
         except FracopsError as exc:
             failures.append(f"{label}: {exc}")
             continue
@@ -376,11 +384,11 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
         err_double = abs(r2 - r1)
         worst = max(worst, err_value, err_double)
         checks += 1
-        if err_value > tol:
+        if not err_value <= tol:
             failures.append(f"{label}: stored value differs by {err_value:.3e}")
-        if err_double > tol:
+        if not err_double <= tol:
             failures.append(f"{label}: node doubling moved result by {err_double:.3e}")
-        if err_beta > 1e-12:
+        if not err_beta <= 1e-12:
             failures.append(f"{label}: constant-input integral off Beta by {err_beta:.3e}")
     return _result("fixtures", tol, worst, checks, failures)
 

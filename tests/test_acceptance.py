@@ -18,7 +18,7 @@ from fracops.bloch import WeightSpec, bloch_norm_classical, bloch_norm_weighted,
 from fracops.fracdiff import OperatorParams
 from fracops.geometry import bieberbach_screen, convex_order, starlike_order, \
     univalence_criterion
-from fracops.quadrature import NODE_COUNT, inner_integral
+from fracops.quadrature import inner_integral
 from fracops.series import PowerSeries, identity_series, koebe_series, monomial_series
 from fracops.special import EvalStatus, beta_fn
 from fracops.verify import (
@@ -159,7 +159,7 @@ def test_criterion_10_quadrature_internals():
     for beta, tau, gamma in [(0.65, 0.3, 0.0), (0.65, 0.3, 1.7),
                              (0.9, 0.85, 2.5), (0.3, 0.1, 3.0)]:
         p = OperatorParams(beta, tau, gamma)
-        got = inner_integral(p, PowerSeries([1.0]), 0.37, NODE_COUNT)
+        got = inner_integral(p, PowerSeries([1.0]), 0.37)
         want = beta_fn((beta - 1.0) / (gamma + 1.0) + 1.0, 1.0 - beta + tau)
         worst = max(worst, abs(got - want))
     # fixture goldens re-run: stored values, node doubling <= 1e-9, beta law

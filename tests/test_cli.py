@@ -135,12 +135,13 @@ def test_verify_corrupted_fixture_exits_1_naming_it(tmp_path, capsys, monkeypatc
     assert any("series_kummer.json" in f for f in failures)
 
 
-def test_verify_bad_golden_node_count_exits_1_with_strict_json(tmp_path, capsys, monkeypatch):
+def _verify_with_golden_0_changed(tmp_path, capsys, monkeypatch, **change) -> list:
+    """The failures of `verify --suite fixtures` with golden entry 0 changed, after checking the contract."""
     src = fixture_dir()
     for name in src.iterdir():
         (tmp_path / name.name).write_text(name.read_text())
     doc = json.loads((tmp_path / "quad_goldens.json").read_text())
-    doc["entries"][0]["node_count"] = 4
+    doc["entries"][0].update(change)
     (tmp_path / "quad_goldens.json").write_text(json.dumps(doc))
     monkeypatch.setenv("FRACOPS_FIXTURES", str(tmp_path))
     code, out, err = run_cli(capsys, "verify", "--suite", "fixtures")
@@ -148,6 +149,22 @@ def test_verify_bad_golden_node_count_exits_1_with_strict_json(tmp_path, capsys,
     report = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON constant {c}"))
     failures = report["suites"][0]["failures"]
     assert failures and all(f.startswith("quad_goldens.json[0]: ") for f in failures)
+    return failures
+
+
+def test_verify_golden_at_z_zero_exits_1_with_strict_json(tmp_path, capsys, monkeypatch):
+    failures = _verify_with_golden_0_changed(tmp_path, capsys, monkeypatch, z=[0, 0])
+    assert "z = 0" in failures[0]
+
+
+@pytest.mark.parametrize("change", [
+    {"value": [float("nan"), 0.0]},
+    {"z": [float("nan"), 0.0]},
+    {"input": {"kind": "monomial", "power": 3, "order": 2**20}},
+])
+def test_verify_malformed_golden_exits_1_with_strict_json(tmp_path, capsys, monkeypatch, change):
+    failures = _verify_with_golden_0_changed(tmp_path, capsys, monkeypatch, **change)
+    assert "malformed entry" in failures[0]
 
 
 # ---------------------------------------------------------------------------

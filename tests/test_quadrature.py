@@ -1,4 +1,4 @@
-"""Independent Gauss-Jacobi route for the operator: node counts, kernel, oracle."""
+"""Independent Gauss-Jacobi route for the operator: nodes, kernel, oracle."""
 
 import math
 
@@ -10,10 +10,7 @@ from fracops import quadrature
 from fracops.errors import ConvergenceError, DomainError
 from fracops.fracdiff import OperatorParams, apply_operator, monomial_transform
 from fracops.quadrature import (
-    MAX_NODES,
-    MIN_NODES,
     NODE_CACHE_SIZE,
-    NODE_COUNT,
     inner_integral,
     jacobi_nodes,
     oracle_eval,
@@ -27,16 +24,7 @@ def _params(beta=0.65, tau=0.3, gamma=1.7):
 
 
 # ---------------------------------------------------------------------------
-# node counts / nodes
-
-
-def test_inner_integral_checks_the_node_count():
-    p, one = _params(), PowerSeries([1.0])
-    for n in (MIN_NODES - 1, MAX_NODES + 1):
-        with pytest.raises(DomainError, match="node_count"):
-            inner_integral(p, one, 0.3, n)
-    for n in (MIN_NODES, NODE_COUNT):
-        assert isinstance(inner_integral(p, one, 0.3, n), complex)
+# nodes
 
 
 def test_jacobi_nodes_cached_and_sane():
@@ -67,7 +55,7 @@ def test_jacobi_node_cache_is_bounded():
 def test_constant_input_reproduces_beta_function(beta, tau, gamma):
     """With f == 1 the weighted integral is an exact Beta value."""
     p = OperatorParams(beta, tau, gamma)
-    got = inner_integral(p, PowerSeries([1.0]), 0.3, NODE_COUNT)
+    got = inner_integral(p, PowerSeries([1.0]), 0.3)
     want = beta_fn((beta - 1.0) / (gamma + 1.0) + 1.0, 1.0 - beta + tau)
     assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -75,16 +63,11 @@ def test_constant_input_reproduces_beta_function(beta, tau, gamma):
 def test_inner_integral_with_derivative_pair():
     p = _params()
     f = koebe_series(1.0, 80)
-    val, dval = inner_integral(p, f, 0.25, NODE_COUNT, with_derivative=True)
-    assert_allclose(val, inner_integral(p, f, 0.25, NODE_COUNT), rtol=1e-15)
-    # both node counts from one Horner pass, bit for bit as one count at a time
-    counts = (NODE_COUNT, 2 * NODE_COUNT)
-    assert quadrature._inner_integrals(p, f, 0.25, counts, True) == [
-        inner_integral(p, f, 0.25, n, with_derivative=True) for n in counts]
+    (val, dval), (val2, dval2) = quadrature._inner_integrals(p, f, 0.25)
+    assert_allclose((val2, dval2), (val, dval), rtol=1e-12)  # the doubled rule agrees
     # derivative integrand u f'(zu): cross-check by a central difference in z
     h = 1e-6
-    fd = (inner_integral(p, f, 0.25 + h, NODE_COUNT)
-          - inner_integral(p, f, 0.25 - h, NODE_COUNT)) / (2 * h)
+    fd = (inner_integral(p, f, 0.25 + h) - inner_integral(p, f, 0.25 - h)) / (2 * h)
     assert_allclose(dval, fd, rtol=1e-8)
 
 
@@ -134,8 +117,9 @@ def test_oracle_domain_checks():
         oracle_eval(p, f, 0.0)
     with pytest.raises(DomainError):
         oracle_eval(p, f, 1.0)
-    with pytest.raises(DomainError):
-        oracle_eval(p, f, -1.2)
+    for z in (-1.2, complex("nan"), complex(0.1, math.inf)):
+        with pytest.raises(DomainError):
+            oracle_eval(p, f, z)
 
 
 def test_oracle_small_z_leading_term():
@@ -153,6 +137,13 @@ def test_oracle_node_doubling_guard_raises(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         oracle_eval(p, koebe_series(1.0, 200), -0.62)
     assert "node doubling" in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_oracle_nan_doubling_residual_raises():
+    """Horner overflows to inf at every node, so the residual is nan: it fails the guard."""
+    with pytest.raises(ConvergenceError, match="moved the result by nan"):
+        oracle_eval(_params(), PowerSeries(np.full(40, 1e306)), 0.9)
 
 
 def test_oracle_accepts_array_free_types():

@@ -75,54 +75,56 @@ def _plain_horner(f, z):
 
 
 def test_evaluate_many_is_bit_equal_to_plain_horner():
-    """Mixed orders and point sets in one pass give each point its own Horner value.
+    """Mixed orders at one shared point set give each series its own Horner value.
 
-    Point sets of 1, 2, 3, 64 and 256 points sit at random offsets of a longer
-    array; a set of several points is checked against the loop on that set, a
-    single point against the loop on a NumPy scalar, which rounds like the
-    longer arrays (an in-place product on a length-1 array does not).
+    Orders from 1 to 3000 leave the lower ones padded with zeros. A set of
+    several points is checked against the loop on that set, a single point
+    against the loop on a NumPy scalar, which rounds like the longer arrays
+    (an in-place product on a length-1 array does not).
     """
     rng = np.random.default_rng(11)
     line = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 1024)) * rng.uniform(0.0, 0.999, 1024)
-    for _ in range(4):
-        pairs = []
-        for size in (1, 2, 3, 64, 256, 1, 0):
-            order = int(rng.integers(1, 3001))
-            f = PowerSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
-            start = int(rng.integers(0, line.size - size))
-            pairs.append((f, line[start:start + size]))
-        pairs.append((pairs[2][0], line[:5]))  # one series in two pairs
-        got = evaluate_many(pairs)
-        assert [g.shape for g in got] == [z.shape for _, z in pairs]
-        for (f, z), values in zip(pairs, got):
-            if z.size == 1:
-                assert values[0] == _plain_horner(f, np.asarray(z[0]))
-                assert f.evaluate(z[0]) == values[0] and f.evaluate(z)[0] == values[0]
-            elif z.size:
-                assert np.array_equal(values, _plain_horner(f, z))
-                assert np.array_equal(f.evaluate(z), values)
-                assert values[-1] == _plain_horner(f, np.asarray(z[-1]))
-    assert evaluate_many([]) == []
+    for size in (0, 1, 1, 1, 1, 2, 3, 64, 256):
+        start = int(rng.integers(0, line.size - size))
+        z = line[start:start + size]
+        for count in (1, 2, 5):
+            series = []
+            for order in rng.integers(1, 3001, count):
+                series.append(PowerSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)))
+            if count > 1:
+                series.append(series[0])  # one series given twice
+            got = evaluate_many(series, z)
+            assert got.shape == (len(series), size)
+            for f, values in zip(series, got):
+                if size == 1:
+                    assert values[0] == _plain_horner(f, np.asarray(z[0]))
+                    assert f.evaluate(z[0]) == values[0] and f.evaluate(z)[0] == values[0]
+                elif size:
+                    assert np.array_equal(values, _plain_horner(f, z))
+                    assert np.array_equal(f.evaluate(z), values)
+                    assert values[-1] == _plain_horner(f, np.asarray(z[-1]))
+    assert evaluate_many([], line[:3]).shape == (0, 3)
     with pytest.raises(DomainError):
-        evaluate_many([(identity_series(2), np.zeros((2, 2)))])
+        evaluate_many([identity_series(2)], np.zeros((2, 2)))
 
 
 def test_evaluate_many_memory_stays_bounded():
-    """f and f' at 64 + 128 nodes, order 2^18: coefficient rows come in chunks, not a table.
+    """f and f' at 64 + 128 shared nodes, order 2^18: coefficients come in chunks, not a table.
 
-    A dense order x points table would hold 2^18 * 384 complex values (1.6 GB).
+    A dense order x points table would hold 2^18 * 192 complex values (0.8 GB).
     """
     f = PowerSeries(np.full(2**18 + 1, 1.0 / 2**18))
     fp = f.derivative()
-    z64, z128 = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 64)), 0.7 * np.exp(1j * np.linspace(0.0, 6.0, 128))
+    z = np.concatenate([0.5 * np.exp(1j * np.linspace(0.0, 6.0, 64)),
+                        0.7 * np.exp(1j * np.linspace(0.0, 6.0, 128))])
     tracemalloc.start()
     try:
-        got = evaluate_many([(f, z64), (f, z128), (fp, z64), (fp, z128)])
+        got = evaluate_many([f, fp], z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
-    assert np.all(np.isfinite(got[3]))
+    assert np.all(np.isfinite(got))
 
 
 def test_derivative_coefficients():

@@ -1,15 +1,17 @@
 """Self-check suite runner plumbing: registry, seeding, fixture override."""
 
 import json
+import math
 import pathlib
 import runpy
+import time
 
 import pytest
 
 from fracops.errors import DomainError
-from fracops.quadrature import MAX_NODES
 from fracops.series import MAX_ORDER
 from fracops.verify import (
+    _GOLDEN_MAX_ORDER,
     SERIES_FIXTURE_NAMES,
     SUITES,
     draw_params,
@@ -98,8 +100,6 @@ def test_tampered_value_is_caught(tmp_path, monkeypatch):
     monkeypatch.setenv("FRACOPS_FIXTURES", str(tmp_path))
     for change, message in (
         ({"value": [re + 1e-3, im]}, "stored value"),
-        ({"node_count": 4}, "node_count"),
-        ({"node_count": MAX_NODES + 1}, "node_count"),
         ({"input": {"kind": "monomial", "power": 3, "order": MAX_ORDER + 1}}, "malformed entry"),
     ):
         golden.write_text(json.dumps({"entries": [{**entries[0], **change}] + entries[1:]}))
@@ -109,17 +109,45 @@ def test_tampered_value_is_caught(tmp_path, monkeypatch):
         assert message in res.failures[0], res.failures
 
 
-def test_golden_whose_doubled_run_exceeds_max_nodes_names_its_stored_count(tmp_path, monkeypatch):
-    """A stored count in (MAX_NODES / 2, MAX_NODES] fails with that count, not the doubled one."""
+def _one_golden(tmp_path, monkeypatch, **change):
+    """suite_fixtures on the packaged fixtures with golden entry 0 alone, changed by change."""
     src = fixture_dir()
     for name in SERIES_FIXTURE_NAMES:
         (tmp_path / name).write_text((src / name).read_text())
     entry = json.loads((src / "quad_goldens.json").read_text())["entries"][0]
-    (tmp_path / "quad_goldens.json").write_text(json.dumps({"entries": [{**entry, "node_count": 3000}]}))
+    (tmp_path / "quad_goldens.json").write_text(json.dumps({"entries": [{**entry, **change}]}))
     monkeypatch.setenv("FRACOPS_FIXTURES", str(tmp_path))
-    res = suite_fixtures()
-    assert res.failures == ["quad_goldens.json[0]: node_count 3000: its doubled run of 6000 nodes "
-                            f"would exceed MAX_NODES = {MAX_NODES}"]
+    return suite_fixtures()
+
+
+@pytest.mark.parametrize("z, message", [
+    ([0, 0], "undefined at z = 0"),
+    ([1.0, 0.0], "inside the unit disk"),
+    ([-0.6, 0.8], "inside the unit disk"),
+])
+def test_golden_outside_the_punctured_disk_fails_its_entry(tmp_path, monkeypatch, z, message):
+    res = _one_golden(tmp_path, monkeypatch, z=z)
+    assert len(res.failures) == 1 and res.failures[0].startswith("quad_goldens.json[0]: ")
+    assert message in res.failures[0]
+    assert math.isfinite(res.max_error)
+
+
+@pytest.mark.parametrize("field", ["value", "z"])
+def test_golden_with_a_nan_fails_as_malformed(tmp_path, monkeypatch, field):
+    res = _one_golden(tmp_path, monkeypatch, **{field: [math.nan, 0.0]})
+    assert res.failures == ["quad_goldens.json[0]: malformed entry (z and value must be finite)"]
+    assert math.isfinite(res.max_error)
+    json.dumps(res.to_json_dict(), allow_nan=False)
+
+
+def test_golden_input_order_above_the_cap_fails_before_any_evaluation(tmp_path, monkeypatch):
+    """An order-2^20 monomial, which took seconds to evaluate, fails at once."""
+    assert _GOLDEN_MAX_ORDER < MAX_ORDER
+    start = time.perf_counter()
+    res = _one_golden(tmp_path, monkeypatch, input={"kind": "monomial", "power": 3, "order": MAX_ORDER})
+    assert time.perf_counter() - start < 1.0
+    assert len(res.failures) == 1
+    assert res.failures[0].startswith("quad_goldens.json[0]: malformed entry (input order ")
 
 
 def test_suite_results_serialize():

@@ -16,7 +16,7 @@ import pathlib
 import sys
 
 from fracops.fracdiff import OperatorParams
-from fracops.quadrature import NODE_COUNT, oracle_eval
+from fracops.quadrature import oracle_eval
 from fracops.series import make_builtin, save_series_fixture
 from fracops.verify import GOLDEN_FIXTURE_NAME, SERIES_FIXTURE_RECIPES, _rebuild_golden_input
 
@@ -49,7 +49,6 @@ def main(out=OUT):
                     "params": p.to_json_dict(),
                     "input": {k: v for k, v in spec.items() if k != "z"},
                     "z": [z.real, z.imag],
-                    "node_count": NODE_COUNT,
                     "value": [val.real, val.imag],
                 }
                 entries.append(entry)
