@@ -20,9 +20,11 @@ the front factor Gamma(tau)/Gamma(beta) is two math.lgamma calls. So
 transform, criteria and bloch never import SciPy.
 
 The Hadamard route to Theta and the closed forms read Theta's kernel rows
-from theta_fox_wright_spec and keep their own Gamma arithmetic on
-scipy.special.loggamma, imported inside the functions that use it, so the
-two Theta routes, and the closed forms and the kernel, stay independent.
+from theta_fox_wright_spec and keep their own Gamma arithmetic: the
+Stirling series of special's real log Gamma, not the kernel's Gamma-ratio
+expansion, at and above 16. So the two Theta routes, and the closed forms
+and the kernel, compare two Gamma codes there; below 16 both rest on
+math.gamma. Neither imports SciPy.
 
 At tau == beta the operator degenerates to multiplication by z^gamma with
 exactly unchanged coefficients, in floating point too: both forms of the
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .special import (
     EvalStatus,
     FoxWrightSpec,
     MAX_TERMS_DEFAULT,
+    _log_gamma_real,
     _sum_terms,
     log_gamma,
 )
@@ -331,7 +334,7 @@ def theta_fox_wright_spec(p: OperatorParams):
     b1 + tau - beta = c1 + tau are formed from the kernel's c1 = c(1), never
     from a rounded tau - beta, so the lower row stays >= tau >= POLE_GUARD
     and coincides with the upper one at tau = beta. The constant is
-    computed by special.log_gamma (SciPy), not by the kernel.
+    computed by special.log_gamma, not by the kernel.
     """
     g1 = p.gamma + 1.0
     c1 = (1.0 + p.gamma * (1.0 - p.beta)) / g1  # the kernel's c at m = 1
@@ -376,21 +379,31 @@ class ClosedFormImage:
     constant: float
     power: float
     fox_wright: FoxWrightSpec
+    # (first index, length) of a block -> its z-independent log factor; see inner_sum
+    _fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def inner_sum(self, z) -> EvalOutcome:
         """Sum the normalized series at z through the one summation driver.
 
         At most MAX_TERMS_DEFAULT terms are summed. The unit-weight rows
         advance by their ratio recurrence, z in each step, so no log-Gamma
-        of size k log k and no Gamma of a stock parameter enters; the Gamma
-        pair is one log-Gamma difference.
+        of size k log k and no Gamma of a stock parameter enters. The Gamma
+        pair, over its k = 0 value, times (k + a)^-s does not depend on z:
+        its log is computed once per block, by one real log-Gamma call on
+        both rows, and kept for the next point.
         """
         (*upper, (b, w)), (*lower, (b_low, _)) = self.fox_wright.upper, self.fox_wright.lower
         _, _, s, a = stock_rows(self.kind, **self.params)
-        from scipy.special import loggamma
-
         z = complex(z)
-        pair_0 = loggamma(b) - loggamma(b_low)
+
+        def fixed(k):
+            key = (float(k[0]), k.size)
+            out = self._fixed.get(key)
+            if out is None:
+                pair = _log_gamma_real(np.stack([b + k * w, b_low + k * w]))
+                pair_0 = _log_gamma_real(b) - _log_gamma_real(b_low)
+                out = self._fixed[key] = pair[0] - pair[1] - pair_0 - s * np.log(k + a)
+            return out
 
         def block(k):
             k = k if z else k[:1]  # z = 0: the exact one-term sum
@@ -402,8 +415,7 @@ class ClosedFormImage:
                 for x, _ in lower:
                     step /= x + j
                 h = np.cumprod(np.concatenate(([1.0], step)))[k.astype(np.intp)]
-                pair = loggamma(b + k * w) - loggamma(b_low + k * w) - pair_0
-                return h * np.exp(pair - s * np.log(k + a))
+                return h * np.exp(fixed(k))
 
         return _sum_terms(block, MAX_TERMS_DEFAULT, abs(z) / self.fox_wright.radius)
 

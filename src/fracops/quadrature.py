@@ -27,8 +27,13 @@ NODE_COUNT nodes and its doubling, with f and f' evaluated at the nodes
 of both in one Horner pass. No node count is read from outside this
 module, so a new rule edits this module only.
 
-Gauss-Jacobi nodes are cached per (exponent pair, node count) in a
-bounded LRU cache of NODE_CACHE_SIZE entries.
+Gauss-Jacobi nodes come from the eigenvalues of the Jacobi matrix and
+the weights from the first components of its eigenvectors (Golub & Welsch,
+Math. Comp. 23, 1969), through scipy.linalg.eigh_tridiagonal, and keep
+their accuracy as an exponent nears -1. Outside this module SciPy is
+imported only for a complex or non-positive Gamma argument. The nodes are
+cached per (exponent pair, node count) in a bounded LRU cache of
+NODE_CACHE_SIZE entries.
 """
 
 from __future__ import annotations
@@ -61,13 +66,28 @@ NODE_CACHE_SIZE = 256
 
 
 def roots_jacobi(n: int, a: float, b: float):
-    """scipy.special.roots_jacobi, imported on the first call so that only the oracle loads SciPy.
+    """Gauss-Jacobi nodes (ascending) and weights for the weight (1-x)^a (1+x)^b on [-1, 1], a, b > -1.
 
-    Each jacobi_nodes cache miss is one call here.
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the monic Jacobi recurrence, and node i has weight
+    mu0 v_0i^2, with v_i its unit eigenvector and
+    mu0 = 2^(a+b+1) B(a+1, b+1) the weight's integral. scipy.linalg is
+    imported here, so that only the oracle loads it. Each jacobi_nodes
+    cache miss is one call here.
     """
-    import scipy.special as sc
+    from scipy.linalg import eigh_tridiagonal
 
-    return sc.roots_jacobi(n, a, b)
+    k = np.arange(1.0, n)
+    ab = a + b
+    s = 2.0 * k + ab
+    diag = np.append((b - a) / (ab + 2.0), (b - a) * ab / (s * (s + 2.0)))
+    # (k + a + b) / (s - 1) is 1 at k = 1, set by hand: at a + b = -1 it would be 0/0
+    ratio = np.ones_like(k)
+    ratio[1:] = (k[1:] + ab) / (s[1:] - 1.0)
+    off_sq = 4.0 * k * (k + a) * (k + b) * ratio / (s * s * (s + 1.0))
+    x, v = eigh_tridiagonal(diag, np.sqrt(off_sq))
+    mu0 = np.exp((ab + 1.0) * math.log(2.0) + log_gamma(a + 1.0) + log_gamma(b + 1.0) - log_gamma(ab + 2.0))
+    return x, mu0 * v[0] ** 2
 
 
 @functools.lru_cache(maxsize=NODE_CACHE_SIZE)

@@ -14,10 +14,17 @@ slow, divergent, pole hit) instead of silent nonsense; it never calls a sum
 inside its disk divergent, and calls one that cancels past float64
 resolution slow, not converged.
 
-log_gamma and FoxWrightSpec.log_coefficients use scipy.special.loggamma
-and import it inside the function: importing fracops loads NumPy alone,
-and only the routes that reach these functions (verify, the quadrature
-oracle, Fox-Wright sums, the closed forms, the Hadamard route) load SciPy.
+log Gamma of a positive real argument, scalar or array, needs NumPy and
+the math module alone: from x = 16 up it sums the Stirling series with the
+Bernoulli terms B_2 ... B_12, and below 16 it takes log(math.gamma(x)),
+exact at small integers. It is within a few ulps of max(1, |log Gamma|)
+and gives the same bits for an element of an array as for a scalar. So
+the Fox-Wright sums, the closed forms and the Hadamard route never import
+SciPy; log_gamma imports scipy.special.loggamma, inside the function,
+only for a complex or non-positive argument. This Stirling code is not
+the Gamma-ratio expansion of fracdiff.log_gamma_ratio, so the closed
+forms and the kernel still compare two Gamma codes at and above 16;
+below 16 both rest on math.gamma.
 """
 
 from __future__ import annotations
@@ -52,6 +59,12 @@ _DELTA_TOL = 1e-12
 # Lengths of the index blocks _sum_terms asks for: they double from first to last.
 _FIRST_BLOCK = 32
 _LAST_BLOCK = 1024
+# From _STIRLING_FROM up, log Gamma sums the Stirling series with the terms
+# B_2k / (2k (2k - 1) x^(2k-1)), k = 1..6; the first term left out is below 2e-18.
+_STIRLING_FROM = 16.0
+_STIRLING_TERMS = tuple(b / (2 * k * (2 * k - 1))
+                        for k, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730), 1))
+_STIRLING_CONSTANT = 0.5 * math.log(2.0 * math.pi) - 0.5
 
 
 def is_near_pole(z) -> bool:
@@ -68,8 +81,53 @@ def is_near_pole(z) -> bool:
     return math.hypot(x.real - n, x.imag) < POLE_GUARD
 
 
+def _stirling(x):
+    """The Stirling series of log Gamma over a float64 array, or a NumPy scalar, x >= _STIRLING_FROM.
+
+    Written as (x - 1/2)(log x - 1) + (log(2 pi) - 1)/2 + sum, which is inf at
+    x = inf. An array element and a NumPy scalar take the same ufunc loops,
+    so they give the same bits.
+    """
+    r = 1.0 / x
+    u = r * r
+    s = u * _STIRLING_TERMS[-1]
+    for c in reversed(_STIRLING_TERMS[1:-1]):  # Horner in 1/x^2, in place on an array
+        s += c
+        s *= u
+    s += _STIRLING_TERMS[0]
+    s *= r
+    out = np.log(x)
+    out -= 1.0
+    out *= x - 0.5
+    out += _STIRLING_CONSTANT
+    out += s
+    return out
+
+
+def _log_gamma_real(x):
+    """log Gamma(x) for real x > 0: a float for a scalar, else an array of x's shape.
+
+    The Stirling series from _STIRLING_FROM up, log(math.gamma(x)) below,
+    per element the same way whatever the call's size. The caller keeps
+    x at least POLE_GUARD from 0; no pole check is made here.
+    """
+    if not isinstance(x, np.ndarray):
+        x = float(x)
+        return math.log(math.gamma(x)) if x < _STIRLING_FROM else float(_stirling(np.float64(x)))
+    flat = x.ravel()
+    out = _stirling(np.maximum(flat, _STIRLING_FROM))  # the elements below are redone next
+    below = np.flatnonzero(flat < _STIRLING_FROM)
+    if below.size:
+        out[below] = list(map(math.log, map(math.gamma, flat[below].tolist())))
+    return out.reshape(x.shape)
+
+
 def log_gamma(z):
     """Principal-branch log Gamma with a hard pole guard.
+
+    A positive real argument, scalar or array, goes to _log_gamma_real
+    (NumPy and the math module); a complex or non-positive one to
+    scipy.special.loggamma, imported here.
 
     Parameters
     ----------
@@ -90,23 +148,28 @@ def log_gamma(z):
     DomainError
         If a scalar z is not finite.
     """
-    import scipy.special as sc
-
     if isinstance(z, np.ndarray):
         if np.min(z, initial=np.inf) >= POLE_GUARD:
-            return sc.loggamma(z)
+            return _log_gamma_real(z)
         n = np.rint(z)
         near = (n <= 0.0) & (np.abs(z - n) < POLE_GUARD)
         if near.any():
             raise PoleHitError(float(z.flat[np.argmax(near)]))
-        return np.where(z > 0.0, sc.loggamma(z), sc.loggamma(z.astype(np.complex128)))
+        import scipy.special as sc
+
+        out = sc.loggamma(z.astype(np.complex128))
+        positive = z > 0.0
+        out[positive] = _log_gamma_real(z[positive])
+        return out
     if is_near_pole(z):
         raise PoleHitError(z)
     if not isinstance(z, complex):
         x = float(z)
         if x > 0.0:
-            return float(sc.loggamma(x))
+            return _log_gamma_real(x)
         z = complex(x)
+    import scipy.special as sc
+
     return complex(sc.loggamma(z))
 
 
@@ -166,17 +229,18 @@ class FoxWrightSpec:
         """log of the z^kappa coefficients over an array of indices kappa >= 0.
 
         Real while every Gamma argument is positive; otherwise complex, on
-        the principal branch of log_gamma. Raises PoleHitError naming the
-        first argument within POLE_GUARD of a Gamma pole.
+        the principal branch of log_gamma. The arguments of all rows go to
+        log_gamma in one stacked call. Raises PoleHitError naming the first
+        argument, in row order, within POLE_GUARD of a Gamma pole.
         """
-        from scipy.special import loggamma
-
         k = np.atleast_1d(np.asarray(kappa, dtype=np.float64))
-        s = -loggamma(k + 1.0)
-        for a, wa in self.upper:
-            s = s + log_gamma(a + k * wa)
-        for b, wb in self.lower:
-            s = s - log_gamma(b + k * wb)
+        logs = log_gamma(np.stack([k + 1.0, *(a + k * wa for a, wa in self.upper),
+                                   *(b + k * wb for b, wb in self.lower)]))
+        s = -logs[0]
+        for row in logs[1:1 + len(self.upper)]:
+            s = s + row
+        for row in logs[1 + len(self.upper):]:
+            s = s - row
         return s
 
 

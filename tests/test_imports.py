@@ -1,7 +1,9 @@
-"""transform, criteria and bloch run on NumPy alone: SciPy stays off their import path.
+"""SciPy stays inside the quadrature oracle and complex Gamma arguments.
 
-Each command runs cli.main in a fresh interpreter, which then reports the
-exit code and every loaded scipy module.
+transform, criteria and bloch, and the closed forms, the Hadamard route and
+Fox-Wright sums on positive parameters, run on NumPy alone; verify loads
+scipy.linalg for the oracle's nodes but not scipy.special. Each check runs
+in a fresh interpreter, which then reports every loaded scipy module.
 """
 
 import json
@@ -25,10 +27,24 @@ print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.spli
 """
 
 
-def run_fresh(*argv) -> dict:
+API_PROBE = """
+import json, sys
+from fracops.fracdiff import OperatorParams, closed_form_spec, theta_hadamard
+from fracops.series import koebe_series
+from fracops.special import FoxWrightSpec, fox_wright_eval
+p = OperatorParams(0.65, 0.3, 1.4)
+closed_form_spec(p, "hurwitz_lerch", alpha=1.2, lam=0.8, rho=1.5, s=1.1, a=1.0).evaluate(0.3 - 0.2j)
+closed_form_spec(p, "koebe", alpha=2.0).evaluate(0.5j)
+theta_hadamard(p, koebe_series(2.0, 64))
+fox_wright_eval(FoxWrightSpec(upper=((1.7, 0.8),), lower=((0.4, 1.3),)), 0.9)
+print(json.dumps({"code": 0, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def run_fresh(*argv, probe=PROBE) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -53,7 +69,12 @@ def test_command_never_loads_scipy(argv):
     assert doc == {"code": 0, "scipy": []}
 
 
-def test_verify_still_loads_scipy_and_passes():
-    doc = run_fresh("verify", "--suite", "closed_forms")
+def test_closed_forms_hadamard_and_fox_wright_never_load_scipy():
+    assert run_fresh(probe=API_PROBE) == {"code": 0, "scipy": []}
+
+
+def test_verify_loads_scipy_linalg_but_not_scipy_special():
+    doc = run_fresh("verify")
     assert doc["code"] == 0
-    assert "scipy.special" in doc["scipy"]
+    assert "scipy.linalg" in doc["scipy"]
+    assert "scipy.special" not in doc["scipy"]

@@ -47,6 +47,29 @@ def test_jacobi_node_cache_is_bounded():
         x1[0] = 0.0  # shared cache entries are read-only
 
 
+@pytest.mark.parametrize("a,b", [(-0.9998, -0.9999), (-0.9998, -0.0001), (-0.3, 0.4), (-0.5, 30.0),
+                                 (-0.3, -0.7)])
+@pytest.mark.parametrize("n", [64, 128])
+def test_jacobi_nodes_integrate_moments_near_the_exponent_corner(a, b, n):
+    """sum w_i (1 + x_i)^m = 2^(a+b+m+1) B(a+1, b+m+1), also as an exponent nears -1 and at a + b = -1."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    x, w = jacobi_nodes(a, b, n)
+    for m in (0, 1, 5, 20, 2 * n - 1):
+        want = 2 ** mpmath.mpf(a + b + m + 1) * mpmath.beta(a + 1, b + m + 1)
+        got = float(np.sum(w * (1.0 + x) ** m))
+        assert abs(got - want) <= 1e-10 * want, (m, got, float(want))
+
+
+@pytest.mark.parametrize("z", [0.5, 0.8j])
+@pytest.mark.parametrize("power", [2, 3, 4, 6])
+def test_oracle_passes_where_beta_minus_tau_nears_one(power, z):
+    """At (0.9999, 0.0001, 0) the Jacobi exponent tau - beta is -0.9998: node doubling still converges."""
+    p = OperatorParams(0.9999, 0.0001, 0.0)
+    want = monomial_transform(p, power).evaluate(z)
+    assert abs(oracle_eval(p, monomial_series(power), z) - want) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # inner integral
 

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from fracops.errors import DomainError, PoleHitError
 from fracops.special import (
     MAX_TERMS_DEFAULT,
+    POLE_GUARD,
     EvalStatus,
     FoxWrightSpec,
     _sum_terms,
@@ -38,6 +39,37 @@ def test_log_gamma_matches_mpmath_on_complex_grid():
         want = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     assert worst < 1e-13
+
+
+def test_log_gamma_of_positive_reals_within_four_ulps_of_mpmath():
+    """The real log Gamma (Stirling from 16 up, math.gamma below) against 40 digits over (POLE_GUARD, 1e6]."""
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(23)
+    x = np.concatenate([np.exp(rng.uniform(math.log(POLE_GUARD), math.log(1e6), 1500)),
+                        rng.uniform(0.95, 1.05, 100), rng.uniform(1.95, 2.05, 100),
+                        np.arange(1.0, 41.0), [1e6]])
+    got = log_gamma(x)
+    assert got.dtype == np.float64
+    worst = 0.0
+    for xi, gi in zip(x.tolist(), got.tolist()):
+        want = mpmath.loggamma(mpmath.mpf(xi))
+        worst = max(worst, float(abs(gi - want) / max(1, abs(want))))
+    assert worst <= 4 * 2.0**-52
+
+
+@pytest.mark.parametrize("x", [POLE_GUARD, 0.3, 1.0, 2.0, 15.999999, 16.0, 16.5, 123.4, 1e6])
+def test_log_gamma_scalar_and_one_element_array_give_the_same_bits(x):
+    assert log_gamma(np.array([x]))[0] == log_gamma(x)
+
+
+def test_log_gamma_array_with_a_non_positive_element_takes_the_scipy_branch():
+    import scipy.special as sc
+
+    x = np.array([2.5, -2.5, 0.5, -0.3, 20.0])
+    got = log_gamma(x)
+    assert got.dtype == np.complex128
+    assert_allclose(got, sc.loggamma(x.astype(np.complex128)), rtol=1e-14)
+    assert got[1] == sc.loggamma(-2.5 + 0j) and got[3] == sc.loggamma(-0.3 + 0j)
 
 
 def test_log_gamma_real_positive_returns_float():
