@@ -7,33 +7,38 @@ w = (zeta/z)^{gamma+1}) to
     G(z) = z^P / (gamma+1) * I(z),
     I(z) = int_0^1 w^{beta'} (1-w)^{alpha'} f(z w^{1/(gamma+1)}) dw,
 
-with P = gamma + beta + (gamma+1)(tau - beta), alpha' = tau - beta and
+with P = gamma (1 - beta) + (gamma+1) tau, alpha' = tau - beta and
 beta' = (beta-1)/(gamma+1), followed by the outer z^{1-tau} d/dz and the
-Gamma-function front constant. Both endpoint exponents are known, so the
-integral is a natural fit for Gauss-Jacobi quadrature.
+Gamma-function front constant. The derivative is taken under the integral
+sign, from the companion integral I' of f', and since P - tau = shift =
+gamma (1 - beta + tau),
+
+    z^{1-tau} d/dz [z^P I(z)] = z^shift (P I(z) + z I'(z)).
 
 Internally I(z) is pushed through one more substitution u = w^{1/(gamma+1)}:
 
-    I(z) = (gamma+1) int_0^1 u^{beta+gamma-1} (1-u)^{alpha'} q(u)^{alpha'} f(z u) du,
+    I(z) = (gamma+1) int_0^1 (1-u)^{a1-1} u^{b1-1} q(u)^{alpha'} f(z u) du,
     q(u) = (1 - u^{gamma+1}) / (1 - u),
 
-which keeps the integrand factor q^{alpha'} smooth uniformly in gamma
-(the plain w-form converges slowly for non-integer gamma because
-f(z w^{1/(gamma+1)}) has a branch point at w = 0). The Jacobi weight pair
-actually used is therefore (alpha', beta + gamma - 1); it is derived from
-the parameters on every call. The outer derivative is taken under the
-integral sign, from the companion integral of f'. The rule is fixed:
-NODE_COUNT nodes and its doubling, with f and f' evaluated at the nodes
-of both in one Horner pass. No node count is read from outside this
-module, so a new rule edits this module only.
+with the exponent pair plus one (a1, b1) = ((1 - beta) + tau, beta + gamma).
+This keeps the integrand factor q^{alpha'} smooth uniformly in gamma (the
+plain w-form converges slowly for non-integer gamma because
+f(z w^{1/(gamma+1)}) has a branch point at w = 0). The pair is derived
+from the parameters on every call, each sum formed so that it is exact at
+beta = 1 and tau near 0. The rule is fixed: NODE_COUNT nodes and its
+doubling, with f and f' evaluated at the nodes of both in one Horner pass.
+No node count is read from outside this module, so a new rule edits this
+module only.
 
-Gauss-Jacobi nodes come from the eigenvalues of the Jacobi matrix and
-the weights from the first components of its eigenvectors (Golub & Welsch,
-Math. Comp. 23, 1969), through scipy.linalg.eigh_tridiagonal, and keep
-their accuracy as an exponent nears -1. Outside this module SciPy is
-imported only for a complex or non-positive Gamma argument. The nodes are
-cached per (exponent pair, node count) in a bounded LRU cache of
-NODE_CACHE_SIZE entries.
+The Gauss-Jacobi rule lives on [0, 1] itself: its nodes are the
+eigenvalues of the Jacobi matrix of the weight (1-u)^{a1-1} u^{b1-1}, and
+its weights are B(a1, b1) times the squared first components of the
+eigenvectors (Golub & Welsch, Math. Comp. 23, 1969), through
+scipy.linalg.eigh_tridiagonal. No power of 2 maps it from [-1, 1], so it
+stays finite for gamma in the thousands and accurate as an exponent nears
+-1. Outside this module SciPy is imported only for a complex or
+non-positive Gamma argument. The nodes are cached per (exponent pair,
+node count) in a bounded LRU cache of NODE_CACHE_SIZE entries.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .fracdiff import OperatorParams, monomial_transform
 from .series import PowerSeries, evaluate_many
-from .special import log_gamma
+from .special import beta_fn, log_gamma
 
 SMALL_Z_CUTOFF = 1e-6
 
@@ -65,58 +70,52 @@ TOLERANCE = 1e-8
 NODE_CACHE_SIZE = 256
 
 
-def roots_jacobi(n: int, a: float, b: float):
-    """Gauss-Jacobi nodes (ascending) and weights for the weight (1-x)^a (1+x)^b on [-1, 1], a, b > -1.
+def roots_jacobi(n: int, a1: float, b1: float):
+    """Gauss-Jacobi nodes (ascending) in (0, 1) and weights for the weight (1-u)^(a1-1) u^(b1-1), a1, b1 > 0.
 
     Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
-    Jacobi matrix of the monic Jacobi recurrence, and node i has weight
-    mu0 v_0i^2, with v_i its unit eigenvector and
-    mu0 = 2^(a+b+1) B(a+1, b+1) the weight's integral. scipy.linalg is
+    Jacobi matrix of the monic Jacobi recurrence with a = a1 - 1, b = b1 - 1,
+    carried from [-1, 1] to [0, 1] by u = (1 + x)/2, and node i has weight
+    B(a1, b1) v_0i^2, with v_i its unit eigenvector. scipy.linalg is
     imported here, so that only the oracle loads it. Each jacobi_nodes
     cache miss is one call here.
     """
     from scipy.linalg import eigh_tridiagonal
 
     k = np.arange(1.0, n)
-    ab = a + b
+    ab = (a1 + b1) - 2.0
     s = 2.0 * k + ab
-    diag = np.append((b - a) / (ab + 2.0), (b - a) * ab / (s * (s + 2.0)))
+    diag = np.append((b1 - a1) / (a1 + b1), (b1 - a1) * ab / (s * (s + 2.0)))
     # (k + a + b) / (s - 1) is 1 at k = 1, set by hand: at a + b = -1 it would be 0/0
     ratio = np.ones_like(k)
     ratio[1:] = (k[1:] + ab) / (s[1:] - 1.0)
-    off_sq = 4.0 * k * (k + a) * (k + b) * ratio / (s * s * (s + 1.0))
-    x, v = eigh_tridiagonal(diag, np.sqrt(off_sq))
-    mu0 = np.exp((ab + 1.0) * math.log(2.0) + log_gamma(a + 1.0) + log_gamma(b + 1.0) - log_gamma(ab + 2.0))
-    return x, mu0 * v[0] ** 2
+    # k + a and k + b as (k - 1) + a1 and (k - 1) + b1: exact at k = 1 however small a1 or b1
+    off_sq = 4.0 * k * ((k - 1.0) + a1) * ((k - 1.0) + b1) * ratio / (s * s * (s + 1.0))
+    u, v = eigh_tridiagonal(0.5 + 0.5 * diag, 0.5 * np.sqrt(off_sq))
+    return u, beta_fn(a1, b1) * v[0] ** 2
 
 
 @functools.lru_cache(maxsize=NODE_CACHE_SIZE)
-def jacobi_nodes(a: float, b: float, n: int):
-    """Cached Gauss-Jacobi nodes/weights for weight (1-x)^a (1+x)^b on [-1, 1].
+def jacobi_nodes(a1: float, b1: float, n: int):
+    """Cached Gauss-Jacobi nodes/weights for weight (1-u)^(a1-1) u^(b1-1) on [0, 1].
 
     Every caller shares the returned arrays, so they are read-only.
     """
-    x, w = roots_jacobi(int(n), float(a), float(b))
-    x.flags.writeable = False
+    u, w = roots_jacobi(int(n), float(a1), float(b1))
+    u.flags.writeable = False
     w.flags.writeable = False
-    return x, w
+    return u, w
 
 
 def _rule(p: OperatorParams, n: int):
-    """Nodes u in (0, 1), weights and scale of inner_integral's rule on n nodes."""
+    """Nodes u in (0, 1) and weights of inner_integral's rule on n nodes, (gamma+1) q(u)^{alpha'} folded in."""
     g1 = p.gamma + 1.0
-    a = p.diff                      # alpha' = tau - beta
-    b_sub = p.beta + p.gamma - 1.0  # exponent after the u-substitution
-    x, wts = jacobi_nodes(a, b_sub, n)
-    u = (x + 1.0) / 2.0
-    scale = 0.5 ** (a + b_sub + 1.0) * g1
+    u, wts = jacobi_nodes((1.0 - p.beta) + p.tau, p.beta + p.gamma, n)
+    if p.tau == p.beta:  # q^0 = 1; q itself is 0/0 at a node that rounds to u = 1
+        return u, g1 * wts
     log_u = np.log(u)
-    if a == 0.0:
-        q_pow = np.ones_like(u)
-    else:
-        q = np.expm1(g1 * log_u) / np.expm1(log_u)
-        q_pow = q**a
-    return u, wts * q_pow, scale
+    q = np.expm1(g1 * log_u) / np.expm1(log_u)
+    return u, g1 * wts * q**p.diff
 
 
 def _inner_integrals(p: OperatorParams, f: PowerSeries, z) -> list:
@@ -127,9 +126,9 @@ def _inner_integrals(p: OperatorParams, f: PowerSeries, z) -> list:
     evaluated at the nodes of both rules, joined, in one evaluate_many pass.
     """
     rules = [_rule(p, n) for n in (NODE_COUNT, 2 * NODE_COUNT)]
-    vals = evaluate_many([f, f.derivative()], complex(z) * np.concatenate([u for u, _, _ in rules]))
-    return [(complex(scale * np.sum(base * v)), complex(scale * np.sum(base * u * dv)))
-            for (u, base, scale), (v, dv) in zip(rules, np.split(vals, [NODE_COUNT], axis=1))]
+    vals = evaluate_many([f, f.derivative()], complex(z) * np.concatenate([u for u, _ in rules]))
+    return [(complex(np.sum(wts * v)), complex(np.sum(wts * u * dv)))
+            for (u, wts), (v, dv) in zip(rules, np.split(vals, [NODE_COUNT], axis=1))]
 
 
 def inner_integral(p: OperatorParams, f: PowerSeries, z) -> complex:
@@ -156,23 +155,15 @@ def _disk_point(z) -> complex:
 
 def _front_constant(p: OperatorParams) -> float:
     """(gamma+1)^{beta-tau} Gamma(tau) / (Gamma(beta) Gamma(1-beta+tau))."""
-    s = log_gamma(p.tau) - log_gamma(p.beta) - log_gamma(1.0 + p.diff)
+    s = log_gamma(p.tau) - log_gamma(p.beta) - log_gamma((1.0 - p.beta) + p.tau)
     return (p.gamma + 1.0) ** (-p.diff) * math.exp(s)
 
 
 def _eval_doubling(p: OperatorParams, f: PowerSeries, z: complex) -> tuple:
-    """The operator value at z on NODE_COUNT and on 2 * NODE_COUNT nodes."""
-    g1 = p.gamma + 1.0
-    big_p = p.gamma + p.beta + g1 * p.diff
-    front = _front_constant(p)
-    out = []
-    for j0, j1 in _inner_integrals(p, f, z):
-        g_prime = (
-            big_p * cmath.exp((big_p - 1.0) * cmath.log(z)) * j0
-            + cmath.exp(big_p * cmath.log(z)) * j1
-        ) / g1
-        out.append(front * cmath.exp((1.0 - p.tau) * cmath.log(z)) * g_prime)
-    return tuple(out)
+    """The operator value z^shift front/(gamma+1) (P I + z I') on NODE_COUNT and on 2 * NODE_COUNT nodes."""
+    big_p = p.gamma * (1.0 - p.beta) + (p.gamma + 1.0) * p.tau
+    outer = _front_constant(p) / (p.gamma + 1.0) * cmath.exp(p.shift * cmath.log(z))
+    return tuple(outer * (big_p * j0 + z * j1) for j0, j1 in _inner_integrals(p, f, z))
 
 
 def oracle_eval(p: OperatorParams, f: PowerSeries, z) -> complex:

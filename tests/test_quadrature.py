@@ -28,36 +28,40 @@ def _params(beta=0.65, tau=0.3, gamma=1.7):
 
 
 def test_jacobi_nodes_cached_and_sane():
-    x1, w1 = jacobi_nodes(-0.3, 0.4, 32)
-    x2, w2 = jacobi_nodes(-0.3, 0.4, 32)
-    assert x1 is x2 and w1 is w2  # cache returns the same arrays
-    assert np.all((-1.0 < x1) & (x1 < 1.0))
+    u1, w1 = jacobi_nodes(0.7, 1.4, 32)
+    u2, w2 = jacobi_nodes(0.7, 1.4, 32)
+    assert u1 is u2 and w1 is w2  # cache returns the same arrays
+    assert np.all((0.0 < u1) & (u1 < 1.0))
     assert np.all(w1 > 0.0)
 
 
 def test_jacobi_node_cache_is_bounded():
     """300 distinct keys leave at most NODE_CACHE_SIZE entries; hits still share arrays."""
     for i in range(300):
-        jacobi_nodes(-0.5 + i * 1e-3, 0.25, 8)
+        jacobi_nodes(0.5 + i * 1e-3, 1.25, 8)
     assert jacobi_nodes.cache_info().currsize <= NODE_CACHE_SIZE == 256
-    x1, w1 = jacobi_nodes(-0.2, 0.1, 16)
-    x2, w2 = jacobi_nodes(-0.2, 0.1, 16)
-    assert x1 is x2 and w1 is w2
+    u1, w1 = jacobi_nodes(0.8, 1.1, 16)
+    u2, w2 = jacobi_nodes(0.8, 1.1, 16)
+    assert u1 is u2 and w1 is w2
     with pytest.raises(ValueError):
-        x1[0] = 0.0  # shared cache entries are read-only
+        u1[0] = 0.0  # shared cache entries are read-only
 
 
-@pytest.mark.parametrize("a,b", [(-0.9998, -0.9999), (-0.9998, -0.0001), (-0.3, 0.4), (-0.5, 30.0),
-                                 (-0.3, -0.7)])
+# Jacobi exponent pairs (a, b), passed as (a1, b1) = (a + 1, b + 1) under ids that keep the exponents
+_EXPONENT_PAIRS = [(-0.9998, -0.9999), (-0.9998, -0.0001), (-0.3, 0.4), (-0.5, 30.0), (-0.3, -0.7)]
+
+
+@pytest.mark.parametrize("a1,b1", [pytest.param(a + 1.0, b + 1.0, id=f"{a}-{b}") for a, b in _EXPONENT_PAIRS]
+                         + [(1e-9, 1.0), (0.65, 1200.65)])
 @pytest.mark.parametrize("n", [64, 128])
-def test_jacobi_nodes_integrate_moments_near_the_exponent_corner(a, b, n):
-    """sum w_i (1 + x_i)^m = 2^(a+b+m+1) B(a+1, b+m+1), also as an exponent nears -1 and at a + b = -1."""
+def test_jacobi_nodes_integrate_moments_near_the_exponent_corner(a1, b1, n):
+    """sum w_i u_i^m = B(a1, b1 + m), also as an exponent nears 0, at a1 + b1 = 1 and for b1 in the thousands."""
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
-    x, w = jacobi_nodes(a, b, n)
+    u, w = jacobi_nodes(a1, b1, n)
     for m in (0, 1, 5, 20, 2 * n - 1):
-        want = 2 ** mpmath.mpf(a + b + m + 1) * mpmath.beta(a + 1, b + m + 1)
-        got = float(np.sum(w * (1.0 + x) ** m))
+        want = mpmath.beta(a1, b1 + m)
+        got = float(np.sum(w * u**m))
         assert abs(got - want) <= 1e-10 * want, (m, got, float(want))
 
 
@@ -68,6 +72,37 @@ def test_oracle_passes_where_beta_minus_tau_nears_one(power, z):
     p = OperatorParams(0.9999, 0.0001, 0.0)
     want = monomial_transform(p, power).evaluate(z)
     assert abs(oracle_eval(p, monomial_series(power), z) - want) <= 1e-8
+
+
+@pytest.mark.parametrize("power", [0, 2])
+def test_oracle_at_gamma_in_the_thousands(power):
+    """At gamma = 1200 the rule's weights stay finite: no power of 2 overflows on the way to [0, 1]."""
+    p = OperatorParams(0.65, 0.3, 1200.0)
+    want = monomial_transform(p, power).evaluate(0.5)
+    assert abs(oracle_eval(p, monomial_series(power), 0.5) - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("z", [0.5, 0.3j])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_oracle_constant_input_at_beta_one_tau_at_the_guard(gamma, z):
+    """At (1, 1e-9, gamma) the exponent (1 - beta) + tau = 1e-9 is formed exactly: no spurious pole."""
+    p = OperatorParams(1.0, 1e-9, gamma)
+    want = monomial_transform(p, 0).evaluate(z)
+    assert abs(oracle_eval(p, PowerSeries([1.0]), z) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("z", [0.5, 0.3j])
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_oracle_monomials_at_beta_one_tau_at_the_guard_never_hit_a_pole(gamma, power, z):
+    """Values near 1e9 can leave a doubling residual above the absolute TOLERANCE: a typed failure, never a pole."""
+    p = OperatorParams(1.0, 1e-9, gamma)
+    want = monomial_transform(p, power).evaluate(z)
+    try:
+        got = oracle_eval(p, monomial_series(power), z)
+    except ConvergenceError:
+        return
+    assert abs(got - want) <= 1e-8 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +189,9 @@ def test_oracle_small_z_leading_term():
 
 
 def test_oracle_node_doubling_guard_raises(monkeypatch):
-    # a tolerance no rule meets keeps the guard covered whatever the node rule
-    monkeypatch.setattr(quadrature, "TOLERANCE", 1e-30)
+    # a negative tolerance, which no residual meets (not even an exact 0), keeps the
+    # guard covered whatever the node rule
+    monkeypatch.setattr(quadrature, "TOLERANCE", -1.0)
     p = OperatorParams(0.15, 0.1, 2.3)
     with pytest.raises(ConvergenceError) as err:
         oracle_eval(p, koebe_series(1.0, 200), -0.62)
