@@ -348,14 +348,22 @@ def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
 
     Independent route used to cross-check theta_normalize: coefficient
     kappa of the image is constant * kernel(kappa-1) * a_kappa, with the
-    kernel read from spec.log_coefficients, not from log_gamma_ratio.
+    kernel read from spec.log_coefficients, not from log_gamma_ratio. The
+    kernel is read at most 2048 indices a call, so its four stacked Gamma
+    rows stay at 8192 elements, and the products are taken in place:
+    larger temporaries page-faulted afresh on every call. Each element
+    comes out the same whatever the call's size.
     """
     if abs(f.coeffs[0]) > 1e-12:
         raise DomainError("Theta needs a series with zero constant term")
     constant, spec = theta_fox_wright_spec(p)
     coeffs = f.coeffs.copy()
     coeffs[0] = 0.0
-    coeffs[1:] = coeffs[1:] * constant * np.exp(spec.log_coefficients(np.arange(coeffs.size - 1)))
+    kappa = np.arange(coeffs.size - 1, dtype=np.float64)
+    kernel = np.concatenate([spec.log_coefficients(k) for k in np.array_split(kappa, kappa.size // 2048 + 1)])
+    head = coeffs[1:]
+    head *= constant
+    head *= np.exp(kernel)
     return PowerSeries(coeffs)
 
 

@@ -12,7 +12,10 @@ pulls index blocks itself, asks its caller for the terms at those indices,
 and needs |z| over the radius. It reports an explicit status (converged,
 slow, divergent, pole hit) instead of silent nonsense; it never calls a sum
 inside its disk divergent, and calls one that cancels past float64
-resolution slow, not converged.
+resolution slow, not converged. Its stop and divergence rules hold per
+term: it checks them term by term below index 96, where short sums stop,
+and a whole block at a time in NumPy from there, with each magnitude taken
+as hypot(re, im), so both give the same outcome bit for bit.
 
 log Gamma of a positive real argument, scalar or array, needs NumPy and
 the math module alone: from x = 16 up it sums the Stirling series with the
@@ -267,17 +270,17 @@ class EvalOutcome:
 
 
 def _pull(block, kappa) -> tuple:
-    """(terms at the indices kappa as a list, True if a Gamma pole cut them short)."""
+    """(the terms at the indices kappa as an ndarray, True if a Gamma pole cut them short)."""
     try:
-        return block(kappa).tolist(), False
+        return block(kappa), False
     except PoleHitError:  # redo one index at a time: the terms before the pole, then stop
-        terms = []
+        terms = [np.empty(0)]
         for i in range(kappa.size):
             try:
-                terms += block(kappa[i:i + 1]).tolist()
+                terms.append(block(kappa[i:i + 1]))
             except PoleHitError:
-                return terms, True
-        return terms, False
+                return np.concatenate(terms), True
+        return np.concatenate(terms), False
 
 
 def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
@@ -305,6 +308,14 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
         (an exact finite sum, tail 0);
       SLOW_CONVERGENCE when the budget runs out first, or, if limit < 1,
         at a CONVERGED stop where sum |t_k| > _MAX_CANCELLATION * |total|.
+
+    The rules hold per term. They are checked term by term in the first
+    two blocks (indices 0-95), where short sums stop, and a block at a time
+    in NumPy from index 96 on: running totals by np.add.accumulate from the
+    carried total, magnitudes hypot(re, im) (Python's abs of a complex),
+    window maxima by shifted np.maximum, and the first index that stops
+    the sum by argmax over the stop flags. Both give the same outcome bit
+    for bit.
     """
     if max_terms < 1:
         raise DomainError("max_terms must be at least 1")
@@ -319,31 +330,70 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
         kappa = np.arange(k, min(k + width, max_terms), dtype=np.float64)
         width = min(2 * width, _LAST_BLOCK)
         terms, pole = _pull(block, kappa)
-        for term in terms:
-            if not cmath.isfinite(term):
-                return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
-            size = abs(term)
-            total += term
-            mass += size
-            if prev > 0.0:
-                ratios.append(size / prev)
-                run = run + 1 if size >= prev else 0
-            if size > 1e290 or (run >= DIVERGENCE_RUN and not inside):
-                return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
-            prev = size
-            if k and size == 0.0:
-                tail = 0.0
-            elif len(ratios) == RATIO_WINDOW:
-                r = max(floor, *ratios)
-                tail = size * r / (1.0 - r) if r < 1.0 else math.inf
-            k += 1
-            if tail <= _STOP_RTOL * max(1.0, abs(total)):
-                lost = inside and mass > _MAX_CANCELLATION * abs(total)
+        if k < 3 * _FIRST_BLOCK:  # the first two blocks
+            for term in terms.tolist():
+                if not cmath.isfinite(term):
+                    return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
+                size = abs(term)
+                total += term
+                mass += size
+                if prev > 0.0:
+                    ratios.append(size / prev)
+                    run = run + 1 if size >= prev else 0
+                if size > 1e290 or (run >= DIVERGENCE_RUN and not inside):
+                    return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
+                prev = size
+                if k and size == 0.0:
+                    tail = 0.0
+                elif len(ratios) == RATIO_WINDOW:
+                    r = max(floor, *ratios)
+                    tail = size * r / (1.0 - r) if r < 1.0 else math.inf
+                k += 1
+                if tail <= _STOP_RTOL * max(1.0, abs(total)):
+                    lost = inside and mass > _MAX_CANCELLATION * abs(total)
+                    return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE if lost else EvalStatus.CONVERGED,
+                                       k, tail)
+        elif terms.size:  # here prev > 0 and the window is full: a zero term stopped the sum
+            n = terms.size
+            with np.errstate(all="ignore"):  # the flags below catch a non-finite term or ratio
+                sizes = np.hypot(terms.real, terms.imag)  # abs(complex) bit for bit
+                totals = np.add.accumulate(np.concatenate(([total], terms)))[1:]
+                prevs = np.concatenate(([prev], sizes[:-1]))
+                window = np.concatenate((list(ratios)[1:], sizes / prevs))
+                r = np.maximum(window[:n], floor)
+                for j in range(1, RATIO_WINDOW):
+                    np.maximum(r, window[j:j + n], out=r)
+                tails = sizes * r / (1.0 - r)  # read only where r < 1
+                bound = _STOP_RTOL * np.maximum(1.0, np.hypot(totals.real, totals.imag))
+                stop = (sizes == 0.0) | ((r < 1.0) & (tails <= bound))
+                over = ~(sizes <= 1e290)  # a non-finite term too
+                if inside:  # the mass is read inside the radius, the run on the circle
+                    masses = np.add.accumulate(np.concatenate(([mass], sizes)))[1:]
+                else:
+                    at = np.arange(n)
+                    reset = np.maximum.accumulate(np.where(sizes >= prevs, -1, at))
+                    runs = np.where(reset < 0, run + at + 1, at - reset)
+                    over |= runs >= DIVERGENCE_RUN
+            hit = over | stop
+            i = int(hit.argmax())
+            if hit[i]:
+                if not cmath.isfinite(terms[i]):
+                    return EvalOutcome(totals[i - 1].item() if i else total, EvalStatus.DIVERGENT,
+                                       k + i + 1, math.inf)
+                total = totals[i].item()
+                if over[i]:
+                    return EvalOutcome(total, EvalStatus.DIVERGENT, k + i + 1, math.inf)
+                lost = inside and masses[i] > _MAX_CANCELLATION * abs(total)
                 return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE if lost else EvalStatus.CONVERGED,
-                                   k, tail)
+                                   k + i + 1, tails[i].item() if sizes[i] else 0.0)
+            total, prev = totals[-1].item(), sizes[-1].item()
+            tail = tails[-1].item() if r[-1] < 1.0 else math.inf
+            mass, run = (masses[-1].item(), run) if inside else (mass, int(runs[-1]))
+            ratios.extend(window[-RATIO_WINDOW:].tolist())
+            k += n
         if pole:
             return EvalOutcome(total if k else complex("nan"), EvalStatus.POLE_HIT, k, math.inf)
-        if len(terms) < kappa.size:
+        if terms.size < kappa.size:
             return EvalOutcome(total, EvalStatus.CONVERGED, k, 0.0)
     return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE, max_terms, tail)
 

@@ -284,6 +284,17 @@ def test_theta_hadamard_at_the_smallest_tau(gamma):
     assert_allclose(theta_hadamard(p, f).coeffs, theta_normalize(p, f).coeffs, rtol=1e-12)
 
 
+def test_theta_hadamard_reads_its_kernel_in_blocks_with_the_same_bits():
+    """At order 5000 the kernel is read in blocks; each coefficient matches a one-index read."""
+    p = OperatorParams(0.65, 0.3, 1.4)
+    f = koebe_series(2.0, 5000)
+    constant, spec = theta_fox_wright_spec(p)
+    kernel = np.array([spec.log_coefficients(k)[0] for k in range(f.coeffs.size - 1)])
+    want = f.coeffs[1:] * constant * np.exp(kernel)
+    got = theta_hadamard(p, f).coeffs
+    assert got[0] == 0.0 and np.array_equal(got[1:].view(np.float64), want.view(np.float64))
+
+
 def test_theta_kernel_spec_shape():
     p = OperatorParams(0.65, 0.3, 1.6)
     constant, spec = theta_fox_wright_spec(p)

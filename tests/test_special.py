@@ -1,5 +1,7 @@
 """Gamma-family primitives and the Fox-Wright evaluator."""
 
+import cmath
+import collections
 import math
 
 import numpy as np
@@ -8,8 +10,15 @@ from numpy.testing import assert_allclose
 
 from fracops.errors import DomainError, PoleHitError
 from fracops.special import (
+    _FIRST_BLOCK,
+    _LAST_BLOCK,
+    _MAX_CANCELLATION,
+    _STOP_RTOL,
+    DIVERGENCE_RUN,
     MAX_TERMS_DEFAULT,
     POLE_GUARD,
+    RATIO_WINDOW,
+    EvalOutcome,
     EvalStatus,
     FoxWrightSpec,
     _sum_terms,
@@ -20,6 +29,8 @@ from fracops.special import (
 )
 
 mpmath = pytest.importorskip("mpmath")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +376,168 @@ def test_outside_the_radius_is_divergent_before_summing(spec, z):
     assert out.status is EvalStatus.DIVERGENT
     assert out.tail_bound == math.inf and out.terms_used == 0
 
+
+# ---------------------------------------------------------------------------
+# The summation driver against the per-term loop it replaced from index 96 on.
+# _reference_pull and _reference_sum_terms are that loop, kept as it was.
+
+
+def _reference_pull(block, kappa) -> tuple:
+    """(terms at the indices kappa as a list, True if a Gamma pole cut them short)."""
+    try:
+        return block(kappa).tolist(), False
+    except PoleHitError:  # redo one index at a time: the terms before the pole, then stop
+        terms = []
+        for i in range(kappa.size):
+            try:
+                terms += block(kappa[i:i + 1]).tolist()
+            except PoleHitError:
+                return terms, True
+        return terms, False
+
+
+def _reference_sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
+    """Sum the terms of a series at the indices 0, 1, ..., at most max_terms of them.
+
+    The driver pulls the indices itself, as float64 arrays whose length
+    doubles from _FIRST_BLOCK to _LAST_BLOCK, so short sums stay cheap and
+    long ones make few numpy calls. block(kappa) returns the terms at the
+    indices kappa as an ndarray; a shorter array ends the series there (an
+    exact finite sum). A block that raises PoleHitError is redone one index
+    at a time, so the terms before the pole are summed first.
+
+    limit is |z| over the radius of convergence. Once RATIO_WINDOW
+    consecutive ratios |t_k|/|t_{k-1}| are known, let r be the largest of
+    them, raised to limit when limit < 1; if r < 1 the tail is bounded by
+    |t_k| r / (1 - r) (geometric comparison). Stops with status
+      DIVERGENT before any term when limit > 1 (value 0, tail inf);
+      POLE_HIT at the index whose term raised PoleHitError (value is the
+        sum so far, NaN if no term was summed);
+      DIVERGENT on a non-finite term (not added), on a term magnitude near
+        float64 overflow, or, on the circle (limit == 1), after
+        DIVERGENCE_RUN consecutive non-decreasing magnitudes (term added);
+      CONVERGED when a term past index 0 is exactly zero or the tail bound
+        drops below roundoff (tail 0 or the bound), or when the series ends
+        (an exact finite sum, tail 0);
+      SLOW_CONVERGENCE when the budget runs out first, or, if limit < 1,
+        at a CONVERGED stop where sum |t_k| > _MAX_CANCELLATION * |total|.
+    """
+    if max_terms < 1:
+        raise DomainError("max_terms must be at least 1")
+    if limit > 1.0:
+        return EvalOutcome(0.0, EvalStatus.DIVERGENT, 0, math.inf)
+    inside = limit < 1.0
+    floor = limit if inside else 0.0
+    ratios = collections.deque(maxlen=RATIO_WINDOW)
+    total, mass, prev, run, tail = 0.0, 0.0, 0.0, 0, math.inf
+    k, width = 0, _FIRST_BLOCK
+    while k < max_terms:
+        kappa = np.arange(k, min(k + width, max_terms), dtype=np.float64)
+        width = min(2 * width, _LAST_BLOCK)
+        terms, pole = _reference_pull(block, kappa)
+        for term in terms:
+            if not cmath.isfinite(term):
+                return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
+            size = abs(term)
+            total += term
+            mass += size
+            if prev > 0.0:
+                ratios.append(size / prev)
+                run = run + 1 if size >= prev else 0
+            if size > 1e290 or (run >= DIVERGENCE_RUN and not inside):
+                return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
+            prev = size
+            if k and size == 0.0:
+                tail = 0.0
+            elif len(ratios) == RATIO_WINDOW:
+                r = max(floor, *ratios)
+                tail = size * r / (1.0 - r) if r < 1.0 else math.inf
+            k += 1
+            if tail <= _STOP_RTOL * max(1.0, abs(total)):
+                lost = inside and mass > _MAX_CANCELLATION * abs(total)
+                return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE if lost else EvalStatus.CONVERGED,
+                                   k, tail)
+        if pole:
+            return EvalOutcome(total if k else complex("nan"), EvalStatus.POLE_HIT, k, math.inf)
+        if len(terms) < kappa.size:
+            return EvalOutcome(total, EvalStatus.CONVERGED, k, 0.0)
+    return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE, max_terms, tail)
+
+
+# The first indices of the driver's blocks past the first: 32, 96, 224, 480.
+_SEAMS = (32, 96, 224, 480)
+_NEAR_A_SEAM = st.sampled_from(_SEAMS).flatmap(lambda s: st.integers(s - 3, s + 2))
+
+
+@st.composite
+def _term_lists(draw):
+    """(seed, length, ratio, noise, complex?, events, limit, max_terms) for _case_block."""
+    events = st.tuples(st.sampled_from(("zero", "nan", "inf", "pole", "big", "rise", "cancel")),
+                       st.one_of(_NEAR_A_SEAM, st.integers(0, 1300)))
+    return (draw(st.integers(0, 2**32 - 1)), draw(st.one_of(_NEAR_A_SEAM, st.integers(1, 1300), st.just(1300))),
+            draw(st.one_of(st.floats(0.5, 1.03), st.floats(0.97, 1.0))),
+            draw(st.sampled_from((0.0, 1e-3, 0.3))), draw(st.booleans()),
+            draw(st.lists(events, max_size=3)), draw(st.sampled_from((0.0, 0.5, 0.9, 0.999, 1.0, 1.2))),
+            draw(st.one_of(st.just(MAX_TERMS_DEFAULT), _NEAR_A_SEAM, st.integers(1, 1300))))
+
+
+def _case_block(seed, n, q, noise, complex_terms, events):
+    """A block function over n terms of magnitude q^k times log-normal noise, with events put in.
+
+    An event (kind, index) sets the term at the index to 0, NaN, inf or
+    1e300; "rise" makes every magnitude from there on 1% above the last,
+    "cancel" puts 1e12 and -1e12 there, and "pole" makes every block that
+    holds the index raise PoleHitError.
+    """
+    rng = np.random.default_rng(seed)
+    terms = np.exp(np.arange(n) * math.log(q) + noise * rng.standard_normal(n)) * rng.choice((-1.0, 1.0), n)
+    if complex_terms:
+        terms = terms * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    pole = -1
+    for kind, at in sorted(events, key=lambda e: e[0] != "rise"):
+        at = min(at, n - 1)
+        if kind == "rise":
+            terms[at:] *= abs(terms[at]) * 1.01 ** np.arange(n - at) / abs(terms[at:])
+        elif kind == "cancel":
+            terms[at:at + 2] = (1e12, -1e12)[:n - at]
+        elif kind == "pole":
+            pole = at
+        else:
+            terms[at] = {"zero": 0.0, "nan": math.nan, "inf": math.inf, "big": 1e300}[kind]
+
+    def block(kappa):
+        lo, hi = int(kappa[0]), int(kappa[-1]) + 1
+        if lo <= pole < hi:
+            raise PoleHitError(float(pole))
+        return terms[lo:hi]
+
+    return block
+
+
+def _bits(out):
+    value = complex(out.value)
+    return (type(out.value), value.real.hex(), value.imag.hex(), out.status, out.terms_used,
+            out.tail_bound.hex())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_term_lists())
+@example(case=(1, 1300, 0.95, 1e-3, False, [("zero", 0)], 0.9, MAX_TERMS_DEFAULT))  # zero first term
+@example(case=(2, 1300, 0.99, 0.0, True, [("zero", 300)], 0.99, MAX_TERMS_DEFAULT))  # zero later term
+@example(case=(3, 1300, 0.99, 1e-3, True, [("nan", 150)], 0.99, MAX_TERMS_DEFAULT))  # non-finite terms
+@example(case=(4, 1300, 0.995, 1e-3, False, [("inf", 500)], 1.0, MAX_TERMS_DEFAULT))
+@example(case=(5, 1300, 0.99, 1e-3, True, [("pole", 230)], 0.999, MAX_TERMS_DEFAULT))  # Gamma poles
+@example(case=(6, 1300, 0.9, 0.3, False, [("pole", 5)], 0.9, MAX_TERMS_DEFAULT))
+@example(case=(7, 1300, 0.9, 0.0, True, [], 1.2, MAX_TERMS_DEFAULT))  # outside the radius
+@example(case=(8, 1300, 1.0, 1e-3, True, [], 1.0, 300))  # the budget ends mid-block
+@example(case=(9, 1300, 0.99, 0.0, False, [("rise", 210)], 1.0, MAX_TERMS_DEFAULT))  # rising on the circle
+@example(case=(10, 1300, 0.999, 1e-3, True, [("big", 481)], 1.0, MAX_TERMS_DEFAULT))  # |t| above 1e290
+@example(case=(11, 1300, 0.9, 0.0, False, [("cancel", 0)], 0.5, MAX_TERMS_DEFAULT))  # a cancelling sum
+@example(case=(12, 1300, 0.9, 0.0, True, [("cancel", 100)], 1.0, MAX_TERMS_DEFAULT))
+@example(case=(13, 96, 0.999, 1e-3, False, [], 0.9, MAX_TERMS_DEFAULT))  # the series ends at a seam
+@example(case=(14, 481, 0.999, 1e-3, True, [], 0.9, MAX_TERMS_DEFAULT))
+def test_sum_terms_matches_the_per_term_reference_bit_for_bit(case):
+    """Value and its type, status, terms used and tail bound: the same bits as the per-term loop."""
+    *terms, limit, max_terms = case
+    want = _reference_sum_terms(_case_block(*terms), max_terms, limit)
+    assert _bits(_sum_terms(_case_block(*terms), max_terms, limit)) == _bits(want), want
