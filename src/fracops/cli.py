@@ -13,7 +13,10 @@ Exit codes are a stable contract: 0 on success, 1 when a verification or
 numerical routine fails, 2 on usage, parameter-window or file errors.  JSON is
 the canonical output (keys sorted, so identical configs give byte-identical
 documents); CSV is available where a per-term or per-radius trace is the
-useful artifact.  The FRACOPS_FIXTURES environment variable points the
+useful artifact.  A transform's coefficient table is written by json's C
+encoder without indent and then laid out as indent=2, so its bytes are the
+ones json.dumps(doc, sort_keys=True, indent=2) gives, at a fraction of the
+cost on large orders.  The FRACOPS_FIXTURES environment variable points the
 verifier at an alternate fixture directory.
 """
 
@@ -40,6 +43,20 @@ _WEIGHT_CHOICES = {"one": "constant_one", "power": "power", "log": "log_weight",
 def _canonical_json(doc) -> str:
     """Sorted-key JSON with a trailing newline; floats use repr formatting."""
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _table_json(doc: dict, coeffs: np.ndarray) -> str:
+    """_canonical_json of doc plus "coefficients": coeffs as [re, im] pairs, byte for byte.
+
+    json runs its C encoder only without indent, so the pairs are encoded
+    flat and their separators moved to the indent=2 layout: a table of float
+    reprs holds ", " and "], [" nowhere else. coeffs is a PowerSeries'
+    coefficient array: complex128 and never empty.
+    """
+    flat = json.dumps(coeffs.view(np.float64).reshape(-1, 2).tolist(), allow_nan=False)
+    rows = flat[2:-2].replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
+    text = _canonical_json({**doc, "coefficients": []})
+    return text.replace('"coefficients": []', f'"coefficients": [\n    [\n      {rows}\n    ]\n  ]', 1)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -94,15 +111,15 @@ def cmd_transform(args) -> int:
     p = _params_from_args(args)
     if args.monomial is not None:
         image = monomial_transform(p, args.monomial)
-        doc = {"coefficient": image.coefficient, "exponent": image.exponent}
+        _emit(_canonical_json({"coefficient": image.coefficient, "exponent": image.exponent}), args.output)
+        return 0
+    f = _series_from_args(args)
+    if args.normalize:
+        g, doc = theta_normalize(p, f), {}
     else:
-        f = _series_from_args(args)
-        if args.normalize:
-            g = theta_normalize(p, f)
-            doc = {"coefficients": [[c.real, c.imag] for c in g.coeffs], "order": g.order}
-        else:
-            doc = apply_operator(p, f).to_json_dict()
-    _emit(_canonical_json(doc), args.output)
+        image = apply_operator(p, f)
+        g, doc = image.series, {"prefactor_power": image.prefactor_power}
+    _emit(_table_json({**doc, "order": g.order}, g.coeffs), args.output)
     return 0
 
 

@@ -252,13 +252,6 @@ class OperatorImage:
             return value if self.prefactor_power == 0.0 else 0.0 + 0.0j
         return cmath.exp(self.prefactor_power * cmath.log(z)) * value
 
-    def to_json_dict(self) -> dict:
-        return {
-            "prefactor_power": self.prefactor_power,
-            "coefficients": [[c.real, c.imag] for c in self.series.coeffs],
-            "order": self.series.order,
-        }
-
 
 def apply_operator(p: OperatorParams, f: PowerSeries) -> OperatorImage:
     """Apply the operator termwise to a truncated series.

@@ -334,7 +334,10 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
             for term in terms.tolist():
                 if not cmath.isfinite(term):
                     return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
-                size = abs(term)
+                try:
+                    size = abs(term)
+                except OverflowError:  # finite parts, modulus past float64: hypot gives inf
+                    size = math.inf
                 total += term
                 mass += size
                 if prev > 0.0:

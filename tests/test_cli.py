@@ -1,13 +1,17 @@
 """Command-line front end: documents, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from fracops.cli import main
+from fracops.cli import _table_json, main
 from fracops.series import koebe_series
 from fracops.verify import fixture_dir
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +102,60 @@ def test_transform_output_file(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     # Gamma(3)Gamma(0.5)/(Gamma(2.5)Gamma(1)) = 2/(1.5 * 0.5) = 8/3
     assert abs(doc["coefficient"] - 8.0 / 3.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the transform document's bytes
+
+
+def _reference_json(doc) -> str:
+    """json's indented encoder on the whole document: the bytes a transform document must have."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _rendered(render):
+    """render()'s text, or ValueError and its message up to the offending value."""
+    try:
+        return render()
+    except ValueError as exc:
+        return ValueError, str(exc).split(":")[0]
+
+
+_TABLE_FLOATS = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e300, 1.0, -3.0)),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-2**60, 2**60).map(float))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.lists(_TABLE_FLOATS, min_size=2, max_size=2), min_size=1, max_size=300),
+       order=st.integers(0, 2**20), prefactor=st.one_of(st.none(), _TABLE_FLOATS),
+       bad=st.one_of(st.none(), st.tuples(st.integers(0, 599), st.sampled_from((math.nan, math.inf, -math.inf)))))
+def test_table_json_matches_the_indented_encoder(pairs, order, prefactor, bad):
+    """The table writer gives json's indented bytes, and its ValueError on NaN and inf."""
+    if bad is not None:
+        at, value = bad
+        pairs[at // 2 % len(pairs)][at % 2] = value
+    coeffs = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    doc = {"order": order} if prefactor is None else {"order": order, "prefactor_power": prefactor}
+    want = _rendered(lambda: _reference_json({**doc, "coefficients": pairs}))
+    assert _rendered(lambda: _table_json(doc, coeffs)) == want
+    assert (bad is None) == isinstance(want, str)
+
+
+@pytest.mark.parametrize("order", [1, 2, 64, 4096])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_transform_document_is_the_indented_encoding_of_itself(tmp_path, capsys, order, normalize):
+    """Both transform branches, to stdout and to --output: the same bytes json's indented encoder gives."""
+    argv = ["transform", "--beta", "0.7", "--tau", "0.4", "--gamma", "1.3", "--builtin", "koebe",
+            "--alpha", "2", "--order", str(order)] + ["--normalize"] * normalize
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert len(doc["coefficients"]) == order + 1 and ("prefactor_power" in doc) != normalize
+    assert out == _reference_json(doc)
+    path = tmp_path / "image.json"
+    assert run_cli(capsys, *argv, "--output", str(path))[:2] == (0, "")
+    assert path.read_text(encoding="utf-8") == out
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,16 @@ def test_zero_delta_unit_weights_converge_near_the_circle():
         assert abs(out.value - want) <= 1e-10 * abs(want), (upper, lower, z)
 
 
+@pytest.mark.parametrize("at", [1, 200])  # in the per-term loop and in a scanned block
+def test_a_term_whose_modulus_overflows_is_divergent_and_added(at):
+    huge = complex(1.5e308, 1.5e308)  # finite parts, abs() raises OverflowError
+    terms = [1.0 / (k + 1) for k in range(at)] + [huge, 1.0]
+    out = _sum_terms(listed(np.array(terms)), max_terms=MAX_TERMS_DEFAULT, limit=1.0)
+    assert out.status is EvalStatus.DIVERGENT
+    assert out.terms_used == at + 1 and out.tail_bound == math.inf
+    assert out.value == sum(terms[:at]) + huge
+
+
 @pytest.mark.parametrize("spec,z", [
     (FoxWrightSpec(upper=((1.0, 1.0), (0.5, 1.0)), lower=((1.5, 1.0),)), 1.01),  # |z| > radius 1
     (FoxWrightSpec(upper=((1.0, 2.0),), lower=((1.0, 1.0),)), 0.3j),  # |z| > radius 1/4
@@ -379,7 +389,8 @@ def test_outside_the_radius_is_divergent_before_summing(spec, z):
 
 # ---------------------------------------------------------------------------
 # The summation driver against the per-term loop it replaced from index 96 on.
-# _reference_pull and _reference_sum_terms are that loop, kept as it was.
+# _reference_pull and _reference_sum_terms are that loop, kept as it was but
+# for its size of a complex term whose modulus overflows: inf, as hypot gives.
 
 
 def _reference_pull(block, kappa) -> tuple:
@@ -438,7 +449,10 @@ def _reference_sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
         for term in terms:
             if not cmath.isfinite(term):
                 return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
-            size = abs(term)
+            try:
+                size = abs(term)
+            except OverflowError:
+                size = math.inf
             total += term
             mass += size
             if prev > 0.0:
@@ -472,7 +486,7 @@ _NEAR_A_SEAM = st.sampled_from(_SEAMS).flatmap(lambda s: st.integers(s - 3, s + 
 @st.composite
 def _term_lists(draw):
     """(seed, length, ratio, noise, complex?, events, limit, max_terms) for _case_block."""
-    events = st.tuples(st.sampled_from(("zero", "nan", "inf", "pole", "big", "rise", "cancel")),
+    events = st.tuples(st.sampled_from(("zero", "nan", "inf", "pole", "big", "huge", "rise", "cancel")),
                        st.one_of(_NEAR_A_SEAM, st.integers(0, 1300)))
     return (draw(st.integers(0, 2**32 - 1)), draw(st.one_of(_NEAR_A_SEAM, st.integers(1, 1300), st.just(1300))),
             draw(st.one_of(st.floats(0.5, 1.03), st.floats(0.97, 1.0))),
@@ -485,7 +499,8 @@ def _case_block(seed, n, q, noise, complex_terms, events):
     """A block function over n terms of magnitude q^k times log-normal noise, with events put in.
 
     An event (kind, index) sets the term at the index to 0, NaN, inf or
-    1e300; "rise" makes every magnitude from there on 1% above the last,
+    1e300; "huge" sets it to 1.5e308 + 1.5e308j, whose modulus overflows
+    (1.5e308 in a real list); "rise" makes every magnitude from there on 1% above the last,
     "cancel" puts 1e12 and -1e12 there, and "pole" makes every block that
     holds the index raise PoleHitError.
     """
@@ -503,7 +518,8 @@ def _case_block(seed, n, q, noise, complex_terms, events):
         elif kind == "pole":
             pole = at
         else:
-            terms[at] = {"zero": 0.0, "nan": math.nan, "inf": math.inf, "big": 1e300}[kind]
+            huge = complex(1.5e308, 1.5e308) if complex_terms else 1.5e308
+            terms[at] = {"zero": 0.0, "nan": math.nan, "inf": math.inf, "big": 1e300, "huge": huge}[kind]
 
     def block(kappa):
         lo, hi = int(kappa[0]), int(kappa[-1]) + 1
@@ -532,6 +548,8 @@ def _bits(out):
 @example(case=(8, 1300, 1.0, 1e-3, True, [], 1.0, 300))  # the budget ends mid-block
 @example(case=(9, 1300, 0.99, 0.0, False, [("rise", 210)], 1.0, MAX_TERMS_DEFAULT))  # rising on the circle
 @example(case=(10, 1300, 0.999, 1e-3, True, [("big", 481)], 1.0, MAX_TERMS_DEFAULT))  # |t| above 1e290
+@example(case=(15, 1300, 0.99, 1e-3, True, [("huge", 1)], 0.9, MAX_TERMS_DEFAULT))  # |t| overflows
+@example(case=(16, 1300, 0.999, 1e-3, True, [("huge", 200)], 1.0, MAX_TERMS_DEFAULT))
 @example(case=(11, 1300, 0.9, 0.0, False, [("cancel", 0)], 0.5, MAX_TERMS_DEFAULT))  # a cancelling sum
 @example(case=(12, 1300, 0.9, 0.0, True, [("cancel", 100)], 1.0, MAX_TERMS_DEFAULT))
 @example(case=(13, 96, 0.999, 1e-3, False, [], 0.9, MAX_TERMS_DEFAULT))  # the series ends at a seam
