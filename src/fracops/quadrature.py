@@ -26,9 +26,19 @@ plain w-form converges slowly for non-integer gamma because
 f(z w^{1/(gamma+1)}) has a branch point at w = 0). The pair is derived
 from the parameters on every call, each sum formed so that it is exact at
 beta = 1 and tau near 0. The rule is fixed: NODE_COUNT nodes and its
-doubling, with f and f' evaluated at the nodes of both in one Horner pass.
-No node count is read from outside this module, so a new rule edits this
-module only.
+doubling. No node count is read from outside this module, so a new rule
+edits this module only.
+
+f is a polynomial, so each rule's sum is reordered exactly into the rule's
+moments M_k = sum_j w_j u_j^k (the weights w_j carrying (gamma+1) q^{alpha'}):
+
+    sum_j w_j f(z u_j)        = sum_k c_k z^k M_k,
+    sum_j w_j u_j f'(z u_j)   = sum_k k c_k z^(k-1) M_k,
+
+the f' sum reading the same moments shifted by one. The moments come a
+chunk of indices at a time from two small tables of node powers, so a
+rule costs a fixed number of NumPy calls per chunk, with no loop over
+the coefficients and no table that grows as nodes x order.
 
 The Gauss-Jacobi rule lives on [0, 1] itself: its nodes are the
 eigenvalues of the Jacobi matrix of the weight (1-u)^{a1-1} u^{b1-1}, and
@@ -51,7 +61,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .fracdiff import OperatorParams, monomial_transform
-from .series import PowerSeries, evaluate_many
+from .series import PowerSeries
 from .special import beta_fn, log_gamma
 
 SMALL_Z_CUTOFF = 1e-6
@@ -68,6 +78,12 @@ TOLERANCE = 1e-8
 # Bound on cached node sets. A fresh-seed run_suites() adds about 100 keys,
 # plus 20 fixture-suite keys that every call reuses.
 NODE_CACHE_SIZE = 256
+
+# _moments forms u^k as u^(16a) u^b with b < _POWER_ROWS and takes _MOMENT_CHUNK
+# indices k (64 values of a) at a time, so its power tables hold at most
+# 64 x 2 * NODE_COUNT float64 (64 KiB), never a nodes x order table.
+_POWER_ROWS = 16
+_MOMENT_CHUNK = 1024
 
 
 def roots_jacobi(n: int, a1: float, b1: float):
@@ -118,17 +134,53 @@ def _rule(p: OperatorParams, n: int):
     return u, g1 * wts * q**p.diff
 
 
+def _moments(u, wts, order: int) -> np.ndarray:
+    """The rule's moments M_k = sum_j wts_j u_j^k for k = 0..order.
+
+    Each u^k is u^(16a) u^b with b < _POWER_ROWS, both factors exp(k log u),
+    so a block of moments is one einsum over the nodes of two small power
+    tables, _MOMENT_CHUNK indices at a time. einsum without optimize sums
+    in NumPy's own loops, never BLAS, so the bits do not depend on the BLAS
+    build or its thread count.
+    """
+    log_u = np.log(u)
+    low = np.exp(np.arange(_POWER_ROWS)[:, None] * log_u)
+    out = np.empty(order + _POWER_ROWS)
+    for start in range(0, order + 1, _MOMENT_CHUNK):
+        k = np.arange(start, min(start + _MOMENT_CHUNK, order + 1), _POWER_ROWS)
+        block = np.einsum("aj,bj->ab", wts * np.exp(k[:, None] * log_u), low)
+        out[start:start + block.size] = block.reshape(-1)
+    return out[:order + 1]
+
+
+def _moment_sums(p: OperatorParams, n: int, terms: np.ndarray) -> np.ndarray:
+    """sum_k M_k terms[k] for each complex column of terms, with M the moments of _rule(p, n)."""
+    m = _moments(*_rule(p, n), terms.shape[0] - 1)
+    return np.einsum("k,kc->c", m, terms.view(np.float64)).view(np.complex128)
+
+
+def _z_powers(z: complex, order: int) -> np.ndarray:
+    """z^0 .. z^order as one running product."""
+    zk = np.full(order + 1, z, dtype=np.complex128)
+    zk[0] = 1.0
+    return np.multiply.accumulate(zk, out=zk)
+
+
 def _inner_integrals(p: OperatorParams, f: PowerSeries, z) -> list:
     """(inner_integral, its f' companion) on NODE_COUNT and on 2 * NODE_COUNT nodes.
 
     The companion has integrand factor w^{1/(gamma+1)} f'(z w^{1/(gamma+1)}),
-    as needed for differentiating under the integral sign. f and f' are
-    evaluated at the nodes of both rules, joined, in one evaluate_many pass.
+    as needed for differentiating under the integral sign. Both come from
+    the rule's moments M_k: sum_j wts_j f(z u_j) = sum_k c_k z^k M_k and
+    sum_j wts_j u_j f'(z u_j) = sum_k k c_k z^(k-1) M_k, one einsum per rule
+    for the pair.
     """
-    rules = [_rule(p, n) for n in (NODE_COUNT, 2 * NODE_COUNT)]
-    vals = evaluate_many([f, f.derivative()], complex(z) * np.concatenate([u for u, _ in rules]))
-    return [(complex(np.sum(wts * v)), complex(np.sum(wts * u * dv)))
-            for (u, wts), (v, dv) in zip(rules, np.split(vals, [NODE_COUNT], axis=1))]
+    c = f.coeffs
+    zk = _z_powers(complex(z), f.order)
+    terms = np.zeros((c.size, 2), dtype=np.complex128)
+    np.multiply(c, zk, out=terms[:, 0])
+    terms[1:, 1] = np.arange(1, c.size) * c[1:] * zk[:-1]
+    return [tuple(complex(s) for s in _moment_sums(p, n, terms)) for n in (NODE_COUNT, 2 * NODE_COUNT)]
 
 
 def inner_integral(p: OperatorParams, f: PowerSeries, z) -> complex:
@@ -137,7 +189,8 @@ def inner_integral(p: OperatorParams, f: PowerSeries, z) -> complex:
     With f identically 1 this is beta_fn(beta' + 1, alpha' + 1) exactly
     (the Beta-function reduction behind the monomial closed form).
     """
-    return _inner_integrals(p, f, z)[0][0]
+    terms = f.coeffs * _z_powers(complex(z), f.order)
+    return complex(_moment_sums(p, NODE_COUNT, terms[:, None])[0])
 
 
 def _disk_point(z) -> complex:
@@ -169,7 +222,8 @@ def _eval_doubling(p: OperatorParams, f: PowerSeries, z: complex) -> tuple:
 def oracle_eval(p: OperatorParams, f: PowerSeries, z) -> complex:
     """Operator value at z straight from the integral definition.
 
-    Evaluates at NODE_COUNT and at twice that; if the two results
+    Evaluates at NODE_COUNT and at twice that, each integral summed from
+    its rule's moments and f's coefficients; if the two results
     differ by more than TOLERANCE a ConvergenceError is raised,
     otherwise the doubled-node value is returned. For |z| below
     SMALL_Z_CUTOFF the quadrature is skipped in favour of the leading

@@ -1,6 +1,7 @@
 """Independent Gauss-Jacobi route for the operator: nodes, kernel, oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,59 @@ def test_inner_integral_with_derivative_pair():
     assert_allclose(dval, fd, rtol=1e-8)
 
 
+def _horner_at_the_nodes(p, f, z):
+    """sum w_j f(z u_j) and sum w_j u_j f'(z u_j) on both rules, each f value by Horner."""
+    fp = f.derivative()
+    out = []
+    for n in (quadrature.NODE_COUNT, 2 * quadrature.NODE_COUNT):
+        u, w = quadrature._rule(p, n)
+        out.append((np.sum(w * f.evaluate(z * u)), np.sum(w * u * fp.evaluate(z * u))))
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 8, 200, 4096])
+@pytest.mark.parametrize("beta,tau,gamma", [(0.65, 0.3, 1.7), (0.65, 0.3, 1200.0), (1.0, 1e-9, 0.0),
+                                            (1.0, 1e-9, 0.5)])
+def test_moment_sums_match_horner_at_the_nodes(beta, tau, gamma, order):
+    """The moment form of both integrals agrees with Horner at the nodes to 1e-13.
+
+    The error is taken relative to the same sums over |c_k| |z u_j|^k, the
+    scale of either side's rounding: at z = -0.99 Koebe's terms cancel by a
+    factor of about 4e4, so plain relative error would measure the rounding
+    of the reference as well.
+    """
+    p = OperatorParams(beta, tau, gamma)
+    rng = np.random.default_rng(order)
+    noise = PowerSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+    for f in (koebe_series(2.0, order), noise):
+        majorant = PowerSeries(np.abs(f.coeffs))
+        for z in (0.99, -0.99, 0.99 * np.exp(2.2j), 0.3j):
+            scales = _horner_at_the_nodes(p, majorant, abs(z))
+            pairs = zip(quadrature._inner_integrals(p, f, z), _horner_at_the_nodes(p, f, z), scales)
+            for got, want, scale in pairs:
+                for g, h, s in zip(got, want, scale):
+                    assert abs(g - h) <= 1e-13 * s.real, (z, g, h, s)
+
+
+def test_oracle_memory_at_order_2_18_stays_bounded():
+    """The moments are built a chunk of indices at a time.
+
+    One call peaks near 18 MB, mostly the coefficient terms. Power tables
+    for all indices at once would add about 30 MB, and a nodes x order
+    table 256 MB.
+    """
+    f = koebe_series(2.0, 2**18)
+    p = _params()
+    oracle_eval(p, koebe_series(2.0, 8), 0.5)  # SciPy's import is not the oracle's memory
+    tracemalloc.start()
+    try:
+        oracle_eval(p, f, 0.9j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -200,9 +254,9 @@ def test_oracle_node_doubling_guard_raises(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_oracle_nan_doubling_residual_raises():
-    """Horner overflows to inf at every node, so the residual is nan: it fails the guard."""
+    """The moment sums overflow to inf, and k c_k already does in the f' column, so the residual is nan: it fails the guard."""
     with pytest.raises(ConvergenceError, match="moved the result by nan"):
-        oracle_eval(_params(), PowerSeries(np.full(40, 1e306)), 0.9)
+        oracle_eval(_params(), PowerSeries(np.full(40, 1e308)), 0.9)
 
 
 def test_oracle_accepts_array_free_types():
