@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fracdiff import OperatorParams, log_gamma_ratio, theta_front_constant
-from .series import PowerSeries, evaluate_many
+from .series import PowerSeries, _last_nonzero, evaluate_many
 from .special import EvalStatus, _sum_terms
 
 _ZERO_GUARD = 1e-14
@@ -91,8 +91,14 @@ class DiskGrid:
         table. That costs O(N + M log M) per ring (Cooley & Tukey 1965).
         Each point's absolute error is a small multiple of
         eps * sum_k |c_k| r^k, like Horner's, but not bit-equal to it.
+        The fold runs up to the last nonzero coefficient only
+        (_last_nonzero), with the same bits as over all N + 1: the dropped
+        rows are +0 and would enter the first kept row as (+0) r^M + row,
+        so that row starts the fold as row + 0.0.
         """
-        m, c = self.angles_per_radius, f.coeffs
+        m = self.angles_per_radius
+        c = f.coeffs[:_last_nonzero(f.coeffs) + 1]
+        rows_dropped = -(-f.coeffs.size // m) > -(-c.size // m)
         table = np.zeros(-(-c.size // m) * m, dtype=np.complex128)
         table[:c.size] = c
         # columns past c_N are zero in every row; ifft's n=m pads them back
@@ -104,6 +110,8 @@ class DiskGrid:
         for i in range(0, radii.size, rows):
             r = radii[i:i + rows, None]
             acc = np.repeat(table[-1:], r.shape[0], axis=0)
+            if rows_dropped:
+                acc += 0.0  # -0.0 parts become +0.0, as after a +0 row
             r_m = r**m
             for row in table[-2::-1]:
                 acc *= r_m
@@ -136,21 +144,24 @@ class ScreenResult:
 def _ring_error(f: PowerSeries, r: float) -> float:
     """Bound on |Horner value - grid value| of f at each sample point of the ring of radius r.
 
-    With S0 = sum_k |c_k| r^k and S1 = sum_k k |c_k| r^k, in units of eps:
-    Horner's a-priori bound, (4N + 4) S0 for complex arithmetic (Higham 2002,
-    ch. 5: each step is one complex product, within 3u, and one sum); the
-    grid's, _GRID_ERROR_UNITS S0; and 32 S1 because points() rounds
+    With n the index of the last nonzero coefficient (_last_nonzero), the
+    degree both evaluators really run to, S0 = sum_{k<=n} |c_k| r^k and
+    S1 = sum_{k<=n} k |c_k| r^k, in units of eps: Horner's a-priori bound,
+    (4n + 4) S0 for complex arithmetic (Higham 2002, ch. 5: each step is
+    one complex product, within 3u, and one sum); the grid's,
+    _GRID_ERROR_UNITS S0; and 32 S1 because points() rounds
     r e^{2 pi i j/M}, where the grid evaluates, by less than 16 eps r. inf
     when Horner might overflow (2 sum_k |c_k| is not finite).
     """
-    a = np.abs(f.coeffs)
-    k = np.arange(a.size)
+    n = _last_nonzero(f.coeffs)
+    a = np.abs(f.coeffs[:n + 1])
+    k = np.arange(n + 1)
     with np.errstate(over="ignore"):
         if not np.isfinite(2.0 * a.sum()):
             return math.inf
         rk = r**k
         s0, s1 = float(a @ rk), float((k * a) @ rk)
-        return _EPS * ((4 * f.order + 4 + _GRID_ERROR_UNITS) * s0 + 32 * s1)
+        return _EPS * ((4 * n + 4 + _GRID_ERROR_UNITS) * s0 + 32 * s1)
 
 
 def _candidate_angles(r: float, shift: float, num: PowerSeries, den: PowerSeries,
@@ -254,10 +265,12 @@ def bieberbach_screen(f: PowerSeries, mode: str) -> BoundScreenResult:
         raise DomainError(f"unknown screen mode {mode!r}")
     if not f.is_normalized():
         raise DomainError("coefficient screens expect a normalized series")
-    for k in range(2, f.order + 1):
-        bound = float(k) if mode == "starlike_bound" else 1.0
-        if abs(f.coeffs[k]) > bound * (1.0 + 1e-12) + 1e-12:
-            return BoundScreenResult(False, mode, k)
+    c = f.coeffs[2:]
+    bound = np.arange(2.0, f.order + 1) if mode == "starlike_bound" else 1.0
+    # hypot is abs() of a complex scalar bit for bit; np.abs on an array need not be
+    over = np.flatnonzero(np.hypot(c.real, c.imag) > bound * (1.0 + 1e-12) + 1e-12)
+    if over.size:
+        return BoundScreenResult(False, mode, int(over[0]) + 2)
     return BoundScreenResult(True, mode, None)
 
 

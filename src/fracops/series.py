@@ -4,7 +4,8 @@ A PowerSeries stores the coefficients c_0..c_N of a polynomial truncation
 and evaluates by Horner's scheme on scalars or arrays; evaluate_many runs
 that scheme once for several series at one shared point set, bit-equal to
 each series' own evaluate, so the Python loop over the coefficients is
-paid once per caller. Every stock input
+paid once per caller and starts at the last nonzero coefficient, which
+skips the zero tail of z*exp(z)-type inputs bit for bit. Every stock input
 (Koebe-type powers, z*exp(z), confluent and Lerch-type hypergeometric
 inputs) is declared once in STOCK_INPUTS as hypergeometric rows, which
 both make_builtin and the closed forms in fracdiff read; make_builtin
@@ -90,6 +91,22 @@ class PowerSeries:
         return cls(arr)
 
 
+def _last_nonzero(coeffs: np.ndarray) -> int:
+    """Index of the last coefficient whose bits are not all zero; 0 if every one is +0.0+0.0j.
+
+    Horner's accumulator is exactly +0+0j after a +0.0+0.0j coefficient at
+    any finite point (0 z has +-0 parts, and +-0 + +0 is +0), as it is
+    before the first step, so a run of them at the top can be skipped bit
+    for bit. A -0.0 part ends the run. O(1) when the top coefficient is
+    nonzero.
+    """
+    bits = coeffs.view(np.uint64)
+    if bits[-2] or bits[-1]:
+        return coeffs.size - 1
+    nonzero = np.flatnonzero(bits)
+    return int(nonzero[-1]) // 2 if nonzero.size else 0
+
+
 #: evaluate_many builds its coefficient rows at most this many elements (128 KiB) at a time.
 _ROW_CHUNK = 2**13
 
@@ -99,14 +116,15 @@ def evaluate_many(series, z) -> np.ndarray:
 
     Returns a (len(series), z.size) complex128 array. All values share one
     contiguous array multiplied in place, so a coefficient costs two NumPy
-    calls whatever the number of series and points. A series of lower
-    order gets zeros above its top coefficient, which Horner turns into an
-    exact 0. Each value takes its series' c_k from a row built at most
-    _ROW_CHUNK elements at a time, never an order x points table. One
-    series runs on scalar coefficients; one series at one point runs on
-    NumPy scalars, as at a scalar z: NumPy rounds an in-place complex
-    product on a length-1 array differently from a longer one. So every
-    value is bit-equal to its series' Horner value at that point.
+    calls whatever the number of series and points. Each series enters at
+    its last nonzero coefficient (_last_nonzero): above it, and above a
+    lower order, it gets zeros, which Horner turns into an exact +0. Each
+    value takes its series' c_k from a row built at most _ROW_CHUNK
+    elements at a time, never an order x points table. One series runs on
+    scalar coefficients; one series at one point runs on NumPy scalars, as
+    at a scalar z: NumPy rounds an in-place complex product on a length-1
+    array differently from a longer one. So every value is bit-equal to
+    its series' Horner value at that point over all its coefficients.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim != 1:
@@ -114,20 +132,21 @@ def evaluate_many(series, z) -> np.ndarray:
     out = np.zeros((len(series), z.size), dtype=np.complex128)
     if not out.size:
         return out
+    tops = [_last_nonzero(f.coeffs) for f in series]
     if len(series) == 1:
         acc, at = (out[0, 0], z[0, ...]) if z.size == 1 else (out[0], z)
-        for c in series[0].coeffs[::-1]:
+        for c in series[0].coeffs[tops[0]::-1]:
             acc *= at
             acc += c
         out[0] = acc
         return out
     acc, at = out.reshape(-1), np.tile(z, len(series))
     step = max(1, _ROW_CHUNK // acc.size)
-    for top in range(max(f.order for f in series), -1, -step):
+    for top in range(max(tops), -1, -step):
         bottom = max(0, top - step + 1)
         table = np.zeros((top - bottom + 1, len(series)), dtype=np.complex128)
-        for j, f in enumerate(series):
-            hi = min(top, f.order)
+        for j, (f, f_top) in enumerate(zip(series, tops)):
+            hi = min(top, f_top)
             table[top - hi:, j] = f.coeffs[bottom:hi + 1][::-1]
         for row in np.repeat(table, z.size, axis=1):
             acc *= at

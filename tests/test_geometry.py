@@ -16,6 +16,7 @@ from fracops.geometry import (
     _BLOCK_POINTS,
     _GRID_ERROR_UNITS,
     DiskGrid,
+    _ring_error,
     bieberbach_screen,
     convex_order,
     criterion_term,
@@ -23,7 +24,15 @@ from fracops.geometry import (
     starlike_order,
     univalence_criterion,
 )
-from fracops.series import PowerSeries, identity_series, koebe_series, monomial_series
+from fracops.series import (
+    PowerSeries,
+    _last_nonzero,
+    exp_times_z_series,
+    identity_series,
+    koebe_series,
+    kummer_series,
+    monomial_series,
+)
 from fracops.special import EvalStatus
 
 
@@ -136,6 +145,62 @@ def test_evaluate_matches_mpmath_within_the_coefficient_sum_bound():
                         assert abs(vals[i, j] - complex(want)) <= bound, (f.order, m, r, j)
 
 
+def _full_fold(g, f):
+    """DiskGrid.evaluate's fold over every stored coefficient, zero tail included, in one block."""
+    m, c = g.angles_per_radius, f.coeffs
+    table = np.zeros(-(-c.size // m) * m, dtype=np.complex128)
+    table[:c.size] = c
+    table = table.reshape(-1, m)[:, :min(c.size, m)]
+    r = np.array(g.radii)[:, None]
+    acc = np.repeat(table[-1:], r.shape[0], axis=0)
+    r_m = r**m
+    for row in table[-2::-1]:
+        acc *= r_m
+        acc += row
+    acc *= r**np.arange(table.shape[1])
+    return np.fft.ifft(acc, n=m, axis=1, norm="forward")
+
+
+def _signed_zeros(rng, kept, order):
+    """c_0..c_kept zeros of random signs, c_kept not +0.0+0.0j; +0.0+0.0j above up to c_order."""
+    c = np.zeros(order + 1, dtype=np.complex128)
+    parts = c.view(np.float64)
+    parts[:2 * kept + 2] = np.where(rng.integers(2, size=2 * kept + 2), -0.0, 0.0)
+    parts[2 * kept] = -0.0
+    return PowerSeries(c)
+
+
+def test_fold_skips_a_zero_tail_bit_for_bit():
+    """DiskGrid.evaluate against the fold over every coefficient, compared by bytes.
+
+    With 8 angles a row holds 8 coefficients. Zero runs: none, part of the
+    top row, whole rows, everything above c_0, everything; -0.0 parts in
+    the top kept coefficient and in the first kept row, which the full
+    fold turns into +0.0 when it adds that row to (+0) r^M. 1e-50^8
+    underflows to 0, and angle 0 gives real points.
+    """
+    rng = np.random.default_rng(21)
+    series = [PowerSeries(np.zeros(40)), PowerSeries(np.zeros(1))]
+    for kept in (39, 36, 20, 16, 7, 0):
+        c = np.zeros(40, dtype=np.complex128)
+        c[:kept + 1] = rng.normal(size=kept + 1) + 1j * rng.normal(size=kept + 1)
+        series.append(PowerSeries(c))
+        c = c.copy()
+        c[kept] = complex(-0.0, 0.0) if kept % 2 else complex(0.0, -0.0)
+        series.append(PowerSeries(c))
+        c = c.copy()
+        c[kept - kept % 8:kept] = complex(-0.0, -0.0)  # the rest of the first kept row
+        c[kept - kept % 8] = complex(1.5, -0.0)
+        series.append(PowerSeries(c))
+    for kept in (20, 16, 3, 0):
+        series += [_signed_zeros(rng, kept, 39) for _ in range(4)]
+    series += [exp_times_z_series(400), kummer_series(1.3, 0.9, 400).derivative()]
+    for g in (DiskGrid((1e-50, 0.3, 0.999), 8), DiskGrid((1e-50, 0.5), 1),
+              DiskGrid((1e-300, 0.1, 0.9), 16), DiskGrid((0.2, 0.99), 256)):
+        for f in series:
+            assert g.evaluate(f).tobytes() == _full_fold(g, f).tobytes(), (f.coeffs, g)
+
+
 # ---------------------------------------------------------------------------
 # order screens
 
@@ -200,15 +265,30 @@ def test_failing_screen_reports_its_witness_from_horner():
     assert abs(res.witness_value - float(want)) <= 2e-9 * abs(float(want))
 
 
+def _horner_all(f, z):
+    """Horner over every stored coefficient, zero tail included."""
+    out = np.zeros_like(z)
+    for c in f.coeffs[::-1]:
+        out *= z
+        out += c
+    return out
+
+
+def _screened(f, kind):
+    """(numerator, denominator, shift) of the starlike or convex screen of f."""
+    if kind == "starlike":
+        return f.derivative(), f, 0.0
+    return f.derivative().derivative(), f.derivative(), 1.0
+
+
 def _full_ring_witness(f, lam, kind):
     """The witness from Horner on every angle of the deciding ring: first argmin."""
-    num, den, shift = ((f.derivative(), f, 0.0) if kind == "starlike"
-                       else (f.derivative().derivative(), f.derivative(), 1.0))
+    num, den, shift = _screened(f, kind)
     g = DiskGrid.default()
     z = g.points()
     vals = np.real(z * g.evaluate(num) / g.evaluate(den)) + shift
     i = int(np.argmax(~np.all(vals > lam, axis=1)))
-    h = np.real(z[i] * num.evaluate(z[i]) / den.evaluate(z[i]))
+    h = np.real(z[i] * _horner_all(num, z[i]) / _horner_all(den, z[i]))
     if shift:
         h = h + shift
     j = int(np.argmin(h))
@@ -256,6 +336,38 @@ def test_failing_screens_match_the_full_ring_witness():
             continue
         assert (res.witness, res.witness_value, res.points_checked) == want, (order, lam, kind)
         seen += 1
+
+
+def test_zero_tailed_screens_match_the_full_ring_witness():
+    """z e^z, Kummer and their Theta images, whose coefficients underflow to +0 past c_178.
+
+    The witness, its value and the point count match Horner over every
+    coefficient on the whole deciding ring, bit for bit, and the error
+    bound taken to the last nonzero coefficient still covers |Horner -
+    grid| of numerator and denominator at every angle of that ring.
+    """
+    g = DiskGrid.default()
+    z = g.points()
+    p = OperatorParams(0.5606394622302311, 0.5353442707612333, 0.4324788381589012)
+    inputs = [exp_times_z_series(400), kummer_series(1.3, 0.9, 2500), kummer_series(0.5, 2.5, 600)]
+    inputs += [theta_normalize(p, f) for f in inputs]
+    seen = 0
+    for f in inputs:
+        assert _last_nonzero(f.coeffs) < 180 < f.order
+        for kind in ("starlike", "convex"):
+            num, den, _ = _screened(f, kind)
+            for lam in (0.0, 0.3, 0.6, 0.9):
+                res = (starlike_order if kind == "starlike" else convex_order)(f, lam)
+                if res.passed:
+                    continue
+                witness, value, checked, _ = _full_ring_witness(f, lam, kind)
+                assert (res.witness, res.witness_value, res.points_checked) == (witness, value, checked)
+                i = checked // g.angles_per_radius - 1
+                for s in (num, den):
+                    err = np.abs(_horner_all(s, z[i]) - g.evaluate(s)[i])
+                    assert np.all(err <= _ring_error(s, g.radii[i])), (kind, lam, g.radii[i])
+                seen += 1
+    assert seen >= 30
 
 
 def test_starlike_half_plane_map_witness():
@@ -323,6 +435,39 @@ def test_bieberbach_violation_index_reported():
     res = bieberbach_screen(PowerSeries(c), "starlike_bound")
     assert not res.passed
     assert res.first_violation_index == 2
+
+
+def _bieberbach_loop(f, mode):
+    """The screen one coefficient at a time: the first index over the bound, or None."""
+    for k in range(2, f.order + 1):
+        bound = float(k) if mode == "starlike_bound" else 1.0
+        if abs(f.coeffs[k]) > bound * (1.0 + 1e-12) + 1e-12:
+            return k
+    return None
+
+
+def test_bieberbach_screen_matches_the_coefficient_loop():
+    """Verdict and first index against the loop, with coefficients on, just over and just under the bound."""
+    rng = np.random.default_rng(22)
+    cases = [koebe_series(2.0, 2**16), koebe_series(2.0, 1), exp_times_z_series(500), identity_series(40)]
+    for _ in range(60):
+        order = int(rng.integers(2, 300))
+        k = np.arange(2.0, order + 1)
+        c = np.zeros(order + 1, dtype=np.complex128)
+        c[1] = 1.0
+        scale = k if rng.integers(2) else np.ones_like(k)
+        limit = scale * (1.0 + 1e-12) + 1e-12
+        angle = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k.size)) if rng.integers(2) else 1.0
+        c[2:] = angle * limit * rng.choice([1.0, 1.0 - 1e-16, 1.0 + 1e-15, 0.5], size=k.size, p=[0.5, 0.2, 0.05, 0.25])
+        cases.append(PowerSeries(c))
+    violations = 0
+    for f in cases:
+        for mode in ("starlike_bound", "convex_bound"):
+            want = _bieberbach_loop(f, mode)
+            res = bieberbach_screen(f, mode)
+            assert (res.passed, res.first_violation_index) == (want is None, want)
+            violations += want is not None
+    assert 10 < violations < 2 * len(cases) - 10
 
 
 def test_bieberbach_requires_normalized():

@@ -14,6 +14,7 @@ from fracops.series import (
     BUILTIN_SERIES,
     MAX_ORDER,
     PowerSeries,
+    _last_nonzero,
     evaluate_many,
     exp_times_z_series,
     hurwitz_lerch_series,
@@ -106,6 +107,65 @@ def test_evaluate_many_is_bit_equal_to_plain_horner():
     assert evaluate_many([], line[:3]).shape == (0, 3)
     with pytest.raises(DomainError):
         evaluate_many([identity_series(2)], np.zeros((2, 2)))
+
+
+def _zero_tailed(rng, kept, order, top=None):
+    """c_0..c_kept random, +0.0+0.0j above up to c_order; c_kept replaced by top if given."""
+    c = np.zeros(order + 1, dtype=np.complex128)
+    c[:kept + 1] = rng.normal(size=kept + 1) + 1j * rng.normal(size=kept + 1)
+    if top is not None:
+        c[kept] = top
+    return PowerSeries(c)
+
+
+def test_last_nonzero_stops_at_the_first_set_bit_from_the_top():
+    """Only +0.0+0.0j counts as zero: a -0.0 part ends the run."""
+    c = np.zeros(9, dtype=np.complex128)
+    assert _last_nonzero(c) == 0
+    c[0] = 1.0
+    assert _last_nonzero(c) == 0
+    for index, value in ((3, complex(-0.0, 0.0)), (5, complex(0.0, -0.0)), (6, 1e-320j), (8, 2.0)):
+        c[index] = value
+        assert _last_nonzero(c) == index
+    assert _last_nonzero(exp_times_z_series(2500).coeffs) == 178  # 1/178! > 5e-324 > 1/179!
+    assert _last_nonzero(koebe_series(2.0, 2500).coeffs) == 2500
+
+
+def test_horner_skips_a_zero_tail_bit_for_bit():
+    """evaluate_many and evaluate against the Horner loop over every coefficient, by bytes.
+
+    np.array_equal counts -0.0 and +0.0 as equal, so values are compared
+    with tobytes(). Zero runs: none, a few, most of the series, everything
+    above c_0, everything; a -0.0 part right below the run; points on the
+    real axis, of either sign, among them.
+    """
+    rng = np.random.default_rng(20)
+    ring = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16)
+    points = np.concatenate([ring, [0.5, -0.7, complex(-0.3, -0.0), complex(0.0, 0.4)]])
+    series = [PowerSeries(np.zeros(7)), PowerSeries(np.zeros(1)), PowerSeries([complex(-0.0, -0.0), 0.0])]
+    for kept, order in ((40, 40), (37, 40), (12, 300), (0, 300), (5, 5000)):
+        series.append(_zero_tailed(rng, kept, order))
+    for top in (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(1.5, -0.0)):
+        series.append(_zero_tailed(rng, 9, 60, top))
+    for kept in (1, 4, 12):  # zeros of either sign below the run: only their bits end it
+        parts = np.where(rng.integers(2, size=2 * kept + 2), -0.0, 0.0)
+        parts[2 * kept] = -0.0
+        series.append(PowerSeries(np.concatenate([parts.view(np.complex128), np.zeros(30)])))
+    series += [exp_times_z_series(400), kummer_series(1.3, 0.9, 400).derivative()]
+    for f in series:
+        want = _plain_horner(f, points)
+        assert f.evaluate(points).tobytes() == want.tobytes()
+        assert evaluate_many([f], points).tobytes() == want.tobytes()
+        for z in points[[0, 4, 16, 17, 18, 19]]:  # one point: the NumPy-scalar path
+            one = _plain_horner(f, np.asarray(z))
+            assert np.complex128(f.evaluate(z)).tobytes() == one.tobytes()
+            assert evaluate_many([f], np.array([z])).tobytes() == one.tobytes()
+    for count in (2, 3, 6):  # several series of different lengths and zero runs
+        picked = [series[int(i)] for i in rng.choice(len(series), count, replace=False)]
+        for z in (points, points[16:18]):
+            got = evaluate_many(picked, z)
+            for f, values in zip(picked, got):
+                assert values.tobytes() == _plain_horner(f, z).tobytes()
 
 
 def test_evaluate_many_memory_stays_bounded():
