@@ -8,47 +8,56 @@ w = (zeta/z)^{gamma+1}) to
     I(z) = int_0^1 w^{beta'} (1-w)^{alpha'} f(z w^{1/(gamma+1)}) dw,
 
 with P = gamma (1 - beta) + (gamma+1) tau, alpha' = tau - beta and
-beta' = (beta-1)/(gamma+1), followed by the outer z^{1-tau} d/dz and the
-Gamma-function front constant. The derivative is taken under the integral
-sign, from the companion integral I' of f', and since P - tau = shift =
-gamma (1 - beta + tau),
+beta' = (beta-1)/(gamma+1), both exponents in (-1, 0], followed by the
+outer z^{1-tau} d/dz and the Gamma-function front constant. The
+derivative is taken under the integral sign, from the companion integral
+I' of f', and since P - tau = shift = gamma (1 - beta + tau),
 
     z^{1-tau} d/dz [z^P I(z)] = z^shift (P I(z) + z I'(z)).
 
-Internally I(z) is pushed through one more substitution u = w^{1/(gamma+1)}:
+I(z) is taken in this w-form by a compound rule on a mesh of [0, 1]
+graded toward both endpoint singularities (Davis & Rabinowitz, Methods
+of Numerical Integration, 1984, ch. 2):
 
-    I(z) = (gamma+1) int_0^1 (1-u)^{a1-1} u^{b1-1} q(u)^{alpha'} f(z u) du,
-    q(u) = (1 - u^{gamma+1}) / (1 - u),
+- a bottom panel [0, s], s = SIGMA^GEOMETRIC / 2, by Gauss-Jacobi for
+  the weight w^{beta'};
+- GEOMETRIC panels [s_{i+1}, s_i], s_i = SIGMA^i / 2, up to 1/2, then
+  panels [1 - 2^-j, 1 - 2^-(j+1)] that halve their distance to 1 up to
+  1 - 2^-HALVING, all by Gauss-Legendre;
+- a top panel [1 - 2^-HALVING, 1], by Gauss-Jacobi for the weight
+  (1-w)^{alpha'}.
 
-with the exponent pair plus one (a1, b1) = ((1 - beta) + tau, beta + gamma).
-This keeps the integrand factor q^{alpha'} smooth uniformly in gamma (the
-plain w-form converges slowly for non-integer gamma because
-f(z w^{1/(gamma+1)}) has a branch point at w = 0). The pair is derived
-from the parameters on every call, each sum formed so that it is exact at
-beta = 1 and tau near 0. The rule is fixed: NODE_COUNT nodes and its
-doubling. No node count is read from outside this module, so a new rule
-edits this module only.
+Each panel's other endpoint factor is evaluated at its nodes. The
+geometric panels resolve the branch point of f(z w^{1/(gamma+1)}) at
+w = 0 for every gamma, and the halving panels the steep w^{k/(gamma+1)}
+of high-order inputs near w = 1. The mesh and NODE_COUNT, the nodes per
+panel, are fixed, and the rule is checked against its doubling; nothing
+outside this module reads them, so a new rule edits this module only.
+The rule is handed on in u = w^{1/(gamma+1)}: nodes u_j and weights W_j
+with I(z) = sum_j W_j f(z u_j).
 
 f is a polynomial, so each rule's sum is reordered exactly into the rule's
-moments M_k = sum_j w_j u_j^k (the weights w_j carrying (gamma+1) q^{alpha'}):
+moments M_k = sum_j W_j u_j^k:
 
-    sum_j w_j f(z u_j)        = sum_k c_k z^k M_k,
-    sum_j w_j u_j f'(z u_j)   = sum_k k c_k z^(k-1) M_k,
+    sum_j W_j f(z u_j)        = sum_k c_k z^k M_k,
+    sum_j W_j u_j f'(z u_j)   = sum_k k c_k z^(k-1) M_k,
 
 the f' sum reading the same moments shifted by one. The moments come a
 chunk of indices at a time from two small tables of node powers, so a
 rule costs a fixed number of NumPy calls per chunk, with no loop over
 the coefficients and no table that grows as nodes x order.
 
-The Gauss-Jacobi rule lives on [0, 1] itself: its nodes are the
-eigenvalues of the Jacobi matrix of the weight (1-u)^{a1-1} u^{b1-1}, and
+Each panel's Gauss rule lives on [0, 1] itself: its nodes are the
+eigenvalues of the Jacobi matrix of the weight (1-x)^{a1-1} x^{b1-1}, and
 its weights are B(a1, b1) times the squared first components of the
 eigenvectors (Golub & Welsch, Math. Comp. 23, 1969), through
-scipy.linalg.eigh_tridiagonal. No power of 2 maps it from [-1, 1], so it
-stays finite for gamma in the thousands and accurate as an exponent nears
--1. Outside this module SciPy is imported only for a complex or
-non-positive Gamma argument. The nodes are cached per (exponent pair,
-node count) in a bounded LRU cache of NODE_CACHE_SIZE entries.
+numpy.linalg.eigh. No power of 2 maps it from [-1, 1]. The end panels'
+exponents plus one are formed so that they are exact at beta = 1 and
+tau near 0: a1 = (1 - beta) + tau on top and b1 = (beta + gamma) /
+(gamma + 1) at the bottom. Panel rules are cached per (exponent pair,
+node count) in a bounded LRU cache of NODE_CACHE_SIZE entries, and the
+assembled rules per (parameters, node count) in one of RULE_CACHE_SIZE;
+the Legendre panels are built on first use. The oracle imports no SciPy.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -66,22 +76,35 @@ from .special import beta_fn, log_gamma
 
 SMALL_Z_CUTOFF = 1e-6
 
-# oracle_eval evaluates at NODE_COUNT and 2 * NODE_COUNT nodes and raises if the
-# two results differ by more than TOLERANCE. 1e-8 is the accuracy the route is
-# asked to certify; in rough corners (gamma slightly off an integer leaves an
-# unmatched algebraic endpoint correction) the 64-node doubling residual can
-# reach a few 1e-9 even though the doubled value itself is much closer to the
-# truth than that.
-NODE_COUNT = 64
+# oracle_eval evaluates on NODE_COUNT and 2 * NODE_COUNT nodes per panel and
+# raises if the two results differ by more than TOLERANCE plus the roundoff
+# allowance ROUNDOFF_ULPS eps S, with S = |outer| sum_k |c_k z^k| (P + k) M_k
+# the size of the terms the refined value sums. 1e-8 is the accuracy the
+# route is asked to certify; the allowance takes over once S passes about
+# 1e6, as at tau = 1e-9, where values near 1e9 round by more than 1e-8. At
+# those corners the residual is up to 4.5 eps S.
+NODE_COUNT = 16
 TOLERANCE = 1e-8
+ROUNDOFF_ULPS = 64
 
-# Bound on cached node sets. A fresh-seed run_suites() adds about 100 keys,
-# plus 20 fixture-suite keys that every call reuses.
+# The mesh: SIGMA, GEOMETRIC and HALVING as in the module docstring, so
+# GEOMETRIC + HALVING + 1 = 20 panels (320 nodes, 640 doubled).
+SIGMA = 0.15
+GEOMETRIC = 14
+HALVING = 5
+
+# Bound on cached panel rules: a fresh parameter triple adds four (two end
+# panels at two node counts), the Legendre panels two in all.
 NODE_CACHE_SIZE = 256
+# Bound on assembled rules (at most 640 nodes, 10 KiB each). A fresh-seed
+# run_suites() adds about 100 keys, plus 20 fixture-suite keys that every
+# call reuses.
+RULE_CACHE_SIZE = 256
 
 # _moments forms u^k as u^(16a) u^b with b < _POWER_ROWS and takes _MOMENT_CHUNK
 # indices k (64 values of a) at a time, so its power tables hold at most
-# 64 x 2 * NODE_COUNT float64 (64 KiB), never a nodes x order table.
+# 64 + 16 rows of 2 * NODE_COUNT * 20 float64 (400 KiB), never a nodes x
+# order table; below order 15 they hold order + 2 rows.
 _POWER_ROWS = 16
 _MOMENT_CHUNK = 1024
 
@@ -92,12 +115,11 @@ def roots_jacobi(n: int, a1: float, b1: float):
     Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
     Jacobi matrix of the monic Jacobi recurrence with a = a1 - 1, b = b1 - 1,
     carried from [-1, 1] to [0, 1] by u = (1 + x)/2, and node i has weight
-    B(a1, b1) v_0i^2, with v_i its unit eigenvector. scipy.linalg is
-    imported here, so that only the oracle loads it. Each jacobi_nodes
-    cache miss is one call here.
+    B(a1, b1) v_0i^2, with v_i its unit eigenvector. numpy.linalg.eigh
+    solves the dense matrix (its lower triangle); at the panel rules' 16
+    and 32 nodes that is as fast as a tridiagonal solver. Each
+    jacobi_nodes cache miss is one call here.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     k = np.arange(1.0, n)
     ab = (a1 + b1) - 2.0
     s = 2.0 * k + ab
@@ -107,7 +129,9 @@ def roots_jacobi(n: int, a1: float, b1: float):
     ratio[1:] = (k[1:] + ab) / (s[1:] - 1.0)
     # k + a and k + b as (k - 1) + a1 and (k - 1) + b1: exact at k = 1 however small a1 or b1
     off_sq = 4.0 * k * ((k - 1.0) + a1) * ((k - 1.0) + b1) * ratio / (s * s * (s + 1.0))
-    u, v = eigh_tridiagonal(0.5 + 0.5 * diag, 0.5 * np.sqrt(off_sq))
+    jac = np.diag(0.5 + 0.5 * diag)
+    jac.flat[n::n + 1] = 0.5 * np.sqrt(off_sq)  # the subdiagonal
+    u, v = np.linalg.eigh(jac)
     return u, beta_fn(a1, b1) * v[0] ** 2
 
 
@@ -123,15 +147,40 @@ def jacobi_nodes(a1: float, b1: float, n: int):
     return u, w
 
 
+@functools.cache
+def _legendre_panels(n: int):
+    """w, 1 - w and the Gauss-Legendre weights of the panels between the end panels, n nodes each."""
+    x, wx = jacobi_nodes(1.0, 1.0, n)
+    edges = np.concatenate([0.5 * SIGMA ** np.arange(GEOMETRIC, 0, -1.0), 1.0 - 0.5 ** np.arange(1.0, HALVING + 1)])
+    width = np.diff(edges)[:, None]
+    # 1 - w from 1 - edges, exact on the halving panels, so (1 - w)^alpha' keeps its digits near w = 1
+    return ((edges[:-1, None] + width * x).reshape(-1), ((1.0 - edges[:-1, None]) - width * x).reshape(-1),
+            (width * wx).reshape(-1))
+
+
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def _rule(p: OperatorParams, n: int):
-    """Nodes u in (0, 1) and weights of inner_integral's rule on n nodes, (gamma+1) q(u)^{alpha'} folded in."""
-    g1 = p.gamma + 1.0
-    u, wts = jacobi_nodes((1.0 - p.beta) + p.tau, p.beta + p.gamma, n)
-    if p.tau == p.beta:  # q^0 = 1; q itself is 0/0 at a node that rounds to u = 1
-        return u, g1 * wts
-    log_u = np.log(u)
-    q = np.expm1(g1 * log_u) / np.expm1(log_u)
-    return u, g1 * wts * q**p.diff
+    """Nodes u = w^{1/(gamma+1)} in (0, 1] and weights W of inner_integral's rule on n nodes per panel.
+
+    Every caller shares the returned arrays, so they are read-only.
+    """
+    a_p, b_p = p.jacobi_exponents
+    a1, b1 = (1.0 - p.beta) + p.tau, (p.beta + p.gamma) / (p.gamma + 1.0)
+    bottom = 0.5 * SIGMA**GEOMETRIC
+    top = 0.5**HALVING
+    x_lo, wx_lo = jacobi_nodes(1.0, b1, n)
+    x_hi, wx_hi = jacobi_nodes(a1, 1.0, n)
+    w_mid, v_mid, wts_mid = _legendre_panels(n)
+    w_lo = bottom * x_lo
+    w_hi = (1.0 - top) + top * x_hi
+    w = np.concatenate([w_lo, w_mid, w_hi])
+    wts = np.concatenate([bottom**b1 * wx_lo * (1.0 - w_lo) ** a_p,
+                          wts_mid * w_mid**b_p * v_mid**a_p,
+                          top**a1 * wx_hi * w_hi**b_p])
+    u = w ** (1.0 / (p.gamma + 1.0))
+    u.flags.writeable = False
+    wts.flags.writeable = False
+    return u, wts
 
 
 def _moments(u, wts, order: int) -> np.ndarray:
@@ -144,7 +193,7 @@ def _moments(u, wts, order: int) -> np.ndarray:
     build or its thread count.
     """
     log_u = np.log(u)
-    low = np.exp(np.arange(_POWER_ROWS)[:, None] * log_u)
+    low = np.exp(np.arange(min(_POWER_ROWS, order + 1))[:, None] * log_u)
     out = np.empty(order + _POWER_ROWS)
     for start in range(0, order + 1, _MOMENT_CHUNK):
         k = np.arange(start, min(start + _MOMENT_CHUNK, order + 1), _POWER_ROWS)
@@ -167,7 +216,7 @@ def _z_powers(z: complex, order: int) -> np.ndarray:
 
 
 def _inner_integrals(p: OperatorParams, f: PowerSeries, z) -> list:
-    """(inner_integral, its f' companion) on NODE_COUNT and on 2 * NODE_COUNT nodes.
+    """(inner_integral, its f' companion) on NODE_COUNT and on 2 * NODE_COUNT nodes per panel.
 
     The companion has integrand factor w^{1/(gamma+1)} f'(z w^{1/(gamma+1)}),
     as needed for differentiating under the integral sign. Both come from
@@ -184,10 +233,11 @@ def _inner_integrals(p: OperatorParams, f: PowerSeries, z) -> list:
 
 
 def inner_integral(p: OperatorParams, f: PowerSeries, z) -> complex:
-    """int_0^1 w^{beta'} (1-w)^{alpha'} f(z w^{1/(gamma+1)}) dw by Gauss-Jacobi on NODE_COUNT nodes.
+    """int_0^1 w^{beta'} (1-w)^{alpha'} f(z w^{1/(gamma+1)}) dw by the graded rule on NODE_COUNT nodes per panel.
 
-    With f identically 1 this is beta_fn(beta' + 1, alpha' + 1) exactly
-    (the Beta-function reduction behind the monomial closed form).
+    With f identically 1 this is beta_fn(beta' + 1, alpha' + 1) (the
+    Beta-function reduction behind the monomial closed form), exact up to
+    the end panels' smooth factors.
     """
     terms = f.coeffs * _z_powers(complex(z), f.order)
     return complex(_moment_sums(p, NODE_COUNT, terms[:, None])[0])
@@ -212,22 +262,37 @@ def _front_constant(p: OperatorParams) -> float:
     return (p.gamma + 1.0) ** (-p.diff) * math.exp(s)
 
 
-def _eval_doubling(p: OperatorParams, f: PowerSeries, z: complex) -> tuple:
-    """The operator value z^shift front/(gamma+1) (P I + z I') on NODE_COUNT and on 2 * NODE_COUNT nodes."""
+def _outer(p: OperatorParams, z: complex) -> tuple:
+    """P and the factor front/(gamma+1) z^shift that make the operator value outer (P I + z I')."""
     big_p = p.gamma * (1.0 - p.beta) + (p.gamma + 1.0) * p.tau
-    outer = _front_constant(p) / (p.gamma + 1.0) * cmath.exp(p.shift * cmath.log(z))
+    return big_p, _front_constant(p) / (p.gamma + 1.0) * cmath.exp(p.shift * cmath.log(z))
+
+
+def _eval_doubling(p: OperatorParams, f: PowerSeries, z: complex) -> tuple:
+    """The operator value z^shift front/(gamma+1) (P I + z I') on NODE_COUNT and on 2 * NODE_COUNT nodes per panel."""
+    big_p, outer = _outer(p, z)
     return tuple(outer * (big_p * j0 + z * j1) for j0, j1 in _inner_integrals(p, f, z))
+
+
+def _roundoff_scale(p: OperatorParams, f: PowerSeries, z: complex) -> float:
+    """S = |outer| sum_k |c_k z^k| (P + k) M_k on the refined rule: the terms' size, which scales the value's rounding."""
+    big_p, outer = _outer(p, z)
+    size = np.abs(f.coeffs * _z_powers(z, f.order)) * (big_p + np.arange(f.coeffs.size))
+    m = _moments(*_rule(p, 2 * NODE_COUNT), f.order)
+    return abs(outer) * float(np.einsum("k,k->", m, size))
 
 
 def oracle_eval(p: OperatorParams, f: PowerSeries, z) -> complex:
     """Operator value at z straight from the integral definition.
 
-    Evaluates at NODE_COUNT and at twice that, each integral summed from
-    its rule's moments and f's coefficients; if the two results
-    differ by more than TOLERANCE a ConvergenceError is raised,
-    otherwise the doubled-node value is returned. For |z| below
-    SMALL_Z_CUTOFF the quadrature is skipped in favour of the leading
-    series term (the outer z-powers amplify roundoff there).
+    Evaluates on NODE_COUNT nodes per panel and on twice that, each
+    integral summed from its rule's moments and f's coefficients; if the
+    two results differ by more than TOLERANCE + ROUNDOFF_ULPS eps S, with
+    S the size of the refined value's terms (formed only when the residual
+    exceeds TOLERANCE), a ConvergenceError is raised, otherwise the
+    doubled-node value is returned. For |z| below SMALL_Z_CUTOFF the
+    quadrature is skipped in favour of the leading series term (the outer
+    z-powers amplify roundoff there).
     """
     z = _disk_point(z)
     if abs(z) < SMALL_Z_CUTOFF:
@@ -238,10 +303,14 @@ def oracle_eval(p: OperatorParams, f: PowerSeries, z) -> complex:
         return complex(f.coeffs[m]) * monomial_transform(p, m).evaluate(z)
 
     r1, r2 = _eval_doubling(p, f, z)
-    if not abs(r2 - r1) <= TOLERANCE:  # a nan residual fails too
+    residual = abs(r2 - r1)
+    if residual <= TOLERANCE:
+        return r2
+    bound = TOLERANCE + ROUNDOFF_ULPS * sys.float_info.epsilon * _roundoff_scale(p, f, z)
+    if not residual <= bound:  # a nan residual or scale fails too
         raise ConvergenceError(
-            f"node doubling {NODE_COUNT} -> {2 * NODE_COUNT} moved the result "
-            f"by {abs(r2 - r1):.3e} (> tolerance {TOLERANCE:.1e})",
+            f"node doubling {NODE_COUNT} -> {2 * NODE_COUNT} nodes per panel moved the result "
+            f"by {residual:.3e} (> tolerance {bound:.1e})",
             last=r2,
             previous=r1,
         )

@@ -96,14 +96,33 @@ def test_oracle_constant_input_at_beta_one_tau_at_the_guard(gamma, z):
 @pytest.mark.parametrize("power", [1, 2])
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 def test_oracle_monomials_at_beta_one_tau_at_the_guard_never_hit_a_pole(gamma, power, z):
-    """Values near 1e9 can leave a doubling residual above the absolute TOLERANCE: a typed failure, never a pole."""
+    """The images are 1.8e8-5e8, so rounding alone moves them by more than TOLERANCE.
+
+    The doubling check adds ROUNDOFF_ULPS eps S to its floor, so each call
+    returns its value, never a pole and no ConvergenceError.
+    """
     p = OperatorParams(1.0, 1e-9, gamma)
     want = monomial_transform(p, power).evaluate(z)
-    try:
-        got = oracle_eval(p, monomial_series(power), z)
-    except ConvergenceError:
-        return
-    assert abs(got - want) <= 1e-8 * abs(want)
+    assert abs(oracle_eval(p, monomial_series(power), z) - want) <= 1e-14 * abs(want)
+
+
+# w-form moments B(beta' + 1 + k/(gamma+1), alpha' + 1): the seed-51 oracle_closed_form draw (small gamma),
+# exponents near -1 and 0, gamma in the hundreds and thousands
+_MOMENT_POINTS = [(0.12, 0.072, 0.09), (0.5, 0.3, 0.0), (0.9999, 1e-4, 0.0), (1.0, 1e-9, 0.5),
+                  (0.65, 0.3, 1.4), (0.5, 0.3, 400.0), (0.65, 0.3, 1200.0)]
+
+
+@pytest.mark.parametrize("beta,tau,gamma", _MOMENT_POINTS)
+def test_refined_rule_moments_match_the_beta_function(beta, tau, gamma):
+    """The doubled rule's M_k is B(beta' + 1 + k/(gamma+1), alpha' + 1) to 1e-13 at 40 digits, up to k = 1000."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    p = OperatorParams(beta, tau, gamma)
+    m = quadrature._moments(*quadrature._rule(p, 2 * quadrature.NODE_COUNT), 1000)
+    b, t, g = (mpmath.mpf(v) for v in (beta, tau, gamma))
+    for k in (0, 1, 2, 10, 200, 1000):
+        want = mpmath.beta((b + g + k) / (g + 1), (1 - b) + t)
+        assert abs(m[k] - want) <= 1e-13 * want, (k, m[k], float(want))
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +187,12 @@ def test_oracle_memory_at_order_2_18_stays_bounded():
     """The moments are built a chunk of indices at a time.
 
     One call peaks near 18 MB, mostly the coefficient terms. Power tables
-    for all indices at once would add about 30 MB, and a nodes x order
-    table 256 MB.
+    for all indices at once would add about 170 MB, and a nodes x order
+    table 1.3 GB.
     """
     f = koebe_series(2.0, 2**18)
     p = _params()
-    oracle_eval(p, koebe_series(2.0, 8), 0.5)  # SciPy's import is not the oracle's memory
+    oracle_eval(p, koebe_series(2.0, 8), 0.5)  # the rules' first build is not an order-2^18 call's memory
     tracemalloc.start()
     try:
         oracle_eval(p, f, 0.9j)

@@ -3,8 +3,8 @@
 
 Series fixtures pin the stock inputs used by the identity suite; the
 quadrature goldens pin integral-route values (node-doubled) over a gamma
-ladder where the Gauss-Jacobi rule is well inside its fast-convergence
-regime. Run from the repository root:
+ladder where the graded rule is well inside its fast-convergence regime.
+Run from the repository root:
 
     python3 tools/gen_fixtures.py [OUTPUT_DIR]
 
