@@ -380,43 +380,48 @@ class ClosedFormImage:
     constant: float
     power: float
     fox_wright: FoxWrightSpec
-    # (first index, length) of a block -> its z-independent log factor; see inner_sum
-    _fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the z-independent log factor at the indices 0, 1, ... summed so far; see inner_sum
+    _fixed: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False, compare=False)
 
     def inner_sum(self, z) -> EvalOutcome:
         """Sum the normalized series at z through the one summation driver.
 
         At most MAX_TERMS_DEFAULT terms are summed. The unit-weight rows
-        advance by their ratio recurrence, z in each step, so no log-Gamma
-        of size k log k and no Gamma of a stock parameter enters. The Gamma
-        pair, over its k = 0 value, times (k + a)^-s does not depend on z:
-        its log is computed once per block, by one real log-Gamma call on
-        both rows, and kept for the next point.
+        advance by their ratio recurrence, z in each step, one np.cumprod
+        per index block that starts from the product carried from the last
+        block; the product runs in sequence, so its bits do not depend on
+        where the blocks split. No log-Gamma of size k log k and no Gamma
+        of a stock parameter enters. The Gamma pair, over its k = 0 value,
+        times (k + a)^-s does not depend on z: its log is computed once per
+        index, by one real log-Gamma call on both rows for the indices not
+        seen before, and kept for the next point.
         """
         (*upper, (b, w)), (*lower, (b_low, _)) = self.fox_wright.upper, self.fox_wright.lower
         _, _, s, a = stock_rows(self.kind, **self.params)
         z = complex(z)
+        carried = [0, 1.0]  # the last block's last index and the ratio product there
 
-        def fixed(k):
-            key = (float(k[0]), k.size)
-            out = self._fixed.get(key)
-            if out is None:
+        def fixed(first, stop):
+            if self._fixed.size < stop:
+                k = np.arange(self._fixed.size, stop, dtype=np.float64)
                 pair = _log_gamma_real(np.stack([b + k * w, b_low + k * w]))
                 pair_0 = _log_gamma_real(b) - _log_gamma_real(b_low)
-                out = self._fixed[key] = pair[0] - pair[1] - pair_0 - s * np.log(k + a)
-            return out
+                self._fixed = np.concatenate((self._fixed, pair[0] - pair[1] - pair_0 - s * np.log(k + a)))
+            return self._fixed[first:stop]
 
-        def block(k):
+        def block(k):  # the driver asks for consecutive indices, each block after the last
             k = k if z else k[:1]  # z = 0: the exact one-term sum
-            j = np.arange(k[-1])
+            (start, product), first, stop = carried, int(k[0]), int(k[-1]) + 1
+            j = np.arange(start, stop - 1, dtype=np.float64)
             with np.errstate(over="ignore", invalid="ignore"):  # the driver stops at an overflow
                 step = z / (j + 1.0)
                 for x, _ in upper:
                     step *= x + j
                 for x, _ in lower:
                     step /= x + j
-                h = np.cumprod(np.concatenate(([1.0], step)))[k.astype(np.intp)]
-                return h * np.exp(fixed(k))
+                h = np.cumprod(np.concatenate(([product], step)))  # at the indices start .. stop - 1
+                carried[:] = stop - 1, h[-1]
+                return h[first - start:] * np.exp(fixed(first, stop))
 
         return _sum_terms(block, MAX_TERMS_DEFAULT, abs(z) / self.fox_wright.radius)
 

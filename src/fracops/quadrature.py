@@ -194,10 +194,16 @@ def _moments(u, wts, order: int) -> np.ndarray:
     """
     log_u = np.log(u)
     low = np.exp(np.arange(min(_POWER_ROWS, order + 1))[:, None] * log_u)
+    # exp(k log u) is taken only where wts u^(k+15) stays a normal float, and is 0 elsewhere: exp
+    # and the einsum run many times slower on subnormals, and the terms left out lie far below
+    # the last bit of every moment (a test holds the moments to the full tables bit for bit)
+    least = math.log(sys.float_info.min) - np.log(wts) - (_POWER_ROWS - 1) * log_u
     out = np.empty(order + _POWER_ROWS)
     for start in range(0, order + 1, _MOMENT_CHUNK):
         k = np.arange(start, min(start + _MOMENT_CHUNK, order + 1), _POWER_ROWS)
-        block = np.einsum("aj,bj->ab", wts * np.exp(k[:, None] * log_u), low)
+        k_log_u = k[:, None] * log_u
+        high = np.exp(k_log_u, out=np.zeros_like(k_log_u), where=k_log_u > least)
+        block = np.einsum("aj,bj->ab", wts * high, low)
         out[start:start + block.size] = block.reshape(-1)
     return out[:order + 1]
 

@@ -13,9 +13,11 @@ and needs |z| over the radius. It reports an explicit status (converged,
 slow, divergent, pole hit) instead of silent nonsense; it never calls a sum
 inside its disk divergent, and calls one that cancels past float64
 resolution slow, not converged. Its stop and divergence rules hold per
-term: it checks them term by term below index 96, where short sums stop,
-and a whole block at a time in NumPy from there, with each magnitude taken
-as hypot(re, im), so both give the same outcome bit for bit.
+term. A sum expected to be short (from |z| over the radius) is checked
+term by term below index 96, where it stops, and a whole block at a time
+in NumPy from there; a longer one a block at a time from index 0, its
+first block sized to the expected length. Each magnitude is taken as
+hypot(re, im), so both ways give the same outcome bit for bit.
 
 log Gamma of a positive real argument, scalar or array, needs NumPy and
 the math module alone: from x = 16 up it sums the Stirling series with the
@@ -286,12 +288,16 @@ def _pull(block, kappa) -> tuple:
 def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
     """Sum the terms of a series at the indices 0, 1, ..., at most max_terms of them.
 
-    The driver pulls the indices itself, as float64 arrays whose length
-    doubles from _FIRST_BLOCK to _LAST_BLOCK, so short sums stay cheap and
-    long ones make few numpy calls. block(kappa) returns the terms at the
-    indices kappa as an ndarray; a shorter array ends the series there (an
-    exact finite sum). A block that raises PoleHitError is redone one index
-    at a time, so the terms before the pole are summed first.
+    The driver pulls the indices itself, as float64 arrays of consecutive
+    indices whose length doubles up to _LAST_BLOCK, so short sums stay
+    cheap and long ones make few numpy calls. The first block has
+    _FIRST_BLOCK indices, or, for 0 < limit < 1, the power of two at or
+    above n* = ln(_STOP_RTOL) / ln(limit), the length at which limit^k
+    reaches roundoff, when n* passes 3 * _FIRST_BLOCK (limit above about
+    0.7). block(kappa) returns the terms at the indices kappa as an
+    ndarray; a shorter array ends the series there (an exact finite sum).
+    A block that raises PoleHitError is redone one index at a time, so the
+    terms before the pole are summed first.
 
     limit is |z| over the radius of convergence. Once RATIO_WINDOW
     consecutive ratios |t_k|/|t_{k-1}| are known, let r be the largest of
@@ -309,13 +315,15 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
       SLOW_CONVERGENCE when the budget runs out first, or, if limit < 1,
         at a CONVERGED stop where sum |t_k| > _MAX_CANCELLATION * |total|.
 
-    The rules hold per term. They are checked term by term in the first
-    two blocks (indices 0-95), where short sums stop, and a block at a time
-    in NumPy from index 96 on: running totals by np.add.accumulate from the
-    carried total, magnitudes hypot(re, im) (Python's abs of a complex),
-    window maxima by shifted np.maximum, and the first index that stops
-    the sum by argmax over the stop flags. Both give the same outcome bit
-    for bit.
+    The rules hold per term. A short sum (n* at most 3 * _FIRST_BLOCK, an
+    entire series, or one on the circle, where the criterion sums stop on
+    a rising run) is checked term by term in its first two blocks (indices
+    0-95), where it stops, and a block at a time in NumPy from index 96 on;
+    a long one a block at a time from index 0. The NumPy scan takes
+    running totals by np.add.accumulate from the carried total, magnitudes
+    hypot(re, im) (Python's abs of a complex), window maxima by shifted
+    np.maximum, and the first index that stops the sum by argmax over the
+    stop flags. Both give the same outcome bit for bit.
     """
     if max_terms < 1:
         raise DomainError("max_terms must be at least 1")
@@ -325,12 +333,18 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
     floor = limit if inside else 0.0
     ratios = collections.deque(maxlen=RATIO_WINDOW)
     total, mass, prev, run, tail = 0.0, 0.0, 0.0, 0, math.inf
-    k, width = 0, _FIRST_BLOCK
+    k, width, scan_from = 0, _FIRST_BLOCK, 3 * _FIRST_BLOCK
+    # |t_k| ~ limit^k falls below _STOP_RTOL after about `expected` terms
+    expected = math.log(_STOP_RTOL) / math.log(limit) if 0.0 < limit < 1.0 else 0.0
+    if expected > scan_from:  # a long sum: scanned from index 0, its first block sized to it
+        scan_from = 0
+        while width < min(expected, _LAST_BLOCK):
+            width *= 2
     while k < max_terms:
         kappa = np.arange(k, min(k + width, max_terms), dtype=np.float64)
         width = min(2 * width, _LAST_BLOCK)
         terms, pole = _pull(block, kappa)
-        if k < 3 * _FIRST_BLOCK:  # the first two blocks
+        if k < scan_from:  # the first two blocks of a short sum
             for term in terms.tolist():
                 if not cmath.isfinite(term):
                     return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
@@ -356,23 +370,27 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
                     lost = inside and mass > _MAX_CANCELLATION * abs(total)
                     return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE if lost else EvalStatus.CONVERGED,
                                        k, tail)
-        elif terms.size:  # here prev > 0 and the window is full: a zero term stopped the sum
+        elif terms.size:
             n = terms.size
             with np.errstate(all="ignore"):  # the flags below catch a non-finite term or ratio
                 sizes = np.hypot(terms.real, terms.imag)  # abs(complex) bit for bit
                 totals = np.add.accumulate(np.concatenate(([total], terms)))[1:]
                 prevs = np.concatenate(([prev], sizes[:-1]))
-                window = np.concatenate((list(ratios)[1:], sizes / prevs))
+                # The deque is full here, or empty at index 0. There, and at index 1 after a zero
+                # first term, prev is 0 and the ratio inf or NaN: until the window holds
+                # RATIO_WINDOW true ratios, r is inf or NaN too, and the tail stays inf.
+                window = np.concatenate((list(ratios)[1:] or [math.inf] * (RATIO_WINDOW - 1), sizes / prevs))
                 r = np.maximum(window[:n], floor)
                 for j in range(1, RATIO_WINDOW):
                     np.maximum(r, window[j:j + n], out=r)
                 tails = sizes * r / (1.0 - r)  # read only where r < 1
                 bound = _STOP_RTOL * np.maximum(1.0, np.hypot(totals.real, totals.imag))
                 stop = (sizes == 0.0) | ((r < 1.0) & (tails <= bound))
+                stop[0] &= k > 0  # a zero term at index 0 is no stop
                 over = ~(sizes <= 1e290)  # a non-finite term too
                 if inside:  # the mass is read inside the radius, the run on the circle
                     masses = np.add.accumulate(np.concatenate(([mass], sizes)))[1:]
-                else:
+                else:  # on the circle the scan starts at index 96, where every term has a ratio
                     at = np.arange(n)
                     reset = np.maximum.accumulate(np.where(sizes >= prevs, -1, at))
                     runs = np.where(reset < 0, run + at + 1, at - reset)

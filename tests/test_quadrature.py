@@ -125,6 +125,37 @@ def test_refined_rule_moments_match_the_beta_function(beta, tau, gamma):
         assert abs(m[k] - want) <= 1e-13 * want, (k, m[k], float(want))
 
 
+def _plain_moments(u, wts, order):
+    """The rule's moments from power tables that keep every u^k, subnormal ones included."""
+    log_u = np.log(u)
+    low = np.exp(np.arange(min(quadrature._POWER_ROWS, order + 1))[:, None] * log_u)
+    out = np.empty(order + quadrature._POWER_ROWS)
+    for start in range(0, order + 1, quadrature._MOMENT_CHUNK):
+        k = np.arange(start, min(start + quadrature._MOMENT_CHUNK, order + 1), quadrature._POWER_ROWS)
+        block = np.einsum("aj,bj->ab", wts * np.exp(k[:, None] * log_u), low)
+        out[start:start + block.size] = block.reshape(-1)
+    return out[:order + 1]
+
+
+def test_moments_skip_subnormal_powers_without_changing_a_bit():
+    """_moments zeroes the powers whose products would be subnormal; the moments keep every bit.
+
+    Random triples with beta down to 1e-3 and gamma up to 1200, both node
+    counts, orders 6, 200 and 4096.
+    """
+    rng = np.random.default_rng(52)
+    for _ in range(40):
+        beta = math.exp(rng.uniform(math.log(1e-3), 0.0))
+        tau = max(beta - rng.uniform(0.0, min(beta, 0.999)), 1e-9) if rng.random() < 0.8 else beta
+        gamma = (0.0, rng.uniform(0.0, 5.0), rng.uniform(5.0, 1200.0))[rng.integers(3)]
+        p = OperatorParams(beta, tau, gamma)
+        for n in (quadrature.NODE_COUNT, 2 * quadrature.NODE_COUNT):
+            rule = quadrature._rule(p, n)
+            for order in (6, 200, 4096):
+                got, want = quadrature._moments(*rule, order), _plain_moments(*rule, order)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (p, n, order)
+
+
 # ---------------------------------------------------------------------------
 # inner integral
 

@@ -388,9 +388,11 @@ def test_outside_the_radius_is_divergent_before_summing(spec, z):
 
 
 # ---------------------------------------------------------------------------
-# The summation driver against the per-term loop it replaced from index 96 on.
+# The summation driver against the per-term loop it replaced in its NumPy scans
+# (from index 96 on, or from index 0 for a sum expected to run longer).
 # _reference_pull and _reference_sum_terms are that loop, kept as it was but
 # for its size of a complex term whose modulus overflows: inf, as hypot gives.
+# It pulls the old schedule's blocks (32 doubling to 1024) at every limit.
 
 
 def _reference_pull(block, kappa) -> tuple:
@@ -478,20 +480,23 @@ def _reference_sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
     return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE, max_terms, tail)
 
 
-# The first indices of the driver's blocks past the first: 32, 96, 224, 480.
-_SEAMS = (32, 96, 224, 480)
+# The first indices of the driver's blocks past the first. A short sum's blocks
+# start at 32, 96, 224, 480 and 992; a long one's at 128, 384 and 896 (limit 0.7),
+# 512 (limit 0.9) or 1024 (limit 0.95 and up).
+_SEAMS = (32, 96, 128, 224, 384, 480, 512, 896, 992, 1024)
 _NEAR_A_SEAM = st.sampled_from(_SEAMS).flatmap(lambda s: st.integers(s - 3, s + 2))
 
 
 @st.composite
 def _term_lists(draw):
     """(seed, length, ratio, noise, complex?, events, limit, max_terms) for _case_block."""
-    events = st.tuples(st.sampled_from(("zero", "nan", "inf", "pole", "big", "huge", "rise", "cancel")),
+    events = st.tuples(st.sampled_from(("zero", "nan", "inf", "pole", "big", "huge", "rise", "cancel", "-0j")),
                        st.one_of(_NEAR_A_SEAM, st.integers(0, 1300)))
     return (draw(st.integers(0, 2**32 - 1)), draw(st.one_of(_NEAR_A_SEAM, st.integers(1, 1300), st.just(1300))),
             draw(st.one_of(st.floats(0.5, 1.03), st.floats(0.97, 1.0))),
             draw(st.sampled_from((0.0, 1e-3, 0.3))), draw(st.booleans()),
-            draw(st.lists(events, max_size=3)), draw(st.sampled_from((0.0, 0.5, 0.9, 0.999, 1.0, 1.2))),
+            draw(st.lists(events, max_size=3)),
+            draw(st.sampled_from((0.0, 0.5, 0.6, 0.7, 0.9, 0.95, 0.99, 0.999, 1.0, 1.2))),
             draw(st.one_of(st.just(MAX_TERMS_DEFAULT), _NEAR_A_SEAM, st.integers(1, 1300))))
 
 
@@ -500,7 +505,8 @@ def _case_block(seed, n, q, noise, complex_terms, events):
 
     An event (kind, index) sets the term at the index to 0, NaN, inf or
     1e300; "huge" sets it to 1.5e308 + 1.5e308j, whose modulus overflows
-    (1.5e308 in a real list); "rise" makes every magnitude from there on 1% above the last,
+    (1.5e308 in a real list); "-0j" sets a complex term's imaginary part to -0.0;
+    "rise" makes every magnitude from there on 1% above the last,
     "cancel" puts 1e12 and -1e12 there, and "pole" makes every block that
     holds the index raise PoleHitError.
     """
@@ -517,6 +523,9 @@ def _case_block(seed, n, q, noise, complex_terms, events):
             terms[at:at + 2] = (1e12, -1e12)[:n - at]
         elif kind == "pole":
             pole = at
+        elif kind == "-0j":
+            if complex_terms:
+                terms[at] = complex(terms[at].real, -0.0)
         else:
             huge = complex(1.5e308, 1.5e308) if complex_terms else 1.5e308
             terms[at] = {"zero": 0.0, "nan": math.nan, "inf": math.inf, "big": 1e300, "huge": huge}[kind]
@@ -554,8 +563,59 @@ def _bits(out):
 @example(case=(12, 1300, 0.9, 0.0, True, [("cancel", 100)], 1.0, MAX_TERMS_DEFAULT))
 @example(case=(13, 96, 0.999, 1e-3, False, [], 0.9, MAX_TERMS_DEFAULT))  # the series ends at a seam
 @example(case=(14, 481, 0.999, 1e-3, True, [], 0.9, MAX_TERMS_DEFAULT))
+# scanned from index 0 in a block sized to the limit
+@example(case=(17, 1300, 0.99, 1e-3, True, [("-0j", 0)], 0.95, MAX_TERMS_DEFAULT))  # imaginary part -0.0
+@example(case=(18, 1300, 0.95, 1e-3, True, [("zero", 0)], 0.7, MAX_TERMS_DEFAULT))  # zero first term
+@example(case=(19, 1300, 0.95, 0.0, False, [("zero", 0), ("zero", 1)], 0.9, MAX_TERMS_DEFAULT))
+@example(case=(20, 1300, 0.99, 1e-3, True, [("pole", 300)], 0.95, MAX_TERMS_DEFAULT))  # a pole in it
+@example(case=(21, 1300, 0.9, 0.3, False, [("pole", 0)], 0.99, MAX_TERMS_DEFAULT))
+@example(case=(22, 700, 0.999, 1e-3, True, [], 0.95, MAX_TERMS_DEFAULT))  # the series ends in it
+@example(case=(23, 1300, 0.999, 1e-3, False, [], 0.9, 200))  # the budget ends before it
+@example(case=(24, 1300, 0.9, 0.0, True, [("nan", 3)], 0.99, 3))
+@example(case=(25, 1300, 0.99, 1e-3, True, [("big", 2)], 0.7, MAX_TERMS_DEFAULT))  # the window not yet full
+@example(case=(26, 1300, 0.999, 1e-3, False, [("cancel", 0)], 0.999, MAX_TERMS_DEFAULT))
 def test_sum_terms_matches_the_per_term_reference_bit_for_bit(case):
     """Value and its type, status, terms used and tail bound: the same bits as the per-term loop."""
     *terms, limit, max_terms = case
     want = _reference_sum_terms(_case_block(*terms), max_terms, limit)
     assert _bits(_sum_terms(_case_block(*terms), max_terms, limit)) == _bits(want), want
+
+
+_REAL_CLOSED_FORMS = [("koebe", {"alpha": 0.5}), ("koebe", {"alpha": 1.0}), ("koebe", {"alpha": 2.0}),
+                      ("kummer", {"alpha": 1.3, "lam": 2.1}),
+                      ("hurwitz_lerch", {"alpha": 3.0, "lam": 2.0, "rho": 1.0, "s": 0.5, "a": 1.0}),
+                      ("hurwitz_lerch", {"alpha": 1.2, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0})]
+
+
+@pytest.mark.parametrize("kind,params", _REAL_CLOSED_FORMS)
+def test_closed_form_sums_match_the_per_term_reference_bit_for_bit(kind, params, monkeypatch):
+    """Real blocks, not synthetic ones: a term whose bits depended on where blocks split would show here.
+
+    Each closed form is summed by the driver and by the per-term loop, which
+    pull different blocks, on a fresh image each, so no kept log factor is shared.
+    """
+    from fracops import fracdiff
+    from fracops.fracdiff import OperatorParams, closed_form_spec
+
+    for p in (OperatorParams(0.65, 0.3, 1.4), OperatorParams(0.9, 0.2, 0.0)):
+        for radius in (0.5, 0.7, 0.9, 0.95, 0.99):
+            for angle in (0.0, 0.3, 2.0, -2.5):
+                z = radius * cmath.exp(1j * angle)
+                got = closed_form_spec(p, kind, **params).inner_sum(z)
+                with monkeypatch.context() as m:
+                    m.setattr(fracdiff, "_sum_terms", _reference_sum_terms)
+                    want = closed_form_spec(p, kind, **params).inner_sum(z)
+                assert _bits(got) == _bits(want), (p, z, want)
+
+
+@pytest.mark.parametrize("mode", ["theorem5_S", "theorem6_K"])
+def test_criterion_sums_match_the_per_term_reference_bit_for_bit(mode):
+    """The criterion series on the circle (limit 1): rising terms, Divergent on the short path."""
+    from fracops.fracdiff import OperatorParams
+    from fracops.geometry import criterion_term
+
+    for p in (OperatorParams(0.65, 0.3, 1.4), OperatorParams(0.5, 0.5, 0.0), OperatorParams(1.0, 0.05, 3.0)):
+        for max_terms in (512, 4096):
+            block = lambda k: criterion_term(p, mode, k)  # noqa: E731
+            want = _reference_sum_terms(block, max_terms, 1.0)
+            assert _bits(_sum_terms(block, max_terms, 1.0)) == _bits(want), (p, want)
