@@ -9,9 +9,8 @@ w = (zeta/z)^{gamma+1}) to
 
 with P = gamma (1 - beta) + (gamma+1) tau, alpha' = tau - beta and
 beta' = (beta-1)/(gamma+1), both exponents in (-1, 0], followed by the
-outer z^{1-tau} d/dz and the Gamma-function front constant. The
-derivative is taken under the integral sign, from the companion integral
-I' of f', and since P - tau = shift = gamma (1 - beta + tau),
+outer z^{1-tau} d/dz and the Gamma-function front constant. Since
+P - tau = shift = gamma (1 - beta + tau),
 
     z^{1-tau} d/dz [z^P I(z)] = z^shift (P I(z) + z I'(z)).
 
@@ -37,15 +36,18 @@ The rule is handed on in u = w^{1/(gamma+1)}: nodes u_j and weights W_j
 with I(z) = sum_j W_j f(z u_j).
 
 f is a polynomial, so each rule's sum is reordered exactly into the rule's
-moments M_k = sum_j W_j u_j^k:
+moments M_k = sum_j W_j u_j^k, and the derivative is taken term by term:
 
-    sum_j W_j f(z u_j)        = sum_k c_k z^k M_k,
-    sum_j W_j u_j f'(z u_j)   = sum_k k c_k z^(k-1) M_k,
+    I(z)             = sum_k c_k z^k M_k,
+    P I(z) + z I'(z) = sum_k (P + k) c_k z^k M_k.
 
-the f' sum reading the same moments shifted by one. The moments come a
-chunk of indices at a time from two small tables of node powers, so a
-rule costs a fixed number of NumPy calls per chunk, with no loop over
-the coefficients and no table that grows as nodes x order.
+So a rule's operator value is one sum over the weighted terms
+t_k = (P + k) c_k z^k, the same at every z in the punctured disk, and
+the size S = sum_k M_k |t_k| of those terms, which scales the value's
+rounding, reads the same moments. The moments come a chunk of indices at
+a time from two small tables of node powers, so a rule costs a fixed
+number of NumPy calls per chunk, with no loop over the coefficients and
+no table that grows as nodes x order.
 
 Each panel's Gauss rule lives on [0, 1] itself: its nodes are the
 eigenvalues of the Jacobi matrix of the weight (1-x)^{a1-1} x^{b1-1}, and
@@ -70,11 +72,9 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .fracdiff import OperatorParams, monomial_transform
+from .fracdiff import OperatorParams
 from .series import PowerSeries
 from .special import beta_fn, log_gamma
-
-SMALL_Z_CUTOFF = 1e-6
 
 # oracle_eval evaluates on NODE_COUNT and 2 * NODE_COUNT nodes per panel and
 # raises if the two results differ by more than TOLERANCE plus the roundoff
@@ -208,10 +208,10 @@ def _moments(u, wts, order: int) -> np.ndarray:
     return out[:order + 1]
 
 
-def _moment_sums(p: OperatorParams, n: int, terms: np.ndarray) -> np.ndarray:
-    """sum_k M_k terms[k] for each complex column of terms, with M the moments of _rule(p, n)."""
-    m = _moments(*_rule(p, n), terms.shape[0] - 1)
-    return np.einsum("k,kc->c", m, terms.view(np.float64)).view(np.complex128)
+def _moment_sum(m: np.ndarray, t: np.ndarray) -> complex:
+    """sum_k m_k t_k for real m and complex t, in NumPy's own loops (einsum), not BLAS."""
+    real, imag = np.einsum("k,kc->c", m, t.view(np.float64).reshape(-1, 2))
+    return complex(real, imag)
 
 
 def _z_powers(z: complex, order: int) -> np.ndarray:
@@ -221,32 +221,31 @@ def _z_powers(z: complex, order: int) -> np.ndarray:
     return np.multiply.accumulate(zk, out=zk)
 
 
-def _inner_integrals(p: OperatorParams, f: PowerSeries, z) -> list:
-    """(inner_integral, its f' companion) on NODE_COUNT and on 2 * NODE_COUNT nodes per panel.
+def _rule_sums(p: OperatorParams, f: PowerSeries, z: complex) -> tuple:
+    """sum_k M_k t_k on NODE_COUNT and on 2 * NODE_COUNT nodes per panel, and sum_k M_k |t_k| on the latter.
 
-    The companion has integrand factor w^{1/(gamma+1)} f'(z w^{1/(gamma+1)}),
-    as needed for differentiating under the integral sign. Both come from
-    the rule's moments M_k: sum_j wts_j f(z u_j) = sum_k c_k z^k M_k and
-    sum_j wts_j u_j f'(z u_j) = sum_k k c_k z^(k-1) M_k, one einsum per rule
-    for the pair.
+    t_k = (P + k) c_k z^k, so a rule's sum is P I + z I' with I its inner
+    integral and I' that integral's z-derivative, both in the rule's
+    reading: sum_j W_j (P f(z u_j) + z u_j f'(z u_j)).
     """
-    c = f.coeffs
-    zk = _z_powers(complex(z), f.order)
-    terms = np.zeros((c.size, 2), dtype=np.complex128)
-    np.multiply(c, zk, out=terms[:, 0])
-    terms[1:, 1] = np.arange(1, c.size) * c[1:] * zk[:-1]
-    return [tuple(complex(s) for s in _moment_sums(p, n, terms)) for n in (NODE_COUNT, 2 * NODE_COUNT)]
+    big_p = p.gamma * (1.0 - p.beta) + (p.gamma + 1.0) * p.tau
+    t = _z_powers(z, f.order)
+    t *= f.coeffs
+    t *= big_p + np.arange(f.coeffs.size)
+    coarse = _moment_sum(_moments(*_rule(p, NODE_COUNT), f.order), t)
+    m = _moments(*_rule(p, 2 * NODE_COUNT), f.order)
+    return coarse, _moment_sum(m, t), float(np.einsum("k,k->", m, np.abs(t)))
 
 
 def inner_integral(p: OperatorParams, f: PowerSeries, z) -> complex:
     """int_0^1 w^{beta'} (1-w)^{alpha'} f(z w^{1/(gamma+1)}) dw by the graded rule on NODE_COUNT nodes per panel.
 
-    With f identically 1 this is beta_fn(beta' + 1, alpha' + 1) (the
-    Beta-function reduction behind the monomial closed form), exact up to
-    the end panels' smooth factors.
+    This is sum_k c_k z^k M_k over the rule's moments. With f identically
+    1 it is beta_fn(beta' + 1, alpha' + 1) (the Beta-function reduction
+    behind the monomial closed form), exact up to the end panels' smooth
+    factors.
     """
-    terms = f.coeffs * _z_powers(complex(z), f.order)
-    return complex(_moment_sums(p, NODE_COUNT, terms[:, None])[0])
+    return _moment_sum(_moments(*_rule(p, NODE_COUNT), f.order), f.coeffs * _z_powers(complex(z), f.order))
 
 
 def _disk_point(z) -> complex:
@@ -268,51 +267,32 @@ def _front_constant(p: OperatorParams) -> float:
     return (p.gamma + 1.0) ** (-p.diff) * math.exp(s)
 
 
-def _outer(p: OperatorParams, z: complex) -> tuple:
-    """P and the factor front/(gamma+1) z^shift that make the operator value outer (P I + z I')."""
-    big_p = p.gamma * (1.0 - p.beta) + (p.gamma + 1.0) * p.tau
-    return big_p, _front_constant(p) / (p.gamma + 1.0) * cmath.exp(p.shift * cmath.log(z))
-
-
 def _eval_doubling(p: OperatorParams, f: PowerSeries, z: complex) -> tuple:
-    """The operator value z^shift front/(gamma+1) (P I + z I') on NODE_COUNT and on 2 * NODE_COUNT nodes per panel."""
-    big_p, outer = _outer(p, z)
-    return tuple(outer * (big_p * j0 + z * j1) for j0, j1 in _inner_integrals(p, f, z))
+    """The operator value outer sum_k M_k t_k on NODE_COUNT and on 2 * NODE_COUNT nodes per panel, and S.
 
-
-def _roundoff_scale(p: OperatorParams, f: PowerSeries, z: complex) -> float:
-    """S = |outer| sum_k |c_k z^k| (P + k) M_k on the refined rule: the terms' size, which scales the value's rounding."""
-    big_p, outer = _outer(p, z)
-    size = np.abs(f.coeffs * _z_powers(z, f.order)) * (big_p + np.arange(f.coeffs.size))
-    m = _moments(*_rule(p, 2 * NODE_COUNT), f.order)
-    return abs(outer) * float(np.einsum("k,k->", m, size))
+    outer = front/(gamma+1) z^shift, t_k = (P + k) c_k z^k as in _rule_sums,
+    and S = |outer| sum_k M_k |t_k| on the refined rule: the size of the
+    terms the refined value sums, which scales its rounding.
+    """
+    outer = _front_constant(p) / (p.gamma + 1.0) * cmath.exp(p.shift * cmath.log(z))
+    s1, s2, size = _rule_sums(p, f, z)
+    return outer * s1, outer * s2, abs(outer) * size
 
 
 def oracle_eval(p: OperatorParams, f: PowerSeries, z) -> complex:
     """Operator value at z straight from the integral definition.
 
-    Evaluates on NODE_COUNT nodes per panel and on twice that, each
-    integral summed from its rule's moments and f's coefficients; if the
-    two results differ by more than TOLERANCE + ROUNDOFF_ULPS eps S, with
-    S the size of the refined value's terms (formed only when the residual
-    exceeds TOLERANCE), a ConvergenceError is raised, otherwise the
-    doubled-node value is returned. For |z| below SMALL_Z_CUTOFF the
-    quadrature is skipped in favour of the leading series term (the outer
-    z-powers amplify roundoff there).
+    Evaluates on NODE_COUNT nodes per panel and on twice that, each value
+    summed from its rule's moments and f's coefficients; if the two
+    results differ by more than TOLERANCE + ROUNDOFF_ULPS eps S, with S the
+    size of the refined value's terms, a ConvergenceError is raised,
+    otherwise the doubled-node value is returned. The same sums serve
+    every z in the punctured disk.
     """
     z = _disk_point(z)
-    if abs(z) < SMALL_Z_CUTOFF:
-        nz = np.nonzero(np.abs(f.coeffs) > 0)[0]
-        if nz.size == 0:
-            return 0.0 + 0.0j
-        m = int(nz[0])
-        return complex(f.coeffs[m]) * monomial_transform(p, m).evaluate(z)
-
-    r1, r2 = _eval_doubling(p, f, z)
+    r1, r2, size = _eval_doubling(p, f, z)
     residual = abs(r2 - r1)
-    if residual <= TOLERANCE:
-        return r2
-    bound = TOLERANCE + ROUNDOFF_ULPS * sys.float_info.epsilon * _roundoff_scale(p, f, z)
+    bound = TOLERANCE + ROUNDOFF_ULPS * sys.float_info.epsilon * size
     if not residual <= bound:  # a nan residual or scale fails too
         raise ConvergenceError(
             f"node doubling {NODE_COUNT} -> {2 * NODE_COUNT} nodes per panel moved the result "

@@ -375,7 +375,7 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
             continue
         a_p, b_p = p.jacobi_exponents
         try:
-            r1, r2 = _eval_doubling(p, f, _disk_point(z))
+            r1, r2, _ = _eval_doubling(p, f, _disk_point(z))
             err_beta = abs(inner_integral(p, one, z) - beta_fn(b_p + 1.0, a_p + 1.0))
         except FracopsError as exc:
             failures.append(f"{label}: {exc}")

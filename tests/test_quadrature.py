@@ -169,24 +169,30 @@ def test_constant_input_reproduces_beta_function(beta, tau, gamma):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def _big_p(p):
+    """P = gamma (1 - beta) + (gamma + 1) tau, the power of z in front of the inner integral."""
+    return p.gamma * (1.0 - p.beta) + (p.gamma + 1.0) * p.tau
+
+
 def test_inner_integral_with_derivative_pair():
+    """A rule's moment sum is P I + z I', with I' a central difference of inner_integral in z."""
     p = _params()
     f = koebe_series(1.0, 80)
-    (val, dval), (val2, dval2) = quadrature._inner_integrals(p, f, 0.25)
-    assert_allclose((val2, dval2), (val, dval), rtol=1e-12)  # the doubled rule agrees
-    # derivative integrand u f'(zu): cross-check by a central difference in z
+    z = 0.25
+    coarse, refined, _ = quadrature._rule_sums(p, f, z)
+    assert_allclose(refined, coarse, rtol=1e-12)  # the doubled rule agrees
     h = 1e-6
-    fd = (inner_integral(p, f, 0.25 + h) - inner_integral(p, f, 0.25 - h)) / (2 * h)
-    assert_allclose(dval, fd, rtol=1e-8)
+    fd = (inner_integral(p, f, z + h) - inner_integral(p, f, z - h)) / (2 * h)
+    assert_allclose(coarse, _big_p(p) * inner_integral(p, f, z) + z * fd, rtol=1e-8)
 
 
 def _horner_at_the_nodes(p, f, z):
-    """sum w_j f(z u_j) and sum w_j u_j f'(z u_j) on both rules, each f value by Horner."""
+    """sum_j W_j (P f(z u_j) + z u_j f'(z u_j)) on both rules, each f and f' value by Horner."""
     fp = f.derivative()
     out = []
     for n in (quadrature.NODE_COUNT, 2 * quadrature.NODE_COUNT):
         u, w = quadrature._rule(p, n)
-        out.append((np.sum(w * f.evaluate(z * u)), np.sum(w * u * fp.evaluate(z * u))))
+        out.append(np.sum(w * (_big_p(p) * f.evaluate(z * u) + z * u * fp.evaluate(z * u))))
     return out
 
 
@@ -194,12 +200,13 @@ def _horner_at_the_nodes(p, f, z):
 @pytest.mark.parametrize("beta,tau,gamma", [(0.65, 0.3, 1.7), (0.65, 0.3, 1200.0), (1.0, 1e-9, 0.0),
                                             (1.0, 1e-9, 0.5)])
 def test_moment_sums_match_horner_at_the_nodes(beta, tau, gamma, order):
-    """The moment form of both integrals agrees with Horner at the nodes to 1e-13.
+    """Each rule's moment sum agrees with Horner at the nodes to 1e-13, and so does the size S sums.
 
-    The error is taken relative to the same sums over |c_k| |z u_j|^k, the
+    The error is taken relative to the same sum over |c_k| |z u_j|^k, the
     scale of either side's rounding: at z = -0.99 Koebe's terms cancel by a
     factor of about 4e4, so plain relative error would measure the rounding
-    of the reference as well.
+    of the reference as well. On the refined rule that scale is the
+    sum_k M_k |t_k| the oracle's roundoff allowance reads.
     """
     p = OperatorParams(beta, tau, gamma)
     rng = np.random.default_rng(order)
@@ -207,11 +214,11 @@ def test_moment_sums_match_horner_at_the_nodes(beta, tau, gamma, order):
     for f in (koebe_series(2.0, order), noise):
         majorant = PowerSeries(np.abs(f.coeffs))
         for z in (0.99, -0.99, 0.99 * np.exp(2.2j), 0.3j):
-            scales = _horner_at_the_nodes(p, majorant, abs(z))
-            pairs = zip(quadrature._inner_integrals(p, f, z), _horner_at_the_nodes(p, f, z), scales)
-            for got, want, scale in pairs:
-                for g, h, s in zip(got, want, scale):
-                    assert abs(g - h) <= 1e-13 * s.real, (z, g, h, s)
+            scales = [s.real for s in _horner_at_the_nodes(p, majorant, abs(z))]
+            *got, size = quadrature._rule_sums(p, f, z)
+            for g, h, s in zip(got, _horner_at_the_nodes(p, f, z), scales):
+                assert abs(g - h) <= 1e-13 * s, (z, g, h, s)
+            assert abs(size - scales[1]) <= 1e-13 * scales[1], (z, size, scales[1])
 
 
 def test_oracle_memory_at_order_2_18_stays_bounded():
@@ -284,12 +291,20 @@ def test_oracle_domain_checks():
             oracle_eval(p, f, z)
 
 
-def test_oracle_small_z_leading_term():
+def test_oracle_small_z_matches_the_termwise_image():
+    """Below |z| = 1e-6 the oracle sums every term of f, as at any other z in the disk.
+
+    A leading-term shortcut there would be 1.2e-4 off at z = 9.9e-7 for the
+    quartic, whose 100 z^2 term is 1e-4 of its z term, and 2.4e-7 off for
+    Koebe at z = 1e-7.
+    """
     p = _params(0.7, 0.4, 1.1)
-    f = PowerSeries([0.0, 2.0, -1.0])
-    z = 3e-8
-    want = 2.0 * monomial_transform(p, 1).coefficient * z ** (p.shift + 1.0)
-    assert_allclose(oracle_eval(p, f, z), want, rtol=1e-9)
+    f = PowerSeries([0.0, 1.0, 100.0, -3.0, 0.5])
+    image = apply_operator(p, f)
+    for z in (9.9e-7, 3e-7j, 1e-9 * np.exp(2j), 1e-30):
+        assert_allclose(oracle_eval(p, f, z), image.evaluate(z), rtol=1e-12, err_msg=str(z))
+    p, f = _params(0.65, 0.3, 1.4), koebe_series(2.0, 65536)
+    assert_allclose(oracle_eval(p, f, 1e-7), apply_operator(p, f).evaluate(1e-7), rtol=1e-12)
 
 
 def test_oracle_node_doubling_guard_raises(monkeypatch):
@@ -304,7 +319,7 @@ def test_oracle_node_doubling_guard_raises(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_oracle_nan_doubling_residual_raises():
-    """The moment sums overflow to inf, and k c_k already does in the f' column, so the residual is nan: it fails the guard."""
+    """The terms (P + k) c_k z^k overflow to inf, so both moment sums do and the residual is nan: it fails the guard."""
     with pytest.raises(ConvergenceError, match="moved the result by nan"):
         oracle_eval(_params(), PowerSeries(np.full(40, 1e308)), 0.9)
 
