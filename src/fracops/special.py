@@ -13,11 +13,9 @@ and needs |z| over the radius. It reports an explicit status (converged,
 slow, divergent, pole hit) instead of silent nonsense; it never calls a sum
 inside its disk divergent, and calls one that cancels past float64
 resolution slow, not converged. Its stop and divergence rules hold per
-term. A sum expected to be short (from |z| over the radius) is checked
-term by term below index 96, where it stops, and a whole block at a time
-in NumPy from there; a longer one a block at a time from index 0, its
-first block sized to the expected length. Each magnitude is taken as
-hypot(re, im), so both ways give the same outcome bit for bit.
+term, and it checks them a whole block at a time in NumPy from index 0,
+its first block sized to the length expected from |z| over the radius.
+Each magnitude is taken as hypot(re, im), as Python's abs of a complex.
 
 log Gamma of a positive real argument, scalar or array, needs NumPy and
 the math module alone: from x = 16 up it sums the Stirling series with the
@@ -35,7 +33,6 @@ below 16 both rest on math.gamma.
 from __future__ import annotations
 
 import cmath
-import collections
 import enum
 import math
 from dataclasses import dataclass
@@ -290,11 +287,11 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
 
     The driver pulls the indices itself, as float64 arrays of consecutive
     indices whose length doubles up to _LAST_BLOCK, so short sums stay
-    cheap and long ones make few numpy calls. The first block has
-    _FIRST_BLOCK indices, or, for 0 < limit < 1, the power of two at or
-    above n* = ln(_STOP_RTOL) / ln(limit), the length at which limit^k
-    reaches roundoff, when n* passes 3 * _FIRST_BLOCK (limit above about
-    0.7). block(kappa) returns the terms at the indices kappa as an
+    cheap and long ones make few numpy calls. The first block has the
+    smallest power of two at or above both _FIRST_BLOCK and n* =
+    ln(_STOP_RTOL) / ln(limit), the length at which limit^k reaches
+    roundoff (n* = 0 at limit 0 and 1), at most _LAST_BLOCK indices.
+    block(kappa) returns the terms at the indices kappa as an
     ndarray; a shorter array ends the series there (an exact finite sum).
     A block that raises PoleHitError is redone one index at a time, so the
     terms before the pole are summed first.
@@ -315,15 +312,13 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
       SLOW_CONVERGENCE when the budget runs out first, or, if limit < 1,
         at a CONVERGED stop where sum |t_k| > _MAX_CANCELLATION * |total|.
 
-    The rules hold per term. A short sum (n* at most 3 * _FIRST_BLOCK, an
-    entire series, or one on the circle, where the criterion sums stop on
-    a rising run) is checked term by term in its first two blocks (indices
-    0-95), where it stops, and a block at a time in NumPy from index 96 on;
-    a long one a block at a time from index 0. The NumPy scan takes
+    The rules hold per term and are checked a block at a time in NumPy:
     running totals by np.add.accumulate from the carried total, magnitudes
     hypot(re, im) (Python's abs of a complex), window maxima by shifted
-    np.maximum, and the first index that stops the sum by argmax over the
-    stop flags. Both give the same outcome bit for bit.
+    np.maximum over the ratios of the block's magnitudes and the last
+    RATIO_WINDOW before it, and the first index that stops the sum by
+    argmax over the stop flags. The outcome is, bit for bit, that of
+    checking the terms one at a time.
     """
     if max_terms < 1:
         raise DomainError("max_terms must be at least 1")
@@ -331,68 +326,42 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
         return EvalOutcome(0.0, EvalStatus.DIVERGENT, 0, math.inf)
     inside = limit < 1.0
     floor = limit if inside else 0.0
-    ratios = collections.deque(maxlen=RATIO_WINDOW)
-    total, mass, prev, run, tail = 0.0, 0.0, 0.0, 0, math.inf
-    k, width, scan_from = 0, _FIRST_BLOCK, 3 * _FIRST_BLOCK
-    # |t_k| ~ limit^k falls below _STOP_RTOL after about `expected` terms
+    last = np.zeros(RATIO_WINDOW)  # sizes of the RATIO_WINDOW terms before a block, 0 before index 0
+    total, mass, run, tail = 0.0, 0.0, 0, math.inf
+    k, width = 0, _FIRST_BLOCK
+    # |t_k| ~ limit^k falls below _STOP_RTOL after about `expected` terms: the first block holds them
     expected = math.log(_STOP_RTOL) / math.log(limit) if 0.0 < limit < 1.0 else 0.0
-    if expected > scan_from:  # a long sum: scanned from index 0, its first block sized to it
-        scan_from = 0
-        while width < min(expected, _LAST_BLOCK):
-            width *= 2
+    while width < min(expected, _LAST_BLOCK):
+        width *= 2
     while k < max_terms:
         kappa = np.arange(k, min(k + width, max_terms), dtype=np.float64)
         width = min(2 * width, _LAST_BLOCK)
         terms, pole = _pull(block, kappa)
-        if k < scan_from:  # the first two blocks of a short sum
-            for term in terms.tolist():
-                if not cmath.isfinite(term):
-                    return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
-                try:
-                    size = abs(term)
-                except OverflowError:  # finite parts, modulus past float64: hypot gives inf
-                    size = math.inf
-                total += term
-                mass += size
-                if prev > 0.0:
-                    ratios.append(size / prev)
-                    run = run + 1 if size >= prev else 0
-                if size > 1e290 or (run >= DIVERGENCE_RUN and not inside):
-                    return EvalOutcome(total, EvalStatus.DIVERGENT, k + 1, math.inf)
-                prev = size
-                if k and size == 0.0:
-                    tail = 0.0
-                elif len(ratios) == RATIO_WINDOW:
-                    r = max(floor, *ratios)
-                    tail = size * r / (1.0 - r) if r < 1.0 else math.inf
-                k += 1
-                if tail <= _STOP_RTOL * max(1.0, abs(total)):
-                    lost = inside and mass > _MAX_CANCELLATION * abs(total)
-                    return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE if lost else EvalStatus.CONVERGED,
-                                       k, tail)
-        elif terms.size:
+        if terms.size:
             n = terms.size
             with np.errstate(all="ignore"):  # the flags below catch a non-finite term or ratio
-                sizes = np.hypot(terms.real, terms.imag)  # abs(complex) bit for bit
+                seen = np.concatenate((last, np.hypot(terms.real, terms.imag)))  # abs(complex) bit for bit
+                sizes, prevs = seen[RATIO_WINDOW:], seen[RATIO_WINDOW - 1:-1]
                 totals = np.add.accumulate(np.concatenate(([total], terms)))[1:]
-                prevs = np.concatenate(([prev], sizes[:-1]))
-                # The deque is full here, or empty at index 0. There, and at index 1 after a zero
-                # first term, prev is 0 and the ratio inf or NaN: until the window holds
-                # RATIO_WINDOW true ratios, r is inf or NaN too, and the tail stays inf.
-                window = np.concatenate((list(ratios)[1:] or [math.inf] * (RATIO_WINDOW - 1), sizes / prevs))
+                # Each size over the one before, from RATIO_WINDOW - 1 terms before the block. At
+                # index 0, and at index 1 after a zero first term, prev is 0 and the ratio inf or
+                # NaN: until the window holds RATIO_WINDOW true ratios, r is inf or NaN too, and
+                # the tail stays inf.
+                window = seen[1:] / seen[:-1]
                 r = np.maximum(window[:n], floor)
                 for j in range(1, RATIO_WINDOW):
                     np.maximum(r, window[j:j + n], out=r)
                 tails = sizes * r / (1.0 - r)  # read only where r < 1
                 bound = _STOP_RTOL * np.maximum(1.0, np.hypot(totals.real, totals.imag))
                 stop = (sizes == 0.0) | ((r < 1.0) & (tails <= bound))
-                stop[0] &= k > 0  # a zero term at index 0 is no stop
+                if not k:  # a zero term at index 0 is no stop
+                    stop[0] = False
                 over = ~(sizes <= 1e290)  # a non-finite term too
                 if inside:  # the mass is read inside the radius, the run on the circle
                     masses = np.add.accumulate(np.concatenate(([mass], sizes)))[1:]
-                else:  # on the circle the scan starts at index 96, where every term has a ratio
+                else:  # a term after prev 0 leaves the run at 0, as a reset does
                     at = np.arange(n)
-                    reset = np.maximum.accumulate(np.where(sizes >= prevs, -1, at))
+                    reset = np.maximum.accumulate(np.where((sizes >= prevs) & (prevs > 0.0), -1, at))
                     runs = np.where(reset < 0, run + at + 1, at - reset)
                     over |= runs >= DIVERGENCE_RUN
             hit = over | stop
@@ -407,10 +376,9 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
                 lost = inside and masses[i] > _MAX_CANCELLATION * abs(total)
                 return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE if lost else EvalStatus.CONVERGED,
                                    k + i + 1, tails[i].item() if sizes[i] else 0.0)
-            total, prev = totals[-1].item(), sizes[-1].item()
+            total, last = totals[-1].item(), seen[n:]
             tail = tails[-1].item() if r[-1] < 1.0 else math.inf
             mass, run = (masses[-1].item(), run) if inside else (mass, int(runs[-1]))
-            ratios.extend(window[-RATIO_WINDOW:].tolist())
             k += n
         if pole:
             return EvalOutcome(total if k else complex("nan"), EvalStatus.POLE_HIT, k, math.inf)

@@ -366,7 +366,7 @@ def test_zero_delta_unit_weights_converge_near_the_circle():
         assert abs(out.value - want) <= 1e-10 * abs(want), (upper, lower, z)
 
 
-@pytest.mark.parametrize("at", [1, 200])  # in the per-term loop and in a scanned block
+@pytest.mark.parametrize("at", [1, 200])  # in the first scanned block and in a later one
 def test_a_term_whose_modulus_overflows_is_divergent_and_added(at):
     huge = complex(1.5e308, 1.5e308)  # finite parts, abs() raises OverflowError
     terms = [1.0 / (k + 1) for k in range(at)] + [huge, 1.0]
@@ -388,8 +388,8 @@ def test_outside_the_radius_is_divergent_before_summing(spec, z):
 
 
 # ---------------------------------------------------------------------------
-# The summation driver against the per-term loop it replaced in its NumPy scans
-# (from index 96 on, or from index 0 for a sum expected to run longer).
+# The summation driver against the per-term loop its NumPy scan replaced: the
+# driver scans every block, from index 0, at every limit.
 # _reference_pull and _reference_sum_terms are that loop, kept as it was but
 # for its size of a complex term whose modulus overflows: inf, as hypot gives.
 # It pulls the old schedule's blocks (32 doubling to 1024) at every limit.
@@ -480,10 +480,12 @@ def _reference_sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
     return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE, max_terms, tail)
 
 
-# The first indices of the driver's blocks past the first. A short sum's blocks
-# start at 32, 96, 224, 480 and 992; a long one's at 128, 384 and 896 (limit 0.7),
-# 512 (limit 0.9) or 1024 (limit 0.95 and up).
-_SEAMS = (32, 96, 128, 224, 384, 480, 512, 896, 992, 1024)
+# The first indices of the blocks past the first. The reference's start at 32, 96,
+# 224, 480 and 992 at every limit, and so do the driver's at limit 0 and 1; the
+# driver's first block holds the expected length, so its blocks start at 64, 192,
+# 448 and 960 at limit 0.5, at 128, 384 and 896 at 0.6 and 0.7, at 512 at 0.9 and
+# at 1024 from 0.95 up.
+_SEAMS = (32, 64, 96, 128, 192, 224, 384, 448, 480, 512, 896, 960, 992, 1024)
 _NEAR_A_SEAM = st.sampled_from(_SEAMS).flatmap(lambda s: st.integers(s - 3, s + 2))
 
 
@@ -574,8 +576,17 @@ def _bits(out):
 @example(case=(24, 1300, 0.9, 0.0, True, [("nan", 3)], 0.99, 3))
 @example(case=(25, 1300, 0.99, 1e-3, True, [("big", 2)], 0.7, MAX_TERMS_DEFAULT))  # the window not yet full
 @example(case=(26, 1300, 0.999, 1e-3, False, [("cancel", 0)], 0.999, MAX_TERMS_DEFAULT))
+# index 0 in the scan: on the circle (prev 0 leaves the rising run as it was), in an entire series, a short sum
+@example(case=(27, 1300, 1.0, 0.0, False, [("zero", 0)], 1.0, MAX_TERMS_DEFAULT))  # zero first term
+@example(case=(28, 1300, 0.99, 1e-3, True, [("rise", 0)], 1.0, MAX_TERMS_DEFAULT))  # rising from index 0
+@example(case=(29, 1300, 0.5, 1e-3, False, [("zero", 0)], 0.0, MAX_TERMS_DEFAULT))  # an entire series
+@example(case=(30, 15, 0.1, 1e-3, True, [("nan", 2)], 0.1, MAX_TERMS_DEFAULT))  # a NaN in a short sum
 def test_sum_terms_matches_the_per_term_reference_bit_for_bit(case):
-    """Value and its type, status, terms used and tail bound: the same bits as the per-term loop."""
+    """Value and its type, status, terms used and tail bound: the same bits as the per-term loop.
+
+    The reference is the loop the driver's scan replaced at every index, and
+    it pulls the old schedule's blocks, 32 indices first, at every limit.
+    """
     *terms, limit, max_terms = case
     want = _reference_sum_terms(_case_block(*terms), max_terms, limit)
     assert _bits(_sum_terms(_case_block(*terms), max_terms, limit)) == _bits(want), want
@@ -591,8 +602,9 @@ _REAL_CLOSED_FORMS = [("koebe", {"alpha": 0.5}), ("koebe", {"alpha": 1.0}), ("ko
 def test_closed_form_sums_match_the_per_term_reference_bit_for_bit(kind, params, monkeypatch):
     """Real blocks, not synthetic ones: a term whose bits depended on where blocks split would show here.
 
-    Each closed form is summed by the driver and by the per-term loop, which
-    pull different blocks, on a fresh image each, so no kept log factor is shared.
+    Each closed form is summed by the driver's scan and by the per-term loop
+    it replaced, which pulls the old 32-index start at every limit, so the two
+    read different blocks; each sums a fresh image, so no kept log factor is shared.
     """
     from fracops import fracdiff
     from fracops.fracdiff import OperatorParams, closed_form_spec
@@ -610,7 +622,7 @@ def test_closed_form_sums_match_the_per_term_reference_bit_for_bit(kind, params,
 
 @pytest.mark.parametrize("mode", ["theorem5_S", "theorem6_K"])
 def test_criterion_sums_match_the_per_term_reference_bit_for_bit(mode):
-    """The criterion series on the circle (limit 1): rising terms, Divergent on the short path."""
+    """The criterion series on the circle (limit 1): terms rising from index 0, Divergent in one block."""
     from fracops.fracdiff import OperatorParams
     from fracops.geometry import criterion_term
 
