@@ -8,9 +8,9 @@ inverse DFT of the coefficients folded mod the angle count per ring; a grid
 holds at most MAX_GRID_POINTS points. A failing screen reads its witness from
 Horner on the deciding ring, run in one pass for numerator and denominator
 and only at the angles that the grid values and the error bounds of both
-evaluators cannot rule out. The univalence criterion sums the explicit
-rearranged proof terms at z = 1 and reports divergence honestly instead
-of forcing a verdict.
+evaluators cannot rule out. The univalence criterion forms the partial
+sums of the explicit rearranged proof terms at z = 1; their divergence is
+proved, not detected, so it never forces a verdict.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .fracdiff import OperatorParams, log_gamma_ratio, theta_front_constant
 from .series import PowerSeries, _last_nonzero, evaluate_many
-from .special import EvalStatus, _sum_terms
+from .special import EvalStatus
 
 _ZERO_GUARD = 1e-14
 _EPS = float(np.finfo(np.float64).eps)
@@ -279,18 +279,25 @@ def bieberbach_screen(f: PowerSeries, mode: str) -> BoundScreenResult:
 # ---------------------------------------------------------------------------
 
 CRITERION_MODES = ("theorem5_S", "theorem6_K")
-VERDICT_SATISFIED = "Satisfied"
-VERDICT_VIOLATED = "Violated"
 VERDICT_INCONCLUSIVE = "Inconclusive-Divergent"
+# Partial sums a criterion report holds: index 0 and 20 rises. This keeps the
+# report that a divergence test on 20 rising terms printed, byte for byte.
+_CRITERION_TERMS = 21
 
 
 @dataclass
 class CriterionReport:
     """Partial sums of a coefficient-sum criterion plus an honest verdict.
 
-    The verdict is Satisfied only when the series status is Converged and
-    the final partial sum plus its tail bound clears the threshold;
-    any non-converged series yields Inconclusive-Divergent, never a pass.
+    The criterion series diverges at every admissible (beta, tau, gamma).
+    With R(m) = log_gamma_ratio(p, m), the log of the Gamma ratio in
+    criterion_term, R does not decrease in m (beta >= tau and digamma
+    increases), so the terms are positive and rise, and theorem 5's first
+    term, like theorem 6's second partial sum, is e^{R(1)} + 2 e^{R(2)}
+    >= 1.5 times the threshold 2 e^{R(1)}. The series cannot converge, so
+    every report is Inconclusive-Divergent with an unknown tail:
+    series_status Divergent when the budget holds all _CRITERION_TERMS
+    partial sums, SlowConvergence when it ran out first.
     """
 
     mode: str
@@ -341,29 +348,22 @@ def criterion_threshold(p: OperatorParams) -> float:
 
 
 def univalence_criterion(p: OperatorParams, mode: str, max_terms: int = 512) -> CriterionReport:
-    """Sum the criterion series at z = 1 and report against the threshold.
+    """The criterion's first min(max_terms, _CRITERION_TERMS) partial sums at z = 1.
 
-    Terms are fed through the shared summation driver so sustained growth
-    is detected and reported instead of producing a bogus verdict. The
-    driver asks for them in index blocks as it goes, so a large max_terms
-    costs nothing once the sum has stopped. They grow like a power of k,
-    so the radius is 1 and z = 1 sits on the circle.
+    No sum is run to detect divergence: it is proved (see CriterionReport),
+    since with R(m) non-decreasing the sums pass 1.5 times the threshold
+    by the second term and keep rising. The terms grow like a power of k,
+    so the radius is 1 and z = 1 sits on the circle. Raises DomainError
+    for max_terms < 1 or an unknown mode.
     """
-    threshold = criterion_threshold(p)
-    out = _sum_terms(lambda k: criterion_term(p, mode, k), max_terms, limit=1.0)
-    partial_sums = np.cumsum(criterion_term(p, mode, np.arange(out.terms_used))).tolist()
-    if out.status is EvalStatus.CONVERGED:
-        tail = out.tail_bound
-        verdict = VERDICT_SATISFIED if out.value + tail < threshold else VERDICT_VIOLATED
-    else:
-        tail = math.inf
-        verdict = VERDICT_INCONCLUSIVE
+    if max_terms < 1:
+        raise DomainError("max_terms must be at least 1")
+    n = min(max_terms, _CRITERION_TERMS)
     return CriterionReport(
         mode=mode,
         params=p,
-        partial_sums=partial_sums,
-        rhs_threshold=threshold,
-        series_status=out.status,
-        verdict=verdict,
-        tail_bound=tail,
+        partial_sums=np.cumsum(criterion_term(p, mode, np.arange(n))).tolist(),
+        rhs_threshold=criterion_threshold(p),
+        series_status=EvalStatus.DIVERGENT if n == _CRITERION_TERMS else EvalStatus.SLOW_CONVERGENCE,
+        verdict=VERDICT_INCONCLUSIVE,
     )

@@ -7,14 +7,15 @@ Fox-Wright parameter blocks, whose radius of convergence is read from
 Delta = 1 + sum B - sum A: infinite for Delta > 0, zero for Delta < 0 and
 prod B^B / prod A^A at Delta = 0 (Wright 1935; Kilbas, Saigo & Trujillo
 2002). The one series-summation driver, _sum_terms, sums every series in
-the package: fox_wright_eval, the closed forms and the criterion sums. It
-pulls index blocks itself, asks its caller for the terms at those indices,
-and needs |z| over the radius. It reports an explicit status (converged,
-slow, divergent, pole hit) instead of silent nonsense; it never calls a sum
+the package: fox_wright_eval and the closed forms. It pulls index blocks
+itself, asks its caller for the terms at those indices, and needs |z|
+over the radius. It reports an explicit status (converged, slow,
+divergent, pole hit) instead of silent nonsense; it never calls a sum
 inside its disk divergent, and calls one that cancels past float64
-resolution slow, not converged. Its stop and divergence rules hold per
-term, and it checks them a whole block at a time in NumPy from index 0,
-its first block sized to the length expected from |z| over the radius.
+resolution slow, not converged; a sum on its circle of convergence gets
+no geometric tail stop. Its stop and divergence rules hold per term, and
+it checks them a whole block at a time in NumPy from index 0, its first
+block sized to the length expected from |z| over the radius.
 Each magnitude is taken as hypot(re, im), as Python's abs of a complex.
 
 log Gamma of a positive real argument, scalar or array, needs NumPy and
@@ -46,15 +47,13 @@ from .errors import DomainError, PoleHitError
 POLE_GUARD = 1e-9
 
 # Summation knobs: a geometric tail bound is trusted once this many
-# consecutive term ratios sit below 1; on the circle of convergence,
-# divergence is declared after this many consecutive non-decreasing term
-# magnitudes.
+# consecutive term ratios are known; its ratio is at least |z| over the
+# radius, so a sum on its circle of convergence never gets one.
 RATIO_WINDOW = 5
-DIVERGENCE_RUN = 20
 MAX_TERMS_DEFAULT = 10000
 _STOP_RTOL = 1e-16
-# Inside the radius a sum with sum |t_k| above this multiple of |total| has
-# cancelled (roundoff eps * sum |t_k| > 1e-10 |total|): not reported converged.
+# A sum with sum |t_k| above this multiple of |total| has cancelled
+# (roundoff eps * sum |t_k| > 1e-10 |total|): not reported converged.
 _MAX_CANCELLATION = 4.5e5
 # |Delta| below this counts as Delta = 0 (rounding in the weight sums).
 _DELTA_TOL = 1e-12
@@ -298,19 +297,20 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
 
     limit is |z| over the radius of convergence. Once RATIO_WINDOW
     consecutive ratios |t_k|/|t_{k-1}| are known, let r be the largest of
-    them, raised to limit when limit < 1; if r < 1 the tail is bounded by
-    |t_k| r / (1 - r) (geometric comparison). Stops with status
+    them and limit; if r < 1 the tail is bounded by |t_k| r / (1 - r)
+    (geometric comparison). On the circle (limit == 1) r is never below 1,
+    so no tail bound stops the sum there. Stops with status
       DIVERGENT before any term when limit > 1 (value 0, tail inf);
       POLE_HIT at the index whose term raised PoleHitError (value is the
         sum so far, NaN if no term was summed);
-      DIVERGENT on a non-finite term (not added), on a term magnitude near
-        float64 overflow, or, on the circle (limit == 1), after
-        DIVERGENCE_RUN consecutive non-decreasing magnitudes (term added);
+      DIVERGENT on a non-finite term (not added) or on a term magnitude
+        near float64 overflow (term added);
       CONVERGED when a term past index 0 is exactly zero or the tail bound
         drops below roundoff (tail 0 or the bound), or when the series ends
         (an exact finite sum, tail 0);
-      SLOW_CONVERGENCE when the budget runs out first, or, if limit < 1,
-        at a CONVERGED stop where sum |t_k| > _MAX_CANCELLATION * |total|.
+      SLOW_CONVERGENCE when the budget runs out first (tail the last bound,
+        inf on the circle), or at a zero-term or tail-bound stop where
+        sum |t_k| > _MAX_CANCELLATION * |total|.
 
     The rules hold per term and are checked a block at a time in NumPy:
     running totals by np.add.accumulate from the carried total, magnitudes
@@ -324,10 +324,8 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
         raise DomainError("max_terms must be at least 1")
     if limit > 1.0:
         return EvalOutcome(0.0, EvalStatus.DIVERGENT, 0, math.inf)
-    inside = limit < 1.0
-    floor = limit if inside else 0.0
     last = np.zeros(RATIO_WINDOW)  # sizes of the RATIO_WINDOW terms before a block, 0 before index 0
-    total, mass, run, tail = 0.0, 0.0, 0, math.inf
+    total, mass, tail = 0.0, 0.0, math.inf
     k, width = 0, _FIRST_BLOCK
     # |t_k| ~ limit^k falls below _STOP_RTOL after about `expected` terms: the first block holds them
     expected = math.log(_STOP_RTOL) / math.log(limit) if 0.0 < limit < 1.0 else 0.0
@@ -341,14 +339,15 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
             n = terms.size
             with np.errstate(all="ignore"):  # the flags below catch a non-finite term or ratio
                 seen = np.concatenate((last, np.hypot(terms.real, terms.imag)))  # abs(complex) bit for bit
-                sizes, prevs = seen[RATIO_WINDOW:], seen[RATIO_WINDOW - 1:-1]
+                sizes = seen[RATIO_WINDOW:]
                 totals = np.add.accumulate(np.concatenate(([total], terms)))[1:]
+                masses = np.add.accumulate(np.concatenate(([mass], sizes)))[1:]
                 # Each size over the one before, from RATIO_WINDOW - 1 terms before the block. At
                 # index 0, and at index 1 after a zero first term, prev is 0 and the ratio inf or
                 # NaN: until the window holds RATIO_WINDOW true ratios, r is inf or NaN too, and
                 # the tail stays inf.
                 window = seen[1:] / seen[:-1]
-                r = np.maximum(window[:n], floor)
+                r = np.maximum(window[:n], limit)
                 for j in range(1, RATIO_WINDOW):
                     np.maximum(r, window[j:j + n], out=r)
                 tails = sizes * r / (1.0 - r)  # read only where r < 1
@@ -357,13 +356,6 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
                 if not k:  # a zero term at index 0 is no stop
                     stop[0] = False
                 over = ~(sizes <= 1e290)  # a non-finite term too
-                if inside:  # the mass is read inside the radius, the run on the circle
-                    masses = np.add.accumulate(np.concatenate(([mass], sizes)))[1:]
-                else:  # a term after prev 0 leaves the run at 0, as a reset does
-                    at = np.arange(n)
-                    reset = np.maximum.accumulate(np.where((sizes >= prevs) & (prevs > 0.0), -1, at))
-                    runs = np.where(reset < 0, run + at + 1, at - reset)
-                    over |= runs >= DIVERGENCE_RUN
             hit = over | stop
             i = int(hit.argmax())
             if hit[i]:
@@ -373,12 +365,11 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
                 total = totals[i].item()
                 if over[i]:
                     return EvalOutcome(total, EvalStatus.DIVERGENT, k + i + 1, math.inf)
-                lost = inside and masses[i] > _MAX_CANCELLATION * abs(total)
+                lost = masses[i] > _MAX_CANCELLATION * abs(total)
                 return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE if lost else EvalStatus.CONVERGED,
                                    k + i + 1, tails[i].item() if sizes[i] else 0.0)
-            total, last = totals[-1].item(), seen[n:]
+            total, mass, last = totals[-1].item(), masses[-1].item(), seen[n:]
             tail = tails[-1].item() if r[-1] < 1.0 else math.inf
-            mass, run = (masses[-1].item(), run) if inside else (mass, int(runs[-1]))
             k += n
         if pole:
             return EvalOutcome(total if k else complex("nan"), EvalStatus.POLE_HIT, k, math.inf)
@@ -391,12 +382,15 @@ def fox_wright_eval(spec: FoxWrightSpec, z) -> EvalOutcome:
     """Sum the Fox-Wright series at z with explicit convergence reporting.
 
     Returns an EvalOutcome whose status is CONVERGED (geometric tail bound
-    below roundoff), DIVERGENT (|z| beyond spec.radius, overflow, or, on
-    the circle |z| = radius, sustained term growth), SLOW_CONVERGENCE (the
-    MAX_TERMS_DEFAULT term budget exhausted first, or, inside the radius,
-    terms that cancel past float64 resolution), or POLE_HIT (a Gamma argument of some term sat
-    on a pole). The value field always carries the partial sum accumulated
-    so far. At z = 0 the sum is the exact one-term sum, the kappa = 0 term.
+    below roundoff, an exact zero term, or a finite series' end), DIVERGENT
+    (|z| beyond spec.radius, or a term that is not finite or near
+    overflow), SLOW_CONVERGENCE (the MAX_TERMS_DEFAULT term budget
+    exhausted first, or terms that cancel past float64 resolution), or
+    POLE_HIT (a Gamma argument of some term sat on a pole). On the circle
+    |z| = radius no tail bound is taken: a sum there that does not stop
+    otherwise is SLOW_CONVERGENCE, tail inf. The value field always
+    carries the partial sum accumulated so far. At z = 0 the sum is the
+    exact one-term sum, the kappa = 0 term.
     """
     z = complex(z)
     log_z = cmath.log(z) if z else 0j

@@ -252,6 +252,22 @@ def test_criteria_csv_trace(capsys):
     assert abs(float(prev) + float(term) - float(partial)) < 1e-12
 
 
+def test_criteria_budget_below_the_report_is_slow(capsys):
+    doc = run_json(capsys, "criteria", "--theorem", "5", "--beta", "0.65",
+                   "--tau", "0.3", "--gamma", "1.4", "--max-terms", "5")
+    assert len(doc["partial_sums"]) == 5
+    assert doc["series_status"] == "SlowConvergence"
+    assert doc["verdict"] == "Inconclusive-Divergent"
+    assert doc["tail_bound"] is None
+
+
+def test_criteria_rejects_a_zero_budget(capsys):
+    code, out, err = run_cli(capsys, "criteria", "--theorem", "6", "--beta", "0.65",
+                             "--tau", "0.3", "--gamma", "1.4", "--max-terms", "0")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "max_terms" in err and "Traceback" not in err
+
+
 def test_criteria_rejects_bad_window(capsys):
     code, _, err = run_cli(capsys, "criteria", "--theorem", "5", "--beta", "0.3",
                            "--tau", "0.8", "--gamma", "0")

@@ -33,7 +33,7 @@ from fracops.series import (
     kummer_series,
     monomial_series,
 )
-from fracops.special import EvalStatus
+from fracops.special import POLE_GUARD, EvalStatus
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +517,47 @@ def test_criterion_reports_divergence_never_satisfied():
 
 
 def test_criterion_budget_only_bounds_the_terms_read():
-    """Terms are computed as the sum pulls them: a huge budget changes nothing once it stops."""
+    """Only the report's partial sums are formed: a huge budget changes nothing past them."""
     p = OperatorParams(0.7, 0.4, 0.0)
     for mode in CRITERION_MODES:
         small = univalence_criterion(p, mode, max_terms=512).to_json_dict()
         assert univalence_criterion(p, mode, max_terms=10_000_000).to_json_dict() == small
         terms = [criterion_term(p, mode, k) for k in range(len(small["partial_sums"]))]
         assert_allclose(small["partial_sums"], np.cumsum(terms), rtol=1e-14)
+
+
+def test_criterion_divergence_is_proved_at_the_window_corners():
+    """min(budget, 21) rising partial sums and no verdict at the window's corners.
+
+    beta down to 1e-3, tau down to POLE_GUARD, beta - tau up to 1 - 1e-3 and
+    gamma at 0, 1e16 and 1e200, which the draws of the other criterion tests
+    do not reach. The lemma the report rests on holds at each point:
+    theorem 5's first term and theorem 6's first two terms reach 1.5 times
+    the threshold.
+    """
+    rng = np.random.default_rng(26)
+    pairs = [(1e-3, 1e-3), (1e-3, POLE_GUARD), (1.0, 1e-3), (1.0, 1.0)]
+    for _ in range(12):
+        beta = 10.0 ** rng.uniform(-3.0, 0.0)
+        tau = 10.0 ** rng.uniform(math.log10(max(POLE_GUARD, beta - 1.0 + 1e-3)), math.log10(beta))
+        pairs.append((beta, min(tau, beta)))
+    for beta, tau in pairs:
+        for gamma in (0.0, 1e16, 1e200):
+            p = OperatorParams(beta, tau, gamma)
+            for mode in CRITERION_MODES:
+                lemma = 0 if mode == "theorem5_S" else 1
+                for budget in (1, 20, 21, 22, 512):
+                    rep = univalence_criterion(p, mode, max_terms=budget)
+                    sums = rep.partial_sums
+                    assert len(sums) == min(budget, 21), (p, mode, budget)
+                    assert all(b > a for a, b in zip(sums, sums[1:])), (p, mode, sums)
+                    assert sums == np.cumsum(criterion_term(p, mode, np.arange(len(sums)))).tolist()
+                    want = EvalStatus.DIVERGENT if budget >= 21 else EvalStatus.SLOW_CONVERGENCE
+                    assert rep.series_status is want, (p, mode, budget)
+                    doc = rep.to_json_dict()
+                    assert doc["verdict"] == "Inconclusive-Divergent" and doc["tail_bound"] is None
+                    if len(sums) > lemma:
+                        assert sums[lemma] >= 1.5 * rep.rhs_threshold * (1.0 - 1e-15), (p, mode)
 
 
 def test_criterion_report_serializes():
