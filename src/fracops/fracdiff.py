@@ -50,7 +50,7 @@ from .special import (
     FoxWrightSpec,
     MAX_TERMS_DEFAULT,
     _log_gamma_real,
-    _sum_terms,
+    _sum_rows,
     log_gamma,
 )
 
@@ -373,6 +373,9 @@ class ClosedFormImage:
     rows from the stock input, then the operator's Gamma pair (b1, 1/g1),
     (b1 + tau - beta, 1/g1). constant is the image coefficient of z^power.
     s and a are the stock input's, read from series.stock_rows(kind, **params).
+    inner_sum and evaluate take a complex scalar or a 1-D array of points; an
+    array is summed in one pass of the summation driver, one row per point,
+    and every point gets the bits of its scalar call.
     """
 
     kind: str
@@ -380,55 +383,83 @@ class ClosedFormImage:
     constant: float
     power: float
     fox_wright: FoxWrightSpec
-    # the z-independent log factor at the indices 0, 1, ... summed so far; see inner_sum
+    # the z-independent factor at the indices 0, 1, ... summed so far; see inner_sum
     _fixed: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False, compare=False)
 
-    def inner_sum(self, z) -> EvalOutcome:
+    def inner_sum(self, z):
         """Sum the normalized series at z through the one summation driver.
 
-        At most MAX_TERMS_DEFAULT terms are summed. The unit-weight rows
-        advance by their ratio recurrence, z in each step, one np.cumprod
-        per index block that starts from the product carried from the last
-        block; the product runs in sequence, so its bits do not depend on
-        where the blocks split. No log-Gamma of size k log k and no Gamma
-        of a stock parameter enters. The Gamma pair, over its k = 0 value,
-        times (k + a)^-s does not depend on z: its log is computed once per
-        index, by one real log-Gamma call on both rows for the indices not
-        seen before, and kept for the next point.
+        z is a complex scalar, for one EvalOutcome, or a 1-D array of points,
+        for a list of them from one driver pass, each with the bits of its
+        own scalar call. At most MAX_TERMS_DEFAULT terms are summed per point.
+        The unit-weight rows advance by their ratio recurrence with z a
+        column, one running product per point and index block that starts
+        from the products carried from the last block; each product runs in
+        sequence, so its bits do not depend on where the blocks split. No
+        log-Gamma of size k log k and no Gamma of a stock parameter enters.
+        The Gamma pair, over its k = 0 value, times (k + a)^-s does not
+        depend on z: it is computed once per index, as the exp of one real
+        log-Gamma call on both rows for the indices not seen before, and kept
+        for all points and the next call.
+        z = 0 is the exact one-term sum; in an array that also holds other
+        points it is summed apart, as the driver ends all rows together.
         """
+        points = np.asarray(z, dtype=np.complex128)
+        if not points.ndim:
+            return self._sums([complex(points)])[0]
+        if points.ndim > 1:
+            raise DomainError("a closed form takes a complex scalar or a 1-D array of points")
+        zs = points.tolist()
+        if 0 in zs and any(zs):  # z = 0 ends its series at one term, the other points do not
+            rest, at_zero = iter(self._sums([x for x in zs if x])), self._sums([0j])[0]
+            return [next(rest) if x else at_zero for x in zs]
+        return self._sums(zs)
+
+    def _sums(self, zs: list) -> list:
+        """inner_sum at a list of complex points, all of them 0 or none."""
         (*upper, (b, w)), (*lower, (b_low, _)) = self.fox_wright.upper, self.fox_wright.lower
-        _, _, s, a = stock_rows(self.kind, **self.params)
-        z = complex(z)
-        carried = [0, 1.0]  # the last block's last index and the ratio product there
+        z, nonzero = np.array(zs, dtype=np.complex128)[:, None], any(zs)
+        carried = [0, [[1.0]] * len(zs)]  # the last block's last index and the ratio products there, a column
 
         def fixed(first, stop):
             if self._fixed.size < stop:
+                _, _, s, a = stock_rows(self.kind, **self.params)
                 k = np.arange(self._fixed.size, stop, dtype=np.float64)
                 pair = _log_gamma_real(np.stack([b + k * w, b_low + k * w]))
                 pair_0 = _log_gamma_real(b) - _log_gamma_real(b_low)
-                self._fixed = np.concatenate((self._fixed, pair[0] - pair[1] - pair_0 - s * np.log(k + a)))
+                self._fixed = np.concatenate((self._fixed, np.exp(pair[0] - pair[1] - pair_0 - s * np.log(k + a))))
             return self._fixed[first:stop]
 
         def block(k):  # the driver asks for consecutive indices, each block after the last
-            k = k if z else k[:1]  # z = 0: the exact one-term sum
+            k = k if nonzero else k[:1]  # z = 0: the exact one-term sum
             (start, product), first, stop = carried, int(k[0]), int(k[-1]) + 1
             j = np.arange(start, stop - 1, dtype=np.float64)
-            with np.errstate(over="ignore", invalid="ignore"):  # the driver stops at an overflow
-                step = z / (j + 1.0)
-                for x, _ in upper:
-                    step *= x + j
-                for x, _ in lower:
-                    step /= x + j
-                h = np.cumprod(np.concatenate(([product], step)))  # at the indices start .. stop - 1
-                carried[:] = stop - 1, h[-1]
-                return h[first - start:] * np.exp(fixed(first, stop))
+            step = z / (j + 1.0)  # the driver ignores floating-point errors here and stops at an overflow
+            for x, _ in upper:
+                step *= x + j
+            for x, _ in lower:
+                step /= x + j
+            h = np.multiply.accumulate(np.concatenate((product, step), axis=1), axis=1)  # at start .. stop - 1
+            carried[:] = stop - 1, h[:, -1:]
+            return h[:, first - start:] * fixed(first, stop)
 
-        return _sum_terms(block, MAX_TERMS_DEFAULT, abs(z) / self.fox_wright.radius)
+        radius = self.fox_wright.radius
+        return _sum_rows(block, MAX_TERMS_DEFAULT, [abs(x) / radius for x in zs])
 
-    def evaluate(self, z) -> complex:
-        """Value at z; raises DomainError unless the inner sum is CONVERGED."""
-        z = complex(z)
-        out = self.inner_sum(z)
+    def evaluate(self, z):
+        """Value at a complex scalar, or at each point of a 1-D array in one inner_sum.
+
+        Raises DomainError unless the inner sum is CONVERGED; for an array,
+        the scalar's error for the first point, in array order, that is not.
+        """
+        points = np.asarray(z, dtype=np.complex128)
+        if not points.ndim:
+            z = complex(points)
+            return self._value(z, self._sums([z])[0])
+        return np.array([self._value(x, out) for x, out in zip(points.tolist(), self.inner_sum(points))],
+                        dtype=np.complex128)
+
+    def _value(self, z: complex, out: EvalOutcome) -> complex:
         if out.status is not EvalStatus.CONVERGED:
             raise DomainError(
                 f"closed-form series for {self.kind!r} did not converge at z={z} "

@@ -306,7 +306,6 @@ class CriterionReport:
     rhs_threshold: float
     series_status: EvalStatus
     verdict: str
-    tail_bound: float = math.inf
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,8 +315,7 @@ class CriterionReport:
             "rhs_threshold": self.rhs_threshold,
             "series_status": self.series_status.value,
             "verdict": self.verdict,
-            # strict JSON has no Infinity; an unknown tail serializes as null
-            "tail_bound": self.tail_bound if math.isfinite(self.tail_bound) else None,
+            "tail_bound": None,  # the sum diverges: no tail bound exists
         }
 
 

@@ -6,17 +6,20 @@ centralises the log-Gamma plumbing: the pole guard, the Beta function and
 Fox-Wright parameter blocks, whose radius of convergence is read from
 Delta = 1 + sum B - sum A: infinite for Delta > 0, zero for Delta < 0 and
 prod B^B / prod A^A at Delta = 0 (Wright 1935; Kilbas, Saigo & Trujillo
-2002). The one series-summation driver, _sum_terms, sums every series in
-the package: fox_wright_eval and the closed forms. It pulls index blocks
-itself, asks its caller for the terms at those indices, and needs |z|
-over the radius. It reports an explicit status (converged, slow,
+2002). The one series-summation driver, _sum_rows, sums every series in
+the package: fox_wright_eval (one row, through _sum_terms) and the closed
+forms (one row per point). It pulls index blocks itself, asks its caller
+for the terms of every row at those indices, and needs each row's |z|
+over the radius. It reports an explicit status per row (converged, slow,
 divergent, pole hit) instead of silent nonsense; it never calls a sum
 inside its disk divergent, and calls one that cancels past float64
 resolution slow, not converged; a sum on its circle of convergence gets
 no geometric tail stop. Its stop and divergence rules hold per term, and
-it checks them a whole block at a time in NumPy from index 0, its first
-block sized to the length expected from |z| over the radius.
-Each magnitude is taken as hypot(re, im), as Python's abs of a complex.
+it checks them for all rows a whole block at a time in one NumPy scan
+from index 0, its first block sized to the length expected from the
+largest |z| over the radius; each row retires at its own first stop,
+with the bits it gets when summed alone. Each magnitude is taken as
+hypot(re, im), as Python's abs of a complex.
 
 log Gamma of a positive real argument, scalar or array, needs NumPy and
 the math module alone: from x = 16 up it sums the Stirling series with the
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,7 +61,7 @@ _STOP_RTOL = 1e-16
 _MAX_CANCELLATION = 4.5e5
 # |Delta| below this counts as Delta = 0 (rounding in the weight sums).
 _DELTA_TOL = 1e-12
-# Lengths of the index blocks _sum_terms asks for: they double from first to last.
+# Lengths of the index blocks _sum_rows asks for: they double from first to last.
 _FIRST_BLOCK = 32
 _LAST_BLOCK = 1024
 # From _STIRLING_FROM up, log Gamma sums the Stirling series with the terms
@@ -218,7 +222,7 @@ class FoxWrightSpec:
         """1 + sum(B_j) - sum(A_j); positive means entire, zero means a finite radius."""
         return 1.0 + sum(wb for _, wb in self.lower) - sum(wa for _, wa in self.upper)
 
-    @property
+    @functools.cached_property
     def radius(self) -> float:
         """Radius of convergence: inf for Delta > 0, 0 for Delta < 0, else prod B^B / prod A^A."""
         d = self.delta
@@ -267,40 +271,47 @@ class EvalOutcome:
     tail_bound: float = 0.0
 
 
-def _pull(block, kappa) -> tuple:
-    """(the terms at the indices kappa as an ndarray, True if a Gamma pole cut them short)."""
+def _pull(block, kappa, rows: int) -> tuple:
+    """(the terms at the indices kappa as a (rows, n) ndarray, True if a Gamma pole cut them short)."""
     try:
         return block(kappa), False
     except PoleHitError:  # redo one index at a time: the terms before the pole, then stop
-        terms = [np.empty(0)]
+        terms = [np.empty((rows, 0))]
         for i in range(kappa.size):
             try:
                 terms.append(block(kappa[i:i + 1]))
             except PoleHitError:
-                return np.concatenate(terms), True
-        return np.concatenate(terms), False
+                return np.concatenate(terms, axis=1), True
+        return np.concatenate(terms, axis=1), False
 
 
 def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
-    """Sum the terms of a series at the indices 0, 1, ..., at most max_terms of them.
+    """One series by _sum_rows: block(kappa) returns its 1-D terms at the indices kappa; limit is |z| / radius."""
+    return _sum_rows(lambda kappa: block(kappa)[None], max_terms, [limit])[0]
 
-    The driver pulls the indices itself, as float64 arrays of consecutive
-    indices whose length doubles up to _LAST_BLOCK, so short sums stay
-    cheap and long ones make few numpy calls. The first block has the
-    smallest power of two at or above both _FIRST_BLOCK and n* =
-    ln(_STOP_RTOL) / ln(limit), the length at which limit^k reaches
-    roundoff (n* = 0 at limit 0 and 1), at most _LAST_BLOCK indices.
-    block(kappa) returns the terms at the indices kappa as an
-    ndarray; a shorter array ends the series there (an exact finite sum).
-    A block that raises PoleHitError is redone one index at a time, so the
-    terms before the pole are summed first.
 
-    limit is |z| over the radius of convergence. Once RATIO_WINDOW
-    consecutive ratios |t_k|/|t_{k-1}| are known, let r be the largest of
-    them and limit; if r < 1 the tail is bounded by |t_k| r / (1 - r)
-    (geometric comparison). On the circle (limit == 1) r is never below 1,
-    so no tail bound stops the sum there. Stops with status
-      DIVERGENT before any term when limit > 1 (value 0, tail inf);
+def _sum_rows(block, max_terms: int, limits) -> list:
+    """Sum several series at the indices 0, 1, ..., at most max_terms terms each: one EvalOutcome per row.
+
+    block(kappa) returns a (rows, n) ndarray, row i holding the terms of
+    series i at the indices kappa; limits holds one |z| over the radius of
+    convergence per row. The driver pulls the indices itself, as float64
+    arrays of consecutive indices whose length doubles up to _LAST_BLOCK,
+    so short sums stay cheap and long ones make few numpy calls. The first
+    block has the smallest power of two at or above both _FIRST_BLOCK and
+    n* = ln(_STOP_RTOL) / ln(limit) for the largest limit of the rows still
+    running, the length at which limit^k reaches roundoff (n* = 0 at limit
+    0 and 1), at most _LAST_BLOCK indices. A result with fewer than n
+    columns ends every series there (an exact finite sum). A block that
+    raises PoleHitError is redone one index at a time, so the terms before
+    the pole are summed first; the pole ends every row at once.
+
+    Once RATIO_WINDOW consecutive ratios |t_k|/|t_{k-1}| of a row are
+    known, let r be the largest of them and its limit; if r < 1 the tail
+    is bounded by |t_k| r / (1 - r) (geometric comparison). On the circle
+    (limit == 1) r is never below 1, so no tail bound stops the sum there.
+    Each row stops with status
+      DIVERGENT before any term when its limit > 1 (value 0, tail inf);
       POLE_HIT at the index whose term raised PoleHitError (value is the
         sum so far, NaN if no term was summed);
       DIVERGENT on a non-finite term (not added) or on a term magnitude
@@ -312,36 +323,47 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
         inf on the circle), or at a zero-term or tail-bound stop where
         sum |t_k| > _MAX_CANCELLATION * |total|.
 
-    The rules hold per term and are checked a block at a time in NumPy:
-    running totals by np.add.accumulate from the carried total, magnitudes
-    hypot(re, im) (Python's abs of a complex), window maxima by shifted
-    np.maximum over the ratios of the block's magnitudes and the last
-    RATIO_WINDOW before it, and the first index that stops the sum by
-    argmax over the stop flags. The outcome is, bit for bit, that of
-    checking the terms one at a time.
+    The rules hold per term and are checked a block at a time, for all rows
+    in one NumPy scan down the columns of the transposed block, one column
+    per row: running totals by np.add.accumulate from the carried totals,
+    magnitudes hypot(re, im) (Python's abs of a complex), window maxima by
+    shifted np.maximum over the ratios of the block's magnitudes and the
+    last RATIO_WINDOW before it, and each row's first index that stops it by
+    argmax over the stop flags. A row retires at its first stop; the block
+    keeps computing it, and the scan ignores it, until the last row stops.
+    Each row's outcome is, bit for bit, that of checking its terms one at a
+    time, alone: it does not depend on where the blocks split or on the
+    other rows. Floating-point errors are ignored while the blocks are
+    pulled and scanned: the flags catch a non-finite term or ratio.
     """
     if max_terms < 1:
         raise DomainError("max_terms must be at least 1")
-    if limit > 1.0:
-        return EvalOutcome(0.0, EvalStatus.DIVERGENT, 0, math.inf)
-    last = np.zeros(RATIO_WINDOW)  # sizes of the RATIO_WINDOW terms before a block, 0 before index 0
-    total, mass, tail = 0.0, 0.0, math.inf
+    outcomes = [EvalOutcome(0.0, EvalStatus.DIVERGENT, 0, math.inf) if limit > 1.0 else None for limit in limits]
+    running = [limit for limit in limits if not limit > 1.0]
+    if not running:
+        return outcomes
+    left, top, limit = len(running), max(running), np.array(limits, dtype=np.float64)
+    # |t_k| ~ top^k falls below _STOP_RTOL after about `expected` terms: the first block holds them
+    expected = math.log(_STOP_RTOL) / math.log(top) if 0.0 < top < 1.0 else 0.0
+    # The scan runs down the columns of the transposed block, one column per row. last holds the
+    # sizes of the RATIO_WINDOW terms before a block, 0 before index 0; total and mass start at 0.
+    last = np.zeros((RATIO_WINDOW, len(limits)))
+    total = mass = last[:1]
     k, width = 0, _FIRST_BLOCK
-    # |t_k| ~ limit^k falls below _STOP_RTOL after about `expected` terms: the first block holds them
-    expected = math.log(_STOP_RTOL) / math.log(limit) if 0.0 < limit < 1.0 else 0.0
     while width < min(expected, _LAST_BLOCK):
         width *= 2
-    while k < max_terms:
-        kappa = np.arange(k, min(k + width, max_terms), dtype=np.float64)
-        width = min(2 * width, _LAST_BLOCK)
-        terms, pole = _pull(block, kappa)
-        if terms.size:
-            n = terms.size
-            with np.errstate(all="ignore"):  # the flags below catch a non-finite term or ratio
+    with np.errstate(all="ignore"):  # a block may overflow: the flags below catch a non-finite term or ratio
+        while k < max_terms:
+            kappa = np.arange(k, min(k + width, max_terms), dtype=np.float64)
+            width = min(2 * width, _LAST_BLOCK)
+            terms, pole = _pull(block, kappa, len(limits))
+            terms = terms.T
+            n = terms.shape[0]
+            if n:
                 seen = np.concatenate((last, np.hypot(terms.real, terms.imag)))  # abs(complex) bit for bit
                 sizes = seen[RATIO_WINDOW:]
-                totals = np.add.accumulate(np.concatenate(([total], terms)))[1:]
-                masses = np.add.accumulate(np.concatenate(([mass], sizes)))[1:]
+                totals = np.add.accumulate(np.concatenate((total, terms)))[1:]
+                masses = np.add.accumulate(np.concatenate((mass, sizes)))[1:]
                 # Each size over the one before, from RATIO_WINDOW - 1 terms before the block. At
                 # index 0, and at index 1 after a zero first term, prev is 0 and the ratio inf or
                 # NaN: until the window holds RATIO_WINDOW true ratios, r is inf or NaN too, and
@@ -350,32 +372,43 @@ def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
                 r = np.maximum(window[:n], limit)
                 for j in range(1, RATIO_WINDOW):
                     np.maximum(r, window[j:j + n], out=r)
-                tails = sizes * r / (1.0 - r)  # read only where r < 1
+                tails = sizes * r / np.maximum(1.0 - r, 0.0)  # inf or NaN where r >= 1: no bound
                 bound = _STOP_RTOL * np.maximum(1.0, np.hypot(totals.real, totals.imag))
-                stop = (sizes == 0.0) | ((r < 1.0) & (tails <= bound))
+                stop = (sizes == 0.0) | (tails <= bound)
                 if not k:  # a zero term at index 0 is no stop
                     stop[0] = False
-                over = ~(sizes <= 1e290)  # a non-finite term too
-            hit = over | stop
-            i = int(hit.argmax())
-            if hit[i]:
-                if not cmath.isfinite(terms[i]):
-                    return EvalOutcome(totals[i - 1].item() if i else total, EvalStatus.DIVERGENT,
-                                       k + i + 1, math.inf)
-                total = totals[i].item()
-                if over[i]:
-                    return EvalOutcome(total, EvalStatus.DIVERGENT, k + i + 1, math.inf)
-                lost = masses[i] > _MAX_CANCELLATION * abs(total)
-                return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE if lost else EvalStatus.CONVERGED,
-                                   k + i + 1, tails[i].item() if sizes[i] else 0.0)
-            total, mass, last = totals[-1].item(), masses[-1].item(), seen[n:]
-            tail = tails[-1].item() if r[-1] < 1.0 else math.inf
-            k += n
+                hit = ~(sizes <= 1e290) | stop  # a term near overflow, or non-finite, is a hit too
+                for i, j in enumerate(hit.argmax(axis=0).tolist()):
+                    if outcomes[i] is not None or not hit.item(j, i):
+                        continue
+                    left -= 1
+                    size, value = sizes.item(j, i), totals.item(j, i)
+                    if not cmath.isfinite(terms.item(j, i)):  # not added
+                        value = totals.item(j - 1, i) if j else total.item(0, i)
+                    if not size <= 1e290:
+                        outcomes[i] = EvalOutcome(value, EvalStatus.DIVERGENT, k + j + 1, math.inf)
+                    else:
+                        lost = masses.item(j, i) > _MAX_CANCELLATION * abs(value)
+                        outcomes[i] = EvalOutcome(value, EvalStatus.SLOW_CONVERGENCE if lost else EvalStatus.CONVERGED,
+                                                  k + j + 1, tails.item(j, i) if size else 0.0)
+                if not left:
+                    return outcomes
+                total, mass, last = totals[-1:], masses[-1:], seen[n:]
+                k += n
+            if pole or n < kappa.size:
+                break
+    for i, out in enumerate(outcomes):  # the rows still running when a pole, the series' end or the budget came
+        if out is not None:
+            continue
+        value = total.item(0, i)
         if pole:
-            return EvalOutcome(total if k else complex("nan"), EvalStatus.POLE_HIT, k, math.inf)
-        if terms.size < kappa.size:
-            return EvalOutcome(total, EvalStatus.CONVERGED, k, 0.0)
-    return EvalOutcome(total, EvalStatus.SLOW_CONVERGENCE, max_terms, tail)
+            outcomes[i] = EvalOutcome(value if k else complex("nan"), EvalStatus.POLE_HIT, k, math.inf)
+        elif n < kappa.size:  # an exact finite sum
+            outcomes[i] = EvalOutcome(value, EvalStatus.CONVERGED, k, 0.0)
+        else:
+            outcomes[i] = EvalOutcome(value, EvalStatus.SLOW_CONVERGENCE, k,
+                                      tails.item(-1, i) if r.item(-1, i) < 1.0 else math.inf)
+    return outcomes
 
 
 def fox_wright_eval(spec: FoxWrightSpec, z) -> EvalOutcome:
@@ -395,10 +428,9 @@ def fox_wright_eval(spec: FoxWrightSpec, z) -> EvalOutcome:
     z = complex(z)
     log_z = cmath.log(z) if z else 0j
 
-    def block(k):
+    def block(k):  # the driver ignores floating-point errors here and stops at an overflow
         k = k if z else k[:1]
-        with np.errstate(over="ignore", invalid="ignore"):  # the driver stops at an overflow
-            return np.exp(spec.log_coefficients(k) + k * log_z)
+        return np.exp(spec.log_coefficients(k) + k * log_z)
 
     radius = spec.radius
     limit = abs(z) / radius if radius > 0.0 else (math.inf if z else 0.0)

@@ -434,6 +434,87 @@ def test_closed_form_inner_sum_reports_status():
         form.evaluate(-30.0)
 
 
+_ARRAY_FORMS = [("koebe", {"alpha": 1.0}), ("koebe", {"alpha": 2.0}), ("exp_times_z", {}),
+                ("kummer", {"alpha": 1.3, "lam": 0.9}), ("kummer", {"alpha": 1.3, "lam": 1.3}),
+                ("hurwitz_lerch", {"alpha": 1.2, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0})]
+
+
+def _outcome_bits(out):
+    value = complex(out.value)
+    return (type(out.value), value.real.hex(), value.imag.hex(), out.status, out.terms_used,
+            float(out.tail_bound).hex())
+
+
+def _value_bits(x):
+    return complex(x).real.hex(), complex(x).imag.hex()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind,kw", _ARRAY_FORMS)
+def test_closed_forms_on_point_arrays_match_scalar_calls_bit_for_bit(seed, kind, kw):
+    """inner_sum and evaluate at an array of points give each point the bits of its scalar call.
+
+    The points hold z = 0 twice and |z| = 0.05 next to |z| = 0.95, so one
+    driver pass sums rows that stop after 1, a few and hundreds of terms.
+    """
+    from fracops.verify import draw_params
+
+    rng = np.random.default_rng(seed)
+    p = draw_params(rng)
+    points = [0j] + [r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for r in (0.05, 0.95, 0.5, 0.3)] + [0j]
+    rows = closed_form_spec(p, kind, **kw).inner_sum(np.array(points))
+    values = closed_form_spec(p, kind, **kw).evaluate(np.array(points))
+    assert len(rows) == len(points) and values.dtype == np.complex128 and values.shape == (len(points),)
+    form = closed_form_spec(p, kind, **kw)
+    for z, row, value in zip(points, rows, values.tolist()):
+        assert _outcome_bits(row) == _outcome_bits(form.inner_sum(z)), (p, z)
+        assert _value_bits(value) == _value_bits(form.evaluate(z)), (p, z)
+    assert rows[0].terms_used == 1 and rows[0].status is EvalStatus.CONVERGED
+    assert closed_form_spec(p, kind, **kw).inner_sum(np.array([0j, 0j]))[1] == form.inner_sum(0j)
+    assert closed_form_spec(p, kind, **kw).evaluate(np.empty(0)).shape == (0,)
+    with pytest.raises(DomainError, match="1-D array"):
+        form.evaluate(np.array([points]))
+
+
+def test_closed_form_array_evaluate_raises_for_its_first_failing_point():
+    """A Lerch point at |z| >= 1 fails the array as it fails the scalar call, named in the error."""
+    p = OperatorParams(0.65, 0.3, 1.4)
+    form = closed_form_spec(p, "hurwitz_lerch", alpha=1.2, lam=0.8, rho=1.5, s=1.1, a=1.0)
+    bad, later = 1.05 * cmath.exp(2.0j), -1.2
+    points = np.array([0.5, 0.2j, bad, 0.0, later])
+    rows = form.inner_sum(points)
+    assert [row.status for row in rows] == [EvalStatus.CONVERGED, EvalStatus.CONVERGED, EvalStatus.DIVERGENT,
+                                            EvalStatus.CONVERGED, EvalStatus.DIVERGENT]
+    with pytest.raises(DomainError) as scalar:
+        form.evaluate(bad)
+    with pytest.raises(DomainError) as array:
+        form.evaluate(points)
+    assert str(array.value) == str(scalar.value) and f"z={bad}" in str(array.value)
+    assert "Divergent" in str(array.value)
+    with pytest.raises(DomainError, match="SlowConvergence"):  # on the circle
+        form.evaluate(np.array([0.1, 1.0]))
+
+
+def test_closed_form_rows_take_pythons_abs_over_the_radius(monkeypatch):
+    """Each point's limit is abs(z) / radius with Python's abs, hypot(re, im), as a scalar call takes it.
+
+    np.abs of a complex array differs from it in the last bit at about a
+    third of the points, which moves a Lerch tail bound by an ulp.
+    """
+    from fracops import fracdiff
+
+    limits, driver = [], fracdiff._sum_rows
+    monkeypatch.setattr(fracdiff, "_sum_rows", lambda block, max_terms, rows: limits.append(list(rows))
+                        or driver(block, max_terms, rows))
+    form = closed_form_spec(OperatorParams(0.65, 0.3, 1.4), "hurwitz_lerch", alpha=1.2, lam=0.8, rho=1.5, s=1.1, a=1.0)
+    rng = np.random.default_rng(3)
+    points = [r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for r in rng.uniform(0.05, 0.95, 24)]
+    form.inner_sum(np.array(points))
+    form.evaluate(points[0])
+    radius = form.fox_wright.radius
+    assert limits == [[abs(z) / radius for z in points], [abs(points[0]) / radius]]
+
+
 def test_closed_form_tau_equals_beta_recovers_input():
     """At tau = beta the image is z^gamma f(z); check through the series."""
     p = OperatorParams(0.5, 0.5, 2.0)

@@ -20,6 +20,7 @@ from fracops.special import (
     EvalOutcome,
     EvalStatus,
     FoxWrightSpec,
+    _sum_rows,
     _sum_terms,
     beta_fn,
     fox_wright_eval,
@@ -614,6 +615,69 @@ def test_sum_terms_matches_the_per_term_reference_bit_for_bit(case):
     assert _bits(_sum_terms(_case_block(*terms), max_terms, limit)) == _bits(want), want
 
 
+_EVENTS_BUT_POLES = st.tuples(st.sampled_from(("zero", "nan", "inf", "big", "huge", "rise", "cancel", "-0j")),
+                              st.one_of(_NEAR_A_SEAM, st.integers(0, 1300)))
+
+
+@st.composite
+def _row_stacks(draw):
+    """(length, complex?, pole, max_terms, rows) for _row_blocks: 2-6 rows of (seed, ratio, noise, events, limit).
+
+    The rows share their length, their dtype and their pole index, as the
+    points of one closed form do; each has its own terms, events and limit.
+    """
+    row = st.tuples(st.integers(0, 2**32 - 1), st.one_of(st.floats(0.5, 1.03), st.floats(0.97, 1.0)),
+                    st.sampled_from((0.0, 1e-3, 0.3)), st.lists(_EVENTS_BUT_POLES, max_size=2),
+                    st.sampled_from((0.0, 0.5, 0.6, 0.7, 0.9, 0.95, 0.99, 0.999, 1.0, 1.2)))
+    return (draw(st.one_of(_NEAR_A_SEAM, st.integers(1, 1300), st.just(1300))), draw(st.booleans()),
+            draw(st.one_of(st.none(), _NEAR_A_SEAM, st.integers(0, 1300))),
+            draw(st.one_of(st.just(MAX_TERMS_DEFAULT), _NEAR_A_SEAM, st.integers(1, 1300))),
+            draw(st.lists(row, min_size=2, max_size=6)))
+
+
+def _row_blocks(n, complex_terms, pole, rows):
+    """One _case_block per row, each with the shared length, dtype and pole."""
+    poles = [] if pole is None else [("pole", pole)]
+    return [_case_block(seed, n, q, noise, complex_terms, events + poles) for seed, q, noise, events, _ in rows]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_row_stacks())
+@example(case=(1300, True, None, MAX_TERMS_DEFAULT,  # rows that stop in different blocks
+               [(1, 0.5, 1e-3, [], 0.5), (2, 0.9, 1e-3, [], 0.5), (3, 0.99, 0.0, [], 0.5)]))
+@example(case=(1300, False, None, MAX_TERMS_DEFAULT,  # a row beyond its radius
+               [(4, 0.9, 1e-3, [], 0.9), (5, 1.02, 1e-3, [], 1.2), (6, 0.5, 0.3, [], 0.0)]))
+@example(case=(1300, True, None, 300,  # the budget ends mid-block
+               [(7, 1.0, 1e-3, [], 1.0), (8, 0.999, 0.0, [], 0.999), (9, 0.7, 1e-3, [], 0.7)]))
+@example(case=(1300, True, None, MAX_TERMS_DEFAULT,  # a NaN in one row only
+               [(10, 0.9, 1e-3, [("nan", 40)], 0.9), (11, 0.9, 1e-3, [], 0.9)]))
+@example(case=(700, False, 300, MAX_TERMS_DEFAULT,  # a pole shared by every row
+               [(12, 0.99, 1e-3, [], 0.99), (13, 0.5, 0.0, [], 0.5), (14, 0.999, 1e-3, [("zero", 0)], 1.0)]))
+@example(case=(481, True, None, MAX_TERMS_DEFAULT,  # the series end while rows still run
+               [(15, 0.999, 1e-3, [], 0.9), (16, 0.95, 1e-3, [("rise", 100)], 1.0)]))
+def test_sum_rows_match_each_row_summed_alone_bit_for_bit(case):
+    """Every row of one driver pass gets the bits of the per-term reference on that row alone.
+
+    The first block is sized from the largest limit of the rows still running,
+    so a row reads other blocks than it would alone; retired rows keep being
+    computed by the block while the others run.
+    """
+    n, complex_terms, pole, max_terms, rows = case
+    blocks = _row_blocks(n, complex_terms, pole, rows)
+    got = _sum_rows(lambda kappa: np.stack([block(kappa) for block in blocks]), max_terms,
+                    [limit for *_, limit in rows])
+    assert len(got) == len(rows)
+    for out, block, (*_, limit) in zip(got, _row_blocks(n, complex_terms, pole, rows), rows):
+        want = _reference_sum_terms(block, max_terms, limit)
+        assert _bits(out) == _bits(want), (limit, want)
+
+
+def _reference_rows(block, max_terms, limits):
+    """_reference_sum_terms on a one-row sum, called as _sum_rows is."""
+    (limit,) = limits
+    return [_reference_sum_terms(lambda kappa: block(kappa)[0], max_terms, limit)]
+
+
 _REAL_CLOSED_FORMS = [("koebe", {"alpha": 0.5}), ("koebe", {"alpha": 1.0}), ("koebe", {"alpha": 2.0}),
                       ("kummer", {"alpha": 1.3, "lam": 2.1}),
                       ("hurwitz_lerch", {"alpha": 3.0, "lam": 2.0, "rho": 1.0, "s": 0.5, "a": 1.0}),
@@ -624,19 +688,22 @@ _REAL_CLOSED_FORMS = [("koebe", {"alpha": 0.5}), ("koebe", {"alpha": 1.0}), ("ko
 def test_closed_form_sums_match_the_per_term_reference_bit_for_bit(kind, params, monkeypatch):
     """Real blocks, not synthetic ones: a term whose bits depended on where blocks split would show here.
 
-    Each closed form is summed by the driver's scan and by the per-term loop
-    it replaced, which pulls the old 32-index start at every limit, so the two
-    read different blocks; each sums a fresh image, so no kept log factor is shared.
+    Each closed form is summed at all 20 points in one pass of the driver's
+    scan, at each point alone, and by the per-term loop it replaced, which
+    pulls the old 32-index start at every limit, so the three read different
+    blocks; each sums a fresh image, so no kept factor is shared.
     """
     from fracops import fracdiff
     from fracops.fracdiff import OperatorParams, closed_form_spec
 
     for p in (OperatorParams(0.65, 0.3, 1.4), OperatorParams(0.9, 0.2, 0.0)):
-        for radius in (0.5, 0.7, 0.9, 0.95, 0.99):
-            for angle in (0.0, 0.3, 2.0, -2.5):
-                z = radius * cmath.exp(1j * angle)
-                got = closed_form_spec(p, kind, **params).inner_sum(z)
-                with monkeypatch.context() as m:
-                    m.setattr(fracdiff, "_sum_terms", _reference_sum_terms)
-                    want = closed_form_spec(p, kind, **params).inner_sum(z)
-                assert _bits(got) == _bits(want), (p, z, want)
+        points = [radius * cmath.exp(1j * angle) for radius in (0.5, 0.7, 0.9, 0.95, 0.99)
+                  for angle in (0.0, 0.3, 2.0, -2.5)]
+        rows = closed_form_spec(p, kind, **params).inner_sum(np.array(points))
+        for z, row in zip(points, rows):
+            got = closed_form_spec(p, kind, **params).inner_sum(z)
+            with monkeypatch.context() as m:
+                m.setattr(fracdiff, "_sum_rows", _reference_rows)
+                want = closed_form_spec(p, kind, **params).inner_sum(z)
+            assert _bits(got) == _bits(want), (p, z, want)
+            assert _bits(row) == _bits(want), (p, z, want)
