@@ -19,8 +19,15 @@ hard-coded Bernoulli numbers, and below it takes math.gamma per element;
 the front factor Gamma(tau)/Gamma(beta) is two math.lgamma calls. So
 transform, criteria and bloch never import SciPy.
 
-The Hadamard route to Theta and the closed forms read Theta's kernel rows
-from theta_fox_wright_spec and keep their own Gamma arithmetic: the
+apply_operator and theta_multiplier_apply share one read-only kernel row
+R(0..N) from _kernel_row, which keeps only the row last asked for: a Theta
+image after an operator image at the same triple and order makes no second
+row. An index has the same bits in any kernel call, so sharing changes no
+coefficient. The criteria, phi_multiplier and monomial_transform call the
+kernel directly; the Hadamard route and the closed forms never read the row.
+
+The Hadamard route to Theta and the closed forms read Theta's Gamma pair
+from _theta_gamma_pair and keep their own Gamma arithmetic: the
 Stirling series of special's real log Gamma, not the kernel's Gamma-ratio
 expansion, at and above 16. So the two Theta routes, and the closed forms
 and the kernel, compare two Gamma codes there; below 16 both rest on
@@ -36,6 +43,7 @@ the form 1 - beta + tau are evaluated as 1 + (tau - beta).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -183,6 +191,19 @@ def log_gamma_ratio(p: OperatorParams, m):
     return r.reshape(m.shape)
 
 
+@functools.lru_cache(maxsize=1)
+def _kernel_row(p: OperatorParams, n: int) -> np.ndarray:
+    """The read-only row log_gamma_ratio(p, [0, 1, ..., n - 1]); only the last (p, n) is kept.
+
+    apply_operator and theta_multiplier_apply read it, so a triple and order
+    asked twice in a row build it once. Each element has the bits of any
+    other log_gamma_ratio call at its index.
+    """
+    row = log_gamma_ratio(p, np.arange(n))
+    row.flags.writeable = False
+    return row
+
+
 def _ratio_below_switch(cs: list, a: float, b: float) -> list:
     """log(Gamma(c + a)/Gamma(c + b)) for each c < _SWITCH: both Gammas stay below 2.1e13."""
     return [math.log(math.gamma(c + a) / math.gamma(c + b)) for c in cs]
@@ -258,9 +279,10 @@ def apply_operator(p: OperatorParams, f: PowerSeries) -> OperatorImage:
 
     Each monomial c_u z^u maps to c_u * C(u) z^{shift + u}; the common
     prefactor z^shift is represented once and the scaled coefficients
-    stay inside the PowerSeries algebra.
+    stay inside the PowerSeries algebra. C(0..N) comes from the kernel row
+    _kernel_row(p, N + 1), shared with theta_multiplier_apply.
     """
-    coeffs = f.coeffs * _front_times_exp(p, log_gamma_ratio(p, np.arange(f.coeffs.size)))
+    coeffs = f.coeffs * _front_times_exp(p, _kernel_row(p, f.coeffs.size))
     return OperatorImage(prefactor_power=p.shift, series=PowerSeries(coeffs))
 
 
@@ -293,13 +315,15 @@ def theta_multiplier_apply(p: OperatorParams, f: PowerSeries) -> PowerSeries:
     """Apply the Theta multiplier a_k -> Phi(k) a_k linearly (k >= 1).
 
     Requires a vanishing constant term but not full normalization, so it
-    also serves non-normalized test families like z^n / n.
+    also serves non-normalized test families like z^n / n. R(1..N) is read
+    from the kernel row _kernel_row(p, N + 1), shared with apply_operator;
+    the Hadamard route never reads it.
     """
     if abs(f.coeffs[0]) > 1e-12:
         raise DomainError("Theta needs a series with zero constant term")
     coeffs = f.coeffs.copy()
     coeffs[0] = 0.0
-    r = log_gamma_ratio(p, np.arange(1, coeffs.size))
+    r = _kernel_row(p, coeffs.size)[1:]
     if r.size:
         coeffs[1:] *= np.exp(r - r[0])
     return PowerSeries(coeffs)
@@ -323,17 +347,26 @@ def theta_fox_wright_spec(p: OperatorParams):
     constant reproduces Phi(kappa). The kappa = 1 coefficient is 1 in
     exact arithmetic, but the float64 product exp(a) * exp(-a) comes out
     1 +- 1 ulp for many parameters; theta_normalize, not this route, pins
-    Phi(1) at exactly 1.0. The Gamma rows b1 = c1 + beta and
-    b1 + tau - beta = c1 + tau are formed from the kernel's c1 = c(1), never
-    from a rounded tau - beta, so the lower row stays >= tau >= POLE_GUARD
-    and coincides with the upper one at tau = beta. The constant is
+    Phi(1) at exactly 1.0. The block is [(1, 1), (b1, 1/g1); (b1 + tau -
+    beta, 1/g1)], its Gamma pair from _theta_gamma_pair. The constant is
     computed by special.log_gamma, not by the kernel.
+    """
+    upper, lower = _theta_gamma_pair(p)
+    spec = FoxWrightSpec(upper=((1.0, 1.0), upper), lower=(lower,))
+    return math.exp(log_gamma(lower[0]) - log_gamma(upper[0])), spec
+
+
+def _theta_gamma_pair(p: OperatorParams) -> tuple:
+    """The Fox-Wright rows ((b1, 1/g1), (b1 + tau - beta, 1/g1)) of Theta and the closed forms.
+
+    b1 = c1 + beta and b1 + tau - beta = c1 + tau are formed from the
+    kernel's c1 = c(1), never from a rounded tau - beta, so the lower row
+    stays >= tau >= POLE_GUARD and coincides with the upper one at
+    tau = beta.
     """
     g1 = p.gamma + 1.0
     c1 = (1.0 + p.gamma * (1.0 - p.beta)) / g1  # the kernel's c at m = 1
-    b1, b1_low = c1 + p.beta, c1 + p.tau
-    spec = FoxWrightSpec(upper=((1.0, 1.0), (b1, 1.0 / g1)), lower=((b1_low, 1.0 / g1),))
-    return math.exp(log_gamma(b1_low) - log_gamma(b1)), spec
+    return (c1 + p.beta, 1.0 / g1), (c1 + p.tau, 1.0 / g1)
 
 
 def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
@@ -480,16 +513,17 @@ def closed_form_spec(p: OperatorParams, kind: str, **params) -> ClosedFormImage:
     Gamma(1 + tau - beta) B(x_k, 1 + tau - beta) (x_k + tau - beta)
     = Gamma(1 + tau - beta) Gamma(x_k) / Gamma(x_k + tau - beta), with
     x_k = b1 + k/g1, so the image is the block [(upper, 1), (b1, 1/g1);
-    (lower, 1), (b1 + tau - beta, 1/g1)], the Gamma pair read from
-    theta_fox_wright_spec, normalized to its k = 0 term, times the image
-    coefficient of z. An upper parameter at a non-positive integer makes
-    the input a polynomial, which the sum ends exactly.
+    (lower, 1), (b1 + tau - beta, 1/g1)], with theta_fox_wright_spec's
+    Gamma pair from _theta_gamma_pair (not its constant), normalized to its
+    k = 0 term, times the image coefficient of z. An upper parameter at a
+    non-positive integer makes the input a polynomial, which the sum ends
+    exactly.
     """
     upper, lower, _, _ = stock_rows(kind, **params)
-    _, kernel = theta_fox_wright_spec(p)
+    gamma_upper, gamma_lower = _theta_gamma_pair(p)
     spec = FoxWrightSpec(
-        upper=tuple((x, 1.0) for x in upper) + kernel.upper[1:],
-        lower=tuple((x, 1.0) for x in lower) + kernel.lower,
+        upper=tuple((x, 1.0) for x in upper) + (gamma_upper,),
+        lower=tuple((x, 1.0) for x in lower) + (gamma_lower,),
     )
     names, _ = STOCK_INPUTS[kind]
     return ClosedFormImage(kind, {name: float(params[name]) for name in names},

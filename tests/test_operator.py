@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fracops import fracdiff
 from fracops.errors import DomainError
 from fracops.fracdiff import (
     OperatorParams,
@@ -308,6 +309,60 @@ def test_theta_kernel_spec_shape():
         )
 
 
+_TRIPLE_A, _TRIPLE_B = OperatorParams(0.65, 0.3, 1.4), OperatorParams(0.9, 0.35, 7.0)
+
+
+@pytest.mark.parametrize("steps", [
+    [(_TRIPLE_A, 1024), (_TRIPLE_A, 8192), (_TRIPLE_A, 1024)],
+    [(_TRIPLE_A, 1024), (_TRIPLE_B, 1024), (_TRIPLE_A, 1024), (_TRIPLE_B, 8192), (_TRIPLE_A, 8192)],
+    [(OperatorParams(0.55, 0.55, 2.0), 1024), (OperatorParams(0.55, 0.55, 2.0), 8192), (_TRIPLE_A, 1024)],
+    [(_TRIPLE_A, 20), (_TRIPLE_A, 32), (_TRIPLE_A, 1024), (_TRIPLE_A, 31), (_TRIPLE_B, 4)],
+    [(OperatorParams(0.8, 0.4, 0.0), 1024), (OperatorParams(0.8, 0.4, -0.0), 1024),
+     (OperatorParams(0.8, 0.4, -0.0), 16), (OperatorParams(0.8, 0.4, 0.0), 16)],
+], ids=["orders", "two-triples", "tau-equals-beta", "plain-floats", "signed-zero-gamma"])
+def test_shared_kernel_rows_give_the_bits_of_a_fresh_row(steps):
+    """apply_operator and both Theta entries read one kept row; each output has the bits of a row made afresh."""
+    rng = np.random.default_rng(5)
+    for p, order in steps:
+        n = order + 1
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        c[:2] = 0.0, 1.0
+        f, g = PowerSeries(c), PowerSeries(np.concatenate(([0.0], 1.0 / np.arange(1.0, n))))
+        want = f.coeffs * fracdiff._front_times_exp(p, log_gamma_ratio(p, np.arange(n)))
+        r = log_gamma_ratio(p, np.arange(1, n))
+        phi = np.exp(r - r[0])
+        for got, expected in ((apply_operator(p, f).series.coeffs, want),
+                              (theta_normalize(p, f).coeffs, np.concatenate(([0.0], c[1:] * phi))),
+                              (theta_multiplier_apply(p, g).coeffs, np.concatenate(([0.0], g.coeffs[1:] * phi)))):
+            assert got.tobytes() == expected.tobytes(), (p, order)
+
+
+def test_kernel_row_is_read_only_and_kept_alone():
+    assert fracdiff._kernel_row.cache_info().maxsize == 1
+    row = fracdiff._kernel_row(_TRIPLE_A, 64)
+    for view in (row, row[1:]):
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+    assert row.tobytes() == log_gamma_ratio(_TRIPLE_A, np.arange(64)).tobytes()
+
+
+def test_hadamard_route_and_closed_forms_never_read_the_kernel_row(monkeypatch):
+    """The two Theta routes stay apart: with the multiplier route's row gone, only that route fails."""
+    f = koebe_series(2.0, 64)
+    want = theta_normalize(_TRIPLE_A, f).coeffs
+
+    def no_row(p, n):
+        raise RuntimeError("the kernel row was read")
+
+    monkeypatch.setattr(fracdiff, "_kernel_row", no_row)
+    assert_allclose(theta_hadamard(_TRIPLE_A, f).coeffs, want, rtol=1e-12)
+    assert math.isfinite(abs(closed_form_spec(_TRIPLE_A, "koebe", alpha=2.0).evaluate(0.5j)))
+    with pytest.raises(RuntimeError, match="kernel row"):
+        theta_normalize(_TRIPLE_A, f)
+    with pytest.raises(RuntimeError, match="kernel row"):
+        apply_operator(_TRIPLE_A, f)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -501,8 +556,6 @@ def test_closed_form_rows_take_pythons_abs_over_the_radius(monkeypatch):
     np.abs of a complex array differs from it in the last bit at about a
     third of the points, which moves a Lerch tail bound by an ulp.
     """
-    from fracops import fracdiff
-
     limits, driver = [], fracdiff._sum_rows
     monkeypatch.setattr(fracdiff, "_sum_rows", lambda block, max_terms, rows: limits.append(list(rows))
                         or driver(block, max_terms, rows))
