@@ -12,12 +12,12 @@ log_gamma_ratio: R(m) = log Gamma(X_m) - log Gamma(X_m - beta + tau) with
 X_m = (m + beta - 1)/(gamma + 1) + 1, evaluated over a whole index array
 at once. The monomial image is (gamma+1)^{beta-tau} Gamma(tau)/Gamma(beta)
 exp(R(m)), the Theta multiplier is Phi(k) = exp(R(k) - R(1)), and the
-univalence criteria in geometry read the same R. The kernel needs NumPy
-alone: from c = X_m - beta = 16 up it sums the asymptotic expansion of a
+univalence criteria in geometry read the same R. The kernel is one NumPy
+path: from c = X_m - beta = 16 up it sums the asymptotic expansion of a
 ratio of Gamma functions (Tricomi & Erdelyi 1951; Fields 1966) from
-hard-coded Bernoulli numbers, and below it takes math.gamma per element;
-the front factor Gamma(tau)/Gamma(beta) is two math.lgamma calls. So
-transform, criteria and bloch never import SciPy.
+hard-coded Bernoulli numbers, and below it steps up from c + 16 by log1p
+terms, forming no Gamma value; the front factor Gamma(tau)/Gamma(beta) is
+two math.lgamma calls. So transform, criteria and bloch never import SciPy.
 
 apply_operator and theta_multiplier_apply share one read-only kernel row
 R(0..N) from _kernel_row, which keeps only the row last asked for: a Theta
@@ -28,16 +28,16 @@ kernel directly; the Hadamard route and the closed forms never read the row.
 
 The Hadamard route to Theta and the closed forms read Theta's Gamma pair
 from _theta_gamma_pair and keep their own Gamma arithmetic: the
-Stirling series of special's real log Gamma, not the kernel's Gamma-ratio
-expansion, at and above 16. So the two Theta routes, and the closed forms
-and the kernel, compare two Gamma codes there; below 16 both rest on
-math.gamma. Neither imports SciPy.
+real log Gamma of special (Stirling from 16 up, the math module's Gamma
+below), not the kernel's Gamma-ratio expansion and step-up. So the two
+Theta routes, and the closed forms and the kernel, compare two Gamma codes
+at every index. Neither imports SciPy.
 
 At tau == beta the operator degenerates to multiplication by z^gamma with
-exactly unchanged coefficients, in floating point too: both forms of the
-kernel give R == 0 exactly there (the expansion's coefficients are odd in
-beta - tau, and math.gamma sees c + beta == c + tau), and expressions of
-the form 1 - beta + tau are evaluated as 1 + (tau - beta).
+exactly unchanged coefficients, in floating point too: the kernel gives
+R == 0 exactly there (the expansion's coefficients are odd in beta - tau,
+and every step is log1p(0)), and expressions of the form 1 - beta + tau
+are evaluated as 1 + (tau - beta).
 """
 
 from __future__ import annotations
@@ -63,11 +63,12 @@ from .special import (
 )
 
 # At c >= _SWITCH the kernel sums _RATIO_TERMS terms of the Gamma-ratio expansion
-# in w^-2, where the first term left out is below 1e-18 of R; a call of at most
-# _FEW_INDICES indices runs on plain floats while every c lies below _SWITCH.
+# in w^-2, where the first term left out is below 1e-18 of R; below, it steps up
+# from c + _SWITCH, _STEP_ROWS elements at a time (a step array of 512 KB at most).
 _SWITCH = 16.0
 _RATIO_TERMS = 6
-_FEW_INDICES = 32
+_STEPS = np.arange(_SWITCH)
+_STEP_ROWS = 4096
 # Bernoulli numbers B_0, B_2, ..., B_12.
 _BERNOULLI_EVEN = (1.0, 1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0)
 _SIGMA_POWERS = np.arange(_RATIO_TERMS + 1.0)
@@ -152,42 +153,37 @@ def log_gamma_ratio(p: OperatorParams, m):
     X_m = (m + beta - 1)/(gamma + 1) + 1. m may be a scalar or an array of
     indices; the result is an array of the same shape. With
     c = (m + gamma (1 - beta))/(gamma + 1) >= 0, a = beta and b = tau,
-    R = log Gamma(c + a) - log Gamma(c + b), evaluated per element the same
-    way whatever the call's size:
+    R = log Gamma(c + a) - log Gamma(c + b), by one NumPy path whatever the
+    call's size, so an index gets the same bits from every call:
     - for c >= _SWITCH (16), from the expansion of a ratio of Gamma
       functions (Tricomi & Erdelyi 1951; Fields 1966), centred at
       w = c + (a + b - 1)/2 so that only even powers of 1/w appear:
         R = (a - b) log w - sum_{j=1..6} 2 B_{2j+1}(1/2 + sigma) / (2j (2j+1) w^{2j}),
       sigma = (a - b)/2, B_n the Bernoulli polynomials. The coefficients
       come from hard-coded Bernoulli numbers by one small matrix-vector
-      product. No argument of size c log c is formed, so R stays within a
-      few ulps of max(1, |R|) up to any index;
-    - below _SWITCH, as log(Gamma(c + a)/Gamma(c + b)) from math.gamma,
-      within about 40 ulps of max(1, |R|): c + a and c + b are rounded.
-    NumPy and the math module are the only dependencies: no SciPy.
-    At tau = beta both forms give R == 0 exactly, so tau = beta leaves
-    coefficients bit-identical and Phi(1) = exp(R(1) - R(1)) == 1.0.
+      product. No argument of size c log c is formed;
+    - below _SWITCH, by the step-up
+        R(c) = R(c + 16) - sum_{j<16} log1p((a - b)/(c + j + b)),
+      which forms no Gamma value.
+    R stays within 8 ulps of max(1, |R|) at every index; NumPy is the only
+    dependency. At tau = beta every coefficient and step is exactly 0, so
+    tau = beta leaves coefficients bit-identical and Phi(1) == 1.0.
     Raises PoleHitError naming the smallest argument c + tau if it lies
     below POLE_GUARD.
     """
     m = np.asarray(m, dtype=np.float64)
-    a, b, s, g1 = p.beta, p.tau, p.gamma * (1.0 - p.beta), p.gamma + 1.0
-    if m.size <= _FEW_INDICES:
-        # plain floats: cheaper than numpy calls on the many tiny arrays of the verify suites
-        ks = m.ravel().tolist()
-        low = (min(ks, default=0.0) + s) / g1 + b  # c grows with m
-        if low < POLE_GUARD:
-            raise PoleHitError(low)
-        if (max(ks, default=0.0) + s) / g1 < _SWITCH:
-            return np.array(_ratio_below_switch([(k + s) / g1 for k in ks], a, b)).reshape(m.shape)
-    c = (m.ravel() + s) / g1
-    low = float(np.min(c)) + b
+    a, b = p.beta, p.tau
+    c = (m.ravel() + p.gamma * (1.0 - a)) / (p.gamma + 1.0)
+    low = float(np.minimum.reduce(c, initial=math.inf)) + b
     if low < POLE_GUARD:
         raise PoleHitError(low)
-    r = _ratio_expansion(np.maximum(c, _SWITCH), a, b)  # the elements below are redone next
-    below = np.flatnonzero(c < _SWITCH)
-    if below.size:
-        r[below] = _ratio_below_switch(c[below].tolist(), a, b)
+    below = c < _SWITCH
+    r = _ratio_expansion(c + _SWITCH * below, a, b)
+    rows = below.nonzero()[0]
+    steps = _STEPS + b
+    for i in range(0, rows.size, _STEP_ROWS):
+        k = rows[i:i + _STEP_ROWS]
+        r[k] = r[k] - np.add.reduce(np.log1p((a - b) / (c[k, None] + steps)), axis=1)
     return r.reshape(m.shape)
 
 
@@ -199,29 +195,22 @@ def _kernel_row(p: OperatorParams, n: int) -> np.ndarray:
     asked twice in a row build it once. Each element has the bits of any
     other log_gamma_ratio call at its index.
     """
-    row = log_gamma_ratio(p, np.arange(n))
+    row = log_gamma_ratio(p, np.arange(n, dtype=np.float64))
     row.flags.writeable = False
     return row
 
 
-def _ratio_below_switch(cs: list, a: float, b: float) -> list:
-    """log(Gamma(c + a)/Gamma(c + b)) for each c < _SWITCH: both Gammas stay below 2.1e13."""
-    return [math.log(math.gamma(c + a) / math.gamma(c + b)) for c in cs]
-
-
-def _ratio_expansion(c: np.ndarray, a: float, b: float) -> np.ndarray:
-    """The expansion of log Gamma(c + a) - log Gamma(c + b) over an array c >= _SWITCH."""
+def _ratio_expansion(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The expansion of log Gamma(x + a) - log Gamma(x + b) over an array x >= _SWITCH."""
     sigma = 0.5 * (a - b)
     # odd in sigma, so every coefficient is exactly 0 at a = b
     coeffs = (_BERNOULLI_ROWS @ (sigma * (sigma * sigma) ** _SIGMA_POWERS)).tolist()
-    w = c + 0.5 * (a + b - 1.0)
+    w = x + 0.5 * (a + b - 1.0)
     u = 1.0 / (w * w)
     r = coeffs[-1] * u
-    for x in reversed(coeffs[:-1]):
-        r += x
-        r *= u
-    r += (a - b) * np.log(w)
-    return r
+    for coeff in reversed(coeffs[:-1]):
+        r = (r + coeff) * u  # new arrays: an in-place op costs about twice as much on a short array
+    return r + (a - b) * np.log(w)
 
 
 def _front_times_exp(p: OperatorParams, s):

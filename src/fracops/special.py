@@ -28,10 +28,10 @@ exact at small integers. It is within a few ulps of max(1, |log Gamma|)
 and gives the same bits for an element of an array as for a scalar. So
 the Fox-Wright sums, the closed forms and the Hadamard route never import
 SciPy; log_gamma imports scipy.special.loggamma, inside the function,
-only for a complex or non-positive argument. This Stirling code is not
-the Gamma-ratio expansion of fracdiff.log_gamma_ratio, so the closed
-forms and the kernel still compare two Gamma codes at and above 16;
-below 16 both rest on math.gamma.
+only for a complex or non-positive argument. This code is not the
+Gamma-ratio expansion and step-up of fracdiff.log_gamma_ratio, which forms
+no Gamma value, so the closed forms and the kernel compare two Gamma codes
+at every argument.
 """
 
 from __future__ import annotations

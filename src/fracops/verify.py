@@ -167,7 +167,10 @@ def suite_identity_law(seed: int = 0, draws: int = 200) -> SuiteResult:
 
 
 def suite_reduction_law(seed: int = 0, draws: int = 100) -> SuiteResult:
-    """gamma = 0 monomial coefficient reduces to the two-parameter Gamma ratio."""
+    """gamma = 0 monomial coefficient reduces to the two-parameter Gamma ratio.
+
+    The coefficient comes from the kernel, the reference from log_gamma: no Gamma code is shared, below 16 either.
+    """
     tol = 1e-12
     rng = np.random.default_rng(seed)
     worst, failures = 0.0, []
@@ -297,7 +300,10 @@ def suite_closed_forms(seed: int = 0) -> SuiteResult:
 
 
 def suite_theta_equivalence(seed: int = 0, draws: int = 20) -> SuiteResult:
-    """Multiplier route vs Fox-Wright Hadamard route for Theta, coefficientwise."""
+    """Multiplier route vs Fox-Wright Hadamard route for Theta, coefficientwise.
+
+    Phi comes from the kernel, the Hadamard kernel from log_gamma: no Gamma code is shared, below 16 either.
+    """
     tol = 1e-12
     rng = np.random.default_rng(seed)
     worst, failures = 0.0, []
