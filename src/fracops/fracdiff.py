@@ -253,8 +253,10 @@ class OperatorImage:
             z = complex(z)
             return self._times_prefactor(z, self.series.evaluate(z))
         z = np.asarray(z, dtype=np.complex128)
+        if z.ndim > 1:
+            raise DomainError("an operator image takes a complex scalar or a 1-D array of points")
         return np.array([self._times_prefactor(w, s)
-                         for w, s in zip(z.tolist(), self.series.evaluate(z).tolist())])
+                         for w, s in zip(z.tolist(), self.series.evaluate(z).tolist())], dtype=np.complex128)
 
     def _times_prefactor(self, z: complex, value: complex) -> complex:
         if z == 0:
@@ -304,9 +306,9 @@ def theta_multiplier_apply(p: OperatorParams, f: PowerSeries) -> PowerSeries:
     """Apply the Theta multiplier a_k -> Phi(k) a_k linearly (k >= 1).
 
     Requires a vanishing constant term but not full normalization, so it
-    also serves non-normalized test families like z^n / n. R(1..N) is read
-    from the kernel row _kernel_row(p, N + 1), shared with apply_operator;
-    the Hadamard route never reads it.
+    also serves boundedness_equivalence_check, whose inputs need not be
+    normalized. R(1..N) is read from the kernel row _kernel_row(p, N + 1),
+    shared with apply_operator; the Hadamard route never reads it.
     """
     if abs(f.coeffs[0]) > 1e-12:
         raise DomainError("Theta needs a series with zero constant term")

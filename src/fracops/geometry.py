@@ -7,15 +7,14 @@ a (radii x angles) array that the screens and Bloch norms reduce, taking one
 inverse DFT of the coefficients folded mod the angle count per ring; a grid
 holds at most MAX_GRID_POINTS points. A failing screen reads its witness from
 Horner on the deciding ring, run in one pass for numerator and denominator
-and only at the angles that the grid values and the error bounds of both
-evaluators cannot rule out. The univalence criterion forms the partial
+at two angles: the grid's argmin on that ring and its mirror angle, the
+complex-conjugate point. The univalence criterion forms the partial
 sums of the explicit rearranged proof terms at z = 1; their divergence is
 proved, not detected, so it never forces a verdict.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +25,6 @@ from .series import PowerSeries, _last_nonzero, evaluate_many
 from .special import EvalStatus
 
 _ZERO_GUARD = 1e-14
-_EPS = float(np.finfo(np.float64).eps)
-#: DiskGrid.evaluate is within this many eps * sum_k |c_k| r^k of f at r e^{2 pi i j/M}
-#: (61 is the worst case measured against mpmath; see the geometry tests).
-_GRID_ERROR_UNITS = 128
 #: Largest number of sample points (radii x angles) a DiskGrid may hold.
 MAX_GRID_POINTS = 2**22
 # DiskGrid.evaluate folds and transforms blocks of whole rings of about this many
@@ -53,8 +48,9 @@ class DiskGrid:
             raise DomainError("grid radii must lie in (0, 0.999]")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise DomainError("grid radii must be strictly increasing")
-        if self.angles_per_radius < 1:
-            raise DomainError("angles_per_radius must be positive")
+        m = self.angles_per_radius
+        if not isinstance(m, (int, np.integer)) or m < 1:  # even 4.0: evaluate sizes its arrays by it
+            raise DomainError(f"angles_per_radius must be a positive integer, got {m!r}")
         if len(radii) * self.angles_per_radius > MAX_GRID_POINTS:
             raise DomainError(f"grid of {len(radii)} radii x {self.angles_per_radius} "
                               f"angles exceeds {MAX_GRID_POINTS} points")
@@ -129,9 +125,9 @@ class ScreenResult:
     """Outcome of a sampled inequality screen.
 
     passed means no violation was found on the grid (not a proof). On
-    failure, witness is the worst point (smallest screened value) on the
-    smallest radius containing any violation, breaking ties by smallest
-    angle index; witness_value is that offending real part.
+    failure, witness is the point of the smallest radius containing any
+    violation that _order_screen picks from the grid's worst point and
+    its conjugate; witness_value is Horner's screened value there.
     """
 
     passed: bool
@@ -141,63 +137,18 @@ class ScreenResult:
     witness_value: float | None = None
 
 
-def _ring_error(f: PowerSeries, r: float) -> float:
-    """Bound on |Horner value - grid value| of f at each sample point of the ring of radius r.
-
-    With n the index of the last nonzero coefficient (_last_nonzero), the
-    degree both evaluators really run to, S0 = sum_{k<=n} |c_k| r^k and
-    S1 = sum_{k<=n} k |c_k| r^k, in units of eps: Horner's a-priori bound,
-    (4n + 4) S0 for complex arithmetic (Higham 2002, ch. 5: each step is
-    one complex product, within 3u, and one sum); the grid's,
-    _GRID_ERROR_UNITS S0; and 32 S1 because points() rounds
-    r e^{2 pi i j/M}, where the grid evaluates, by less than 16 eps r. inf
-    when Horner might overflow (2 sum_k |c_k| is not finite).
-    """
-    n = _last_nonzero(f.coeffs)
-    a = np.abs(f.coeffs[:n + 1])
-    k = np.arange(n + 1)
-    with np.errstate(over="ignore"):
-        if not np.isfinite(2.0 * a.sum()):
-            return math.inf
-        rk = r**k
-        s0, s1 = float(a @ rk), float((k * a) @ rk)
-        return _EPS * ((4 * n + 4 + _GRID_ERROR_UNITS) * s0 + 32 * s1)
-
-
-def _candidate_angles(r: float, shift: float, num: PowerSeries, den: PowerSeries,
-                      num_grid, den_grid, vals) -> np.ndarray:
-    """Angle indices of a ring where Horner's screened value may be the ring's smallest.
-
-    vals are the grid's screened values Re(shift + z num/den). If |Horner
-    quotient - grid quotient| <= D_j at every angle j, then an angle with
-    vals_j - D_j > min_i (vals_i + D_i) is beaten by Horner at some other
-    angle, so the first Horner argmin over the rest is the full ring's.
-    D_j carries the numerator and denominator bounds through the quotient
-    as 1/(|den_j| - E_den), plus 16 eps (|z num/den| + |shift|) for
-    rounding the quotient itself; the whole ring comes back when a bound is
-    not finite, |den_j| <= E_den, or Horner's quotient might overflow.
-    """
-    e_num, e_den = _ring_error(num, r), _ring_error(den, r)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = r * np.abs(num_grid / den_grid)
-        margin = np.abs(den_grid) - e_den
-        bound = (r * e_num + q * e_den) / margin + 16.0 * _EPS * (q + abs(shift))
-        if not (np.all(margin > 0.0) and np.all(np.isfinite(4.0 * (q + bound)))):
-            return np.arange(vals.size)
-        return np.flatnonzero(vals - bound <= np.min(vals + bound))
-
-
 def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
                   vanishes: str) -> ScreenResult:
     """Screen Re(shift + z num(z) / den(z)) > lam over DiskGrid.default().
 
     The grid values decide: the first ring in ascending radius that
     violates the screen or has a denominator below _ZERO_GUARD. The
-    latter, or a non-finite quotient on that ring, raises DomainError;
-    otherwise the worst point of Horner's values on that ring is returned
-    (argmin, first angle among ties). Horner runs, for num and den in one
-    pass, only at the angles whose grid value the error bounds cannot rule
-    out (_candidate_angles), which gives the full ring's argmin bit for bit.
+    latter, or a non-finite quotient on that ring, raises DomainError.
+    Otherwise, with j the grid's first argmin on that ring of M angles,
+    the witness is whichever of angles j and (M - j) mod M (the conjugate
+    point, which ties with j in exact arithmetic when the coefficients are
+    real) has the smaller Horner value, the smaller index on a tie; Horner
+    runs at those two angles only, for num and den in one pass.
     """
     if not 0.0 <= lam < 1.0:
         raise DomainError(f"order lambda must lie in [0, 1), got {lam}")
@@ -219,7 +170,8 @@ def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
     # The witness value sits near lam, where the quotient is ill-conditioned: take
     # it from Horner, which is more accurate there than the folded DFT.
     ring = z[i]
-    idx = _candidate_angles(grid.radii[i], shift, num, den, n[i], d[i], vals[i])
+    j = int(np.argmin(vals[i]))
+    idx = sorted({j, (ring.size - j) % ring.size})
     # The quotient is formed over the whole ring, as on the full Horner ring:
     # NumPy rounds a complex product on a length-1 array differently.
     hn, hd = np.zeros_like(ring), np.ones_like(ring)

@@ -138,6 +138,10 @@ def test_operator_image_evaluate():
     zs = np.array([z, 0.0, 0.5j, -0.4 + 0.1j])
     assert image.evaluate(zs).tolist() == [image.evaluate(w) for w in zs]
     assert image.evaluate(0.0) == 0.0
+    empty = image.evaluate(np.empty(0))
+    assert empty.shape == (0,) and empty.dtype == np.complex128
+    with pytest.raises(DomainError, match="1-D array"):
+        image.evaluate(np.array([zs]))
 
 
 # ---------------------------------------------------------------------------
