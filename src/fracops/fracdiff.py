@@ -17,7 +17,7 @@ path: from c = X_m - beta = 16 up it sums the asymptotic expansion of a
 ratio of Gamma functions (Tricomi & Erdelyi 1951; Fields 1966) from
 hard-coded Bernoulli numbers, and below it steps up from c + 16 by log1p
 terms, forming no Gamma value; the front factor Gamma(tau)/Gamma(beta) is
-two math.lgamma calls. So transform, criteria and bloch never import SciPy.
+two math.lgamma calls.
 
 apply_operator and theta_multiplier_apply share one read-only kernel row
 R(0..N) from _kernel_row, which keeps only the row last asked for: a Theta
@@ -31,7 +31,7 @@ from _theta_gamma_pair and keep their own Gamma arithmetic: the
 real log Gamma of special (Stirling from 16 up, the math module's Gamma
 below), not the kernel's Gamma-ratio expansion and step-up. So the two
 Theta routes, and the closed forms and the kernel, compare two Gamma codes
-at every index. Neither imports SciPy.
+at every index.
 
 At tau == beta the operator degenerates to multiplication by z^gamma with
 exactly unchanged coefficients, in floating point too: the kernel gives

@@ -21,17 +21,17 @@ largest |z| over the radius; each row retires at its own first stop,
 with the bits it gets when summed alone. Each magnitude is taken as
 hypot(re, im), as Python's abs of a complex.
 
-log Gamma of a positive real argument, scalar or array, needs NumPy and
-the math module alone: from x = 16 up it sums the Stirling series with the
-Bernoulli terms B_2 ... B_12, and below 16 it takes log(math.gamma(x)),
-exact at small integers. It is within a few ulps of max(1, |log Gamma|)
-and gives the same bits for an element of an array as for a scalar. So
-the Fox-Wright sums, the closed forms and the Hadamard route never import
-SciPy; log_gamma imports scipy.special.loggamma, inside the function,
-only for a complex or non-positive argument. This code is not the
-Gamma-ratio expansion and step-up of fracdiff.log_gamma_ratio, which forms
-no Gamma value, so the closed forms and the kernel compare two Gamma codes
-at every argument.
+log Gamma needs NumPy and the math module alone, at every argument. Of a
+positive real, scalar or array, from x = 16 up it sums the Stirling series
+with the Bernoulli terms B_2 ... B_12, and below 16 it takes
+log(math.gamma(x)), exact at small integers. It is within a few ulps of
+max(1, |log Gamma|) and gives the same bits for an element of an array as
+for a scalar. Of a complex or non-positive argument it sums the same
+Stirling series after at most 16 upward steps, and left of Re z = 1/2 it
+reflects, on the principal branch. This code is not the Gamma-ratio
+expansion and step-up of fracdiff.log_gamma_ratio, which forms no Gamma
+value, so the closed forms and the kernel compare two Gamma codes at every
+argument.
 """
 
 from __future__ import annotations
@@ -87,11 +87,11 @@ def is_near_pole(z) -> bool:
 
 
 def _stirling(x):
-    """The Stirling series of log Gamma over a float64 array, or a NumPy scalar, x >= _STIRLING_FROM.
+    """The Stirling series of log Gamma over a float64 or complex128 array, or a NumPy scalar, Re x >= _STIRLING_FROM.
 
     Written as (x - 1/2)(log x - 1) + (log(2 pi) - 1)/2 + sum, which is inf at
-    x = inf. An array element and a NumPy scalar take the same ufunc loops,
-    so they give the same bits.
+    x = inf. A float64 array element and a NumPy scalar take the same ufunc
+    loops, so they give the same bits.
     """
     r = 1.0 / x
     u = r * r
@@ -127,12 +127,43 @@ def _log_gamma_real(x):
     return out.reshape(x.shape)
 
 
+def _log_gamma_complex(z):
+    """Principal-branch log Gamma over a complex128 array z, no element on a pole.
+
+    From Re z = 1/2 up: _stirling(z + n) - sum_{j<n} log(z + j), n <= 16 steps
+    up to Re >= _STIRLING_FROM, one array operation per j with a zero where an
+    element needs fewer. Below: the reflection log pi - log sin(pi z) -
+    log Gamma(1 - z) + i copysign(2 pi, Im z) floor(Re z / 2 + 1/4), on the
+    principal branch on both sides of the cut (Hare 1997), with sin(pi z) =
+    (-1)^k cosh(pi y) (sin(pi d) + i cos(pi d) tanh(pi y)) for z = k + d + iy,
+    k the nearest integer: finite at any y, and exact in d next to a pole.
+    """
+    left = z.real < 0.5
+    w = np.where(left, 1.0 - z, z)
+    n = np.maximum(np.ceil(_STIRLING_FROM - w.real), 0.0)
+    out = _stirling(w + n)
+    for j in range(int(n.max(initial=0.0))):
+        out -= np.log(np.where(j < n, w + j, 1.0))
+    z = z[left]
+    k = np.rint(z.real)
+    sign = 1.0 - 2.0 * np.mod(k, 2.0)
+    d, py = np.pi * (z.real - k), np.pi * z.imag
+    sine = np.empty_like(z)  # set part by part: a complex sum would lose the sign of a zero Im
+    sine.real = sign * np.sin(d)
+    sine.imag = sign * np.cos(d) * np.tanh(py)
+    refl = (math.log(2.0 * math.pi) - np.logaddexp(py, -py)) - np.log(sine) - out[left]
+    refl.imag += np.copysign(2.0 * math.pi, z.imag) * np.floor(0.5 * z.real + 0.25)
+    out[left] = refl
+    return out
+
+
 def log_gamma(z):
     """Principal-branch log Gamma with a hard pole guard.
 
     A positive real argument, scalar or array, goes to _log_gamma_real
-    (NumPy and the math module); a complex or non-positive one to
-    scipy.special.loggamma, imported here.
+    (the Stirling series, or the math module's Gamma below 16); a complex
+    or non-positive one to _log_gamma_complex. An element of a real array
+    has the bits of its own scalar call.
 
     Parameters
     ----------
@@ -160,9 +191,7 @@ def log_gamma(z):
         near = (n <= 0.0) & (np.abs(z - n) < POLE_GUARD)
         if near.any():
             raise PoleHitError(float(z.flat[np.argmax(near)]))
-        import scipy.special as sc
-
-        out = sc.loggamma(z.astype(np.complex128))
+        out = _log_gamma_complex(z.astype(np.complex128))
         positive = z > 0.0
         out[positive] = _log_gamma_real(z[positive])
         return out
@@ -172,26 +201,25 @@ def log_gamma(z):
         x = float(z)
         if x > 0.0:
             return _log_gamma_real(x)
-        z = complex(x)
-    import scipy.special as sc
-
-    return complex(sc.loggamma(z))
+    return complex(_log_gamma_complex(np.array([z], dtype=np.complex128))[0])
 
 
 def beta_fn(u, v):
     """Euler Beta function B(u, v) = Gamma(u) Gamma(v) / Gamma(u + v).
 
-    Evaluated as exp of log-Gamma differences. When u + v lands on a
-    Gamma pole the reciprocal Gamma vanishes and 0.0 is returned; a pole
-    in u or v itself raises PoleHitError, a non-finite u or v DomainError.
+    Evaluated as exp of log-Gamma differences: a float for real u and v,
+    complex if either is complex. When u + v lands on a Gamma pole the
+    reciprocal Gamma vanishes and 0.0 is returned; a pole in u or v itself
+    raises PoleHitError, a non-finite u or v DomainError.
     """
     s = log_gamma(u) + log_gamma(v)  # raises at a pole of u or v
     if is_near_pole(u + v):
         return 0.0
     s -= log_gamma(u + v)
-    if isinstance(s, complex):
-        out = cmath.exp(s)
-        return out.real if out.imag == 0.0 else out
+    if isinstance(u + v, complex):
+        return cmath.exp(s)
+    if isinstance(s, complex):  # real u and v: Im s is k pi, so B is real with the sign (-1)^k
+        return -math.exp(s.real) if round(s.imag / math.pi) % 2 else math.exp(s.real)
     return math.exp(s)
 
 

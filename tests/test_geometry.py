@@ -316,6 +316,18 @@ def test_witness_on_a_conjugate_pair_tie_is_the_full_ring_argmin():
     assert abs(abs(witness.imag) - 0.6) < 1e-12  # first ring with (1 - r^2)/(1 + r^2) <= 1/2
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.25])
+def test_witness_that_needs_the_mirror_angle_is_the_full_ring_argmin(lam):
+    """Koebe alpha = 1.5 at order 300: the grid's first argmin on the deciding ring
+    can fall on the conjugate of Horner's first argmin (0.4011... - 0.9050...i
+    against + 0.9050...i), since rounding alone orders the two; only the mirror
+    angle then reaches Horner's witness.
+    """
+    f = koebe_series(1.5, 300)
+    res = starlike_order(f, lam)
+    assert (res.witness, res.witness_value, res.points_checked) == _full_ring_witness(f, lam, "starlike")[:3]
+
+
 def test_failing_screens_match_the_full_ring_witness():
     """200 seeded failing screens: the witness, its value and the point count, bit for bit.
 

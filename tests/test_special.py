@@ -68,19 +68,56 @@ def test_log_gamma_of_positive_reals_within_four_ulps_of_mpmath():
     assert worst <= 4 * 2.0**-52
 
 
-@pytest.mark.parametrize("x", [POLE_GUARD, 0.3, 1.0, 2.0, 15.999999, 16.0, 16.5, 123.4, 1e6])
+@pytest.mark.parametrize("x", [POLE_GUARD, 0.3, 1.0, 2.0, 15.999999, 16.0, 16.5, 123.4, 1e6,
+                               -POLE_GUARD - 1e-12, -0.3, -2.5, -15.7, -16.5, -123.4, -1e6 + 0.25])
 def test_log_gamma_scalar_and_one_element_array_give_the_same_bits(x):
-    assert log_gamma(np.array([x]))[0] == log_gamma(x)
+    """Also inside a mixed array: a real element's bits do not depend on its neighbours."""
+    want = np.complex128(log_gamma(x)).tobytes()
+    assert np.complex128(log_gamma(np.array([x]))[0]).tobytes() == want
+    assert log_gamma(np.array([2.5, x, -7.3, 40.0, -0.5]))[1].tobytes() == want
 
 
-def test_log_gamma_array_with_a_non_positive_element_takes_the_scipy_branch():
+def test_log_gamma_array_with_a_non_positive_element_is_complex():
     import scipy.special as sc
 
     x = np.array([2.5, -2.5, 0.5, -0.3, 20.0])
     got = log_gamma(x)
     assert got.dtype == np.complex128
     assert_allclose(got, sc.loggamma(x.astype(np.complex128)), rtol=1e-14)
-    assert got[1] == sc.loggamma(-2.5 + 0j) and got[3] == sc.loggamma(-0.3 + 0j)
+    assert [v.tobytes() for v in got] == [np.complex128(log_gamma(v)).tobytes() for v in x.tolist()]
+
+
+def _worst_log_gamma_error(zs):
+    """Largest |log_gamma(z) - mpmath's| / max(1, |log Gamma(z)|) over zs, at 40 digits."""
+    mpmath.mp.dps = 40
+    worst = 0.0
+    for z in zs:
+        want = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+        worst = max(worst, float(abs(mpmath.mpc(log_gamma(z)) - want) / max(1, abs(want))))
+    return worst
+
+
+def test_log_gamma_of_negative_reals_down_to_minus_1e6_matches_mpmath():
+    """Reflection on the real axis, from next to the pole guard to -1e6."""
+    rng = np.random.default_rng(29)
+    x = -np.exp(rng.uniform(math.log(1e-3), math.log(1e6), 300))
+    x = np.concatenate([x, -np.arange(30) - 10.0 ** rng.uniform(-8.9, -2, 30), [-0.5, -2.5, -1e6 + 0.5]])
+    assert _worst_log_gamma_error([complex(v) for v in x.tolist()]) < 1e-13
+
+
+def test_log_gamma_over_a_wide_complex_region_matches_mpmath():
+    """Re z in [-1e4, 1e3] and |Im z| <= 1e3: both halves and the reflection at large |Im z|."""
+    rng = np.random.default_rng(31)
+    zs = [complex(rng.uniform(-1e4, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(300)]
+    zs += [complex(rng.uniform(-20.0, 0.5), s * 10.0 ** rng.uniform(-8, 2)) for s in (-1, 1) for _ in range(100)]
+    assert _worst_log_gamma_error(zs) < 1e-13
+
+
+def test_log_gamma_on_both_sides_of_the_cut():
+    """On the negative axis the sign of a zero Im z picks the side, as for scipy.special.loggamma."""
+    assert log_gamma(complex(-2.5, 0.0)).imag == pytest.approx(-3.0 * math.pi, rel=1e-15)
+    assert log_gamma(complex(-2.5, -0.0)).imag == pytest.approx(3.0 * math.pi, rel=1e-15)
+    assert log_gamma(complex(-2.5, 0.0)).real == log_gamma(complex(-2.5, -0.0)).real
 
 
 def test_log_gamma_real_positive_returns_float():
@@ -143,6 +180,16 @@ def test_beta_symmetry_and_value():
     import scipy.special as sc
 
     assert_allclose(beta_fn(0.3, 2.6), sc.beta(0.3, 2.6), rtol=1e-13)
+
+
+@pytest.mark.parametrize("u, v", [(-0.5, 2.0), (-1.5, 0.7), (-2.5, -0.7), (-3.2, 1.1), (0.7, -4.6)])
+def test_beta_of_real_arguments_is_a_real_float(u, v):
+    """Im of the log-Gamma sum is k pi: the value is real, of sign (-1)^k, with no stray imaginary part."""
+    mpmath.mp.dps = 30
+    got = beta_fn(u, v)
+    assert type(got) is float
+    assert_allclose(got, float(mpmath.beta(u, v)), rtol=1e-13)
+    assert isinstance(beta_fn(complex(u), v), complex)
 
 
 def test_beta_pole_handling():
