@@ -26,12 +26,13 @@ row. An index has the same bits in any kernel call, so sharing changes no
 coefficient. The criteria, phi_multiplier and monomial_transform call the
 kernel directly; the Hadamard route and the closed forms never read the row.
 
-The Hadamard route to Theta and the closed forms read Theta's Gamma pair
-from _theta_gamma_pair and keep their own Gamma arithmetic: the
+The Hadamard route to Theta and the closed forms share one read-only row
+of Theta's Gamma pair, _pair_row: L_k = log Gamma(b1 + k/g1) - log Gamma(b1
++ tau - beta + k/g1), kept for the last pair and grown on demand. It is the
 real log Gamma of special (Stirling from 16 up, the math module's Gamma
-below), not the kernel's Gamma-ratio expansion and step-up. So the two
-Theta routes, and the closed forms and the kernel, compare two Gamma codes
-at every index.
+below), not the kernel's Gamma-ratio expansion and step-up, and the kernel
+never reads it. So the two Theta routes, and the closed forms and the
+kernel, compare two Gamma codes at every index.
 
 At tau == beta the operator degenerates to multiplication by z^gamma with
 exactly unchanged coefficients, in floating point too: the kernel gives
@@ -364,24 +365,51 @@ def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
     """Theta image computed through the Fox-Wright Hadamard kernel.
 
     Independent route used to cross-check theta_normalize: coefficient
-    kappa of the image is constant * kernel(kappa-1) * a_kappa, with the
-    kernel read from spec.log_coefficients, not from log_gamma_ratio. The
-    kernel is read at most 2048 indices a call, so its four stacked Gamma
-    rows stay at 8192 elements, and the products are taken in place:
-    larger temporaries page-faulted afresh on every call. Each element
-    comes out the same whatever the call's size.
+    kappa of the image is constant * kernel(kappa-1) * a_kappa. The kernel
+    is the kept Gamma-pair row _pair_row of spec's rows (b1, 1/g1) and
+    (b1 + tau - beta, 1/g1), shared with the closed forms of the triple,
+    not log_gamma_ratio: spec.log_coefficients' other two rows, log k! and
+    log Gamma(1 + k), cancel exactly, so each element has the bits of
+    spec.log_coefficients at its index. The products are taken in place:
+    larger temporaries page-faulted afresh on every call.
     """
     if abs(f.coeffs[0]) > 1e-12:
         raise DomainError("Theta needs a series with zero constant term")
     constant, spec = theta_fox_wright_spec(p)
     coeffs = f.coeffs.copy()
     coeffs[0] = 0.0
-    kappa = np.arange(coeffs.size - 1, dtype=np.float64)
-    kernel = np.concatenate([spec.log_coefficients(k) for k in np.array_split(kappa, kappa.size // 2048 + 1)])
     head = coeffs[1:]
     head *= constant
-    head *= np.exp(kernel)
+    head *= np.exp(_pair_row(spec.upper[1], spec.lower[0], head.size))
     return PowerSeries(coeffs)
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_pair_row(b: float, w: float, b_low: float) -> list:
+    """The holder [row] of _pair_row for the Gamma pair (b, w), (b_low, w); only the last pair is kept."""
+    return [np.empty(0)]
+
+
+def _pair_row(upper: tuple, lower: tuple, n: int) -> np.ndarray:
+    """The read-only row L_k = log Gamma(b + k w) - log Gamma(b_low + k w), k = 0 .. n - 1.
+
+    upper = (b, w) and lower = (b_low, w) are a triple's Gamma pair from
+    _theta_gamma_pair. The row is kept for the last pair and grown on
+    demand, one real log Gamma call on both rows per 2048 new indices, so
+    temporaries stay small; each element has the bits of a fresh row.
+    """
+    (b, w), (b_low, _) = upper, lower
+    kept = _kept_pair_row(b, w, b_low)
+    if kept[0].size < n:
+        row = np.empty(n)
+        row[:kept[0].size] = kept[0]
+        for start in range(kept[0].size, n, 2048):
+            k = np.arange(start, min(start + 2048, n), dtype=np.float64)
+            logs = _log_gamma_real(np.stack([b + k * w, b_low + k * w]))
+            np.subtract(logs[0], logs[1], out=row[start:start + k.size])
+        row.flags.writeable = False
+        kept[0] = row
+    return kept[0][:n]
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +435,8 @@ class ClosedFormImage:
     constant: float
     power: float
     fox_wright: FoxWrightSpec
-    # the z-independent factor at the indices 0, 1, ... summed so far; see inner_sum
+    # the z-free ratio and factor rows at the indices 0, 1, ... summed so far; see inner_sum
+    _ratio: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False, compare=False)
     _fixed: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False, compare=False)
 
     def inner_sum(self, z):
@@ -416,15 +445,16 @@ class ClosedFormImage:
         z is a complex scalar, for one EvalOutcome, or a 1-D array of points,
         for a list of them from one driver pass, each with the bits of its
         own scalar call. At most MAX_TERMS_DEFAULT terms are summed per point.
-        The unit-weight rows advance by their ratio recurrence with z a
-        column, one running product per point and index block that starts
-        from the products carried from the last block; each product runs in
-        sequence, so its bits do not depend on where the blocks split. No
-        log-Gamma of size k log k and no Gamma of a stock parameter enters.
-        The Gamma pair, over its k = 0 value, times (k + a)^-s does not
-        depend on z: it is computed once per index, as the exp of one real
-        log-Gamma call on both rows for the indices not seen before, and kept
-        for all points and the next call.
+        The unit-weight rows advance by their ratio recurrence: term k + 1
+        is term k times z q_k, q_k = prod (upper + k) / ((k + 1) prod (lower
+        + k)), one running product per point and index block, with z a
+        column, that starts from the products carried from the last block;
+        each product runs in sequence, so its bits do not depend on where
+        the blocks split. No log-Gamma of size k log k and no Gamma of a
+        stock parameter enters. Neither q_k nor the Gamma pair over its k = 0
+        value times (k + a)^-s depends on z: both are computed once per
+        index, the pair from the triple's kept row _pair_row, and kept for
+        all points and the next call.
         z = 0 is the exact one-term sum; in an array that also holds other
         points it is summed apart, as the driver ends all rows together.
         """
@@ -441,34 +471,30 @@ class ClosedFormImage:
 
     def _sums(self, zs: list) -> list:
         """inner_sum at a list of complex points, all of them 0 or none."""
-        (*upper, (b, w)), (*lower, (b_low, _)) = self.fox_wright.upper, self.fox_wright.lower
         z, nonzero = np.array(zs, dtype=np.complex128)[:, None], any(zs)
         carried = [0, [[1.0]] * len(zs)]  # the last block's last index and the ratio products there, a column
-
-        def fixed(first, stop):
-            if self._fixed.size < stop:
-                _, _, s, a = stock_rows(self.kind, **self.params)
-                k = np.arange(self._fixed.size, stop, dtype=np.float64)
-                pair = _log_gamma_real(np.stack([b + k * w, b_low + k * w]))
-                pair_0 = _log_gamma_real(b) - _log_gamma_real(b_low)
-                self._fixed = np.concatenate((self._fixed, np.exp(pair[0] - pair[1] - pair_0 - s * np.log(k + a))))
-            return self._fixed[first:stop]
 
         def block(k):  # the driver asks for consecutive indices, each block after the last
             k = k if nonzero else k[:1]  # z = 0: the exact one-term sum
             (start, product), first, stop = carried, int(k[0]), int(k[-1]) + 1
-            j = np.arange(start, stop - 1, dtype=np.float64)
-            step = z / (j + 1.0)  # the driver ignores floating-point errors here and stops at an overflow
-            for x, _ in upper:
-                step *= x + j
-            for x, _ in lower:
-                step /= x + j
-            h = np.multiply.accumulate(np.concatenate((product, step), axis=1), axis=1)  # at start .. stop - 1
-            carried[:] = stop - 1, h[:, -1:]
-            return h[:, first - start:] * fixed(first, stop)
+            if self._fixed.size < stop:  # the driver ignores floating-point errors here and stops at an overflow
+                self._grow(stop)
+            h = np.multiply.accumulate(np.concatenate((product, z * self._ratio[start:stop - 1]), axis=1), axis=1)
+            carried[:] = stop - 1, h[:, -1:]  # h holds the products at start .. stop - 1
+            return h[:, first - start:] * self._fixed[first:stop]
 
         radius = self.fox_wright.radius
         return _sum_rows(block, MAX_TERMS_DEFAULT, [abs(x) / radius for x in zs])
+
+    def _grow(self, stop: int) -> None:
+        """Extend the z-free rows to the indices 0 .. stop - 1: _ratio's q_k, _fixed's exp(L_k - L_0 - s log(k + a))."""
+        (*upper, pair), (*lower, pair_low) = self.fox_wright.upper, self.fox_wright.lower
+        _, _, s, a = stock_rows(self.kind, **self.params)
+        k = np.arange(self._fixed.size, stop, dtype=np.float64)
+        ratio = math.prod(x + k for x, _ in upper) / math.prod((x + k for x, _ in lower), start=k + 1.0)
+        row = _pair_row(pair, pair_low, stop)
+        self._fixed = np.concatenate((self._fixed, np.exp(row[self._fixed.size:] - row[0] - s * np.log(k + a))))
+        self._ratio = np.concatenate((self._ratio, ratio))
 
     def evaluate(self, z):
         """Value at a complex scalar, or at each point of a 1-D array in one inner_sum.

@@ -15,6 +15,7 @@ proved, not detected, so it never forces a verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,12 +281,17 @@ def criterion_term(p: OperatorParams, mode: str, kappa):
     (k+1)(k+3) exactly, which grow without bound - divergence is the
     expected outcome across the entire parameter window.
     """
+    k1 = np.asarray(kappa, dtype=np.float64) + 1.0
+    return _criterion_terms(mode, k1, log_gamma_ratio(p, np.stack((k1, k1 + 1.0))))
+
+
+def _criterion_terms(mode: str, k1, r):
+    """criterion_term at k1 - 1 from the kernel values r = (R(k1), R(k1 + 1))."""
     if mode not in CRITERION_MODES:
         raise DomainError(f"unknown criterion mode {mode!r}; choices: {CRITERION_MODES}")
-    k1 = np.asarray(kappa, dtype=np.float64) + 1.0
-    t = k1 * np.exp(log_gamma_ratio(p, k1))
+    t = k1 * np.exp(r[0])
     if mode == "theorem5_S":
-        t = t + k1 * (k1 + 1.0) * np.exp(log_gamma_ratio(p, k1 + 1.0))
+        t = t + k1 * (k1 + 1.0) * np.exp(r[1])
     return t
 
 
@@ -309,11 +315,12 @@ def univalence_criterion(p: OperatorParams, mode: str, max_terms: int = 512) -> 
     if max_terms < 1:
         raise DomainError("max_terms must be at least 1")
     n = min(max_terms, _CRITERION_TERMS)
+    r = log_gamma_ratio(p, np.arange(1.0, n + 2.0))  # R(1 .. n + 1): the terms and the threshold 2 e^{R(1)}
     return CriterionReport(
         mode=mode,
         params=p,
-        partial_sums=np.cumsum(criterion_term(p, mode, np.arange(n))).tolist(),
-        rhs_threshold=criterion_threshold(p),
+        partial_sums=np.cumsum(_criterion_terms(mode, np.arange(1.0, n + 1.0), (r[:-1], r[1:]))).tolist(),
+        rhs_threshold=2.0 / math.exp(-r[0]),
         series_status=EvalStatus.DIVERGENT if n == _CRITERION_TERMS else EvalStatus.SLOW_CONVERGENCE,
         verdict=VERDICT_INCONCLUSIVE,
     )

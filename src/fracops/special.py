@@ -451,14 +451,16 @@ def fox_wright_eval(spec: FoxWrightSpec, z) -> EvalOutcome:
     |z| = radius no tail bound is taken: a sum there that does not stop
     otherwise is SLOW_CONVERGENCE, tail inf. The value field always
     carries the partial sum accumulated so far. At z = 0 the sum is the
-    exact one-term sum, the kappa = 0 term.
+    exact one-term sum, the kappa = 0 term. At a real z the terms' real
+    parts are summed: the value's imaginary part is exactly 0.
     """
     z = complex(z)
     log_z = cmath.log(z) if z else 0j
 
     def block(k):  # the driver ignores floating-point errors here and stops at an overflow
         k = k if z else k[:1]
-        return np.exp(spec.log_coefficients(k) + k * log_z)
+        terms = np.exp(spec.log_coefficients(k) + k * log_z)
+        return terms if z.imag else terms.real + 0j  # at a real z each Im is rounding alone
 
     radius = spec.radius
     limit = abs(z) / radius if radius > 0.0 else (math.inf if z else 0.0)

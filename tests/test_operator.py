@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,77 @@ def test_hadamard_route_and_closed_forms_never_read_the_kernel_row(monkeypatch):
         theta_normalize(_TRIPLE_A, f)
     with pytest.raises(RuntimeError, match="kernel row"):
         apply_operator(_TRIPLE_A, f)
+
+
+_PAIR_FORMS = (("koebe", {"alpha": 2.0}), ("kummer", {"alpha": 1.3, "lam": 0.9}),
+               ("hurwitz_lerch", {"alpha": 1.2, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0}))
+
+
+def _pair_row_outputs(p, order):
+    """theta_hadamard at the order and three closed forms at |z| = 0.5 and 0.95, as bytes."""
+    f = koebe_series(2.0, order)
+    out = [theta_hadamard(p, f).coeffs.tobytes()]
+    for kind, kw in _PAIR_FORMS:
+        form = closed_form_spec(p, kind, **kw)
+        out += [np.complex128(form.evaluate(z)).tobytes() for z in (0.5j, 0.95 * cmath.exp(2.0j))]
+    return out
+
+
+def test_shared_pair_rows_give_the_bits_of_a_fresh_row():
+    """The Hadamard route and the closed forms read one kept Gamma-pair row; each output has the bits of a fresh row."""
+    steps = [(p, order) for order in (64, 1024, 5000, 64) for p in (_TRIPLE_A, _TRIPLE_B)]
+    together = [_pair_row_outputs(p, order) for p, order in steps]
+    for (p, order), got in zip(steps, together):
+        fracdiff._kept_pair_row.cache_clear()
+        assert got == _pair_row_outputs(p, order), (p, order)
+
+
+def test_pair_row_is_read_only_grown_and_kept_alone():
+    assert fracdiff._kept_pair_row.cache_info().maxsize == 1
+    upper, lower = fracdiff._theta_gamma_pair(_TRIPLE_A)
+    short = fracdiff._pair_row(upper, lower, 64)
+    row = fracdiff._pair_row(upper, lower, 3000)
+    for view in (short, row, row[1:]):
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+    k = np.arange(3000.0)
+    want = log_gamma(upper[0] + k * upper[1]) - log_gamma(lower[0] + k * lower[1])
+    assert row.tobytes() == want.tobytes() and short.tobytes() == want[:64].tobytes()
+    fracdiff._pair_row(*fracdiff._theta_gamma_pair(_TRIPLE_B), 8)
+    assert fracdiff._kept_pair_row.cache_info().currsize == 1
+    misses = fracdiff._kept_pair_row.cache_info().misses
+    assert fracdiff._pair_row(upper, lower, 8).tobytes() == want[:8].tobytes()
+    assert fracdiff._kept_pair_row.cache_info().misses == misses + 1
+
+
+def test_operator_and_multiplier_route_never_read_the_pair_row(monkeypatch):
+    """The two Theta routes stay apart: with the pair row gone, the Hadamard route and the closed forms fail."""
+    f = koebe_series(2.0, 64)
+    want = theta_hadamard(_TRIPLE_A, f).coeffs
+
+    def no_row(upper, lower, n):
+        raise RuntimeError("the pair row was read")
+
+    monkeypatch.setattr(fracdiff, "_pair_row", no_row)
+    assert_allclose(theta_normalize(_TRIPLE_A, f).coeffs, want, rtol=1e-12)
+    assert np.all(np.isfinite(apply_operator(_TRIPLE_A, f).series.coeffs))
+    with pytest.raises(RuntimeError, match="pair row"):
+        theta_hadamard(_TRIPLE_A, f)
+    with pytest.raises(RuntimeError, match="pair row"):
+        closed_form_spec(_TRIPLE_A, "koebe", alpha=2.0).evaluate(0.5j)
+
+
+def test_theta_hadamard_builds_its_row_in_bounded_blocks():
+    """At order 2^18 the pair row is built 2048 indices at a time: the peak stays near the output and the row."""
+    f = koebe_series(2.0, 2**18)
+    fracdiff._kept_pair_row.cache_clear()
+    tracemalloc.start()
+    try:
+        theta_hadamard(_TRIPLE_B, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak  # 4 MB of output, the 2 MB row and its 2 MB exp
 
 
 # ---------------------------------------------------------------------------

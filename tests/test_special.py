@@ -350,6 +350,22 @@ def test_eval_complex_argument_against_mpmath():
     assert_allclose(out.value, want, rtol=1e-13)
 
 
+@pytest.mark.parametrize("a,z", [(-2.5, 0.3), (1.3, -0.3), (1.3, 0.3)])
+def test_eval_at_a_real_point_is_real(a, z):
+    """At a real z every term is real: the value's imaginary part is exactly 0, as mpmath's sum is real.
+
+    A negative upper parameter or a negative z puts k pi into the log of
+    term k, and exp of it once left a stray imaginary part of about 1e-16.
+    """
+    mpmath.mp.dps = 30
+    spec = FoxWrightSpec(upper=((a, 1.0),), lower=((1.5, 1.0),))
+    out = fox_wright_eval(spec, z)
+    assert out.status is EvalStatus.CONVERGED
+    assert type(out.value) is complex and out.value.imag == 0.0
+    want = float(mpmath.hyper([a], [1.5], z) * mpmath.gamma(a) / mpmath.gamma(1.5))
+    assert abs(out.value.real - want) <= 2e-15 * abs(want), (out.value, want)
+
+
 def listed(terms):
     """A block function over a fixed list of terms: the series ends where the list does."""
     return lambda k: np.asarray(terms[int(k[0]):int(k[-1]) + 1])
