@@ -56,8 +56,8 @@ class WeightSpec:
                 raise DomainError("table abscissae must be strictly increasing")
             if any(not 0.0 < t <= 1.0 for t in ts):
                 raise DomainError("table abscissae must lie in (0, 1]")
-            if any(wv <= 0.0 for _, wv in pts):
-                raise DomainError("table weight values must be positive")
+            if any(not 0.0 < wv < math.inf for _, wv in pts):  # NaN fails too
+                raise DomainError("table weight values must be positive and finite")
 
     def evaluate(self, t):
         """w(t) for t in (0, 1], scalar or ndarray; must come out positive."""

@@ -19,20 +19,20 @@ hard-coded Bernoulli numbers, and below it steps up from c + 16 by log1p
 terms, forming no Gamma value; the front factor Gamma(tau)/Gamma(beta) is
 two math.lgamma calls.
 
-apply_operator and theta_multiplier_apply share one read-only kernel row
-R(0..N) from _kernel_row, which keeps only the row last asked for: a Theta
-image after an operator image at the same triple and order makes no second
-row. An index has the same bits in any kernel call, so sharing changes no
-coefficient. The criteria, phi_multiplier and monomial_transform call the
-kernel directly; the Hadamard route and the closed forms never read the row.
-
-The Hadamard route to Theta and the closed forms share one read-only row
-of Theta's Gamma pair, _pair_row: L_k = log Gamma(b1 + k/g1) - log Gamma(b1
-+ tau - beta + k/g1), kept for the last pair and grown on demand. It is the
-real log Gamma of special (Stirling from 16 up, the math module's Gamma
-below), not the kernel's Gamma-ratio expansion and step-up, and the kernel
-never reads it. So the two Theta routes, and the closed forms and the
-kernel, compare two Gamma codes at every index.
+Every kept row follows one rule, _kept_row: a read-only row over the
+indices 0 .. n - 1 for the last key asked, grown by filling only the
+missing indices, so each element has the bits of a fresh row. The kernel
+row R(0..N), _kernel_row, is keyed on the triple and read by
+apply_operator and theta_multiplier_apply (the criteria, phi_multiplier and
+monomial_transform call the kernel directly). The row of Theta's Gamma
+pair, _pair_row: L_k = log Gamma(b1 + k/g1) - log Gamma(b1 + tau - beta +
+k/g1), is keyed on the pair and read by the Hadamard route and the closed
+forms, each of which keeps its own z-free rows. It is the real log Gamma of
+special (Stirling from 16 up, the math module's Gamma below), not the
+kernel's expansion and step-up. The Hadamard route and the closed forms
+never read the kernel row, nor the kernel the pair row, so the two Theta
+routes, and the closed forms and the kernel, compare two Gamma codes at
+every index.
 
 At tau == beta the operator degenerates to multiplication by z^gamma with
 exactly unchanged coefficients, in floating point too: the kernel gives
@@ -44,14 +44,13 @@ are evaluated as 1 + (tau - beta).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, PoleHitError
-from .series import STOCK_INPUTS, PowerSeries, stock_rows
+from .series import PowerSeries, stock_rows
 from .special import (
     POLE_GUARD,
     EvalOutcome,
@@ -188,17 +187,32 @@ def log_gamma_ratio(p: OperatorParams, m):
     return r.reshape(m.shape)
 
 
-@functools.lru_cache(maxsize=1)
-def _kernel_row(p: OperatorParams, n: int) -> np.ndarray:
-    """The read-only row log_gamma_ratio(p, [0, 1, ..., n - 1]); only the last (p, n) is kept.
+# The module's kept rows, row kind -> [key, row] (see _kept_row).
+_row_store = {"kernel": [None, np.empty(0)], "pair": [None, np.empty(0)]}
 
-    apply_operator and theta_multiplier_apply read it, so a triple and order
-    asked twice in a row build it once. Each element has the bits of any
-    other log_gamma_ratio call at its index.
+
+def _kept_row(kept: list, key, n: int, fill) -> np.ndarray:
+    """The read-only row over the indices 0 .. n - 1 for key, from the store kept = [last key, its row].
+
+    Another key starts the row afresh; a longer n grows it by one call fill(k, out) that writes
+    the missing float indices k into out, their slot of a preallocated row. The last axis is the
+    index, the kept row's others give the shape. Each element has the bits of a fresh row.
     """
-    row = log_gamma_ratio(p, np.arange(n, dtype=np.float64))
-    row.flags.writeable = False
-    return row
+    last, row = kept  # one read, so a row is never taken with a key another thread has replaced
+    have = row.shape[-1] if last == key else 0
+    if have < n:
+        row, old = np.empty(row.shape[:-1] + (n,)), row
+        if have:
+            row[..., :have] = old[..., :have]
+        fill(np.arange(have, n, dtype=np.float64), row[..., have:])
+        row.flags.writeable = False
+        kept[:] = key, row
+    return row[..., :n]
+
+
+def _kernel_row(p: OperatorParams, n: int) -> np.ndarray:
+    """The read-only row log_gamma_ratio(p, [0, 1, ..., n - 1]), kept by _kept_row for the last triple."""
+    return _kept_row(_row_store["kernel"], p, n, lambda k, out: np.copyto(out, log_gamma_ratio(p, k)))
 
 
 def _ratio_expansion(x: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -384,32 +398,18 @@ def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
     return PowerSeries(coeffs)
 
 
-@functools.lru_cache(maxsize=1)
-def _kept_pair_row(b: float, w: float, b_low: float) -> list:
-    """The holder [row] of _pair_row for the Gamma pair (b, w), (b_low, w); only the last pair is kept."""
-    return [np.empty(0)]
-
-
 def _pair_row(upper: tuple, lower: tuple, n: int) -> np.ndarray:
-    """The read-only row L_k = log Gamma(b + k w) - log Gamma(b_low + k w), k = 0 .. n - 1.
+    """The read-only row L_k = log Gamma(b + k w) - log Gamma(b_low + k w), k = 0 .. n - 1, kept for the last pair."""
+    return _kept_row(_row_store["pair"], (upper, lower), n, lambda k, out: _fill_pair_row(upper, lower, k, out))
 
-    upper = (b, w) and lower = (b_low, w) are a triple's Gamma pair from
-    _theta_gamma_pair. The row is kept for the last pair and grown on
-    demand, one real log Gamma call on both rows per 2048 new indices, so
-    temporaries stay small; each element has the bits of a fresh row.
-    """
+
+def _fill_pair_row(upper: tuple, lower: tuple, k: np.ndarray, out: np.ndarray) -> None:
+    """_pair_row's fill for the pair (b, w), (b_low, w): one real log Gamma call on both rows per 2048 indices."""
     (b, w), (b_low, _) = upper, lower
-    kept = _kept_pair_row(b, w, b_low)
-    if kept[0].size < n:
-        row = np.empty(n)
-        row[:kept[0].size] = kept[0]
-        for start in range(kept[0].size, n, 2048):
-            k = np.arange(start, min(start + 2048, n), dtype=np.float64)
-            logs = _log_gamma_real(np.stack([b + k * w, b_low + k * w]))
-            np.subtract(logs[0], logs[1], out=row[start:start + k.size])
-        row.flags.writeable = False
-        kept[0] = row
-    return kept[0][:n]
+    for start in range(0, k.size, 2048):
+        block = k[start:start + 2048]
+        logs = _log_gamma_real(np.stack([b + block * w, b_low + block * w]))
+        np.subtract(logs[0], logs[1], out=out[start:start + block.size])
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +424,21 @@ class ClosedFormImage:
     c_k are the coefficients of the Fox-Wright block fox_wright: unit-weight
     rows from the stock input, then the operator's Gamma pair (b1, 1/g1),
     (b1 + tau - beta, 1/g1). constant is the image coefficient of z^power.
-    s and a are the stock input's, read from series.stock_rows(kind, **params).
+    s and a are the stock input's, handed over by closed_form_spec from its
+    one series.stock_rows call.
     inner_sum and evaluate take a complex scalar or a 1-D array of points; an
     array is summed in one pass of the summation driver, one row per point,
     and every point gets the bits of its scalar call.
     """
 
     kind: str
-    params: dict
     constant: float
     power: float
     fox_wright: FoxWrightSpec
-    # the z-free ratio and factor rows at the indices 0, 1, ... summed so far; see inner_sum
-    _ratio: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False, compare=False)
-    _fixed: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False, compare=False)
+    s: float
+    a: float
+    # the image's own store of its z-free rows (see _kept_row and inner_sum), one key
+    _rows: list = field(default_factory=lambda: [None, np.empty((2, 0))], init=False, repr=False, compare=False)
 
     def inner_sum(self, z):
         """Sum the normalized series at z through the one summation driver.
@@ -453,8 +454,8 @@ class ClosedFormImage:
         the blocks split. No log-Gamma of size k log k and no Gamma of a
         stock parameter enters. Neither q_k nor the Gamma pair over its k = 0
         value times (k + a)^-s depends on z: both are computed once per
-        index, the pair from the triple's kept row _pair_row, and kept for
-        all points and the next call.
+        index, the pair from the triple's kept row _pair_row, and kept in
+        the image's own store for all points and the next call.
         z = 0 is the exact one-term sum; in an array that also holds other
         points it is summed apart, as the driver ends all rows together.
         """
@@ -477,24 +478,21 @@ class ClosedFormImage:
         def block(k):  # the driver asks for consecutive indices, each block after the last
             k = k if nonzero else k[:1]  # z = 0: the exact one-term sum
             (start, product), first, stop = carried, int(k[0]), int(k[-1]) + 1
-            if self._fixed.size < stop:  # the driver ignores floating-point errors here and stops at an overflow
-                self._grow(stop)
-            h = np.multiply.accumulate(np.concatenate((product, z * self._ratio[start:stop - 1]), axis=1), axis=1)
+            # the driver ignores floating-point errors here and stops at an overflow
+            rows = _kept_row(self._rows, None, stop, self._fill_rows)  # q_k, then the Gamma-pair factor
+            h = np.multiply.accumulate(np.concatenate((product, z * rows[0, start:stop - 1]), axis=1), axis=1)
             carried[:] = stop - 1, h[:, -1:]  # h holds the products at start .. stop - 1
-            return h[:, first - start:] * self._fixed[first:stop]
+            return h[:, first - start:] * rows[1, first:stop]
 
         radius = self.fox_wright.radius
         return _sum_rows(block, MAX_TERMS_DEFAULT, [abs(x) / radius for x in zs])
 
-    def _grow(self, stop: int) -> None:
-        """Extend the z-free rows to the indices 0 .. stop - 1: _ratio's q_k, _fixed's exp(L_k - L_0 - s log(k + a))."""
+    def _fill_rows(self, k: np.ndarray, out: np.ndarray) -> None:
+        """Write the z-free rows at the indices k into out: q_k into out[0], exp(L_k - L_0 - s log(k + a)) into out[1]."""
         (*upper, pair), (*lower, pair_low) = self.fox_wright.upper, self.fox_wright.lower
-        _, _, s, a = stock_rows(self.kind, **self.params)
-        k = np.arange(self._fixed.size, stop, dtype=np.float64)
-        ratio = math.prod(x + k for x, _ in upper) / math.prod((x + k for x, _ in lower), start=k + 1.0)
-        row = _pair_row(pair, pair_low, stop)
-        self._fixed = np.concatenate((self._fixed, np.exp(row[self._fixed.size:] - row[0] - s * np.log(k + a))))
-        self._ratio = np.concatenate((self._ratio, ratio))
+        out[0] = math.prod(x + k for x, _ in upper) / math.prod((x + k for x, _ in lower), start=k + 1.0)
+        row = _pair_row(pair, pair_low, int(k[-1]) + 1)
+        out[1] = np.exp(row[int(k[0]):] - row[0] - self.s * np.log(k + self.a))
 
     def evaluate(self, z):
         """Value at a complex scalar, or at each point of a 1-D array in one inner_sum.
@@ -536,12 +534,10 @@ def closed_form_spec(p: OperatorParams, kind: str, **params) -> ClosedFormImage:
     non-positive integer makes the input a polynomial, which the sum ends
     exactly.
     """
-    upper, lower, _, _ = stock_rows(kind, **params)
+    upper, lower, s, a = stock_rows(kind, **params)
     gamma_upper, gamma_lower = _theta_gamma_pair(p)
     spec = FoxWrightSpec(
         upper=tuple((x, 1.0) for x in upper) + (gamma_upper,),
         lower=tuple((x, 1.0) for x in lower) + (gamma_lower,),
     )
-    names, _ = STOCK_INPUTS[kind]
-    return ClosedFormImage(kind, {name: float(params[name]) for name in names},
-                           monomial_transform(p, 1.0).coefficient, p.shift + 1.0, spec)
+    return ClosedFormImage(kind, monomial_transform(p, 1.0).coefficient, p.shift + 1.0, spec, s, a)

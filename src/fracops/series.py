@@ -179,10 +179,12 @@ MAX_ORDER = 2**20
 
 
 def monomial_series(power: int, order: int | None = None) -> PowerSeries:
-    """z**power as a truncated series of order at most MAX_ORDER."""
+    """z**power as a truncated series of an integer order at most MAX_ORDER."""
     if power < 0 or power != int(power):
         raise DomainError("monomial power must be a nonnegative integer")
-    n = int(power) if order is None else int(order)
+    n = int(power) if order is None else order
+    if not isinstance(n, (int, np.integer)):
+        raise DomainError(f"order must be an integer, got {n!r}")
     if n < power:
         raise DomainError("order too small to hold the monomial")
     if n > MAX_ORDER:
@@ -246,15 +248,15 @@ BUILTIN_SERIES = ("identity",) + tuple(STOCK_INPUTS)
 def make_builtin(kind: str, order: int, **params) -> PowerSeries:
     """A builtin series truncated at z^order: the identity z or a stock input.
 
-    The order must lie in [1, MAX_ORDER] for every kind. A stock input is
+    The order must be an integer in [1, MAX_ORDER] for every kind. A stock input is
     built by its ratio recurrence c_1 = a^-s and c_{k+1} = c_k *
     prod (u + k - 1) (k - 1 + a)^s / (prod (l + k - 1) k (k + a)^s), in real
     float64 with the multiplication first, so small integer cases stay
     exact: Koebe alpha = 2 gives c_k = k and alpha = 1 gives c_k = 1 at any
     order. Its parameters are checked by stock_rows.
     """
-    if not 1 <= order <= MAX_ORDER:
-        raise DomainError(f"order must lie in [1, {MAX_ORDER}], got {order}")
+    if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_ORDER:
+        raise DomainError(f"order must lie in [1, {MAX_ORDER}] and be an integer, got {order}")
     if kind == "identity":
         return identity_series(order)
     upper, lower, s, a = stock_rows(kind, **params)

@@ -44,6 +44,9 @@ def test_weight_validation():
         WeightSpec("table", table=((0.5, 1.0), (0.4, 2.0)))  # not increasing
     with pytest.raises(DomainError):
         WeightSpec("table", table=((0.2, 1.0), (0.5, -1.0)))  # nonpositive value
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="table weight values"):
+            WeightSpec("table", table=((0.1, bad), (1.0, 1.0)))  # evaluate would return nan or inf
 
 
 def test_weight_domain_is_half_open_unit_interval():

@@ -317,6 +317,17 @@ def test_bloch_table_weight_from_file(tmp_path, capsys):
     assert doc["norm_estimate"] > 0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bloch_table_weight_refuses_non_finite_values(tmp_path, capsys, value):
+    """A NaN or inf weight is refused as the table's fault, not reported as an overflow of |f'|."""
+    table = tmp_path / "t.csv"
+    table.write_text(f"0.001,{value}\n1.0,1.0\n")
+    code, out, err = run_cli(capsys, "bloch", "--f", "koebe", "--alpha", "2", "--order", "64", "--mu", "1",
+                             "--w", "table", "--table-file", str(table))
+    assert code == 2 and out == ""
+    assert err == "fracops: error: table weight values must be positive and finite\n"
+
+
 def test_bloch_refine_flag(capsys):
     base = run_json(capsys, "bloch", "--f", "koebe", "--alpha", "2", "--order", "32")
     fine = run_json(capsys, "bloch", "--f", "koebe", "--alpha", "2", "--order", "32",

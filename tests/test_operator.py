@@ -348,13 +348,28 @@ def test_shared_kernel_rows_give_the_bits_of_a_fresh_row(steps):
             assert got.tobytes() == expected.tobytes(), (p, order)
 
 
-def test_kernel_row_is_read_only_and_kept_alone():
-    assert fracdiff._kernel_row.cache_info().maxsize == 1
+def _empty_row_store(monkeypatch):
+    """Start the module's kept rows afresh for this test, as in a new interpreter."""
+    for kind in ("kernel", "pair"):
+        monkeypatch.setitem(fracdiff._row_store, kind, [None, np.empty(0)])
+
+
+def test_kernel_row_is_read_only_and_kept_alone(monkeypatch):
+    """The kernel row is read-only, kept for the last triple only, and grown or cut with the bits of a fresh row."""
+    _empty_row_store(monkeypatch)
     row = fracdiff._kernel_row(_TRIPLE_A, 64)
-    for view in (row, row[1:]):
+    grown = fracdiff._kernel_row(_TRIPLE_A, 3000)
+    for view in (row, grown, grown[1:], fracdiff._kernel_row(_TRIPLE_A, 8)):
         with pytest.raises(ValueError):
             view[0] = 1.0
-    assert row.tobytes() == log_gamma_ratio(_TRIPLE_A, np.arange(64)).tobytes()
+    want = log_gamma_ratio(_TRIPLE_A, np.arange(3000))
+    assert grown.tobytes() == want.tobytes() and row.tobytes() == want[:64].tobytes()
+    assert fracdiff._kernel_row(_TRIPLE_A, 31).tobytes() == want[:31].tobytes()
+    assert fracdiff._row_store["kernel"][0] == _TRIPLE_A and fracdiff._row_store["kernel"][1].size == 3000
+    fracdiff._kernel_row(_TRIPLE_B, 16)
+    assert fracdiff._row_store["kernel"][0] == _TRIPLE_B and fracdiff._row_store["kernel"][1].size == 16
+    assert fracdiff._kernel_row(_TRIPLE_A, 8).tobytes() == want[:8].tobytes()
+    assert fracdiff._row_store["kernel"][1].size == 8  # made again for the triple asked last
 
 
 def test_hadamard_route_and_closed_forms_never_read_the_kernel_row(monkeypatch):
@@ -388,31 +403,75 @@ def _pair_row_outputs(p, order):
     return out
 
 
-def test_shared_pair_rows_give_the_bits_of_a_fresh_row():
+def test_shared_pair_rows_give_the_bits_of_a_fresh_row(monkeypatch):
     """The Hadamard route and the closed forms read one kept Gamma-pair row; each output has the bits of a fresh row."""
     steps = [(p, order) for order in (64, 1024, 5000, 64) for p in (_TRIPLE_A, _TRIPLE_B)]
     together = [_pair_row_outputs(p, order) for p, order in steps]
     for (p, order), got in zip(steps, together):
-        fracdiff._kept_pair_row.cache_clear()
+        _empty_row_store(monkeypatch)
         assert got == _pair_row_outputs(p, order), (p, order)
 
 
-def test_pair_row_is_read_only_grown_and_kept_alone():
-    assert fracdiff._kept_pair_row.cache_info().maxsize == 1
+def test_pair_row_is_read_only_grown_and_kept_alone(monkeypatch):
+    _empty_row_store(monkeypatch)
     upper, lower = fracdiff._theta_gamma_pair(_TRIPLE_A)
     short = fracdiff._pair_row(upper, lower, 64)
     row = fracdiff._pair_row(upper, lower, 3000)
-    for view in (short, row, row[1:]):
+    for view in (short, row, row[1:], fracdiff._pair_row(upper, lower, 8)):
         with pytest.raises(ValueError):
             view[0] = 1.0
     k = np.arange(3000.0)
     want = log_gamma(upper[0] + k * upper[1]) - log_gamma(lower[0] + k * lower[1])
     assert row.tobytes() == want.tobytes() and short.tobytes() == want[:64].tobytes()
-    fracdiff._pair_row(*fracdiff._theta_gamma_pair(_TRIPLE_B), 8)
-    assert fracdiff._kept_pair_row.cache_info().currsize == 1
-    misses = fracdiff._kept_pair_row.cache_info().misses
+    assert fracdiff._row_store["pair"][0] == (upper, lower) and fracdiff._row_store["pair"][1].size == 3000
+    other = fracdiff._theta_gamma_pair(_TRIPLE_B)
+    fracdiff._pair_row(*other, 8)
+    assert fracdiff._row_store["pair"][0] == other and fracdiff._row_store["pair"][1].size == 8
     assert fracdiff._pair_row(upper, lower, 8).tobytes() == want[:8].tobytes()
-    assert fracdiff._kept_pair_row.cache_info().misses == misses + 1
+    assert fracdiff._row_store["pair"][0] == (upper, lower) and fracdiff._row_store["pair"][1].size == 8
+
+
+def test_rows_of_no_index_need_no_kept_row(monkeypatch):
+    """n = 0 with nothing kept gives an empty row, and theta_hadamard of the zero series its one zero coefficient."""
+    _empty_row_store(monkeypatch)
+    assert fracdiff._pair_row(*fracdiff._theta_gamma_pair(_TRIPLE_A), 0).shape == (0,)
+    assert fracdiff._kernel_row(_TRIPLE_A, 0).shape == (0,)
+    got = theta_hadamard(_TRIPLE_A, PowerSeries([0.0])).coeffs
+    assert got.tolist() == [0j] and got.dtype == np.complex128
+    assert fracdiff._row_store["pair"][0] is None and fracdiff._row_store["kernel"][0] is None
+
+
+def test_two_closed_forms_of_one_triple_keep_their_own_rows(monkeypatch):
+    """Two images of a triple evaluated in turn keep their rows apart: each value has the bits of a fresh image."""
+    p, koebe = _TRIPLE_A, {"alpha": 2.0}
+    lerch = {"alpha": 1.2, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0}
+    forms = [closed_form_spec(p, "koebe", **koebe), closed_form_spec(p, "hurwitz_lerch", **lerch)]
+    for r in (0.5, 0.9, 0.99, 0.5):
+        z = r * cmath.exp(2.0j)
+        for form, (kind, kw) in zip(forms, (("koebe", koebe), ("hurwitz_lerch", lerch))):
+            got = form.evaluate(z)
+            _empty_row_store(monkeypatch)
+            assert _value_bits(got) == _value_bits(closed_form_spec(p, kind, **kw).evaluate(z)), (kind, r)
+    fills, fill = [], fracdiff.ClosedFormImage._fill_rows
+    monkeypatch.setattr(fracdiff.ClosedFormImage, "_fill_rows",
+                        lambda self, k, out: fills.append(self.kind) or fill(self, k, out))
+    for form in forms:
+        form.evaluate(0.9 * cmath.exp(2.0j))
+    assert fills == []  # each image still holds the rows it grew at 0.99: neither made them again
+
+
+def test_closed_forms_read_no_stock_rows_once_built(monkeypatch):
+    """An image sums from the (s, a) closed_form_spec handed over: growing its rows asks stock_rows for nothing."""
+    lerch = closed_form_spec(_TRIPLE_A, "hurwitz_lerch", alpha=1.2, lam=0.8, rho=1.5, s=1.1, a=1.0)
+    koebe = closed_form_spec(_TRIPLE_B, "koebe", alpha=2.0)
+
+    def no_rows(kind, **params):
+        raise RuntimeError("stock_rows was called")
+
+    monkeypatch.setattr(fracdiff, "stock_rows", no_rows)
+    assert all(math.isfinite(abs(lerch.evaluate(r * cmath.exp(2.0j)))) for r in (0.95, 0.99))
+    assert lerch._rows[1].shape == (2, 4096)  # built at 0.95 (1024 indices), then grown past them at 0.99
+    assert all(math.isfinite(abs(koebe.evaluate(z))) for z in (0.5j, -0.9))
 
 
 def test_operator_and_multiplier_route_never_read_the_pair_row(monkeypatch):
@@ -432,10 +491,10 @@ def test_operator_and_multiplier_route_never_read_the_pair_row(monkeypatch):
         closed_form_spec(_TRIPLE_A, "koebe", alpha=2.0).evaluate(0.5j)
 
 
-def test_theta_hadamard_builds_its_row_in_bounded_blocks():
+def test_theta_hadamard_builds_its_row_in_bounded_blocks(monkeypatch):
     """At order 2^18 the pair row is built 2048 indices at a time: the peak stays near the output and the row."""
     f = koebe_series(2.0, 2**18)
-    fracdiff._kept_pair_row.cache_clear()
+    _empty_row_store(monkeypatch)
     tracemalloc.start()
     try:
         theta_hadamard(_TRIPLE_B, f)

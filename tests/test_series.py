@@ -293,6 +293,9 @@ def test_monomial_series():
     assert monomial_series(3, MAX_ORDER).order == MAX_ORDER
     with pytest.raises(DomainError, match="at most"):
         monomial_series(3, MAX_ORDER + 1)  # refused before any allocation
+    for order in (3.5, 4.0):
+        with pytest.raises(DomainError, match="must be an integer"):
+            monomial_series(3, order)
 
 
 def test_make_builtin_dispatch_and_errors():
@@ -312,4 +315,7 @@ def test_make_builtin_checks_the_order_of_every_kind(kind):
     assert make_builtin(kind, 3, **_VALID_PARAMS).order == 3
     for order in (0, MAX_ORDER + 1):
         with pytest.raises(DomainError, match="order must lie in"):
+            make_builtin(kind, order, **_VALID_PARAMS)
+    for order in (3.5, 3.0):  # refused, not rounded or truncated
+        with pytest.raises(DomainError, match="be an integer"):
             make_builtin(kind, order, **_VALID_PARAMS)
