@@ -211,14 +211,14 @@ def compactness_decay_check(p: OperatorParams, family_index_max: int, mu: float,
     must send it to 0 in norm, so the returned sequence should decay past
     a burn-in index. Note the grid supremum of r^{n-1}(1-r)^mu itself
     decays only like n^{-mu}, which bounds how fast this witness can fall.
-    family_index_max runs from 2 to MAX_FAMILY_INDEX.
+    family_index_max is an integer from 2 to MAX_FAMILY_INDEX.
 
     (Theta f_n)'(z) = Phi(n) z^{n-1} has one modulus on each ring, so member
     n's grid norm is Phi(n) max_i r_i^{n-1} factor(r_i) over the grid's
     radii: no series is built or evaluated on the grid.
     """
-    if not 2 <= family_index_max <= MAX_FAMILY_INDEX:
-        raise DomainError(f"family_index_max must lie in [2, {MAX_FAMILY_INDEX}], "
+    if not isinstance(family_index_max, (int, np.integer)) or not 2 <= family_index_max <= MAX_FAMILY_INDEX:
+        raise DomainError(f"family_index_max must lie in [2, {MAX_FAMILY_INDEX}] and be an integer, "
                           f"got {family_index_max}")
     grid = grid or default_bloch_grid()
     r = np.array(grid.radii)

@@ -6,11 +6,13 @@ the grid"), never proofs. DiskGrid.evaluate, the one grid evaluator, returns
 a (radii x angles) array that the screens and Bloch norms reduce, taking one
 inverse DFT of the coefficients folded mod the angle count per ring; a grid
 holds at most MAX_GRID_POINTS points. A failing screen reads its witness from
-Horner on the deciding ring, run in one pass for numerator and denominator
-at two angles: the grid's argmin on that ring and its mirror angle, the
-complex-conjugate point. The univalence criterion forms the partial
-sums of the explicit rearranged proof terms at z = 1; their divergence is
-proved, not detected, so it never forces a verdict.
+Horner on the deciding ring, for numerator and denominator at two angles:
+the grid's argmin on that ring and its mirror angle, the complex-conjugate
+point, with NumPy's array Horner bits (on Python complex numbers where those
+give the same bits: one point on the real axis, real coefficients). The
+univalence criterion forms the partial sums of the explicit rearranged proof
+terms at z = 1; their divergence is proved, not detected, so it never forces
+a verdict.
 """
 
 from __future__ import annotations
@@ -128,7 +130,8 @@ class ScreenResult:
     passed means no violation was found on the grid (not a proof). On
     failure, witness is the point of the smallest radius containing any
     violation that _order_screen picks from the grid's worst point and
-    its conjugate; witness_value is Horner's screened value there.
+    its conjugate; witness_value is Horner's screened value there, with
+    the bits of PowerSeries.evaluate on the whole deciding ring.
     """
 
     passed: bool
@@ -148,8 +151,11 @@ def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
     Otherwise, with j the grid's first argmin on that ring of M angles,
     the witness is whichever of angles j and (M - j) mod M (the conjugate
     point, which ties with j in exact arithmetic when the coefficients are
-    real) has the smaller Horner value, the smaller index on a tie; Horner
-    runs at those two angles only, for num and den in one pass.
+    real) has the smaller Horner value, the smaller index on a tie. Horner
+    runs at those angles only, for num and den in one evaluate_many pass;
+    when j is 0 or M / 2 (then also its own mirror) and the coefficients
+    are real, _horner runs on Python complex numbers instead, with the same
+    bits.
     """
     if not 0.0 <= lam < 1.0:
         raise DomainError(f"order lambda must lie in [0, 1), got {lam}")
@@ -173,10 +179,18 @@ def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
     ring = z[i]
     j = int(np.argmin(vals[i]))
     idx = sorted({j, (ring.size - j) % ring.size})
+    hn, hd = np.zeros_like(ring), np.ones_like(ring)
+    if 2 * j % ring.size == 0 and not (num.coeffs.imag.any() or den.coeffs.imag.any()):
+        # On the real axis Horner's imaginary parts stay ulps of its real parts and
+        # reach them only through products far below an ulp, so CPython's complex
+        # product rounds the real parts as NumPy's fused SIMD kernels do (save a
+        # product within about u^2 of a rounding midpoint): evaluate_many's bits
+        # without its two NumPy calls per coefficient.
+        hn[j], hd[j] = _horner(num, complex(ring[j])), _horner(den, complex(ring[j]))
+    else:
+        hn[idx], hd[idx] = evaluate_many([num, den], ring[idx])
     # The quotient is formed over the whole ring, as on the full Horner ring:
     # NumPy rounds a complex product on a length-1 array differently.
-    hn, hd = np.zeros_like(ring), np.ones_like(ring)
-    hn[idx], hd[idx] = evaluate_many([num, den], ring[idx])
     with np.errstate(divide="ignore", invalid="ignore"):
         ring_vals = np.real(ring * hn / hd)[idx]
     if shift:
@@ -186,6 +200,18 @@ def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
         raise DomainError(f"screened quotient is not finite on the ring of radius {grid.radii[i]}")
     m = int(np.argmin(ring_vals))
     return ScreenResult(False, lam, (i + 1) * z.shape[1], complex(ring[idx[m]]), float(ring_vals[m]))
+
+
+def _horner(f: PowerSeries, w: complex) -> complex:
+    """f(w) by Horner on Python complex numbers.
+
+    The +0 coefficients past _last_nonzero leave the accumulator at its
+    starting 0j, so skipping them gives the bits of Horner over all of them.
+    """
+    acc = 0j
+    for c in f.coeffs[_last_nonzero(f.coeffs)::-1].tolist():
+        acc = acc * w + c
+    return acc
 
 
 def starlike_order(f: PowerSeries, lam: float) -> ScreenResult:

@@ -205,6 +205,18 @@ def test_compactness_requires_at_least_two():
                                 WeightSpec("constant_one"))
 
 
+@pytest.mark.parametrize("nmax", [4.5, 4.0, "4", None])
+def test_compactness_family_index_must_be_an_integer(nmax):
+    """4.5 once gave the norms of n = 2..5; a float or a string is refused, not rounded."""
+    with pytest.raises(DomainError, match="integer"):
+        compactness_decay_check(OperatorParams(0.5, 0.5, 0.0), nmax, 1.2, WeightSpec())
+
+
+def test_compactness_takes_a_numpy_integer():
+    p, w = OperatorParams(0.65, 0.3, 1.4), WeightSpec()
+    assert compactness_decay_check(p, np.int64(5), 1.2, w) == compactness_decay_check(p, 5, 1.2, w)
+
+
 def test_compactness_family_index_is_capped():
     assert MAX_FAMILY_INDEX == 1024
     with pytest.raises(DomainError, match="1024"):

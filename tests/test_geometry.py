@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fracops import geometry, series
 from fracops.bloch import default_bloch_grid
 from fracops.errors import DomainError
 from fracops.fracdiff import OperatorParams, theta_normalize
@@ -328,14 +329,11 @@ def test_witness_that_needs_the_mirror_angle_is_the_full_ring_argmin(lam):
     assert (res.witness, res.witness_value, res.points_checked) == _full_ring_witness(f, lam, "starlike")[:3]
 
 
-def test_failing_screens_match_the_full_ring_witness():
-    """200 seeded failing screens: the witness, its value and the point count, bit for bit.
-
-    The witness is also the grid's first argmin on the deciding ring or its mirror angle.
-    """
+def _seeded_failing_screens(count):
+    """The first count failing screens of random normalized series, seeded: (f, lam, kind, result)."""
     rng = np.random.default_rng(2024)
     seen = 0
-    while seen < 200:
+    while seen < count:
         order = int(rng.integers(4, 400))
         k = np.arange(2, order + 1)
         c = np.zeros(order + 1, dtype=np.complex128)
@@ -348,15 +346,70 @@ def test_failing_screens_match_the_full_ring_witness():
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 res = (starlike_order if kind == "starlike" else convex_order)(f, lam)
-                want = _full_ring_witness(f, lam, kind)
         except DomainError:
             continue
         if res.passed:
             continue
-        assert (res.witness, res.witness_value, res.points_checked) == want[:3], (order, lam, kind)
-        ring, j = DiskGrid.default().points()[want[2] // 256 - 1], int(np.argmin(want[4]))
-        assert res.witness in (ring[j], ring[(256 - j) % 256]), (order, lam, kind)
+        yield f, lam, kind, res
         seen += 1
+
+
+def test_failing_screens_match_the_full_ring_witness():
+    """200 seeded failing screens: the witness, its value and the point count, bit for bit.
+
+    The witness is also the grid's first argmin on the deciding ring or its mirror angle.
+    """
+    for f, lam, kind, res in _seeded_failing_screens(200):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            want = _full_ring_witness(f, lam, kind)
+        assert (res.witness, res.witness_value, res.points_checked) == want[:3], (f.order, lam, kind)
+        ring, j = DiskGrid.default().points()[want[2] // 256 - 1], int(np.argmin(want[4]))
+        assert res.witness in (ring[j], ring[(256 - j) % 256]), (f.order, lam, kind)
+
+
+def test_real_axis_witnesses_take_python_horner_with_numpy_bits(monkeypatch):
+    """Theta(Koebe) at 30 seeded triples, each also turned by e^{0.3i}.
+
+    Every failing screen matches NumPy's Horner over the whole deciding ring,
+    bit for bit. A witness on the real axis, where the coefficients are real,
+    makes no evaluate_many call; the same series turned by e^{0.3i} keeps
+    Re(z f'/f) but has complex coefficients, so it calls evaluate_many.
+    """
+    calls = []
+    monkeypatch.setattr(geometry, "evaluate_many", lambda *args: calls.append(1) or series.evaluate_many(*args))
+    rng = np.random.default_rng(7)
+    on_axis = 0
+    for _ in range(30):
+        beta = rng.uniform(0.1, 1.0)
+        p = OperatorParams(beta, rng.uniform(max(0.05, beta - 0.9), beta), rng.uniform(0.0, 3.0))
+        f = theta_normalize(p, koebe_series(2.0, 2500))
+        for turn in (1.0, np.exp(0.3j)):
+            g = PowerSeries(turn * f.coeffs)
+            calls.clear()
+            res = starlike_order(g, 0.0)
+            if res.passed:
+                continue
+            assert (res.witness, res.witness_value, res.points_checked) == _full_ring_witness(g, 0.0, "starlike")[:3]
+            real_axis = abs(res.witness.imag) < 1e-15
+            assert bool(calls) == (turn != 1.0 or not real_axis), (p, turn, res)
+            on_axis += real_axis and turn == 1.0
+    assert on_axis >= 10
+
+
+def test_failing_screen_witness_values_match_mpmath():
+    """60 seeded failing screens: each witness value within 1e-12 relative of 40-digit mpmath.
+
+    The reference is the screened quantity at the witness point, with the
+    stored coefficients taken exactly.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for f, lam, kind, res in _seeded_failing_screens(60):
+            num, den, shift = _screened(f, kind)
+            z = mpmath.mpc(res.witness)
+            n, d = (mpmath.polyval([mpmath.mpc(c) for c in g.coeffs[::-1].tolist()], z) for g in (num, den))
+            want = float(mpmath.re(z * n / d) + shift)
+            assert abs(res.witness_value - want) <= 1e-12 * abs(want), (f.order, lam, kind, res, want)
 
 
 def test_zero_tailed_screens_match_the_full_ring_witness():
@@ -380,6 +433,32 @@ def test_zero_tailed_screens_match_the_full_ring_witness():
                 assert (res.witness, res.witness_value, res.points_checked) == (witness, value, checked)
                 seen += 1
     assert seen >= 30
+
+
+def test_real_axis_screens_make_no_numpy_horner_call(monkeypatch):
+    """Theta(Koebe) at -0.99, Koebe at -0.4 and Theta(z e^z)'s convex screen on the real axis: no NumPy Horner."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("NumPy Horner called")
+
+    p = OperatorParams(0.5606394622302311, 0.5353442707612333, 0.4324788381589012)
+    inputs = [(starlike_order, theta_normalize(p, koebe_series(2.0, 2500)), 0.0),
+              (starlike_order, koebe_series(2.0, 2500), 0.5),
+              (convex_order, theta_normalize(p, exp_times_z_series(2500)), 0.0)]
+    monkeypatch.setattr(series, "evaluate_many", refuse)
+    monkeypatch.setattr(geometry, "evaluate_many", refuse)  # the from-import's own name
+    monkeypatch.setattr(PowerSeries, "evaluate", refuse)
+    for screen, f, lam in inputs:
+        res = screen(f, lam)
+        assert not res.passed and abs(res.witness.imag) < 1e-15
+
+
+def test_zero_witness_denominator_is_a_domain_error(monkeypatch):
+    """den(w) == 0j at a witness point raises the screen's DomainError, not ZeroDivisionError."""
+    f = koebe_series(2.0, 2500)
+    horner = geometry._horner
+    monkeypatch.setattr(geometry, "_horner", lambda g, w: 0j if g is f else horner(g, w))
+    with pytest.raises(DomainError, match="not finite"):
+        starlike_order(f, 0.5)
 
 
 def test_starlike_half_plane_map_witness():
