@@ -150,8 +150,8 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_bloch(args) -> int:
-    if args.refine < 0:
-        raise DomainError(f"--refine must be >= 0, got {args.refine}")
+    if not 0 <= args.refine <= 4:  # a fifth refinement passes MAX_GRID_POINTS
+        raise DomainError(f"--refine must lie in [0, 4], got {args.refine}")
     grid = bloch_mod.default_bloch_grid()
     for _ in range(args.refine):
         grid = grid.refine()

@@ -5,7 +5,9 @@ unit disk; these are necessary-condition screens ("no violation found on
 the grid"), never proofs. DiskGrid.evaluate, the one grid evaluator, returns
 a (radii x angles) array that the screens and Bloch norms reduce, taking one
 inverse DFT of the coefficients folded mod the angle count per ring; a grid
-holds at most MAX_GRID_POINTS points. A failing screen reads its witness from
+holds at most MAX_GRID_POINTS points. Coefficients whose imaginary parts are
+all +0.0 fold in float64 with the bits of the complex fold, which an
+overflowing block falls back to. A failing screen reads its witness from
 Horner on the deciding ring, for numerator and denominator at two angles:
 the grid's argmin on that ring and its mirror angle, the complex-conjugate
 point, with NumPy's array Horner bits (on Python complex numbers where those
@@ -52,7 +54,8 @@ class DiskGrid:
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise DomainError("grid radii must be strictly increasing")
         m = self.angles_per_radius
-        if not isinstance(m, (int, np.integer)) or m < 1:  # even 4.0: evaluate sizes its arrays by it
+        # even 4.0 or True: evaluate sizes its arrays by it, and the JSON would print true
+        if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
             raise DomainError(f"angles_per_radius must be a positive integer, got {m!r}")
         if len(radii) * self.angles_per_radius > MAX_GRID_POINTS:
             raise DomainError(f"grid of {len(radii)} radii x {self.angles_per_radius} "
@@ -94,33 +97,55 @@ class DiskGrid:
         (_last_nonzero), with the same bits as over all N + 1: the dropped
         rows are +0 and would enter the first kept row as (+0) r^M + row,
         so that row starts the fold as row + 0.0.
+
+        When every kept imaginary part is +0.0 (tested on the bits, so a
+        -0.0 keeps the complex fold) the table is float64 and the same loop
+        runs in real arithmetic with the complex fold's bits: NumPy's
+        complex product and sum of two numbers with +0 imaginary parts are
+        (x r, +0) and (x + c, +0) on any SIMD kernel, fused or not, and
+        ifft reads x as x + 0j. Overflow is the exception: the complex fold
+        turns inf into inf + nan j at its next product, so a block whose
+        float64 fold is not all finite is folded again in complex.
         """
         m = self.angles_per_radius
         c = f.coeffs[:_last_nonzero(f.coeffs) + 1]
         rows_dropped = -(-f.coeffs.size // m) > -(-c.size // m)
-        table = np.zeros(-(-c.size // m) * m, dtype=np.complex128)
-        table[:c.size] = c
-        # columns past c_N are zero in every row; ifft's n=m pads them back
-        table = table.reshape(-1, m)[:, :min(c.size, m)]
-        powers = np.arange(table.shape[1])
+        real = not c.imag.view(np.uint64).any()
+        table = _fold_table(c.real if real else c, m)
         radii = np.array(self.radii)
         out = np.empty((radii.size, m), dtype=np.complex128)
         rows = max(1, _BLOCK_POINTS // m)
         for i in range(0, radii.size, rows):
             r = radii[i:i + rows, None]
-            acc = np.repeat(table[-1:], r.shape[0], axis=0)
-            if rows_dropped:
-                acc += 0.0  # -0.0 parts become +0.0, as after a +0 row
-            r_m = r**m
-            for row in table[-2::-1]:
-                acc *= r_m
-                acc += row
-            acc *= r**powers
-            out[i:i + rows] = np.fft.ifft(acc, n=m, axis=1, norm="forward")
+            acc = _fold(table, r, m, rows_dropped)
+            if real and not np.isfinite(acc).all():
+                acc = _fold(_fold_table(c, m), r, m, rows_dropped)
+            np.fft.ifft(acc, n=m, axis=1, norm="forward", out=out[i:i + rows])
         return out
 
     def to_json_dict(self) -> dict:
         return {"radii": list(self.radii), "angles_per_radius": self.angles_per_radius}
+
+
+def _fold_table(c: np.ndarray, m: int) -> np.ndarray:
+    """c in rows of m coefficients, in c's dtype, the columns past c_N dropped."""
+    table = np.zeros(-(-c.size // m) * m, dtype=c.dtype)
+    table[:c.size] = c
+    # columns past c_N are zero in every row; ifft's n=m pads them back
+    return table.reshape(-1, m)[:, :min(c.size, m)]
+
+
+def _fold(table: np.ndarray, r: np.ndarray, m: int, rows_dropped: bool) -> np.ndarray:
+    """The folded sums times r^j for the radii r (a column): Horner in r^m over the rows."""
+    acc = np.repeat(table[-1:], r.shape[0], axis=0)
+    if rows_dropped:
+        acc += 0.0  # -0.0 parts become +0.0, as after a +0 row
+    r_m = r**m
+    for row in table[-2::-1]:
+        acc *= r_m
+        acc += row
+    acc *= r**np.arange(table.shape[1])
+    return acc
 
 
 @dataclass

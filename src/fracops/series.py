@@ -180,10 +180,10 @@ MAX_ORDER = 2**20
 
 def monomial_series(power: int, order: int | None = None) -> PowerSeries:
     """z**power as a truncated series of an integer order at most MAX_ORDER."""
-    if power < 0 or power != int(power):
+    if isinstance(power, (bool, np.bool_)) or power < 0 or power != int(power):
         raise DomainError("monomial power must be a nonnegative integer")
     n = int(power) if order is None else order
-    if not isinstance(n, (int, np.integer)):
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"order must be an integer, got {n!r}")
     if n < power:
         raise DomainError("order too small to hold the monomial")
@@ -255,7 +255,7 @@ def make_builtin(kind: str, order: int, **params) -> PowerSeries:
     exact: Koebe alpha = 2 gives c_k = k and alpha = 1 gives c_k = 1 at any
     order. Its parameters are checked by stock_rows.
     """
-    if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_ORDER:
+    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or not 1 <= order <= MAX_ORDER:
         raise DomainError(f"order must lie in [1, {MAX_ORDER}] and be an integer, got {order}")
     if kind == "identity":
         return identity_series(order)

@@ -424,10 +424,11 @@ def run_suites(names=None, seed: int = 0, draws: int | None = None) -> list:
 
     seed must be >= 0 (numpy seeds no generator from a negative integer),
     and draws, if given, >= 1: a randomized suite with no draws checks nothing.
+    A bool is refused as either, not read as 0 or 1.
     """
-    if seed < 0:
+    if isinstance(seed, (bool, np.bool_)) or seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    if draws is not None and draws < 1:
+    if draws is not None and (isinstance(draws, (bool, np.bool_)) or draws < 1):
         raise DomainError(f"draws must be >= 1, got {draws}")
     chosen = list(SUITES) if not names else list(names)
     results = []

@@ -334,6 +334,10 @@ def test_bloch_refine_flag(capsys):
                     "--refine", "1")
     assert fine["norm_estimate"] >= base["norm_estimate"]
     assert len(fine["grid"]["radii"]) > len(base["grid"]["radii"])
+    for refine in ("-1", "5"):  # the help's range, named before any grid is built
+        code, out, err = run_cli(capsys, "bloch", "--f", "identity", "--refine", refine)
+        assert (code, out) == (2, "")
+        assert err == f"fracops: error: --refine must lie in [0, 4], got {refine}\n"
 
 
 def test_bloch_series_flags_are_exclusive(capsys):

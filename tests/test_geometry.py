@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fracops import geometry, series
-from fracops.bloch import default_bloch_grid
+from fracops.bloch import bloch_norm_classical, default_bloch_grid
 from fracops.errors import DomainError
 from fracops.fracdiff import OperatorParams, theta_normalize
 from fracops.geometry import (
@@ -49,6 +49,9 @@ def test_grid_validation():
     with pytest.raises(DomainError):
         DiskGrid(radii=(0.5,), angles_per_radius=0)
     for count in (2.5, 4.0):  # evaluate would raise an untyped TypeError
+        with pytest.raises(DomainError, match="positive integer"):
+            DiskGrid(radii=(0.5,), angles_per_radius=count)
+    for count in (True, np.True_):  # to_json_dict would print true
         with pytest.raises(DomainError, match="positive integer"):
             DiskGrid(radii=(0.5,), angles_per_radius=count)
 
@@ -179,7 +182,10 @@ def test_fold_skips_a_zero_tail_bit_for_bit():
     top row, whole rows, everything above c_0, everything; -0.0 parts in
     the top kept coefficient and in the first kept row, which the full
     fold turns into +0.0 when it adds that row to (+0) r^M. 1e-50^8
-    underflows to 0, and angle 0 gives real points.
+    underflows to 0, and angle 0 gives real points. The real series, whose
+    imaginary parts are all +0.0, fold in float64 and must give the complex
+    fold's bytes too, with -0.0 real parts and zero tails; one -0.0
+    imaginary part sends a series to the complex fold.
     """
     rng = np.random.default_rng(21)
     series = [PowerSeries(np.zeros(40)), PowerSeries(np.zeros(1))]
@@ -197,10 +203,73 @@ def test_fold_skips_a_zero_tail_bit_for_bit():
     for kept in (20, 16, 3, 0):
         series += [_signed_zeros(rng, kept, 39) for _ in range(4)]
     series += [exp_times_z_series(400), kummer_series(1.3, 0.9, 400).derivative()]
-    for g in (DiskGrid((1e-50, 0.3, 0.999), 8), DiskGrid((1e-50, 0.5), 1),
-              DiskGrid((1e-300, 0.1, 0.9), 16), DiskGrid((0.2, 0.99), 256)):
+    rng = np.random.default_rng(22)
+    for kept in (39, 36, 20, 16, 7, 0):
+        c = np.zeros(40, dtype=np.complex128)
+        c[:kept + 1] = rng.normal(size=kept + 1)
+        series.append(PowerSeries(c))
+        c = c.copy()
+        c[:kept + 1:3] = complex(-0.0, 0.0)
+        c[kept] = complex(-0.0, 0.0)
+        series.append(PowerSeries(c))
+        c = c.copy()
+        c[kept // 2] = complex(c[kept // 2].real, -0.0)
+        series.append(PowerSeries(c))
+    for kept in (20, 16, 3, 0):
+        c = _signed_zeros(rng, kept, 39).coeffs
+        c.imag = 0.0
+        series.append(PowerSeries(c))
+    grids = [DiskGrid((1e-50, 0.3, 0.999), 8), DiskGrid((1e-50, 0.5), 1),
+             DiskGrid((1e-300, 0.1, 0.9), 16), DiskGrid((0.2, 0.99), 256)]
+    for g in grids + [DiskGrid((1e-300, 0.5, 0.999), m) for m in (1, 7, 8, 16, 256)]:
         for f in series:
             assert g.evaluate(f).tobytes() == _full_fold(g, f).tobytes(), (f.coeffs, g)
+
+
+def _overflowing(kind):
+    """A real f whose f' folds to inf partway through, or only at its last (lowest) row.
+
+    "partway": c_k = 1e308 / k for k >= 300, so f' holds about 1e308 from
+    index 299 up. "last row": f' = 1.7e308 + 1.3e308 z^256, whose fold
+    overflows when it adds the row of f'_0 at a radius near 1.
+    """
+    if kind == "partway":
+        c = np.zeros(2501)
+        c[300:] = 1e308 / np.arange(300, 2501)
+    else:
+        c = np.zeros(258)
+        c[1], c[257] = 1.7e308, 1.3e308 / 257
+    return PowerSeries(c)
+
+
+@pytest.mark.parametrize("kind, bloch_error, screen_error", [
+    ("partway", "|f'| overflows float64 at grid point (-0.99+1.2124003311558797e-16j)",
+     "screened quotient is not finite on the ring of radius 0.99"),
+    # z f' / f is about 1 on the 0.8 ring, but |z f'| and |f| are near 1.4e308 there,
+    # and NumPy's complex division of the two overflows
+    ("last row", "|f'| overflows float64 at grid point (0.99+0j)",
+     "screened quotient is not finite on the ring of radius 0.8"),
+], ids=("partway", "last_row"))
+def test_real_fold_that_overflows_refolds_in_complex(kind, bloch_error, screen_error):
+    """An overflowing float64 fold is redone in complex: the complex fold's inf + nan j, not inf.
+
+    Compared by bytes, nans included, on the grids of the Bloch norm and
+    the screens; so the norm and the screen name the point and the ring
+    that the complex fold's values give.
+    """
+    f = _overflowing(kind)
+    fp = f.derivative()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in (DiskGrid((0.5, 0.999), 16), default_bloch_grid(), DiskGrid.default()):
+            vals = g.evaluate(fp)
+            assert not np.all(np.isfinite(vals)), g
+            assert vals.tobytes() == _full_fold(g, fp).tobytes(), g
+    with pytest.warns(RuntimeWarning), pytest.raises(DomainError) as err:
+        bloch_norm_classical(f)
+    assert str(err.value) == bloch_error
+    with pytest.warns(RuntimeWarning), pytest.raises(DomainError) as err:
+        starlike_order(f, 0.0)
+    assert str(err.value) == screen_error
 
 
 # ---------------------------------------------------------------------------

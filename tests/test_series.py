@@ -293,9 +293,12 @@ def test_monomial_series():
     assert monomial_series(3, MAX_ORDER).order == MAX_ORDER
     with pytest.raises(DomainError, match="at most"):
         monomial_series(3, MAX_ORDER + 1)  # refused before any allocation
-    for order in (3.5, 4.0):
+    for order in (3.5, 4.0, True, np.True_):
         with pytest.raises(DomainError, match="must be an integer"):
             monomial_series(3, order)
+    for power in (True, np.True_):  # not z^1
+        with pytest.raises(DomainError, match="monomial power must be a nonnegative integer"):
+            monomial_series(power)
 
 
 def test_make_builtin_dispatch_and_errors():
@@ -316,6 +319,6 @@ def test_make_builtin_checks_the_order_of_every_kind(kind):
     for order in (0, MAX_ORDER + 1):
         with pytest.raises(DomainError, match="order must lie in"):
             make_builtin(kind, order, **_VALID_PARAMS)
-    for order in (3.5, 3.0):  # refused, not rounded or truncated
+    for order in (3.5, 3.0, True, np.True_):  # refused, not rounded, truncated or read as 1
         with pytest.raises(DomainError, match="be an integer"):
             make_builtin(kind, order, **_VALID_PARAMS)

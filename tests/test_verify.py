@@ -39,6 +39,11 @@ def test_registry_names():
 def test_unknown_suite_rejected():
     with pytest.raises(DomainError):
         run_suites(names=["nope"])
+    for flag in (True, np.True_):  # not seed 1 or one draw
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            run_suites(names=["identity_law"], seed=flag)
+        with pytest.raises(DomainError, match="draws must be >= 1"):
+            run_suites(names=["identity_law"], draws=flag)
 
 
 def test_draw_params_stay_in_window():
