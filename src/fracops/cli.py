@@ -33,7 +33,7 @@ from . import bloch as bloch_mod
 from . import verify as verify_mod
 from .errors import DomainError, FracopsError
 from .fracdiff import OperatorParams, apply_operator, monomial_transform, theta_normalize
-from .geometry import CRITERION_MODES, univalence_criterion
+from .geometry import CRITERION_MODES, MAX_GRID_POINTS, univalence_criterion
 from .series import BUILTIN_SERIES, load_series_fixture, make_builtin
 
 _THEOREM_MODES = {"5": "theorem5_S", "6": "theorem6_K"}
@@ -150,11 +150,13 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_bloch(args) -> int:
-    if not 0 <= args.refine <= 4:  # a fifth refinement passes MAX_GRID_POINTS
-        raise DomainError(f"--refine must lie in [0, 4], got {args.refine}")
-    grid = bloch_mod.default_bloch_grid()
-    for _ in range(args.refine):
-        grid = grid.refine()
+    grid, done = bloch_mod.default_bloch_grid(), 0
+    while args.refine < 0 or done < args.refine:
+        try:
+            grid = grid.refine()
+        except DomainError:  # the next grid would pass MAX_GRID_POINTS
+            raise DomainError(f"--refine must lie in [0, {done}], got {args.refine}") from None
+        done += 1
 
     if args.compactness:
         if args.beta is None or args.tau is None:
@@ -266,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--alpha-w", type=float, default=0.0, dest="alpha_w")
     b.add_argument("--table-file", default=None, help="CSV of t,w(t) rows for --w table")
     b.add_argument("--refine", type=int, default=0,
-                   help="halve the grid spacing this many times (0 to 4)")
+                   help="halve the grid spacing this many times, while the grid stays "
+                        f"within {MAX_GRID_POINTS} points")
     b.add_argument("--compactness", action="store_true",
                    help="norms of the normalized operator on z^n/n for n = 2..nmax")
     b.add_argument("--nmax", type=int, default=64,

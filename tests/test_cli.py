@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from fracops.bloch import default_bloch_grid
 from fracops.cli import _table_json, main
+from fracops.geometry import MAX_GRID_POINTS
 from fracops.series import koebe_series
 from fracops.verify import fixture_dir
 
@@ -334,10 +336,15 @@ def test_bloch_refine_flag(capsys):
                     "--refine", "1")
     assert fine["norm_estimate"] >= base["norm_estimate"]
     assert len(fine["grid"]["radii"]) > len(base["grid"]["radii"])
-    for refine in ("-1", "5"):  # the help's range, named before any grid is built
+    grid = default_bloch_grid()
+    n, m, top = len(grid.radii), grid.angles_per_radius, 0
+    while (2 * n - 1) * 2 * m <= MAX_GRID_POINTS:  # a refinement: midpoint radii, twice the angles
+        n, m, top = 2 * n - 1, 2 * m, top + 1
+    assert (top, n, m) == (4, 1521, 2048)
+    for refine in ("-1", str(top + 1), "1000000000"):  # the flag's name, not the grid's size
         code, out, err = run_cli(capsys, "bloch", "--f", "identity", "--refine", refine)
         assert (code, out) == (2, "")
-        assert err == f"fracops: error: --refine must lie in [0, 4], got {refine}\n"
+        assert err == f"fracops: error: --refine must lie in [0, {top}], got {refine}\n"
 
 
 def test_bloch_series_flags_are_exclusive(capsys):
