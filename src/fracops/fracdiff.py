@@ -17,7 +17,13 @@ path: from c = X_m - beta = 16 up it sums the asymptotic expansion of a
 ratio of Gamma functions (Tricomi & Erdelyi 1951; Fields 1966) from
 hard-coded Bernoulli numbers, and below it steps up from c + 16 by log1p
 terms, forming no Gamma value; the front factor Gamma(tau)/Gamma(beta) is
-two math.lgamma calls.
+two math.lgamma calls. log_gamma_ratios runs the same code over T triples:
+beta, tau and gamma become (T, 1) columns broadcast against the indices,
+where one triple has floats, and each row has the bits of its triple's own
+call. The helpers that turn R into multipliers, _front_times_exp and
+Theta's _times_phi, take the same T rows, and monomial_transforms gives T
+monomial images from one kernel call; the verify suites check their draws
+through them.
 
 Every kept row follows one rule, _kept_row: a read-only row over the
 indices 0 .. n - 1 for the last key asked, grown by filling only the
@@ -168,23 +174,62 @@ def log_gamma_ratio(p: OperatorParams, m):
     R stays within 8 ulps of max(1, |R|) at every index; NumPy is the only
     dependency. At tau = beta every coefficient and step is exactly 0, so
     tau = beta leaves coefficients bit-identical and Phi(1) == 1.0.
-    Raises PoleHitError naming the smallest argument c + tau if it lies
-    below POLE_GUARD.
+    log_gamma_ratios runs the same code over many triples, and each of its
+    rows has the bits of this call. Raises PoleHitError naming the smallest
+    argument c + tau if it lies below POLE_GUARD.
     """
     m = np.asarray(m, dtype=np.float64)
-    a, b = p.beta, p.tau
-    c = (m.ravel() + p.gamma * (1.0 - a)) / (p.gamma + 1.0)
-    low = float(np.minimum.reduce(c, initial=math.inf)) + b
-    if low < POLE_GUARD:
-        raise PoleHitError(low)
+    return _log_gamma_ratio(p.beta, p.tau, p.gamma, m.ravel()).reshape(m.shape)
+
+
+def log_gamma_ratios(ps, m) -> np.ndarray:
+    """The kernel over T triples at once: row t has the bits of log_gamma_ratio(ps[t], its indices).
+
+    ps is a sequence of T >= 1 OperatorParams, so every triple is validated.
+    Their beta, tau and gamma become (T, 1) columns that broadcast against
+    the indices m: a scalar or an (n,) array gives every triple the same
+    indices, a (T, 1) or (T, n) array each triple its own row. The result
+    has shape (T, n), n = 1 for a scalar. It is log_gamma_ratio's code, run
+    once: its scalars are a triple's floats there and columns here.
+    """
+    if not len(ps):
+        raise DomainError("log_gamma_ratios needs at least one parameter triple")
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim > 2 or m.ndim == 2 and m.shape[0] not in (1, len(ps)):
+        raise DomainError(f"indices of shape {m.shape} do not broadcast against {len(ps)} triples")
+    a, b, g = _columns([(p.beta, p.tau, p.gamma) for p in ps])
+    return _log_gamma_ratio(a, b, g, m)
+
+
+def _columns(rows: list) -> tuple:
+    """The (T, 1) float columns of T equal-length tuples, one per tuple entry."""
+    return tuple(np.array(rows, dtype=np.float64).T[..., None])
+
+
+def _log_gamma_ratio(a, b, g, m: np.ndarray) -> np.ndarray:
+    """R at the indices m for beta, tau and gamma a, b and g: one triple's floats with m 1-D, or (T, 1) columns.
+
+    A triple's floats are its T = 1 case: NumPy broadcasts a float as it does
+    a column, without a column's cost, so every element has the same recipe.
+    c is (n,) for floats and (T, n) for columns, and the step-up reads each
+    kept element's triple from the leading part of its index, () for floats.
+    """
+    c = (m + g * (1.0 - a)) / (g + 1.0)
     below = c < _SWITCH
-    r = _ratio_expansion(c + _SWITCH * below, a, b)
-    rows = below.nonzero()[0]
-    steps = _STEPS + b
+    *lead, rows = below.nonzero()
+    kept = c[below]
+    if kept.size and np.minimum.reduce(kept, None) < 0.0:  # c >= 0 gives c + tau >= tau >= POLE_GUARD
+        low = float(np.min(c + b))
+        if low < POLE_GUARD:
+            raise PoleHitError(low)
+    r = _ratio_expansion(np.add(c, _SWITCH, out=c, where=below), a, b)  # c is shifted in place
+    diff, steps = np.asarray(a - b), _STEPS + b
     for i in range(0, rows.size, _STEP_ROWS):
-        k = rows[i:i + _STEP_ROWS]
-        r[k] = r[k] - np.add.reduce(np.log1p((a - b) / (c[k, None] + steps)), axis=1)
-    return r.reshape(m.shape)
+        t = tuple([axis[i:i + _STEP_ROWS] for axis in lead])
+        k = t + (rows[i:i + _STEP_ROWS],)
+        q = kept[i:i + _STEP_ROWS, None] + steps[t]  # 16 wide, so an in-place op is cheaper than a new array
+        r[k] = r[k] - np.add.reduce(np.log1p(np.divide(diff[t], q, q), q), 1)
+    return r
 
 
 # The module's kept rows, row kind -> [key, row] (see _kept_row).
@@ -215,22 +260,54 @@ def _kernel_row(p: OperatorParams, n: int) -> np.ndarray:
     return _kept_row(_row_store["kernel"], p, n, lambda k, out: np.copyto(out, log_gamma_ratio(p, k)))
 
 
-def _ratio_expansion(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """The expansion of log Gamma(x + a) - log Gamma(x + b) over an array x >= _SWITCH."""
-    sigma = 0.5 * (a - b)
-    # odd in sigma, so every coefficient is exactly 0 at a = b
-    coeffs = (_BERNOULLI_ROWS @ (sigma * (sigma * sigma) ** _SIGMA_POWERS)).tolist()
+def _ratio_expansion(x: np.ndarray, a, b) -> np.ndarray:
+    """The expansion of log Gamma(x + a) - log Gamma(x + b) over an array x >= _SWITCH, a and b floats or columns."""
     w = x + 0.5 * (a + b - 1.0)
     u = 1.0 / (w * w)
+    coeffs = _expansion_coefficients(0.5 * (a - b))
     r = coeffs[-1] * u
-    for coeff in reversed(coeffs[:-1]):
-        r = (r + coeff) * u  # new arrays: an in-place op costs about twice as much on a short array
+    for coeff in coeffs[-2::-1]:
+        r = (r + coeff) * u  # new arrays: an in-place op costs about twice as much on a one-element array
     return r + (a - b) * np.log(w)
 
 
-def _front_times_exp(p: OperatorParams, s):
-    """(gamma+1)^{beta-tau} Gamma(tau)/Gamma(beta) * exp(s), s scalar or array."""
-    return (p.gamma + 1.0) ** (-p.diff) * np.exp(s + (math.lgamma(p.tau) - math.lgamma(p.beta)))
+def _expansion_coefficients(sigma) -> list:
+    """The w^-2j coefficients, j = 1 .. 6, of sigma: floats for a float, (T, 1) columns for a (T, 1) column.
+
+    Each triple's coefficients come from its own matrix-vector product, so a
+    column holds the bits of each triple's floats. They are odd in sigma, so
+    every coefficient is exactly 0 at a = b.
+    """
+    powers = sigma * (sigma * sigma) ** _SIGMA_POWERS
+    if powers.ndim == 1:  # Python floats: a NumPy scalar operand slows a ufunc call on a short array
+        return (_BERNOULLI_ROWS @ powers).tolist()
+    return list((_BERNOULLI_ROWS @ powers[..., None]).transpose(1, 0, 2))
+
+
+def _front(p: OperatorParams) -> tuple:
+    """(gamma+1)^{beta-tau} and log Gamma(tau) - log Gamma(beta), the front factor's two floats."""
+    return (p.gamma + 1.0) ** (-p.diff), math.lgamma(p.tau) - math.lgamma(p.beta)
+
+
+def _front_times_exp(p, s):
+    """(gamma+1)^{beta-tau} Gamma(tau)/Gamma(beta) * exp(s).
+
+    p is one OperatorParams, with s a scalar or an array, or a sequence of T
+    of them, with s an array of T rows, one per triple.
+    """
+    scale, shift = _front(p) if isinstance(p, OperatorParams) else _columns([_front(q) for q in p])
+    return scale * np.exp(s + shift)
+
+
+def _times_phi(coeffs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Theta's multiplier on coefficient rows: index 0 set to 0, index k >= 1 times Phi(k) = exp(R(k) - R(1)).
+
+    r holds the kernel rows R(0 .. N) of the coefficient rows, along the last axis.
+    """
+    out = coeffs.copy()
+    out[..., 0] = 0.0
+    out[..., 1:] *= np.exp(r[..., 1:] - r[..., 1:2])
+    return out
 
 
 def monomial_transform(p: OperatorParams, upsilon: float) -> MonomialImage:
@@ -242,11 +319,39 @@ def monomial_transform(p: OperatorParams, upsilon: float) -> MonomialImage:
     upsilon, or one whose coefficient or exponent is not finite in float64,
     is rejected; non-integer upsilon >= 0 is allowed (the formula extends).
     """
+    upsilon = _monomial_power(upsilon)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected by _monomial_image
+        coeff = float(_front_times_exp(p, log_gamma_ratio(p, upsilon)))
+    return _monomial_image(p, upsilon, coeff)
+
+
+def monomial_transforms(ps, upsilons) -> list:
+    """monomial_transform(ps[t], upsilons[t]) for every t, from one kernel call.
+
+    Each image has the bits of its own monomial_transform call. A refused
+    pair raises monomial_transform's DomainError: the first refused power's,
+    else the first refused image's.
+    """
+    upsilons = [_monomial_power(upsilon) for upsilon in upsilons]
+    if len(upsilons) != len(ps):
+        raise DomainError(f"{len(ps)} parameter triples but {len(upsilons)} monomial powers")
+    if not ps:
+        return []
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected by _monomial_image
+        coeffs = _front_times_exp(ps, log_gamma_ratios(ps, np.array(upsilons)[:, None]))[:, 0].tolist()
+    return [_monomial_image(p, upsilon, coeff) for p, upsilon, coeff in zip(ps, upsilons, coeffs)]
+
+
+def _monomial_power(upsilon) -> float:
+    """float(upsilon), refused unless finite and >= 0."""
     upsilon = float(upsilon)
     if not 0.0 <= upsilon < math.inf:
         raise DomainError(f"monomial power must be finite and >= 0, got {upsilon}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected below
-        coeff = float(_front_times_exp(p, log_gamma_ratio(p, upsilon)))
+    return upsilon
+
+
+def _monomial_image(p: OperatorParams, upsilon: float, coeff: float) -> MonomialImage:
+    """The image coeff * z^(shift + upsilon), refused unless its coefficient and exponent are finite."""
     if not math.isfinite(coeff):
         raise DomainError(f"monomial power {upsilon} gives a non-finite coefficient")
     exponent = p.shift + upsilon
@@ -327,12 +432,7 @@ def theta_multiplier_apply(p: OperatorParams, f: PowerSeries) -> PowerSeries:
     """
     if abs(f.coeffs[0]) > 1e-12:
         raise DomainError("Theta needs a series with zero constant term")
-    coeffs = f.coeffs.copy()
-    coeffs[0] = 0.0
-    r = _kernel_row(p, coeffs.size)[1:]
-    if r.size:
-        coeffs[1:] *= np.exp(r - r[0])
-    return PowerSeries(coeffs)
+    return PowerSeries(_times_phi(f.coeffs, _kernel_row(p, f.coeffs.size)))
 
 
 def theta_normalize(p: OperatorParams, f: PowerSeries) -> PowerSeries:

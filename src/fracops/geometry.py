@@ -166,13 +166,31 @@ class ScreenResult:
     witness_value: float | None = None
 
 
+def _common_scale(n: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per row of n and d, the power of two that takes their largest real or imaginary part into [1/2, 1).
+
+    A row holding an inf or a nan gets 2^0: no scale makes it finite.
+    """
+    big = np.maximum(np.abs(n.view(np.float64)).max(axis=-1), np.abs(d.view(np.float64)).max(axis=-1))
+    return -np.frexp(big)[1]
+
+
+def _scaled(v: np.ndarray, e) -> np.ndarray:
+    """v times 2^e, exactly, part by part (save parts that fall below the normal range)."""
+    return np.ldexp(v.view(np.float64), e).view(np.complex128)
+
+
 def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
                   vanishes: str) -> ScreenResult:
     """Screen Re(shift + z num(z) / den(z)) > lam over DiskGrid.default().
 
     The grid values decide: the first ring in ascending radius that
     violates the screen or has a denominator below _ZERO_GUARD. The
-    latter, or a non-finite quotient on that ring, raises DomainError.
+    latter, or a non-finite quotient on that ring, raises DomainError. A
+    ring whose quotient is not finite is first formed again, grid and
+    Horner values alike, from num and den scaled by a common power of two:
+    z f'/f = 1 for f = 1.7e308 z, but z f' / f overflows. The other rings
+    keep their bits.
     Otherwise, with j the grid's first argmin on that ring of M angles,
     the witness is whichever of angles j and (M - j) mod M (the conjugate
     point, which ties with j in exact arithmetic when the coefficients are
@@ -187,8 +205,16 @@ def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
     grid = DiskGrid.default()
     z = grid.points()
     n, d = grid.evaluate(num), grid.evaluate(den)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = np.real(z * n / d)
+        # With |z num| and |den| near float64's top the quotient overflows though it is moderate:
+        # such a ring is formed again from num and den scaled by a common power of two, and only it.
+        over = ~np.isfinite(vals).all(axis=1)
+        scales = np.zeros(z.shape[0], dtype=int)
+        if over.any():
+            scales[over] = _common_scale(n[over], d[over])
+            sn, sd = (_scaled(v[over], scales[over, None]) for v in (n, d))
+            vals[over] = np.real(z[over] * sn / sd)
     if shift:  # adding 0.0 would turn a -0.0 witness value into 0.0
         vals = vals + shift
     vanishing = np.any(np.abs(d) < _ZERO_GUARD, axis=1)
@@ -214,6 +240,8 @@ def _order_screen(lam: float, shift: float, num: PowerSeries, den: PowerSeries,
         hn[j], hd[j] = _horner(num, complex(ring[j])), _horner(den, complex(ring[j]))
     else:
         hn[idx], hd[idx] = evaluate_many([num, den], ring[idx])
+    if over[i]:
+        hn, hd = _scaled(hn, scales[i]), _scaled(hd, scales[i])
     # The quotient is formed over the whole ring, as on the full Horner ring:
     # NumPy rounds a complex product on a length-1 array differently.
     with np.errstate(divide="ignore", invalid="ignore"):

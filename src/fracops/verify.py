@@ -6,6 +6,16 @@ Fox-Wright vs direct hypergeometric summation, the two Theta routes, and
 fixture regression), and reports the worst observed error against a fixed
 tolerance. Suites never silently pass: any failure carries a message
 naming the offending case or fixture file.
+
+The suites whose draws read the Gamma-ratio kernel draw every triple
+first, in the order of one draw after another, and then check them all
+from one kernel call: identity_law's random draws through
+log_gamma_ratios and the multiplier helpers of apply_operator and
+theta_multiplier_apply, reduction_law's coefficients and
+oracle_closed_form's references through monomial_transforms. Each row has
+the bits of its own call, so every report keeps its bytes. identity_law's
+fixture draws still go through the public apply_operator, theta_normalize
+and theta_multiplier_apply, and oracle_eval runs once per draw.
 """
 
 from __future__ import annotations
@@ -23,9 +33,12 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, FracopsError, PoleHitError
 from .fracdiff import (
     OperatorParams,
+    _front_times_exp,
+    _times_phi,
     apply_operator,
     closed_form_spec,
-    monomial_transform,
+    log_gamma_ratios,
+    monomial_transforms,
     theta_hadamard,
     theta_multiplier_apply,
     theta_normalize,
@@ -114,13 +127,12 @@ def suite_oracle_closed_form(seed: int = 0, draws: int = 50) -> SuiteResult:
     """Integral route vs the monomial closed form on random admissible draws."""
     tol = 1e-8
     rng = np.random.default_rng(seed)
+    cases = [(draw_params(rng), int(rng.integers(0, 7)), _draw_z(rng)) for _ in range(draws)]
+    images = monomial_transforms([p for p, _, _ in cases], [float(upsilon) for _, upsilon, _ in cases])
     worst, failures = 0.0, []
-    for i in range(draws):
-        p = draw_params(rng)
-        upsilon = int(rng.integers(0, 7))
-        z = _draw_z(rng)
+    for i, ((p, upsilon, z), image) in enumerate(zip(cases, images)):
         f = monomial_series(upsilon, max(upsilon, 1))
-        ref = monomial_transform(p, float(upsilon)).evaluate(z)
+        ref = image.evaluate(z)
         try:
             got = oracle_eval(p, f, z)
         except (ConvergenceError, DomainError) as exc:
@@ -139,8 +151,14 @@ def suite_identity_law(seed: int = 0, draws: int = 200) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst, failures, checks = 0.0, [], 0
 
+    def record(dev, p, label):
+        nonlocal worst, checks
+        worst = max(worst, dev)
+        checks += 1
+        if not dev <= tol:
+            failures.append(f"{label}: coefficient deviation {dev:.3e} at {p}")
+
     def check(p, f, label):
-        nonlocal worst
         dev = float(np.max(np.abs(apply_operator(p, f).series.coeffs - f.coeffs)))
         if f.is_normalized():
             dev = max(dev, float(np.max(np.abs(theta_normalize(p, f).coeffs - f.coeffs))))
@@ -148,21 +166,24 @@ def suite_identity_law(seed: int = 0, draws: int = 200) -> SuiteResult:
             g = PowerSeries(np.concatenate([[0.0], f.coeffs[1:]]))
             if abs(f.coeffs[0]) < 1e-12 and f.coeffs.size > 1:
                 dev = max(dev, float(np.max(np.abs(theta_multiplier_apply(p, g).coeffs - g.coeffs))))
-        worst = max(worst, dev)
-        if not dev <= tol:
-            failures.append(f"{label}: coefficient deviation {dev:.3e} at {p}")
+        record(dev, p, label)
 
-    for i in range(draws):
-        p = draw_params(rng, tau_equals_beta=True)
-        check(p, random_normalized_series(rng, 12), f"draw {i}")
-        checks += 1
+    # the random draws are normalized: apply_operator's and theta_normalize's images of all of them
+    # from one kernel call, each row with the bits of its own image
+    drawn = [(draw_params(rng, tau_equals_beta=True), random_normalized_series(rng, 12)) for _ in range(draws)]
+    if drawn:
+        ps = [p for p, _ in drawn]
+        coeffs = np.array([f.coeffs for _, f in drawn])
+        r = log_gamma_ratios(ps, np.arange(float(coeffs.shape[1])))
+        images = np.max(np.abs(coeffs * _front_times_exp(ps, r) - coeffs), axis=1).tolist()
+        thetas = np.max(np.abs(_times_phi(coeffs, r) - coeffs), axis=1).tolist()
+        for i, (p, image, theta) in enumerate(zip(ps, images, thetas)):
+            record(max(image, theta), p, f"draw {i}")
     fdir = fixture_dir()
     for name in SERIES_FIXTURE_NAMES:
         f = load_series_fixture(fdir / name)
         for _ in range(3):
-            p = draw_params(rng, tau_equals_beta=True)
-            check(p, f, name)
-            checks += 1
+            check(draw_params(rng, tau_equals_beta=True), f, name)
     return _result("identity_law", tol, worst, checks, failures)
 
 
@@ -173,11 +194,12 @@ def suite_reduction_law(seed: int = 0, draws: int = 100) -> SuiteResult:
     """
     tol = 1e-12
     rng = np.random.default_rng(seed)
-    worst, failures = 0.0, []
+    ps, upsilons = [], []
     for i in range(draws):
-        p = draw_params(rng, gamma_zero=True)
-        upsilon = float(rng.integers(0, 7)) if i % 2 == 0 else rng.uniform(0.0, 6.0)
-        got = monomial_transform(p, upsilon)
+        ps.append(draw_params(rng, gamma_zero=True))
+        upsilons.append(float(rng.integers(0, 7)) if i % 2 == 0 else rng.uniform(0.0, 6.0))
+    worst, failures = 0.0, []
+    for i, (p, upsilon, got) in enumerate(zip(ps, upsilons, monomial_transforms(ps, upsilons))):
         ref = math.exp(
             log_gamma(upsilon + p.beta) + log_gamma(p.tau)
             - log_gamma(upsilon + p.tau) - log_gamma(p.beta)

@@ -245,10 +245,11 @@ def _overflowing(kind):
 @pytest.mark.parametrize("kind, bloch_error, screen_error", [
     ("partway", "|f'| overflows float64 at grid point (-0.99+1.2124003311558797e-16j)",
      "screened quotient is not finite on the ring of radius 0.99"),
-    # z f' / f is about 1 on the 0.8 ring, but |z f'| and |f| are near 1.4e308 there,
-    # and NumPy's complex division of the two overflows
+    # z f' / f is about 1 on the 0.8 ring, but |z f'| and |f| are near 1.4e308 there, and
+    # NumPy's complex division of the two overflows: formed again from values scaled by a
+    # power of two, that ring passes, and the screen stops where the fold overflows
     ("last row", "|f'| overflows float64 at grid point (0.99+0j)",
-     "screened quotient is not finite on the ring of radius 0.8"),
+     "screened quotient is not finite on the ring of radius 0.99"),
 ], ids=("partway", "last_row"))
 def test_real_fold_that_overflows_refolds_in_complex(kind, bloch_error, screen_error):
     """An overflowing float64 fold is redone in complex: the complex fold's inf + nan j, not inf.
@@ -270,6 +271,24 @@ def test_real_fold_that_overflows_refolds_in_complex(kind, bloch_error, screen_e
     with pytest.warns(RuntimeWarning), pytest.raises(DomainError) as err:
         starlike_order(f, 0.0)
     assert str(err.value) == screen_error
+
+
+def test_screen_rescales_a_ring_whose_quotient_overflows():
+    """f = 1.6e308 z + 5e306 z^2: z f'/f is about 1, but the grid's quotient z f' / f overflows.
+
+    The rings that overflow are formed again from f' and f scaled by a
+    common power of two, which changes no quotient, so the screen reads as
+    for the same series times 2^-1000, witness and value bit for bit.
+    """
+    big = PowerSeries([0.0, 1.6e308, 0.05e308])
+    small = PowerSeries(big.coeffs * 2.0 ** -1000)
+    g = DiskGrid.default()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.real(g.points() * g.evaluate(big.derivative()) / g.evaluate(big))).all()
+    for lam in (0.0, 0.5, 0.99):
+        assert starlike_order(big, lam) == starlike_order(small, lam), lam
+    assert starlike_order(big, 0.5).passed and not starlike_order(big, 0.99).passed
+    assert starlike_order(PowerSeries([0.0, 1.7e308]), 0.99).passed
 
 
 # ---------------------------------------------------------------------------

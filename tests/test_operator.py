@@ -9,12 +9,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fracops import fracdiff
-from fracops.errors import DomainError
+from fracops.errors import DomainError, PoleHitError
 from fracops.fracdiff import (
     OperatorParams,
     apply_operator,
     closed_form_spec,
     log_gamma_ratio,
+    log_gamma_ratios,
     monomial_transform,
     phi_multiplier,
     theta_fox_wright_spec,
@@ -148,8 +149,11 @@ def test_operator_image_evaluate():
 # ---------------------------------------------------------------------------
 # the Gamma-ratio kernel at the corners of the window
 
-# (beta, tau): smallest beta, tau/beta -> 0 down to tau = POLE_GUARD, beta - tau = 0.999, tau = beta.
-_CORNERS = [(1e-3, 1e-9), (1e-3, 1e-8), (1e-3, 1e-3), (1.0, 1e-9), (1.0, 1e-8), (1.0, 1e-3), (1.0, 1.0)]
+# (beta, tau): smallest beta, tau/beta -> 0 down to tau = POLE_GUARD, beta - tau = 0.999, tau = beta,
+# and two middle pairs: near beta - tau = 0 or 1 the expansion's Bernoulli polynomials B(1/2 + sigma)
+# nearly vanish, so only beta - tau near 1/2 shows a truncation of the expansion.
+_CORNERS = [(1e-3, 1e-9), (1e-3, 1e-8), (1e-3, 1e-3), (1.0, 1e-9), (1.0, 1e-8), (1.0, 1e-3), (1.0, 1.0),
+            (0.852, 0.361), (0.7, 0.2)]
 _CORNER_INDICES = (0, 1, 2, 7, 64, 1000, 8192)
 
 
@@ -184,7 +188,7 @@ def test_kernel_matches_mpmath_at_window_corners(beta, tau, gamma):
                 assert abs(phi[m] - float(r / r1)) <= tol * float(r / r1), (m, phi[m])
 
 
-@pytest.mark.parametrize("gamma", [0.0, 50.0])
+@pytest.mark.parametrize("gamma", [0.0, 2.94, 50.0])
 @pytest.mark.parametrize("beta,tau", _CORNERS)
 def test_kernel_error_is_flat_up_to_max_order(beta, tau, gamma):
     """R(m) within 8 eps max(1, |R|) of 50 digits at every index where c < 17, and up to MAX_ORDER.
@@ -209,6 +213,24 @@ def test_kernel_error_is_flat_up_to_max_order(beta, tau, gamma):
             # np.resize repeats a short last piece, so every call has exactly n indices
             got = log_gamma_ratio(p, np.resize(m[i:i + n], n))
             assert got.tobytes() == np.resize(r[i:i + n], n).tobytes(), (n, i)
+
+
+def test_kernel_batch_refuses_what_it_cannot_broadcast_and_names_the_smallest_pole():
+    p, q = OperatorParams(0.65, 0.3, 1.4), OperatorParams(0.9, 0.35, 0.0)
+    with pytest.raises(DomainError, match="at least one"):
+        log_gamma_ratios([], np.arange(4.0))
+    for m in (np.zeros((3, 4)), np.zeros((2, 2, 2))):
+        with pytest.raises(DomainError, match="do not broadcast against 2 triples"):
+            log_gamma_ratios([p, q], m)
+    assert log_gamma_ratios([p, q], np.zeros((1, 4))).shape == (2, 4)
+    assert log_gamma_ratios([p, q], 3.0).tobytes() == np.array([[log_gamma_ratio(p, 3.0)],
+                                                                [log_gamma_ratio(q, 3.0)]]).tobytes()
+    # c + tau = -1.0 + 0.35 for q at m = -1, the smallest argument over both triples
+    with pytest.raises(PoleHitError) as err:
+        log_gamma_ratios([p, q], np.array([[0.0, 1.0], [-1.0, 2.0]]))
+    with pytest.raises(PoleHitError) as one:
+        log_gamma_ratio(q, [-1.0, 2.0])
+    assert str(err.value) == str(one.value) and "-0.65" in str(err.value)
 
 
 def test_tau_equals_beta_is_bit_exact_on_packaged_fixtures():

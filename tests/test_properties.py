@@ -2,16 +2,22 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.special as sc
 
+from fracops import fracdiff
+from fracops.errors import DomainError
 from fracops.fracdiff import (
     OperatorParams,
     apply_operator,
     closed_form_spec,
+    log_gamma_ratio,
+    log_gamma_ratios,
     monomial_transform,
+    monomial_transforms,
     phi_multiplier,
     theta_hadamard,
     theta_normalize,
@@ -148,3 +154,54 @@ def test_theta_routes_agree(params, seed):
     bound = np.maximum(1e-12, 2.0 * _log_gamma_conditioning(p, np.arange(1.0, t1.size)))
     assert np.all(dev[1:] <= bound), (float(np.max(dev[1:] / bound)), params)
     assert dev[0] == 0.0
+
+
+@st.composite
+def kernel_triples(draw, count):
+    """count triples over the kernel's whole window: beta >= 1e-3, tau >= POLE_GUARD, beta - tau <= 0.999, gamma <= 1e5."""
+    triples = []
+    for _ in range(count):
+        beta = draw(st.floats(1e-3, 1.0))
+        tau = draw(st.floats(max(POLE_GUARD, beta - (1.0 - 1e-3)), beta))
+        triples.append(OperatorParams(beta, tau, draw(st.floats(0.0, 1e5))))
+    return triples
+
+
+# c = (m + gamma (1 - beta)) / (gamma + 1) crosses 16 below m = 16 (gamma + 1) <= 1.6e6 + 16:
+# these indices fall on both sides of it for every gamma in the window
+_BOTH_SIDES = np.unique(np.r_[np.arange(18.0), np.round(np.geomspace(18.0, 4e6, 24))])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), count=st.sampled_from([1, 2, 7, 200]))
+def test_kernel_batch_rows_have_the_bits_of_single_calls(data, count):
+    """log_gamma_ratios over T triples gives each row the bits of log_gamma_ratio on its own triple.
+
+    Shared indices (n,) on both sides of c = 16, and one index per triple
+    (T, 1); the front factor and Theta's multipliers taken over the rows
+    give each row the bits of their single-triple calls too.
+    """
+    ps = data.draw(kernel_triples(count))
+    extra = data.draw(st.lists(st.floats(0.0, 4e6), max_size=5))
+    m = np.r_[_BOTH_SIDES, extra]
+    rows = log_gamma_ratios(ps, m)
+    assert rows.shape == (count, m.size)
+    for p, row in zip(ps, rows):
+        assert row.tobytes() == log_gamma_ratio(p, m).tobytes(), p
+    with np.errstate(over="ignore", under="ignore"):
+        fronts = fracdiff._front_times_exp(ps, rows[:, :20])
+        for p, row, front in zip(ps, rows, fronts):
+            assert front.tobytes() == fracdiff._front_times_exp(p, row[:20]).tobytes(), p
+    coeffs = np.ones((count, 20), dtype=np.complex128)
+    for p, row, theta in zip(ps, rows, fracdiff._times_phi(coeffs, rows[:, :20])):
+        assert theta.tobytes() == fracdiff._times_phi(coeffs[0], row[:20]).tobytes(), p
+    own = data.draw(st.lists(st.floats(0.0, 4e6), min_size=count, max_size=count))
+    for p, x, got in zip(ps, own, log_gamma_ratios(ps, np.array(own)[:, None])):
+        assert got.tobytes() == log_gamma_ratio(p, [x]).tobytes(), (p, x)
+    try:
+        images = [monomial_transform(p, x) for p, x in zip(ps, own)]
+    except DomainError as exc:  # a coefficient or exponent beyond float64
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            monomial_transforms(ps, own)
+    else:
+        assert monomial_transforms(ps, own) == images

@@ -1,5 +1,6 @@
 """Self-check suite runner plumbing: registry, seeding, fixture override."""
 
+import inspect
 import json
 import math
 import pathlib
@@ -8,17 +9,25 @@ import time
 
 import pytest
 
-from fracops.errors import DomainError
-from fracops.series import MAX_ORDER
+from fracops.errors import ConvergenceError, DomainError
+from fracops.fracdiff import apply_operator, monomial_transform, theta_multiplier_apply, theta_normalize
+from fracops.quadrature import oracle_eval
+from fracops.series import MAX_ORDER, PowerSeries, load_series_fixture, monomial_series
+from fracops.special import log_gamma
 from fracops.verify import (
     _GOLDEN_MAX_ORDER,
     SERIES_FIXTURE_NAMES,
     SUITES,
+    SuiteResult,
+    _draw_z,
     draw_params,
     fixture_dir,
+    random_normalized_series,
     run_suites,
     suite_fixtures,
+    suite_identity_law,
     suite_oracle_closed_form,
+    suite_reduction_law,
 )
 
 import numpy as np
@@ -170,3 +179,82 @@ def test_suite_results_serialize():
     json.dumps(doc, allow_nan=False)
     assert doc["name"] == "fixtures"
     assert doc["passed"] is True
+
+
+def _identity_law_per_draw(seed, draws):
+    """suite_identity_law rebuilt from one apply_operator and theta_normalize call per random draw."""
+    rng = np.random.default_rng(seed)
+    worst, failures, checks = 0.0, [], 0
+    cases = [(draw_params(rng, tau_equals_beta=True), random_normalized_series(rng, 12), f"draw {i}")
+             for i in range(draws)]
+    for name in SERIES_FIXTURE_NAMES:
+        f = load_series_fixture(fixture_dir() / name)
+        cases += [(draw_params(rng, tau_equals_beta=True), f, name) for _ in range(3)]
+    for p, f, label in cases:
+        dev = float(np.max(np.abs(apply_operator(p, f).series.coeffs - f.coeffs)))
+        if f.is_normalized():
+            dev = max(dev, float(np.max(np.abs(theta_normalize(p, f).coeffs - f.coeffs))))
+        else:
+            g = PowerSeries(np.concatenate([[0.0], f.coeffs[1:]]))
+            if abs(f.coeffs[0]) < 1e-12 and f.coeffs.size > 1:
+                dev = max(dev, float(np.max(np.abs(theta_multiplier_apply(p, g).coeffs - g.coeffs))))
+        worst = max(worst, dev)
+        checks += 1
+        if not dev <= 1e-12:
+            failures.append(f"{label}: coefficient deviation {dev:.3e} at {p}")
+    return SuiteResult("identity_law", not failures, checks, worst, 1e-12, failures)
+
+
+def _reduction_law_per_draw(seed, draws):
+    """suite_reduction_law rebuilt from one monomial_transform call per draw."""
+    rng = np.random.default_rng(seed)
+    worst, failures = 0.0, []
+    for i in range(draws):
+        p = draw_params(rng, gamma_zero=True)
+        upsilon = float(rng.integers(0, 7)) if i % 2 == 0 else rng.uniform(0.0, 6.0)
+        got = monomial_transform(p, upsilon)
+        ref = math.exp(log_gamma(upsilon + p.beta) + log_gamma(p.tau) - log_gamma(upsilon + p.tau) - log_gamma(p.beta))
+        err = max(abs(got.coefficient - ref) / abs(ref), abs(got.exponent - upsilon))
+        worst = max(worst, err)
+        if not err <= 1e-12:
+            failures.append(f"draw {i}: rel err {err:.3e} at {p}, upsilon={upsilon}")
+    return SuiteResult("reduction_law", not failures, draws, worst, 1e-12, failures)
+
+
+def _oracle_closed_form_per_draw(seed, draws):
+    """suite_oracle_closed_form rebuilt from one monomial_transform call per draw."""
+    rng = np.random.default_rng(seed)
+    worst, failures = 0.0, []
+    for i in range(draws):
+        p = draw_params(rng)
+        upsilon = int(rng.integers(0, 7))
+        z = _draw_z(rng)
+        ref = monomial_transform(p, float(upsilon)).evaluate(z)
+        try:
+            got = oracle_eval(p, monomial_series(upsilon, max(upsilon, 1)), z)
+        except (ConvergenceError, DomainError) as exc:
+            failures.append(f"draw {i}: {exc}")
+            continue
+        err = abs(got - ref) / max(abs(ref), 1e-300)
+        worst = max(worst, err)
+        if not err <= 1e-8:
+            failures.append(f"draw {i}: rel err {err:.3e} at params {p}, upsilon={upsilon}, z={z}")
+    return SuiteResult("oracle_closed_form", not failures, draws, worst, 1e-8, failures)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 51])
+@pytest.mark.parametrize("draws", [1, 7, None])
+@pytest.mark.parametrize("suite, per_draw", [
+    (suite_identity_law, _identity_law_per_draw),
+    (suite_reduction_law, _reduction_law_per_draw),
+    (suite_oracle_closed_form, _oracle_closed_form_per_draw),
+], ids=("identity_law", "reduction_law", "oracle_closed_form"))
+def test_batched_suites_report_what_per_draw_calls_report(suite, per_draw, seed, draws):
+    """A suite that checks its draws from one kernel call reports what one call per draw reports.
+
+    draws=None is the suite's default. Seed 51 fails oracle_closed_form's
+    node doubling on a draw, so its failure text is compared too.
+    """
+    if draws is None:
+        draws = inspect.signature(suite).parameters["draws"].default
+    assert suite(seed=seed, draws=draws) == per_draw(seed, draws)
