@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .fracdiff import OperatorParams, log_gamma_ratio, theta_multiplier_apply
 from .geometry import DiskGrid
 from .series import PowerSeries
@@ -217,9 +217,7 @@ def compactness_decay_check(p: OperatorParams, family_index_max: int, mu: float,
     n's grid norm is Phi(n) max_i r_i^{n-1} factor(r_i) over the grid's
     radii: no series is built or evaluated on the grid.
     """
-    if not isinstance(family_index_max, (int, np.integer)) or not 2 <= family_index_max <= MAX_FAMILY_INDEX:
-        raise DomainError(f"family_index_max must lie in [2, {MAX_FAMILY_INDEX}] and be an integer, "
-                          f"got {family_index_max}")
+    check_count(family_index_max, "family_index_max", 2, MAX_FAMILY_INDEX)
     grid = grid or default_bloch_grid()
     r = np.array(grid.radii)
     n = np.arange(2, family_index_max + 1)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of count arguments."""
+
+import numbers
 
 
 class FracopsError(Exception):
@@ -34,3 +36,15 @@ class ConvergenceError(FracopsError, RuntimeError):
         self.last = last
         self.previous = previous
         super().__init__(message)
+
+
+def check_count(value, what: str, low: int, high: int | None = None) -> None:
+    """Raise DomainError unless value is an integer in [low, high] (no cap if high is None).
+
+    A Python int or NumPy integer passes. Anything else is refused, not
+    rounded or read as 0 or 1: a float (4.0, 2.5 or nan), a bool or np.bool_.
+    """
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < low or (high is not None and value > high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise DomainError(f"{what} must be an integer {span}, got {value!r}")

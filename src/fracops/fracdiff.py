@@ -402,15 +402,6 @@ def apply_operator(p: OperatorParams, f: PowerSeries) -> OperatorImage:
 # ---------------------------------------------------------------------------
 
 
-def theta_front_constant(p: OperatorParams) -> float:
-    """Gamma(beta/(gamma+1) + 1 - beta + tau) / Gamma(beta/(gamma+1) + 1) = exp(-R(1)).
-
-    This is Phi(1)'s normalizer; multiplying the raw Gamma-ratio sequence
-    by it pins the kappa = 1 multiplier at exactly 1.
-    """
-    return math.exp(-log_gamma_ratio(p, 1.0))
-
-
 def phi_multiplier(p: OperatorParams, kappa: int) -> float:
     """Normalized multiplier Phi(kappa) = exp(R(kappa) - R(1)), kappa >= 1.
 

@@ -11,10 +11,11 @@ overflowing block falls back to. A failing screen reads its witness from
 Horner on the deciding ring, for numerator and denominator at two angles:
 the grid's argmin on that ring and its mirror angle, the complex-conjugate
 point, with NumPy's array Horner bits (on Python complex numbers where those
-give the same bits: one point on the real axis, real coefficients). The
-univalence criterion forms the partial sums of the explicit rearranged proof
-terms at z = 1; their divergence is proved, not detected, so it never forces
-a verdict.
+give the same bits: one point on the real axis, real coefficients).
+univalence_criterion holds this repository's one transcription of the
+paper's Theorems 5 and 6: it forms the partial sums of their rearranged
+proof terms at z = 1, and the threshold they are held against. Their
+divergence is proved, not detected, so it never forces a verdict.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .fracdiff import OperatorParams, log_gamma_ratio, theta_front_constant
+from .errors import DomainError, check_count
+from .fracdiff import OperatorParams, log_gamma_ratio
 from .series import PowerSeries, _last_nonzero, evaluate_many
 from .special import EvalStatus
 
@@ -53,10 +54,7 @@ class DiskGrid:
             raise DomainError("grid radii must lie in (0, 0.999]")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise DomainError("grid radii must be strictly increasing")
-        m = self.angles_per_radius
-        # even 4.0 or True: evaluate sizes its arrays by it, and the JSON would print true
-        if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-            raise DomainError(f"angles_per_radius must be a positive integer, got {m!r}")
+        check_count(self.angles_per_radius, "angles_per_radius", 1)
         if len(radii) * self.angles_per_radius > MAX_GRID_POINTS:
             raise DomainError(f"grid of {len(radii)} radii x {self.angles_per_radius} "
                               f"angles exceeds {MAX_GRID_POINTS} points")
@@ -321,12 +319,18 @@ _CRITERION_TERMS = 21
 class CriterionReport:
     """Partial sums of a coefficient-sum criterion plus an honest verdict.
 
+    With R(m) = log_gamma_ratio(p, m), the log of the Gamma ratio
+    Gamma((m+beta-1)/(gamma+1) + 1) / Gamma(... - beta + tau), the k-th
+    rearranged proof term (k = 1, 2, ...) is k e^{R(k)} for theorem 6's
+    single sum, and theorem 5's two-sum form adds k(k+1) e^{R(k+1)}; at
+    tau = beta they are k and k(k+2) exactly. The threshold is 2 e^{R(1)},
+    exactly 2.0 at tau = beta.
+
     The criterion series diverges at every admissible (beta, tau, gamma).
-    With R(m) = log_gamma_ratio(p, m), the log of the Gamma ratio in
-    criterion_term, R does not decrease in m (beta >= tau and digamma
-    increases), so the terms are positive and rise, and theorem 5's first
-    term, like theorem 6's second partial sum, is e^{R(1)} + 2 e^{R(2)}
-    >= 1.5 times the threshold 2 e^{R(1)}. The series cannot converge, so
+    R does not decrease in m (beta >= tau and digamma increases), so the
+    terms are positive and rise, and theorem 5's first term, like theorem
+    6's second partial sum, is e^{R(1)} + 2 e^{R(2)} >= 1.5 times the
+    threshold 2 e^{R(1)}. The series cannot converge, so
     every report is Inconclusive-Divergent with an unknown tail:
     series_status Divergent when the budget holds all _CRITERION_TERMS
     partial sums, SlowConvergence when it ran out first.
@@ -351,37 +355,6 @@ class CriterionReport:
         }
 
 
-def criterion_term(p: OperatorParams, mode: str, kappa):
-    """k-th rearranged proof term of the criterion sum (k >= 0; scalar or array).
-
-    With R(m) = Gamma((m+beta-1)/(gamma+1) + 1) / Gamma(... - beta + tau):
-    the single-sum form contributes (k+1) R(k+1); the two-sum form adds
-    (k+1)(k+2) R(k+2) on top. At tau = beta these reduce to (k+1) and
-    (k+1)(k+3) exactly, which grow without bound - divergence is the
-    expected outcome across the entire parameter window.
-    """
-    k1 = np.asarray(kappa, dtype=np.float64) + 1.0
-    return _criterion_terms(mode, k1, log_gamma_ratio(p, np.stack((k1, k1 + 1.0))))
-
-
-def _criterion_terms(mode: str, k1, r):
-    """criterion_term at k1 - 1 from the kernel values r = (R(k1), R(k1 + 1))."""
-    if mode not in CRITERION_MODES:
-        raise DomainError(f"unknown criterion mode {mode!r}; choices: {CRITERION_MODES}")
-    t = k1 * np.exp(r[0])
-    if mode == "theorem5_S":
-        t = t + k1 * (k1 + 1.0) * np.exp(r[1])
-    return t
-
-
-def criterion_threshold(p: OperatorParams) -> float:
-    """RHS threshold 2 Gamma(beta/(gamma+1)+1) / Gamma(beta/(gamma+1)+1-beta+tau).
-
-    Equals exactly 2.0 at tau = beta.
-    """
-    return 2.0 / theta_front_constant(p)
-
-
 def univalence_criterion(p: OperatorParams, mode: str, max_terms: int = 512) -> CriterionReport:
     """The criterion's first min(max_terms, _CRITERION_TERMS) partial sums at z = 1.
 
@@ -389,16 +362,21 @@ def univalence_criterion(p: OperatorParams, mode: str, max_terms: int = 512) -> 
     since with R(m) non-decreasing the sums pass 1.5 times the threshold
     by the second term and keep rising. The terms grow like a power of k,
     so the radius is 1 and z = 1 sits on the circle. Raises DomainError
-    for max_terms < 1 or an unknown mode.
+    for a max_terms that is not an integer >= 1, or an unknown mode.
     """
-    if max_terms < 1:
-        raise DomainError("max_terms must be at least 1")
+    check_count(max_terms, "max_terms", 1)
+    if mode not in CRITERION_MODES:
+        raise DomainError(f"unknown criterion mode {mode!r}; choices: {CRITERION_MODES}")
     n = min(max_terms, _CRITERION_TERMS)
     r = log_gamma_ratio(p, np.arange(1.0, n + 2.0))  # R(1 .. n + 1): the terms and the threshold 2 e^{R(1)}
+    k = np.arange(1.0, n + 1.0)
+    terms = k * np.exp(r[:-1])
+    if mode == "theorem5_S":
+        terms = terms + k * (k + 1.0) * np.exp(r[1:])
     return CriterionReport(
         mode=mode,
         params=p,
-        partial_sums=np.cumsum(_criterion_terms(mode, np.arange(1.0, n + 1.0), (r[:-1], r[1:]))).tolist(),
+        partial_sums=np.cumsum(terms).tolist(),
         rhs_threshold=2.0 / math.exp(-r[0]),
         series_status=EvalStatus.DIVERGENT if n == _CRITERION_TERMS else EvalStatus.SLOW_CONVERGENCE,
         verdict=VERDICT_INCONCLUSIVE,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .special import is_near_pole
 
 # |c_0| and |c_1 - 1| at most this count as class-A normalized.
@@ -183,12 +183,9 @@ def monomial_series(power: int, order: int | None = None) -> PowerSeries:
     if isinstance(power, (bool, np.bool_)) or power < 0 or power != int(power):
         raise DomainError("monomial power must be a nonnegative integer")
     n = int(power) if order is None else order
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"order must be an integer, got {n!r}")
+    check_count(n, "order", 0, MAX_ORDER)
     if n < power:
         raise DomainError("order too small to hold the monomial")
-    if n > MAX_ORDER:
-        raise DomainError(f"order must be at most {MAX_ORDER}, got {n}")
     c = np.zeros(n + 1, dtype=np.complex128)
     c[int(power)] = 1.0
     return PowerSeries(c)
@@ -255,8 +252,7 @@ def make_builtin(kind: str, order: int, **params) -> PowerSeries:
     exact: Koebe alpha = 2 gives c_k = k and alpha = 1 gives c_k = 1 at any
     order. Its parameters are checked by stock_rows.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or not 1 <= order <= MAX_ORDER:
-        raise DomainError(f"order must lie in [1, {MAX_ORDER}] and be an integer, got {order}")
+    check_count(order, "order", 1, MAX_ORDER)
     if kind == "identity":
         return identity_series(order)
     upper, lower, s, a = stock_rows(kind, **params)

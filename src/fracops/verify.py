@@ -30,7 +30,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, FracopsError, PoleHitError
+from .errors import ConvergenceError, DomainError, FracopsError, PoleHitError, check_count
 from .fracdiff import (
     OperatorParams,
     _front_times_exp,
@@ -72,11 +72,14 @@ def fixture_dir() -> pathlib.Path:
 @dataclass
 class SuiteResult:
     name: str
-    passed: bool
     checks: int
     max_error: float
     tolerance: float
     failures: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_json_dict(self) -> dict:
         return {
@@ -112,17 +115,6 @@ def random_normalized_series(rng, order: int) -> PowerSeries:
     return PowerSeries(coeffs)
 
 
-def _result(name, tol, worst, checks, failures) -> SuiteResult:
-    return SuiteResult(
-        name=name,
-        passed=not failures,
-        checks=checks,
-        max_error=worst,
-        tolerance=tol,
-        failures=failures,
-    )
-
-
 def suite_oracle_closed_form(seed: int = 0, draws: int = 50) -> SuiteResult:
     """Integral route vs the monomial closed form on random admissible draws."""
     tol = 1e-8
@@ -142,7 +134,7 @@ def suite_oracle_closed_form(seed: int = 0, draws: int = 50) -> SuiteResult:
         worst = max(worst, err)
         if not err <= tol:
             failures.append(f"draw {i}: rel err {err:.3e} at params {p}, upsilon={upsilon}, z={z}")
-    return _result("oracle_closed_form", tol, worst, draws, failures)
+    return SuiteResult("oracle_closed_form", draws, worst, tol, failures)
 
 
 def suite_identity_law(seed: int = 0, draws: int = 200) -> SuiteResult:
@@ -184,7 +176,7 @@ def suite_identity_law(seed: int = 0, draws: int = 200) -> SuiteResult:
         f = load_series_fixture(fdir / name)
         for _ in range(3):
             check(draw_params(rng, tau_equals_beta=True), f, name)
-    return _result("identity_law", tol, worst, checks, failures)
+    return SuiteResult("identity_law", checks, worst, tol, failures)
 
 
 def suite_reduction_law(seed: int = 0, draws: int = 100) -> SuiteResult:
@@ -209,7 +201,7 @@ def suite_reduction_law(seed: int = 0, draws: int = 100) -> SuiteResult:
         worst = max(worst, err)
         if not err <= tol:
             failures.append(f"draw {i}: rel err {err:.3e} at {p}, upsilon={upsilon}")
-    return _result("reduction_law", tol, worst, draws, failures)
+    return SuiteResult("reduction_law", draws, worst, tol, failures)
 
 
 _PQ_SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2))
@@ -259,7 +251,7 @@ def suite_fox_wright_reduction(seed: int = 0, draws: int = 20) -> SuiteResult:
                 f"draw {i}: status {psi.status.value}, rel err {err:.3e} "
                 f"(upper={upper}, lower={lower}, z={z})"
             )
-    return _result("fox_wright_reduction", tol, worst, draws, failures)
+    return SuiteResult("fox_wright_reduction", draws, worst, tol, failures)
 
 
 _CLOSED_FORM_PARAMS = (
@@ -318,7 +310,7 @@ def suite_closed_forms(seed: int = 0) -> SuiteResult:
             checks += 1
             if not err <= tol:
                 failures.append(f"kummer degeneracy at {p}, z={z}: rel err {err:.3e}")
-    return _result("closed_forms", tol, worst, checks, failures)
+    return SuiteResult("closed_forms", checks, worst, tol, failures)
 
 
 def suite_theta_equivalence(seed: int = 0, draws: int = 20) -> SuiteResult:
@@ -338,7 +330,7 @@ def suite_theta_equivalence(seed: int = 0, draws: int = 20) -> SuiteResult:
         worst = max(worst, dev)
         if not dev <= tol:
             failures.append(f"draw {i}: coefficient deviation {dev:.3e} at {p}")
-    return _result("theta_equivalence", tol, worst, draws, failures)
+    return SuiteResult("theta_equivalence", draws, worst, tol, failures)
 
 
 def _rebuild_golden_input(doc: dict) -> PowerSeries:
@@ -423,7 +415,7 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
             failures.append(f"{label}: node doubling moved result by {err_double:.3e}")
         if not err_beta <= 1e-12:
             failures.append(f"{label}: constant-input integral off Beta by {err_beta:.3e}")
-    return _result("fixtures", tol, worst, checks, failures)
+    return SuiteResult("fixtures", checks, worst, tol, failures)
 
 
 SUITES = {
@@ -444,14 +436,13 @@ _DRAWABLE = {"oracle_closed_form", "identity_law", "reduction_law",
 def run_suites(names=None, seed: int = 0, draws: int | None = None) -> list:
     """Run the requested suites (all by default) and return their results.
 
-    seed must be >= 0 (numpy seeds no generator from a negative integer),
-    and draws, if given, >= 1: a randomized suite with no draws checks nothing.
-    A bool is refused as either, not read as 0 or 1.
+    seed must be an integer >= 0 (numpy seeds no generator from a negative
+    integer), and draws, if given, one >= 1: a randomized suite with no draws
+    checks nothing.
     """
-    if isinstance(seed, (bool, np.bool_)) or seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    if draws is not None and (isinstance(draws, (bool, np.bool_)) or draws < 1):
-        raise DomainError(f"draws must be >= 1, got {draws}")
+    check_count(seed, "seed", 0)
+    if draws is not None:
+        check_count(draws, "draws", 1)
     chosen = list(SUITES) if not names else list(names)
     results = []
     for name in chosen:

@@ -18,8 +18,6 @@ from fracops.geometry import (
     DiskGrid,
     bieberbach_screen,
     convex_order,
-    criterion_term,
-    criterion_threshold,
     starlike_order,
     univalence_criterion,
 )
@@ -49,10 +47,10 @@ def test_grid_validation():
     with pytest.raises(DomainError):
         DiskGrid(radii=(0.5,), angles_per_radius=0)
     for count in (2.5, 4.0):  # evaluate would raise an untyped TypeError
-        with pytest.raises(DomainError, match="positive integer"):
+        with pytest.raises(DomainError, match="angles_per_radius must be an integer >= 1"):
             DiskGrid(radii=(0.5,), angles_per_radius=count)
     for count in (True, np.True_):  # to_json_dict would print true
-        with pytest.raises(DomainError, match="positive integer"):
+        with pytest.raises(DomainError, match="angles_per_radius must be an integer >= 1"):
             DiskGrid(radii=(0.5,), angles_per_radius=count)
 
 
@@ -582,6 +580,19 @@ def test_screen_rejects_vanishing_derivative():
         convex_order(f, 0.0)
 
 
+def test_screen_takes_a_small_denominator_above_the_guard():
+    """f = z - z^2/a with a just past 0.1 is about 1e-12 at the grid point 0.1.
+
+    That is above the guard of 1e-14, so the screen fails there with a
+    finite witness value of about -1e11; a guard of 1e-10 would raise.
+    """
+    a = 0.1 * (1.0 + 1e-11)
+    res = starlike_order(PowerSeries([0.0, 1.0, -1.0 / a]), 0.0)
+    assert not res.passed
+    assert res.witness == 0.1 + 0j
+    assert -1.1e11 < res.witness_value < -0.9e11
+
+
 def test_screen_rejects_non_finite_quotient():
     """Horner overflows float64 on the deciding ring: a typed error, not a nan witness."""
     c = np.full(500, 1e305 + 0j)
@@ -659,26 +670,33 @@ def test_bieberbach_requires_normalized():
 
 
 def test_threshold_is_two_at_tau_equals_beta():
-    assert criterion_threshold(OperatorParams(0.5, 0.5, 0.0)) == 2.0
-    assert criterion_threshold(OperatorParams(0.8, 0.8, 2.4)) == 2.0
+    for p in (OperatorParams(0.5, 0.5, 0.0), OperatorParams(0.8, 0.8, 2.4)):
+        for mode in CRITERION_MODES:
+            assert univalence_criterion(p, mode).rhs_threshold == 2.0
 
 
 def test_terms_at_tau_equals_beta_are_polynomial():
-    """Gamma ratios collapse, leaving (k+1) resp. (k+1)(k+3)."""
+    """Gamma ratios collapse, leaving the terms (k+1) resp. (k+1)(k+3), summed exactly."""
     p = OperatorParams(0.6, 0.6, 1.1)
-    for k in range(12):
-        assert criterion_term(p, "theorem6_K", k) == pytest.approx(k + 1.0, rel=1e-15)
-        assert criterion_term(p, "theorem5_S", k) == pytest.approx(
-            (k + 1.0) * (k + 3.0), rel=1e-15
-        )
+    k = np.arange(21.0)
+    assert univalence_criterion(p, "theorem6_K").partial_sums == np.cumsum(k + 1.0).tolist()
+    assert univalence_criterion(p, "theorem5_S").partial_sums == np.cumsum((k + 1.0) * (k + 3.0)).tolist()
 
 
-def test_term_growth_rate():
-    """Terms grow ~ k^{1+beta-tau} (single sum) so divergence is structural."""
-    p = OperatorParams(0.9, 0.3, 0.7)
-    big, bigger = criterion_term(p, "theorem6_K", 200), criterion_term(p, "theorem6_K", 400)
-    measured = math.log(bigger / big) / math.log(2.0)
-    assert abs(measured - (1.0 + p.beta - p.tau)) < 0.05
+def _criterion_sums_by_lgamma(p, mode, count):
+    """The criterion's partial sums from math.lgamma, term by term.
+
+    Term k (from 1) is k e^{R(k)}, plus k(k+1) e^{R(k+1)} for theorem 5,
+    with R(m) = log Gamma(x_m) - log Gamma(x_m - beta + tau) and
+    x_m = (m + beta - 1)/(gamma + 1) + 1.
+    """
+    def ratio(m):
+        x = (m + p.beta - 1.0) / (p.gamma + 1.0) + 1.0
+        return math.exp(math.lgamma(x) - math.lgamma(x - p.beta + p.tau))
+
+    two_sums = mode == "theorem5_S"
+    return np.cumsum([k * ratio(k) + (k * (k + 1) * ratio(k + 1) if two_sums else 0.0)
+                      for k in range(1, count + 1)])
 
 
 def test_criterion_reports_divergence_never_satisfied():
@@ -701,8 +719,7 @@ def test_criterion_budget_only_bounds_the_terms_read():
     for mode in CRITERION_MODES:
         small = univalence_criterion(p, mode, max_terms=512).to_json_dict()
         assert univalence_criterion(p, mode, max_terms=10_000_000).to_json_dict() == small
-        terms = [criterion_term(p, mode, k) for k in range(len(small["partial_sums"]))]
-        assert_allclose(small["partial_sums"], np.cumsum(terms), rtol=1e-14)
+        assert_allclose(small["partial_sums"], _criterion_sums_by_lgamma(p, mode, 21), rtol=1e-14)
 
 
 def test_criterion_divergence_is_proved_at_the_window_corners():
@@ -725,12 +742,13 @@ def test_criterion_divergence_is_proved_at_the_window_corners():
             p = OperatorParams(beta, tau, gamma)
             for mode in CRITERION_MODES:
                 lemma = 0 if mode == "theorem5_S" else 1
+                full = univalence_criterion(p, mode, max_terms=21).partial_sums
                 for budget in (1, 20, 21, 22, 512):
                     rep = univalence_criterion(p, mode, max_terms=budget)
                     sums = rep.partial_sums
                     assert len(sums) == min(budget, 21), (p, mode, budget)
                     assert all(b > a for a, b in zip(sums, sums[1:])), (p, mode, sums)
-                    assert sums == np.cumsum(criterion_term(p, mode, np.arange(len(sums)))).tolist()
+                    assert sums == full[:len(sums)], (p, mode, budget)  # a smaller budget cuts, never moves, a sum
                     want = EvalStatus.DIVERGENT if budget >= 21 else EvalStatus.SLOW_CONVERGENCE
                     assert rep.series_status is want, (p, mode, budget)
                     doc = rep.to_json_dict()

@@ -19,7 +19,6 @@ from fracops.fracdiff import (
     monomial_transform,
     phi_multiplier,
     theta_fox_wright_spec,
-    theta_front_constant,
     theta_hadamard,
     theta_multiplier_apply,
     theta_normalize,
@@ -262,10 +261,6 @@ def test_phi_multiplier_tau_equals_beta_identity():
     p = OperatorParams(0.6, 0.6, 2.5)
     for k in range(1, 40):
         assert phi_multiplier(p, k) == 1.0
-
-
-def test_front_constant_is_one_at_tau_equals_beta():
-    assert theta_front_constant(OperatorParams(0.4, 0.4, 1.9)) == 1.0
 
 
 def test_theta_normalize_requires_normalized_input():

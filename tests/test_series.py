@@ -291,7 +291,7 @@ def test_monomial_series():
     assert ps.order == 3
     assert ps.coeffs[3] == 1.0 and np.count_nonzero(ps.coeffs) == 1
     assert monomial_series(3, MAX_ORDER).order == MAX_ORDER
-    with pytest.raises(DomainError, match="at most"):
+    with pytest.raises(DomainError, match=r"order must be an integer in \[0, "):
         monomial_series(3, MAX_ORDER + 1)  # refused before any allocation
     for order in (3.5, 4.0, True, np.True_):
         with pytest.raises(DomainError, match="must be an integer"):
@@ -317,7 +317,7 @@ _VALID_PARAMS = {"alpha": 1.5, "lam": 0.9, "rho": 1.5, "s": 1.1, "a": 1.0}
 def test_make_builtin_checks_the_order_of_every_kind(kind):
     assert make_builtin(kind, 3, **_VALID_PARAMS).order == 3
     for order in (0, MAX_ORDER + 1):
-        with pytest.raises(DomainError, match="order must lie in"):
+        with pytest.raises(DomainError, match=r"order must be an integer in \[1, "):
             make_builtin(kind, order, **_VALID_PARAMS)
     for order in (3.5, 3.0, True, np.True_):  # refused, not rounded, truncated or read as 1
         with pytest.raises(DomainError, match="be an integer"):

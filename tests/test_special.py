@@ -405,6 +405,17 @@ def test_sum_terms_inside_the_radius_flags_cancellation():
     assert (out.status, out.terms_used, out.tail_bound) == (EvalStatus.SLOW_CONVERGENCE, len(terms) + 1, 0.0)
 
 
+def test_sum_terms_stops_only_on_a_full_window_of_ratios():
+    """Four tiny ratios are fewer than RATIO_WINDOW = 5: the sum runs on into the 0.5^k terms.
+
+    A window of 3 or 4 would stop it after 4 or 5 terms at 1.000001000001.
+    """
+    terms = [1e-6**k for k in range(5)] + [0.5**k for k in range(5, 200)]
+    out = _sum_terms(listed(terms), max_terms=100, limit=0.5)
+    assert out.status is EvalStatus.CONVERGED
+    assert (out.value, out.terms_used) == (1.0625010000009998, 55)
+
+
 @pytest.mark.parametrize("lower,value", [((3.0, 1.0), None), ((1.0, 1.0), 10000.0)])
 def test_fox_wright_sum_on_its_circle_takes_no_tail_bound(lower, value):
     """2Psi1 at z = 1, radius 1: terms 1/((k+1)(k+2)) or all 1, slow at the budget with tail inf.
