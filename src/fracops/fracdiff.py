@@ -407,7 +407,7 @@ def phi_multiplier(p: OperatorParams, kappa: int) -> float:
 
     Phi(1) == 1.0 exactly, and so is every Phi(kappa) at tau = beta.
     """
-    if kappa < 1 or kappa != int(kappa):
+    if isinstance(kappa, (bool, np.bool_)) or not 1 <= kappa < math.inf or kappa != int(kappa):
         raise DomainError(f"multiplier index must be an integer >= 1, got {kappa!r}")
     r = log_gamma_ratio(p, [1.0, kappa])
     return math.exp(r[1] - r[0])

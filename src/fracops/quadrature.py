@@ -56,10 +56,10 @@ eigenvectors (Golub & Welsch, Math. Comp. 23, 1969), through
 numpy.linalg.eigh. No power of 2 maps it from [-1, 1]. The end panels'
 exponents plus one are formed so that they are exact at beta = 1 and
 tau near 0: a1 = (1 - beta) + tau on top and b1 = (beta + gamma) /
-(gamma + 1) at the bottom. Panel rules are cached per (exponent pair,
-node count) in a bounded LRU cache of NODE_CACHE_SIZE entries, and the
-assembled rules per (parameters, node count) in one of RULE_CACHE_SIZE;
-the Legendre panels are built on first use. The oracle imports no SciPy.
+(gamma + 1) at the bottom. Each assembled rule, end panels included, is
+cached per (parameters, node count) in a bounded LRU cache of
+RULE_CACHE_SIZE entries, and the Legendre panels once per node count.
+The oracle imports no SciPy.
 """
 
 from __future__ import annotations
@@ -93,9 +93,6 @@ SIGMA = 0.15
 GEOMETRIC = 14
 HALVING = 5
 
-# Bound on cached panel rules: a fresh parameter triple adds four (two end
-# panels at two node counts), the Legendre panels two in all.
-NODE_CACHE_SIZE = 256
 # Bound on assembled rules (at most 640 nodes, 10 KiB each). A fresh-seed
 # run_suites() adds about 100 keys, plus 20 fixture-suite keys that every
 # call reuses.
@@ -117,8 +114,7 @@ def roots_jacobi(n: int, a1: float, b1: float):
     carried from [-1, 1] to [0, 1] by u = (1 + x)/2, and node i has weight
     B(a1, b1) v_0i^2, with v_i its unit eigenvector. numpy.linalg.eigh
     solves the dense matrix (its lower triangle); at the panel rules' 16
-    and 32 nodes that is as fast as a tridiagonal solver. Each
-    jacobi_nodes cache miss is one call here.
+    and 32 nodes that is as fast as a tridiagonal solver.
     """
     k = np.arange(1.0, n)
     ab = (a1 + b1) - 2.0
@@ -135,16 +131,9 @@ def roots_jacobi(n: int, a1: float, b1: float):
     return u, beta_fn(a1, b1) * v[0] ** 2
 
 
-@functools.lru_cache(maxsize=NODE_CACHE_SIZE)
 def jacobi_nodes(a1: float, b1: float, n: int):
-    """Cached Gauss-Jacobi nodes/weights for weight (1-u)^(a1-1) u^(b1-1) on [0, 1].
-
-    Every caller shares the returned arrays, so they are read-only.
-    """
-    u, w = roots_jacobi(int(n), float(a1), float(b1))
-    u.flags.writeable = False
-    w.flags.writeable = False
-    return u, w
+    """Gauss-Jacobi nodes/weights for weight (1-u)^(a1-1) u^(b1-1) on [0, 1], n of each."""
+    return roots_jacobi(n, a1, b1)
 
 
 @functools.cache

@@ -180,7 +180,7 @@ MAX_ORDER = 2**20
 
 def monomial_series(power: int, order: int | None = None) -> PowerSeries:
     """z**power as a truncated series of an integer order at most MAX_ORDER."""
-    if isinstance(power, (bool, np.bool_)) or power < 0 or power != int(power):
+    if isinstance(power, (bool, np.bool_)) or not 0 <= power < math.inf or power != int(power):
         raise DomainError("monomial power must be a nonnegative integer")
     n = int(power) if order is None else order
     check_count(n, "order", 0, MAX_ORDER)

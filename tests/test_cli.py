@@ -221,6 +221,7 @@ def test_verify_golden_at_z_zero_exits_1_with_strict_json(tmp_path, capsys, monk
     {"value": [float("nan"), 0.0]},
     {"z": [float("nan"), 0.0]},
     {"input": {"kind": "monomial", "power": 3, "order": 2**20}},
+    {"input": {"kind": "monomial", "power": float("inf"), "order": 8}},  # written as Infinity
 ])
 def test_verify_malformed_golden_exits_1_with_strict_json(tmp_path, capsys, monkeypatch, change):
     failures = _verify_with_golden_0_changed(tmp_path, capsys, monkeypatch, **change)

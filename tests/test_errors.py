@@ -1,4 +1,4 @@
-"""Count arguments: one rule, errors.check_count, for every one of them."""
+"""Count arguments share one rule, errors.check_count; integral indices refuse non-finite values and bools."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from fracops.bloch import WeightSpec, compactness_decay_check
 from fracops.errors import DomainError
-from fracops.fracdiff import OperatorParams
+from fracops.fracdiff import OperatorParams, phi_multiplier
 from fracops.geometry import DiskGrid, univalence_criterion
 from fracops.series import PowerSeries, make_builtin, monomial_series
 from fracops.verify import run_suites
@@ -37,3 +37,20 @@ def test_count_argument_takes_only_an_integer(name):
     if isinstance(want, PowerSeries):
         got, want = got.coeffs.tolist(), want.coeffs.tolist()
     assert got == want
+
+
+# Each entry calls the function with its integral index set to x; an integral float is taken too.
+INDEX_ARGUMENTS = {
+    "monomial_series power": lambda x: monomial_series(x, 8).coeffs.tolist(),
+    "phi_multiplier kappa": lambda x: phi_multiplier(_P, x),
+}
+
+
+@pytest.mark.parametrize("name", INDEX_ARGUMENTS)
+def test_index_argument_refuses_non_finite_values_and_bools(name):
+    """NaN, +-inf, True and np.True_ raise DomainError, not ValueError or OverflowError, nor read as 1."""
+    call = INDEX_ARGUMENTS[name]
+    for bad in (math.nan, math.inf, -math.inf, np.float64(math.inf), True, np.True_):
+        with pytest.raises(DomainError):
+            call(bad)
+    assert call(2.0) == call(np.int64(2)) == call(2)

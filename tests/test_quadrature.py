@@ -11,7 +11,7 @@ from fracops import quadrature
 from fracops.errors import ConvergenceError, DomainError
 from fracops.fracdiff import OperatorParams, apply_operator, monomial_transform
 from fracops.quadrature import (
-    NODE_CACHE_SIZE,
+    RULE_CACHE_SIZE,
     inner_integral,
     jacobi_nodes,
     oracle_eval,
@@ -28,24 +28,23 @@ def _params(beta=0.65, tau=0.3, gamma=1.7):
 # nodes
 
 
-def test_jacobi_nodes_cached_and_sane():
-    u1, w1 = jacobi_nodes(0.7, 1.4, 32)
-    u2, w2 = jacobi_nodes(0.7, 1.4, 32)
-    assert u1 is u2 and w1 is w2  # cache returns the same arrays
-    assert np.all((0.0 < u1) & (u1 < 1.0))
-    assert np.all(w1 > 0.0)
+def test_jacobi_nodes_sane():
+    u, w = jacobi_nodes(0.7, 1.4, 32)
+    assert np.all((0.0 < u) & (u < 1.0))
+    assert np.all(w > 0.0)
 
 
-def test_jacobi_node_cache_is_bounded():
-    """300 distinct keys leave at most NODE_CACHE_SIZE entries; hits still share arrays."""
+def test_rule_cache_is_bounded():
+    """300 distinct triples leave at most RULE_CACHE_SIZE rules; a repeated key shares read-only arrays."""
     for i in range(300):
-        jacobi_nodes(0.5 + i * 1e-3, 1.25, 8)
-    assert jacobi_nodes.cache_info().currsize <= NODE_CACHE_SIZE == 256
-    u1, w1 = jacobi_nodes(0.8, 1.1, 16)
-    u2, w2 = jacobi_nodes(0.8, 1.1, 16)
+        quadrature._rule(_params(tau=0.3 + i * 1e-4), 8)
+    assert quadrature._rule.cache_info().currsize <= RULE_CACHE_SIZE == 256
+    u1, w1 = quadrature._rule(_params(), 16)
+    u2, w2 = quadrature._rule(_params(), 16)
     assert u1 is u2 and w1 is w2
-    with pytest.raises(ValueError):
-        u1[0] = 0.0  # shared cache entries are read-only
+    for a in (u1, w1):
+        with pytest.raises(ValueError):
+            a[0] = 0.0  # shared cache entries are read-only
 
 
 # Jacobi exponent pairs (a, b), passed as (a1, b1) = (a + 1, b + 1) under ids that keep the exponents
