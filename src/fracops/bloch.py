@@ -89,10 +89,12 @@ class WeightSpec:
         return doc
 
 
+_BLOCH_GRID = DiskGrid(radii=tuple(k / 100 for k in range(5, 100)) + (0.999,), angles_per_radius=128)
+
+
 def default_bloch_grid() -> DiskGrid:
-    """Radii 0.05..0.99 in steps of 0.01 with 0.999 appended, 128 angles."""
-    radii = tuple(k / 100 for k in range(5, 100)) + (0.999,)
-    return DiskGrid(radii=radii, angles_per_radius=128)
+    """The shared grid of radii 0.05..0.99 in steps of 0.01 with 0.999 appended, 128 angles."""
+    return _BLOCH_GRID
 
 
 @dataclass

@@ -402,13 +402,19 @@ def apply_operator(p: OperatorParams, f: PowerSeries) -> OperatorImage:
 # ---------------------------------------------------------------------------
 
 
+#: Largest index phi_multiplier takes: 2**53, the largest integer up to which
+#: float64, the kernel's dtype, holds every integer exactly.
+MAX_MULTIPLIER_INDEX = 2**53
+
+
 def phi_multiplier(p: OperatorParams, kappa: int) -> float:
-    """Normalized multiplier Phi(kappa) = exp(R(kappa) - R(1)), kappa >= 1.
+    """Normalized multiplier Phi(kappa) = exp(R(kappa) - R(1)), 1 <= kappa <= MAX_MULTIPLIER_INDEX.
 
     Phi(1) == 1.0 exactly, and so is every Phi(kappa) at tau = beta.
     """
-    if isinstance(kappa, (bool, np.bool_)) or not 1 <= kappa < math.inf or kappa != int(kappa):
-        raise DomainError(f"multiplier index must be an integer >= 1, got {kappa!r}")
+    if (isinstance(kappa, (bool, np.bool_)) or not 1 <= kappa <= MAX_MULTIPLIER_INDEX
+            or kappa != int(kappa)):
+        raise DomainError(f"multiplier index must be an integer in [1, {MAX_MULTIPLIER_INDEX}], got {kappa!r}")
     r = log_gamma_ratio(p, [1.0, kappa])
     return math.exp(r[1] - r[0])
 

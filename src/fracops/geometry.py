@@ -7,11 +7,13 @@ a (radii x angles) array that the screens and Bloch norms reduce, taking one
 inverse DFT of the coefficients folded mod the angle count per ring; a grid
 holds at most MAX_GRID_POINTS points. Coefficients whose imaginary parts are
 all +0.0 fold in float64 with the bits of the complex fold, which an
-overflowing block falls back to. A failing screen reads its witness from
-Horner on the deciding ring, for numerator and denominator at two angles:
-the grid's argmin on that ring and its mirror angle, the complex-conjugate
-point, with NumPy's array Horner bits (on Python complex numbers where those
-give the same bits: one point on the real axis, real coefficients).
+overflowing block falls back to. A grid keeps its angle row and ring powers,
+read-only, and the default grid is one shared instance. A failing screen
+reads its witness from Horner on the deciding ring, for numerator and
+denominator at two angles: the grid's argmin on that ring and its mirror
+angle, the complex-conjugate point, with NumPy's array Horner bits (on
+Python complex numbers where those give the same bits: one point on the
+real axis, real coefficients).
 univalence_criterion holds this repository's one transcription of the
 paper's Theorems 5 and 6: it forms the partial sums of their rearranged
 proof terms at z = 1, and the threshold they are held against. Their
@@ -20,6 +22,7 @@ divergence is proved, not detected, so it never forces a verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,9 +41,21 @@ MAX_GRID_POINTS = 2**22
 _BLOCK_POINTS = 2**14
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class DiskGrid:
-    """Polar sampling grid: every radius crossed with equispaced angles."""
+    """Polar sampling grid: every radius crossed with equispaced angles.
+
+    On first use a grid keeps, read-only, the tables that depend on it
+    alone: the angle row e^{2 pi i j/M} (M values) that points() scales,
+    and the ring powers r^M and r^j (radii x M float64, 8 bytes a point)
+    that evaluate() folds with. DiskGrid.default() and
+    bloch.default_bloch_grid() each return one shared grid, built once.
+    """
 
     radii: tuple
     angles_per_radius: int = 256
@@ -61,8 +76,8 @@ class DiskGrid:
 
     @classmethod
     def default(cls) -> "DiskGrid":
-        """Radii 0.1..0.9 plus a boundary-approach ring at 0.99, 256 angles."""
-        return cls(radii=tuple(k / 10 for k in range(1, 10)) + (0.99,), angles_per_radius=256)
+        """The shared grid of radii 0.1..0.9 plus a boundary-approach ring at 0.99, 256 angles."""
+        return _DEFAULT_GRID
 
     def refine(self) -> "DiskGrid":
         """Superset grid: midpoint radii inserted, angle count doubled.
@@ -77,10 +92,28 @@ class DiskGrid:
         radii.append(self.radii[-1])
         return DiskGrid(radii=tuple(radii), angles_per_radius=2 * self.angles_per_radius)
 
-    def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Sample points of the rings radii[start:stop], one row per ring, angle 0 first."""
+    @functools.cached_property
+    def _angle_row(self) -> np.ndarray:
+        """e^{2 pi i j/M} for j = 0 .. M - 1, read-only."""
         theta = 2.0 * np.pi * np.arange(self.angles_per_radius) / self.angles_per_radius
-        return np.array(self.radii[start:stop])[:, None] * np.exp(1j * theta)
+        return _read_only(np.exp(1j * theta))
+
+    @functools.cached_property
+    def _ring_powers(self) -> np.ndarray:
+        """r^M for every radius, a read-only column."""
+        return _read_only(np.array(self.radii)[:, None] ** self.angles_per_radius)
+
+    @functools.cached_property
+    def _column_powers(self) -> np.ndarray:
+        """r^j for every radius and j = 0 .. M - 1, read-only (radii x M)."""
+        return _read_only(np.array(self.radii)[:, None] ** np.arange(self.angles_per_radius))
+
+    def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Sample points of the rings radii[start:stop], one row per ring, angle 0 first.
+
+        A fresh, writable array: the kept angle row scaled by each radius.
+        """
+        return np.array(self.radii[start:stop])[:, None] * self._angle_row
 
     def evaluate(self, f: PowerSeries) -> np.ndarray:
         """f at every sample point, shaped like points(); one inverse DFT per ring.
@@ -89,6 +122,8 @@ class DiskGrid:
         a_m = r^m sum_q c_{qM+m} r^{qM}: the coefficients folded mod M, the
         fold run as Horner in r^M over the rows of a (ceil((N+1)/M) x M)
         table. That costs O(N + M log M) per ring (Cooley & Tukey 1965).
+        The powers r^M and r^j come from the grid's kept tables, the same
+        values a fresh pow would give.
         Each point's absolute error is a small multiple of
         eps * sum_k |c_k| r^k, like Horner's, but not bit-equal to it.
         The fold runs up to the last nonzero coefficient only
@@ -110,19 +145,22 @@ class DiskGrid:
         rows_dropped = -(-f.coeffs.size // m) > -(-c.size // m)
         real = not c.imag.view(np.uint64).any()
         table = _fold_table(c.real if real else c, m)
-        radii = np.array(self.radii)
-        out = np.empty((radii.size, m), dtype=np.complex128)
+        r_m, r_j = self._ring_powers, self._column_powers[:, :table.shape[1]]
+        out = np.empty((len(self.radii), m), dtype=np.complex128)
         rows = max(1, _BLOCK_POINTS // m)
-        for i in range(0, radii.size, rows):
-            r = radii[i:i + rows, None]
-            acc = _fold(table, r, m, rows_dropped)
+        for i in range(0, len(self.radii), rows):
+            powers = r_m[i:i + rows], r_j[i:i + rows]
+            acc = _fold(table, *powers, rows_dropped)
             if real and not np.isfinite(acc).all():
-                acc = _fold(_fold_table(c, m), r, m, rows_dropped)
+                acc = _fold(_fold_table(c, m), *powers, rows_dropped)
             np.fft.ifft(acc, n=m, axis=1, norm="forward", out=out[i:i + rows])
         return out
 
     def to_json_dict(self) -> dict:
         return {"radii": list(self.radii), "angles_per_radius": self.angles_per_radius}
+
+
+_DEFAULT_GRID = DiskGrid(radii=tuple(k / 10 for k in range(1, 10)) + (0.99,), angles_per_radius=256)
 
 
 def _fold_table(c: np.ndarray, m: int) -> np.ndarray:
@@ -133,16 +171,15 @@ def _fold_table(c: np.ndarray, m: int) -> np.ndarray:
     return table.reshape(-1, m)[:, :min(c.size, m)]
 
 
-def _fold(table: np.ndarray, r: np.ndarray, m: int, rows_dropped: bool) -> np.ndarray:
-    """The folded sums times r^j for the radii r (a column): Horner in r^m over the rows."""
-    acc = np.repeat(table[-1:], r.shape[0], axis=0)
+def _fold(table: np.ndarray, r_m: np.ndarray, r_j: np.ndarray, rows_dropped: bool) -> np.ndarray:
+    """The folded sums times r^j, one row per ring: Horner in r^m (a column) over the table's rows."""
+    acc = np.repeat(table[-1:], r_m.shape[0], axis=0)
     if rows_dropped:
         acc += 0.0  # -0.0 parts become +0.0, as after a +0 row
-    r_m = r**m
     for row in table[-2::-1]:
         acc *= r_m
         acc += row
-    acc *= r**np.arange(table.shape[1])
+    acc *= r_j
     return acc
 
 

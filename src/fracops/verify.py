@@ -288,9 +288,10 @@ def suite_closed_forms(seed: int = 0) -> SuiteResult:
     worst, failures, checks = 0.0, [], 0
     pts = _nine_points()
     at = np.array(pts)
+    inputs = [make_builtin(kind, order, **kw) for kind, kw, order in _CLOSED_FORM_CASES]
     for beta, tau, gamma in _CLOSED_FORM_PARAMS:
         p = OperatorParams(beta, tau, gamma)
-        images = [apply_operator(p, make_builtin(kind, order, **kw)) for kind, kw, order in _CLOSED_FORM_CASES]
+        images = [apply_operator(p, f) for f in inputs]
         horner = evaluate_many([image.series for image in images], at).tolist()
         for (kind, kw, _), image, values in zip(_CLOSED_FORM_CASES, images, horner):
             got = closed_form_spec(p, kind, **kw).evaluate(at).tolist()

@@ -1,4 +1,4 @@
-"""Count arguments share one rule, errors.check_count; integral indices refuse non-finite values and bools."""
+"""Count arguments share one rule, errors.check_count; integral indices refuse non-finite values, bools and, for Phi, indices past 2**53."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from fracops.bloch import WeightSpec, compactness_decay_check
 from fracops.errors import DomainError
-from fracops.fracdiff import OperatorParams, phi_multiplier
+from fracops.fracdiff import MAX_MULTIPLIER_INDEX, OperatorParams, phi_multiplier
 from fracops.geometry import DiskGrid, univalence_criterion
 from fracops.series import PowerSeries, make_builtin, monomial_series
 from fracops.verify import run_suites
@@ -54,3 +54,15 @@ def test_index_argument_refuses_non_finite_values_and_bools(name):
         with pytest.raises(DomainError):
             call(bad)
     assert call(2.0) == call(np.int64(2)) == call(2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_multiplier_index_past_float64_integers_is_refused():
+    """Above 2**53 an index is a DomainError, not a bare OverflowError or an overflow warning."""
+    p = OperatorParams(0.5, 0.4, 0.0)
+    assert MAX_MULTIPLIER_INDEX == 2**53
+    assert math.isfinite(phi_multiplier(p, MAX_MULTIPLIER_INDEX))
+    assert phi_multiplier(p, float(MAX_MULTIPLIER_INDEX)) == phi_multiplier(p, MAX_MULTIPLIER_INDEX)
+    for bad in (MAX_MULTIPLIER_INDEX + 1, 2.0**54, 1e300, 10**300, 10**400, np.float64(1e300)):
+        with pytest.raises(DomainError, match="multiplier index must be an integer"):
+            phi_multiplier(p, bad)

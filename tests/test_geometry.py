@@ -1,5 +1,6 @@
 """Disk grids, order screens, coefficient bounds, criterion sums."""
 
+import dataclasses
 import json
 import math
 
@@ -269,6 +270,58 @@ def test_real_fold_that_overflows_refolds_in_complex(kind, bloch_error, screen_e
     with pytest.warns(RuntimeWarning), pytest.raises(DomainError) as err:
         starlike_order(f, 0.0)
     assert str(err.value) == screen_error
+
+
+def test_default_grids_are_shared():
+    assert DiskGrid.default() is DiskGrid.default()
+    assert default_bloch_grid() is default_bloch_grid()
+
+
+def test_kept_tables_are_read_only():
+    """The angle row and the ring powers a grid keeps refuse writes, on a new grid and on the shared ones."""
+    for g in (DiskGrid((0.5, 0.9), 8), DiskGrid.default(), default_bloch_grid()):
+        g.evaluate(koebe_series(2.0, 20))
+        for name in ("_angle_row", "_ring_powers", "_column_powers"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(g, name)[0] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, None)
+
+
+def test_points_are_a_fresh_writable_array():
+    g = DiskGrid.default()
+    z = g.points()
+    z[:] = 0.0
+    again = g.points()
+    assert again.flags.writeable and not np.shares_memory(z, again)
+    assert again[0, 0] == 0.1 and again.shape == (10, 256)
+    ring = g.points(9, 10)
+    assert ring.flags.writeable and not np.shares_memory(ring, again)
+
+
+def test_kept_tables_give_the_written_out_formulas_bytes():
+    """points and evaluate, called twice each, against r e^{i theta}, r^M and r^j formed afresh.
+
+    On the shared grids and on a refined Bloch grid of three blocks; a real,
+    a complex and a real input whose float64 fold overflows (the complex refold).
+    """
+    rng = np.random.default_rng(39)
+    inputs = [koebe_series(2.0, 2500).derivative(),
+              PowerSeries(rng.normal(size=700) + 1j * rng.normal(size=700)),
+              _overflowing("partway").derivative()]
+    refined = default_bloch_grid().refine()
+    assert len(refined.radii) * refined.angles_per_radius > 2 * _BLOCK_POINTS
+    for g in (DiskGrid.default(), default_bloch_grid(), refined):
+        m = g.angles_per_radius
+        theta = 2.0 * np.pi * np.arange(m) / m
+        want = np.array(g.radii)[:, None] * np.exp(1j * theta)
+        for _ in range(2):
+            assert g.points().tobytes() == want.tobytes()
+            assert g.points(3, 5).tobytes() == want[3:5].tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f in inputs:
+                fold = _full_fold(g, f).tobytes()
+                assert [g.evaluate(f).tobytes() for _ in range(2)] == [fold, fold], (g, f.order)
 
 
 def test_screen_rescales_a_ring_whose_quotient_overflows():
