@@ -67,7 +67,8 @@ class WeightSpec:
         if self.kind == "constant_one":
             out = np.ones_like(t_arr)
         elif self.kind == "power":
-            out = t_arr**self.alpha_w
+            with np.errstate(over="ignore"):  # refused below
+                out = t_arr**self.alpha_w
         elif self.kind == "log_weight":
             out = 1.0 - np.log(t_arr)
         else:
@@ -76,6 +77,8 @@ class WeightSpec:
             out = np.interp(t_arr, xs, ys)
         if np.any(out <= 0.0):
             raise DomainError(f"weight {self.kind!r} evaluated non-positive")
+        if not np.isfinite(out).all():
+            raise DomainError(f"weight {self.kind!r} evaluated non-finite")
         if out.ndim == 0:
             return float(out)
         return out

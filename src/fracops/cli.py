@@ -140,10 +140,8 @@ def cmd_criteria(args) -> int:
     p = _params_from_args(args)
     report = univalence_criterion(p, _THEOREM_MODES[args.theorem], max_terms=args.max_terms)
     if args.format == "csv":
-        sums = report.partial_sums
-        terms = [sums[0]] + [b - a for a, b in zip(sums, sums[1:])]
-        rows = [(k, terms[k], sums[k]) for k in range(len(sums))]
-        _emit(_csv(rows, header=("index", "term", "partial_sum")), args.output)
+        rows = enumerate(zip(report.terms, report.partial_sums))
+        _emit(_csv([(k, t, s) for k, (t, s) in rows], header=("index", "term", "partial_sum")), args.output)
     else:
         _emit(_canonical_json(report.to_json_dict()), args.output)
     return 0

@@ -7,13 +7,13 @@ a (radii x angles) array that the screens and Bloch norms reduce, taking one
 inverse DFT of the coefficients folded mod the angle count per ring; a grid
 holds at most MAX_GRID_POINTS points. Coefficients whose imaginary parts are
 all +0.0 fold in float64 with the bits of the complex fold, which an
-overflowing block falls back to. A grid keeps its angle row and ring powers,
-read-only, and the default grid is one shared instance. A failing screen
-reads its witness from Horner on the deciding ring, for numerator and
-denominator at two angles: the grid's argmin on that ring and its mirror
-angle, the complex-conjugate point, with NumPy's array Horner bits (on
-Python complex numbers where those give the same bits: one point on the
-real axis, real coefficients).
+overflowing block falls back to. A grid keeps its angle row and its r^j
+table, read-only, and the default grid is one shared instance. A failing
+screen reads its witness from Horner on the deciding ring, for numerator
+and denominator at two angles: the grid's argmin on that ring and its
+mirror angle, the complex-conjugate point, with NumPy's array Horner bits
+(on Python complex numbers where those give the same bits: one point on
+the real axis, real coefficients).
 univalence_criterion holds this repository's one transcription of the
 paper's Theorems 5 and 6: it forms the partial sums of their rearranged
 proof terms at z = 1, and the threshold they are held against. Their
@@ -52,9 +52,10 @@ class DiskGrid:
 
     On first use a grid keeps, read-only, the tables that depend on it
     alone: the angle row e^{2 pi i j/M} (M values) that points() scales,
-    and the ring powers r^M and r^j (radii x M float64, 8 bytes a point)
-    that evaluate() folds with. DiskGrid.default() and
-    bloch.default_bloch_grid() each return one shared grid, built once.
+    and the table r^j (radii x M float64, 8 bytes a point) that evaluate()
+    folds with; evaluate() forms r^M, one value a ring, afresh.
+    DiskGrid.default() and bloch.default_bloch_grid() each return one
+    shared grid, built once.
     """
 
     radii: tuple
@@ -99,11 +100,6 @@ class DiskGrid:
         return _read_only(np.exp(1j * theta))
 
     @functools.cached_property
-    def _ring_powers(self) -> np.ndarray:
-        """r^M for every radius, a read-only column."""
-        return _read_only(np.array(self.radii)[:, None] ** self.angles_per_radius)
-
-    @functools.cached_property
     def _column_powers(self) -> np.ndarray:
         """r^j for every radius and j = 0 .. M - 1, read-only (radii x M)."""
         return _read_only(np.array(self.radii)[:, None] ** np.arange(self.angles_per_radius))
@@ -122,8 +118,8 @@ class DiskGrid:
         a_m = r^m sum_q c_{qM+m} r^{qM}: the coefficients folded mod M, the
         fold run as Horner in r^M over the rows of a (ceil((N+1)/M) x M)
         table. That costs O(N + M log M) per ring (Cooley & Tukey 1965).
-        The powers r^M and r^j come from the grid's kept tables, the same
-        values a fresh pow would give.
+        r^j comes from the grid's kept table, the same values a fresh pow
+        would give, and r^M from a fresh pow.
         Each point's absolute error is a small multiple of
         eps * sum_k |c_k| r^k, like Horner's, but not bit-equal to it.
         The fold runs up to the last nonzero coefficient only
@@ -145,7 +141,7 @@ class DiskGrid:
         rows_dropped = -(-f.coeffs.size // m) > -(-c.size // m)
         real = not c.imag.view(np.uint64).any()
         table = _fold_table(c.real if real else c, m)
-        r_m, r_j = self._ring_powers, self._column_powers[:, :table.shape[1]]
+        r_m, r_j = np.array(self.radii)[:, None] ** m, self._column_powers
         out = np.empty((len(self.radii), m), dtype=np.complex128)
         rows = max(1, _BLOCK_POINTS // m)
         for i in range(0, len(self.radii), rows):
@@ -153,7 +149,7 @@ class DiskGrid:
             acc = _fold(table, *powers, rows_dropped)
             if real and not np.isfinite(acc).all():
                 acc = _fold(_fold_table(c, m), *powers, rows_dropped)
-            np.fft.ifft(acc, n=m, axis=1, norm="forward", out=out[i:i + rows])
+            np.fft.ifft(acc, axis=1, norm="forward", out=out[i:i + rows])
         return out
 
     def to_json_dict(self) -> dict:
@@ -164,11 +160,10 @@ _DEFAULT_GRID = DiskGrid(radii=tuple(k / 10 for k in range(1, 10)) + (0.99,), an
 
 
 def _fold_table(c: np.ndarray, m: int) -> np.ndarray:
-    """c in rows of m coefficients, in c's dtype, the columns past c_N dropped."""
+    """c in rows of m coefficients, in c's dtype, zero-padded."""
     table = np.zeros(-(-c.size // m) * m, dtype=c.dtype)
     table[:c.size] = c
-    # columns past c_N are zero in every row; ifft's n=m pads them back
-    return table.reshape(-1, m)[:, :min(c.size, m)]
+    return table.reshape(-1, m)
 
 
 def _fold(table: np.ndarray, r_m: np.ndarray, r_j: np.ndarray, rows_dropped: bool) -> np.ndarray:
@@ -367,14 +362,16 @@ class CriterionReport:
     R does not decrease in m (beta >= tau and digamma increases), so the
     terms are positive and rise, and theorem 5's first term, like theorem
     6's second partial sum, is e^{R(1)} + 2 e^{R(2)} >= 1.5 times the
-    threshold 2 e^{R(1)}. The series cannot converge, so
-    every report is Inconclusive-Divergent with an unknown tail:
+    threshold 2 e^{R(1)}. terms holds the proof terms the partial sums
+    add up; the JSON document carries the sums alone. The series cannot
+    converge, so every report is Inconclusive-Divergent with an unknown tail:
     series_status Divergent when the budget holds all _CRITERION_TERMS
     partial sums, SlowConvergence when it ran out first.
     """
 
     mode: str
     params: OperatorParams
+    terms: list
     partial_sums: list
     rhs_threshold: float
     series_status: EvalStatus
@@ -413,6 +410,7 @@ def univalence_criterion(p: OperatorParams, mode: str, max_terms: int = 512) -> 
     return CriterionReport(
         mode=mode,
         params=p,
+        terms=terms.tolist(),
         partial_sums=np.cumsum(terms).tolist(),
         rhs_threshold=2.0 / math.exp(-r[0]),
         series_status=EvalStatus.DIVERGENT if n == _CRITERION_TERMS else EvalStatus.SLOW_CONVERGENCE,

@@ -60,8 +60,12 @@ class PowerSeries:
     def derivative(self) -> "PowerSeries":
         if self.coeffs.size == 1:
             return PowerSeries(np.zeros(1))
-        k = np.arange(1, self.coeffs.size)
-        return PowerSeries(self.coeffs[1:] * k)
+        with np.errstate(over="ignore"):  # an inf is refused by PowerSeries
+            coeffs = self.coeffs[1:] * np.arange(1, self.coeffs.size)
+        try:
+            return PowerSeries(coeffs)
+        except DomainError:
+            raise DomainError("the derivative's coefficients overflow float64") from None
 
     def is_normalized(self) -> bool:
         """c_0 = 0 and c_1 = 1 within 1e-12 (class-A normalization)."""

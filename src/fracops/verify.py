@@ -8,14 +8,13 @@ tolerance. Suites never silently pass: any failure carries a message
 naming the offending case or fixture file.
 
 The suites whose draws read the Gamma-ratio kernel draw every triple
-first, in the order of one draw after another, and then check them all
-from one kernel call: identity_law's random draws through
-log_gamma_ratios and the multiplier helpers of apply_operator and
-theta_multiplier_apply, reduction_law's coefficients and
-oracle_closed_form's references through monomial_transforms. Each row has
-the bits of its own call, so every report keeps its bytes. identity_law's
-fixture draws still go through the public apply_operator, theta_normalize
-and theta_multiplier_apply, and oracle_eval runs once per draw.
+first, in the order of one draw after another, and then check them from
+one kernel call per group: identity_law's random draws, then its fixture
+draws, through log_gamma_ratios and the multiplier helpers of
+apply_operator and theta_multiplier_apply, reduction_law's coefficients
+and oracle_closed_form's references through monomial_transforms. Each row
+has the bits of its own call, so every report keeps its bytes; oracle_eval
+runs once per draw.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .fracdiff import (
     log_gamma_ratios,
     monomial_transforms,
     theta_hadamard,
-    theta_multiplier_apply,
     theta_normalize,
 )
 from .quadrature import _disk_point, _eval_doubling, inner_integral, oracle_eval
@@ -138,45 +136,37 @@ def suite_oracle_closed_form(seed: int = 0, draws: int = 50) -> SuiteResult:
 
 
 def suite_identity_law(seed: int = 0, draws: int = 200) -> SuiteResult:
-    """tau = beta leaves coefficients unchanged through both operator routes."""
+    """tau = beta leaves coefficients unchanged through both operator routes.
+
+    Theta is held to the input with its constant term set to 0. The random
+    draws, then the fixture draws zero-padded to the longest fixture, are
+    each checked from one kernel call, every row with the bits of its own
+    apply_operator and theta_multiplier_apply images.
+    """
     tol = 1e-12
     rng = np.random.default_rng(seed)
-    worst, failures, checks = 0.0, [], 0
-
-    def record(dev, p, label):
-        nonlocal worst, checks
-        worst = max(worst, dev)
-        checks += 1
-        if not dev <= tol:
-            failures.append(f"{label}: coefficient deviation {dev:.3e} at {p}")
-
-    def check(p, f, label):
-        dev = float(np.max(np.abs(apply_operator(p, f).series.coeffs - f.coeffs)))
-        if f.is_normalized():
-            dev = max(dev, float(np.max(np.abs(theta_normalize(p, f).coeffs - f.coeffs))))
-        else:
-            g = PowerSeries(np.concatenate([[0.0], f.coeffs[1:]]))
-            if abs(f.coeffs[0]) < 1e-12 and f.coeffs.size > 1:
-                dev = max(dev, float(np.max(np.abs(theta_multiplier_apply(p, g).coeffs - g.coeffs))))
-        record(dev, p, label)
-
-    # the random draws are normalized: apply_operator's and theta_normalize's images of all of them
-    # from one kernel call, each row with the bits of its own image
-    drawn = [(draw_params(rng, tau_equals_beta=True), random_normalized_series(rng, 12)) for _ in range(draws)]
-    if drawn:
-        ps = [p for p, _ in drawn]
-        coeffs = np.array([f.coeffs for _, f in drawn])
+    drawn = [(draw_params(rng, tau_equals_beta=True), random_normalized_series(rng, 12).coeffs, f"draw {i}")
+             for i in range(draws)]
+    fixtures = [(name, load_series_fixture(fixture_dir() / name).coeffs) for name in SERIES_FIXTURE_NAMES]
+    fixed = [(draw_params(rng, tau_equals_beta=True), c, name) for name, c in fixtures for _ in range(3)]
+    worst, failures = 0.0, []
+    for group in (drawn, fixed):
+        if not group:
+            continue
+        ps = [p for p, _, _ in group]
+        coeffs = np.zeros((len(group), max(c.size for _, c, _ in group)), dtype=np.complex128)
+        for row, (_, c, _) in zip(coeffs, group):
+            row[:c.size] = c
         r = log_gamma_ratios(ps, np.arange(float(coeffs.shape[1])))
         images = np.max(np.abs(coeffs * _front_times_exp(ps, r) - coeffs), axis=1).tolist()
+        coeffs[:, 0] = 0.0
         thetas = np.max(np.abs(_times_phi(coeffs, r) - coeffs), axis=1).tolist()
-        for i, (p, image, theta) in enumerate(zip(ps, images, thetas)):
-            record(max(image, theta), p, f"draw {i}")
-    fdir = fixture_dir()
-    for name in SERIES_FIXTURE_NAMES:
-        f = load_series_fixture(fdir / name)
-        for _ in range(3):
-            check(draw_params(rng, tau_equals_beta=True), f, name)
-    return SuiteResult("identity_law", checks, worst, tol, failures)
+        for (p, _, label), image, theta in zip(group, images, thetas):
+            dev = max(image, theta)
+            worst = max(worst, dev)
+            if not dev <= tol:
+                failures.append(f"{label}: coefficient deviation {dev:.3e} at {p}")
+    return SuiteResult("identity_law", draws + len(fixed), worst, tol, failures)
 
 
 def suite_reduction_law(seed: int = 0, draws: int = 100) -> SuiteResult:

@@ -64,6 +64,16 @@ def test_weight_vector_evaluation():
     assert_allclose(w.evaluate(t), [0.25, 0.0625])
 
 
+def test_weight_refuses_an_overflowing_power():
+    """t^-1e300 overflows for t < 1: the weight is named, not reported as an underflow of |f'|."""
+    w = WeightSpec("power", alpha_w=-1e300)
+    assert w.evaluate(1.0) == 1.0
+    with pytest.raises(DomainError, match="weight 'power' evaluated non-finite"):
+        w.evaluate(np.array([0.5, 1.0]))
+    with pytest.raises(DomainError, match="weight 'power' evaluated non-finite"):
+        bloch_norm_weighted(identity_series(4), 1.0, w)
+
+
 # ---------------------------------------------------------------------------
 # norms
 

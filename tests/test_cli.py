@@ -8,8 +8,9 @@ import pytest
 
 from fracops.bloch import default_bloch_grid
 from fracops.cli import _table_json, main
+from fracops.fracdiff import OperatorParams, log_gamma_ratio
 from fracops.geometry import MAX_GRID_POINTS
-from fracops.series import koebe_series
+from fracops.series import PowerSeries, koebe_series
 from fracops.verify import fixture_dir
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -255,6 +256,24 @@ def test_criteria_csv_trace(capsys):
     assert abs(float(prev) + float(term) - float(partial)) < 1e-12
 
 
+@pytest.mark.parametrize("theorem", ["5", "6"])
+@pytest.mark.parametrize("beta, tau, gamma", [(0.65, 0.3, 1.4), (0.9, 0.2, 0.0), (1.0, 1e-9, 3.0)])
+def test_criteria_csv_prints_the_report_terms(capsys, theorem, beta, tau, gamma):
+    """The term column is each proof term as formed, not a difference of two partial sums."""
+    argv = ("criteria", "--theorem", theorem, "--beta", repr(beta), "--tau", repr(tau), "--gamma", repr(gamma))
+    doc = run_json(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    r = log_gamma_ratio(OperatorParams(beta, tau, gamma), np.arange(1.0, 23.0))
+    k = np.arange(1.0, 22.0)
+    terms = k * np.exp(r[:-1])
+    if theorem == "5":
+        terms = terms + k * (k + 1.0) * np.exp(r[1:])
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[1] for row in rows] == [repr(t) for t in terms.tolist()]
+    assert [row[2] for row in rows] == [repr(s) for s in doc["partial_sums"]]
+
+
 def test_criteria_budget_below_the_report_is_slow(capsys):
     doc = run_json(capsys, "criteria", "--theorem", "5", "--beta", "0.65",
                    "--tau", "0.3", "--gamma", "1.4", "--max-terms", "5")
@@ -329,6 +348,22 @@ def test_bloch_table_weight_refuses_non_finite_values(tmp_path, capsys, value):
                              "--w", "table", "--table-file", str(table))
     assert code == 2 and out == ""
     assert err == "fracops: error: table weight values must be positive and finite\n"
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_bloch_overflowing_input_exits_2_with_one_line(tmp_path, capsys, weighted):
+    """An overflowing weight or derivative is one typed error line, with no RuntimeWarning before it."""
+    if weighted:
+        argv = ("--f", "identity", "--mu", "1", "--w", "power", "--alpha-w=-1e300")
+        message = "weight 'power' evaluated non-finite"
+    else:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(PowerSeries([0.0, 1.0, 1e308]).to_fixture_dict()))
+        argv = ("--series", str(path))
+        message = "the derivative's coefficients overflow float64"
+    code, out, err = run_cli(capsys, "bloch", *argv)
+    assert code == 2 and out == ""
+    assert err == f"fracops: error: {message}\n"
 
 
 def test_bloch_refine_flag(capsys):

@@ -278,10 +278,10 @@ def test_default_grids_are_shared():
 
 
 def test_kept_tables_are_read_only():
-    """The angle row and the ring powers a grid keeps refuse writes, on a new grid and on the shared ones."""
+    """The angle row and the r^j table a grid keeps refuse writes, on a new grid and on the shared ones."""
     for g in (DiskGrid((0.5, 0.9), 8), DiskGrid.default(), default_bloch_grid()):
         g.evaluate(koebe_series(2.0, 20))
-        for name in ("_angle_row", "_ring_powers", "_column_powers"):
+        for name in ("_angle_row", "_column_powers"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(g, name)[0] = 0.0
             with pytest.raises(dataclasses.FrozenInstanceError):

@@ -105,6 +105,20 @@ def test_oracle_monomials_at_beta_one_tau_at_the_guard_never_hit_a_pole(gamma, p
     assert abs(oracle_eval(p, monomial_series(power), z) - want) <= 1e-14 * abs(want)
 
 
+def test_doubling_allowance_is_64_eps_of_the_term_size(monkeypatch):
+    """At S = 1e9 a residual of TOLERANCE + 100 eps S raises with both values; one of 32 eps S returns the refined value."""
+    size, eps = 1e9, np.finfo(float).eps
+    for residual, raises in ((quadrature.TOLERANCE + 100 * eps * size, True), (32 * eps * size, False)):
+        refined = complex(residual)
+        monkeypatch.setattr(quadrature, "_eval_doubling", lambda p, f, z: (0j, refined, size))
+        if raises:
+            with pytest.raises(ConvergenceError) as err:
+                oracle_eval(_params(), PowerSeries([1.0]), 0.5)
+            assert (err.value.last, err.value.previous) == (refined, 0j)
+        else:
+            assert oracle_eval(_params(), PowerSeries([1.0]), 0.5) == refined
+
+
 # w-form moments B(beta' + 1 + k/(gamma+1), alpha' + 1): the seed-51 oracle_closed_form draw (small gamma),
 # exponents near -1 and 0, gamma in the hundreds and thousands
 _MOMENT_POINTS = [(0.12, 0.072, 0.09), (0.5, 0.3, 0.0), (0.9999, 1e-4, 0.0), (1.0, 1e-9, 0.5),

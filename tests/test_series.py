@@ -194,6 +194,12 @@ def test_derivative_coefficients():
     assert identity_series(1).derivative().coeffs.tolist() == [1.0 + 0j]
 
 
+def test_derivative_refuses_overflowing_coefficients():
+    """2 * 1e308 overflows: a DomainError naming the derivative, and no RuntimeWarning."""
+    with pytest.raises(DomainError, match="derivative's coefficients overflow"):
+        PowerSeries([0.0, 1.0, 1e308]).derivative()
+
+
 def test_is_normalized():
     assert identity_series(4).is_normalized()
     assert koebe_series(2.0, 8).is_normalized()

@@ -258,3 +258,9 @@ def test_batched_suites_report_what_per_draw_calls_report(suite, per_draw, seed,
     if draws is None:
         draws = inspect.signature(suite).parameters["draws"].default
     assert suite(seed=seed, draws=draws) == per_draw(seed, draws)
+
+
+def test_identity_law_without_random_draws_checks_the_fixtures():
+    """draws=0 leaves the random group empty; the 15 fixture draws are still checked."""
+    assert suite_identity_law(seed=0, draws=0) == _identity_law_per_draw(0, 0)
+    assert suite_identity_law(seed=0, draws=0).checks == 15
