@@ -17,7 +17,12 @@ useful artifact.  A transform's coefficient table is written by json's C
 encoder without indent and then laid out as indent=2, so its bytes are the
 ones json.dumps(doc, sort_keys=True, indent=2) gives, at a fraction of the
 cost on large orders.  The FRACOPS_FIXTURES environment variable points the
-verifier at an alternate fixture directory.
+verifier at an alternate fixture directory.  Each subcommand imports only the
+modules it runs: transform needs errors, special, series and fracdiff;
+criteria adds geometry, bloch adds geometry and bloch, and verify adds
+quadrature and verify.  So the help text lists no suite names and no --refine
+or --nmax cap: a value past them exits 2 with a line naming the choices or
+the bound.
 """
 
 from __future__ import annotations
@@ -25,19 +30,20 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 
 import numpy as np
 
-from . import bloch as bloch_mod
-from . import verify as verify_mod
 from .errors import DomainError, FracopsError
 from .fracdiff import OperatorParams, apply_operator, monomial_transform, theta_normalize
-from .geometry import CRITERION_MODES, MAX_GRID_POINTS, univalence_criterion
 from .series import BUILTIN_SERIES, load_series_fixture, make_builtin
 
 _THEOREM_MODES = {"5": "theorem5_S", "6": "theorem6_K"}
 _WEIGHT_CHOICES = {"one": "constant_one", "power": "power", "log": "log_weight", "table": "table"}
+# argparse takes an argument for a negative number, not an option, only in the forms -N and
+# -N.N; this pattern adds the exponent form float() reads, such as -1e-3.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _canonical_json(doc) -> str:
@@ -51,9 +57,10 @@ def _table_json(doc: dict, coeffs: np.ndarray) -> str:
     json runs its C encoder only without indent, so the pairs are encoded
     flat and their separators moved to the indent=2 layout: a table of float
     reprs holds ", " and "], [" nowhere else. coeffs is a PowerSeries'
-    coefficient array: complex128 and never empty.
+    coefficient array: complex128 and never empty. A tolist() result holds
+    no cycle, so the encoder skips its cycle check.
     """
-    flat = json.dumps(coeffs.view(np.float64).reshape(-1, 2).tolist(), allow_nan=False)
+    flat = json.dumps(coeffs.view(np.float64).reshape(-1, 2).tolist(), allow_nan=False, check_circular=False)
     rows = flat[2:-2].replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
     text = _canonical_json({**doc, "coefficients": []})
     return text.replace('"coefficients": []', f'"coefficients": [\n    [\n      {rows}\n    ]\n  ]', 1)
@@ -88,10 +95,12 @@ def _series_from_args(args):
                         rho=args.rho, s=args.s, a=args.a)
 
 
-def _weight_from_args(args) -> bloch_mod.WeightSpec:
+def _weight_from_args(args):
+    from .bloch import WeightSpec
+
     kind = _WEIGHT_CHOICES[args.w]
     if kind == "power":
-        return bloch_mod.WeightSpec(kind="power", alpha_w=args.alpha_w)
+        return WeightSpec(kind="power", alpha_w=args.alpha_w)
     if kind == "table":
         if args.table_file is None:
             raise DomainError("--w table requires --table-file with t,w rows")
@@ -99,8 +108,8 @@ def _weight_from_args(args) -> bloch_mod.WeightSpec:
             data = np.loadtxt(args.table_file, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DomainError(f"--table-file is not a CSV of numeric t,w rows: {exc}") from exc
-        return bloch_mod.WeightSpec(kind="table", table=tuple(map(tuple, data)))
-    return bloch_mod.WeightSpec(kind=kind)
+        return WeightSpec(kind="table", table=tuple(map(tuple, data)))
+    return WeightSpec(kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +133,10 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
+
     names = args.suite if args.suite else None
-    results = verify_mod.run_suites(names=names, seed=args.seed, draws=args.draws)
+    results = run_suites(names=names, seed=args.seed, draws=args.draws)
     doc = {
         "seed": args.seed,
         "draws": args.draws,
@@ -137,6 +148,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_criteria(args) -> int:
+    from .geometry import univalence_criterion
+
     p = _params_from_args(args)
     report = univalence_criterion(p, _THEOREM_MODES[args.theorem], max_terms=args.max_terms)
     if args.format == "csv":
@@ -148,7 +161,10 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_bloch(args) -> int:
-    grid, done = bloch_mod.default_bloch_grid(), 0
+    from .bloch import (bloch_norm_classical, bloch_norm_weighted, compactness_decay_check,
+                        default_bloch_grid, grid_values)
+
+    grid, done = default_bloch_grid(), 0
     while args.refine < 0 or done < args.refine:
         try:
             grid = grid.refine()
@@ -162,7 +178,7 @@ def cmd_bloch(args) -> int:
         p = OperatorParams(beta=args.beta, tau=args.tau, gamma=args.gamma)
         w = _weight_from_args(args)
         mu = 1.0 if args.mu is None else args.mu
-        norms = bloch_mod.compactness_decay_check(p, args.nmax, mu, w, grid)
+        norms = compactness_decay_check(p, args.nmax, mu, w, grid)
         if args.format == "csv":
             rows = [(n, v) for n, v in zip(range(2, args.nmax + 1), norms)]
             _emit(_csv(rows, header=("n", "norm")), args.output)
@@ -185,13 +201,13 @@ def cmd_bloch(args) -> int:
     f = _series_from_args(args)
     w = None if args.mu is None else _weight_from_args(args)
     if args.format == "csv":
-        trace = bloch_mod.grid_values(f, grid, args.mu, w).max(axis=1).tolist()
+        trace = grid_values(f, grid, args.mu, w).max(axis=1).tolist()
         _emit(_csv(zip(grid.radii, trace), header=("radius", "max_value")), args.output)
         return 0
     if args.mu is None:
-        estimate = bloch_mod.bloch_norm_classical(f, grid)
+        estimate = bloch_norm_classical(f, grid)
     else:
-        estimate = bloch_mod.bloch_norm_weighted(f, args.mu, w, grid)
+        estimate = bloch_norm_weighted(f, args.mu, w, grid)
     _emit(_canonical_json(estimate.to_json_dict()), args.output)
     return 0
 
@@ -242,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0, help="seed for randomized draws (default 0)")
     v.add_argument("--draws", type=int, default=None,
                    help="override the per-suite draw count for randomized suites")
-    v.add_argument("--suite", action="append", choices=sorted(verify_mod.SUITES),
+    v.add_argument("--suite", action="append",
                    help="run only this suite (repeatable; default: all)")
     v.add_argument("--output", default=None)
     v.set_defaults(func=cmd_verify)
@@ -266,18 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--alpha-w", type=float, default=0.0, dest="alpha_w")
     b.add_argument("--table-file", default=None, help="CSV of t,w(t) rows for --w table")
     b.add_argument("--refine", type=int, default=0,
-                   help="halve the grid spacing this many times, while the grid stays "
-                        f"within {MAX_GRID_POINTS} points")
+                   help="halve the grid spacing this many times; the grid's point count is capped")
     b.add_argument("--compactness", action="store_true",
                    help="norms of the normalized operator on z^n/n for n = 2..nmax")
     b.add_argument("--nmax", type=int, default=64,
-                   help=f"largest family index for --compactness, 2 to {bloch_mod.MAX_FAMILY_INDEX}")
+                   help="largest family index for --compactness, from 2")
     _add_param_flags(b, required=False)
     b.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv emits a per-radius (or per-n) trace")
     b.add_argument("--output", default=None)
     b.set_defaults(func=cmd_bloch)
 
+    for p in (parser, t, v, c, b):  # each parser keeps its own pattern
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

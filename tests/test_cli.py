@@ -196,6 +196,13 @@ def test_verify_corrupted_fixture_exits_1_naming_it(tmp_path, capsys, monkeypatc
     assert any("series_kummer.json" in f for f in failures)
 
 
+def test_verify_unknown_suite_exits_2_with_one_line(capsys):
+    """The parser lists no suite names; run_suites refuses an unknown one as a usage error."""
+    code, out, err = run_cli(capsys, "verify", "--suite", "no_such_suite")
+    assert (code, out) == (2, "")
+    assert err.startswith("fracops: error: unknown suite 'no_such_suite'") and err.count("\n") == 1
+
+
 def _verify_with_golden_0_changed(tmp_path, capsys, monkeypatch, **change) -> list:
     """The failures of `verify --suite fixtures` with golden entry 0 changed, after checking the contract."""
     src = fixture_dir()
@@ -364,6 +371,14 @@ def test_bloch_overflowing_input_exits_2_with_one_line(tmp_path, capsys, weighte
     code, out, err = run_cli(capsys, "bloch", *argv)
     assert code == 2 and out == ""
     assert err == f"fracops: error: {message}\n"
+
+
+def test_bloch_reads_a_negative_float_in_exponent_form(capsys):
+    """argparse alone takes -1e-3 for an option; the CLI reads it as --alpha-w=-1e-3 does."""
+    argv = ("bloch", "--f", "identity", "--mu", "1", "--w", "power")
+    code, out, err = run_cli(capsys, *argv, "--alpha-w", "-1e-3")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, *argv, "--alpha-w=-1e-3")[1]
 
 
 def test_bloch_refine_flag(capsys):

@@ -17,10 +17,11 @@ _JUNK = ("nan", "-1", "1e308", "", "inf", "--bogus")
 # --order and --refine are capped so one call stays well under a second
 _VALUES = {
     int: ("0", "1", "2", "3", "16"),
-    float: ("0.5", "1", "0.25", "2", "1e-10", "0"),
+    float: ("0.5", "1", "0.25", "2", "1e-10", "0", "-1e-3"),
     "--series": (str(fixture_dir() / "series_koebe_alpha2.json"), "/nonexistent.json"),
     "--table-file": ("/nonexistent.csv",),
     "--refine": ("0", "1", "5"),
+    "--suite": ("reduction_law", "identity_law", "no_such_suite"),  # the parser lists no suite names
 }
 _SKIP = {"-h", "--help", "--output"}  # help text and files are not stdout documents
 

@@ -1,10 +1,14 @@
-"""The package runs on NumPy alone.
+"""The package runs on NumPy alone, and each entry point loads only what it needs.
 
 transform, criteria, bloch and verify (with the quadrature oracle), the
 closed forms, the Hadamard route, and log Gamma, the Beta function and
 Fox-Wright sums at complex and negative arguments run without SciPy. Each
 check runs in a fresh interpreter with SciPy blocked: sys.modules["scipy"]
 is set to None, so any import of it raises.
+
+`import fracops` loads no submodule, the first public or submodule name
+loads them all, and each subcommand loads its own set of modules; these
+checks run in a fresh interpreter with SciPy importable.
 """
 
 import json
@@ -85,3 +89,65 @@ def test_closed_forms_hadamard_and_fox_wright_never_load_scipy():
 
 def test_verify_never_loads_scipy():
     assert run_fresh("verify") == {"code": 0}
+
+
+LOADED = """
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("fracops", "scipy") or m == "numpy.random")))
+"""
+
+LOAD_PROBE = """
+import contextlib, io, json, sys
+from fracops.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+""" + LOADED
+
+SUBMODULES = ("errors", "special", "series", "fracdiff", "quadrature", "geometry", "bloch", "verify")
+# What `from fracops import *` bound when fracops/__init__ imported every submodule.
+EAGER_NAMES = sorted(SUBMODULES + tuple("""
+    ConvergenceError DomainError FracopsError PoleHitError EvalOutcome EvalStatus FoxWrightSpec beta_fn
+    fox_wright_eval log_gamma PowerSeries exp_times_z_series hurwitz_lerch_series identity_series
+    koebe_series kummer_series load_series_fixture make_builtin monomial_series save_series_fixture
+    ClosedFormImage MonomialImage OperatorImage OperatorParams apply_operator closed_form_spec
+    monomial_transform phi_multiplier theta_fox_wright_spec theta_hadamard theta_multiplier_apply
+    theta_normalize inner_integral oracle_eval CriterionReport DiskGrid ScreenResult bieberbach_screen
+    convex_order starlike_order univalence_criterion BlochEstimate WeightSpec bloch_norm_classical
+    bloch_norm_weighted boundedness_equivalence_check compactness_decay_check grid_values run_suites
+""".split()))
+
+
+def loaded(*names) -> list:
+    return sorted(["fracops", *(f"fracops.{name}" for name in names)])
+
+
+BASE = ("cli", "errors", "special", "series", "fracdiff")
+SUBCOMMAND_LOADS = {
+    "transform": loaded(*BASE),
+    "criteria": loaded(*BASE, "geometry"),
+    "bloch": loaded(*BASE, "geometry", "bloch"),
+    "verify": loaded(*BASE, "quadrature", "verify") + ["numpy.random"],
+}
+
+
+def test_import_fracops_loads_no_submodule():
+    assert run_fresh(probe="import json, sys\nimport fracops\n" + LOADED) == ["fracops"]
+
+
+@pytest.mark.parametrize("lookup", ["fracops.log_gamma", "fracops.verify", "from fracops import fracdiff"])
+def test_first_package_lookup_loads_every_submodule(lookup):
+    probe = f"import json, sys\nimport fracops\n{lookup}\n" + LOADED
+    assert run_fresh(probe=probe) == loaded(*SUBMODULES)
+
+
+def test_star_import_binds_the_eager_names():
+    probe = ("import json\nns = {}\nexec('from fracops import *', ns)\n"
+             "print(json.dumps(sorted(k for k in ns if not k.startswith('_'))))\n")
+    assert run_fresh(probe=probe) == EAGER_NAMES
+
+
+@pytest.mark.parametrize("argv", [*COMMANDS.values(), ("verify",)],
+                         ids=[*COMMANDS.keys(), "verify"])
+def test_subcommand_loads_only_its_modules(argv):
+    """No subcommand loads SciPy, and only verify, which seeds generators, loads numpy.random."""
+    assert run_fresh(*argv, probe=LOAD_PROBE) == SUBCOMMAND_LOADS[argv[0]]
