@@ -37,8 +37,10 @@ import numpy as np
 
 from .errors import DomainError, FracopsError
 from .fracdiff import OperatorParams, apply_operator, monomial_transform, theta_normalize
-from .series import BUILTIN_SERIES, load_series_fixture, make_builtin
+from .series import BUILTIN_SERIES, STOCK_INPUTS, load_series_fixture, make_builtin
 
+# The stock inputs' parameters, each once, in the order STOCK_INPUTS first names them: one flag each.
+_STOCK_PARAMS = tuple(dict.fromkeys(name for names, _ in STOCK_INPUTS.values() for name in names))
 _THEOREM_MODES = {"5": "theorem5_S", "6": "theorem6_K"}
 _WEIGHT_CHOICES = {"one": "constant_one", "power": "power", "log": "log_weight", "table": "table"}
 # argparse takes an argument for a negative number, not an option, only in the forms -N and
@@ -90,9 +92,7 @@ def _series_from_args(args):
     """Resolve --series / --builtin into a PowerSeries (transform and bloch)."""
     if getattr(args, "series", None) is not None:
         return load_series_fixture(args.series)
-    kind = args.builtin
-    return make_builtin(kind, order=args.order, alpha=args.alpha, lam=args.lam,
-                        rho=args.rho, s=args.s, a=args.a)
+    return make_builtin(args.builtin, order=args.order, **{k: getattr(args, k) for k in _STOCK_PARAMS})
 
 
 def _weight_from_args(args):
@@ -161,8 +161,8 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_bloch(args) -> int:
-    from .bloch import (bloch_norm_classical, bloch_norm_weighted, compactness_decay_check,
-                        default_bloch_grid, grid_values)
+    from .bloch import (MAX_FAMILY_INDEX, bloch_norm_classical, bloch_norm_weighted,
+                        compactness_decay_check, default_bloch_grid, grid_values)
 
     grid, done = default_bloch_grid(), 0
     while args.refine < 0 or done < args.refine:
@@ -175,6 +175,8 @@ def cmd_bloch(args) -> int:
     if args.compactness:
         if args.beta is None or args.tau is None:
             raise DomainError("--compactness requires --beta and --tau (and optionally --gamma)")
+        if not 2 <= args.nmax <= MAX_FAMILY_INDEX:
+            raise DomainError(f"--nmax must lie in [2, {MAX_FAMILY_INDEX}], got {args.nmax}")
         p = OperatorParams(beta=args.beta, tau=args.tau, gamma=args.gamma)
         w = _weight_from_args(args)
         mu = 1.0 if args.mu is None else args.mu
@@ -228,11 +230,8 @@ def _add_series_flags(sub, flag="--builtin"):
                      help="stock series by name")
     src.add_argument("--series", metavar="PATH", help="series fixture JSON file")
     sub.add_argument("--order", type=int, default=32, help="truncation order for builtins")
-    sub.add_argument("--alpha", type=float, default=None, help="builtin parameter alpha")
-    sub.add_argument("--lam", type=float, default=None, help="builtin parameter lambda")
-    sub.add_argument("--rho", type=float, default=None, help="builtin parameter rho")
-    sub.add_argument("--s", type=float, default=None, help="builtin parameter s")
-    sub.add_argument("--a", type=float, default=None, help="builtin parameter a")
+    for name in _STOCK_PARAMS:
+        sub.add_argument(f"--{name}", type=float, default=None, help=f"builtin parameter {name}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PoleHitError
-from .series import PowerSeries, stock_rows
+from .series import _NORMALIZED_TOL, PowerSeries, stock_rows
 from .special import (
     POLE_GUARD,
     EvalOutcome,
@@ -427,7 +427,7 @@ def theta_multiplier_apply(p: OperatorParams, f: PowerSeries) -> PowerSeries:
     normalized. R(1..N) is read from the kernel row _kernel_row(p, N + 1),
     shared with apply_operator; the Hadamard route never reads it.
     """
-    if abs(f.coeffs[0]) > 1e-12:
+    if abs(f.coeffs[0]) > _NORMALIZED_TOL:
         raise DomainError("Theta needs a series with zero constant term")
     return PowerSeries(_times_phi(f.coeffs, _kernel_row(p, f.coeffs.size)))
 
@@ -484,7 +484,7 @@ def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
     spec.log_coefficients at its index. The products are taken in place:
     larger temporaries page-faulted afresh on every call.
     """
-    if abs(f.coeffs[0]) > 1e-12:
+    if abs(f.coeffs[0]) > _NORMALIZED_TOL:
         raise DomainError("Theta needs a series with zero constant term")
     constant, spec = theta_fox_wright_spec(p)
     coeffs = f.coeffs.copy()

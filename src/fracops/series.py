@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, check_count
 from .special import is_near_pole
 
-# |c_0| and |c_1 - 1| at most this count as class-A normalized.
+# |c_0| and |c_1 - 1| at most this count as class-A normalized; Theta's c_0 check reads it too.
 _NORMALIZED_TOL = 1e-12
 
 

@@ -145,7 +145,7 @@ def test_table_json_matches_the_indented_encoder(pairs, order, prefactor, bad):
     assert (bad is None) == isinstance(want, str)
 
 
-@pytest.mark.parametrize("order", [1, 2, 64, 4096])
+@pytest.mark.parametrize("order", [1, 2, 64, 4096, 65536])
 @pytest.mark.parametrize("normalize", [False, True])
 def test_transform_document_is_the_indented_encoding_of_itself(tmp_path, capsys, order, normalize):
     """Both transform branches, to stdout and to --output: the same bytes json's indented encoder gives."""
@@ -290,6 +290,23 @@ def test_criteria_budget_below_the_report_is_slow(capsys):
     assert doc["tail_bound"] is None
 
 
+@pytest.mark.parametrize("theorem", ["5", "6"])
+def test_criteria_report_is_the_same_at_budgets_512_and_10_7(capsys, theorem):
+    """The divergence is proved after 21 sums: a larger budget changes no byte, in JSON or CSV.
+
+    A budget of 5 reads 5 sums and is SlowConvergence; a budget of 0 is a usage error.
+    """
+    argv = ("criteria", "--theorem", theorem, "--beta", "0.65", "--tau", "0.3", "--gamma", "1.4")
+    for fmt in ((), ("--format", "csv")):
+        small, big = (run_cli(capsys, *argv, "--max-terms", budget, *fmt) for budget in ("512", "10000000"))
+        assert small == big and small[0] == 0, fmt
+    full, short = (run_json(capsys, *argv, "--max-terms", budget) for budget in ("512", "5"))
+    assert (len(full["partial_sums"]), full["series_status"]) == (21, "Divergent")
+    assert (len(short["partial_sums"]), short["series_status"]) == (5, "SlowConvergence")
+    code, out, err = run_cli(capsys, *argv, "--max-terms", "0")
+    assert (code, out) == (2, "") and "Traceback" not in err
+
+
 def test_criteria_rejects_a_zero_budget(capsys):
     code, out, err = run_cli(capsys, "criteria", "--theorem", "6", "--beta", "0.65",
                              "--tau", "0.3", "--gamma", "1.4", "--max-terms", "0")
@@ -396,6 +413,14 @@ def test_bloch_refine_flag(capsys):
         code, out, err = run_cli(capsys, "bloch", "--f", "identity", "--refine", refine)
         assert (code, out) == (2, "")
         assert err == f"fracops: error: --refine must lie in [0, {top}], got {refine}\n"
+
+
+def test_bloch_nmax_bound_names_the_flag(capsys):
+    """An --nmax outside the compactness family's range exits 2 with one line naming the flag and the range."""
+    for nmax in ("1", "1025", "5000"):
+        code, out, err = run_cli(capsys, "bloch", "--compactness", "--beta", "0.5", "--tau", "0.3", "--nmax", nmax)
+        assert (code, out) == (2, "")
+        assert err == f"fracops: error: --nmax must lie in [2, 1024], got {nmax}\n"
 
 
 def test_bloch_series_flags_are_exclusive(capsys):

@@ -302,16 +302,25 @@ def test_points_are_a_fresh_writable_array():
 def test_kept_tables_give_the_written_out_formulas_bytes():
     """points and evaluate, called twice each, against r e^{i theta}, r^M and r^j formed afresh.
 
-    On the shared grids and on a refined Bloch grid of three blocks; a real,
-    a complex and a real input whose float64 fold overflows (the complex refold).
+    On the shared grids, on a refined Bloch grid of three blocks and on the
+    finest one `bloch --refine 4` takes, 1521 x 2048 points. Three real
+    inputs, Koebe', Theta(Koebe)' and (z e^z)', whose +0.0 imaginary parts
+    fold in float64 ((z e^z)' is +0.0 past c_178, so its fold stops there);
+    on all but the finest grid also a complex one and a real one whose
+    float64 fold overflows (the complex refold).
     """
     rng = np.random.default_rng(39)
-    inputs = [koebe_series(2.0, 2500).derivative(),
-              PowerSeries(rng.normal(size=700) + 1j * rng.normal(size=700)),
-              _overflowing("partway").derivative()]
+    koebe = koebe_series(2.0, 2500)
+    p = OperatorParams(0.5606394622302311, 0.5353442707612333, 0.4324788381589012)
+    real = [koebe.derivative(), theta_normalize(p, koebe).derivative(), exp_times_z_series(2500).derivative()]
+    assert not any(f.coeffs.imag.view(np.uint64).any() for f in real)
+    inputs = real + [PowerSeries(rng.normal(size=700) + 1j * rng.normal(size=700)),
+                     _overflowing("partway").derivative()]
     refined = default_bloch_grid().refine()
     assert len(refined.radii) * refined.angles_per_radius > 2 * _BLOCK_POINTS
-    for g in (DiskGrid.default(), default_bloch_grid(), refined):
+    finest = refined.refine().refine().refine()
+    assert (len(finest.radii), finest.angles_per_radius) == (1521, 2048)
+    for g, fs in ((DiskGrid.default(), inputs), (default_bloch_grid(), inputs), (refined, inputs), (finest, real)):
         m = g.angles_per_radius
         theta = 2.0 * np.pi * np.arange(m) / m
         want = np.array(g.radii)[:, None] * np.exp(1j * theta)
@@ -319,7 +328,7 @@ def test_kept_tables_give_the_written_out_formulas_bytes():
             assert g.points().tobytes() == want.tobytes()
             assert g.points(3, 5).tobytes() == want[3:5].tobytes()
         with np.errstate(over="ignore", invalid="ignore"):
-            for f in inputs:
+            for f in fs:
                 fold = _full_fold(g, f).tobytes()
                 assert [g.evaluate(f).tobytes() for _ in range(2)] == [fold, fold], (g, f.order)
 
@@ -507,32 +516,41 @@ def test_failing_screens_match_the_full_ring_witness():
 
 
 def test_real_axis_witnesses_take_python_horner_with_numpy_bits(monkeypatch):
-    """Theta(Koebe) at 30 seeded triples, each also turned by e^{0.3i}.
+    """Theta(Koebe) at 30 seeded triples and two fixed ones, and Koebe at lam = 0.5, each also turned by e^{0.3i}.
 
     Every failing screen matches NumPy's Horner over the whole deciding ring,
     bit for bit. A witness on the real axis, where the coefficients are real,
     makes no evaluate_many call; the same series turned by e^{0.3i} keeps
-    Re(z f'/f) but has complex coefficients, so it calls evaluate_many.
+    Re(z f'/f) but has complex coefficients, so it calls evaluate_many. The
+    fixed triples' witnesses lie at -0.99 and off the real axis on the 0.99
+    ring, Koebe's at -0.4.
     """
     calls = []
     monkeypatch.setattr(geometry, "evaluate_many", lambda *args: calls.append(1) or series.evaluate_many(*args))
     rng = np.random.default_rng(7)
-    on_axis = 0
+    triples = []
     for _ in range(30):
         beta = rng.uniform(0.1, 1.0)
-        p = OperatorParams(beta, rng.uniform(max(0.05, beta - 0.9), beta), rng.uniform(0.0, 3.0))
-        f = theta_normalize(p, koebe_series(2.0, 2500))
+        triples.append(OperatorParams(beta, rng.uniform(max(0.05, beta - 0.9), beta), rng.uniform(0.0, 3.0)))
+    triples += [OperatorParams(0.5606394622302311, 0.5353442707612333, 0.4324788381589012),
+                OperatorParams(0.34372976455842597, 0.29853069455752645, 2.5779767009908836)]
+    koebe = koebe_series(2.0, 2500)
+    screens = [(theta_normalize(p, koebe), 0.0) for p in triples] + [(koebe, 0.5)]
+    on_axis = 0
+    for f, lam in screens:
         for turn in (1.0, np.exp(0.3j)):
             g = PowerSeries(turn * f.coeffs)
             calls.clear()
-            res = starlike_order(g, 0.0)
+            res = starlike_order(g, lam)
             if res.passed:
                 continue
-            assert (res.witness, res.witness_value, res.points_checked) == _full_ring_witness(g, 0.0, "starlike")[:3]
+            assert (res.witness, res.witness_value, res.points_checked) == _full_ring_witness(g, lam, "starlike")[:3]
             real_axis = abs(res.witness.imag) < 1e-15
-            assert bool(calls) == (turn != 1.0 or not real_axis), (p, turn, res)
+            assert bool(calls) == (turn != 1.0 or not real_axis), (f.coeffs[2], lam, turn, res)
             on_axis += real_axis and turn == 1.0
     assert on_axis >= 10
+    off_axis = starlike_order(screens[31][0], 0.0)
+    assert abs(abs(off_axis.witness) - 0.99) < 1e-12 and abs(off_axis.witness.imag) > 1e-3
 
 
 def test_failing_screen_witness_values_match_mpmath():
@@ -776,7 +794,7 @@ def test_criterion_budget_only_bounds_the_terms_read():
 
 
 def test_criterion_divergence_is_proved_at_the_window_corners():
-    """min(budget, 21) rising partial sums and no verdict at the window's corners.
+    """min(budget, 21) rising partial sums and no verdict at the window's corners, at budgets up to 10^7.
 
     beta down to 1e-3, tau down to POLE_GUARD, beta - tau up to 1 - 1e-3 and
     gamma at 0, 1e16 and 1e200, which the draws of the other criterion tests
@@ -796,7 +814,7 @@ def test_criterion_divergence_is_proved_at_the_window_corners():
             for mode in CRITERION_MODES:
                 lemma = 0 if mode == "theorem5_S" else 1
                 full = univalence_criterion(p, mode, max_terms=21).partial_sums
-                for budget in (1, 20, 21, 22, 512):
+                for budget in (1, 20, 21, 22, 512, 10**7):
                     rep = univalence_criterion(p, mode, max_terms=budget)
                     sums = rep.partial_sums
                     assert len(sums) == min(budget, 21), (p, mode, budget)

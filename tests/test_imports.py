@@ -4,7 +4,8 @@ transform, criteria, bloch and verify (with the quadrature oracle), the
 closed forms, the Hadamard route, and log Gamma, the Beta function and
 Fox-Wright sums at complex and negative arguments run without SciPy. Each
 check runs in a fresh interpreter with SciPy blocked: sys.modules["scipy"]
-is set to None, so any import of it raises.
+is set to None, so any import of it raises. RuntimeWarnings are errors in
+every fresh interpreter, as in the test session.
 
 `import fracops` loads no submodule, the first public or submodule name
 loads them all, and each subcommand loads its own set of modules; these
@@ -42,16 +43,17 @@ import json
 import numpy as np
 from fracops.fracdiff import OperatorParams, closed_form_spec, theta_hadamard
 from fracops.series import koebe_series
-from fracops.special import FoxWrightSpec, beta_fn, fox_wright_eval, log_gamma
+from fracops.special import EvalStatus, FoxWrightSpec, beta_fn, fox_wright_eval, log_gamma
 p = OperatorParams(0.65, 0.3, 1.4)
 closed_form_spec(p, "hurwitz_lerch", alpha=1.2, lam=0.8, rho=1.5, s=1.1, a=1.0).evaluate(0.3 - 0.2j)
 closed_form_spec(p, "koebe", alpha=2.0).evaluate(0.5j)
 theta_hadamard(p, koebe_series(2.0, 64))
 fox_wright_eval(FoxWrightSpec(upper=((1.7, 0.8),), lower=((0.4, 1.3),)), 0.9)
-log_gamma(3 + 4j)
-log_gamma(np.array([2.5, -2.5]))
-beta_fn(-0.5, 2.0)
-fox_wright_eval(FoxWrightSpec(upper=((-2.5, 1.0),), lower=((1.5, 1.0),)), 0.3)
+assert isinstance(log_gamma(3 + 4j), complex)
+assert log_gamma(np.array([2.5, -2.5])).dtype == np.complex128
+assert type(beta_fn(-0.5, 2.0)) is float
+out = fox_wright_eval(FoxWrightSpec(upper=((-2.5, 1.0),), lower=((1.5, 1.0),)), 0.3)
+assert out.status is EvalStatus.CONVERGED, out
 print(json.dumps({"code": 0}))
 """
 
@@ -59,8 +61,8 @@ print(json.dumps({"code": 0}))
 def run_fresh(*argv, probe=PROBE) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", probe, *argv], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 

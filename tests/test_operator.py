@@ -187,18 +187,22 @@ def test_kernel_matches_mpmath_at_window_corners(beta, tau, gamma):
                 assert abs(phi[m] - float(r / r1)) <= tol * float(r / r1), (m, phi[m])
 
 
-@pytest.mark.parametrize("gamma", [0.0, 2.94, 50.0])
+@pytest.mark.parametrize("gamma", [0.0, 2.94, 50.0, 1e5])
 @pytest.mark.parametrize("beta,tau", _CORNERS)
 def test_kernel_error_is_flat_up_to_max_order(beta, tau, gamma):
     """R(m) within 8 eps max(1, |R|) of 50 digits at every index where c < 17, and up to MAX_ORDER.
 
-    The bound does not grow with m: no Gamma argument of size c log c enters
-    R, and below c = 16 no Gamma value at all. Each index gets the same bits
-    from a call of its own and from calls of 32, 33 and 8192 indices.
+    At gamma = 1e5, where c < 17 holds up to index 1.7e6, at the first 4096
+    indices and up to c = 21, past MAX_ORDER. The bound does not grow with
+    m: no Gamma argument of size c log c enters R, and below c = 16 no Gamma
+    value at all. Each index gets the same bits from a call of its own and
+    from calls of 13, 32, 33, 4096 and 8192 indices.
     """
     p = OperatorParams(beta, tau, gamma)
     g1 = gamma + 1.0
-    m = np.unique(np.r_[np.arange(17.0 * g1), np.round(np.geomspace(17.0 * g1, MAX_ORDER, 60))])
+    low = min(17.0 * g1, 4096.0)
+    m = np.unique(np.r_[np.arange(low), np.round(np.geomspace(low, max(MAX_ORDER, 21.0 * g1), 60))])
+    assert m[-1] >= 16.0 * g1  # both sides of c = 16
     r = log_gamma_ratio(p, m)
     with mpmath.workdps(50):
         b, t, g = mpmath.mpf(beta), mpmath.mpf(tau), mpmath.mpf(gamma)
@@ -207,7 +211,7 @@ def test_kernel_error_is_flat_up_to_max_order(beta, tau, gamma):
             want = float(mpmath.loggamma(c + b) - mpmath.loggamma(c + t))
             assert abs(got - want) <= 8 * EPS * max(1.0, abs(want)), (k, got, want)
     assert all(log_gamma_ratio(p, k).tobytes() == got.tobytes() for k, got in zip(m, r))
-    for n in (32, 33, 8192):
+    for n in (13, 32, 33, 4096, 8192):
         for i in range(0, m.size, n):
             # np.resize repeats a short last piece, so every call has exactly n indices
             got = log_gamma_ratio(p, np.resize(m[i:i + n], n))
@@ -264,11 +268,20 @@ def test_phi_multiplier_tau_equals_beta_identity():
 
 
 def test_theta_normalize_requires_normalized_input():
+    """c_0 and c_1 - 1 may be off by 1e-12; 1e-10 off is refused, by theta_normalize and, for c_0, by both routes."""
     p = OperatorParams(0.5, 0.3, 0.0)
     with pytest.raises(DomainError):
         theta_normalize(p, PowerSeries([0.0, 2.0]))
     with pytest.raises(DomainError):
         theta_multiplier_apply(p, PowerSeries([1.0, 1.0]))
+    for c in ([0.0, 1.0 + 1e-10, 0.5], [1e-10, 1.0, 0.5]):
+        with pytest.raises(DomainError, match="requires a normalized series"):
+            theta_normalize(p, PowerSeries(c))
+    for route in (theta_multiplier_apply, theta_hadamard):
+        with pytest.raises(DomainError, match="zero constant term"):
+            route(p, PowerSeries([1e-10, 1.0, 0.5]))
+    for route in (theta_normalize, theta_multiplier_apply, theta_hadamard):
+        assert route(p, PowerSeries([5e-13, 1.0 + 5e-13, 0.5])).order == 2
 
 
 def test_theta_multiplier_apply_is_linear():
@@ -662,19 +675,25 @@ def _value_bits(x):
     return complex(x).real.hex(), complex(x).imag.hex()
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", [*range(6), None])
 @pytest.mark.parametrize("kind,kw", _ARRAY_FORMS)
 def test_closed_forms_on_point_arrays_match_scalar_calls_bit_for_bit(seed, kind, kw):
     """inner_sum and evaluate at an array of points give each point the bits of its scalar call.
 
     The points hold z = 0 twice and |z| = 0.05 next to |z| = 0.95, so one
     driver pass sums rows that stop after 1, a few and hundreds of terms.
+    Seeds draw the triple and the angles; seed None is (0.65, 0.3, 1.4) on
+    the ray at angle 0.7.
     """
     from fracops.verify import draw_params
 
-    rng = np.random.default_rng(seed)
-    p = draw_params(rng)
-    points = [0j] + [r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for r in (0.05, 0.95, 0.5, 0.3)] + [0j]
+    if seed is None:
+        p, turns = _TRIPLE_A, [cmath.exp(0.7j)] * 4
+    else:
+        rng = np.random.default_rng(seed)
+        p = draw_params(rng)
+        turns = [cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(4)]
+    points = [0j] + [r * turn for r, turn in zip((0.05, 0.95, 0.5, 0.3), turns)] + [0j]
     rows = closed_form_spec(p, kind, **kw).inner_sum(np.array(points))
     values = closed_form_spec(p, kind, **kw).evaluate(np.array(points))
     assert len(rows) == len(points) and values.dtype == np.complex128 and values.shape == (len(points),)
@@ -798,6 +817,7 @@ def koebe_image_coefficients():
 
 @pytest.mark.parametrize("alpha,r,angle,tol", [
     (2.0, 0.95, 0.3, 1e-12),
+    (2.0, 0.95, 1.0, 1e-10),
     (2.0, 0.95, 2.0, 1e-10),
     (2.0, 0.95, -2.5, 1e-10),
     (1.0, 0.99, 0.3, 1e-10),
@@ -819,6 +839,12 @@ def test_koebe_closed_form_near_the_unit_circle(koebe_image_coefficients, alpha,
         want = complex(mpmath.power(zm, p.shift + 1) * mpmath.polyval(images[alpha][::-1], zm))
     got = form.evaluate(z)
     assert abs(got - want) <= tol * abs(want), (got, want)
+
+
+def test_koebe_sum_that_cancels_past_the_guard_is_slow():
+    """Koebe alpha = 2 at z = -0.993: sum |t_k| passes 4.5e5 |sum t_k|, so the sum is not CONVERGED."""
+    out = closed_form_spec(OperatorParams(0.65, 0.3, 1.4), "koebe", alpha=2.0).inner_sum(-0.993)
+    assert (out.status, out.terms_used) == (EvalStatus.SLOW_CONVERGENCE, 7652)
 
 
 def test_closed_form_exp_series_agreement():

@@ -1,5 +1,6 @@
 """Independent Gauss-Jacobi route for the operator: nodes, kernel, oracle."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -106,9 +107,14 @@ def test_oracle_monomials_at_beta_one_tau_at_the_guard_never_hit_a_pole(gamma, p
 
 
 def test_doubling_allowance_is_64_eps_of_the_term_size(monkeypatch):
-    """At S = 1e9 a residual of TOLERANCE + 100 eps S raises with both values; one of 32 eps S returns the refined value."""
-    size, eps = 1e9, np.finfo(float).eps
-    for residual, raises in ((quadrature.TOLERANCE + 100 * eps * size, True), (32 * eps * size, False)):
+    """At S = 1e9 a residual of TOLERANCE + 100 eps S raises with both values; one of 32 eps S returns the refined value.
+
+    At S = 1 the allowance is the oracle's 1e-8: a residual of 2e-8 raises and one of 5e-9 returns.
+    """
+    eps = np.finfo(float).eps
+    cases = ((1e9, quadrature.TOLERANCE + 100 * eps * 1e9, True), (1e9, 32 * eps * 1e9, False),
+             (1.0, 2e-8, True), (1.0, 5e-9, False))
+    for size, residual, raises in cases:
         refined = complex(residual)
         monkeypatch.setattr(quadrature, "_eval_doubling", lambda p, f, z: (0j, refined, size))
         if raises:
@@ -234,6 +240,15 @@ def test_moment_sums_match_horner_at_the_nodes(beta, tau, gamma, order):
             assert abs(size - scales[1]) <= 1e-13 * scales[1], (z, size, scales[1])
 
 
+def _with_peak(p, f, z):
+    """oracle_eval(p, f, z) and the peak of the memory traced during the call."""
+    tracemalloc.start()
+    try:
+        return oracle_eval(p, f, z), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_oracle_memory_at_order_2_18_stays_bounded():
     """The moments are built a chunk of indices at a time.
 
@@ -244,12 +259,7 @@ def test_oracle_memory_at_order_2_18_stays_bounded():
     f = koebe_series(2.0, 2**18)
     p = _params()
     oracle_eval(p, koebe_series(2.0, 8), 0.5)  # the rules' first build is not an order-2^18 call's memory
-    tracemalloc.start()
-    try:
-        oracle_eval(p, f, 0.9j)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _with_peak(p, f, 0.9j)[1]
     assert peak < 32 * 2**20, peak
 
 
@@ -309,7 +319,9 @@ def test_oracle_small_z_matches_the_termwise_image():
 
     A leading-term shortcut there would be 1.2e-4 off at z = 9.9e-7 for the
     quartic, whose 100 z^2 term is 1e-4 of its z term, and 2.4e-7 off for
-    Koebe at z = 1e-7.
+    Koebe at z = 1e-7. Koebe at order 65536 matches at 1e-7 and 5e-7i and at
+    four points of the 0.95 ring, and each of those calls peaks under 8 MiB
+    (near 3 MB): its moments are built a chunk of indices at a time.
     """
     p = _params(0.7, 0.4, 1.1)
     f = PowerSeries([0.0, 1.0, 100.0, -3.0, 0.5])
@@ -317,7 +329,13 @@ def test_oracle_small_z_matches_the_termwise_image():
     for z in (9.9e-7, 3e-7j, 1e-9 * np.exp(2j), 1e-30):
         assert_allclose(oracle_eval(p, f, z), image.evaluate(z), rtol=1e-12, err_msg=str(z))
     p, f = _params(0.65, 0.3, 1.4), koebe_series(2.0, 65536)
-    assert_allclose(oracle_eval(p, f, 1e-7), apply_operator(p, f).evaluate(1e-7), rtol=1e-12)
+    image = apply_operator(p, f)
+    oracle_eval(p, koebe_series(2.0, 8), 0.5)  # the rules' first build is not an order-65536 call's memory
+    ring = [0.95 * cmath.exp(1j * angle) for angle in (0.0, 1.0, 2.0, -2.5)]
+    for z, rtol in [(1e-7, 1e-12), (5e-7j, 1e-12)] + [(z, 1e-10) for z in ring]:
+        got, peak = _with_peak(p, f, z)
+        assert_allclose(got, image.evaluate(z), rtol=rtol, err_msg=str(z))
+        assert peak < 8 * 2**20, (z, peak)
 
 
 def test_oracle_node_doubling_guard_raises(monkeypatch):

@@ -261,6 +261,9 @@ def test_radius_from_delta():
     assert FoxWrightSpec(upper=((1.0, 1.0), (1.0, 1.0)), lower=()).radius == 0.0  # Delta = -1
     spec = FoxWrightSpec(upper=((1.0, 2.0),), lower=((1.0, 1.0),))  # Delta = 0
     assert_allclose(spec.radius, 1.0 / 4.0, rtol=1e-15)
+    # weight sums 1e-10 apart are no rounding of Delta = 0: the series diverges
+    near = FoxWrightSpec(upper=((1.0, 1.0), (1.0, 0.5 + 1e-10)), lower=((1.0, 0.5),))
+    assert -1.1e-10 < near.delta < -0.9e-10 and near.radius == 0.0
 
 
 def test_radius_matches_coefficient_ratio_at_large_index():
