@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, check_count
 from .fracdiff import OperatorParams, log_gamma_ratio, theta_multiplier_apply
-from .geometry import DiskGrid
+from .geometry import DiskGrid, _shared_grid
 from .series import PowerSeries
 
 WEIGHT_KINDS = ("constant_one", "power", "log_weight", "table")
@@ -92,7 +92,7 @@ class WeightSpec:
         return doc
 
 
-_BLOCH_GRID = DiskGrid(radii=tuple(k / 100 for k in range(5, 100)) + (0.999,), angles_per_radius=128)
+_BLOCH_GRID = _shared_grid(tuple(k / 100 for k in range(5, 100)) + (0.999,), 128)
 
 
 def default_bloch_grid() -> DiskGrid:

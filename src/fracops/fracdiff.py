@@ -23,22 +23,23 @@ where one triple has floats, and each row has the bits of its triple's own
 call. The helpers that turn R into multipliers, _front_times_exp and
 Theta's _times_phi, take the same T rows, and monomial_transforms gives T
 monomial images from one kernel call; the verify suites check their draws
-through them.
+through them, and the Hadamard route's through _theta_hadamard_rows.
 
 Every kept row follows one rule, _kept_row: a read-only row over the
 indices 0 .. n - 1 for the last key asked, grown by filling only the
 missing indices, so each element has the bits of a fresh row. The kernel
 row R(0..N), _kernel_row, is keyed on the triple and read by
-apply_operator and theta_multiplier_apply (the criteria, phi_multiplier and
-monomial_transform call the kernel directly). The row of Theta's Gamma
-pair, _pair_row: L_k = log Gamma(b1 + k/g1) - log Gamma(b1 + tau - beta +
-k/g1), is keyed on the pair and read by the Hadamard route and the closed
-forms, each of which keeps its own z-free rows. It is the real log Gamma of
+apply_operator, theta_multiplier_apply and closed_form_spec (the
+criteria, phi_multiplier and monomial_transform call the kernel
+directly). The row of Theta's Gamma pair, _pair_row: L_k = log Gamma(b1 +
+k/g1) - log Gamma(b1 + tau - beta + k/g1), is keyed on the pair and read
+by the Hadamard route and the closed forms, each of which keeps its own
+z-free rows. It is the real log Gamma of
 special (Stirling from 16 up, the math module's Gamma below), not the
-kernel's expansion and step-up. The Hadamard route and the closed forms
-never read the kernel row, nor the kernel the pair row, so the two Theta
-routes, and the closed forms and the kernel, compare two Gamma codes at
-every index.
+kernel's expansion and step-up. The Hadamard route and the closed-form
+sums never read the kernel row (a closed form reads only its constant,
+R(1), there), nor the kernel the pair row, so the two Theta routes, and
+the closed forms and the kernel, compare two Gamma codes at every index.
 
 At tau == beta the operator degenerates to multiplication by z^gamma with
 exactly unchanged coefficients, in floating point too: the kernel gives
@@ -481,18 +482,46 @@ def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
     (b1 + tau - beta, 1/g1), shared with the closed forms of the triple,
     not log_gamma_ratio: spec.log_coefficients' other two rows, log k! and
     log Gamma(1 + k), cancel exactly, so each element has the bits of
-    spec.log_coefficients at its index. The products are taken in place:
-    larger temporaries page-faulted afresh on every call.
+    spec.log_coefficients at its index. _times_hadamard takes the products.
     """
     if abs(f.coeffs[0]) > _NORMALIZED_TOL:
         raise DomainError("Theta needs a series with zero constant term")
     constant, spec = theta_fox_wright_spec(p)
-    coeffs = f.coeffs.copy()
-    coeffs[0] = 0.0
-    head = coeffs[1:]
+    row = _pair_row(spec.upper[1], spec.lower[0], f.coeffs.size - 1)
+    return PowerSeries(_times_hadamard(f.coeffs, constant, row))
+
+
+def _times_hadamard(coeffs: np.ndarray, constant, rows: np.ndarray) -> np.ndarray:
+    """The Hadamard route on coefficient rows: index 0 set to 0, index k >= 1 times constant, then times exp(L_{k-1}).
+
+    coeffs is one row, with a float constant and one pair row, or T rows,
+    with a (T, 1) constant column and T pair rows. The products are taken in
+    place on a copy: larger temporaries page-faulted afresh on every call.
+    """
+    out = coeffs.copy()
+    out[..., 0] = 0.0
+    head = out[..., 1:]
     head *= constant
-    head *= np.exp(_pair_row(spec.upper[1], spec.lower[0], head.size))
-    return PowerSeries(coeffs)
+    head *= np.exp(rows)
+    return out
+
+
+def _theta_hadamard_rows(ps: list, coeffs: np.ndarray) -> np.ndarray:
+    """theta_hadamard(ps[t], PowerSeries(coeffs[t])).coeffs for each of T triples, as a (T, N + 1) array.
+
+    The T pair rows L_0 .. L_{N-1} (at least L_0) are filled by one
+    _fill_pair_row call, whose blocks are one _log_gamma_real call over all
+    T rows. Each constant Gamma(b1 + tau - beta) / Gamma(b1) is
+    math.exp(-L_0), with the bits of theta_fox_wright_spec's
+    math.exp(log_gamma(b1 + tau - beta) - log_gamma(b1)): L_0 is the same
+    difference of the same two log Gammas, taken the other way round, and
+    a rounded difference changes only its sign when its operands swap.
+    """
+    upper, lower = zip(*(_theta_gamma_pair(p) for p in ps))
+    rows = np.empty((len(ps), max(coeffs.shape[1] - 1, 1)))
+    _fill_pair_row(_columns(upper), _columns(lower), np.arange(float(rows.shape[1])), rows)
+    constants = np.array([[math.exp(-x)] for x in rows[:, 0].tolist()])
+    return _times_hadamard(coeffs, constants, rows[:, :coeffs.shape[1] - 1])
 
 
 def _pair_row(upper: tuple, lower: tuple, n: int) -> np.ndarray:
@@ -501,12 +530,15 @@ def _pair_row(upper: tuple, lower: tuple, n: int) -> np.ndarray:
 
 
 def _fill_pair_row(upper: tuple, lower: tuple, k: np.ndarray, out: np.ndarray) -> None:
-    """_pair_row's fill for the pair (b, w), (b_low, w): one real log Gamma call on both rows per 2048 indices."""
+    """The pair rows' fill for (b, w), (b_low, w): one real log Gamma call on both rows per 2048 indices.
+
+    b, w and b_low are one pair's floats, for one row out, or (T, 1) columns, for T rows.
+    """
     (b, w), (b_low, _) = upper, lower
     for start in range(0, k.size, 2048):
         block = k[start:start + 2048]
         logs = _log_gamma_real(np.stack([b + block * w, b_low + block * w]))
-        np.subtract(logs[0], logs[1], out=out[start:start + block.size])
+        np.subtract(logs[0], logs[1], out=out[..., start:start + block.size])
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +659,11 @@ def closed_form_spec(p: OperatorParams, kind: str, **params) -> ClosedFormImage:
     x_k = b1 + k/g1, so the image is the block [(upper, 1), (b1, 1/g1);
     (lower, 1), (b1 + tau - beta, 1/g1)], with theta_fox_wright_spec's
     Gamma pair from _theta_gamma_pair (not its constant), normalized to its
-    k = 0 term, times the image coefficient of z. An upper parameter at a
-    non-positive integer makes the input a polynomial, which the sum ends
-    exactly.
+    k = 0 term, times the image coefficient of z: monomial_transform(p, 1)'s
+    coefficient, from R(1) of the kept kernel row, so a closed form built
+    after apply_operator at the same triple makes no kernel call. An upper
+    parameter at a non-positive integer makes the input a polynomial, which
+    the sum ends exactly.
     """
     upper, lower, s, a = stock_rows(kind, **params)
     gamma_upper, gamma_lower = _theta_gamma_pair(p)
@@ -637,4 +671,6 @@ def closed_form_spec(p: OperatorParams, kind: str, **params) -> ClosedFormImage:
         upper=tuple((x, 1.0) for x in upper) + (gamma_upper,),
         lower=tuple((x, 1.0) for x in lower) + (gamma_lower,),
     )
-    return ClosedFormImage(kind, monomial_transform(p, 1.0).coefficient, p.shift + 1.0, spec, s, a)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected by _monomial_image
+        constant = float(_front_times_exp(p, _kernel_row(p, 2)[1]))
+    return ClosedFormImage(kind, _monomial_image(p, 1.0, constant).coefficient, p.shift + 1.0, spec, s, a)

@@ -7,8 +7,10 @@ a (radii x angles) array that the screens and Bloch norms reduce, taking one
 inverse DFT of the coefficients folded mod the angle count per ring; a grid
 holds at most MAX_GRID_POINTS points. Coefficients whose imaginary parts are
 all +0.0 fold in float64 with the bits of the complex fold, which an
-overflowing block falls back to. A grid keeps its angle row and its r^j
-table, read-only, and the default grid is one shared instance. A failing
+overflowing block falls back to. A grid keeps its angle row, read-only;
+the default grid is one shared instance, which also keeps its r^j table
+(as bloch's default grid does), while any other grid forms r^j afresh per
+evaluation. A failing
 screen reads its witness from Horner on the deciding ring, for numerator
 and denominator at two angles: the grid's argmin on that ring and its
 mirror angle, the complex-conjugate point, with NumPy's array Horner bits
@@ -50,16 +52,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class DiskGrid:
     """Polar sampling grid: every radius crossed with equispaced angles.
 
-    On first use a grid keeps, read-only, the tables that depend on it
-    alone: the angle row e^{2 pi i j/M} (M values) that points() scales,
-    and the table r^j (radii x M float64, 8 bytes a point) that evaluate()
-    folds with; evaluate() forms r^M, one value a ring, afresh.
-    DiskGrid.default() and bloch.default_bloch_grid() each return one
-    shared grid, built once.
+    On first use a grid keeps, read-only, the angle row e^{2 pi i j/M}
+    (M values) that points() scales. DiskGrid.default() and
+    bloch.default_bloch_grid() each return one shared grid, built once by
+    _shared_grid, and only those two also keep the table r^j (radii x M
+    float64, 8 bytes a point) that evaluate() folds with: any other grid,
+    such as a refined one evaluated once, forms each block's r^j rows
+    afresh by the same pow. evaluate() forms r^M, one value a ring, afresh.
     """
 
     radii: tuple
     angles_per_radius: int = 256
+    _keeps_tables = False  # set on the shared grids alone, by _shared_grid
 
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
@@ -102,7 +106,11 @@ class DiskGrid:
     @functools.cached_property
     def _column_powers(self) -> np.ndarray:
         """r^j for every radius and j = 0 .. M - 1, read-only (radii x M)."""
-        return _read_only(np.array(self.radii)[:, None] ** np.arange(self.angles_per_radius))
+        return _read_only(self._powers_of(0, len(self.radii)))
+
+    def _powers_of(self, start: int, stop: int) -> np.ndarray:
+        """r^j for the radii[start:stop] and j = 0 .. M - 1, one pow per point."""
+        return np.array(self.radii[start:stop])[:, None] ** np.arange(self.angles_per_radius)
 
     def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Sample points of the rings radii[start:stop], one row per ring, angle 0 first.
@@ -118,8 +126,9 @@ class DiskGrid:
         a_m = r^m sum_q c_{qM+m} r^{qM}: the coefficients folded mod M, the
         fold run as Horner in r^M over the rows of a (ceil((N+1)/M) x M)
         table. That costs O(N + M log M) per ring (Cooley & Tukey 1965).
-        r^j comes from the grid's kept table, the same values a fresh pow
-        would give, and r^M from a fresh pow.
+        r^j comes from the kept table on a shared grid and from a fresh pow
+        per block on any other, the same values either way, and r^M from a
+        fresh pow.
         Each point's absolute error is a small multiple of
         eps * sum_k |c_k| r^k, like Horner's, but not bit-equal to it.
         The fold runs up to the last nonzero coefficient only
@@ -141,11 +150,12 @@ class DiskGrid:
         rows_dropped = -(-f.coeffs.size // m) > -(-c.size // m)
         real = not c.imag.view(np.uint64).any()
         table = _fold_table(c.real if real else c, m)
-        r_m, r_j = np.array(self.radii)[:, None] ** m, self._column_powers
+        r_m = np.array(self.radii)[:, None] ** m
         out = np.empty((len(self.radii), m), dtype=np.complex128)
         rows = max(1, _BLOCK_POINTS // m)
         for i in range(0, len(self.radii), rows):
-            powers = r_m[i:i + rows], r_j[i:i + rows]
+            r_j = self._column_powers[i:i + rows] if self._keeps_tables else self._powers_of(i, i + rows)
+            powers = r_m[i:i + rows], r_j
             acc = _fold(table, *powers, rows_dropped)
             if real and not np.isfinite(acc).all():
                 acc = _fold(_fold_table(c, m), *powers, rows_dropped)
@@ -156,7 +166,14 @@ class DiskGrid:
         return {"radii": list(self.radii), "angles_per_radius": self.angles_per_radius}
 
 
-_DEFAULT_GRID = DiskGrid(radii=tuple(k / 10 for k in range(1, 10)) + (0.99,), angles_per_radius=256)
+def _shared_grid(radii: tuple, angles_per_radius: int) -> DiskGrid:
+    """A grid that keeps its r^j table: for the shared default grids, built once and evaluated many times."""
+    grid = DiskGrid(radii, angles_per_radius)
+    object.__setattr__(grid, "_keeps_tables", True)
+    return grid
+
+
+_DEFAULT_GRID = _shared_grid(tuple(k / 10 for k in range(1, 10)) + (0.99,), 256)
 
 
 def _fold_table(c: np.ndarray, m: int) -> np.ndarray:

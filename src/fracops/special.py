@@ -7,8 +7,8 @@ Fox-Wright parameter blocks, whose radius of convergence is read from
 Delta = 1 + sum B - sum A: infinite for Delta > 0, zero for Delta < 0 and
 prod B^B / prod A^A at Delta = 0 (Wright 1935; Kilbas, Saigo & Trujillo
 2002). The one series-summation driver, _sum_rows, sums every series in
-the package: fox_wright_eval (one row, through _sum_terms) and the closed
-forms (one row per point). It pulls index blocks itself, asks its caller
+the package: the Fox-Wright sums (one row per block and point) and the
+closed forms (one row per point). It pulls index blocks itself, asks its caller
 for the terms of every row at those indices, and needs each row's |z|
 over the radius. It reports an explicit status per row (converged, slow,
 divergent, pole hit) instead of silent nonsense; it never calls a sum
@@ -267,14 +267,44 @@ class FoxWrightSpec:
         argument, in row order, within POLE_GUARD of a Gamma pole.
         """
         k = np.atleast_1d(np.asarray(kappa, dtype=np.float64))
-        logs = log_gamma(np.stack([k + 1.0, *(a + k * wa for a, wa in self.upper),
-                                   *(b + k * wb for b, wb in self.lower)]))
-        s = -logs[0]
-        for row in logs[1:1 + len(self.upper)]:
-            s = s + row
-        for row in logs[1 + len(self.upper):]:
-            s = s - row
-        return s
+        return _log_coefficient_rows(_pair_columns([self]), k.ravel())[0].reshape(k.shape)
+
+
+def _pair_columns(specs: list) -> tuple:
+    """(P, a, w) for T blocks: their P upper, then Q lower pairs' parameters a and weights w, (P + Q, T, 1) columns.
+
+    A block with fewer upper or lower pairs than the longest gets the pair
+    (1, 0), whose Gamma argument is 1 at every index: log Gamma(1) is
+    exactly 0, so those rows add or subtract exact zeros.
+    """
+    upper = max((len(spec.upper) for spec in specs), default=0)
+    lower = max((len(spec.lower) for spec in specs), default=0)
+    pad = ((1.0, 0.0),)
+    pairs = np.array([spec.upper + pad * (upper - len(spec.upper)) + spec.lower + pad * (lower - len(spec.lower))
+                      for spec in specs], dtype=np.float64).reshape(len(specs), upper + lower, 2)
+    a, w = pairs.transpose(2, 1, 0)[..., None]
+    return upper, a, w
+
+
+def _log_coefficient_rows(columns: tuple, k: np.ndarray) -> np.ndarray:
+    """log_coefficients(k) at the 1-D indices k for each of the T blocks of _pair_columns: a (T, n) array.
+
+    The arguments k + 1, then every upper pair's a + k A, then every lower
+    pair's b + k B (for one block, in the order of its own call) go to one
+    log_gamma call, so the first argument on a pole is named in that order.
+    """
+    upper, a, w = columns
+    args = np.empty((1 + a.shape[0], a.shape[1], k.size))
+    args[0] = k + 1.0
+    np.multiply(k, w, out=args[1:])
+    args[1:] += a
+    logs = log_gamma(args)
+    s = -logs[0]
+    for row in logs[1:1 + upper]:
+        s = s + row
+    for row in logs[1 + upper:]:
+        s = s - row
+    return s
 
 
 class EvalStatus(enum.Enum):
@@ -311,11 +341,6 @@ def _pull(block, kappa, rows: int) -> tuple:
             except PoleHitError:
                 return np.concatenate(terms, axis=1), True
         return np.concatenate(terms, axis=1), False
-
-
-def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
-    """One series by _sum_rows: block(kappa) returns its 1-D terms at the indices kappa; limit is |z| / radius."""
-    return _sum_rows(lambda kappa: block(kappa)[None], max_terms, [limit])[0]
 
 
 def _sum_rows(block, max_terms: int, limits) -> list:
@@ -452,16 +477,36 @@ def fox_wright_eval(spec: FoxWrightSpec, z) -> EvalOutcome:
     otherwise is SLOW_CONVERGENCE, tail inf. The value field always
     carries the partial sum accumulated so far. At z = 0 the sum is the
     exact one-term sum, the kappa = 0 term. At a real z the terms' real
-    parts are summed: the value's imaginary part is exactly 0.
+    parts are summed: the value's imaginary part is exactly 0. It is the
+    one-row call of _fox_wright_rows.
     """
-    z = complex(z)
-    log_z = cmath.log(z) if z else 0j
+    return _fox_wright_rows([spec], [z])[0]
+
+
+def _fox_wright_rows(specs: list, zs: list) -> list:
+    """fox_wright_eval(specs[t], zs[t]) for every t, summed as the rows of one _sum_rows pass.
+
+    Each row's terms come from _log_coefficient_rows, so a row has the bits
+    of its own call as long as no term of any row meets a Gamma pole: a
+    block that meets one ends every row, where a single sum ends only its
+    own. The points are all nonzero or all 0, since z = 0 ends its sum at
+    its first term and so would end the other rows there too.
+    """
+    zs = [complex(z) for z in zs]
+    columns, log_z = _pair_columns(specs), np.array([cmath.log(z) if z else 0j for z in zs])[:, None]
+    nonzero, real = any(zs), [not z.imag for z in zs]
 
     def block(k):  # the driver ignores floating-point errors here and stops at an overflow
-        k = k if z else k[:1]
-        terms = np.exp(spec.log_coefficients(k) + k * log_z)
-        return terms if z.imag else terms.real + 0j  # at a real z each Im is rounding alone
+        k = k if nonzero else k[:1]
+        terms = np.exp(_log_coefficient_rows(columns, k) + k * log_z)
+        if all(real):  # at a real z each Im is rounding alone
+            return terms.real + 0j
+        if any(real):
+            terms[real] = terms[real].real + 0j
+        return terms
 
-    radius = spec.radius
-    limit = abs(z) / radius if radius > 0.0 else (math.inf if z else 0.0)
-    return _sum_terms(block, MAX_TERMS_DEFAULT, limit)
+    limits = []
+    for spec, z in zip(specs, zs):
+        radius = spec.radius
+        limits.append(abs(z) / radius if radius > 0.0 else (math.inf if z else 0.0))
+    return _sum_rows(block, MAX_TERMS_DEFAULT, limits)

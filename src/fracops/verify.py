@@ -7,14 +7,20 @@ fixture regression), and reports the worst observed error against a fixed
 tolerance. Suites never silently pass: any failure carries a message
 naming the offending case or fixture file.
 
-The suites whose draws read the Gamma-ratio kernel draw every triple
-first, in the order of one draw after another, and then check them from
-one kernel call per group: identity_law's random draws, then its fixture
-draws, through log_gamma_ratios and the multiplier helpers of
-apply_operator and theta_multiplier_apply, reduction_law's coefficients
-and oracle_closed_form's references through monomial_transforms. Each row
-has the bits of its own call, so every report keeps its bytes; oracle_eval
-runs once per draw.
+Every suite draws all its inputs first, with the same generator calls as
+one draw after another, and then checks them in batched calls:
+identity_law's random draws, then its fixture draws, through
+log_gamma_ratios and the multiplier helpers of apply_operator and
+theta_multiplier_apply; reduction_law's coefficients and
+oracle_closed_form's references through monomial_transforms, and
+reduction_law's references from one array log_gamma call;
+oracle_closed_form's oracle values and the fixtures' quadrature goldens
+from one oracle pass per input order (quadrature._oracle_values and
+_eval_doublings, whose one-draw calls are oracle_eval and the doubling it
+checks); theta_equivalence's two Theta routes, each once over all draws;
+fox_wright_reduction's series as rows of one summation pass; and
+closed_forms' termwise images by one Horner pass. Each row has the bits of
+its own call, so every report keeps its bytes.
 """
 
 from __future__ import annotations
@@ -33,17 +39,16 @@ from .errors import ConvergenceError, DomainError, FracopsError, PoleHitError, c
 from .fracdiff import (
     OperatorParams,
     _front_times_exp,
+    _theta_hadamard_rows,
     _times_phi,
     apply_operator,
     closed_form_spec,
     log_gamma_ratios,
     monomial_transforms,
-    theta_hadamard,
-    theta_normalize,
 )
-from .quadrature import _disk_point, _eval_doubling, inner_integral, oracle_eval
+from .quadrature import _disk_point, _eval_doublings, _inner_integrals, _oracle_values
 from .series import PowerSeries, evaluate_many, load_series_fixture, make_builtin, monomial_series
-from .special import FoxWrightSpec, beta_fn, fox_wright_eval, log_gamma
+from .special import FoxWrightSpec, _fox_wright_rows, beta_fn, log_gamma
 
 #: fixture file -> (builtin kind, truncation order, parameters) used to rebuild it
 SERIES_FIXTURE_RECIPES = {
@@ -104,13 +109,13 @@ def _draw_z(rng, r_lo: float = 0.05, r_hi: float = 0.9) -> complex:
     return r * complex(math.cos(theta), math.sin(theta))
 
 
-def random_normalized_series(rng, order: int) -> PowerSeries:
-    """Class-A normalized series with decaying random complex coefficients."""
+def random_normalized_coeffs(rng, order: int) -> np.ndarray:
+    """Coefficients of a class-A normalized series (c0 = 0, c1 = 1), the rest decaying random complex numbers."""
     coeffs = np.zeros(order + 1, dtype=np.complex128)
     coeffs[1] = 1.0
     k = np.arange(2, order + 1)
     coeffs[2:] = (rng.normal(size=order - 1) + 1j * rng.normal(size=order - 1)) / k
-    return PowerSeries(coeffs)
+    return coeffs
 
 
 def suite_oracle_closed_form(seed: int = 0, draws: int = 50) -> SuiteResult:
@@ -118,15 +123,15 @@ def suite_oracle_closed_form(seed: int = 0, draws: int = 50) -> SuiteResult:
     tol = 1e-8
     rng = np.random.default_rng(seed)
     cases = [(draw_params(rng), int(rng.integers(0, 7)), _draw_z(rng)) for _ in range(draws)]
-    images = monomial_transforms([p for p, _, _ in cases], [float(upsilon) for _, upsilon, _ in cases])
+    ps = [p for p, _, _ in cases]
+    images = monomial_transforms(ps, [float(upsilon) for _, upsilon, _ in cases])
+    monomials = {upsilon: monomial_series(upsilon, max(upsilon, 1)) for _, upsilon, _ in cases}
+    values = _oracle_values(ps, [monomials[upsilon] for _, upsilon, _ in cases], [z for _, _, z in cases])
     worst, failures = 0.0, []
-    for i, ((p, upsilon, z), image) in enumerate(zip(cases, images)):
-        f = monomial_series(upsilon, max(upsilon, 1))
+    for i, ((p, upsilon, z), image, got) in enumerate(zip(cases, images, values)):
         ref = image.evaluate(z)
-        try:
-            got = oracle_eval(p, f, z)
-        except (ConvergenceError, DomainError) as exc:
-            failures.append(f"draw {i}: {exc}")
+        if isinstance(got, (ConvergenceError, DomainError)):
+            failures.append(f"draw {i}: {got}")
             continue
         err = abs(got - ref) / max(abs(ref), 1e-300)
         worst = max(worst, err)
@@ -145,7 +150,7 @@ def suite_identity_law(seed: int = 0, draws: int = 200) -> SuiteResult:
     """
     tol = 1e-12
     rng = np.random.default_rng(seed)
-    drawn = [(draw_params(rng, tau_equals_beta=True), random_normalized_series(rng, 12).coeffs, f"draw {i}")
+    drawn = [(draw_params(rng, tau_equals_beta=True), random_normalized_coeffs(rng, 12), f"draw {i}")
              for i in range(draws)]
     fixtures = [(name, load_series_fixture(fixture_dir() / name).coeffs) for name in SERIES_FIXTURE_NAMES]
     fixed = [(draw_params(rng, tau_equals_beta=True), c, name) for name, c in fixtures for _ in range(3)]
@@ -173,6 +178,7 @@ def suite_reduction_law(seed: int = 0, draws: int = 100) -> SuiteResult:
     """gamma = 0 monomial coefficient reduces to the two-parameter Gamma ratio.
 
     The coefficient comes from the kernel, the reference from log_gamma: no Gamma code is shared, below 16 either.
+    The references' log Gamma terms come from one array log_gamma call, each element with its scalar call's bits.
     """
     tol = 1e-12
     rng = np.random.default_rng(seed)
@@ -180,12 +186,11 @@ def suite_reduction_law(seed: int = 0, draws: int = 100) -> SuiteResult:
     for i in range(draws):
         ps.append(draw_params(rng, gamma_zero=True))
         upsilons.append(float(rng.integers(0, 7)) if i % 2 == 0 else rng.uniform(0.0, 6.0))
+    logs = log_gamma(np.array([(upsilon + p.beta, p.tau, upsilon + p.tau, p.beta)
+                               for p, upsilon in zip(ps, upsilons)]).reshape(-1, 4)).tolist()
     worst, failures = 0.0, []
-    for i, (p, upsilon, got) in enumerate(zip(ps, upsilons, monomial_transforms(ps, upsilons))):
-        ref = math.exp(
-            log_gamma(upsilon + p.beta) + log_gamma(p.tau)
-            - log_gamma(upsilon + p.tau) - log_gamma(p.beta)
-        )
+    for i, (p, upsilon, got, (a, b, c, d)) in enumerate(zip(ps, upsilons, monomial_transforms(ps, upsilons), logs)):
+        ref = math.exp(a + b - c - d)
         err = abs(got.coefficient - ref) / abs(ref)
         err = max(err, abs(got.exponent - upsilon))
         worst = max(worst, err)
@@ -216,20 +221,25 @@ def direct_hypergeometric(upper, lower, z: complex) -> complex:
 
 
 def suite_fox_wright_reduction(seed: int = 0, draws: int = 20) -> SuiteResult:
-    """Unit-weight Fox-Wright equals Delta^{-1} times the direct pFq sum."""
+    """Unit-weight Fox-Wright equals Delta^{-1} times the direct pFq sum.
+
+    The draws' series are summed as the rows of one pass of the summation
+    driver, each with the bits of its own fox_wright_eval call: a block that
+    met a Gamma pole would end every row, but every Gamma argument here is
+    positive (upper parameters in [0.3, 3], lower ones in [0.5, 3.5]).
+    """
     tol = 1e-10
     rng = np.random.default_rng(seed)
-    worst, failures = 0.0, []
-    for i in range(draws):
+    cases = []
+    for _ in range(draws):
         pq = _PQ_SHAPES[int(rng.integers(0, len(_PQ_SHAPES)))]
         upper = [rng.uniform(0.3, 3.0) for _ in range(pq[0])]
         lower = [rng.uniform(0.5, 3.5) for _ in range(pq[1])]
-        z = _draw_z(rng, 0.05, 0.5)
-        spec = FoxWrightSpec(
-            upper=tuple((a, 1.0) for a in upper),
-            lower=tuple((b, 1.0) for b in lower),
-        )
-        psi = fox_wright_eval(spec, z)
+        cases.append((upper, lower, _draw_z(rng, 0.05, 0.5)))
+    specs = [FoxWrightSpec(upper=tuple((a, 1.0) for a in upper), lower=tuple((b, 1.0) for b in lower))
+             for upper, lower, _ in cases]
+    worst, failures = 0.0, []
+    for i, ((upper, lower, z), psi) in enumerate(zip(cases, _fox_wright_rows(specs, [z for _, _, z in cases]))):
         delta = math.exp(
             sum(log_gamma(b) for b in lower) - sum(log_gamma(a) for a in upper)
         )
@@ -271,19 +281,20 @@ def suite_closed_forms(seed: int = 0) -> SuiteResult:
     """Stock closed forms vs termwise operator application at fixed points.
 
     Each closed form sums all nine points in one evaluate call; on the
-    termwise side, one evaluate_many runs Horner on the five images of a
-    parameter triple, bit-equal to each image's own evaluate.
+    termwise side, one evaluate_many runs Horner on the twenty images of
+    the four parameter triples, bit-equal to each image's own evaluate.
     """
     tol = 1e-10
     worst, failures, checks = 0.0, [], 0
     pts = _nine_points()
     at = np.array(pts)
     inputs = [make_builtin(kind, order, **kw) for kind, kw, order in _CLOSED_FORM_CASES]
-    for beta, tau, gamma in _CLOSED_FORM_PARAMS:
-        p = OperatorParams(beta, tau, gamma)
-        images = [apply_operator(p, f) for f in inputs]
-        horner = evaluate_many([image.series for image in images], at).tolist()
-        for (kind, kw, _), image, values in zip(_CLOSED_FORM_CASES, images, horner):
+    triples = [OperatorParams(beta, tau, gamma) for beta, tau, gamma in _CLOSED_FORM_PARAMS]
+    images = [apply_operator(p, f) for p in triples for f in inputs]
+    horner = evaluate_many([image.series for image in images], at).tolist()
+    for j, p in enumerate(triples):
+        group = slice(j * len(inputs), (j + 1) * len(inputs))
+        for (kind, kw, _), image, values in zip(_CLOSED_FORM_CASES, images[group], horner[group]):
             got = closed_form_spec(p, kind, **kw).evaluate(at).tolist()
             for z, value, x in zip(pts, values, got):
                 ref = image._times_prefactor(z, value)
@@ -308,16 +319,25 @@ def suite_theta_equivalence(seed: int = 0, draws: int = 20) -> SuiteResult:
     """Multiplier route vs Fox-Wright Hadamard route for Theta, coefficientwise.
 
     Phi comes from the kernel, the Hadamard kernel from log_gamma: no Gamma code is shared, below 16 either.
+    Each route runs once over all draws, every row with the bits of that
+    draw's theta_normalize and theta_hadamard images: the multiplier route
+    from one log_gamma_ratios call, the Hadamard route from one
+    _theta_hadamard_rows call. The two routes stay separate.
     """
     tol = 1e-12
     rng = np.random.default_rng(seed)
+    ps, coeffs = [], []
+    for _ in range(draws):
+        ps.append(draw_params(rng))
+        coeffs.append(random_normalized_coeffs(rng, 64))
+    devs = []
+    if ps:  # draws=0 checks nothing, as one draw after another did
+        coeffs = np.array(coeffs)
+        t1 = _times_phi(coeffs, log_gamma_ratios(ps, np.arange(float(coeffs.shape[1]))))
+        t2 = _theta_hadamard_rows(ps, coeffs)
+        devs = np.max(np.abs(t1 - t2) / np.maximum(1.0, np.abs(t1)), axis=1).tolist()
     worst, failures = 0.0, []
-    for i in range(draws):
-        p = draw_params(rng)
-        f = random_normalized_series(rng, 64)
-        t1 = theta_normalize(p, f)
-        t2 = theta_hadamard(p, f)
-        dev = float(np.max(np.abs(t1.coeffs - t2.coeffs) / np.maximum(1.0, np.abs(t1.coeffs))))
+    for i, (p, dev) in enumerate(zip(ps, devs)):
         worst = max(worst, dev)
         if not dev <= tol:
             failures.append(f"draw {i}: coefficient deviation {dev:.3e} at {p}")
@@ -375,24 +395,40 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
         failures.append(f"fixture {golden_path.name}: {exc}")
         entries = []
 
-    one = PowerSeries([1.0])
+    inputs, cases = {}, []  # per entry (label, message) if it fails unevaluated, else (label, p, f, z, stored)
     for idx, entry in enumerate(entries):
         label = f"{golden_path.name}[{idx}]"
         try:
             pd = entry["params"]
             p = OperatorParams(pd["beta"], pd["tau"], pd["gamma"])
-            f = _rebuild_golden_input(entry["input"])
+            key = json.dumps(entry["input"], sort_keys=True)
+            if key not in inputs:
+                inputs[key] = _rebuild_golden_input(entry["input"])
             z = complex(entry["z"][0], entry["z"][1])
             stored = complex(entry["value"][0], entry["value"][1])
             if not (cmath.isfinite(z) and cmath.isfinite(stored)):
                 raise ValueError("z and value must be finite")
         except (KeyError, TypeError, ValueError, FracopsError) as exc:
-            failures.append(f"{label}: malformed entry ({exc})")
+            cases.append((label, f"malformed entry ({exc})"))
             continue
-        a_p, b_p = p.jacobi_exponents
         try:
-            r1, r2, _ = _eval_doubling(p, f, _disk_point(z))
-            err_beta = abs(inner_integral(p, one, z) - beta_fn(b_p + 1.0, a_p + 1.0))
+            cases.append((label, p, inputs[key], _disk_point(z), stored))
+        except DomainError as exc:
+            cases.append((label, str(exc)))
+
+    run = [case for case in cases if len(case) > 2]
+    ps, zs = [p for _, p, _, _, _ in run], [z for _, _, _, z, _ in run]
+    doublings = iter(_eval_doublings(ps, [f for _, _, f, _, _ in run], zs))
+    inners = iter(_inner_integrals(ps, [PowerSeries([1.0])] * len(run), zs))
+    for label, *case in cases:
+        if len(case) == 1:
+            failures.append(f"{label}: {case[0]}")
+            continue
+        p, _, _, stored = case
+        a_p, b_p = p.jacobi_exponents
+        (r1, r2, _), inner = next(doublings), next(inners)
+        try:
+            err_beta = abs(inner - beta_fn(b_p + 1.0, a_p + 1.0))
         except FracopsError as exc:
             failures.append(f"{label}: {exc}")
             continue

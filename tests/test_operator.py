@@ -34,7 +34,7 @@ from fracops.series import (
     make_builtin,
 )
 from fracops.special import EvalStatus, log_gamma
-from fracops.verify import SERIES_FIXTURE_NAMES, fixture_dir
+from fracops.verify import _CLOSED_FORM_CASES, _CLOSED_FORM_PARAMS, SERIES_FIXTURE_NAMES, fixture_dir
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -403,16 +403,21 @@ def test_kernel_row_is_read_only_and_kept_alone(monkeypatch):
 
 
 def test_hadamard_route_and_closed_forms_never_read_the_kernel_row(monkeypatch):
-    """The two Theta routes stay apart: with the multiplier route's row gone, only that route fails."""
+    """The two Theta routes stay apart: with the multiplier route's row gone, only that route fails.
+
+    A closed form takes its constant, R(1), from the kernel row when it is
+    built, so it is built first; its sum never reads the row.
+    """
     f = koebe_series(2.0, 64)
     want = theta_normalize(_TRIPLE_A, f).coeffs
+    form = closed_form_spec(_TRIPLE_A, "koebe", alpha=2.0)
 
     def no_row(p, n):
         raise RuntimeError("the kernel row was read")
 
     monkeypatch.setattr(fracdiff, "_kernel_row", no_row)
     assert_allclose(theta_hadamard(_TRIPLE_A, f).coeffs, want, rtol=1e-12)
-    assert math.isfinite(abs(closed_form_spec(_TRIPLE_A, "koebe", alpha=2.0).evaluate(0.5j)))
+    assert math.isfinite(abs(form.evaluate(0.5j)))
     with pytest.raises(RuntimeError, match="kernel row"):
         theta_normalize(_TRIPLE_A, f)
     with pytest.raises(RuntimeError, match="kernel row"):
@@ -853,3 +858,46 @@ def test_closed_form_exp_series_agreement():
     image = apply_operator(p, exp_times_z_series(40))
     z = -0.35 + 0.1j
     assert_allclose(form.evaluate(z), image.evaluate(z), rtol=1e-11)
+
+
+def test_stacked_hadamard_rows_have_the_bits_of_theta_hadamard():
+    """Each row of _theta_hadamard_rows is theta_hadamard's image of that row, bit for bit.
+
+    Random triples, tau = beta and gamma in the hundreds among them, at
+    orders 1, 64 and 3000 (past one 2048-index log Gamma block); each
+    single call reads the kept pair row, built afresh for its triple.
+    """
+    rng = np.random.default_rng(44)
+    ps = [OperatorParams(0.65, 0.3, 1.4), OperatorParams(0.5, 0.5, 0.0), OperatorParams(0.9, 0.2, 400.0),
+          OperatorParams(1.0, 1e-9, 0.5)]
+    for _ in range(8):
+        beta = rng.uniform(0.05, 1.0)
+        ps.append(OperatorParams(beta, rng.uniform(max(1e-9, beta - 0.99), beta), rng.uniform(0.0, 3.0)))
+    for order in (1, 64, 3000):
+        coeffs = rng.normal(size=(len(ps), order + 1)) + 1j * rng.normal(size=(len(ps), order + 1))
+        coeffs[:, 0] = 0.0
+        rows = fracdiff._theta_hadamard_rows(ps, coeffs)
+        for p, c, row in zip(ps, coeffs, rows):
+            want = theta_hadamard(p, PowerSeries(c)).coeffs
+            assert row.tobytes() == want.tobytes(), (p, order)
+
+
+@pytest.mark.parametrize("kind,params", [(kind, kw) for kind, kw, _ in _CLOSED_FORM_CASES])
+def test_closed_form_constant_keeps_the_bits_of_the_monomial_image(kind, params):
+    """closed_form_spec reads its constant from the kept kernel row: monomial_transform(p, 1)'s coefficient's bits.
+
+    For every stock kind, on a fresh row (another triple kept) and on the
+    row apply_operator kept at order 320 for the same triple.
+    """
+    rng = np.random.default_rng(63)
+    triples = [OperatorParams(*t) for t in _CLOSED_FORM_PARAMS] + [OperatorParams(1.0, 1e-9, 0.5)]
+    for _ in range(6):
+        beta = rng.uniform(0.05, 1.0)
+        triples.append(OperatorParams(beta, rng.uniform(max(1e-9, beta - 0.99), beta), rng.uniform(0.0, 3.0)))
+    f = koebe_series(2.0, 320)
+    for p in triples:
+        want = monomial_transform(p, 1.0).coefficient
+        apply_operator(OperatorParams(0.5, 0.25, 0.75), f)
+        assert closed_form_spec(p, kind, **params).constant.hex() == want.hex(), (p, "fresh row")
+        apply_operator(p, f)
+        assert closed_form_spec(p, kind, **params).constant.hex() == want.hex(), (p, "kept row")

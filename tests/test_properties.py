@@ -22,9 +22,9 @@ from fracops.fracdiff import (
     theta_hadamard,
     theta_normalize,
 )
-from fracops.series import make_builtin
+from fracops.series import PowerSeries, make_builtin
 from fracops.special import POLE_GUARD, log_gamma
-from fracops.verify import random_normalized_series
+from fracops.verify import random_normalized_coeffs
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -91,7 +91,7 @@ _LAW_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 def test_identity_law_is_bit_exact(beta, gamma, seed):
     """tau = beta: both Gamma arguments coincide, so every coefficient passes through unchanged."""
     p = OperatorParams(beta, beta, gamma)
-    f = random_normalized_series(np.random.default_rng(seed), 12)
+    f = PowerSeries(random_normalized_coeffs(np.random.default_rng(seed), 12))
     assert np.array_equal(apply_operator(p, f).series.coeffs, f.coeffs)
     assert np.array_equal(theta_normalize(p, f).coeffs, f.coeffs)
 
@@ -116,7 +116,7 @@ def test_gamma_zero_reduces_to_the_two_parameter_ratio(params, upsilon):
 def test_phi_of_one_is_exactly_one(params):
     p = OperatorParams(*params)
     assert phi_multiplier(p, 1) == 1.0
-    f = random_normalized_series(np.random.default_rng(0), 4)
+    f = PowerSeries(random_normalized_coeffs(np.random.default_rng(0), 4))
     assert theta_normalize(p, f).coeffs[1] == 1.0
 
 
@@ -148,7 +148,7 @@ def test_theta_routes_agree(params, seed):
     or twice the log-Gamma conditioning of Phi(kappa) where that is wider.
     """
     p = OperatorParams(*params)
-    f = random_normalized_series(np.random.default_rng(seed), 64)
+    f = PowerSeries(random_normalized_coeffs(np.random.default_rng(seed), 64))
     t1, t2 = theta_normalize(p, f).coeffs, theta_hadamard(p, f).coeffs
     dev = np.abs(t1 - t2) / np.maximum(1.0, np.abs(t1))
     bound = np.maximum(1e-12, 2.0 * _log_gamma_conditioning(p, np.arange(1.0, t1.size)))

@@ -21,7 +21,6 @@ from fracops.special import (
     EvalStatus,
     FoxWrightSpec,
     _sum_rows,
-    _sum_terms,
     beta_fn,
     fox_wright_eval,
     is_near_pole,
@@ -31,6 +30,11 @@ from fracops.special import (
 mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+
+def _sum_terms(block, max_terms: int, limit: float) -> EvalOutcome:
+    """One series by _sum_rows: block(kappa) returns its 1-D terms at the indices kappa; limit is |z| / radius."""
+    return _sum_rows(lambda kappa: block(kappa)[None], max_terms, [limit])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -784,3 +788,32 @@ def test_closed_form_sums_match_the_per_term_reference_bit_for_bit(kind, params,
                 want = closed_form_spec(p, kind, **params).inner_sum(z)
             assert _bits(got) == _bits(want), (p, z, want)
             assert _bits(row) == _bits(want), (p, z, want)
+
+
+def test_fox_wright_rows_have_the_bits_of_single_sums():
+    """One pass over blocks of 0 to 3 upper and 0 to 2 lower pairs gives each row the bits of its single sum.
+
+    The shorter blocks are padded with (1, 0) pairs, whose log Gamma(1) is
+    exactly 0; real and complex points, weights that make the series entire
+    or give it radius 1 or about 0.9; no Gamma argument meets a pole.
+    """
+    from fracops.special import _fox_wright_rows
+
+    rng = np.random.default_rng(44)
+    specs, zs = [], []
+    for p in range(4):
+        for q in range(3):
+            for _ in range(2):
+                upper = tuple((rng.uniform(0.3, 3.0), rng.choice([1.0, 0.5, 1.5])) for _ in range(p))
+                lower = tuple((rng.uniform(0.5, 3.5), rng.choice([1.0, 0.5, 1.5])) for _ in range(q))
+                spec = FoxWrightSpec(upper, lower)
+                radius = min(spec.radius, 1.0)
+                if radius == 0.0:
+                    continue
+                specs.append(spec)
+                zs.append(0.9 * radius * (rng.uniform(-1.0, 1.0) if rng.random() < 0.3
+                                          else cmath.exp(1j * rng.uniform(-math.pi, math.pi))))
+    rows = _fox_wright_rows(specs, zs)
+    assert len(rows) == len(specs) > 12
+    for spec, z, row in zip(specs, zs, rows):
+        assert _bits(row) == _bits(fox_wright_eval(spec, z)), (spec, z)
