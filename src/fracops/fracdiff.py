@@ -22,15 +22,16 @@ beta, tau and gamma become (T, 1) columns broadcast against the indices,
 where one triple has floats, and each row has the bits of its triple's own
 call. The helpers that turn R into multipliers, _front_times_exp and
 Theta's _times_phi, take the same T rows, and monomial_transforms gives T
-monomial images from one kernel call; the verify suites check their draws
-through them, and the Hadamard route's through _theta_hadamard_rows.
+monomial images from one kernel call (monomial_transform is its one-row
+call); the verify suites check their draws through them, and the
+Hadamard route's through _theta_hadamard_rows.
 
 Every kept row follows one rule, _kept_row: a read-only row over the
 indices 0 .. n - 1 for the last key asked, grown by filling only the
 missing indices, so each element has the bits of a fresh row. The kernel
 row R(0..N), _kernel_row, is keyed on the triple and read by
 apply_operator, theta_multiplier_apply and closed_form_spec (the
-criteria, phi_multiplier and monomial_transform call the kernel
+criteria, phi_multiplier and monomial_transforms call the kernel
 directly). The row of Theta's Gamma pair, _pair_row: L_k = log Gamma(b1 +
 k/g1) - log Gamma(b1 + tau - beta + k/g1), is keyed on the pair and read
 by the Hadamard route and the closed forms, each of which keeps its own
@@ -312,26 +313,20 @@ def _times_phi(coeffs: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def monomial_transform(p: OperatorParams, upsilon: float) -> MonomialImage:
-    """Closed-form image of the monomial z^upsilon.
-
-    Returns coefficient (gamma+1)^{beta-tau} Gamma(X) Gamma(tau) /
-    (Gamma(X - beta + tau) Gamma(beta)) with X = (upsilon+beta-1)/(gamma+1) + 1,
-    and exponent (1 - beta + tau) * gamma + upsilon. Negative or non-finite
-    upsilon, or one whose coefficient or exponent is not finite in float64,
-    is rejected; non-integer upsilon >= 0 is allowed (the formula extends).
-    """
-    upsilon = _monomial_power(upsilon)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected by _monomial_image
-        coeff = float(_front_times_exp(p, log_gamma_ratio(p, upsilon)))
-    return _monomial_image(p, upsilon, coeff)
+    """Closed-form image of the monomial z^upsilon: the one-row call of monomial_transforms."""
+    return monomial_transforms([p], [upsilon])[0]
 
 
 def monomial_transforms(ps, upsilons) -> list:
-    """monomial_transform(ps[t], upsilons[t]) for every t, from one kernel call.
+    """Closed-form images of the monomials z^upsilons[t] under ps[t], for every t, from one kernel call.
 
-    Each image has the bits of its own monomial_transform call. A refused
-    pair raises monomial_transform's DomainError: the first refused power's,
-    else the first refused image's.
+    Each image has coefficient (gamma+1)^{beta-tau} Gamma(X) Gamma(tau) /
+    (Gamma(X - beta + tau) Gamma(beta)) with X = (upsilon+beta-1)/(gamma+1) + 1,
+    and exponent (1 - beta + tau) * gamma + upsilon. Negative or non-finite
+    upsilon, or one whose coefficient or exponent is not finite in float64,
+    is rejected with a DomainError: the first refused power's, else the first
+    refused image's. Non-integer upsilon >= 0 is allowed (the formula
+    extends).
     """
     upsilons = [_monomial_power(upsilon) for upsilon in upsilons]
     if len(upsilons) != len(ps):

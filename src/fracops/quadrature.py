@@ -47,12 +47,9 @@ the size S = sum_k M_k |t_k| of those terms, which scales the value's
 rounding, reads the same moments. The moments come a chunk of indices at
 a time from two small tables of node powers, so a rule costs a fixed
 number of NumPy calls per chunk, with no loop over the coefficients and
-no table that grows as nodes x order. Both rules of a draw share those
-tables, and draws share them too: _eval_doublings takes many draws at
-once, stacks the terms of those that share an input order, takes their
-moments a few draws at a time and their sums from stacked einsums, and
-gives each draw the bits of its own call. oracle_eval and inner_integral
-are its one-draw calls, and the verify suites pass it all their draws.
+no table that grows as nodes x order. oracle_eval takes one draw, and
+its two rules share those tables: one _moments call reads their nodes
+side by side.
 
 Each panel's Gauss rule lives on [0, 1] itself: its nodes are the
 eigenvalues of the Jacobi matrix of the weight (1-x)^{a1-1} x^{b1-1}, and
@@ -110,9 +107,6 @@ RULE_CACHE_SIZE = 256
 # order + 2 rows.
 _POWER_ROWS = 16
 _MOMENT_CHUNK = 1024
-# _rule_moments stacks draws while their power tables hold at most _TABLE_SIZE
-# values (256 KiB); a draw whose tables are larger is a stack of one.
-_TABLE_SIZE = 32768
 
 
 def roots_jacobi(n: int, a1: float, b1: float):
@@ -184,113 +178,61 @@ def _rule(p: OperatorParams, n: int):
 def _moments(u, wts, edges: list, order: int) -> np.ndarray:
     """The moments M_k = sum_j wts_j u_j^k, k = 0..order, of rules whose nodes and weights lie side by side.
 
-    edges are the R rules' node offsets [0, J_1, J_1 + J_2, ...] along the
-    last axis of u and wts. With (J,) arrays the result is (R, order + 1),
-    a row per rule; with (T, J) arrays, the stacks of T draws' rules,
-    (R, T, order + 1), whose row [r, t] has the bits of draw t's own call.
-    Each u^k is u^(16a) u^b with b < _POWER_ROWS, both factors exp(k log u),
-    so a block of moments is one einsum over the nodes of two small power
-    tables, _MOMENT_CHUNK indices at a time. The rules share the tables'
-    elementwise NumPy calls, and each rule's einsum reads its own columns.
-    einsum without optimize sums in NumPy's own loops, never BLAS, so the
-    bits do not depend on the BLAS build or its thread count.
+    edges are the R rules' node offsets [0, J_1, J_1 + J_2, ...] in u and
+    wts; the result is (R, order + 1), a row per rule. Each u^k is
+    u^(16a) u^b with b < _POWER_ROWS, both factors exp(k log u), so a block
+    of moments is one einsum over the nodes of two small power tables,
+    _MOMENT_CHUNK indices at a time. The rules share the tables' elementwise
+    NumPy calls, and each rule's einsum reads its own columns. einsum
+    without optimize sums in NumPy's own loops, never BLAS, so the bits do
+    not depend on the BLAS build or its thread count.
     """
-    log_u = np.log(u)[..., None, :]
+    log_u = np.log(u)
     low = np.exp(np.arange(float(min(_POWER_ROWS, order + 1)))[:, None] * log_u)
     # exp(k log u) is taken only where wts u^(k+15) stays a normal float, and is 0 elsewhere: exp
     # and the einsum run many times slower on subnormals, and the terms left out lie far below
     # the last bit of every moment (a test holds the moments to the full tables bit for bit)
-    least = math.log(sys.float_info.min) - np.log(wts)[..., None, :] - (_POWER_ROWS - 1) * log_u
-    out = np.empty((len(edges) - 1,) + u.shape[:-1] + (order + _POWER_ROWS,))
+    least = math.log(sys.float_info.min) - np.log(wts) - (_POWER_ROWS - 1) * log_u
+    out = np.empty((len(edges) - 1, order + _POWER_ROWS))
     for start in range(0, order + 1, _MOMENT_CHUNK):
         k = np.arange(float(start), min(start + _MOMENT_CHUNK, order + 1), _POWER_ROWS)
         k_log_u = k[:, None] * log_u
         high = np.exp(k_log_u, out=np.zeros_like(k_log_u), where=k_log_u > least)
-        high *= wts[..., None, :]
+        high *= wts
         for r, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            block = np.einsum("...aj,...bj->...ab", high[..., lo:hi], low[..., lo:hi])
-            out[r, ..., start:start + block.shape[-2] * block.shape[-1]] = block.reshape(block.shape[:-2] + (-1,))
-    return out[..., :order + 1]
-
-
-def _rule_moments(ps: list, counts: tuple, order: int) -> np.ndarray:
-    """The (len(counts), T, order + 1) moments of _rule(p, n), n in counts, for the T triples ps.
-
-    A draw's rules lie side by side in one row of the _moments stacks. One
-    _moments call takes as many draws as keep its power tables within
-    _TABLE_SIZE values, and at least one, so no stack builds a draws x
-    order x nodes table.
-    """
-    rules = [[_rule(p, n) for n in counts] for p in ps]
-    edges = [0]
-    for u, _ in rules[0]:
-        edges.append(edges[-1] + u.size)
-    rows = min(_POWER_ROWS, order + 1) + len(range(0, min(_MOMENT_CHUNK, order + 1), _POWER_ROWS))
-    step = max(1, _TABLE_SIZE // (rows * edges[-1]))
-    blocks = [_moments(np.array([np.concatenate([u for u, _ in draw]) for draw in rules[i:i + step]]),
-                       np.array([np.concatenate([w for _, w in draw]) for draw in rules[i:i + step]]), edges, order)
-              for i in range(0, len(ps), step)]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+            block = np.einsum("aj,bj->ab", high[:, lo:hi], low[:, lo:hi])
+            out[r, start:start + block.size] = block.reshape(-1)
+    return out[:, :order + 1]
 
 
 def _moment_sums(m: np.ndarray, t: np.ndarray) -> list:
-    """sum_k m_rtk t_tk for each table r of real moments m (R, T, K) and each row t of complex t, in NumPy's own loops.
-
-    One einsum, not BLAS; the result holds R lists of T complex sums.
-    """
-    sums = np.einsum("rtk,tkc->rtc", m, t.view(np.float64).reshape(t.shape[0], -1, 2))
-    return [[complex(real, imag) for real, imag in table] for table in sums.tolist()]
+    """sum_k m_rk t_k for each row r of real moments m and complex t, in NumPy's own loops (einsum), not BLAS."""
+    sums = np.einsum("rk,kc->rc", m, t.view(np.float64).reshape(-1, 2))
+    return [complex(real, imag) for real, imag in sums.tolist()]
 
 
-def _z_powers(zs: list, order: int) -> np.ndarray:
-    """z^0 .. z^order for each complex z in zs, one running product per row."""
-    zk = np.full((len(zs), order + 1), np.array(zs, dtype=np.complex128)[:, None])
-    zk[:, 0] = 1.0
-    return np.multiply.accumulate(zk, axis=1, out=zk)
+def _z_powers(z: complex, order: int) -> np.ndarray:
+    """z^0 .. z^order as one running product."""
+    zk = np.full(order + 1, z, dtype=np.complex128)
+    zk[0] = 1.0
+    return np.multiply.accumulate(zk, out=zk)
 
 
-def _order_groups(fs: list):
-    """(order, the indices t of the series fs[t] of that order) for each order among fs, in first-seen order."""
-    groups = {}
-    for t, f in enumerate(fs):
-        groups.setdefault(f.order, []).append(t)
-    return groups.items()
+def _rule_sums(p: OperatorParams, f: PowerSeries, z: complex) -> tuple:
+    """sum_k M_k t_k on NODE_COUNT and on 2 * NODE_COUNT nodes per panel, and sum_k M_k |t_k| on the latter.
 
-
-def _rule_sums(ps: list, fs: list, zs: list) -> list:
-    """Per draw: sum_k M_k t_k on NODE_COUNT and on 2 * NODE_COUNT nodes per panel, and sum_k M_k |t_k| on the latter.
-
-    Draw t has the triple ps[t], the series fs[t] and the point zs[t], and
     t_k = (P + k) c_k z^k, so a rule's sum is P I + z I' with I its inner
     integral and I' that integral's z-derivative, both in the rule's
-    reading: sum_j W_j (P f(z u_j) + z u_j f'(z u_j)). The draws of one input
-    order share their NumPy calls: a stack of terms, both rules' moments
-    from one _rule_moments call and the three sums from stacked einsums;
-    each draw's sums have the bits of its own call.
+    reading: sum_j W_j (P f(z u_j) + z u_j f'(z u_j)). Both rules' moments
+    come from one _moments call over their nodes side by side.
     """
-    out = [None] * len(ps)
-    for order, group in _order_groups(fs):
-        sub = [ps[t] for t in group]
-        t = _z_powers([zs[i] for i in group], order)
-        t *= np.array([fs[i].coeffs for i in group])
-        t *= np.array([[p.gamma * (1.0 - p.beta) + (p.gamma + 1.0) * p.tau] for p in sub]) + np.arange(order + 1)
-        m = _rule_moments(sub, (NODE_COUNT, 2 * NODE_COUNT), order)
-        sizes = np.einsum("tk,tk->t", m[1], np.abs(t)).tolist()
-        for i, sums in zip(group, zip(*_moment_sums(m, t), sizes)):
-            out[i] = sums
-    return out
-
-
-def _inner_integrals(ps: list, fs: list, zs: list) -> list:
-    """inner_integral(ps[t], fs[t], zs[t]) for every t; the draws of one input order share their NumPy calls."""
-    out = [None] * len(ps)
-    for order, group in _order_groups(fs):
-        # c_k times z^k, in this order: NumPy's complex product may fuse a multiply-add, so it is not commutative
-        t = np.array([fs[i].coeffs for i in group]) * _z_powers([complex(zs[i]) for i in group], order)
-        m = _rule_moments([ps[i] for i in group], (NODE_COUNT,), order)
-        for i, value in zip(group, _moment_sums(m, t)[0]):
-            out[i] = value
-    return out
+    t = _z_powers(z, f.order)
+    t *= f.coeffs
+    t *= (p.gamma * (1.0 - p.beta) + (p.gamma + 1.0) * p.tau) + np.arange(f.order + 1)
+    (u1, w1), (u2, w2) = _rule(p, NODE_COUNT), _rule(p, 2 * NODE_COUNT)
+    m = _moments(np.concatenate([u1, u2]), np.concatenate([w1, w2]), [0, u1.size, u1.size + u2.size], f.order)
+    coarse, refined = _moment_sums(m, t)
+    return coarse, refined, float(np.einsum("k,k->", m[1], np.abs(t)))
 
 
 def inner_integral(p: OperatorParams, f: PowerSeries, z) -> complex:
@@ -299,9 +241,12 @@ def inner_integral(p: OperatorParams, f: PowerSeries, z) -> complex:
     This is sum_k c_k z^k M_k over the rule's moments. With f identically
     1 it is beta_fn(beta' + 1, alpha' + 1) (the Beta-function reduction
     behind the monomial closed form), exact up to the end panels' smooth
-    factors. It is the one-draw call of _inner_integrals.
+    factors.
     """
-    return _inner_integrals([p], [f], [z])[0]
+    u, wts = _rule(p, NODE_COUNT)
+    # c_k times z^k, in this order: NumPy's complex product may fuse a multiply-add, so it is not commutative
+    (value,) = _moment_sums(_moments(u, wts, [0, u.size], f.order), f.coeffs * _z_powers(complex(z), f.order))
+    return value
 
 
 def _disk_point(z) -> complex:
@@ -312,7 +257,7 @@ def _disk_point(z) -> complex:
     z = complex(z)
     if z == 0:
         raise DomainError("the integral route is undefined at z = 0")
-    if not abs(z) < 1.0:
+    if not math.hypot(z.real, z.imag) < 1.0:  # abs(z) would raise OverflowError where |z| overflows
         raise DomainError(f"the integral route is only used inside the unit disk (|z| < 1), got z = {z}")
     return z
 
@@ -320,58 +265,26 @@ def _disk_point(z) -> complex:
 def _front_constant(p: OperatorParams) -> float:
     """(gamma+1)^{beta-tau} Gamma(tau) / (Gamma(beta) Gamma(1-beta+tau)).
 
-    Its three log Gammas are scalar calls, with log_gamma's bits: an array
-    call costs more below about four draws, and most oracle calls are one
-    draw. OperatorParams keeps every argument at least tau >= POLE_GUARD
-    from the pole at 0, so no pole check is made.
+    Its three log Gammas are scalar calls, with log_gamma's bits.
+    OperatorParams keeps every argument at least tau >= POLE_GUARD from the
+    pole at 0, so no pole check is made.
     """
     s = _log_gamma_real(p.tau) - _log_gamma_real(p.beta) - _log_gamma_real((1.0 - p.beta) + p.tau)
     return (p.gamma + 1.0) ** (-p.diff) * math.exp(s)
 
 
-def _eval_doublings(ps: list, fs: list, zs: list) -> list:
-    """The operator value outer sum_k M_k t_k on NODE_COUNT and on 2 * NODE_COUNT nodes per panel, and S, per draw.
+def _eval_doubling(p: OperatorParams, f: PowerSeries, z: complex) -> tuple:
+    """The operator value outer sum_k M_k t_k on NODE_COUNT and on 2 * NODE_COUNT nodes per panel, and S.
 
     outer = front/(gamma+1) z^shift, with _front_constant's front;
     t_k = (P + k) c_k z^k and the sums as in _rule_sums, and
     S = |outer| sum_k M_k |t_k| on the refined rule: the size of the terms
-    the refined value sums, which scales its rounding. zs are points of the
+    the refined value sums, which scales its rounding. z is a point of the
     punctured disk (_disk_point).
     """
-    out = []
-    for p, z, (s1, s2, size) in zip(ps, zs, _rule_sums(ps, fs, zs)):
-        outer = _front_constant(p) / (p.gamma + 1.0) * cmath.exp(p.shift * cmath.log(z))
-        out.append((outer * s1, outer * s2, abs(outer) * size))
-    return out
-
-
-def _oracle_values(ps: list, fs: list, zs: list) -> list:
-    """oracle_eval(ps[t], fs[t], zs[t]) for every t: its value, or the DomainError or ConvergenceError it raises.
-
-    The draws whose z lies in the punctured disk are summed by one
-    _eval_doublings call, and each is checked as oracle_eval checks it.
-    """
-    out = []
-    for z in zs:
-        try:
-            out.append(_disk_point(z))
-        except DomainError as exc:
-            out.append(exc)
-    kept, zs = [t for t, z in enumerate(out) if type(z) is complex], out
-    if len(kept) < len(out):
-        ps, fs, zs = [ps[t] for t in kept], [fs[t] for t in kept], [out[t] for t in kept]
-    for t, (r1, r2, size) in zip(kept, _eval_doublings(ps, fs, zs)):
-        residual = abs(r2 - r1)
-        bound = TOLERANCE + ROUNDOFF_ULPS * sys.float_info.epsilon * size
-        out[t] = r2
-        if not residual <= bound:  # a nan residual or scale fails too
-            out[t] = ConvergenceError(
-                f"node doubling {NODE_COUNT} -> {2 * NODE_COUNT} nodes per panel moved the result "
-                f"by {residual:.3e} (> tolerance {bound:.1e})",
-                last=r2,
-                previous=r1,
-            )
-    return out
+    s1, s2, size = _rule_sums(p, f, z)
+    outer = _front_constant(p) / (p.gamma + 1.0) * cmath.exp(p.shift * cmath.log(z))
+    return outer * s1, outer * s2, abs(outer) * size
 
 
 def oracle_eval(p: OperatorParams, f: PowerSeries, z) -> complex:
@@ -382,10 +295,16 @@ def oracle_eval(p: OperatorParams, f: PowerSeries, z) -> complex:
     results differ by more than TOLERANCE + ROUNDOFF_ULPS eps S, with S the
     size of the refined value's terms, a ConvergenceError is raised,
     otherwise the doubled-node value is returned. The same sums serve
-    every z in the punctured disk. It is the one-draw call of
-    _oracle_values.
+    every z in the punctured disk.
     """
-    out, = _oracle_values([p], [f], [z])
-    if isinstance(out, Exception):
-        raise out
-    return out
+    r1, r2, size = _eval_doubling(p, f, _disk_point(z))
+    residual = abs(r2 - r1)
+    bound = TOLERANCE + ROUNDOFF_ULPS * sys.float_info.epsilon * size
+    if not residual <= bound:  # a nan residual or scale fails too
+        raise ConvergenceError(
+            f"node doubling {NODE_COUNT} -> {2 * NODE_COUNT} nodes per panel moved the result "
+            f"by {residual:.3e} (> tolerance {bound:.1e})",
+            last=r2,
+            previous=r1,
+        )
+    return r2

@@ -14,13 +14,17 @@ log_gamma_ratios and the multiplier helpers of apply_operator and
 theta_multiplier_apply; reduction_law's coefficients and
 oracle_closed_form's references through monomial_transforms, and
 reduction_law's references from one array log_gamma call;
-oracle_closed_form's oracle values and the fixtures' quadrature goldens
-from one oracle pass per input order (quadrature._oracle_values and
-_eval_doublings, whose one-draw calls are oracle_eval and the doubling it
-checks); theta_equivalence's two Theta routes, each once over all draws;
+theta_equivalence's two Theta routes, each once over all draws;
 fox_wright_reduction's series as rows of one summation pass; and
 closed_forms' termwise images by one Horner pass. Each row has the bits of
-its own call, so every report keeps its bytes.
+its own call, so every report keeps its bytes. The quadrature oracle takes
+one draw per call: oracle_closed_form calls oracle_eval per draw, and the
+fixtures check each golden entry's doubling (quadrature._eval_doubling)
+as they parse it.
+
+The errors a suite reports in max_error pass through SuiteResult.record:
+only a finite error raises max_error, so the report stays strict JSON,
+and an error not within its tolerance, NaN and inf included, fails.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .fracdiff import (
     log_gamma_ratios,
     monomial_transforms,
 )
-from .quadrature import _disk_point, _eval_doublings, _inner_integrals, _oracle_values
+from .quadrature import _disk_point, _eval_doubling, inner_integral, oracle_eval
 from .series import PowerSeries, evaluate_many, load_series_fixture, make_builtin, monomial_series
 from .special import FoxWrightSpec, _fox_wright_rows, beta_fn, log_gamma
 
@@ -84,6 +88,12 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
+    def record(self, err: float, tol: float | None = None) -> bool:
+        """Fold a finite err into max_error; True if err fails tol (self.tolerance by default), as NaN and inf do."""
+        if math.isfinite(err):
+            self.max_error = max(self.max_error, err)
+        return not err <= (self.tolerance if tol is None else tol)
+
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
@@ -120,24 +130,22 @@ def random_normalized_coeffs(rng, order: int) -> np.ndarray:
 
 def suite_oracle_closed_form(seed: int = 0, draws: int = 50) -> SuiteResult:
     """Integral route vs the monomial closed form on random admissible draws."""
-    tol = 1e-8
+    res = SuiteResult("oracle_closed_form", draws, 0.0, 1e-8)
     rng = np.random.default_rng(seed)
     cases = [(draw_params(rng), int(rng.integers(0, 7)), _draw_z(rng)) for _ in range(draws)]
-    ps = [p for p, _, _ in cases]
-    images = monomial_transforms(ps, [float(upsilon) for _, upsilon, _ in cases])
+    images = monomial_transforms([p for p, _, _ in cases], [float(upsilon) for _, upsilon, _ in cases])
     monomials = {upsilon: monomial_series(upsilon, max(upsilon, 1)) for _, upsilon, _ in cases}
-    values = _oracle_values(ps, [monomials[upsilon] for _, upsilon, _ in cases], [z for _, _, z in cases])
-    worst, failures = 0.0, []
-    for i, ((p, upsilon, z), image, got) in enumerate(zip(cases, images, values)):
+    for i, ((p, upsilon, z), image) in enumerate(zip(cases, images)):
         ref = image.evaluate(z)
-        if isinstance(got, (ConvergenceError, DomainError)):
-            failures.append(f"draw {i}: {got}")
+        try:
+            got = oracle_eval(p, monomials[upsilon], z)
+        except (ConvergenceError, DomainError) as exc:
+            res.failures.append(f"draw {i}: {exc}")
             continue
         err = abs(got - ref) / max(abs(ref), 1e-300)
-        worst = max(worst, err)
-        if not err <= tol:
-            failures.append(f"draw {i}: rel err {err:.3e} at params {p}, upsilon={upsilon}, z={z}")
-    return SuiteResult("oracle_closed_form", draws, worst, tol, failures)
+        if res.record(err):
+            res.failures.append(f"draw {i}: rel err {err:.3e} at params {p}, upsilon={upsilon}, z={z}")
+    return res
 
 
 def suite_identity_law(seed: int = 0, draws: int = 200) -> SuiteResult:
@@ -148,13 +156,12 @@ def suite_identity_law(seed: int = 0, draws: int = 200) -> SuiteResult:
     each checked from one kernel call, every row with the bits of its own
     apply_operator and theta_multiplier_apply images.
     """
-    tol = 1e-12
     rng = np.random.default_rng(seed)
     drawn = [(draw_params(rng, tau_equals_beta=True), random_normalized_coeffs(rng, 12), f"draw {i}")
              for i in range(draws)]
     fixtures = [(name, load_series_fixture(fixture_dir() / name).coeffs) for name in SERIES_FIXTURE_NAMES]
     fixed = [(draw_params(rng, tau_equals_beta=True), c, name) for name, c in fixtures for _ in range(3)]
-    worst, failures = 0.0, []
+    res = SuiteResult("identity_law", draws + len(fixed), 0.0, 1e-12)
     for group in (drawn, fixed):
         if not group:
             continue
@@ -168,10 +175,9 @@ def suite_identity_law(seed: int = 0, draws: int = 200) -> SuiteResult:
         thetas = np.max(np.abs(_times_phi(coeffs, r) - coeffs), axis=1).tolist()
         for (p, _, label), image, theta in zip(group, images, thetas):
             dev = max(image, theta)
-            worst = max(worst, dev)
-            if not dev <= tol:
-                failures.append(f"{label}: coefficient deviation {dev:.3e} at {p}")
-    return SuiteResult("identity_law", draws + len(fixed), worst, tol, failures)
+            if res.record(dev):
+                res.failures.append(f"{label}: coefficient deviation {dev:.3e} at {p}")
+    return res
 
 
 def suite_reduction_law(seed: int = 0, draws: int = 100) -> SuiteResult:
@@ -180,7 +186,7 @@ def suite_reduction_law(seed: int = 0, draws: int = 100) -> SuiteResult:
     The coefficient comes from the kernel, the reference from log_gamma: no Gamma code is shared, below 16 either.
     The references' log Gamma terms come from one array log_gamma call, each element with its scalar call's bits.
     """
-    tol = 1e-12
+    res = SuiteResult("reduction_law", draws, 0.0, 1e-12)
     rng = np.random.default_rng(seed)
     ps, upsilons = [], []
     for i in range(draws):
@@ -188,15 +194,13 @@ def suite_reduction_law(seed: int = 0, draws: int = 100) -> SuiteResult:
         upsilons.append(float(rng.integers(0, 7)) if i % 2 == 0 else rng.uniform(0.0, 6.0))
     logs = log_gamma(np.array([(upsilon + p.beta, p.tau, upsilon + p.tau, p.beta)
                                for p, upsilon in zip(ps, upsilons)]).reshape(-1, 4)).tolist()
-    worst, failures = 0.0, []
     for i, (p, upsilon, got, (a, b, c, d)) in enumerate(zip(ps, upsilons, monomial_transforms(ps, upsilons), logs)):
         ref = math.exp(a + b - c - d)
         err = abs(got.coefficient - ref) / abs(ref)
         err = max(err, abs(got.exponent - upsilon))
-        worst = max(worst, err)
-        if not err <= tol:
-            failures.append(f"draw {i}: rel err {err:.3e} at {p}, upsilon={upsilon}")
-    return SuiteResult("reduction_law", draws, worst, tol, failures)
+        if res.record(err):
+            res.failures.append(f"draw {i}: rel err {err:.3e} at {p}, upsilon={upsilon}")
+    return res
 
 
 _PQ_SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2))
@@ -228,7 +232,7 @@ def suite_fox_wright_reduction(seed: int = 0, draws: int = 20) -> SuiteResult:
     met a Gamma pole would end every row, but every Gamma argument here is
     positive (upper parameters in [0.3, 3], lower ones in [0.5, 3.5]).
     """
-    tol = 1e-10
+    res = SuiteResult("fox_wright_reduction", draws, 0.0, 1e-10)
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(draws):
@@ -238,20 +242,18 @@ def suite_fox_wright_reduction(seed: int = 0, draws: int = 20) -> SuiteResult:
         cases.append((upper, lower, _draw_z(rng, 0.05, 0.5)))
     specs = [FoxWrightSpec(upper=tuple((a, 1.0) for a in upper), lower=tuple((b, 1.0) for b in lower))
              for upper, lower, _ in cases]
-    worst, failures = 0.0, []
     for i, ((upper, lower, z), psi) in enumerate(zip(cases, _fox_wright_rows(specs, [z for _, _, z in cases]))):
         delta = math.exp(
             sum(log_gamma(b) for b in lower) - sum(log_gamma(a) for a in upper)
         )
         ref = direct_hypergeometric(upper, lower, z) / delta
         err = abs(psi.value - ref) / max(abs(ref), 1e-300)
-        worst = max(worst, err)
-        if psi.status.value != "Converged" or not err <= tol:
-            failures.append(
+        if res.record(err) or psi.status.value != "Converged":
+            res.failures.append(
                 f"draw {i}: status {psi.status.value}, rel err {err:.3e} "
                 f"(upper={upper}, lower={lower}, z={z})"
             )
-    return SuiteResult("fox_wright_reduction", draws, worst, tol, failures)
+    return res
 
 
 _CLOSED_FORM_PARAMS = (
@@ -284,8 +286,7 @@ def suite_closed_forms(seed: int = 0) -> SuiteResult:
     termwise side, one evaluate_many runs Horner on the twenty images of
     the four parameter triples, bit-equal to each image's own evaluate.
     """
-    tol = 1e-10
-    worst, failures, checks = 0.0, [], 0
+    res = SuiteResult("closed_forms", 0, 0.0, 1e-10)
     pts = _nine_points()
     at = np.array(pts)
     inputs = [make_builtin(kind, order, **kw) for kind, kw, order in _CLOSED_FORM_CASES]
@@ -299,20 +300,18 @@ def suite_closed_forms(seed: int = 0) -> SuiteResult:
             for z, value, x in zip(pts, values, got):
                 ref = image._times_prefactor(z, value)
                 err = abs(x - ref) / max(abs(ref), 1e-300)
-                worst = max(worst, err)
-                checks += 1
-                if not err <= tol:
-                    failures.append(f"{kind}{kw} at {p}, z={z}: rel err {err:.3e}")
+                res.checks += 1
+                if res.record(err):
+                    res.failures.append(f"{kind}{kw} at {p}, z={z}: rel err {err:.3e}")
         # Confluent degeneracy: alpha == lam collapses to the z*exp(z) form.
         refs = closed_form_spec(p, "exp_times_z").evaluate(at).tolist()
         got = closed_form_spec(p, "kummer", alpha=1.3, lam=1.3).evaluate(at).tolist()
         for z, ref, x in zip(pts, refs, got):
             err = abs(x - ref) / max(abs(ref), 1e-300)
-            worst = max(worst, err)
-            checks += 1
-            if not err <= tol:
-                failures.append(f"kummer degeneracy at {p}, z={z}: rel err {err:.3e}")
-    return SuiteResult("closed_forms", checks, worst, tol, failures)
+            res.checks += 1
+            if res.record(err):
+                res.failures.append(f"kummer degeneracy at {p}, z={z}: rel err {err:.3e}")
+    return res
 
 
 def suite_theta_equivalence(seed: int = 0, draws: int = 20) -> SuiteResult:
@@ -324,7 +323,7 @@ def suite_theta_equivalence(seed: int = 0, draws: int = 20) -> SuiteResult:
     from one log_gamma_ratios call, the Hadamard route from one
     _theta_hadamard_rows call. The two routes stay separate.
     """
-    tol = 1e-12
+    res = SuiteResult("theta_equivalence", draws, 0.0, 1e-12)
     rng = np.random.default_rng(seed)
     ps, coeffs = [], []
     for _ in range(draws):
@@ -336,12 +335,10 @@ def suite_theta_equivalence(seed: int = 0, draws: int = 20) -> SuiteResult:
         t1 = _times_phi(coeffs, log_gamma_ratios(ps, np.arange(float(coeffs.shape[1]))))
         t2 = _theta_hadamard_rows(ps, coeffs)
         devs = np.max(np.abs(t1 - t2) / np.maximum(1.0, np.abs(t1)), axis=1).tolist()
-    worst, failures = 0.0, []
     for i, (p, dev) in enumerate(zip(ps, devs)):
-        worst = max(worst, dev)
-        if not dev <= tol:
-            failures.append(f"draw {i}: coefficient deviation {dev:.3e} at {p}")
-    return SuiteResult("theta_equivalence", draws, worst, tol, failures)
+        if res.record(dev):
+            res.failures.append(f"draw {i}: coefficient deviation {dev:.3e} at {p}")
+    return res
 
 
 def _rebuild_golden_input(doc: dict) -> PowerSeries:
@@ -364,9 +361,8 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
     of range, or a z outside the punctured unit disk, fails with its
     index instead of raising.
     """
-    tol = 1e-9
+    res = SuiteResult("fixtures", 0, 0.0, 1e-9)
     fdir = fixture_dir()
-    worst, failures, checks = 0.0, [], 0
 
     for name, (kind, order, kw) in SERIES_FIXTURE_RECIPES.items():
         path = fdir / name
@@ -379,12 +375,11 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
             if ps.order != expected.order:
                 raise DomainError(f"order {ps.order} != expected {expected.order}")
             dev = float(np.max(np.abs(ps.coeffs - expected.coeffs)))
-            worst = max(worst, dev)
-            if not dev <= 1e-15:
+            if res.record(dev, 1e-15):
                 raise DomainError(f"coefficients drift from the {kind} recipe by {dev:.3e}")
         except (OSError, FracopsError) as exc:
-            failures.append(f"fixture {path.name}: {exc}")
-        checks += 1
+            res.failures.append(f"fixture {path.name}: {exc}")
+        res.checks += 1
 
     golden_path = fdir / GOLDEN_FIXTURE_NAME
     try:
@@ -392,10 +387,10 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
             doc = json.load(fh)
         entries = doc["entries"]
     except (OSError, json.JSONDecodeError, KeyError) as exc:
-        failures.append(f"fixture {golden_path.name}: {exc}")
+        res.failures.append(f"fixture {golden_path.name}: {exc}")
         entries = []
 
-    inputs, cases = {}, []  # per entry (label, message) if it fails unevaluated, else (label, p, f, z, stored)
+    inputs, one = {}, PowerSeries([1.0])  # each distinct golden input is built once
     for idx, entry in enumerate(entries):
         label = f"{golden_path.name}[{idx}]"
         try:
@@ -409,40 +404,26 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
             if not (cmath.isfinite(z) and cmath.isfinite(stored)):
                 raise ValueError("z and value must be finite")
         except (KeyError, TypeError, ValueError, FracopsError) as exc:
-            cases.append((label, f"malformed entry ({exc})"))
+            res.failures.append(f"{label}: malformed entry ({exc})")
             continue
-        try:
-            cases.append((label, p, inputs[key], _disk_point(z), stored))
-        except DomainError as exc:
-            cases.append((label, str(exc)))
-
-    run = [case for case in cases if len(case) > 2]
-    ps, zs = [p for _, p, _, _, _ in run], [z for _, _, _, z, _ in run]
-    doublings = iter(_eval_doublings(ps, [f for _, _, f, _, _ in run], zs))
-    inners = iter(_inner_integrals(ps, [PowerSeries([1.0])] * len(run), zs))
-    for label, *case in cases:
-        if len(case) == 1:
-            failures.append(f"{label}: {case[0]}")
-            continue
-        p, _, _, stored = case
         a_p, b_p = p.jacobi_exponents
-        (r1, r2, _), inner = next(doublings), next(inners)
         try:
-            err_beta = abs(inner - beta_fn(b_p + 1.0, a_p + 1.0))
+            r1, r2, _ = _eval_doubling(p, inputs[key], _disk_point(z))
+            err_beta = abs(inner_integral(p, one, z) - beta_fn(b_p + 1.0, a_p + 1.0))
         except FracopsError as exc:
-            failures.append(f"{label}: {exc}")
+            res.failures.append(f"{label}: {exc}")
             continue
-        err_value = abs(r2 - stored)
+        diff = r2 - stored
+        err_value = math.hypot(diff.real, diff.imag)  # abs(diff) would raise OverflowError where |diff| overflows
         err_double = abs(r2 - r1)
-        worst = max(worst, err_value, err_double)
-        checks += 1
-        if not err_value <= tol:
-            failures.append(f"{label}: stored value differs by {err_value:.3e}")
-        if not err_double <= tol:
-            failures.append(f"{label}: node doubling moved result by {err_double:.3e}")
+        res.checks += 1
+        if res.record(err_value):
+            res.failures.append(f"{label}: stored value differs by {err_value:.3e}")
+        if res.record(err_double):
+            res.failures.append(f"{label}: node doubling moved result by {err_double:.3e}")
         if not err_beta <= 1e-12:
-            failures.append(f"{label}: constant-input integral off Beta by {err_beta:.3e}")
-    return SuiteResult("fixtures", checks, worst, tol, failures)
+            res.failures.append(f"{label}: constant-input integral off Beta by {err_beta:.3e}")
+    return res
 
 
 SUITES = {

@@ -8,7 +8,7 @@ fails here instead of only in a traced benchmark run.
 import importlib.util
 import pathlib
 
-from fracops import fracdiff, quadrature
+from fracops import fracdiff, quadrature, verify  # loaded before any install(), so its names get wrapped
 from fracops.fracdiff import OperatorParams
 from fracops.series import koebe_series
 
@@ -39,3 +39,15 @@ def test_tracer_wraps_and_reads_the_package_names():
     assert m["fracdiff.apply_operator_s"] > 0.0 and m["fracdiff.coefficients"] == f.coeffs.size
     assert m["quadrature.oracle_eval_s"] > 0.0 and m["quadrature.oracle_evals"] == 1
     assert m["quadrature.jacobi_nodes_s"] > 0.0 and m["quadrature.roots_jacobi_calls"] >= 1
+
+
+def test_traced_oracle_suite_counts_each_draws_oracle_call():
+    """oracle_closed_form calls oracle_eval once per draw, through verify's name for it, which the tracer wraps."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        verify.run_suites(["oracle_closed_form"], seed=0, draws=5)
+    finally:
+        tracer.remove()
+    assert tracing.layer_metrics(tracer, 1, quadrature)["quadrature.oracle_evals"] == 5

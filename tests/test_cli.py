@@ -204,19 +204,25 @@ def test_verify_unknown_suite_exits_2_with_one_line(capsys):
     assert err.startswith("fracops: error: unknown suite 'no_such_suite'") and err.count("\n") == 1
 
 
-def _verify_with_golden_0_changed(tmp_path, capsys, monkeypatch, **change) -> list:
-    """The failures of `verify --suite fixtures` with golden entry 0 changed, after checking the contract."""
+def _verify_with_fixture_changed(tmp_path, capsys, monkeypatch, name, change) -> list:
+    """The failures of `verify --suite fixtures` with fixture name edited by change(doc), after checking the contract."""
     src = fixture_dir()
-    for name in src.iterdir():
-        (tmp_path / name.name).write_text(name.read_text())
-    doc = json.loads((tmp_path / "quad_goldens.json").read_text())
-    doc["entries"][0].update(change)
-    (tmp_path / "quad_goldens.json").write_text(json.dumps(doc))
+    for fixture in src.iterdir():
+        (tmp_path / fixture.name).write_text(fixture.read_text())
+    doc = json.loads((tmp_path / name).read_text())
+    change(doc)
+    (tmp_path / name).write_text(json.dumps(doc))
     monkeypatch.setenv("FRACOPS_FIXTURES", str(tmp_path))
     code, out, err = run_cli(capsys, "verify", "--suite", "fixtures")
     assert code == 1 and not err
     report = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON constant {c}"))
-    failures = report["suites"][0]["failures"]
+    return report["suites"][0]["failures"]
+
+
+def _verify_with_golden_0_changed(tmp_path, capsys, monkeypatch, **change) -> list:
+    """The failures of `verify --suite fixtures` with golden entry 0 changed, after checking the contract."""
+    failures = _verify_with_fixture_changed(tmp_path, capsys, monkeypatch, "quad_goldens.json",
+                                            lambda doc: doc["entries"][0].update(change))
     assert failures and all(f.startswith("quad_goldens.json[0]: ") for f in failures)
     return failures
 
@@ -235,6 +241,21 @@ def test_verify_golden_at_z_zero_exits_1_with_strict_json(tmp_path, capsys, monk
 def test_verify_malformed_golden_exits_1_with_strict_json(tmp_path, capsys, monkeypatch, change):
     failures = _verify_with_golden_0_changed(tmp_path, capsys, monkeypatch, **change)
     assert "malformed entry" in failures[0]
+
+
+def test_verify_golden_error_that_overflows_exits_1_with_strict_json(tmp_path, capsys, monkeypatch):
+    """A stored value near the float64 limit is off by a modulus that overflows: the entry fails, with no traceback."""
+    failures = _verify_with_golden_0_changed(tmp_path, capsys, monkeypatch, value=[1.7e308, 1.7e308])
+    assert failures == ["quad_goldens.json[0]: stored value differs by inf"]
+
+
+def test_verify_series_drift_that_overflows_exits_1_with_strict_json(tmp_path, capsys, monkeypatch):
+    """An infinite drift fails the series fixture and stays out of max_error, so the report is strict JSON."""
+    def change(doc):
+        doc["coeffs"][3] = [1.7e308, 1.7e308]
+
+    failures = _verify_with_fixture_changed(tmp_path, capsys, monkeypatch, "series_kummer.json", change)
+    assert failures == ["fixture series_kummer.json: coefficients drift from the kummer recipe by inf"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,6 @@ from fracops.quadrature import (
 from fracops.series import PowerSeries, koebe_series, monomial_series
 from fracops.special import beta_fn
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
-
 
 def _params(beta=0.65, tau=0.3, gamma=1.7):
     return OperatorParams(beta, tau, gamma)
@@ -119,7 +116,7 @@ def test_doubling_allowance_is_64_eps_of_the_term_size(monkeypatch):
              (1.0, 2e-8, True), (1.0, 5e-9, False))
     for size, residual, raises in cases:
         refined = complex(residual)
-        monkeypatch.setattr(quadrature, "_eval_doublings", lambda ps, fs, zs: [(0j, refined, size)])
+        monkeypatch.setattr(quadrature, "_eval_doubling", lambda p, f, z: (0j, refined, size))
         if raises:
             with pytest.raises(ConvergenceError) as err:
                 oracle_eval(_params(), PowerSeries([1.0]), 0.5)
@@ -207,7 +204,7 @@ def test_inner_integral_with_derivative_pair():
     p = _params()
     f = koebe_series(1.0, 80)
     z = 0.25
-    (coarse, refined, _), = quadrature._rule_sums([p], [f], [z])
+    coarse, refined, _ = quadrature._rule_sums(p, f, z)
     assert_allclose(refined, coarse, rtol=1e-12)  # the doubled rule agrees
     h = 1e-6
     fd = (inner_integral(p, f, z + h) - inner_integral(p, f, z - h)) / (2 * h)
@@ -243,7 +240,7 @@ def test_moment_sums_match_horner_at_the_nodes(beta, tau, gamma, order):
         majorant = PowerSeries(np.abs(f.coeffs))
         for z in (0.99, -0.99, 0.99 * np.exp(2.2j), 0.3j):
             scales = [s.real for s in _horner_at_the_nodes(p, majorant, abs(z))]
-            (*got, size), = quadrature._rule_sums([p], [f], [z])
+            *got, size = quadrature._rule_sums(p, f, z)
             for g, h, s in zip(got, _horner_at_the_nodes(p, f, z), scales):
                 assert abs(g - h) <= 1e-13 * s, (z, g, h, s)
             assert abs(size - scales[1]) <= 1e-13 * scales[1], (z, size, scales[1])
@@ -318,7 +315,7 @@ def test_oracle_domain_checks():
         oracle_eval(p, f, 0.0)
     with pytest.raises(DomainError):
         oracle_eval(p, f, 1.0)
-    for z in (-1.2, complex("nan"), complex(0.1, math.inf)):
+    for z in (-1.2, complex("nan"), complex(0.1, math.inf), 1.7e308 + 1.7e308j):  # abs() overflows on the last
         with pytest.raises(DomainError):
             oracle_eval(p, f, z)
 
@@ -379,72 +376,3 @@ def test_oracle_is_linear_in_f():
     split = oracle_eval(p, f, z) + 2.0 * oracle_eval(p, g, z)
     assert abs(combined - split) <= 1e-9 * max(1.0, abs(split))
 
-
-# ---------------------------------------------------------------------------
-# batched oracle rows
-
-_FAILING_DOUBLING = (0.5269653511908282, 7.201187853335087e-09, 0.7092324294532087)  # constant input, tau near 1e-8
-
-
-def _oracle_draws():
-    """Draws (beta, tau, gamma, order, seed, z): mixed orders, the tau -> 0 corner, z off the punctured disk."""
-    draw = st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 0.999), st.floats(0.0, 3.0),
-                     st.sampled_from([0, 1, 2, 5, 16, 40, 200]), st.integers(0, 2**16),
-                     st.complex_numbers(max_magnitude=1.1, allow_nan=False)).map(
-        lambda d: (d[0], max(d[0] * (1.0 - d[1]), d[0] - 0.999, 1e-9), *d[2:]))  # tau from a fraction of beta
-    corner = st.tuples(st.floats(0.5, 1.0), st.floats(1e-9, 1e-6), st.floats(0.0, 1.85), st.just(0),
-                       st.just(0), st.complex_numbers(min_magnitude=0.05, max_magnitude=0.95))
-    return st.lists(st.one_of(draw, corner), min_size=1, max_size=8)
-
-
-def _oracle_case(beta, tau, gamma, order, seed, z):
-    """(OperatorParams, PowerSeries, z): the input of the order has seeded random coefficients, order 0 is f = 1."""
-    rng = np.random.default_rng(seed)
-    coeffs = [1.0] if order == 0 else rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
-    return OperatorParams(beta, tau, gamma), PowerSeries(coeffs), z
-
-
-def _hex(x):
-    return complex(x).real.hex(), complex(x).imag.hex()
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(draws=_oracle_draws())
-@example(draws=[(*_FAILING_DOUBLING, 0, 0, 0.5), (0.7, 0.5, 1.2, 40, 3, 0.3 - 0.4j), (0.6, 0.2, 0.0, 5, 1, 0j),
-                (0.9, 0.1, 2.5, 40, 4, -0.2 + 0.1j), (0.8, 0.3, 1.0, 200, 5, 1.0 + 0j)])
-def test_batched_oracle_rows_have_the_bits_of_one_draw_calls(draws):
-    """Each row of one _oracle_values call is oracle_eval's value, or its exception with the same text.
-
-    The draws mix input orders, the tau -> 0 corner where node doubling
-    fails, and points that _disk_point refuses (z = 0, |z| >= 1). Each draw
-    the disk takes also has, in the batched _eval_doublings call, the bits
-    of its one-draw call.
-    """
-    cases = [_oracle_case(*draw) for draw in draws]
-    ps, fs, zs = (list(column) for column in zip(*cases))
-    got = quadrature._oracle_values(ps, fs, zs)
-    for (p, f, z), row in zip(cases, got):
-        try:
-            want = oracle_eval(p, f, z)
-        except (ConvergenceError, DomainError) as exc:
-            assert type(row) is type(exc) and str(row) == str(exc), (p, z, row, exc)
-            if isinstance(exc, ConvergenceError):
-                assert (_hex(row.last), _hex(row.previous)) == (_hex(exc.last), _hex(exc.previous))
-            continue
-        assert _hex(row) == _hex(want), (p, f.order, z)
-    inside = [case for case in cases if 0 < abs(case[2]) < 1.0]
-    if inside:
-        rows = quadrature._eval_doublings(*(list(column) for column in zip(*inside)))
-        for (p, f, z), row in zip(inside, rows):
-            (want,) = quadrature._eval_doublings([p], [f], [complex(z)])
-            assert [_hex(x) for x in row] == [_hex(x) for x in want], (p, f.order, z)
-
-
-def test_a_failing_doubling_raises_its_text_from_a_batch():
-    """The tau -> 0 corner draw fails its doubling alone and among other draws, with one message."""
-    p, f = OperatorParams(*_FAILING_DOUBLING), PowerSeries([1.0])
-    with pytest.raises(ConvergenceError) as alone:
-        oracle_eval(p, f, 0.5)
-    rows = quadrature._oracle_values([_params(), p, _params()], [koebe_series(1.0, 8), f, f], [0.3, 0.5, 2.0])
-    assert str(rows[1]) == str(alone.value) and isinstance(rows[2], DomainError)
-    assert rows[0] == oracle_eval(_params(), koebe_series(1.0, 8), 0.3)
