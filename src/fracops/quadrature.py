@@ -49,7 +49,9 @@ a time from two small tables of node powers, so a rule costs a fixed
 number of NumPy calls per chunk, with no loop over the coefficients and
 no table that grows as nodes x order. oracle_eval takes one draw, and
 its two rules share those tables: one _moments call reads their nodes
-side by side.
+side by side. The moments depend on neither z nor f, so below order
+_MOMENT_CHUNK they are kept with the draw's rules and grown on demand,
+and a later call on the same draw sums them at once.
 
 Each panel's Gauss rule lives on [0, 1] itself: its nodes are the
 eigenvalues of the Jacobi matrix of the weight (1-x)^{a1-1} x^{b1-1}, and
@@ -58,9 +60,11 @@ eigenvectors (Golub & Welsch, Math. Comp. 23, 1969), through
 numpy.linalg.eigh. No power of 2 maps it from [-1, 1]. The end panels'
 exponents plus one are formed so that they are exact at beta = 1 and
 tau near 0: a1 = (1 - beta) + tau on top and b1 = (beta + gamma) /
-(gamma + 1) at the bottom. Each assembled rule, end panels included, is
-cached per (parameters, node count) in a bounded LRU cache of
-RULE_CACHE_SIZE entries, and the Legendre panels once per node count.
+(gamma + 1) at the bottom, and a rule's two end panels are one stacked
+eigh call. The one cache, _rules, is a bounded LRU of RULE_CACHE_SIZE
+draws: an entry holds both rules of one parameter triple side by side,
+read-only (about 15 KiB of nodes and weights), and their kept moments
+(at most 16 KiB). The Legendre panels are built once per node count.
 The oracle imports no SciPy.
 """
 
@@ -73,8 +77,8 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .fracdiff import OperatorParams
+from .errors import ConvergenceError, DomainError, check_count
+from .fracdiff import OperatorParams, _kept_row
 from .series import PowerSeries
 from .special import _log_gamma_real, beta_fn
 
@@ -95,10 +99,11 @@ SIGMA = 0.15
 GEOMETRIC = 14
 HALVING = 5
 
-# Bound on assembled rules (at most 640 nodes, 10 KiB each). A fresh-seed
-# run_suites() adds about 100 keys, plus 20 fixture-suite keys that every
-# call reuses.
-RULE_CACHE_SIZE = 256
+# Bound on _rules' draws. An entry holds one triple's two rules side by side
+# (960 nodes and weights, 15 KiB) and their kept moments (2 x 1024 at most,
+# 16 KiB). A fresh-seed run_suites() adds about 50 draws, plus 10
+# fixture-suite triples that every call reuses.
+RULE_CACHE_SIZE = 128
 
 # _moments forms u^k as u^(16a) u^b with b < _POWER_ROWS and takes _MOMENT_CHUNK
 # indices k (64 values of a) at a time, so for one draw's two rules, side by
@@ -109,7 +114,7 @@ _POWER_ROWS = 16
 _MOMENT_CHUNK = 1024
 
 
-def roots_jacobi(n: int, a1: float, b1: float):
+def roots_jacobi(n: int, a1, b1):
     """Gauss-Jacobi nodes (ascending) in (0, 1) and weights for the weight (1-u)^(a1-1) u^(b1-1), a1, b1 > 0.
 
     Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
@@ -118,24 +123,39 @@ def roots_jacobi(n: int, a1: float, b1: float):
     B(a1, b1) v_0i^2, with v_i its unit eigenvector. numpy.linalg.eigh
     solves the dense matrix (its lower triangle); at the panel rules' 16
     and 32 nodes that is as fast as a tridiagonal solver.
+
+    a1 and b1 are floats, for one rule of n nodes and n weights, or
+    equal-length sequences, for a (panels, n) row of each: their matrices
+    go to one stacked eigh call, which runs LAPACK on each matrix alone, so
+    every row has the bits of its own scalar call. An n that is not an
+    integer >= 1, or an a1 or b1 that is not finite and > 0, raises
+    DomainError.
     """
+    check_count(n, "n", 1)
+    a1, b1 = np.asarray(a1, dtype=np.float64), np.asarray(b1, dtype=np.float64)
+    firsts, seconds = a1.ravel().tolist(), b1.ravel().tolist()
+    if a1.ndim > 1 or a1.shape != b1.shape or not all(0.0 < x < math.inf for x in firsts + seconds):
+        raise DomainError(f"a1 and b1 must be finite and > 0, floats or equal-length sequences, got {a1!r}, {b1!r}")
+    betas = np.array([beta_fn(x, y) for x, y in zip(firsts, seconds)])
+    a1, b1 = a1[..., None], b1[..., None]  # a column of the panels' exponents, or a 1-element row for floats
     k = np.arange(1.0, n)
     ab = (a1 + b1) - 2.0
     s = 2.0 * k + ab
-    diag = np.append((b1 - a1) / (a1 + b1), (b1 - a1) * ab / (s * (s + 2.0)))
+    diag = np.concatenate([(b1 - a1) / (a1 + b1), (b1 - a1) * ab / (s * (s + 2.0))], axis=-1)
     # (k + a + b) / (s - 1) is 1 at k = 1, set by hand: at a + b = -1 it would be 0/0
-    ratio = np.ones_like(k)
-    ratio[1:] = (k[1:] + ab) / (s[1:] - 1.0)
+    ratio = np.ones_like(s)
+    ratio[..., 1:] = (k[1:] + ab) / (s[..., 1:] - 1.0)
     # k + a and k + b as (k - 1) + a1 and (k - 1) + b1: exact at k = 1 however small a1 or b1
     off_sq = 4.0 * k * ((k - 1.0) + a1) * ((k - 1.0) + b1) * ratio / (s * s * (s + 1.0))
-    jac = np.diag(0.5 + 0.5 * diag)
-    jac.flat[n::n + 1] = 0.5 * np.sqrt(off_sq)  # the subdiagonal
-    u, v = np.linalg.eigh(jac)
-    return u, beta_fn(a1, b1) * v[0] ** 2
+    jac = np.zeros(a1.shape[:-1] + (n * n,))  # each matrix flat
+    jac[..., ::n + 1] = 0.5 + 0.5 * diag
+    jac[..., n::n + 1] = 0.5 * np.sqrt(off_sq)  # the subdiagonal
+    u, v = np.linalg.eigh(jac.reshape(a1.shape[:-1] + (n, n)))
+    return u, betas.reshape(a1.shape) * v[..., 0, :] ** 2
 
 
-def jacobi_nodes(a1: float, b1: float, n: int):
-    """Gauss-Jacobi nodes/weights for weight (1-u)^(a1-1) u^(b1-1) on [0, 1], n of each."""
+def jacobi_nodes(a1, b1, n: int):
+    """Gauss-Jacobi nodes/weights for weight (1-u)^(a1-1) u^(b1-1) on [0, 1], n of each; a row per panel for sequences."""
     return roots_jacobi(n, a1, b1)
 
 
@@ -150,18 +170,17 @@ def _legendre_panels(n: int):
             (width * wx).reshape(-1))
 
 
-@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def _rule(p: OperatorParams, n: int):
     """Nodes u = w^{1/(gamma+1)} in (0, 1] and weights W of inner_integral's rule on n nodes per panel.
 
-    Every caller shares the returned arrays, so they are read-only.
+    Both end panels come from one stacked jacobi_nodes call. Not cached:
+    _rules keeps each draw's two rules.
     """
     a_p, b_p = p.jacobi_exponents
     a1, b1 = (1.0 - p.beta) + p.tau, (p.beta + p.gamma) / (p.gamma + 1.0)
     bottom = 0.5 * SIGMA**GEOMETRIC
     top = 0.5**HALVING
-    x_lo, wx_lo = jacobi_nodes(1.0, b1, n)
-    x_hi, wx_hi = jacobi_nodes(a1, 1.0, n)
+    (x_lo, x_hi), (wx_lo, wx_hi) = jacobi_nodes([1.0, a1], [b1, 1.0], n)
     w_mid, v_mid, wts_mid = _legendre_panels(n)
     w_lo = bottom * x_lo
     w_hi = (1.0 - top) + top * x_hi
@@ -169,10 +188,23 @@ def _rule(p: OperatorParams, n: int):
     wts = np.concatenate([bottom**b1 * wx_lo * (1.0 - w_lo) ** a_p,
                           wts_mid * w_mid**b_p * v_mid**a_p,
                           top**a1 * wx_hi * w_hi**b_p])
-    u = w ** (1.0 / (p.gamma + 1.0))
+    return w ** (1.0 / (p.gamma + 1.0)), wts
+
+
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _rules(p: OperatorParams):
+    """One draw's entry: its rules on NODE_COUNT and 2 * NODE_COUNT nodes per panel, side by side, and their moments.
+
+    (u, wts, edges, kept): both rules' nodes and weights in one read-only
+    array each, the coarse rule's first, with the offsets edges = (0, J_1,
+    J_1 + J_2); and kept, the store of their read-only (2, n) row of
+    moments, which _rule_moments grows.
+    """
+    (u1, w1), (u2, w2) = _rule(p, NODE_COUNT), _rule(p, 2 * NODE_COUNT)
+    u, wts = np.concatenate([u1, u2]), np.concatenate([w1, w2])
     u.flags.writeable = False
     wts.flags.writeable = False
-    return u, wts
+    return u, wts, (0, u1.size, u.size), [None, np.empty((2, 0))]
 
 
 def _moments(u, wts, edges: list, order: int) -> np.ndarray:
@@ -205,6 +237,26 @@ def _moments(u, wts, edges: list, order: int) -> np.ndarray:
     return out[:, :order + 1]
 
 
+def _rule_moments(rules: tuple, order: int) -> np.ndarray:
+    """The (2, order + 1) moments of a _rules entry's two rules, a row per rule.
+
+    Below order _MOMENT_CHUNK they are the entry's kept row, grown by
+    _kept_row to max(order + 1, _POWER_ROWS) indices, each grown row a fresh
+    _moments call; each einsum element is its own dot over the nodes, so
+    every moment has the bits of a call at any order. From _MOMENT_CHUNK up
+    they are computed per call and not kept, so an entry holds at most
+    2 x 1024 moments.
+    """
+    u, wts, edges, kept = rules
+    if order >= _MOMENT_CHUNK:
+        return _moments(u, wts, edges, order)
+
+    def fill(k, out):
+        np.copyto(out, _moments(u, wts, edges, int(k[-1]))[:, int(k[0]):])
+
+    return _kept_row(kept, None, max(order + 1, _POWER_ROWS), fill)[:, :order + 1]
+
+
 def _moment_sums(m: np.ndarray, t: np.ndarray) -> list:
     """sum_k m_rk t_k for each row r of real moments m and complex t, in NumPy's own loops (einsum), not BLAS."""
     sums = np.einsum("rk,kc->rc", m, t.view(np.float64).reshape(-1, 2))
@@ -224,13 +276,12 @@ def _rule_sums(p: OperatorParams, f: PowerSeries, z: complex) -> tuple:
     t_k = (P + k) c_k z^k, so a rule's sum is P I + z I' with I its inner
     integral and I' that integral's z-derivative, both in the rule's
     reading: sum_j W_j (P f(z u_j) + z u_j f'(z u_j)). Both rules' moments
-    come from one _moments call over their nodes side by side.
+    are the draw's _rules entry's, kept there for the next call.
     """
     t = _z_powers(z, f.order)
     t *= f.coeffs
     t *= (p.gamma * (1.0 - p.beta) + (p.gamma + 1.0) * p.tau) + np.arange(f.order + 1)
-    (u1, w1), (u2, w2) = _rule(p, NODE_COUNT), _rule(p, 2 * NODE_COUNT)
-    m = _moments(np.concatenate([u1, u2]), np.concatenate([w1, w2]), [0, u1.size, u1.size + u2.size], f.order)
+    m = _rule_moments(_rules(p), f.order)
     coarse, refined = _moment_sums(m, t)
     return coarse, refined, float(np.einsum("k,k->", m[1], np.abs(t)))
 
@@ -243,9 +294,8 @@ def inner_integral(p: OperatorParams, f: PowerSeries, z) -> complex:
     behind the monomial closed form), exact up to the end panels' smooth
     factors.
     """
-    u, wts = _rule(p, NODE_COUNT)
     # c_k times z^k, in this order: NumPy's complex product may fuse a multiply-add, so it is not commutative
-    (value,) = _moment_sums(_moments(u, wts, [0, u.size], f.order), f.coeffs * _z_powers(complex(z), f.order))
+    (value,) = _moment_sums(_rule_moments(_rules(p), f.order)[:1], f.coeffs * _z_powers(complex(z), f.order))
     return value
 
 

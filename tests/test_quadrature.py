@@ -35,17 +35,78 @@ def test_jacobi_nodes_sane():
     assert np.all(w > 0.0)
 
 
+@pytest.mark.parametrize("a1,b1,n", [(0.7, 1.4, 0), (-0.5, 1.0, 16), (math.nan, 1.0, 16), (0.7, 1.4, 2.5),
+                                      (1.0, math.inf, 16), ([1.0, 0.0], [1.4, 1.0], 16), ([1.0, 0.7], [1.4], 16)])
+def test_jacobi_nodes_refuses_input_that_has_no_rule(a1, b1, n):
+    """n below 1 or not an integer, an a1 or b1 not finite and > 0, or sequences of unequal length raise DomainError."""
+    with pytest.raises(DomainError):
+        jacobi_nodes(a1, b1, n)
+
+
+def test_stacked_jacobi_nodes_rows_equal_scalar_calls_bit_for_bit():
+    """Each row of a stacked call has the bits of its own scalar call: random (a1, b1), the end panels' corners included."""
+    rng = np.random.default_rng(46)
+    corners = [(1.0, 1.0), (1e-9, 1.0), (1.0, 1e-3), (0.0002, 0.0001 + 1.0), (1.0, 1200.65), (2.0, 1.0)]
+    a1, b1 = (np.concatenate([c, np.exp(rng.uniform(math.log(2e-9), 7.0, 40))]) for c in zip(*corners))
+    for n in (1, 2, 16, 32):
+        u, w = jacobi_nodes(a1.tolist(), b1.tolist(), n)
+        assert u.shape == w.shape == (a1.size, n)
+        for row, (x, y) in enumerate(zip(a1.tolist(), b1.tolist())):
+            for got, want in zip((u[row], w[row]), jacobi_nodes(x, y, n)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, x, y)
+
+
 def test_rule_cache_is_bounded():
-    """300 distinct triples leave at most RULE_CACHE_SIZE rules; a repeated key shares read-only arrays."""
+    """300 distinct triples leave at most RULE_CACHE_SIZE draws; a repeated triple shares its read-only entry."""
     for i in range(300):
-        quadrature._rule(_params(tau=0.3 + i * 1e-4), 8)
-    assert quadrature._rule.cache_info().currsize <= RULE_CACHE_SIZE == 256
-    u1, w1 = quadrature._rule(_params(), 16)
-    u2, w2 = quadrature._rule(_params(), 16)
-    assert u1 is u2 and w1 is w2
-    for a in (u1, w1):
+        quadrature._rules(_params(tau=0.3 + i * 1e-4))
+    assert quadrature._rules.cache_info().currsize <= RULE_CACHE_SIZE == 128
+    entry = quadrature._rules(_params())
+    assert quadrature._rules(_params()) is entry
+    u, w, edges, _ = entry
+    for n, lo, hi in ((quadrature.NODE_COUNT, *edges[:2]), (2 * quadrature.NODE_COUNT, *edges[1:])):
+        for got, want in zip((u[lo:hi], w[lo:hi]), quadrature._rule(_params(), n)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    quadrature._rule_moments(entry, 40)
+    for a in (u, w, entry[3][1]):
         with pytest.raises(ValueError):
-            a[0] = 0.0  # shared cache entries are read-only
+            a[..., 0] = 0.0  # shared cache entries are read-only
+
+
+def test_cold_oracle_eval_builds_its_draw_once(monkeypatch):
+    """A fresh triple's oracle_eval makes 2 jacobi_nodes calls (one per rule) and 1 _moments call; the next call none.
+
+    The Legendre panels, built once per process, are built first.
+    """
+    oracle_eval(_params(), koebe_series(1.0, 40), 0.5)
+    calls = {"jacobi_nodes": 0, "_moments": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(quadrature, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(quadrature, name, counted)
+    p = _params(0.61, 0.27, 1.31)
+    quadrature._rules.cache_clear()
+    first = oracle_eval(p, koebe_series(1.0, 200), 0.4j)
+    assert calls == {"jacobi_nodes": 2, "_moments": 1}
+    assert oracle_eval(p, koebe_series(1.0, 200), 0.4j) == first
+    oracle_eval(p, koebe_series(1.0, 150), -0.3)
+    assert calls == {"jacobi_nodes": 2, "_moments": 1}
+
+
+def test_kept_moments_grow_with_the_bits_of_a_fresh_call():
+    """Orders 6 -> 200 -> 1023 grow the draw's kept row, and every prefix equals a fresh _moments call bit for bit.
+
+    An order-1024 call computes its moments apart and leaves the kept row's length unchanged.
+    """
+    quadrature._rules.cache_clear()
+    entry = quadrature._rules(_params(0.12, 0.072, 0.09))
+    u, w, edges, kept = entry
+    for order, length in ((6, quadrature._POWER_ROWS), (200, 201), (3, 201), (1023, 1024), (1024, 1024)):
+        got = quadrature._rule_moments(entry, order)
+        want = quadrature._moments(u, w, edges, order)
+        assert got.shape == (2, order + 1) and np.array_equal(got.view(np.int64), want.view(np.int64)), order
+        assert kept[1].shape == (2, length), order
 
 
 # Jacobi exponent pairs (a, b), passed as (a1, b1) = (a + 1, b + 1) under ids that keep the exponents

@@ -442,7 +442,7 @@ def test_run_suites_memory_stays_bounded():
     run builds and keeps all of them, as a fresh process does.
     """
     run_suites(seed=0)
-    quadrature._rule.cache_clear()
+    quadrature._rules.cache_clear()
     tracemalloc.start()
     try:
         run_suites(seed=0)
