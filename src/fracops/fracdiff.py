@@ -595,21 +595,8 @@ class ClosedFormImage:
         return self._sums(zs)
 
     def _sums(self, zs: list) -> list:
-        """inner_sum at a list of complex points, all of them 0 or none."""
-        z, nonzero = np.array(zs, dtype=np.complex128)[:, None], any(zs)
-        carried = [0, [[1.0]] * len(zs)]  # the last block's last index and the ratio products there, a column
-
-        def block(k):  # the driver asks for consecutive indices, each block after the last
-            k = k if nonzero else k[:1]  # z = 0: the exact one-term sum
-            (start, product), first, stop = carried, int(k[0]), int(k[-1]) + 1
-            # the driver ignores floating-point errors here and stops at an overflow
-            rows = _kept_row(self._rows, None, stop, self._fill_rows)  # q_k, then the Gamma-pair factor
-            h = np.multiply.accumulate(np.concatenate((product, z * rows[0, start:stop - 1]), axis=1), axis=1)
-            carried[:] = stop - 1, h[:, -1:]  # h holds the products at start .. stop - 1
-            return h[:, first - start:] * rows[1, first:stop]
-
-        radius = self.fox_wright.radius
-        return _sum_rows(block, MAX_TERMS_DEFAULT, [abs(x) / radius for x in zs])
+        """inner_sum at a list of complex points, all of them 0 or none: the one-image call of _closed_form_rows."""
+        return _closed_form_rows([self], zs)
 
     def _fill_rows(self, k: np.ndarray, out: np.ndarray) -> None:
         """Write the z-free rows at the indices k into out: q_k into out[0], exp(L_k - L_0 - s log(k + a)) into out[1]."""
@@ -640,6 +627,34 @@ class ClosedFormImage:
         if z == 0:  # power = shift + 1 >= 1
             return 0j
         return self.constant * cmath.exp(self.power * cmath.log(z)) * out.value
+
+
+def _closed_form_rows(images: list, zs: list) -> list:
+    """inner_sum of each image at each point of zs, summed as the rows of one _sum_rows pass: one EvalOutcome per row.
+
+    The rows run image by image, each image's in the order of zs. Each
+    block reads every image's z-free rows from its own store once, for all
+    points; a row runs its own image's product of z q_k from the products
+    carried from the last block, and ends by the driver's rules for its own
+    terms, so it has the bits of its one-image call. The points are all 0
+    or none, as in _fox_wright_rows: z = 0 ends its sum at its first term,
+    and so would end the other rows there too.
+    """
+    z, nonzero = np.array(zs * len(images), dtype=np.complex128)[:, None], any(zs)
+    carried = [0, [[1.0]] * len(z)]  # the last block's last index and the ratio products there, a column
+
+    def block(k):  # the driver asks for consecutive indices, each block after the last
+        k = k if nonzero else k[:1]  # z = 0: the exact one-term sum
+        (start, product), first, stop = carried, int(k[0]), int(k[-1]) + 1
+        # the driver ignores floating-point errors here and stops at an overflow
+        rows = [_kept_row(image._rows, None, stop, image._fill_rows) for image in images]
+        # q_k, then the Gamma-pair factor: one row of each for one image, else one per image and point
+        rows = rows[0] if len(rows) == 1 else np.repeat(np.stack(rows, axis=1), len(zs), axis=1)
+        h = np.multiply.accumulate(np.concatenate((product, z * rows[0, ..., start:stop - 1]), axis=1), axis=1)
+        carried[:] = stop - 1, h[:, -1:]  # h holds the products at start .. stop - 1
+        return h[:, first - start:] * rows[1, ..., first:stop]
+
+    return _sum_rows(block, MAX_TERMS_DEFAULT, [abs(x) / image.fox_wright.radius for image in images for x in zs])
 
 
 def closed_form_spec(p: OperatorParams, kind: str, **params) -> ClosedFormImage:

@@ -60,12 +60,15 @@ eigenvectors (Golub & Welsch, Math. Comp. 23, 1969), through
 numpy.linalg.eigh. No power of 2 maps it from [-1, 1]. The end panels'
 exponents plus one are formed so that they are exact at beta = 1 and
 tau near 0: a1 = (1 - beta) + tau on top and b1 = (beta + gamma) /
-(gamma + 1) at the bottom, and a rule's two end panels are one stacked
-eigh call. The one cache, _rules, is a bounded LRU of RULE_CACHE_SIZE
-draws: an entry holds both rules of one parameter triple side by side,
-read-only (about 15 KiB of nodes and weights), and their kept moments
-(at most 16 KiB). The Legendre panels are built once per node count.
-The oracle imports no SciPy.
+(gamma + 1) at the bottom. A draw's two rules are built in one pass:
+both end panels' recurrences and Beta values once, on 2 * NODE_COUNT
+nodes, the coarse rule's matrices as their leading blocks (the same
+floats), one stacked eigh call per node count, and every factor and
+u = w^{1/(gamma+1)} over both rules' nodes side by side. The one cache,
+_rules, is a bounded LRU of RULE_CACHE_SIZE draws: an entry holds both
+rules of one parameter triple side by side, read-only (about 15 KiB of
+nodes and weights), and their kept moments (at most 16 KiB). The
+Legendre panels are built once per process. The oracle imports no SciPy.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, check_count
 from .fracdiff import OperatorParams, _kept_row
 from .series import PowerSeries
-from .special import _log_gamma_real, beta_fn
+from .special import POLE_GUARD, _log_gamma_real, beta_fn
 
 # oracle_eval evaluates on NODE_COUNT and 2 * NODE_COUNT nodes per panel and
 # raises if the two results differ by more than TOLERANCE plus the roundoff
@@ -114,29 +117,26 @@ _POWER_ROWS = 16
 _MOMENT_CHUNK = 1024
 
 
-def roots_jacobi(n: int, a1, b1):
-    """Gauss-Jacobi nodes (ascending) in (0, 1) and weights for the weight (1-u)^(a1-1) u^(b1-1), a1, b1 > 0.
+def _jacobi_matrices(n: int, a1, b1) -> tuple:
+    """The Jacobi matrices on n nodes of the weights (1-u)^(a1-1) u^(b1-1) on [0, 1], and their B(a1, b1).
 
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
-    Jacobi matrix of the monic Jacobi recurrence with a = a1 - 1, b = b1 - 1,
-    carried from [-1, 1] to [0, 1] by u = (1 + x)/2, and node i has weight
-    B(a1, b1) v_0i^2, with v_i its unit eigenvector. numpy.linalg.eigh
-    solves the dense matrix (its lower triangle); at the panel rules' 16
-    and 32 nodes that is as fast as a tridiagonal solver.
-
-    a1 and b1 are floats, for one rule of n nodes and n weights, or
-    equal-length sequences, for a (panels, n) row of each: their matrices
-    go to one stacked eigh call, which runs LAPACK on each matrix alone, so
-    every row has the bits of its own scalar call. An n that is not an
-    integer >= 1, or an a1 or b1 that is not finite and > 0, raises
-    DomainError.
+    The matrices come from the monic Jacobi recurrence with a = a1 - 1,
+    b = b1 - 1, carried from [-1, 1] to [0, 1] by u = (1 + x)/2; only their
+    diagonal and subdiagonal are set. Entry (i, j) does not depend on n, so
+    the leading m x m block of a matrix on n nodes is the matrix on m nodes,
+    float for float. a1 and b1 are floats, for one (n, n) matrix and a 0-d
+    B, or equal-length sequences, for a (panels, n, n) stack and a row of B.
+    An n that is not an integer >= 1, or an a1 or b1 that is not finite and
+    at least POLE_GUARD, raises DomainError: below the guard B(a1, b1) would
+    meet log_gamma's pole guard.
     """
     check_count(n, "n", 1)
     a1, b1 = np.asarray(a1, dtype=np.float64), np.asarray(b1, dtype=np.float64)
     firsts, seconds = a1.ravel().tolist(), b1.ravel().tolist()
-    if a1.ndim > 1 or a1.shape != b1.shape or not all(0.0 < x < math.inf for x in firsts + seconds):
-        raise DomainError(f"a1 and b1 must be finite and > 0, floats or equal-length sequences, got {a1!r}, {b1!r}")
-    betas = np.array([beta_fn(x, y) for x, y in zip(firsts, seconds)])
+    if a1.ndim > 1 or a1.shape != b1.shape or not all(POLE_GUARD <= x < math.inf for x in firsts + seconds):
+        raise DomainError(f"a1 and b1 must be finite and at least POLE_GUARD = {POLE_GUARD:g}, floats or "
+                          f"equal-length sequences, got {a1!r}, {b1!r}")
+    betas = np.array([beta_fn(x, y) for x, y in zip(firsts, seconds)]).reshape(a1.shape)
     a1, b1 = a1[..., None], b1[..., None]  # a column of the panels' exponents, or a 1-element row for floats
     k = np.arange(1.0, n)
     ab = (a1 + b1) - 2.0
@@ -150,8 +150,33 @@ def roots_jacobi(n: int, a1, b1):
     jac = np.zeros(a1.shape[:-1] + (n * n,))  # each matrix flat
     jac[..., ::n + 1] = 0.5 + 0.5 * diag
     jac[..., n::n + 1] = 0.5 * np.sqrt(off_sq)  # the subdiagonal
-    u, v = np.linalg.eigh(jac.reshape(a1.shape[:-1] + (n, n)))
-    return u, betas.reshape(a1.shape) * v[..., 0, :] ** 2
+    return jac.reshape(a1.shape[:-1] + (n, n)), betas
+
+
+def _golub_welsch(jac: np.ndarray, betas: np.ndarray) -> tuple:
+    """Nodes (ascending) and weights of the Jacobi matrices jac: eigenvalues, and B v_0i^2 for unit eigenvectors v_i.
+
+    numpy.linalg.eigh solves each matrix of a stack alone, on its lower
+    triangle, so every matrix of a stack, or a leading block of one, has
+    the bits of its own call.
+    """
+    u, v = np.linalg.eigh(jac)
+    return u, betas[..., None] * v[..., 0, :] ** 2
+
+
+def roots_jacobi(n: int, a1, b1):
+    """Gauss-Jacobi nodes (ascending) in (0, 1) and weights for the weight (1-u)^(a1-1) u^(b1-1), a1, b1 >= POLE_GUARD.
+
+    Golub-Welsch (_golub_welsch) on the Jacobi matrices of _jacobi_matrices,
+    which refuses input that has no rule with DomainError. numpy.linalg.eigh
+    solves the dense matrix; at the panel rules' 16 and 32 nodes that is as
+    fast as a tridiagonal solver. a1 and b1 are floats, for one rule of n
+    nodes and n weights, or equal-length sequences, for a (panels, n) row of
+    each, every row with the bits of its own scalar call. The oracle's end
+    panels skip this call: _rules forms one recurrence on 2 * NODE_COUNT
+    nodes for both node counts.
+    """
+    return _golub_welsch(*_jacobi_matrices(n, a1, b1))
 
 
 def jacobi_nodes(a1, b1, n: int):
@@ -160,51 +185,51 @@ def jacobi_nodes(a1, b1, n: int):
 
 
 @functools.cache
-def _legendre_panels(n: int):
-    """w, 1 - w and the Gauss-Legendre weights of the panels between the end panels, n nodes each."""
-    x, wx = jacobi_nodes(1.0, 1.0, n)
+def _legendre_panels():
+    """w, 1 - w and the Gauss-Legendre weights of the middle panels, NODE_COUNT nodes each, then 2 * NODE_COUNT each."""
     edges = np.concatenate([0.5 * SIGMA ** np.arange(GEOMETRIC, 0, -1.0), 1.0 - 0.5 ** np.arange(1.0, HALVING + 1)])
     width = np.diff(edges)[:, None]
-    # 1 - w from 1 - edges, exact on the halving panels, so (1 - w)^alpha' keeps its digits near w = 1
-    return ((edges[:-1, None] + width * x).reshape(-1), ((1.0 - edges[:-1, None]) - width * x).reshape(-1),
-            (width * wx).reshape(-1))
-
-
-def _rule(p: OperatorParams, n: int):
-    """Nodes u = w^{1/(gamma+1)} in (0, 1] and weights W of inner_integral's rule on n nodes per panel.
-
-    Both end panels come from one stacked jacobi_nodes call. Not cached:
-    _rules keeps each draw's two rules.
-    """
-    a_p, b_p = p.jacobi_exponents
-    a1, b1 = (1.0 - p.beta) + p.tau, (p.beta + p.gamma) / (p.gamma + 1.0)
-    bottom = 0.5 * SIGMA**GEOMETRIC
-    top = 0.5**HALVING
-    (x_lo, x_hi), (wx_lo, wx_hi) = jacobi_nodes([1.0, a1], [b1, 1.0], n)
-    w_mid, v_mid, wts_mid = _legendre_panels(n)
-    w_lo = bottom * x_lo
-    w_hi = (1.0 - top) + top * x_hi
-    w = np.concatenate([w_lo, w_mid, w_hi])
-    wts = np.concatenate([bottom**b1 * wx_lo * (1.0 - w_lo) ** a_p,
-                          wts_mid * w_mid**b_p * v_mid**a_p,
-                          top**a1 * wx_hi * w_hi**b_p])
-    return w ** (1.0 / (p.gamma + 1.0)), wts
+    parts = []
+    for n in (NODE_COUNT, 2 * NODE_COUNT):
+        x, wx = jacobi_nodes(1.0, 1.0, n)
+        # 1 - w from 1 - edges, exact on the halving panels, so (1 - w)^alpha' keeps its digits near w = 1
+        parts.append(((edges[:-1, None] + width * x).reshape(-1), ((1.0 - edges[:-1, None]) - width * x).reshape(-1),
+                      (width * wx).reshape(-1)))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def _rules(p: OperatorParams):
     """One draw's entry: its rules on NODE_COUNT and 2 * NODE_COUNT nodes per panel, side by side, and their moments.
 
-    (u, wts, edges, kept): both rules' nodes and weights in one read-only
-    array each, the coarse rule's first, with the offsets edges = (0, J_1,
+    (u, wts, edges, kept): both rules' nodes u = w^{1/(gamma+1)} in (0, 1]
+    and weights W in one read-only array each, the coarse rule's first,
+    each rule's panels from w = 0 up, with the offsets edges = (0, J_1,
     J_1 + J_2); and kept, the store of their read-only (2, n) row of
-    moments, which _rule_moments grows.
+    moments, which _rule_moments grows. Both end panels' recurrences and
+    Beta values are formed once, on 2 * NODE_COUNT nodes, and the coarse
+    rule's matrices are their leading blocks; then one stacked eigh per
+    node count. Each factor below is formed once over both rules' nodes.
     """
-    (u1, w1), (u2, w2) = _rule(p, NODE_COUNT), _rule(p, 2 * NODE_COUNT)
-    u, wts = np.concatenate([u1, u2]), np.concatenate([w1, w2])
+    a_p, b_p = p.jacobi_exponents
+    a1, b1 = (1.0 - p.beta) + p.tau, (p.beta + p.gamma) / (p.gamma + 1.0)
+    bottom, top, n = 0.5 * SIGMA**GEOMETRIC, 0.5**HALVING, NODE_COUNT
+    jac, betas = _jacobi_matrices(2 * n, [1.0, a1], [b1, 1.0])  # the bottom panel's, then the top panel's
+    coarse, refined = _golub_welsch(jac[:, :n, :n], betas), _golub_welsch(jac, betas)
+    (x_lo, x_hi), (wx_lo, wx_hi) = (np.concatenate(rows, axis=1) for rows in zip(coarse, refined))
+    w_mid, v_mid, wts_mid = _legendre_panels()
+    w_lo = bottom * x_lo
+    w_hi = (1.0 - top) + top * x_hi
+    wts_lo = bottom**b1 * wx_lo * (1.0 - w_lo) ** a_p
+    wts_mid = wts_mid * w_mid**b_p * v_mid**a_p
+    wts_hi = top**a1 * wx_hi * w_hi**b_p
+    m = (GEOMETRIC + HALVING - 1) * n  # the coarse rule's middle nodes
+    w, wts = (np.concatenate([lo[:n], mid[:m], hi[:n], lo[n:], mid[m:], hi[n:]])
+              for lo, mid, hi in ((w_lo, w_mid, w_hi), (wts_lo, wts_mid, wts_hi)))
+    u = w ** (1.0 / (p.gamma + 1.0))
     u.flags.writeable = False
     wts.flags.writeable = False
-    return u, wts, (0, u1.size, u.size), [None, np.empty((2, 0))]
+    return u, wts, (0, m + 2 * n, u.size), [None, np.empty((2, 0))]
 
 
 def _moments(u, wts, edges: list, order: int) -> np.ndarray:
@@ -220,7 +245,9 @@ def _moments(u, wts, edges: list, order: int) -> np.ndarray:
     not depend on the BLAS build or its thread count.
     """
     log_u = np.log(u)
-    low = np.exp(np.arange(float(min(_POWER_ROWS, order + 1)))[:, None] * log_u)
+    # each table element is the one product k log u_j: einsum forms the table as fast as a flat product,
+    # a (rows, 1) x (J,) broadcast about a third slower
+    low = np.exp(np.einsum("a,j->aj", np.arange(float(min(_POWER_ROWS, order + 1))), log_u))
     # exp(k log u) is taken only where wts u^(k+15) stays a normal float, and is 0 elsewhere: exp
     # and the einsum run many times slower on subnormals, and the terms left out lie far below
     # the last bit of every moment (a test holds the moments to the full tables bit for bit)
@@ -228,7 +255,7 @@ def _moments(u, wts, edges: list, order: int) -> np.ndarray:
     out = np.empty((len(edges) - 1, order + _POWER_ROWS))
     for start in range(0, order + 1, _MOMENT_CHUNK):
         k = np.arange(float(start), min(start + _MOMENT_CHUNK, order + 1), _POWER_ROWS)
-        k_log_u = k[:, None] * log_u
+        k_log_u = np.einsum("a,j->aj", k, log_u)
         high = np.exp(k_log_u, out=np.zeros_like(k_log_u), where=k_log_u > least)
         high *= wts
         for r, (lo, hi) in enumerate(zip(edges, edges[1:])):

@@ -16,7 +16,8 @@ oracle_closed_form's references through monomial_transforms, and
 reduction_law's references from one array log_gamma call;
 theta_equivalence's two Theta routes, each once over all draws;
 fox_wright_reduction's series as rows of one summation pass; and
-closed_forms' termwise images by one Horner pass. Each row has the bits of
+closed_forms' termwise images by one Horner pass, and each triple's closed
+forms at all points as rows of one summation pass. Each row has the bits of
 its own call, so every report keeps its bytes. The quadrature oracle takes
 one draw per call: oracle_closed_form calls oracle_eval per draw, and the
 fixtures check each golden entry's doubling (quadrature._eval_doubling)
@@ -42,6 +43,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, FracopsError, PoleHitError, check_count
 from .fracdiff import (
     OperatorParams,
+    _closed_form_rows,
     _front_times_exp,
     _theta_hadamard_rows,
     _times_phi,
@@ -282,9 +284,12 @@ def _nine_points():
 def suite_closed_forms(seed: int = 0) -> SuiteResult:
     """Stock closed forms vs termwise operator application at fixed points.
 
-    Each closed form sums all nine points in one evaluate call; on the
-    termwise side, one evaluate_many runs Horner on the twenty images of
-    the four parameter triples, bit-equal to each image's own evaluate.
+    Each triple's seven closed forms (the five stock cases, then the z*exp(z)
+    form and the Kummer degeneracy that should equal it) are summed at all
+    nine points as the rows of one _closed_form_rows pass, each row with the
+    bits of its form's own evaluate call; on the termwise side, one
+    evaluate_many runs Horner on the twenty images of the four parameter
+    triples, bit-equal to each image's own evaluate.
     """
     res = SuiteResult("closed_forms", 0, 0.0, 1e-10)
     pts = _nine_points()
@@ -294,19 +299,21 @@ def suite_closed_forms(seed: int = 0) -> SuiteResult:
     images = [apply_operator(p, f) for p in triples for f in inputs]
     horner = evaluate_many([image.series for image in images], at).tolist()
     for j, p in enumerate(triples):
+        forms = [closed_form_spec(p, kind, **kw) for kind, kw, _ in _CLOSED_FORM_CASES]
+        forms += [closed_form_spec(p, "exp_times_z"), closed_form_spec(p, "kummer", alpha=1.3, lam=1.3)]
+        outcomes = iter(_closed_form_rows(forms, pts))
+        # evaluate's values, raising as evaluate would at the first form and point that did not converge
+        got = [[form._value(z, next(outcomes)) for z in pts] for form in forms]
         group = slice(j * len(inputs), (j + 1) * len(inputs))
-        for (kind, kw, _), image, values in zip(_CLOSED_FORM_CASES, images[group], horner[group]):
-            got = closed_form_spec(p, kind, **kw).evaluate(at).tolist()
-            for z, value, x in zip(pts, values, got):
+        for (kind, kw, _), image, values, closed in zip(_CLOSED_FORM_CASES, images[group], horner[group], got):
+            for z, value, x in zip(pts, values, closed):
                 ref = image._times_prefactor(z, value)
                 err = abs(x - ref) / max(abs(ref), 1e-300)
                 res.checks += 1
                 if res.record(err):
                     res.failures.append(f"{kind}{kw} at {p}, z={z}: rel err {err:.3e}")
         # Confluent degeneracy: alpha == lam collapses to the z*exp(z) form.
-        refs = closed_form_spec(p, "exp_times_z").evaluate(at).tolist()
-        got = closed_form_spec(p, "kummer", alpha=1.3, lam=1.3).evaluate(at).tolist()
-        for z, ref, x in zip(pts, refs, got):
+        for z, ref, x in zip(pts, *got[-2:]):
             err = abs(x - ref) / max(abs(ref), 1e-300)
             res.checks += 1
             if res.record(err):

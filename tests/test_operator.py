@@ -713,6 +713,54 @@ def test_closed_forms_on_point_arrays_match_scalar_calls_bit_for_bit(seed, kind,
         form.evaluate(np.array([points]))
 
 
+@pytest.mark.parametrize("beta,tau,gamma", _CLOSED_FORM_PARAMS)
+def test_multi_image_sum_rows_equal_one_image_calls_bit_for_bit(beta, tau, gamma):
+    """Each row of one _closed_form_rows pass has the bits of its image's own inner_sum at its point.
+
+    The closed_forms suite's rows: the five stock kinds and the Kummer
+    degeneracy, with exp_times_z, at the suite's triples and nine points,
+    each image's nine points in one pass; the reference is a fresh image of
+    the same kind, summed alone.
+    """
+    from fracops.verify import _nine_points
+
+    p = OperatorParams(beta, tau, gamma)
+    cases = [(kind, kw) for kind, kw, _ in _CLOSED_FORM_CASES]
+    cases += [("exp_times_z", {}), ("kummer", {"alpha": 1.3, "lam": 1.3})]
+    points = _nine_points()
+    rows = fracdiff._closed_form_rows([closed_form_spec(p, kind, **kw) for kind, kw in cases], points)
+    assert len(rows) == 63
+    for (kind, kw), start in zip(cases, range(0, 63, 9)):
+        alone = closed_form_spec(p, kind, **kw)
+        for z, row in zip(points, rows[start:start + 9]):
+            assert row.status is EvalStatus.CONVERGED
+            assert _outcome_bits(row) == _outcome_bits(alone.inner_sum(z)), (p, kind, z)
+
+
+def test_multi_image_sum_rows_stop_on_their_own_terms():
+    """A polynomial Lerch row stops on its zero term, and rows past their radius are Divergent, while the others run on.
+
+    Every row has the bits of its image's own inner_sum at its point.
+    """
+    p = _TRIPLE_A
+    lerch = {"alpha": -2.0, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0}
+    cases = [("hurwitz_lerch", lerch), ("koebe", {"alpha": 2.0}), ("exp_times_z", {}),
+             ("kummer", {"alpha": 1.3, "lam": 0.9})]
+    points = [0.95 * cmath.exp(2.0j), -0.9, 1.2j]
+    rows = fracdiff._closed_form_rows([closed_form_spec(p, kind, **kw) for kind, kw in cases], points)
+    for (kind, kw), start in zip(cases, range(0, len(rows), len(points))):
+        alone = closed_form_spec(p, kind, **kw)
+        for z, row in zip(points, rows[start:start + len(points)]):
+            assert _outcome_bits(row) == _outcome_bits(alone.inner_sum(z)), (kind, z)
+    lerch_rows, koebe_rows = rows[:3], rows[3:6]
+    assert [(row.status, row.terms_used) for row in lerch_rows[:2]] == [(EvalStatus.CONVERGED, 4)] * 2
+    assert [row.status for row in koebe_rows[:2]] == [EvalStatus.CONVERGED] * 2
+    assert min(row.terms_used for row in koebe_rows[:2]) > 100
+    for row in (lerch_rows[2], koebe_rows[2]):  # |z| = 1.2 is past their radius 1
+        assert (row.status, row.terms_used) == (EvalStatus.DIVERGENT, 0)
+    assert all(row.status is EvalStatus.CONVERGED for row in rows[6:])  # exp_times_z and Kummer are entire
+
+
 def test_closed_form_array_evaluate_raises_for_its_first_failing_point():
     """A Lerch point at |z| >= 1 fails the array as it fails the scalar call, named in the error."""
     p = OperatorParams(0.65, 0.3, 1.4)

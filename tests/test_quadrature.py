@@ -18,7 +18,7 @@ from fracops.quadrature import (
     oracle_eval,
 )
 from fracops.series import PowerSeries, koebe_series, monomial_series
-from fracops.special import beta_fn
+from fracops.special import POLE_GUARD, beta_fn
 
 
 def _params(beta=0.65, tau=0.3, gamma=1.7):
@@ -36,11 +36,17 @@ def test_jacobi_nodes_sane():
 
 
 @pytest.mark.parametrize("a1,b1,n", [(0.7, 1.4, 0), (-0.5, 1.0, 16), (math.nan, 1.0, 16), (0.7, 1.4, 2.5),
-                                      (1.0, math.inf, 16), ([1.0, 0.0], [1.4, 1.0], 16), ([1.0, 0.7], [1.4], 16)])
+                                      (1.0, math.inf, 16), ([1.0, 0.0], [1.4, 1.0], 16), ([1.0, 0.7], [1.4], 16),
+                                      (math.exp(-21), 1.0, 16), (1.0, 5e-10, 16)])
 def test_jacobi_nodes_refuses_input_that_has_no_rule(a1, b1, n):
-    """n below 1 or not an integer, an a1 or b1 not finite and > 0, or sequences of unequal length raise DomainError."""
-    with pytest.raises(DomainError):
+    """n < 1 or not an integer, a1 or b1 not finite or below POLE_GUARD, or unequal-length sequences raise DomainError.
+
+    Below the guard B(a1, b1) would meet log_gamma's pole guard, so the refusal names the guard.
+    """
+    with pytest.raises(DomainError) as err:
         jacobi_nodes(a1, b1, n)
+    if isinstance(a1, float) and 0.0 < min(a1, b1) < POLE_GUARD:
+        assert "POLE_GUARD" in str(err.value)
 
 
 def test_stacked_jacobi_nodes_rows_equal_scalar_calls_bit_for_bit():
@@ -56,6 +62,70 @@ def test_stacked_jacobi_nodes_rows_equal_scalar_calls_bit_for_bit():
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, x, y)
 
 
+def _reference_rule(p, n):
+    """Nodes u = w^{1/(gamma+1)} and weights W of the graded rule on n nodes per panel, one rule alone.
+
+    Each panel's Gauss rule comes from jacobi_nodes: the end panels' from one
+    stacked call, the Legendre panels' from (1, 1). The rule's arithmetic is
+    written out panel by panel, for one rule alone: the reference that
+    _rules' side-by-side build of both rules matches bit for bit.
+    """
+    a_p, b_p = p.jacobi_exponents
+    a1, b1 = (1.0 - p.beta) + p.tau, (p.beta + p.gamma) / (p.gamma + 1.0)
+    bottom = 0.5 * quadrature.SIGMA**quadrature.GEOMETRIC
+    top = 0.5**quadrature.HALVING
+    (x_lo, x_hi), (wx_lo, wx_hi) = jacobi_nodes([1.0, a1], [b1, 1.0], n)
+    x, wx = jacobi_nodes(1.0, 1.0, n)
+    edges = np.concatenate([0.5 * quadrature.SIGMA ** np.arange(quadrature.GEOMETRIC, 0, -1.0),
+                            1.0 - 0.5 ** np.arange(1.0, quadrature.HALVING + 1)])
+    width = np.diff(edges)[:, None]
+    w_mid = (edges[:-1, None] + width * x).reshape(-1)
+    v_mid = ((1.0 - edges[:-1, None]) - width * x).reshape(-1)
+    wts_mid = (width * wx).reshape(-1)
+    w_lo = bottom * x_lo
+    w_hi = (1.0 - top) + top * x_hi
+    w = np.concatenate([w_lo, w_mid, w_hi])
+    wts = np.concatenate([bottom**b1 * wx_lo * (1.0 - w_lo) ** a_p,
+                          wts_mid * w_mid**b_p * v_mid**a_p,
+                          top**a1 * wx_hi * w_hi**b_p])
+    return w ** (1.0 / (p.gamma + 1.0)), wts
+
+
+def _entry_rules(entry):
+    """A _rules entry's two rules, (u, W) each, the coarse rule's first."""
+    u, w, edges, _ = entry
+    return [(u[lo:hi], w[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rules_equal_rules_built_one_at_a_time_bit_for_bit():
+    """_rules(p) builds both rules in one pass; each has the bits of its own reference build.
+
+    About 200 seeded triples, with the window's corners: beta down to 1e-3,
+    tau down to 1e-9, beta - tau up to 0.999 and gamma up to 1000.
+    """
+    rng = np.random.default_rng(47)
+    triples = [(1.0, 1e-9, 0.0), (1.0, 1e-9, 1000.0), (1e-3, 1e-9, 0.0), (1e-3, 1e-3, 1000.0), (1.0, 1e-3, 0.0),
+               (0.9999, 1e-4, 3.0), (1.0, 1.0, 0.0), (0.5, 0.5, 1.0), (0.12, 0.072, 0.09)]
+    while len(triples) < 200:
+        beta = math.exp(rng.uniform(math.log(1e-3), 0.0))
+        tau = (beta, max(beta - rng.uniform(0.0, min(beta, 0.999)), 1e-9),
+               min(beta, math.exp(rng.uniform(math.log(1e-9), math.log(1e-6)))))[rng.integers(3)]
+        gamma = (0.0, 1.0, rng.uniform(0.0, 5.0), rng.uniform(5.0, 1000.0))[rng.integers(4)]
+        triples.append((beta, tau, gamma))
+    quadrature._rules.cache_clear()
+    for triple in triples:
+        p = OperatorParams(*triple)
+        entry = quadrature._rules(p)
+        want = [_reference_rule(p, n) for n in (quadrature.NODE_COUNT, 2 * quadrature.NODE_COUNT)]
+        assert entry[2] == (0, want[0][0].size, want[0][0].size + want[1][0].size), triple
+        for (got_u, got_w), (want_u, want_w) in zip(_entry_rules(entry), want):
+            assert _same_bits(got_u, want_u) and _same_bits(got_w, want_w), triple
+
+
 def test_rule_cache_is_bounded():
     """300 distinct triples leave at most RULE_CACHE_SIZE draws; a repeated triple shares its read-only entry."""
     for i in range(300):
@@ -63,23 +133,21 @@ def test_rule_cache_is_bounded():
     assert quadrature._rules.cache_info().currsize <= RULE_CACHE_SIZE == 128
     entry = quadrature._rules(_params())
     assert quadrature._rules(_params()) is entry
-    u, w, edges, _ = entry
-    for n, lo, hi in ((quadrature.NODE_COUNT, *edges[:2]), (2 * quadrature.NODE_COUNT, *edges[1:])):
-        for got, want in zip((u[lo:hi], w[lo:hi]), quadrature._rule(_params(), n)):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
     quadrature._rule_moments(entry, 40)
-    for a in (u, w, entry[3][1]):
+    for a in (entry[0], entry[1], entry[3][1]):
         with pytest.raises(ValueError):
             a[..., 0] = 0.0  # shared cache entries are read-only
 
 
 def test_cold_oracle_eval_builds_its_draw_once(monkeypatch):
-    """A fresh triple's oracle_eval makes 2 jacobi_nodes calls (one per rule) and 1 _moments call; the next call none.
+    """A fresh triple's oracle_eval forms 1 recurrence, makes 2 eigh passes and 1 _moments call; the next calls none.
 
-    The Legendre panels, built once per process, are built first.
+    The recurrence covers both end panels on 2 * NODE_COUNT nodes, with one
+    eigh pass per node count, and no jacobi_nodes call is made. The Legendre
+    panels, built once per process, are built first.
     """
     oracle_eval(_params(), koebe_series(1.0, 40), 0.5)
-    calls = {"jacobi_nodes": 0, "_moments": 0}
+    calls = {"_jacobi_matrices": 0, "_golub_welsch": 0, "jacobi_nodes": 0, "_moments": 0}
     for name in calls:
         def counted(*args, _fn=getattr(quadrature, name), _name=name):
             calls[_name] += 1
@@ -88,10 +156,11 @@ def test_cold_oracle_eval_builds_its_draw_once(monkeypatch):
     p = _params(0.61, 0.27, 1.31)
     quadrature._rules.cache_clear()
     first = oracle_eval(p, koebe_series(1.0, 200), 0.4j)
-    assert calls == {"jacobi_nodes": 2, "_moments": 1}
+    built = {"_jacobi_matrices": 1, "_golub_welsch": 2, "jacobi_nodes": 0, "_moments": 1}
+    assert calls == built
     assert oracle_eval(p, koebe_series(1.0, 200), 0.4j) == first
     oracle_eval(p, koebe_series(1.0, 150), -0.3)
-    assert calls == {"jacobi_nodes": 2, "_moments": 1}
+    assert calls == built
 
 
 def test_kept_moments_grow_with_the_bits_of_a_fresh_call():
@@ -198,8 +267,8 @@ def test_refined_rule_moments_match_the_beta_function(beta, tau, gamma):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     p = OperatorParams(beta, tau, gamma)
-    rule = quadrature._rule(p, 2 * quadrature.NODE_COUNT)
-    (m,) = quadrature._moments(*rule, [0, rule[0].size], 1000)
+    u, w, edges, _ = quadrature._rules(p)
+    m = quadrature._moments(u, w, list(edges), 1000)[1]
     b, t, g = (mpmath.mpf(v) for v in (beta, tau, gamma))
     for k in (0, 1, 2, 10, 200, 1000):
         want = mpmath.beta((b + g + k) / (g + 1), (1 - b) + t)
@@ -231,13 +300,14 @@ def test_moments_skip_subnormal_powers_without_changing_a_bit():
         tau = max(beta - rng.uniform(0.0, min(beta, 0.999)), 1e-9) if rng.random() < 0.8 else beta
         gamma = (0.0, rng.uniform(0.0, 5.0), rng.uniform(5.0, 1200.0))[rng.integers(3)]
         p = OperatorParams(beta, tau, gamma)
-        rules = [quadrature._rule(p, n) for n in (quadrature.NODE_COUNT, 2 * quadrature.NODE_COUNT)]
-        u, w = (np.concatenate(arrays) for arrays in zip(*rules))
+        entry = quadrature._rules(p)
+        u, w, edges, _ = entry
+        rules = _entry_rules(entry)
         for order in (6, 200, 4096):
             for rule in rules:
                 (got,), want = quadrature._moments(*rule, [0, rule[0].size], order), _plain_moments(*rule, order)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (p, rule[0].size, order)
-            side_by_side = quadrature._moments(u, w, [0, rules[0][0].size, u.size], order)  # the oracle's layout
+            side_by_side = quadrature._moments(u, w, list(edges), order)  # the oracle's layout
             for got, rule in zip(side_by_side, rules):
                 assert np.array_equal(got.view(np.int64), _plain_moments(*rule, order).view(np.int64)), (p, order)
 
@@ -276,8 +346,7 @@ def _horner_at_the_nodes(p, f, z):
     """sum_j W_j (P f(z u_j) + z u_j f'(z u_j)) on both rules, each f and f' value by Horner."""
     fp = f.derivative()
     out = []
-    for n in (quadrature.NODE_COUNT, 2 * quadrature.NODE_COUNT):
-        u, w = quadrature._rule(p, n)
+    for u, w in _entry_rules(quadrature._rules(p)):
         out.append(np.sum(w * (_big_p(p) * f.evaluate(z * u) + z * u * fp.evaluate(z * u))))
     return out
 
