@@ -47,7 +47,10 @@ class WeightSpec:
         if not math.isfinite(self.alpha_w):
             raise DomainError(f"weight exponent alpha_w must be finite, got {self.alpha_w}")
         if self.kind == "table":
-            pts = tuple((float(t), float(wv)) for t, wv in self.table)
+            try:
+                pts = tuple((float(t), float(wv)) for t, wv in self.table)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"table weight points must be (t, w) pairs of numbers: {exc}") from exc
             object.__setattr__(self, "table", pts)
             if len(pts) < 2:
                 raise DomainError("table weight needs at least two points")

@@ -24,7 +24,10 @@ call. The helpers that turn R into multipliers, _front_times_exp and
 Theta's _times_phi, take the same T rows, and monomial_transforms gives T
 monomial images from one kernel call (monomial_transform is its one-row
 call); the verify suites check their draws through them, and the
-Hadamard route's through _theta_hadamard_rows.
+Hadamard route's through _theta_hadamard_rows, of which theta_hadamard
+is the one-row call. An operator image or a closed form is evaluated at
+one point; _closed_form_rows sums many closed forms at many points in one
+pass, and inner_sum is its one-image, one-point call.
 
 Every kept row follows one rule, _kept_row: a read-only row over the
 indices 0 .. n - 1 for the last key asked, grown by filling only the
@@ -34,13 +37,14 @@ apply_operator, theta_multiplier_apply and closed_form_spec (the
 criteria, phi_multiplier and monomial_transforms call the kernel
 directly). The row of Theta's Gamma pair, _pair_row: L_k = log Gamma(b1 +
 k/g1) - log Gamma(b1 + tau - beta + k/g1), is keyed on the pair and read
-by the Hadamard route and the closed forms, each of which keeps its own
-z-free rows. It is the real log Gamma of
-special (Stirling from 16 up, the math module's Gamma below), not the
-kernel's expansion and step-up. The Hadamard route and the closed-form
-sums never read the kernel row (a closed form reads only its constant,
-R(1), there), nor the kernel the pair row, so the two Theta routes, and
-the closed forms and the kernel, compare two Gamma codes at every index.
+by the closed forms, each of which keeps its own z-free rows; the
+Hadamard route fills its rows afresh by the same _fill_pair_row. Both are
+the real log Gamma of special (Stirling from 16 up, the math module's
+Gamma below), not the kernel's expansion and step-up. The Hadamard route
+and the closed-form sums never read the kernel row (a closed form reads
+only its constant, R(1), there), nor the kernel the pair row, so the two
+Theta routes, and the closed forms and the kernel, compare two Gamma
+codes at every index.
 
 At tau == beta the operator degenerates to multiplication by z^gamma with
 exactly unchanged coefficients, in floating point too: the kernel gives
@@ -363,22 +367,23 @@ class OperatorImage:
     prefactor_power: float
     series: PowerSeries
 
-    def evaluate(self, z):
-        """The image at a complex scalar, or at each point of a 1-D array with one Horner pass."""
-        if np.ndim(z) == 0:
-            z = complex(z)
-            return self._times_prefactor(z, self.series.evaluate(z))
-        z = np.asarray(z, dtype=np.complex128)
-        if z.ndim > 1:
-            raise DomainError("an operator image takes a complex scalar or a 1-D array of points")
-        return np.array([self._times_prefactor(w, s)
-                         for w, s in zip(z.tolist(), self.series.evaluate(z).tolist())], dtype=np.complex128)
+    def evaluate(self, z) -> complex:
+        """The image at a complex scalar z; an array of points is refused with a DomainError."""
+        z = _point(z, "an operator image")
+        return self._times_prefactor(z, self.series.evaluate(z))
 
     def _times_prefactor(self, z: complex, value: complex) -> complex:
         if z == 0:
             # z^p -> 0 for p > 0; the p == 0 case degenerates to the series value.
             return value if self.prefactor_power == 0.0 else 0.0 + 0.0j
         return cmath.exp(self.prefactor_power * cmath.log(z)) * value
+
+
+def _point(z, image: str) -> complex:
+    """complex(z) for a scalar z, the one point an image is evaluated at; DomainError for an array."""
+    if np.ndim(z):
+        raise DomainError(f"{image} takes one complex point, not an array of shape {np.shape(z)}")
+    return complex(z)
 
 
 def apply_operator(p: OperatorParams, f: PowerSeries) -> OperatorImage:
@@ -469,54 +474,44 @@ def _theta_gamma_pair(p: OperatorParams) -> tuple:
 
 
 def theta_hadamard(p: OperatorParams, f: PowerSeries) -> PowerSeries:
-    """Theta image computed through the Fox-Wright Hadamard kernel.
+    """Theta image computed through the Fox-Wright Hadamard kernel: the one-row call of _theta_hadamard_rows.
 
     Independent route used to cross-check theta_normalize: coefficient
-    kappa of the image is constant * kernel(kappa-1) * a_kappa. The kernel
-    is the kept Gamma-pair row _pair_row of spec's rows (b1, 1/g1) and
-    (b1 + tau - beta, 1/g1), shared with the closed forms of the triple,
-    not log_gamma_ratio: spec.log_coefficients' other two rows, log k! and
+    kappa of the image is constant * kernel(kappa-1) * a_kappa, with
+    theta_fox_wright_spec's constant and kernel. The kernel is the Gamma
+    pair of spec's rows (b1, 1/g1) and (b1 + tau - beta, 1/g1), not
+    log_gamma_ratio: spec.log_coefficients' other two rows, log k! and
     log Gamma(1 + k), cancel exactly, so each element has the bits of
-    spec.log_coefficients at its index. _times_hadamard takes the products.
+    spec.log_coefficients at its index.
     """
     if abs(f.coeffs[0]) > _NORMALIZED_TOL:
         raise DomainError("Theta needs a series with zero constant term")
-    constant, spec = theta_fox_wright_spec(p)
-    row = _pair_row(spec.upper[1], spec.lower[0], f.coeffs.size - 1)
-    return PowerSeries(_times_hadamard(f.coeffs, constant, row))
-
-
-def _times_hadamard(coeffs: np.ndarray, constant, rows: np.ndarray) -> np.ndarray:
-    """The Hadamard route on coefficient rows: index 0 set to 0, index k >= 1 times constant, then times exp(L_{k-1}).
-
-    coeffs is one row, with a float constant and one pair row, or T rows,
-    with a (T, 1) constant column and T pair rows. The products are taken in
-    place on a copy: larger temporaries page-faulted afresh on every call.
-    """
-    out = coeffs.copy()
-    out[..., 0] = 0.0
-    head = out[..., 1:]
-    head *= constant
-    head *= np.exp(rows)
-    return out
+    return PowerSeries(_theta_hadamard_rows([p], f.coeffs[None])[0])
 
 
 def _theta_hadamard_rows(ps: list, coeffs: np.ndarray) -> np.ndarray:
-    """theta_hadamard(ps[t], PowerSeries(coeffs[t])).coeffs for each of T triples, as a (T, N + 1) array.
+    """The Hadamard route on T coefficient rows, one per triple, as a (T, N + 1) array.
 
-    The T pair rows L_0 .. L_{N-1} (at least L_0) are filled by one
-    _fill_pair_row call, whose blocks are one _log_gamma_real call over all
-    T rows. Each constant Gamma(b1 + tau - beta) / Gamma(b1) is
-    math.exp(-L_0), with the bits of theta_fox_wright_spec's
-    math.exp(log_gamma(b1 + tau - beta) - log_gamma(b1)): L_0 is the same
-    difference of the same two log Gammas, taken the other way round, and
-    a rounded difference changes only its sign when its operands swap.
+    Index 0 is set to 0 and index k >= 1 multiplied by the constant, then
+    by exp(L_{k-1}). The T pair rows L_0 .. L_{N-1} (at least L_0) are
+    filled by one _fill_pair_row call, whose blocks are one _log_gamma_real
+    call over all T rows; each row has the bits of its one-row call. Each
+    constant Gamma(b1 + tau - beta) / Gamma(b1) is math.exp(-L_0), with the
+    bits of theta_fox_wright_spec's math.exp(log_gamma(b1 + tau - beta) -
+    log_gamma(b1)): L_0 is the same difference of the same two log Gammas,
+    taken the other way round, and a rounded difference changes only its
+    sign when its operands swap. The products are taken in place on a copy:
+    larger temporaries page-faulted afresh on every call.
     """
     upper, lower = zip(*(_theta_gamma_pair(p) for p in ps))
     rows = np.empty((len(ps), max(coeffs.shape[1] - 1, 1)))
     _fill_pair_row(_columns(upper), _columns(lower), np.arange(float(rows.shape[1])), rows)
-    constants = np.array([[math.exp(-x)] for x in rows[:, 0].tolist()])
-    return _times_hadamard(coeffs, constants, rows[:, :coeffs.shape[1] - 1])
+    out = coeffs.copy()
+    out[:, 0] = 0.0
+    head = out[:, 1:]
+    head *= np.array([[math.exp(-x)] for x in rows[:, 0].tolist()])
+    head *= np.exp(rows[:, :coeffs.shape[1] - 1])
+    return out
 
 
 def _pair_row(upper: tuple, lower: tuple, n: int) -> np.ndarray:
@@ -550,9 +545,8 @@ class ClosedFormImage:
     (b1 + tau - beta, 1/g1). constant is the image coefficient of z^power.
     s and a are the stock input's, handed over by closed_form_spec from its
     one series.stock_rows call.
-    inner_sum and evaluate take a complex scalar or a 1-D array of points; an
-    array is summed in one pass of the summation driver, one row per point,
-    and every point gets the bits of its scalar call.
+    inner_sum and evaluate take one complex point; _closed_form_rows sums
+    many images at many points in one pass.
     """
 
     kind: str
@@ -561,42 +555,16 @@ class ClosedFormImage:
     fox_wright: FoxWrightSpec
     s: float
     a: float
-    # the image's own store of its z-free rows (see _kept_row and inner_sum), one key
+    # the image's own store of its z-free rows (see _kept_row and _closed_form_rows), one key
     _rows: list = field(default_factory=lambda: [None, np.empty((2, 0))], init=False, repr=False, compare=False)
 
-    def inner_sum(self, z):
-        """Sum the normalized series at z through the one summation driver.
+    def inner_sum(self, z) -> EvalOutcome:
+        """Sum the normalized series at the complex point z: the one-image, one-point call of _closed_form_rows.
 
-        z is a complex scalar, for one EvalOutcome, or a 1-D array of points,
-        for a list of them from one driver pass, each with the bits of its
-        own scalar call. At most MAX_TERMS_DEFAULT terms are summed per point.
-        The unit-weight rows advance by their ratio recurrence: term k + 1
-        is term k times z q_k, q_k = prod (upper + k) / ((k + 1) prod (lower
-        + k)), one running product per point and index block, with z a
-        column, that starts from the products carried from the last block;
-        each product runs in sequence, so its bits do not depend on where
-        the blocks split. No log-Gamma of size k log k and no Gamma of a
-        stock parameter enters. Neither q_k nor the Gamma pair over its k = 0
-        value times (k + a)^-s depends on z: both are computed once per
-        index, the pair from the triple's kept row _pair_row, and kept in
-        the image's own store for all points and the next call.
-        z = 0 is the exact one-term sum; in an array that also holds other
-        points it is summed apart, as the driver ends all rows together.
+        At most MAX_TERMS_DEFAULT terms are summed. An array of points is
+        refused with a DomainError.
         """
-        points = np.asarray(z, dtype=np.complex128)
-        if not points.ndim:
-            return self._sums([complex(points)])[0]
-        if points.ndim > 1:
-            raise DomainError("a closed form takes a complex scalar or a 1-D array of points")
-        zs = points.tolist()
-        if 0 in zs and any(zs):  # z = 0 ends its series at one term, the other points do not
-            rest, at_zero = iter(self._sums([x for x in zs if x])), self._sums([0j])[0]
-            return [next(rest) if x else at_zero for x in zs]
-        return self._sums(zs)
-
-    def _sums(self, zs: list) -> list:
-        """inner_sum at a list of complex points, all of them 0 or none: the one-image call of _closed_form_rows."""
-        return _closed_form_rows([self], zs)
+        return _closed_form_rows([self], [_point(z, "a closed form")])[0]
 
     def _fill_rows(self, k: np.ndarray, out: np.ndarray) -> None:
         """Write the z-free rows at the indices k into out: q_k into out[0], exp(L_k - L_0 - s log(k + a)) into out[1]."""
@@ -605,18 +573,10 @@ class ClosedFormImage:
         row = _pair_row(pair, pair_low, int(k[-1]) + 1)
         out[1] = np.exp(row[int(k[0]):] - row[0] - self.s * np.log(k + self.a))
 
-    def evaluate(self, z):
-        """Value at a complex scalar, or at each point of a 1-D array in one inner_sum.
-
-        Raises DomainError unless the inner sum is CONVERGED; for an array,
-        the scalar's error for the first point, in array order, that is not.
-        """
-        points = np.asarray(z, dtype=np.complex128)
-        if not points.ndim:
-            z = complex(points)
-            return self._value(z, self._sums([z])[0])
-        return np.array([self._value(x, out) for x, out in zip(points.tolist(), self.inner_sum(points))],
-                        dtype=np.complex128)
+    def evaluate(self, z) -> complex:
+        """Value at the complex point z; DomainError unless the inner sum is CONVERGED, or for an array."""
+        out = self.inner_sum(z)  # refuses an array
+        return self._value(complex(z), out)
 
     def _value(self, z: complex, out: EvalOutcome) -> complex:
         if out.status is not EvalStatus.CONVERGED:
@@ -630,15 +590,24 @@ class ClosedFormImage:
 
 
 def _closed_form_rows(images: list, zs: list) -> list:
-    """inner_sum of each image at each point of zs, summed as the rows of one _sum_rows pass: one EvalOutcome per row.
+    """The sums of each image at each point of zs, as the rows of one _sum_rows pass: one EvalOutcome per row.
 
-    The rows run image by image, each image's in the order of zs. Each
-    block reads every image's z-free rows from its own store once, for all
-    points; a row runs its own image's product of z q_k from the products
-    carried from the last block, and ends by the driver's rules for its own
-    terms, so it has the bits of its one-image call. The points are all 0
-    or none, as in _fox_wright_rows: z = 0 ends its sum at its first term,
-    and so would end the other rows there too.
+    The rows run image by image, each image's in the order of zs; inner_sum
+    is the one-image, one-point call. At most MAX_TERMS_DEFAULT terms are
+    summed per row. The unit-weight rows advance by their ratio recurrence:
+    term k + 1 is term k times z q_k, q_k = prod (upper + k) / ((k + 1)
+    prod (lower + k)), one running product per row and index block, with z
+    a column, that starts from the products carried from the last block;
+    each product runs in sequence, so its bits do not depend on where the
+    blocks split. No log-Gamma of size k log k and no Gamma of a stock
+    parameter enters. Neither q_k nor the Gamma pair over its k = 0 value
+    times (k + a)^-s depends on z: an image computes both once per index,
+    the pair from the triple's kept row _pair_row, and keeps them in its
+    own store for all points and the next call; each block reads every
+    image's store once. A row ends by the driver's rules for its own terms,
+    so it has the bits of its one-image, one-point call. The points are all
+    0 or none, as in _fox_wright_rows: z = 0 ends its sum at its exact
+    first term, and so would end the other rows there too.
     """
     z, nonzero = np.array(zs * len(images), dtype=np.complex128)[:, None], any(zs)
     carried = [0, [[1.0]] * len(z)]  # the last block's last index and the ratio products there, a column

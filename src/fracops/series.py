@@ -84,8 +84,9 @@ class PowerSeries:
         try:
             pairs = doc["coeffs"]
             order = doc["order"]
+            check_count(order, "the order field", 0)
             arr = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise DomainError(f"malformed series fixture: {exc}") from exc
         if arr.size != order + 1:
             raise DomainError(

@@ -392,8 +392,10 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
     try:
         with open(golden_path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+            raise ValueError("not a JSON object whose entries field is a list")
         entries = doc["entries"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError) as exc:  # json's errors, bad UTF-8 included, are ValueErrors
         res.failures.append(f"fixture {golden_path.name}: {exc}")
         entries = []
 

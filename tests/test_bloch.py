@@ -49,6 +49,18 @@ def test_weight_validation():
             WeightSpec("table", table=((0.1, bad), (1.0, 1.0)))  # evaluate would return nan or inf
 
 
+@pytest.mark.parametrize("table", [
+    ((0.1,), (1.0,)),  # a one-column CSV
+    ((0.1, 1.0, 2.0), (1.0, 1.0, 2.0)),  # a three-column CSV
+    ((0.1, None), (1.0, 1.0)),
+    ((0.1, "w"), (1.0, 1.0)),
+    (0.1, 1.0),
+])
+def test_weight_table_points_must_be_pairs_of_numbers(table):
+    with pytest.raises(DomainError, match=r"table weight points must be \(t, w\) pairs of numbers"):
+        WeightSpec("table", table=table)
+
+
 def test_weight_domain_is_half_open_unit_interval():
     w = WeightSpec("constant_one")
     with pytest.raises(DomainError):

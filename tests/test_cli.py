@@ -210,8 +210,8 @@ def _verify_with_fixture_changed(tmp_path, capsys, monkeypatch, name, change) ->
     for fixture in src.iterdir():
         (tmp_path / fixture.name).write_text(fixture.read_text())
     doc = json.loads((tmp_path / name).read_text())
-    change(doc)
-    (tmp_path / name).write_text(json.dumps(doc))
+    new = change(doc)  # edits doc in place, or returns the document written instead
+    (tmp_path / name).write_text(json.dumps(doc if new is None else new))
     monkeypatch.setenv("FRACOPS_FIXTURES", str(tmp_path))
     code, out, err = run_cli(capsys, "verify", "--suite", "fixtures")
     assert code == 1 and not err
@@ -241,6 +241,13 @@ def test_verify_golden_at_z_zero_exits_1_with_strict_json(tmp_path, capsys, monk
 def test_verify_malformed_golden_exits_1_with_strict_json(tmp_path, capsys, monkeypatch, change):
     failures = _verify_with_golden_0_changed(tmp_path, capsys, monkeypatch, **change)
     assert "malformed entry" in failures[0]
+
+
+@pytest.mark.parametrize("doc", [[], {"entries": None}, {"entries": 5}, {}])
+def test_verify_golden_file_of_the_wrong_shape_exits_1_with_strict_json(tmp_path, capsys, monkeypatch, doc):
+    """A golden file that is not an object with a list of entries is one failure naming it, with no traceback."""
+    failures = _verify_with_fixture_changed(tmp_path, capsys, monkeypatch, "quad_goldens.json", lambda _: doc)
+    assert failures == ["fixture quad_goldens.json: not a JSON object whose entries field is a list"]
 
 
 def test_verify_golden_error_that_overflows_exits_1_with_strict_json(tmp_path, capsys, monkeypatch):
@@ -475,6 +482,13 @@ def test_bloch_series_flags_are_exclusive(capsys):
     ("bloch", "--f", "identity", "--mu", "1", "--w", "table", "--table-file",
      "/nonexistent.csv"),
     ("bloch", "--f", "identity", "--mu", "1", "--w", "table", "--table-file", "{tmp}/w.csv"),
+    ("bloch", "--f", "koebe", "--alpha", "2", "--order", "16", "--mu", "1", "--w", "table", "--table-file",
+     "{tmp}/one_column.csv"),
+    ("bloch", "--f", "koebe", "--alpha", "2", "--order", "16", "--mu", "1", "--w", "table", "--table-file",
+     "{tmp}/three_columns.csv"),
+    ("transform", "--beta", "0.5", "--tau", "0.3", "--series", "{tmp}/order_text.json"),
+    ("transform", "--beta", "0.5", "--tau", "0.3", "--series", "{tmp}/order_null.json"),
+    ("transform", "--beta", "0.5", "--tau", "0.3", "--series", "{tmp}/order_true.json"),
     ("transform", "--beta", "1", "--tau", "1e-10", "--monomial", "1"),  # tau below POLE_GUARD
     ("bloch", "--compactness", "--beta", "0.5", "--tau", "0.5", "--nmax", "100000000"),
     ("transform", "--beta", ".5", "--tau", ".4", "--builtin", "kummer", "--alpha", "1", "--lam", "nan",
@@ -502,6 +516,10 @@ def test_bloch_series_flags_are_exclusive(capsys):
 def test_non_finite_flags_exit_2(capsys, tmp_path, argv):
     (tmp_path / "w.csv").write_text("t,w\nsmall,large\n")
     (tmp_path / "latin1.json").write_bytes(b'{"coeffs": "\xe9"}')
+    (tmp_path / "one_column.csv").write_text("0.1\n1.0\n")
+    (tmp_path / "three_columns.csv").write_text("0.1,1.0,2.0\n1.0,1.0,2.0\n")
+    for name, order in (("text", "1"), ("null", None), ("true", True)):
+        (tmp_path / f"order_{name}.json").write_text(json.dumps({"coeffs": [[0, 0], [1, 0]], "order": order}))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -135,14 +135,10 @@ def test_operator_image_evaluate():
         for u in range(f.order + 1)
     )
     assert_allclose(image.evaluate(z), direct, rtol=1e-13)
-    # an array of points takes one Horner pass and changes no value
-    zs = np.array([z, 0.0, 0.5j, -0.4 + 0.1j])
-    assert image.evaluate(zs).tolist() == [image.evaluate(w) for w in zs]
     assert image.evaluate(0.0) == 0.0
-    empty = image.evaluate(np.empty(0))
-    assert empty.shape == (0,) and empty.dtype == np.complex128
-    with pytest.raises(DomainError, match="1-D array"):
-        image.evaluate(np.array([zs]))
+    for points in (np.array([z, 0.5j]), [z], np.empty(0), np.array([[z]])):  # an image takes one point
+        with pytest.raises(DomainError, match="one complex point"):
+            image.evaluate(points)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +435,7 @@ def _pair_row_outputs(p, order):
 
 
 def test_shared_pair_rows_give_the_bits_of_a_fresh_row(monkeypatch):
-    """The Hadamard route and the closed forms read one kept Gamma-pair row; each output has the bits of a fresh row."""
+    """The closed forms read one kept Gamma-pair row, the Hadamard route rows of its own; each output has fresh bits."""
     steps = [(p, order) for order in (64, 1024, 5000, 64) for p in (_TRIPLE_A, _TRIPLE_B)]
     together = [_pair_row_outputs(p, order) for p, order in steps]
     for (p, order), got in zip(steps, together):
@@ -510,14 +506,15 @@ def test_closed_forms_read_no_stock_rows_once_built(monkeypatch):
 
 
 def test_operator_and_multiplier_route_never_read_the_pair_row(monkeypatch):
-    """The two Theta routes stay apart: with the pair row gone, the Hadamard route and the closed forms fail."""
+    """The two Theta routes stay apart: with the pair rows' fill gone, the Hadamard route and the closed forms fail."""
     f = koebe_series(2.0, 64)
     want = theta_hadamard(_TRIPLE_A, f).coeffs
 
-    def no_row(upper, lower, n):
+    def no_row(upper, lower, k, out):
         raise RuntimeError("the pair row was read")
 
-    monkeypatch.setattr(fracdiff, "_pair_row", no_row)
+    _empty_row_store(monkeypatch)  # so the closed form below fills its pair row afresh
+    monkeypatch.setattr(fracdiff, "_fill_pair_row", no_row)
     assert_allclose(theta_normalize(_TRIPLE_A, f).coeffs, want, rtol=1e-12)
     assert np.all(np.isfinite(apply_operator(_TRIPLE_A, f).series.coeffs))
     with pytest.raises(RuntimeError, match="pair row"):
@@ -663,11 +660,20 @@ def test_closed_form_inner_sum_reports_status():
     with pytest.raises(DomainError, match="SlowConvergence"):
         # the terms rise to ~1e11 and cancel: float64 cannot resolve the sum
         form.evaluate(-30.0)
-
-
-_ARRAY_FORMS = [("koebe", {"alpha": 1.0}), ("koebe", {"alpha": 2.0}), ("exp_times_z", {}),
-                ("kummer", {"alpha": 1.3, "lam": 0.9}), ("kummer", {"alpha": 1.3, "lam": 1.3}),
-                ("hurwitz_lerch", {"alpha": 1.2, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0})]
+    lerch = closed_form_spec(OperatorParams(0.65, 0.3, 1.4), "hurwitz_lerch", alpha=1.2, lam=0.8, rho=1.5, s=1.1,
+                             a=1.0)
+    bad = 1.05 * cmath.exp(2.0j)  # past the radius 1
+    assert lerch.inner_sum(bad).status is lerch.inner_sum(-1.2).status is EvalStatus.DIVERGENT
+    with pytest.raises(DomainError, match="Divergent") as err:
+        lerch.evaluate(bad)
+    assert f"z={bad}" in str(err.value)
+    with pytest.raises(DomainError, match="SlowConvergence"):  # on the circle
+        lerch.evaluate(1.0)
+    for points in (np.array([0.1, 0.2j]), [0.1], np.empty(0)):  # a closed form takes one point
+        with pytest.raises(DomainError, match="one complex point"):
+            lerch.inner_sum(points)
+        with pytest.raises(DomainError, match="one complex point"):
+            lerch.evaluate(points)
 
 
 def _outcome_bits(out):
@@ -680,61 +686,43 @@ def _value_bits(x):
     return complex(x).real.hex(), complex(x).imag.hex()
 
 
-@pytest.mark.parametrize("seed", [*range(6), None])
-@pytest.mark.parametrize("kind,kw", _ARRAY_FORMS)
-def test_closed_forms_on_point_arrays_match_scalar_calls_bit_for_bit(seed, kind, kw):
-    """inner_sum and evaluate at an array of points give each point the bits of its scalar call.
-
-    The points hold z = 0 twice and |z| = 0.05 next to |z| = 0.95, so one
-    driver pass sums rows that stop after 1, a few and hundreds of terms.
-    Seeds draw the triple and the angles; seed None is (0.65, 0.3, 1.4) on
-    the ray at angle 0.7.
-    """
-    from fracops.verify import draw_params
-
-    if seed is None:
-        p, turns = _TRIPLE_A, [cmath.exp(0.7j)] * 4
-    else:
-        rng = np.random.default_rng(seed)
-        p = draw_params(rng)
-        turns = [cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(4)]
-    points = [0j] + [r * turn for r, turn in zip((0.05, 0.95, 0.5, 0.3), turns)] + [0j]
-    rows = closed_form_spec(p, kind, **kw).inner_sum(np.array(points))
-    values = closed_form_spec(p, kind, **kw).evaluate(np.array(points))
-    assert len(rows) == len(points) and values.dtype == np.complex128 and values.shape == (len(points),)
-    form = closed_form_spec(p, kind, **kw)
-    for z, row, value in zip(points, rows, values.tolist()):
-        assert _outcome_bits(row) == _outcome_bits(form.inner_sum(z)), (p, z)
-        assert _value_bits(value) == _value_bits(form.evaluate(z)), (p, z)
-    assert rows[0].terms_used == 1 and rows[0].status is EvalStatus.CONVERGED
-    assert closed_form_spec(p, kind, **kw).inner_sum(np.array([0j, 0j]))[1] == form.inner_sum(0j)
-    assert closed_form_spec(p, kind, **kw).evaluate(np.empty(0)).shape == (0,)
-    with pytest.raises(DomainError, match="1-D array"):
-        form.evaluate(np.array([points]))
-
-
-@pytest.mark.parametrize("beta,tau,gamma", _CLOSED_FORM_PARAMS)
-def test_multi_image_sum_rows_equal_one_image_calls_bit_for_bit(beta, tau, gamma):
+@pytest.mark.parametrize("source", [*_CLOSED_FORM_PARAMS, *range(6), None])
+def test_multi_image_sum_rows_equal_one_image_calls_bit_for_bit(source):
     """Each row of one _closed_form_rows pass has the bits of its image's own inner_sum at its point.
 
     The closed_forms suite's rows: the five stock kinds and the Kummer
-    degeneracy, with exp_times_z, at the suite's triples and nine points,
-    each image's nine points in one pass; the reference is a fresh image of
-    the same kind, summed alone.
+    degeneracy, with exp_times_z, each image's points in one pass; the
+    reference is a fresh image of the same kind, summed alone. A source
+    triple takes the suite's nine points. A seed draws the triple and the
+    angles of points at |z| = 0.05, 0.95, 0.5 and 0.3, so one pass sums
+    rows that stop after a few and after hundreds of terms; seed None is
+    (0.65, 0.3, 1.4) on the ray at angle 0.7. A pass at z = 0 alone gives
+    every row its exact first term.
     """
-    from fracops.verify import _nine_points
+    from fracops.verify import _nine_points, draw_params
 
-    p = OperatorParams(beta, tau, gamma)
+    if isinstance(source, tuple):
+        p, points = OperatorParams(*source), _nine_points()
+    else:
+        if source is None:
+            p, turns = _TRIPLE_A, [cmath.exp(0.7j)] * 4
+        else:
+            rng = np.random.default_rng(source)
+            p = draw_params(rng)
+            turns = [cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(4)]
+        points = [r * turn for r, turn in zip((0.05, 0.95, 0.5, 0.3), turns)]
     cases = [(kind, kw) for kind, kw, _ in _CLOSED_FORM_CASES]
     cases += [("exp_times_z", {}), ("kummer", {"alpha": 1.3, "lam": 1.3})]
-    points = _nine_points()
+    n = len(points)
     rows = fracdiff._closed_form_rows([closed_form_spec(p, kind, **kw) for kind, kw in cases], points)
-    assert len(rows) == 63
-    for (kind, kw), start in zip(cases, range(0, 63, 9)):
+    at_zero = fracdiff._closed_form_rows([closed_form_spec(p, kind, **kw) for kind, kw in cases], [0j, 0j])
+    assert len(rows) == n * len(cases) and len(at_zero) == 2 * len(cases)
+    for i, (kind, kw) in enumerate(cases):
         alone = closed_form_spec(p, kind, **kw)
-        for z, row in zip(points, rows[start:start + 9]):
+        for z, row in zip(points + [0j, 0j], rows[i * n:(i + 1) * n] + at_zero[2 * i:2 * i + 2]):
             assert row.status is EvalStatus.CONVERGED
             assert _outcome_bits(row) == _outcome_bits(alone.inner_sum(z)), (p, kind, z)
+        assert at_zero[2 * i].terms_used == 1 and alone.evaluate(0j) == 0j
 
 
 def test_multi_image_sum_rows_stop_on_their_own_terms():
@@ -761,25 +749,6 @@ def test_multi_image_sum_rows_stop_on_their_own_terms():
     assert all(row.status is EvalStatus.CONVERGED for row in rows[6:])  # exp_times_z and Kummer are entire
 
 
-def test_closed_form_array_evaluate_raises_for_its_first_failing_point():
-    """A Lerch point at |z| >= 1 fails the array as it fails the scalar call, named in the error."""
-    p = OperatorParams(0.65, 0.3, 1.4)
-    form = closed_form_spec(p, "hurwitz_lerch", alpha=1.2, lam=0.8, rho=1.5, s=1.1, a=1.0)
-    bad, later = 1.05 * cmath.exp(2.0j), -1.2
-    points = np.array([0.5, 0.2j, bad, 0.0, later])
-    rows = form.inner_sum(points)
-    assert [row.status for row in rows] == [EvalStatus.CONVERGED, EvalStatus.CONVERGED, EvalStatus.DIVERGENT,
-                                            EvalStatus.CONVERGED, EvalStatus.DIVERGENT]
-    with pytest.raises(DomainError) as scalar:
-        form.evaluate(bad)
-    with pytest.raises(DomainError) as array:
-        form.evaluate(points)
-    assert str(array.value) == str(scalar.value) and f"z={bad}" in str(array.value)
-    assert "Divergent" in str(array.value)
-    with pytest.raises(DomainError, match="SlowConvergence"):  # on the circle
-        form.evaluate(np.array([0.1, 1.0]))
-
-
 def test_closed_form_rows_take_pythons_abs_over_the_radius(monkeypatch):
     """Each point's limit is abs(z) / radius with Python's abs, hypot(re, im), as a scalar call takes it.
 
@@ -792,7 +761,7 @@ def test_closed_form_rows_take_pythons_abs_over_the_radius(monkeypatch):
     form = closed_form_spec(OperatorParams(0.65, 0.3, 1.4), "hurwitz_lerch", alpha=1.2, lam=0.8, rho=1.5, s=1.1, a=1.0)
     rng = np.random.default_rng(3)
     points = [r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for r in rng.uniform(0.05, 0.95, 24)]
-    form.inner_sum(np.array(points))
+    fracdiff._closed_form_rows([form], points)
     form.evaluate(points[0])
     radius = form.fox_wright.radius
     assert limits == [[abs(z) / radius for z in points], [abs(points[0]) / radius]]
@@ -908,12 +877,15 @@ def test_closed_form_exp_series_agreement():
     assert_allclose(form.evaluate(z), image.evaluate(z), rtol=1e-11)
 
 
-def test_stacked_hadamard_rows_have_the_bits_of_theta_hadamard():
-    """Each row of _theta_hadamard_rows is theta_hadamard's image of that row, bit for bit.
+def test_hadamard_rows_have_the_bits_of_the_fox_wright_spec():
+    """Each row of _theta_hadamard_rows is a_k times constant times exp(spec.log_coefficients(k - 1)), bit for bit.
 
-    Random triples, tau = beta and gamma in the hundreds among them, at
-    orders 1, 64 and 3000 (past one 2048-index log Gamma block); each
-    single call reads the kept pair row, built afresh for its triple.
+    constant and spec are theta_fox_wright_spec's, products taken in that
+    order. spec's rows log Gamma(1 + k) and log k! cancel exactly, so its
+    log coefficients are the Gamma pair's difference. Random triples,
+    tau = beta and gamma in the hundreds among them, at orders 1, 64 and
+    3000 (past one 2048-index log Gamma block); theta_hadamard, the one-row
+    call, is held to the same reference.
     """
     rng = np.random.default_rng(44)
     ps = [OperatorParams(0.65, 0.3, 1.4), OperatorParams(0.5, 0.5, 0.0), OperatorParams(0.9, 0.2, 400.0),
@@ -926,8 +898,10 @@ def test_stacked_hadamard_rows_have_the_bits_of_theta_hadamard():
         coeffs[:, 0] = 0.0
         rows = fracdiff._theta_hadamard_rows(ps, coeffs)
         for p, c, row in zip(ps, coeffs, rows):
-            want = theta_hadamard(p, PowerSeries(c)).coeffs
+            constant, spec = theta_fox_wright_spec(p)
+            want = np.concatenate(([0j], c[1:] * constant * np.exp(spec.log_coefficients(np.arange(order)))))
             assert row.tobytes() == want.tobytes(), (p, order)
+            assert theta_hadamard(p, PowerSeries(c)).coeffs.tobytes() == want.tobytes(), (p, order)
 
 
 @pytest.mark.parametrize("kind,params", [(kind, kw) for kind, kw, _ in _CLOSED_FORM_CASES])

@@ -219,11 +219,19 @@ def test_fixture_round_trip(tmp_path):
     assert np.array_equal(back.coeffs, ps.coeffs)
 
 
-def test_fixture_order_mismatch_rejected(tmp_path):
+@pytest.mark.parametrize("order,match", [
+    (7, "disagrees"),
+    ("1", "malformed series fixture"),  # an order that is not an integer is refused, not added to
+    (None, "malformed series fixture"),
+    (True, "malformed series fixture"),
+    (1.0, "malformed series fixture"),
+    (-1, "malformed series fixture"),
+])
+def test_fixture_order_mismatch_rejected(tmp_path, order, match):
     path = tmp_path / "bad.json"
-    doc = {"order": 7, "coeffs": [[0.0, 0.0], [1.0, 0.0]]}
+    doc = {"order": order, "coeffs": [[0.0, 0.0], [1.0, 0.0]]}
     path.write_text(json.dumps(doc))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=match):
         load_series_fixture(path)
 
 

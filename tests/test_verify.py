@@ -165,6 +165,17 @@ def _one_golden(tmp_path, monkeypatch, **change):
     return suite_fixtures()
 
 
+def test_golden_file_that_is_not_utf8_fails_naming_it(tmp_path, monkeypatch):
+    """Bytes that are not UTF-8 fail the golden file as a whole, as JSON that does not parse does."""
+    src = fixture_dir()
+    for name in SERIES_FIXTURE_NAMES:
+        (tmp_path / name).write_text((src / name).read_text())
+    (tmp_path / "quad_goldens.json").write_bytes(b'{"entries": "\xe9"}')
+    monkeypatch.setenv("FRACOPS_FIXTURES", str(tmp_path))
+    res = suite_fixtures()
+    assert len(res.failures) == 1 and res.failures[0].startswith("fixture quad_goldens.json: ")
+
+
 @pytest.mark.parametrize("z, message", [
     ([0, 0], "undefined at z = 0"),
     ([1.0, 0.0], "inside the unit disk"),
