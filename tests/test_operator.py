@@ -686,7 +686,8 @@ def _value_bits(x):
     return complex(x).real.hex(), complex(x).imag.hex()
 
 
-@pytest.mark.parametrize("source", [*_CLOSED_FORM_PARAMS, *range(6), None])
+@pytest.mark.parametrize("source", [*_CLOSED_FORM_PARAMS, *range(6), None],
+                         ids=lambda s: "-".join(map(str, s)) if isinstance(s, tuple) else None)
 def test_multi_image_sum_rows_equal_one_image_calls_bit_for_bit(source):
     """Each row of one _closed_form_rows pass has the bits of its image's own inner_sum at its point.
 
@@ -723,6 +724,45 @@ def test_multi_image_sum_rows_equal_one_image_calls_bit_for_bit(source):
             assert row.status is EvalStatus.CONVERGED
             assert _outcome_bits(row) == _outcome_bits(alone.inner_sum(z)), (p, kind, z)
         assert at_zero[2 * i].terms_used == 1 and alone.evaluate(0j) == 0j
+
+
+_ONE_IMAGE_FORMS = [("koebe", {"alpha": 1.0}), ("koebe", {"alpha": 2.0}), ("exp_times_z", {}),
+                    ("kummer", {"alpha": 1.3, "lam": 0.9}), ("kummer", {"alpha": 1.3, "lam": 1.3}),
+                    ("hurwitz_lerch", {"alpha": 1.2, "lam": 0.8, "rho": 1.5, "s": 1.1, "a": 1.0})]
+
+
+@pytest.mark.parametrize("seed", [*range(6), None])
+@pytest.mark.parametrize("kind,kw", _ONE_IMAGE_FORMS)
+def test_one_image_rows_at_many_points_equal_one_point_calls_bit_for_bit(seed, kind, kw):
+    """One image's rows in one _closed_form_rows pass have the bits of its one-point calls.
+
+    A lone image takes its own branch of the pass: one row of q_k and of
+    the Gamma pair, broadcast over the points. |z| = 0.05 sits next to
+    |z| = 0.95, so one driver pass sums rows that stop after a few and
+    after hundreds of terms. Seeds draw the triple and the angles; seed
+    None is (0.65, 0.3, 1.4) on the ray at angle 0.7. z = 0 takes a pass
+    of its own, as the pass's points are all 0 or none, and ends at the
+    exact first term. Each form also refuses the points as one array.
+    """
+    from fracops.verify import draw_params
+
+    if seed is None:
+        p, turns = _TRIPLE_A, [cmath.exp(0.7j)] * 4
+    else:
+        rng = np.random.default_rng(seed)
+        p = draw_params(rng)
+        turns = [cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(4)]
+    points = [r * turn for r, turn in zip((0.05, 0.95, 0.5, 0.3), turns)]
+    rows = fracdiff._closed_form_rows([closed_form_spec(p, kind, **kw)], points)
+    at_zero = fracdiff._closed_form_rows([closed_form_spec(p, kind, **kw)], [0j, 0j])
+    assert len(rows) == len(points) and len(at_zero) == 2
+    form = closed_form_spec(p, kind, **kw)
+    for z, row in zip(points + [0j, 0j], rows + at_zero):
+        assert row.status is EvalStatus.CONVERGED
+        assert _outcome_bits(row) == _outcome_bits(form.inner_sum(z)), (p, z)
+    assert at_zero[0].terms_used == 1 and form.evaluate(0j) == 0j
+    with pytest.raises(DomainError, match="one complex point"):
+        form.evaluate(np.array(points))
 
 
 def test_multi_image_sum_rows_stop_on_their_own_terms():

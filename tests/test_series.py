@@ -219,19 +219,21 @@ def test_fixture_round_trip(tmp_path):
     assert np.array_equal(back.coeffs, ps.coeffs)
 
 
-@pytest.mark.parametrize("order,match", [
-    (7, "disagrees"),
-    ("1", "malformed series fixture"),  # an order that is not an integer is refused, not added to
-    (None, "malformed series fixture"),
-    (True, "malformed series fixture"),
-    (1.0, "malformed series fixture"),
-    (-1, "malformed series fixture"),
-])
-def test_fixture_order_mismatch_rejected(tmp_path, order, match):
+def test_fixture_order_mismatch_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    doc = {"order": 7, "coeffs": [[0.0, 0.0], [1.0, 0.0]]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DomainError, match="disagrees"):
+        load_series_fixture(path)
+
+
+@pytest.mark.parametrize("order", ["1", None, True, 1.0, -1])
+def test_fixture_order_that_is_not_a_count_rejected(tmp_path, order):
+    """An order that is not an integer, or is negative, is refused as malformed, not added to."""
     path = tmp_path / "bad.json"
     doc = {"order": order, "coeffs": [[0.0, 0.0], [1.0, 0.0]]}
     path.write_text(json.dumps(doc))
-    with pytest.raises(DomainError, match=match):
+    with pytest.raises(DomainError, match="malformed series fixture"):
         load_series_fixture(path)
 
 
